@@ -4,7 +4,8 @@ Subcommands:
 
     spec1d    derivative quadruple and spectral intervals of a 1-D builtin
     spec2d    eigenvalue curve, growth rates, and radius bound (planar)
-    classify  winding-based region labeling over a plane grid, SVG figure
+    classify  region labeling over a plane grid by deg(lam*id - f) =
+              1 + wind(sigma, lam), SVG figure
     shift     analytic shift-model report plus truncation residuals
     mnc       compactness-rate bounds for an operator expression
     bifurcate bifurcation candidate scan (planar builtin or shift model)
@@ -20,7 +21,7 @@ solver failure, 5 result dominated by undecided cells (band violations).
 Expression grammar for `mnc --expr` (composition `o` binds tighter than `+`):
 
     expr    := term ('+' term)*
-    term    := factor (('o' | '.') factor)*
+    term    := factor (('o' | '∘') factor)*
     factor  := atom | scale(NUMBER, expr) | '(' expr ')'
     atom    := Identity | ScalarMultiple(c) | IsometryOntoCodim(k)
              | CompactLinear | FiniteRank(r) | LocallyCompactNonlinear
@@ -154,14 +155,14 @@ def _curve_csv(curve) -> str:
 
 
 def _grid_csv(spectrum) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["re", "im", "label"])
-    names = {0: "in_spectrum", 1: "regular", 2: "band"}
-    for j, y in enumerate(spectrum.ys):
-        for i, x in enumerate(spectrum.xs):
-            writer.writerow([repr(float(x)), repr(float(y)), names[int(spectrum.labels[j, i])]])
-    return buf.getvalue()
+    # the same bytes csv.writer gives: no field here needs quoting
+    names = ("in_spectrum", "regular", "band")
+    cols = [repr(float(x)) + "," for x in spectrum.xs]
+    lines = ["re,im,label\n"]
+    for y, row in zip(spectrum.ys, spectrum.labels.tolist()):
+        yc = repr(float(y)) + ","
+        lines.extend(f"{xc}{yc}{names[lab]}\n" for xc, lab in zip(cols, row))
+    return "".join(lines)
 
 
 def _curve_json(curve, limit: int | None = None) -> dict:

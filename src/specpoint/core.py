@@ -8,7 +8,6 @@ taxonomy shared by every engine.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -318,17 +317,3 @@ def complex_scale(lam, x) -> np.ndarray:
     z = lam * z
     out = np.stack([z.real, z.imag], axis=-1)
     return out.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# runtime knobs
-
-
-def thread_count() -> int:
-    """Worker count cap from SPECPOINT_THREADS; engines stay deterministic."""
-    raw = os.environ.get("SPECPOINT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

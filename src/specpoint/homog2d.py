@@ -2,11 +2,19 @@
 
 For a positively homogeneous planar map the point-spectrum part is exactly
 the eigenvalue set {lam : lam z = f(z), |z| = 1}, traced as the closed curve
-theta -> f(e^{i theta}) * e^{-i theta} (complex product).  Regularity of
-lam*id - f away from that curve is decided by a winding-number proxy:
+theta -> sigma(theta) = f(e^{i theta}) * e^{-i theta} (complex product).
+Regularity of lam*id - f away from that curve is decided by a winding-number
+proxy:
 
     winding of theta -> lam z - f(z) around 0 nonzero  => regular
     winding zero                                       => in the spectrum
+
+On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
+
+    deg(lam*id - f) = 1 + wind(sigma, lam),
+
+and a grid is labelled by a point-in-polygon winding query on the traced
+curve, with no further map evaluations.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is
@@ -16,7 +24,6 @@ validated against the planar benchmark maps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -29,7 +36,6 @@ from .core import (
     NumericError,
     PreconditionError,
     SolverError,
-    thread_count,
 )
 from .maps import MapSpec, evaluate
 from .numerics import (
@@ -42,6 +48,9 @@ from .numerics import (
 )
 
 TWO_PI = 2.0 * math.pi
+CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
+MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
+MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 
 ZERO_EPI_PROXY_NOTE = (
     "winding==0 is treated as 'in spectrum'; nonzero winding soundly implies "
@@ -220,12 +229,6 @@ def d_and_quasinorm(f: MapSpec, samples: int = 4096) -> tuple[float, float]:
     return d, q
 
 
-def _curve_stats(gamma: np.ndarray):
-    """(total signed angle, max |increment|, min |gamma|) for a closed curve."""
-    steps = np.angle(np.roll(gamma, -1) * np.conj(gamma))
-    return float(steps.sum()), float(np.max(np.abs(steps))), float(np.min(np.abs(gamma)))
-
-
 def winding_number(
     f: MapSpec,
     lam,
@@ -248,13 +251,15 @@ def winding_number(
         pts = radius * _unit_points(thetas)
         w = evaluate(f, pts)
         gamma = lam * radius * np.exp(1j * thetas) - (w[..., 0] + 1j * w[..., 1])
-        total, max_inc, margin = _curve_stats(gamma)
+        steps = np.angle(np.roll(gamma, -1) * np.conj(gamma))
+        margin = float(np.min(np.abs(gamma)))
+        max_inc = float(np.max(np.abs(steps)))
         if margin < margin_tol * max(1.0, radius):
             raise AdmissibilityError(
                 f"boundary curve of {f.name} passes within {margin:.3e} of the origin"
             )
         if max_inc < 0.5 * math.pi:
-            turns = int(round(total / TWO_PI))
+            turns = int(round(float(steps.sum()) / TWO_PI))
             return WindingResult(turns, margin, n, max_inc)
         if n >= max_samples:
             raise NumericError(
@@ -263,81 +268,41 @@ def winding_number(
         n *= 2
 
 
-def _winding_of_boundary_values(gamma_fn, n0: int = 256, max_samples: int = 1 << 18,
-                                margin_tol: float = 1e-9):
-    """Same refinement loop for a caller-supplied closed curve sampler."""
-    n = n0
-    while True:
-        thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        gamma = gamma_fn(thetas)
-        total, max_inc, margin = _curve_stats(gamma)
-        if margin < margin_tol:
-            raise AdmissibilityError("curve passes too near the origin")
-        if max_inc < 0.5 * math.pi:
-            return int(round(total / TWO_PI)), margin
-        if n >= max_samples:
-            raise NumericError("winding refinement hit the sample cap")
-        n *= 2
+def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Degree 1 + wind(sigma, lam) for every lam = x + iy of an ascending grid.
+
+    The sampled curve is read as a closed polygon.  Each edge crosses the rows
+    y with ay <= y < by (upward, +1) or by <= y < ay (downward, -1), so
+    horizontal edges cross nothing and a vertex is counted once.  The winding
+    around a cell is the signed count of its row's crossings strictly to its
+    right: crossings are binned by the first column at or right of them and
+    summed from the right (Hormann & Agathos, Comput. Geom. 20, 2001).  The
+    crossing list is sparse, one entry per (edge, row) pair it covers.
+    """
+    a = curve.values
+    b = np.roll(a, -1)
+    lo = np.minimum(a.imag, b.imag)
+    hi = np.maximum(a.imag, b.imag)
+    first = np.searchsorted(ys, lo, side="left")
+    counts = np.searchsorted(ys, hi, side="left") - first
+    edge = np.repeat(np.arange(a.size), counts)
+    row = first[edge] + np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ea, eb = a[edge], b[edge]
+    x_cross = ea.real + (ys[row] - ea.imag) * (eb.real - ea.real) / (eb.imag - ea.imag)
+    sign = np.where(eb.imag > ea.imag, 1.0, -1.0)
+    col = np.searchsorted(xs, x_cross, side="left")  # cells 0..col-1 lie left of it
+    nx = xs.size
+    binned = np.bincount(row * (nx + 1) + col, weights=sign, minlength=ys.size * (nx + 1))
+    binned = binned.reshape(ys.size, nx + 1).astype(np.int64)
+    right = np.cumsum(binned[:, ::-1], axis=1)[:, ::-1]
+    return 1 + right[:, 1:]
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
-    base_theta: int = 512
-    max_theta: int = 1 << 15
-    margin_tol: float = 1e-9
-    chunk: int = 2048
-    curve_samples: int = 2048
-
-
-def _winding_bulk(f: MapSpec, lams: np.ndarray, cfg: ClassifyConfig):
-    """Winding numbers for many lam values, sharing the boundary evaluations."""
-    n_pts = lams.size
-    turns = np.zeros(n_pts, dtype=int)
-    ok = np.zeros(n_pts, dtype=bool)
-    viol = np.zeros(n_pts, dtype=bool)
-    pending = np.arange(n_pts)
-
-    def curve_at(n):
-        thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        w = evaluate(f, _unit_points(thetas))
-        return np.exp(1j * thetas), w[..., 0] + 1j * w[..., 1]
-
-    n = cfg.base_theta
-    while pending.size and n <= cfg.max_theta:
-        z, fv = curve_at(n)
-
-        def handle(idx_chunk):
-            gamma = lams[idx_chunk, None] * z[None, :] - fv[None, :]
-            steps = np.angle(np.roll(gamma, -1, axis=1) * np.conj(gamma))
-            margins = np.abs(gamma).min(axis=1)
-            max_inc = np.abs(steps).max(axis=1)
-            totals = steps.sum(axis=1)
-            return margins, max_inc, totals
-
-        chunks = [pending[i : i + cfg.chunk] for i in range(0, pending.size, cfg.chunk)]
-        workers = thread_count()
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(handle, chunks))
-        else:
-            results = [handle(c) for c in chunks]
-
-        still = []
-        for idx_chunk, (margins, max_inc, totals) in zip(chunks, results):
-            bad_margin = margins < cfg.margin_tol
-            settled = (max_inc < 0.5 * math.pi) & ~bad_margin
-            turns[idx_chunk[settled]] = np.round(totals[settled] / TWO_PI).astype(int)
-            ok[idx_chunk[settled]] = True
-            viol[idx_chunk[bad_margin]] = True
-            rest = idx_chunk[~settled & ~bad_margin]
-            if rest.size:
-                still.append(rest)
-        pending = np.concatenate(still) if still else np.empty(0, dtype=int)
-        n *= 2
-
-    if pending.size:
-        viol[pending] = True  # could not settle below the cap; treat as band
-    return turns, ok, viol
+def _components_consistent(labels: np.ndarray, decided: np.ndarray) -> bool:
+    """All-or-nothing: each 4-connected component of decided cells has one label."""
+    comp, n_comp = ndimage.label(decided, structure=ndimage.generate_binary_structure(2, 1))
+    ids = np.arange(1, n_comp + 1)
+    return bool(np.array_equal(ndimage.minimum(labels, comp, ids), ndimage.maximum(labels, comp, ids)))
 
 
 def classify_plane(
@@ -346,50 +311,48 @@ def classify_plane(
     resolution: int = 200,
     band_radius: float | None = None,
     curve: SigmaCurve | None = None,
-    config: ClassifyConfig = ClassifyConfig(),
 ) -> PlaneSpectrum:
-    """Label a grid of candidate lam values as in-spectrum / regular / band."""
+    """Label a grid of candidate lam values as in-spectrum / regular / band.
+
+    Cells within the band radius of the curve samples are Band.  An off-band
+    cell closer than MARGIN_TOL to a sample is a "margin" violation; when the
+    curve missed its chord bound, one within the largest chord is a "chord"
+    violation.  Violations are Band too.  Every other cell is labelled by
+    the degree 1 + wind(sigma, lam) of `scanline_turns`.
+    """
     _require_planar_homogeneous(f)
     x0, x1, y0, y1 = map(float, bounds)
     if not (x1 > x0 and y1 > y0) or resolution < 2:
         raise PreconditionError("need a nondegenerate grid")
+    if resolution > MAX_RESOLUTION:
+        raise PreconditionError(f"grid resolution {resolution} exceeds {MAX_RESOLUTION}")
     if curve is None:
-        curve = sigma_curve(f, samples=config.curve_samples)
+        curve = sigma_curve(f, samples=CURVE_SAMPLES)
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     cell_diag = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     band = 2.0 * cell_diag if band_radius is None else float(band_radius)
+    chord = 0.0 if curve.chord_met else curve.max_gap()
 
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    tree = cKDTree(curve.pairs())
-    dist, _ = tree.query(pts)
-    labels = np.full(pts.shape[0], int(CellLabel.BAND), dtype=np.int8)
+    # Nothing past the widest threshold matters; the slack keeps every
+    # distance at a threshold finite, so the comparisons below see it.
+    reach = max(band, MARGIN_TOL, chord)
+    dist, _ = cKDTree(curve.pairs()).query(pts, distance_upper_bound=reach * (1.0 + 1e-9))
+    dist = dist.reshape(resolution, resolution)
     off = dist > band
+    margin = off & (dist < MARGIN_TOL)
+    chord_hit = off & ~margin & (dist <= chord)
+    violations = tuple(
+        (int(i), int(j), "margin" if margin[j, i] else "chord")
+        for j, i in zip(*np.nonzero(margin | chord_hit))
+    )
+    decided = off & ~margin & ~chord_hit
 
-    lams = pts[off, 0] + 1j * pts[off, 1]
-    turns, ok, viol = _winding_bulk(f, lams, config)
-    off_idx = np.flatnonzero(off)
-    violations = []
-    for local_i in np.flatnonzero(viol):
-        gi = off_idx[local_i]
-        violations.append((int(gi % resolution), int(gi // resolution), "margin"))
-    lab_off = np.where(turns != 0, int(CellLabel.REGULAR), int(CellLabel.IN_SPECTRUM))
-    lab_off = np.where(viol, int(CellLabel.BAND), lab_off).astype(np.int8)
-    labels[off_idx] = lab_off
-
-    grid_labels = labels.reshape(resolution, resolution)
-
-    # all-or-nothing on connected off-band components
-    offband = grid_labels != int(CellLabel.BAND)
-    structure = ndimage.generate_binary_structure(2, 1)
-    comp, n_comp = ndimage.label(offband, structure=structure)
-    consistent = True
-    for cid in range(1, n_comp + 1):
-        vals = np.unique(grid_labels[comp == cid])
-        if vals.size > 1:
-            consistent = False
-            break
+    turns = scanline_turns(curve, xs, ys)
+    grid_labels = np.where(turns != 0, int(CellLabel.REGULAR), int(CellLabel.IN_SPECTRUM))
+    grid_labels = np.where(decided, grid_labels, int(CellLabel.BAND)).astype(np.int8)
 
     return PlaneSpectrum(
         curve=curve,
@@ -397,8 +360,8 @@ def classify_plane(
         ys=ys,
         labels=grid_labels,
         band_radius=band,
-        violations=tuple(violations),
-        component_consistent=consistent,
+        violations=violations,
+        component_consistent=_components_consistent(grid_labels, decided),
         metadata={"zero_epi_proxy": ZERO_EPI_PROXY_NOTE},
     )
 
@@ -465,7 +428,8 @@ def rouche_coincidence(
         w = evaluate(f, radius * _unit_points(thetas))
         return w[..., 0] + 1j * w[..., 1]
 
-    turns, margin = _winding_of_boundary_values(boundary_gamma, n0=max(64, boundary_samples // 8))
+    # -f(z) = 0 * z - f(z) winds as often as f(z)
+    turns = winding_number(f, 0.0, radius=radius, samples=max(64, boundary_samples // 8)).turns
     if turns == 0:
         raise PreconditionError("boundary winding of f is zero; solvability not certified")
 

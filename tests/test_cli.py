@@ -1,6 +1,8 @@
 import json
 import math
 
+import numpy as np
+
 from specpoint import cli
 
 
@@ -243,3 +245,28 @@ def test_seeded_bifurcate_deterministic(capsys, tmp_path):
     assert run_cli(capsys, args + ["--out", str(a)])[0] == 0
     assert run_cli(capsys, args + ["--out", str(b)])[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_classify_rejects_huge_res_before_allocating(capsys):
+    # 1e9 cells a side would need exabytes; the guard must fire first
+    rc, _ = run_cli(capsys, ["classify", "--fn", "abs_re_plus_i_im", "--res", "1000000000"])
+    assert rc == 3
+
+
+def test_grid_csv_matches_csv_writer():
+    import csv
+    import io
+
+    from specpoint.homog2d import classify_plane
+    from specpoint.maps import builtin
+
+    ps = classify_plane(builtin("half_abs_re_plus_i_im"), bounds=(-1 / 3, 1.1, -2e-7, 0.7), resolution=12)
+    assert set(np.unique(ps.labels)) == {0, 1, 2}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["re", "im", "label"])
+    names = {0: "in_spectrum", 1: "regular", 2: "band"}
+    for j, y in enumerate(ps.ys):
+        for i, x in enumerate(ps.xs):
+            writer.writerow([repr(float(x)), repr(float(y)), names[int(ps.labels[j, i])]])
+    assert cli._grid_csv(ps) == buf.getvalue()

@@ -1,15 +1,19 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from specpoint.core import AdmissibilityError, PreconditionError
 from specpoint.homog2d import (
     CellLabel,
+    _components_consistent,
     bifurcation_set_homog,
     classify_plane,
     d_and_quasinorm,
     rouche_coincidence,
+    scanline_turns,
     sigma_curve,
     spectral_radius_bound,
     winding_number,
@@ -246,17 +250,99 @@ def test_classify_relabels_inadmissible_points_as_band():
     ps = classify_plane(
         f, bounds=(1.0 + eps, 2.0, 0.0, 1.0), resolution=3, band_radius=1e-12
     )
-    assert ps.violations
+    assert [v[2] for v in ps.violations] == ["margin"]
     i, j = ps.violations[0][0], ps.violations[0][1]
     assert ps.labels[j, i] == CellLabel.BAND
 
 
-def test_classify_deterministic_under_threading(monkeypatch):
-    f = builtin("half_abs_re_plus_i_im")
-    ps1 = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=50)
-    monkeypatch.setenv("SPECPOINT_THREADS", "4")
-    ps2 = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=50)
-    assert np.array_equal(ps1.labels, ps2.labels)
+def conj_mix(alpha, beta, gamma):
+    """z -> alpha z + beta conj(z) + gamma |z|: sigma = alpha + gamma e^{-it} + beta e^{-2it}.
+
+    With |beta| > |gamma| the curve winds -2 times around the points near
+    alpha, so the degree there is -1.
+    """
+
+    def ev(x, _a=alpha, _b=beta, _g=gamma):
+        x = np.asarray(x, dtype=float)
+        z = x[..., 0] + 1j * x[..., 1]
+        w = _a * z + _b * np.conj(z) + _g * np.abs(z)
+        return np.stack([w.real, w.imag], axis=-1)
+
+    return black_box(2, ev, name="conj_mix", homogeneous=True)
+
+
+coef = st.floats(-3.0, 3.0, allow_nan=False)
+planar_maps = st.one_of(
+    st.tuples(coef, coef, coef, coef).map(lambda p: builtin("real_linear", s=p[0], t=p[1], u=p[2], v=p[3])),
+    st.tuples(coef, coef, coef, coef, coef, coef).map(
+        lambda p: conj_mix(complex(p[0], p[1]) / 3.0, complex(p[2], p[3]), complex(p[4], p[5]) / 2.0)
+    ),
+)
+
+
+def assert_scanline_matches_evaluation(f, res=20, band=0.05, check=None):
+    """Scanline degree equals the evaluated winding_number on off-band cells."""
+    curve = sigma_curve(f, samples=2048)
+    z = curve.values
+    bounds = (z.real.min() - 0.7, z.real.max() + 0.5, z.imag.min() - 0.5, z.imag.max() + 0.7)
+    ps = classify_plane(f, bounds=bounds, resolution=res, band_radius=band, curve=curve)
+    turns = scanline_turns(curve, ps.xs, ps.ys)
+    rows, cols = np.nonzero(ps.labels != CellLabel.BAND)
+    if check is not None and rows.size > check:
+        pick = np.random.default_rng(0).choice(rows.size, check, replace=False)
+        rows, cols = rows[pick], cols[pick]
+    for j, i in zip(rows, cols):
+        assert turns[j, i] == winding_number(f, complex(ps.xs[i], ps.ys[j])).turns
+    expect = np.where(turns != 0, int(CellLabel.REGULAR), int(CellLabel.IN_SPECTRUM))
+    off = ps.labels != CellLabel.BAND
+    assert np.array_equal(ps.labels[off], expect[off])
+    return turns[off]
+
+
+@given(planar_maps)
+def test_scanline_turns_match_evaluated_winding(f):
+    assert_scanline_matches_evaluation(f)
+
+
+def test_scanline_counts_double_clockwise_turns():
+    # |beta| > |gamma|: an inner region of degree -1 inside a ring of degree 0
+    f = conj_mix(0.0, 1.0, 0.5)
+    seen = assert_scanline_matches_evaluation(f, res=80, check=400)
+    assert set(np.unique(seen)) == {-1, 0, 1}
+    curve = sigma_curve(f, samples=2048)
+    assert scanline_turns(curve, np.array([0.0]), np.array([0.0]))[0, 0] == -1
+
+
+def test_component_check_matches_per_component_loop():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        labels = rng.integers(0, 2, size=(12, 12)).astype(np.int8)
+        if rng.random() < 0.5:
+            labels[:] = labels[0, 0]
+        decided = rng.random((12, 12)) < 0.6
+        comp, n = ndimage.label(decided)
+        loop = all(np.unique(labels[comp == c]).size == 1 for c in range(1, n + 1))
+        assert _components_consistent(labels, decided) == loop
+
+
+def test_classify_coarse_curve_marks_chord_band():
+    # a 64-sample cardioid misses its chord bound; cells within its largest
+    # chord cannot be decided from the polygon and are Band for reason "chord"
+    f = builtin("norm_plus_i_im")
+    coarse = sigma_curve(f, samples=64, max_samples=64)
+    assert not coarse.chord_met
+    ps = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.01, curve=coarse)
+    assert ps.violations
+    assert {v[2] for v in ps.violations} == {"chord"}
+    gx, gy = np.meshgrid(ps.xs, ps.ys)
+    dist = np.min(np.abs((gx + 1j * gy)[..., None] - coarse.values), axis=-1)
+    chord = (dist > 0.01) & (dist <= coarse.max_gap())
+    assert sorted((j, i) for i, j, _ in ps.violations) == sorted(zip(*np.nonzero(chord)))
+    assert np.all(ps.labels[chord] == CellLabel.BAND)
+    fine = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.01)
+    assert not fine.violations
 
 
 # ---------------------------------------------------------------------------
