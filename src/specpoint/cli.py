@@ -10,10 +10,15 @@ Subcommands:
     mnc       compactness-rate bounds for an operator expression
     bifurcate bifurcation candidate scan (planar builtin or shift model)
 
-All commands accept --seed (fixes low-discrepancy and restart sequences),
---out PATH (JSON to PATH; CSV/SVG artifacts next to it), and --config FILE
-with `key = value` lines overridden by explicit flags.  Identical argv and
-seed produce byte-identical outputs.
+All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it)
+and --config FILE with `key = value` lines overridden by explicit flags.
+`bifurcate` also takes --seed, which fixes the sphere directions of scans of
+non-planar maps; no other command's result depends on a seed.  Identical
+argv produce byte-identical outputs.
+
+Sizes are capped, and a larger value exits 3 before anything is allocated:
+--res <= 4096, --samples <= 2^20, --truncate <= 2048, --angles <= 4096, and
+--grid counts nx, ny <= 128.
 
 Exit codes: 0 success, 2 usage error, 3 precondition violated, 4 numeric or
 solver failure, 5 result dominated by undecided cells (band violations).
@@ -58,6 +63,8 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_UNDECIDED = 5
+MAX_ANGLES = 4096  # bifurcate --shift: lambdas on the sqrt(2) circle
+MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 1024 angles
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -221,7 +228,7 @@ def _cmd_spec2d(args, config) -> int:
     f = _build_map(args, config)
     samples = int(_effective(args, config, "samples", 4096, int))
     curve = homog2d.sigma_curve(f, samples=samples)
-    d, q = homog2d.d_and_quasinorm(f, samples=samples)
+    d, q = homog2d.d_and_quasinorm(f, curve)
     payload = {
         "command": "spec2d",
         "fn": f.name,
@@ -229,7 +236,7 @@ def _cmd_spec2d(args, config) -> int:
         "curve_is_point": curve.is_point(1e-9),
         "d": d,
         "q": q,
-        "radius_bound": homog2d.spectral_radius_bound(f, samples=samples),
+        "radius_bound": q,
     }
     _emit(payload, args.out)
     if args.out:
@@ -254,7 +261,7 @@ def _cmd_classify(args, config) -> int:
         "fn": f.name,
         "bounds": [xmin, xmax, ymin, ymax],
         "res": res,
-        "radius_bound": homog2d.spectral_radius_bound(f),
+        "radius_bound": homog2d.d_and_quasinorm(f, spectrum.curve)[1],
         **summary,
     }
     _emit(payload, args.out)
@@ -325,12 +332,17 @@ def _cmd_mnc(args, config) -> int:
 def _cmd_bifurcate(args, config) -> int:
     radii_text = _effective(args, config, "radii", "0.1,0.01,0.001", str)
     radii = _parse_floats(radii_text)
+    if not radii:
+        raise UsageError("--radii needs at least one radius")
+    if not all(0.0 < r < math.inf for r in radii):
+        raise PreconditionError(f"radii must be positive and finite, got {radii_text!r}")
     tol = _effective(args, config, "tol", 0.02, float)
-    seed = int(_effective(args, config, "seed", 0, int))
 
     if args.shift:
         n = int(_effective(args, config, "truncate", 40, int))
         angles = int(_effective(args, config, "angles", 16, int))
+        if not 0 <= angles <= MAX_ANGLES:
+            raise PreconditionError(f"--angles must lie in [0, {MAX_ANGLES}], got {angles}")
         thetas = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
         lams = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
         for extra in args.extra_lambda or []:
@@ -345,7 +357,7 @@ def _cmd_bifurcate(args, config) -> int:
         elif perturb != "none":
             raise UsageError(f"unknown perturbation {perturb!r}")
         scan = structured.shift_bifurcation_scan(
-            lams, N=n, radii=radii, tol=tol, h_sphere_const=h_const, seed=seed
+            lams, N=n, radii=radii, tol=tol, h_sphere_const=h_const
         )
         payload = {
             "command": "bifurcate",
@@ -368,9 +380,14 @@ def _cmd_bifurcate(args, config) -> int:
     if len(g) != 6:
         raise UsageError("--grid needs x0,x1,y0,y1,nx,ny")
     x0, x1, y0, y1, nx, ny = g
+    if not (nx.is_integer() and ny.is_integer()):
+        raise UsageError(f"--grid counts nx, ny must be integers, got {nx!r}, {ny!r}")
+    if not (1 <= nx <= MAX_GRID and 1 <= ny <= MAX_GRID):
+        raise PreconditionError(f"--grid counts nx, ny must lie in [1, {MAX_GRID}]")
     xs = np.linspace(x0, x1, int(nx))
     ys = np.linspace(y0, y1, int(ny))
     lams = [complex(x, y) for y in ys for x in xs]
+    seed = int(_effective(args, config, "seed", 0, int))
     scan = estimators.bifurcation_scan(f, lams, radii=radii, tol=tol, seed=seed)
     undecided = [v for v in scan.verdicts if v == "undecided"]
     payload = {
@@ -399,7 +416,6 @@ def _cmd_bifurcate(args, config) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="fix sampling/restart sequences")
     p.add_argument("--out", type=str, default=None, help="write JSON here (CSV/SVG alongside)")
     p.add_argument("--config", type=str, default=None, help="key = value defaults file")
 
@@ -469,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p6.add_argument("--grid", type=str, default=None, help="x0,x1,y0,y1,nx,ny")
     p6.add_argument("--radii", type=str, default=None)
     p6.add_argument("--tol", type=float, default=None)
+    p6.add_argument("--seed", type=int, default=None, help="sphere directions when scanning a non-planar --fn map")
     _add_common(p6)
     p6.set_defaults(run=_cmd_bifurcate)
 

@@ -24,8 +24,8 @@ from .core import (
     as_complex,
 )
 from .maps import MapSpec, difference, evaluate, lambda_minus, translate_to_origin
-from .numerics import hausdorff, sphere_directions, sphere_polish
-from .homog2d import SigmaCurve, sigma_curve
+from .numerics import golden_min, hausdorff, sphere_directions, sphere_polish
+from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,20 +196,10 @@ def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) 
     """
     if f.dim != 2:
         raise PreconditionError("local curves are planar")
-    g = translate_to_origin(f, p)
     n = max(16, 4 * math.ceil(samples / 4))
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    pts = radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-    w = evaluate(g, pts)
-    vals = (w[..., 0] + 1j * w[..., 1]) * np.exp(-1j * thetas) / radius
-    return SigmaCurve(
-        thetas=thetas,
-        values=vals,
-        closed=True,
-        chord_bound=float("nan"),
-        chord_met=True,
-        label="local",
-    )
+    vals = _curve_values(translate_to_origin(f, p), thetas, radius)
+    return SigmaCurve(thetas, vals, float("nan"), True, label="local")
 
 
 @dataclass(frozen=True)
@@ -308,41 +298,20 @@ class BifurcationScan:
 
 
 def _planar_scan_residuals(g: MapSpec, lams: np.ndarray, radii, theta_samples: int):
+    thetas = np.linspace(0.0, TWO_PI, theta_samples, endpoint=False)
+    dt = TWO_PI / theta_samples
     res = np.empty((lams.size, len(radii)))
     for j, r in enumerate(radii):
-        thetas = np.linspace(0.0, TWO_PI, theta_samples, endpoint=False)
-        pts = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        w = evaluate(g, pts)
-        wn = (w[..., 0] + 1j * w[..., 1]) / r
-        z = np.exp(1j * thetas)
-        gap = np.abs(lams[:, None] * z[None, :] - wn[None, :])
-        best = gap.min(axis=1)
-        arg = gap.argmin(axis=1)
-        # local refinement of the angular minimum for each lam
-        dt = TWO_PI / theta_samples
-        t_best = thetas[arg]
 
-        def eval_at(ts):
-            p2 = r * np.stack([np.cos(ts), np.sin(ts)], axis=-1)
-            w2 = evaluate(g, p2)
-            w2n = (w2[..., 0] + 1j * w2[..., 1]) / r
-            return np.abs(lams * np.exp(1j * ts) - w2n)
+        def gap(ts, lam=lams):  # |lam e^{it} - g(r e^{it}) / r|
+            w = evaluate(g, r * _unit_points(ts))
+            return np.abs(lam * np.exp(1j * ts) - (w[..., 0] + 1j * w[..., 1]) / r)
 
-        a = t_best - dt
-        b = t_best + dt
-        golden = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - golden * (b - a)
-        d_ = a + golden * (b - a)
-        fc, fd = eval_at(c), eval_at(d_)
-        for _ in range(40):
-            take_c = fc <= fd
-            b = np.where(take_c, d_, b)
-            a = np.where(take_c, a, c)
-            c = b - golden * (b - a)
-            d_ = a + golden * (b - a)
-            fc, fd = eval_at(c), eval_at(d_)
-        refined = np.minimum(fc, fd)
-        res[:, j] = np.minimum(best, refined)
+        sampled = gap(thetas, lams[:, None])
+        # golden-polish the angular minimum of every lam around its best sample
+        t_best = thetas[sampled.argmin(axis=1)]
+        _, refined = golden_min(gap, t_best - dt, t_best + dt, iters=40)
+        res[:, j] = np.minimum(sampled.min(axis=1), refined)
     return res
 
 

@@ -59,19 +59,11 @@ ZERO_EPI_PROXY_NOTE = (
 
 
 @dataclass(frozen=True)
-class CurveConfig:
-    samples: int = 1024
-    chord_bound: float = 1e-3
-    max_samples: int = 1 << 20
-
-
-@dataclass(frozen=True)
 class SigmaCurve:
     """Sampled eigenvalue curve: thetas strictly increasing in [0, 2pi)."""
 
     thetas: np.ndarray
     values: np.ndarray  # complex samples lam(theta)
-    closed: bool
     chord_bound: float
     chord_met: bool
     label: str = "point-spectrum"
@@ -169,64 +161,65 @@ def _unit_points(thetas: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
 
-def _curve_values(f: MapSpec, thetas: np.ndarray) -> np.ndarray:
-    w = evaluate(f, _unit_points(thetas))
-    return (w[..., 0] + 1j * w[..., 1]) * np.exp(-1j * thetas)
+def _curve_values(f: MapSpec, thetas: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    """sigma(theta) = f(r e^{i theta}) e^{-i theta} / r, the curve normalized at radius r."""
+    w = evaluate(f, radius * _unit_points(thetas))
+    return (w[..., 0] + 1j * w[..., 1]) * np.exp(-1j * thetas) / radius
+
+
+def _norm_extrema(f: MapSpec, thetas: np.ndarray, norms: np.ndarray,
+                  radius: float = 1.0) -> tuple[float, float]:
+    """Min and max of |f| on the circle |z| = radius from its samples `norms`.
+
+    The sampled minimum and maximum are golden-polished together, each over
+    the two sample spacings around it.  math.hypot is correctly rounded;
+    np.hypot can be one ulp off.
+    """
+    delta = 2.0 * TWO_PI / thetas.size
+    at = thetas[[int(np.argmin(norms)), int(np.argmax(norms))]]
+    sign = np.array([1.0, -1.0])
+
+    def signed_norms(ts):
+        w = evaluate(f, radius * _unit_points(ts))
+        return sign * np.array([math.hypot(x, y) for x, y in w])
+
+    _, best = golden_min(signed_norms, at - delta, at + delta)
+    return min(float(norms.min()), float(best[0])), max(float(norms.max()), -float(best[1]))
 
 
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
                 max_samples: int = 1 << 20, label: str = "point-spectrum") -> SigmaCurve:
     """Trace the eigenvalue curve, bisecting arcs until the chord bound holds."""
     _require_planar_homogeneous(f)
+    if samples > max_samples:
+        raise PreconditionError(f"{samples} curve samples exceed {max_samples}")
     n0 = max(16, 4 * math.ceil(samples / 4))
     thetas = np.linspace(0.0, TWO_PI, n0, endpoint=False)
     vals = _curve_values(f, thetas)
-    met = False
     while True:
         nxt_theta = np.concatenate([thetas[1:], [TWO_PI]])
-        gaps = np.abs(np.roll(vals, -1) - vals)
-        bad = gaps > chord_bound
-        if not bad.any():
-            met = True
-            break
+        bad = np.abs(np.roll(vals, -1) - vals) > chord_bound
+        met = not bad.any()
         room = max_samples - thetas.size
-        if room <= 0:
+        if met or room <= 0:
             break
-        mids = 0.5 * (thetas[bad] + nxt_theta[bad])
-        if mids.size > room:
-            mids = mids[:room]
+        mids = 0.5 * (thetas[bad] + nxt_theta[bad])[:room]
         thetas = np.sort(np.concatenate([thetas, mids]))
         vals = _curve_values(f, thetas)
-    return SigmaCurve(
-        thetas=thetas,
-        values=vals,
-        closed=True,
-        chord_bound=chord_bound,
-        chord_met=met,
-        label=label,
-    )
+    return SigmaCurve(thetas, vals, chord_bound, met, label)
 
 
-def d_and_quasinorm(f: MapSpec, samples: int = 4096) -> tuple[float, float]:
-    """Min and max of |f| on the unit circle (refined samples plus local polish)."""
+def d_and_quasinorm(f: MapSpec, curve: SigmaCurve | None = None) -> tuple[float, float]:
+    """Growth rates d and q: the min and max of |f| on the unit circle.
+
+    On the circle |f(e^{i theta})| = |sigma(theta)|, so both are read off the
+    traced curve (traced here with 4096 initial samples when none is given)
+    and golden-polished around the sampled extrema.
+    """
     _require_planar_homogeneous(f)
-    curve = sigma_curve(f, samples=samples)
-    norms = np.abs(curve.values)
-
-    def nrm(t: float) -> float:
-        w = evaluate(f, np.array([math.cos(t), math.sin(t)]))
-        return float(math.hypot(w[0], w[1]))
-
-    delta = 2.0 * TWO_PI / curve.thetas.size
-    i_lo = int(np.argmin(norms))
-    i_hi = int(np.argmax(norms))
-    t_lo = float(curve.thetas[i_lo])
-    t_hi = float(curve.thetas[i_hi])
-    _, d_ref = golden_min(nrm, t_lo - delta, t_lo + delta)
-    _, q_ref = golden_min(lambda t: -nrm(t), t_hi - delta, t_hi + delta)
-    d = min(float(norms[i_lo]), d_ref)
-    q = max(float(norms[i_hi]), -q_ref)
-    return d, q
+    if curve is None:
+        curve = sigma_curve(f, samples=4096)
+    return _norm_extrema(f, curve.thetas, np.abs(curve.values))
 
 
 def winding_number(
@@ -375,7 +368,7 @@ def spectral_radius_bound(f: MapSpec, p=None, samples: int = 4096, seed: int = 0
     """
     if f.homogeneous:
         if f.dim == 2:
-            return d_and_quasinorm(f, samples=samples)[1]
+            return d_and_quasinorm(f, sigma_curve(f, samples=samples))[1]
         dirs = sphere_directions(f.dim, samples, seed)
         norms = np.linalg.norm(evaluate(f, dirs), axis=-1)
         i_hi = int(np.argmax(norms))
@@ -424,26 +417,14 @@ def rouche_coincidence(
     if radius <= 0:
         raise PreconditionError("radius must be positive")
 
-    def boundary_gamma(thetas):
-        w = evaluate(f, radius * _unit_points(thetas))
-        return w[..., 0] + 1j * w[..., 1]
-
     # -f(z) = 0 * z - f(z) winds as often as f(z)
     turns = winding_number(f, 0.0, radius=radius, samples=max(64, boundary_samples // 8)).turns
     if turns == 0:
         raise PreconditionError("boundary winding of f is zero; solvability not certified")
 
     thetas = np.linspace(0.0, TWO_PI, boundary_samples, endpoint=False)
-    f_bound = np.abs(boundary_gamma(thetas))
-    i_lo = int(np.argmin(f_bound))
-
-    def f_norm_at(t):
-        w = evaluate(f, radius * np.array([math.cos(t), math.sin(t)]))
-        return float(math.hypot(w[0], w[1]))
-
-    dt = 2.0 * TWO_PI / boundary_samples
-    _, min_f = golden_min(f_norm_at, thetas[i_lo] - dt, thetas[i_lo] + dt)
-    min_f = min(min_f, float(f_bound[i_lo]))
+    w = evaluate(f, radius * _unit_points(thetas))
+    min_f, _ = _norm_extrema(f, thetas, np.abs(w[..., 0] + 1j * w[..., 1]), radius)
 
     disk = np.concatenate([np.zeros((1, 2)), disk_points(disk_samples - 1, radius, seed)])
     k_disk = np.linalg.norm(evaluate(k, disk), axis=-1)

@@ -42,7 +42,7 @@ from .core import (
 class MapSpec:
     name: str
     dim: int
-    evaluator: Optional[Callable]
+    evaluator: Callable
     basepoint: np.ndarray
     homogeneous: bool = False
     complex_pairs: bool = False
@@ -51,7 +51,6 @@ class MapSpec:
     inv_oscillation_hint: bool = False
     domain: Optional[Callable] = None
     params: tuple = ()
-    operator_expr: object = None
 
     def __repr__(self):  # params already baked into the name
         return f"MapSpec({self.name}, dim={self.dim})"
@@ -63,8 +62,6 @@ def _zero_point(dim: int) -> np.ndarray:
 
 def evaluate(f: MapSpec, x) -> np.ndarray:
     """Evaluate f at x (scalar/point or batch).  Non finite output is an error."""
-    if f.evaluator is None:
-        raise UnsupportedError(f"map {f.name} has no pointwise evaluator")
     arr = np.asarray(x, dtype=float)
     if f.dim >= 2 and (arr.ndim == 0 or arr.shape[-1] != f.dim):
         raise DomainError(f"map {f.name} expects points with {f.dim} coordinates")
@@ -228,7 +225,7 @@ def difference(f: MapSpec, g: MapSpec) -> MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# black boxes and structured carriers
+# black boxes
 
 
 def _wrap_unvectorized(ev: Callable, dim: int) -> Callable:
@@ -270,17 +267,6 @@ def black_box(
         dini_exact=dini_exact,
         jacobian=jacobian,
         domain=domain,
-    )
-
-
-def structured_spec(expr) -> MapSpec:
-    """Carrier for a symbolic operator expression (no pointwise evaluator)."""
-    return MapSpec(
-        name="structured",
-        dim=0,
-        evaluator=None,
-        basepoint=np.zeros(0),
-        operator_expr=expr,
     )
 
 

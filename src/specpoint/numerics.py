@@ -156,24 +156,26 @@ def pattern_search_2d(obj, x0, step0: float, *, feasible=None, f_tol: float = 0.
     return x, fx
 
 
-def golden_min(fn, lo: float, hi: float, iters: int = 60):
-    """Golden-section minimization on a bracket; returns (x, fn(x))."""
-    a, b = float(lo), float(hi)
+def golden_min(fn, lo, hi, iters: int = 60):
+    """Golden-section minimization on brackets; returns (x, fn(x)).
+
+    lo and hi may be arrays: every element is searched on its own bracket
+    and fn maps an array of points to their values, one call per iteration.
+    Each element follows the iterates of the scalar search exactly.
+    """
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
+        left = fc <= fd  # keep [a, d]: d <- c and c is new; else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = fn(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    left = fc <= fd
+    return np.where(left, c, d)[()], np.where(left, fc, fd)[()]
 
 
 def directed_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -39,6 +39,7 @@ from .core import (
 )
 
 SQRT2 = math.sqrt(2.0)
+MAX_TRUNCATION = 2048  # truncated problems are dense N x N complex solves
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +576,11 @@ def sphere_least_squares(A: np.ndarray, b: np.ndarray, s: float = 1.0):
     return z, float(np.linalg.norm(A @ z - b))
 
 
+def _check_truncation(N: int) -> None:
+    if not 4 <= N <= MAX_TRUNCATION:
+        raise PreconditionError(f"need truncation dimension 4 <= N <= {MAX_TRUNCATION}, got {N}")
+
+
 def truncated_shift_min(lam, N: int) -> float:
     """min over |z| = 1 in C^N of |lam z - (|z|, z_1, ..., z_{N-1})|.
 
@@ -583,8 +589,7 @@ def truncated_shift_min(lam, N: int) -> float:
     point-spectrum probe only for |lam| > 1, where eigenvector tails decay;
     for |lam| <= 1 truncation distorts the sphere minimum.
     """
-    if N < 4:
-        raise PreconditionError("need truncation dimension N >= 4")
+    _check_truncation(N)
     lam = as_complex(lam)
     A = lam * np.eye(N, dtype=complex) - _shift_matrix(N)
     b = np.zeros(N, dtype=complex)
@@ -626,7 +631,6 @@ def shift_bifurcation_scan(
     h: Optional[Callable] = None,
     h_sphere_const: Optional[Callable] = None,
     polish_budget: int = 2000,
-    seed: int = 0,
 ) -> ShiftScanResult:
     """Small-radius nontrivial-solution scan for lam z = f_N(z) + h(z).
 
@@ -636,8 +640,7 @@ def shift_bifurcation_scan(
     vector value so the per-sphere problem stays affine and is solved
     exactly; otherwise a seeded derivative-free descent is used.
     """
-    if N < 4:
-        raise PreconditionError("need truncation dimension N >= 4")
+    _check_truncation(N)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     lams = [as_complex(l) for l in lam_grid]
     L = _shift_matrix(N)

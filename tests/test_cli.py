@@ -69,8 +69,6 @@ def test_classify_outputs_and_determinism(capsys, tmp_path):
         "48",
         "--band",
         "0.1",
-        "--seed",
-        "1",
     ]
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -270,3 +268,55 @@ def test_grid_csv_matches_csv_writer():
         for i, x in enumerate(ps.xs):
             writer.writerow([repr(float(x)), repr(float(y)), names[int(ps.labels[j, i])]])
     assert cli._grid_csv(ps) == buf.getvalue()
+
+
+def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
+    from specpoint import homog2d
+    from specpoint.maps import builtin
+
+    calls = []
+    trace = homog2d.sigma_curve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(homog2d, "sigma_curve", counted)
+    d = run_json(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "512"])
+    assert len(calls) == 1
+    assert d["radius_bound"] == d["q"]
+    assert d["q"] == homog2d.spectral_radius_bound(builtin("norm_plus_i_im"), samples=512)
+    calls.clear()
+    rc, _ = run_cli(capsys, ["classify", "--fn", "norm_plus_i_im", "--res", "40",
+                             "--out", str(tmp_path / "c.json")])
+    assert rc == 0 and len(calls) == 1
+
+
+def test_seed_only_on_bifurcate(capsys):
+    assert run_cli(capsys, ["classify", "--fn", "abs_re_plus_i_im", "--res", "20", "--seed", "1"])[0] == 2
+    for argv in (["spec2d", "--fn", "norm_plus_i_im"], ["shift"], ["mnc", "--expr", "Identity"]):
+        assert run_cli(capsys, argv + ["--seed", "1"])[0] == 2
+
+
+def test_size_and_count_guards_exit_cleanly(capsys):
+    # each value would allocate gigabytes or crash inside numpy if it got through
+    cases = {
+        3: [
+            ["spec2d", "--fn", "norm_plus_i_im", "--samples", "1000000000"],
+            ["shift", "--truncate", "1000000000"],
+            ["bifurcate", "--shift", "--truncate", "1000000000"],
+            ["bifurcate", "--shift", "--angles", "1000000000"],
+            ["bifurcate", "--shift", "--angles=-1"],
+            ["bifurcate", "--shift", "--radii=0.1,-0.01"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,1000000000,2"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,-3,5"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,0,5"],
+        ],
+        2: [
+            ["bifurcate", "--shift", "--truncate", "8", "--radii="],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,2.5,5"],
+        ],
+    }
+    for code, argvs in cases.items():
+        for argv in argvs:
+            assert run_cli(capsys, argv)[0] == code, argv

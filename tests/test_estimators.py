@@ -7,15 +7,17 @@ from specpoint.core import PreconditionError
 from specpoint.estimators import (
     RateConfig,
     Verdict,
+    _planar_scan_residuals,
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
     local_sigma_curve,
     perturbation_equivalence_check,
+    scan_verdicts,
     sigma_membership,
     spectrum_set,
 )
-from specpoint.maps import black_box, builtin, difference, identity_map, scale_map
+from specpoint.maps import black_box, builtin, difference, evaluate, identity_map, scale_map
 
 RNG = np.random.default_rng(11)
 
@@ -287,3 +289,49 @@ def test_scan_gray_zone_is_undecided():
     )
     assert scan.verdicts == ("candidate", "undecided", "rejected")
     assert scan.candidates == (1 + 0j,)
+
+
+def _inline_planar_scan_residuals(g, lams, radii, theta_samples):
+    """The scan as it was before it shared numerics.golden_min: both points per step."""
+    two_pi = 2.0 * math.pi
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    res = np.empty((lams.size, len(radii)))
+    for j, r in enumerate(radii):
+        thetas = np.linspace(0.0, two_pi, theta_samples, endpoint=False)
+        w = evaluate(g, r * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+        wn = (w[..., 0] + 1j * w[..., 1]) / r
+        gap = np.abs(lams[:, None] * np.exp(1j * thetas)[None, :] - wn[None, :])
+        dt = two_pi / theta_samples
+        t_best = thetas[gap.argmin(axis=1)]
+
+        def eval_at(ts):
+            w2 = evaluate(g, r * np.stack([np.cos(ts), np.sin(ts)], axis=-1))
+            return np.abs(lams * np.exp(1j * ts) - (w2[..., 0] + 1j * w2[..., 1]) / r)
+
+        a, b = t_best - dt, t_best + dt
+        c, d_ = b - golden * (b - a), a + golden * (b - a)
+        fc, fd = eval_at(c), eval_at(d_)
+        for _ in range(40):
+            take_c = fc <= fd
+            b = np.where(take_c, d_, b)
+            a = np.where(take_c, a, c)
+            c, d_ = b - golden * (b - a), a + golden * (b - a)
+            fc, fd = eval_at(c), eval_at(d_)
+        res[:, j] = np.minimum(gap.min(axis=1), np.minimum(fc, fd))
+    return res
+
+
+@pytest.mark.parametrize(
+    "f",
+    [builtin("norm_plus_i_im_pow", n=2), builtin("real_linear", s=0.5, t=-1.0, u=0.8, v=1.2)],
+    ids=["norm_plus_i_im_pow2", "real_linear"],
+)
+def test_planar_scan_matches_inline_golden_loop(f):
+    xs = np.linspace(-1.5, 1.5, 13)
+    lams = np.array([complex(x, y) for y in xs for x in xs])
+    radii = (1e-1, 1e-2, 1e-3)
+    new = _planar_scan_residuals(f, lams, radii, 1024)
+    old = _inline_planar_scan_residuals(f, lams, radii, 1024)
+    assert np.max(np.abs(new - old)) <= 1e-12
+    assert scan_verdicts(new, 0.02)[1] == scan_verdicts(old, 0.02)[1]
+    assert "candidate" in scan_verdicts(new, 0.02)[1]

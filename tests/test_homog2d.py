@@ -158,6 +158,16 @@ def test_d_and_quasinorm_values():
     assert d_and_quasinorm(identity_map(2)) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
+@given(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+def test_d_and_quasinorm_polish_finds_singular_values_from_a_coarse_curve(m):
+    # 16 samples leave the extrema between samples; the polish must find them
+    f = builtin("real_linear", s=m[0], t=m[1], u=m[2], v=m[3])
+    coarse = sigma_curve(f, samples=16, chord_bound=math.inf)
+    assert coarse.thetas.size == 16
+    sv = np.linalg.svd(np.array(m).reshape(2, 2), compute_uv=False)
+    assert d_and_quasinorm(f, coarse) == pytest.approx((sv[1], sv[0]), abs=1e-9)
+
+
 def test_spectral_radius_bound_values():
     assert abs(spectral_radius_bound(builtin("abs_re_plus_i_im")) - 1.0) < 1e-9
     assert abs(spectral_radius_bound(builtin("half_abs_re_plus_i_im")) - 1.0) < 1e-9

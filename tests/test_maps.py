@@ -160,19 +160,6 @@ def test_identity_map_dims():
         assert np.allclose(evaluate(ident, x), x)
 
 
-def test_structured_carrier():
-    from specpoint.core import UnsupportedError as Unsup
-    from specpoint.maps import structured_spec
-    from specpoint.structured import Identity, Sum, CompactLinear, mnc_bounds
-
-    expr = Sum(Identity(), CompactLinear())
-    spec = structured_spec(expr)
-    assert spec.operator_expr is expr
-    assert mnc_bounds(spec.operator_expr).alpha.hi == 1.0
-    with pytest.raises(Unsup):
-        evaluate(spec, np.zeros(2))
-
-
 def test_catalogue_names_fixed():
     for name in (
         "sqrt_abs",
