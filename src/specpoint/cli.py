@@ -17,11 +17,13 @@ non-planar maps; no other command's result depends on a seed.  Identical
 argv produce byte-identical outputs.
 
 Sizes are capped, and a larger value exits 3 before anything is allocated:
---res <= 4096, --samples <= 2^20, --truncate <= 2048, --angles <= 4096, and
---grid counts nx, ny <= 128.
+--res <= 4096, --samples <= 2^20, --truncate <= 100000, --angles <= 4096,
+and --grid counts nx, ny <= 128.
 
 Exit codes: 0 success, 2 usage error, 3 precondition violated, 4 numeric or
-solver failure, 5 result dominated by undecided cells (band violations).
+solver failure, 5 undecided result: `classify` when any cell is undecided
+(a band violation), `bifurcate --fn` when more than half of its verdicts
+are undecided; no other command, `bifurcate --shift` included, exits 5.
 
 Expression grammar for `mnc --expr` (composition `o` binds tighter than `+`):
 

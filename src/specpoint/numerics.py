@@ -4,15 +4,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
-from scipy.stats import qmc
+
+# scipy.optimize and scipy.stats cost about a second of start-up, so they
+# are imported inside the helpers that use them.
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc
     sampler = qmc.Sobol(d=dim, scramble=True, seed=int(seed))
     m = max(1, math.ceil(math.log2(max(2, n))))
     pts = sampler.random_base2(m)[:n]
@@ -48,6 +50,7 @@ def disk_points(n: int, radius: float, seed: int = 0) -> np.ndarray:
 
 def nm_polish(fn, x0, maxfev: int = 400, xatol: float = 1e-12, fatol: float = 1e-14):
     """Local Nelder-Mead refinement; returns (x, fn(x)) at the best point seen."""
+    from scipy import optimize
     x0 = np.asarray(x0, dtype=float)
     res = optimize.minimize(
         fn,
@@ -93,6 +96,7 @@ def sphere_polish(fn, u0, maxfev: int = 600, simplex_radius: float = 0.15):
         u = u0 + T @ t
         return fn(u / np.linalg.norm(u))
 
+    from scipy import optimize
     k = dim - 1
     simplex = np.zeros((k + 1, k))
     simplex[1:] = simplex_radius * np.eye(k)

@@ -19,6 +19,9 @@ of an isometry onto a codimension-one subspace and a rank-one nonlinear
 part.  Its exact local data is emitted analytically; a truncated version on
 C^N supports numerical verification of the eigenvalue circle, via exact
 sphere-constrained least squares (the objective is affine on each sphere).
+For A = lam I - L_N, A^H A is tridiagonal and a diagonal phase change makes
+it real, so each minimum is an O(N) secular solve on banded Cholesky
+factorizations, with the Moré-Sorensen hard case handled explicitly.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 from .core import (
     POS_INF,
@@ -39,7 +42,7 @@ from .core import (
 )
 
 SQRT2 = math.sqrt(2.0)
-MAX_TRUNCATION = 2048  # truncated problems are dense N x N complex solves
+MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
 
 
 # ---------------------------------------------------------------------------
@@ -505,75 +508,84 @@ def truncated_shift_map(z: np.ndarray) -> np.ndarray:
     return np.concatenate([[np.linalg.norm(z)], z[:-1]])
 
 
-def _shift_matrix(n: int) -> np.ndarray:
-    L = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    L[idx + 1, idx] = 1.0
-    return L
+def _shift_apply(lam: complex, z: np.ndarray, b) -> np.ndarray:
+    """(lam I - L_N) z - b in O(N), where L_N z = (0, z_1, ..., z_{N-1})."""
+    r = lam * z - b
+    r[1:] -= z[:-1]
+    return r
 
 
-def sphere_least_squares(A: np.ndarray, b: np.ndarray, s: float = 1.0):
-    """Global minimizer of |A z - b| over the sphere |z| = s (complex).
+def _shift_adjoint(lam: complex, r: np.ndarray) -> np.ndarray:
+    """(lam I - L_N)^H r in O(N)."""
+    out = lam.conjugate() * r
+    out[:-1] -= r[1:]
+    return out
 
-    Stationarity gives (A^H A - mu I) z = A^H b with mu at most the smallest
-    eigenvalue of A^H A; the norm equation in mu is solved by bisection, with
-    the degenerate eigendirection branch handled explicitly.
+
+def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
+    """Global minimizer z of |(lam I - L_N) z - b| over |z| = s in C^N, N = len(b).
+
+    Returns (z, residual).  With lam = m e^{i theta} and D = diag(e^{-ik theta}),
+    D^H A^H A D for A = lam I - L_N is the real tridiagonal T with diagonal
+    m^2 + 1, ..., m^2 + 1, m^2 and off-diagonal -m, so z = D y with
+    (T - mu I) y = c = D^H A^H b, |y| = s and mu <= lambda_1(T) (Moré and
+    Sorensen 1983; Gander, Golub and von Matt 1989).  Below the root of
+    |y(mu)| = s a rational model |y|^2 ~ alpha / (lambda_1 - mu)^2 + beta
+    takes the step, above it Newton on 1/|y| - 1/s; each step is one banded
+    Cholesky factorization and two solves.  The hard case, c orthogonal to
+    the lowest eigenvector v_1 up to rounding (c = 0 for lam = 0, b = e_1;
+    v_1 in the tail for |lam| < 1), shows as |y| < s just below lambda_1 and
+    is completed along v_1.  O(N) time and memory; the residual is evaluated
+    at the returned z.
     """
-    A = np.asarray(A, dtype=complex)
+    lam = as_complex(lam)
     b = np.asarray(b, dtype=complex)
-    H = A.conj().T @ A
-    g = A.conj().T @ b
-    w, V = np.linalg.eigh(H)
-    c = V.conj().T @ g
-    wmin = float(w[0])
-    scale = max(1.0, abs(wmin))
-    min_block = w - wmin < 1e-12 * scale
-    c_min_sq = float(np.sum(np.abs(c[min_block]) ** 2))
+    n = b.size
+    m = abs(lam)
+    d = np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
+    c = d.conj() * _shift_adjoint(lam, b)
+    diag = np.full(n, m * m + 1.0)
+    diag[-1] = m * m
+    ab = np.zeros((2, n))  # lower banded storage of T - mu I
+    ab[1, :-1] = -m
+    w, v = eigh_tridiagonal(diag, ab[1, :-1], select="i", select_range=(0, 0))
+    lam1, v1 = float(w[0]), v[:, 0]
+    # the closest shift a banded Cholesky factorization still takes
+    tiny = 16.0 * np.finfo(float).eps * (1.0 + m) ** 2
+    top = lam1 - tiny
 
-    def norm_sq(mu: float) -> float:
-        with np.errstate(divide="ignore", over="ignore"):
-            return float(np.sum(np.abs(c) ** 2 / (w - mu) ** 2))
+    def solve(mu):
+        ab[0] = diag - mu
+        factor = cholesky_banded(ab, lower=True)
+        return factor, cho_solve_banded((factor, True), c)
 
-    if c_min_sq <= 1e-28 * max(1.0, float(np.sum(np.abs(c) ** 2))):
-        rest = ~min_block
-        if rest.any():
-            coeff = c[rest] / (w[rest] - wmin)
-            n_rest = float(np.sum(np.abs(coeff) ** 2))
-        else:
-            coeff = np.zeros(0, dtype=complex)
-            n_rest = 0.0
-        if n_rest <= s * s:
-            tau = math.sqrt(max(s * s - n_rest, 0.0))
-            z = V[:, rest] @ coeff + tau * V[:, 0] if rest.any() else tau * V[:, 0]
-            resid = np.linalg.norm(A @ z - b)
-            return z, float(resid)
-
-    lo = wmin - (float(np.linalg.norm(c)) / s + 1.0)
-    # move the upper bracket end toward wmin until the norm target is exceeded
-    gap = max(1e-8 * scale, 1e-300)
-    while norm_sq(wmin - gap) < s * s and gap > 1e-250:
-        gap *= 1e-4
-    hi = wmin - gap
-    if norm_sq(hi) < s * s:
-        # numerically hard case: accept the eigendirection completion
-        rest = ~min_block
-        coeff = c[rest] / (w[rest] - wmin)
-        n_rest = float(np.sum(np.abs(coeff) ** 2))
-        tau = math.sqrt(max(s * s - n_rest, 0.0))
-        z = V[:, rest] @ coeff + tau * V[:, 0]
-        return z, float(np.linalg.norm(A @ z - b))
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if norm_sq(mid) < s * s:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    z = V @ (c / (w - mu))
-    nz = np.linalg.norm(z)
-    if nz > 0:
-        z = z * (s / nz)
-    return z, float(np.linalg.norm(A @ z - b))
+    mu = min(lam1 - np.linalg.norm(c) / s, top)  # |y(mu)| <= s here
+    last = False
+    for _ in range(60):  # about 8 steps in practice
+        factor, y = solve(mu)
+        ny = float(np.linalg.norm(y))
+        if last or abs(ny - s) <= 4.0 * np.finfo(float).eps * s or (mu == top and ny < s):
+            break
+        dn = np.vdot(y, cho_solve_banded((factor, True), y)).real  # (1/2) d|y|^2/dmu
+        new = mu + (1.0 - ny / s) * ny * ny / dn
+        beta = ny * ny - dn * (lam1 - mu)
+        if ny < s and beta < s * s:
+            new = lam1 - (lam1 - mu) * math.sqrt(dn * (lam1 - mu) / (s * s - beta))
+        new = min(new, top)
+        last = abs(new - mu) <= tiny / 2.0  # quadratic convergence: one more solve
+        mu = new
+    # Put y on the sphere along v_1 or radially, whichever raises the
+    # objective less: as y solves (T - mu I) y = c, every point y + e of the
+    # sphere has f(y + e) = f_mu + e^H (T - mu I) e for one constant f_mu.
+    a = complex(v1 @ y)
+    rest = s * s - float(np.linalg.norm(y - a * v1)) ** 2
+    along = (a / abs(a) if a else 1.0) * math.sqrt(max(rest, 0.0))
+    if rest > 0.0 and (ny == 0.0 or (lam1 - mu) * abs(along - a) ** 2 <= (s / ny - 1.0) ** 2 * np.vdot(y, c).real):
+        y += (along - a) * v1
+    else:
+        y *= s / ny
+    z = d * y
+    return z, float(np.linalg.norm(_shift_apply(lam, z, b)))
 
 
 def _check_truncation(N: int) -> None:
@@ -590,17 +602,9 @@ def truncated_shift_min(lam, N: int) -> float:
     for |lam| <= 1 truncation distorts the sphere minimum.
     """
     _check_truncation(N)
-    lam = as_complex(lam)
-    A = lam * np.eye(N, dtype=complex) - _shift_matrix(N)
     b = np.zeros(N, dtype=complex)
     b[0] = 1.0
-    _, resid = sphere_least_squares(A, b, 1.0)
-    if abs(lam) > 1.0:
-        # the secular solve carries eigensolver noise near machine precision;
-        # the analytic geometric direction is a certified feasible point
-        seed = geometric_seed(lam, N)
-        resid = min(resid, float(np.linalg.norm(A @ seed - b)))
-    return resid
+    return sphere_least_squares(lam, b, 1.0)[1]
 
 
 def geometric_seed(lam, N: int, radius: float = 1.0) -> np.ndarray:
@@ -643,7 +647,6 @@ def shift_bifurcation_scan(
     _check_truncation(N)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     lams = [as_complex(l) for l in lam_grid]
-    L = _shift_matrix(N)
     e1 = np.zeros(N, dtype=complex)
     e1[0] = 1.0
 
@@ -652,30 +655,31 @@ def shift_bifurcation_scan(
 
     res = np.empty((len(lams), len(radii)))
     for i, lam in enumerate(lams):
-        A = lam * np.eye(N, dtype=complex) - L
         for j, r in enumerate(radii):
             if h is None or h_sphere_const is not None:
                 b = r * e1
                 if h_sphere_const is not None:
                     b = b + np.asarray(h_sphere_const(r), dtype=complex)
-                _, resid = sphere_least_squares(A, b, r)
+                _, resid = sphere_least_squares(lam, b, r)
                 res[i, j] = resid
                 continue
             # general perturbation: seeded derivative-free descent on the sphere
+            from scipy import optimize
             if abs(lam) > 1.0:
                 z0 = geometric_seed(lam, N, r)
             else:
                 dirs = np.exp(2j * math.pi * np.linspace(0, 1, 64, endpoint=False))
-                cands = [r * np.eye(N, dtype=complex)[k % N] * d for k, d in enumerate(dirs)]
-                z0 = min(cands, key=lambda z: np.linalg.norm(A @ z - np.linalg.norm(z) * e1 - full_h(z)))
+                cands = np.zeros((64, N), dtype=complex)
+                cands[np.arange(64), np.arange(64) % N] = r * dirs
+                z0 = min(cands, key=lambda z: np.linalg.norm(_shift_apply(lam, z, np.linalg.norm(z) * e1 + full_h(z))))
 
-            def objective(wr, _A=A, _r=r):
+            def objective(wr, _lam=lam, _r=r):
                 z = wr[:N] + 1j * wr[N:]
                 nz = np.linalg.norm(z)
                 if nz == 0.0:
                     return float(np.linalg.norm(full_h(np.zeros(N, dtype=complex)) ))
                 z = z * (_r / nz)
-                return float(np.linalg.norm(_A @ z - _r * e1 - full_h(z)))
+                return float(np.linalg.norm(_shift_apply(_lam, z, _r * e1 + full_h(z))))
 
             w0 = np.concatenate([z0.real, z0.imag])
             f0 = objective(w0)

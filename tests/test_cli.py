@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -173,7 +178,7 @@ def test_exit_codes(capsys):
 
 def test_exit_code_band_violations(capsys):
     # a grid point sits closer to the spectrum than the winding tolerance but
-    # outside the (tiny) band: the result is undecided-dominated, exit 5
+    # outside the (tiny) band: one undecided cell makes classify exit 5
     rc, out = run_cli(
         capsys,
         [
@@ -197,6 +202,42 @@ def test_exit_code_band_violations(capsys):
     assert rc == 5
     d = json.loads(out)
     assert d["violations"] > 0
+
+
+def test_exit_code_5_rule_for_bifurcate(capsys, monkeypatch):
+    # bifurcate --fn exits 5 only when more than half of its verdicts are
+    # undecided; bifurcate --shift never does
+    from specpoint import estimators, structured
+
+    def scan_with(verdicts):
+        def scan(f, lams, radii, tol, seed):
+            return SimpleNamespace(radii=tuple(radii), candidates=(), contained_in_sigma=True,
+                                   verdicts=tuple(verdicts))
+        return scan
+
+    argv = ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,1,2,2"]
+    for n_undecided, code in ((0, 0), (2, 0), (3, 5), (4, 5)):
+        verdicts = ["undecided"] * n_undecided + ["rejected"] * (4 - n_undecided)
+        monkeypatch.setattr(estimators, "bifurcation_scan", scan_with(verdicts))
+        rc, out = run_cli(capsys, argv)
+        assert rc == code, n_undecided
+        assert json.loads(out)["verdicts_summary"]["undecided"] == n_undecided
+
+    def undecided_shift_scan(lams, N, radii, tol, h_sphere_const):
+        lams = tuple(lams)
+        return SimpleNamespace(lams=lams, radii=tuple(radii), normalized=np.ones((len(lams), len(radii))),
+                               candidates=(), verdicts=("undecided",) * len(lams))
+
+    monkeypatch.setattr(structured, "shift_bifurcation_scan", undecided_shift_scan)
+    assert run_cli(capsys, ["bifurcate", "--shift", "--angles", "4"])[0] == 0
+
+
+def test_cli_import_skips_optimize_and_stats():
+    # scipy.optimize and scipy.stats are imported only by the commands that use them
+    code = "import sys, specpoint.cli; print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_numeric_failure_mapping(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,30 +245,159 @@ def test_xi_threshold_property():
 # sphere-constrained least squares (solver oracle)
 
 
+def _shift_matrix(n):
+    """Dense L_N, the truncated right shift, for the reference solver."""
+    L = np.zeros((n, n), dtype=complex)
+    idx = np.arange(n - 1)
+    L[idx + 1, idx] = 1.0
+    return L
+
+
+def _dense_sphere_least_squares(A, b, s=1.0):
+    """Reference: the former dense solver, a complex eigh of A^H A and bisection."""
+    A = np.asarray(A, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    H = A.conj().T @ A
+    g = A.conj().T @ b
+    w, V = np.linalg.eigh(H)
+    c = V.conj().T @ g
+    wmin = float(w[0])
+    scale = max(1.0, abs(wmin))
+    min_block = w - wmin < 1e-12 * scale
+    c_min_sq = float(np.sum(np.abs(c[min_block]) ** 2))
+
+    def norm_sq(mu: float) -> float:
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(np.sum(np.abs(c) ** 2 / (w - mu) ** 2))
+
+    if c_min_sq <= 1e-28 * max(1.0, float(np.sum(np.abs(c) ** 2))):
+        rest = ~min_block
+        if rest.any():
+            coeff = c[rest] / (w[rest] - wmin)
+            n_rest = float(np.sum(np.abs(coeff) ** 2))
+        else:
+            coeff = np.zeros(0, dtype=complex)
+            n_rest = 0.0
+        if n_rest <= s * s:
+            tau = math.sqrt(max(s * s - n_rest, 0.0))
+            z = V[:, rest] @ coeff + tau * V[:, 0] if rest.any() else tau * V[:, 0]
+            return z, float(np.linalg.norm(A @ z - b))
+
+    lo = wmin - (float(np.linalg.norm(c)) / s + 1.0)
+    gap = max(1e-8 * scale, 1e-300)
+    while norm_sq(wmin - gap) < s * s and gap > 1e-250:
+        gap *= 1e-4
+    hi = wmin - gap
+    if norm_sq(hi) < s * s:
+        rest = ~min_block
+        coeff = c[rest] / (w[rest] - wmin)
+        n_rest = float(np.sum(np.abs(coeff) ** 2))
+        tau = math.sqrt(max(s * s - n_rest, 0.0))
+        z = V[:, rest] @ coeff + tau * V[:, 0]
+        return z, float(np.linalg.norm(A @ z - b))
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if norm_sq(mid) < s * s:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    z = V @ (c / (w - mu))
+    nz = np.linalg.norm(z)
+    if nz > 0:
+        z = z * (s / nz)
+    return z, float(np.linalg.norm(A @ z - b))
+
+
+MODULI = (0.0, 0.5, 0.9, 1.0, 1.2, SQRT2, 2.0, 3.0)
+
+
+@given(
+    st.sampled_from(MODULI),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(1, 64),
+    st.sampled_from(("random", "e1")),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_sphere_least_squares_matches_dense_reference(modulus, phase, n, kind, s, seed):
+    rng = np.random.default_rng(seed)
+    lam = modulus * complex(math.cos(phase), math.sin(phase))
+    if kind == "e1":  # the scan's right-hand sides; hard case for |lam| < 1
+        b = np.zeros(n, dtype=complex)
+        b[0] = complex(*rng.normal(size=2))
+    else:
+        b = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3)
+    A = lam * np.eye(n) - _shift_matrix(n)
+    z, resid = sphere_least_squares(lam, b, s)
+    _, ref = _dense_sphere_least_squares(A, b, s)
+    assert abs(np.linalg.norm(z) - s) <= 1e-12 * s
+    assert resid == pytest.approx(np.linalg.norm(A @ z - b), rel=1e-12, abs=1e-14)
+    # both residuals are evaluated at points of the sphere, so both bound the
+    # true minimum from above; where A^H A is nearly singular the dense
+    # reference can be the higher one by a few 1e-12 (see the next test)
+    assert resid <= ref + 1e-12 * max(1.0, np.linalg.norm(b))
+
+
+def test_sphere_least_squares_high_precision_oracle():
+    # lam = 0.5, N = 38: the minimum from the same secular equation in
+    # 50-digit arithmetic is 0.0030043231237886454...; the dense reference
+    # returns 0.0030043231285154..., 4.7e-12 too high
+    rng = np.random.default_rng(349086288)
+    b = (rng.normal(size=38) + 1j * rng.normal(size=38)) * 10.0 ** rng.uniform(-3, 3)
+    _, resid = sphere_least_squares(0.5, b, 1.0)
+    assert resid == pytest.approx(0.0030043231237886454, abs=1e-16)
+
+
 def test_sphere_least_squares_vs_brute_force():
-    for trial in range(6):
-        n = 3
-        A = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-        b = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-        z, resid = sphere_least_squares(A, b, 1.0)
-        assert abs(np.linalg.norm(z) - 1.0) < 1e-8
-        # oracle: dense random sampling never beats the reported minimum
-        w = RNG.normal(size=(20000, n)) + 1j * RNG.normal(size=(20000, n))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        sampled = np.linalg.norm(w @ A.T - b, axis=1).min()
-        assert resid <= sampled + 1e-9
+    # oracle: dense random sampling of the sphere never beats the reported minimum
+    for n in (3, 4, 6):
+        for lam in (0.0, 0.5j, 0.9, SQRT2 * np.exp(0.4j), 2.0, -3.0):
+            A = lam * np.eye(n) - _shift_matrix(n)
+            b = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+            s = float(RNG.uniform(0.1, 3.0))
+            z, resid = sphere_least_squares(lam, b, s)
+            assert abs(np.linalg.norm(z) - s) < 1e-12 * s
+            w = RNG.normal(size=(20000, n)) + 1j * RNG.normal(size=(20000, n))
+            w *= s / np.linalg.norm(w, axis=1, keepdims=True)
+            sampled = np.linalg.norm(w @ A.T - b, axis=1).min()
+            assert resid <= sampled + 1e-9
 
 
 def test_sphere_least_squares_zero_gradient_branch():
-    # A = -shift: the minimum is attained in the null direction, value 1
-    from specpoint.structured import _shift_matrix
-
+    # lam = 0, b = e1: A^H b = 0, so the minimum is attained along the null
+    # direction e_N, value 1
     N = 12
-    A = -_shift_matrix(N)
     b = np.zeros(N, dtype=complex)
     b[0] = 1.0
-    z, resid = sphere_least_squares(A, b, 1.0)
+    z, resid = sphere_least_squares(0.0, b, 1.0)
     assert resid == pytest.approx(1.0, abs=1e-12)
+    assert abs(z[-1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sphere_least_squares_hard_case():
+    # |lam| <= 1/2: the lowest eigenvector lives in the tail, orthogonal to
+    # e1 up to lam^N, and the minimizer completes y_perp along it
+    for lam, n in ((0.5, 40), (0.3 * np.exp(2.0j), 64), (-0.5j, 200)):
+        b = np.zeros(n, dtype=complex)
+        b[0] = 0.1
+        z, resid = sphere_least_squares(lam, b, 0.1)
+        _, ref = _dense_sphere_least_squares(lam * np.eye(n) - _shift_matrix(n), b, 0.1)
+        assert abs(resid - ref) <= 1e-12
+        assert np.linalg.norm(z[n // 2:]) > 0.5 * 0.1
+
+
+def test_sphere_least_squares_memory_is_linear():
+    # a dense N x N complex H alone would be 64 MB at N = 2000
+    tracemalloc.start()
+    try:
+        b = np.zeros(2000, dtype=complex)
+        b[0] = 1.0
+        sphere_least_squares(1.7 * np.exp(0.3j), b, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +427,7 @@ def test_truncated_min_outside():
     assert abs(v60 - v120) < 1e-9
     # random-restart sampling at small N cannot go below the solver value
     N = 12
-    A = 2.0 * np.eye(N, dtype=complex)
-    from specpoint.structured import _shift_matrix
-
-    A -= _shift_matrix(N)
+    A = 2.0 * np.eye(N, dtype=complex) - _shift_matrix(N)
     w = RNG.normal(size=(20000, N)) + 1j * RNG.normal(size=(20000, N))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     e1 = np.zeros(N, dtype=complex)
@@ -315,6 +442,11 @@ def test_truncated_min_monotone_in_dimension():
     for lam in (SQRT2, 1.7, 2.0):
         vals = [truncated_shift_min(lam, n) for n in (8, 16, 32, 64)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_truncated_min_at_large_truncation():
+    # the ROADMAP target size: 10^5 unknowns, an O(N) solve
+    assert abs(truncated_shift_min(2.0, 100_000) - (2.0 - SQRT2)) < 1e-9
 
 
 def test_truncated_min_preconditions():
