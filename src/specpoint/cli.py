@@ -18,7 +18,9 @@ argv produce byte-identical outputs.
 
 Sizes are capped, and a larger value exits 3 before anything is allocated:
 --res <= 4096, --samples <= 2^20, --truncate <= 100000, --angles <= 4096,
-and --grid counts nx, ny <= 128.
+--grid counts nx, ny <= 128, and the reach of the classify band query (the
+widest of --band, 1e-9 and the longest chord of a curve that missed its
+chord bound) <= 64 grid spacings.
 
 Exit codes: 0 success, 2 usage error, 3 precondition violated, 4 numeric or
 solver failure, 5 undecided result: `classify` when any cell is undecided

@@ -285,16 +285,6 @@ def cmul(p, q) -> np.ndarray:
     return np.stack([a * c - b * d, a * d + b * c], axis=-1)
 
 
-def pairs_to_complex(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x[..., 0] + 1j * x[..., 1]
-
-
-def complex_to_pairs(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1)
-
-
 def as_complex(lam) -> complex:
     """Accept complex, real, or an (a, b) pair."""
     if isinstance(lam, (tuple, list, np.ndarray)):

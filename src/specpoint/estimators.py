@@ -22,6 +22,7 @@ from .core import (
     POS_INF,
     PreconditionError,
     as_complex,
+    complex_scale,
 )
 from .maps import MapSpec, difference, evaluate, lambda_minus, translate_to_origin
 from .numerics import golden_min, hausdorff, sphere_directions, sphere_polish
@@ -323,8 +324,6 @@ def _general_scan_residuals(g: MapSpec, lams: np.ndarray, radii, samples: int, s
         for i, lam in enumerate(lams):
             lam = as_complex(lam)
             if g.complex_pairs:
-                from .core import complex_scale
-
                 target = complex_scale(lam, dirs)
             else:
                 target = lam.real * dirs
@@ -333,8 +332,6 @@ def _general_scan_residuals(g: MapSpec, lams: np.ndarray, radii, samples: int, s
 
             def on_sphere(u, _r=r, _lam=lam):
                 if g.complex_pairs:
-                    from .core import complex_scale
-
                     t = complex_scale(_lam, u)
                 else:
                     t = _lam.real * u

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .core import (
     AdmissibilityError,
@@ -51,6 +49,8 @@ TWO_PI = 2.0 * math.pi
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
+MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
+_BAND_CHUNK = 1 << 20  # window entries per chunk of the band query
 
 ZERO_EPI_PROXY_NOTE = (
     "winding==0 is treated as 'in spectrum'; nonzero winding soundly implies "
@@ -292,10 +292,53 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
 
 
 def _components_consistent(labels: np.ndarray, decided: np.ndarray) -> bool:
-    """All-or-nothing: each 4-connected component of decided cells has one label."""
-    comp, n_comp = ndimage.label(decided, structure=ndimage.generate_binary_structure(2, 1))
-    ids = np.arange(1, n_comp + 1)
-    return bool(np.array_equal(ndimage.minimum(labels, comp, ids), ndimage.maximum(labels, comp, ids)))
+    """All-or-nothing: each 4-connected component of decided cells has one label.
+
+    A component has one label exactly when no two 4-adjacent decided cells
+    differ in label.
+    """
+    across = decided[:, 1:] & decided[:, :-1] & (labels[:, 1:] != labels[:, :-1])
+    down = decided[1:] & decided[:-1] & (labels[1:] != labels[:-1])
+    return not (across.any() or down.any())
+
+
+def _band_distances(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    bound: float) -> np.ndarray:
+    """(ny, nx) distances from the nodes of an ascending grid to the nearest sample.
+
+    Distances of `bound` or more read inf.  Each sample is bucketed to its
+    nearest node, and the squared distance dx^2 + dy^2 to every node of the
+    window that can lie within `bound` of it (ceil(bound / spacing) nodes a
+    side, plus one for rounding) is min-reduced into the grid before one
+    square root: the arithmetic of a k-d tree query with an upper bound,
+    bit for bit.  Samples go in chunks of at most _BAND_CHUNK window
+    entries, so memory does not grow with the window.
+    """
+    nx, ny = xs.size, ys.size
+    dx, dy = (xs[-1] - xs[0]) / (nx - 1), (ys[-1] - ys[0]) / (ny - 1)
+    kx, ky = math.ceil(bound / dx) + 1, math.ceil(bound / dy) + 1
+    fx, fy = (values.real - xs[0]) / dx, (values.imag - ys[0]) / dy
+    # only samples whose window meets the grid; this also keeps the casts
+    # below in range when a narrow box puts a far sample at index 1e300
+    near = (fx > -kx - 1) & (fx < nx + kx) & (fy > -ky - 1) & (fy < ny + ky)
+    sx, sy = values.real[near], values.imag[near]
+    ix, iy = np.rint(fx[near]).astype(np.int64), np.rint(fy[near]).astype(np.int64)
+    offx, offy = np.arange(-kx, kx + 1), np.arange(-ky, ky + 1)
+    d2 = np.full(ny * nx, np.inf)
+    step = max(1, _BAND_CHUNK // (offx.size * offy.size))
+    for lo in range(0, sx.size, step):
+        cx = ix[lo:lo + step, None] + offx
+        cy = iy[lo:lo + step, None] + offy
+        okx, oky = (cx >= 0) & (cx < nx), (cy >= 0) & (cy < ny)
+        ddx = (xs[np.clip(cx, 0, nx - 1)] - sx[lo:lo + step, None]) ** 2
+        ddy = (ys[np.clip(cy, 0, ny - 1)] - sy[lo:lo + step, None]) ** 2
+        ok = oky[:, :, None] & okx[:, None, :]
+        node = (cy * nx)[:, :, None] + cx[:, None, :]
+        np.minimum.at(d2, node[ok], (ddx[:, None, :] + ddy[:, :, None])[ok])
+    far = d2 >= bound * bound
+    np.sqrt(d2, out=d2)
+    d2[far] = np.inf
+    return d2.reshape(ny, nx)
 
 
 def classify_plane(
@@ -311,7 +354,8 @@ def classify_plane(
     cell closer than MARGIN_TOL to a sample is a "margin" violation; when the
     curve missed its chord bound, one within the largest chord is a "chord"
     violation.  Violations are Band too.  Every other cell is labelled by
-    the degree 1 + wind(sigma, lam) of `scanline_turns`.
+    the degree 1 + wind(sigma, lam) of `scanline_turns`.  The widest of
+    these distances may span at most MAX_BAND_CELLS node spacings.
     """
     _require_planar_homogeneous(f)
     x0, x1, y0, y1 = map(float, bounds)
@@ -319,21 +363,26 @@ def classify_plane(
         raise PreconditionError("need a nondegenerate grid")
     if resolution > MAX_RESOLUTION:
         raise PreconditionError(f"grid resolution {resolution} exceeds {MAX_RESOLUTION}")
-    if curve is None:
-        curve = sigma_curve(f, samples=CURVE_SAMPLES)
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
+    spacing = min(xs[1] - xs[0], ys[1] - ys[0])
+    if not spacing > 64.0 * np.spacing(max(abs(x0), abs(x1), abs(y0), abs(y1))):
+        # the band query buckets samples to nodes in floating point
+        raise PreconditionError("grid spacing is within 64 ulps of its coordinates")
+    if curve is None:
+        curve = sigma_curve(f, samples=CURVE_SAMPLES)
     cell_diag = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     band = 2.0 * cell_diag if band_radius is None else float(band_radius)
     chord = 0.0 if curve.chord_met else curve.max_gap()
 
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     # Nothing past the widest threshold matters; the slack keeps every
     # distance at a threshold finite, so the comparisons below see it.
     reach = max(band, MARGIN_TOL, chord)
-    dist, _ = cKDTree(curve.pairs()).query(pts, distance_upper_bound=reach * (1.0 + 1e-9))
-    dist = dist.reshape(resolution, resolution)
+    if not reach <= MAX_BAND_CELLS * spacing:
+        raise PreconditionError(
+            f"band query reach {reach:.6g} exceeds {MAX_BAND_CELLS} grid spacings of {spacing:.6g}"
+        )
+    dist = _band_distances(curve.values, xs, ys, reach * (1.0 + 1e-9))
     off = dist > band
     margin = off & (dist < MARGIN_TOL)
     chord_hit = off & ~margin & (dist <= chord)
@@ -344,8 +393,8 @@ def classify_plane(
     decided = off & ~margin & ~chord_hit
 
     turns = scanline_turns(curve, xs, ys)
-    grid_labels = np.where(turns != 0, int(CellLabel.REGULAR), int(CellLabel.IN_SPECTRUM))
-    grid_labels = np.where(decided, grid_labels, int(CellLabel.BAND)).astype(np.int8)
+    grid_labels = np.where(turns != 0, np.int8(CellLabel.REGULAR), np.int8(CellLabel.IN_SPECTRUM))
+    grid_labels[~decided] = CellLabel.BAND
 
     return PlaneSpectrum(
         curve=curve,

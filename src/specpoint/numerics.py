@@ -4,11 +4,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
-# scipy.optimize and scipy.stats cost about a second of start-up, so they
-# are imported inside the helpers that use them.
+# Each scipy subpackage costs a quarter to half a second of start-up, so
+# every one is imported inside the helper that uses it.
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -34,6 +32,7 @@ def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
         offset = (seed * _GOLDEN) % 1.0
         theta = 2.0 * np.pi * ((np.arange(n) + 0.5 + offset) / n)
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    from scipy.special import ndtri
     g = ndtri(_sobol(dim, n, seed))
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -184,6 +183,7 @@ def golden_min(fn, lo, hi, iters: int = 60):
 
 def directed_distance(a: np.ndarray, b: np.ndarray) -> float:
     """sup over rows of a of the distance to the point set b."""
+    from scipy.spatial import cKDTree
     tree = cKDTree(np.asarray(b, dtype=float))
     d, _ = tree.query(np.asarray(a, dtype=float))
     return float(np.max(d))

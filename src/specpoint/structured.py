@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 from .core import (
     POS_INF,
@@ -538,6 +537,8 @@ def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
     is completed along v_1.  O(N) time and memory; the residual is evaluated
     at the returned z.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+
     lam = as_complex(lam)
     b = np.asarray(b, dtype=complex)
     n = b.size

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -232,12 +233,52 @@ def test_exit_code_5_rule_for_bifurcate(capsys, monkeypatch):
     assert run_cli(capsys, ["bifurcate", "--shift", "--angles", "4"])[0] == 0
 
 
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from specpoint import cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(argv) if argv else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
 def test_cli_import_skips_optimize_and_stats():
-    # scipy.optimize and scipy.stats are imported only by the commands that use them
-    code = "import sys, specpoint.cli; print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    # each scipy subpackage is imported only by the command that computes with it
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+
+    def scipy_loaded(argv):
+        out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argv)],
+                             env=env, capture_output=True, text=True, check=True)
+        rc, mods = json.loads(out.stdout)
+        assert rc == 0, (argv, out.stderr)
+        return set(mods)
+
+    for argv in (
+        [],
+        ["spec1d", "--fn", "sqrt_abs", "--point", "0", "--exact"],
+        ["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"],
+        ["classify", "--fn", "norm_plus_i_im", "--res", "100"],
+        ["mnc", "--expr", "IsometryOntoCodim(1) + CompactLinear"],
+    ):
+        assert scipy_loaded(argv) == set(), argv
+    shift = scipy_loaded(["shift", "--truncate", "60", "--lambda", "2,0", "--xi-eps", "0.1"])
+    assert "scipy.linalg" in shift
+    assert not shift & {"scipy.spatial", "scipy.ndimage", "scipy.special", "scipy.optimize", "scipy.stats"}
+
+
+def test_classify_band_cap_exits_before_allocating(capsys):
+    # --band 1 at --res 4096 is about 1000 grid spacings, over the cap of 64;
+    # one 4096 x 4096 float grid alone would take 134 MB
+    tracemalloc.start()
+    try:
+        rc = cli.main(["classify", "--fn", "norm_plus_i_im", "--res", "4096", "--band", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "reach 1 exceeds 64 grid spacings" in capsys.readouterr().err
+    assert peak < 32e6, peak
 
 
 def test_exit_code_numeric_failure_mapping(capsys, monkeypatch):

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from specpoint.core import AdmissibilityError, PreconditionError
 from specpoint.homog2d import (
+    CURVE_SAMPLES,
+    MARGIN_TOL,
+    MAX_BAND_CELLS,
     CellLabel,
+    _band_distances,
     _components_consistent,
     bifurcation_set_homog,
     classify_plane,
@@ -323,18 +328,136 @@ def test_scanline_counts_double_clockwise_turns():
     assert scanline_turns(curve, np.array([0.0]), np.array([0.0]))[0, 0] == -1
 
 
-def test_component_check_matches_per_component_loop():
+def _components_consistent_by_label(labels, decided):
+    """Reference: label the 4-connected components and compare labels within each."""
     from scipy import ndimage
 
+    comp, n = ndimage.label(decided)
+    return all(np.unique(labels[comp == c]).size == 1 for c in range(1, n + 1))
+
+
+def test_component_check_matches_per_component_loop():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        labels = rng.integers(0, 2, size=(12, 12)).astype(np.int8)
-        if rng.random() < 0.5:
+    for _ in range(3000):
+        shape = tuple(rng.integers(1, 21, size=2))
+        labels = rng.integers(0, int(rng.integers(1, 4)), size=shape).astype(np.int8)
+        if rng.random() < 0.3:
             labels[:] = labels[0, 0]
-        decided = rng.random((12, 12)) < 0.6
-        comp, n = ndimage.label(decided)
-        loop = all(np.unique(labels[comp == c]).size == 1 for c in range(1, n + 1))
-        assert _components_consistent(labels, decided) == loop
+        decided = rng.random(shape) < rng.random()
+        expect = _components_consistent_by_label(labels, decided)
+        assert _components_consistent(labels, decided) == expect
+
+
+def _kdtree_distances(values, xs, ys, bound):
+    """Reference band query: a k-d tree over the samples, queried at every node."""
+    from scipy.spatial import cKDTree
+
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    samples = np.stack([values.real, values.imag], axis=-1)
+    dist, _ = cKDTree(samples).query(pts, distance_upper_bound=bound)
+    return dist.reshape(ys.size, xs.size)
+
+
+@given(
+    planar_maps,
+    st.booleans(),
+    st.tuples(st.integers(0, 255), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0)),
+    st.tuples(st.integers(2, 48), st.integers(2, 48)),
+    st.floats(0.0, 3.0),
+    st.integers(0, 3),
+)
+# a 16-sample circle of radius 2.9: its longest chord, 2.2, sets the reach
+@example(builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), True, (0, 0.5, 0.5), (0.6, 0.3), (2, 3), 3.0, 0)
+def test_band_query_matches_kdtree(f, coarse, at, log_width, res, log_band, miss):
+    """Bit-identical distances on non-square boxes, boxes off the curve, reaches
+    from MARGIN_TOL to the cap, and coarse curves whose chord sets the reach.
+
+    The box holds a curve sample, or lies 1e3 to the right of one when
+    miss == 3; the band is 10^-log_band of the cap, or MARGIN_TOL when
+    log_band > 2.
+    """
+    curve = sigma_curve(f, samples=16, max_samples=16) if coarse else sigma_curve(f, samples=256)
+    z = curve.values
+    wx, wy = 10.0 ** log_width[0], 10.0 ** log_width[1]
+    x0 = z[at[0] % z.size].real - at[1] * wx + (1e3 if miss == 3 else 0.0)
+    y0 = z[at[0] % z.size].imag - at[2] * wy
+    xs = np.linspace(x0, x0 + wx, res[0])
+    ys = np.linspace(y0, y0 + wy, res[1])
+    cap = MAX_BAND_CELLS * min(xs[1] - xs[0], ys[1] - ys[0])
+    band = MARGIN_TOL if log_band > 2.0 else cap * 10.0 ** -log_band
+    chord = 0.0 if curve.chord_met else curve.max_gap()
+    reach = min(max(band, MARGIN_TOL, chord), cap)
+    bound = reach * (1.0 + 1e-9)
+    got = _band_distances(z, xs, ys, bound)
+    assert np.array_equal(got, _kdtree_distances(z, xs, ys, bound))
+
+
+@pytest.mark.filterwarnings("error")
+def test_band_query_on_a_box_1e300_narrow():
+    # the curve passes through 0, where the box sits; the nearest-node index
+    # of a sample 1 away is about 1e300, far outside int64, and must never
+    # reach the integer cast
+    f = conj_mix(-1.5, 1.0, 0.5)
+    curve = sigma_curve(f, samples=256)
+    assert curve.values[0] == 0.0
+    for width in (1e-300, 1e-200, 1e-150, 1e-12):
+        xs = np.linspace(0.0, width, 5)
+        ys = np.linspace(-width, 0.0, 7)
+        bound = MAX_BAND_CELLS * (xs[1] - xs[0])
+        got = _band_distances(curve.values, xs, ys, bound)
+        assert np.array_equal(got, _kdtree_distances(curve.values, xs, ys, bound))
+        # below 1e-154 the squared bound underflows to 0, for the tree as well
+        assert np.isfinite(got).all() == (width > 1e-154)
+
+
+def test_band_query_far_from_the_origin():
+    # a curve of radius 1e-8 around 1e5: 2e-9 grid spacings are about 140
+    # ulps there, so nodes and buckets carry visible rounding
+    f = conj_mix(1e5, 0.0, 1e-8)
+    curve = sigma_curve(f, samples=256)
+    for res, band in ((20, None), (21, 3e-8), (33, MARGIN_TOL)):
+        ps = classify_plane(f, bounds=(1e5 - 2e-8, 1e5 + 2e-8, -2e-8, 2e-8), resolution=res,
+                            band_radius=band, curve=curve)
+        reach = max(ps.band_radius, MARGIN_TOL) * (1.0 + 1e-9)
+        expect = _kdtree_distances(curve.values, ps.xs, ps.ys, reach)
+        assert np.array_equal(_band_distances(curve.values, ps.xs, ps.ys, reach), expect)
+        assert np.array_equal(ps.labels == CellLabel.BAND, ~(expect > ps.band_radius))
+    with pytest.raises(PreconditionError, match="64 ulps"):
+        classify_plane(f, bounds=(1e5, 1e5 + 1e-10, 0.0, 1.0), resolution=20, curve=curve)
+
+
+def test_classify_rejects_a_reach_beyond_the_cap():
+    f = builtin("norm_plus_i_im")
+    curve = sigma_curve(f, samples=256, chord_bound=1.0)
+    spacing = 4.0 / 199
+    ps = classify_plane(f, resolution=200, band_radius=MAX_BAND_CELLS * spacing * 0.999, curve=curve)
+    assert ps.counts()["band"] > 0
+    with pytest.raises(PreconditionError, match=r"reach 1\.2877.* exceeds 64 grid spacings"):
+        classify_plane(f, resolution=200, band_radius=MAX_BAND_CELLS * spacing * 1.001, curve=curve)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            classify_plane(f, resolution=200, band_radius=bad, curve=curve)
+    # a coarse curve's longest chord counts towards the reach too
+    coarse = sigma_curve(f, samples=16, max_samples=16)
+    assert coarse.max_gap() > MAX_BAND_CELLS * 4.0 / 4095
+    with pytest.raises(PreconditionError):
+        classify_plane(f, resolution=4096, band_radius=0.0, curve=coarse)
+
+
+def test_classify_memory_at_the_largest_grid():
+    # the parent's k-d tree query peaked at about 1.25 GB here
+    f = builtin("norm_plus_i_im")
+    curve = sigma_curve(f, samples=CURVE_SAMPLES)
+    tracemalloc.start()
+    try:
+        ps = classify_plane(f, resolution=4096, curve=curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.labels.shape == (4096, 4096)
+    assert peak < 700e6, peak
 
 
 def test_classify_coarse_curve_marks_chord_band():
