@@ -49,8 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dini as dini_mod
-from . import estimators, homog2d, structured, svgfig
+# Each command imports the engine modules it computes with: every call
+# compiles or loads the modules it imports, and a `shift` call needs none
+# of the planar and sampling engines.
 from .core import (
     EvaluationError,
     NumericError,
@@ -203,6 +204,8 @@ def _cmd_spec1d(args, config) -> int:
     steps = int(_effective(args, config, "steps", 60, int))
     threshold = _effective(args, config, "threshold", 1e6, float)
 
+    from . import dini as dini_mod
+
     mode = "numeric" if args.numeric else "exact"
     if not args.numeric and not args.exact:
         mode = "exact" if f.dini_exact is not None else "numeric"
@@ -229,6 +232,8 @@ def _cmd_spec1d(args, config) -> int:
 
 
 def _cmd_spec2d(args, config) -> int:
+    from . import homog2d
+
     f = _build_map(args, config)
     samples = int(_effective(args, config, "samples", 4096, int))
     curve = homog2d.sigma_curve(f, samples=samples)
@@ -249,6 +254,8 @@ def _cmd_spec2d(args, config) -> int:
 
 
 def _cmd_classify(args, config) -> int:
+    from . import homog2d, svgfig
+
     f = _build_map(args, config)
     xmin = _effective(args, config, "xmin", -2.0, float)
     xmax = _effective(args, config, "xmax", 2.0, float)
@@ -279,6 +286,8 @@ def _cmd_classify(args, config) -> int:
 
 
 def _cmd_shift(args, config) -> int:
+    from . import structured
+
     n = int(_effective(args, config, "truncate", 60, int))
     eps = _effective(args, config, "xi_eps", 0.1, float)
     report = structured.shift_model_report()
@@ -313,6 +322,8 @@ def _cmd_shift(args, config) -> int:
         payload["lambda_query"] = entry
     _emit(payload, args.out)
     if args.out:
+        from . import svgfig
+
         fig = svgfig.annuli_svg(
             disk_radius=report.spectrum_radius,
             circle_radii=(report.omega_part_radius, report.point_spectrum_radius),
@@ -326,6 +337,8 @@ def _cmd_mnc(args, config) -> int:
     expr_text = _effective(args, config, "expr", None, str)
     if not expr_text:
         raise UsageError("--expr EXPRESSION is required")
+    from . import structured
+
     expr = structured.parse_expr(expr_text)
     bounds = structured.mnc_bounds(expr)
     payload = {"command": "mnc", "expr": expr_text, **bounds.to_json()}
@@ -334,6 +347,8 @@ def _cmd_mnc(args, config) -> int:
 
 
 def _cmd_bifurcate(args, config) -> int:
+    from . import estimators, structured  # the shift scan's verdicts come from estimators
+
     radii_text = _effective(args, config, "radii", "0.1,0.01,0.001", str)
     radii = _parse_floats(radii_text)
     if not radii:

@@ -22,13 +22,13 @@ from .core import (
     POS_INF,
     PreconditionError,
     as_complex,
-    complex_scale,
 )
 from .maps import MapSpec, difference, evaluate, lambda_minus, translate_to_origin
 from .numerics import golden_min, hausdorff, sphere_directions, sphere_polish
 from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
 TWO_PI = 2.0 * math.pi
+_CHUNK = 1 << 20  # entries of (lam, direction, coordinate) per sampled-gap chunk
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,27 @@ def _sphere_norm_ratios(g: MapSpec, dirs: np.ndarray, r: float) -> np.ndarray:
     return np.linalg.norm(vals, axis=-1) / r
 
 
-def _polish_ratio(g: MapSpec, r: float, u0: np.ndarray, maximize: bool) -> float:
-    """Locally refine min/max of |g(r u)| / r over unit directions u."""
-    if g.dim == 1:
-        return _sphere_norm_ratios(g, np.array([[u0[0]]]), r)[0]
-    sign = -1.0 if maximize else 1.0
+def _polished_ratios(g: MapSpec, U0: np.ndarray, radii: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sign * |g(r u)| / r locally minimized over unit u near each row of U0.
 
-    def on_sphere(u):
-        return sign * float(np.linalg.norm(evaluate(g, r * u))) / r
+    Row b uses radius radii[b] and sign signs[b] (-1 refines a maximum);
+    all rows are polished as one batch.
+    """
+    r, s = radii[:, None], signs[:, None]
 
-    _, best = sphere_polish(on_sphere, u0, maxfev=200 * g.dim)
-    return sign * best
+    def on_sphere(U):
+        return s * np.linalg.norm(evaluate(g, r[..., None] * U), axis=-1) / r
+
+    best, _ = sphere_polish(on_sphere, U0)
+    return signs * best
+
+
+def _radius_ratios(g: MapSpec, dirs: np.ndarray, radii) -> list:
+    """Sphere norm ratios at every radius; a positively homogeneous g's
+    do not depend on the radius, so they are computed once and repeated."""
+    if g.homogeneous:
+        return [_sphere_norm_ratios(g, dirs, float(radii[0]))] * len(radii)
+    return [_sphere_norm_ratios(g, dirs, float(r)) for r in radii]
 
 
 def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRates:
@@ -87,22 +97,22 @@ def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRat
     g = translate_to_origin(f, p)
     dirs = sphere_directions(g.dim, config.directions, config.seed)
     radii = config.r0 * config.ratio ** np.arange(config.n_radii)
-    tail = radii[-config.tail :]
-
-    mins, maxs = [], []
-    for r in radii:
-        ratios = _sphere_norm_ratios(g, dirs, float(r))
-        mins.append(float(ratios.min()))
-        maxs.append(float(ratios.max()))
+    ratios = _radius_ratios(g, dirs, radii)
+    mins = [float(x.min()) for x in ratios]
+    maxs = [float(x.max()) for x in ratios]
     t0 = config.n_radii - config.tail
     d = min(mins[t0:])
     q = max(maxs[t0:])
 
     if config.polish and g.dim >= 2:
-        for r in tail:
-            ratios = _sphere_norm_ratios(g, dirs, float(r))
-            d = min(d, _polish_ratio(g, float(r), dirs[int(np.argmin(ratios))], False))
-            q = max(q, _polish_ratio(g, float(r), dirs[int(np.argmax(ratios))], True))
+        # every tail radius's min and max in one batch; one radius if homogeneous
+        m = 1 if g.homogeneous else len(radii[t0:])
+        tail = ratios[t0:t0 + m]
+        starts = [dirs[int(np.argmin(x))] for x in tail] + [dirs[int(np.argmax(x))] for x in tail]
+        polished = _polished_ratios(g, np.array(starts), np.tile(radii[t0:t0 + m], 2),
+                                    np.repeat([1.0, -1.0], m))
+        d = min(d, float(polished[:m].min()))
+        q = max(q, float(polished[m:].max()))
 
     th = config.divergence_threshold
     d_flagged = d > th
@@ -146,13 +156,14 @@ def sigma_membership(
     radii = config.r0 * config.ratio ** np.arange(config.n_radii)
     tail = radii[-config.tail :]
 
-    per_radius = []
-    for r in tail:
-        ratios = _sphere_norm_ratios(g, dirs, float(r))
-        m = float(ratios.min())
-        if config.polish and g.dim >= 2:
-            m = min(m, _polish_ratio(g, float(r), dirs[int(np.argmin(ratios))], False))
-        per_radius.append(m)
+    ratios = _radius_ratios(g, dirs, tail)
+    per_radius = [float(x.min()) for x in ratios]
+    if config.polish and g.dim >= 2:
+        # every tail radius in one batch; one radius if homogeneous
+        m = 1 if g.homogeneous else len(tail)
+        starts = np.array([dirs[int(np.argmin(x))] for x in ratios[:m]])
+        polished = np.broadcast_to(_polished_ratios(g, starts, tail[:m], np.ones(m)), len(tail))
+        per_radius = [min(v, float(w)) for v, w in zip(per_radius, polished)]
 
     below = [m < tol for m in per_radius]
     if all(below):
@@ -316,30 +327,41 @@ def _planar_scan_residuals(g: MapSpec, lams: np.ndarray, radii, theta_samples: i
     return res
 
 
+def _scaled(g: MapSpec, lams: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """lams[b] * U[b] for a (B, m, dim) array U: the complex action on
+    coordinate pairs, or multiplication by the real part."""
+    lams = lams[:, None, None]
+    if not g.complex_pairs:
+        return lams.real * U
+    z = lams * (U[..., 0::2] + 1j * U[..., 1::2])
+    return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (g.dim,))
+
+
 def _general_scan_residuals(g: MapSpec, lams: np.ndarray, radii, samples: int, seed: int):
+    """min over |u| = 1 of |lam u - g(r u) / r| for every lam and radius.
+
+    The sampled minimum of every lam is polished from its best direction,
+    all lams of a radius in one batch.  A positively homogeneous g has the
+    same residuals at every radius, so one radius is computed and repeated.
+    """
     dirs = sphere_directions(g.dim, samples, seed)
-    res = np.empty((lams.size, len(radii)))
-    for j, r in enumerate(radii):
+    cols = radii[:1] if g.homogeneous else radii
+    res = np.empty((lams.size, len(cols)))
+    step = max(1, _CHUNK // dirs.size)  # lams per chunk of the sampled gaps
+    for j, r in enumerate(cols):
+
+        def gap(U):  # (B, m, dim) unit vectors -> (B, m) residuals
+            return np.linalg.norm(_scaled(g, lams, U) - evaluate(g, r * U) / r, axis=-1)
+
         vals = evaluate(g, r * dirs) / r
-        for i, lam in enumerate(lams):
-            lam = as_complex(lam)
-            if g.complex_pairs:
-                target = complex_scale(lam, dirs)
-            else:
-                target = lam.real * dirs
-            gap = np.linalg.norm(target - vals, axis=-1)
-            i0 = int(np.argmin(gap))
-
-            def on_sphere(u, _r=r, _lam=lam):
-                if g.complex_pairs:
-                    t = complex_scale(_lam, u)
-                else:
-                    t = _lam.real * u
-                return float(np.linalg.norm(t - evaluate(g, _r * u) / _r))
-
-            _, best = sphere_polish(on_sphere, dirs[i0], maxfev=150 * g.dim)
-            res[i, j] = min(float(gap[i0]), best)
-    return res
+        i0 = np.empty(lams.size, dtype=np.intp)
+        for lo in range(0, lams.size, step):
+            sampled = np.linalg.norm(_scaled(g, lams[lo:lo + step], dirs[None]) - vals, axis=-1)
+            i0[lo:lo + step] = sampled.argmin(axis=1)
+            res[lo:lo + step, j] = sampled.min(axis=1)
+        best, _ = sphere_polish(gap, dirs[i0])
+        np.minimum(res[:, j], best, out=res[:, j])
+    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
 
 
 def scan_verdicts(normalized: np.ndarray, tol: float, undecided_factor: float = 2.0):

@@ -51,6 +51,7 @@ MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
 _BAND_CHUNK = 1 << 20  # window entries per chunk of the band query
+_SUMMARY_CHUNK = 1 << 18  # cells per row block of PlaneSpectrum.summary
 
 ZERO_EPI_PROXY_NOTE = (
     "winding==0 is treated as 'in spectrum'; nonzero winding soundly implies "
@@ -112,12 +113,20 @@ class PlaneSpectrum:
     component_consistent: bool = True
     metadata: dict = field(default_factory=dict)
 
+    def _row_blocks(self):
+        """(first row, rows) blocks of the labels, at most _SUMMARY_CHUNK cells each."""
+        step = max(1, _SUMMARY_CHUNK // self.labels.shape[1])
+        for lo in range(0, self.labels.shape[0], step):
+            yield lo, self.labels[lo:lo + step]
+
     def counts(self) -> dict:
-        flat = self.labels.ravel()
+        n = np.zeros(len(CellLabel), dtype=np.int64)
+        for _, block in self._row_blocks():
+            n += np.bincount(block.ravel(), minlength=len(CellLabel))
         return {
-            "in_spectrum": int(np.sum(flat == CellLabel.IN_SPECTRUM)),
-            "regular": int(np.sum(flat == CellLabel.REGULAR)),
-            "band": int(np.sum(flat == CellLabel.BAND)),
+            "in_spectrum": int(n[CellLabel.IN_SPECTRUM]),
+            "regular": int(n[CellLabel.REGULAR]),
+            "band": int(n[CellLabel.BAND]),
         }
 
     def cell_area(self) -> float:
@@ -130,12 +139,14 @@ class PlaneSpectrum:
         area = self.cell_area()
         inside = c["in_spectrum"] * area
         band = c["band"] * area
-        mask = self.labels == CellLabel.IN_SPECTRUM
-        if mask.any():
-            gx, gy = np.meshgrid(self.xs, self.ys)
-            max_abs = float(np.max(np.hypot(gx[mask], gy[mask])))
-        else:
-            max_abs = 0.0
+        # hypot is monotone in |x|, so each row's largest modulus is at its
+        # largest |x| among in-spectrum cells
+        abs_x, max_abs = np.abs(self.xs), 0.0
+        for lo, block in self._row_blocks():
+            row_x = np.where(block == CellLabel.IN_SPECTRUM, abs_x, -1.0).max(axis=1)
+            hit = row_x >= 0.0
+            if hit.any():
+                max_abs = max(max_abs, float(np.hypot(row_x[hit], self.ys[lo:lo + len(block)][hit]).max()))
         return {
             "counts": c,
             "cell_area": area,
@@ -286,9 +297,10 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     col = np.searchsorted(xs, x_cross, side="left")  # cells 0..col-1 lie left of it
     nx = xs.size
     binned = np.bincount(row * (nx + 1) + col, weights=sign, minlength=ys.size * (nx + 1))
-    binned = binned.reshape(ys.size, nx + 1).astype(np.int64)
-    right = np.cumsum(binned[:, ::-1], axis=1)[:, ::-1]
-    return 1 + right[:, 1:]
+    binned = binned.reshape(ys.size, nx + 1)
+    turns = np.cumsum(binned[:, :0:-1], axis=1, dtype=np.int32)[:, ::-1]
+    turns += 1
+    return turns
 
 
 def _components_consistent(labels: np.ndarray, decided: np.ndarray) -> bool:
@@ -422,11 +434,11 @@ def spectral_radius_bound(f: MapSpec, p=None, samples: int = 4096, seed: int = 0
         norms = np.linalg.norm(evaluate(f, dirs), axis=-1)
         i_hi = int(np.argmax(norms))
 
-        def neg(u):
-            return -float(np.linalg.norm(evaluate(f, u)))
+        def neg(U):
+            return -np.linalg.norm(evaluate(f, U), axis=-1)
 
-        _, best = sphere_polish(neg, dirs[i_hi], maxfev=200 * f.dim)
-        return max(float(norms[i_hi]), -best)
+        best, _ = sphere_polish(neg, dirs[i_hi:i_hi + 1])
+        return max(float(norms[i_hi]), -float(best[0]))
     from . import estimators  # lazy: general maps use the rate estimator
 
     base = f.basepoint if p is None else p

@@ -9,22 +9,30 @@ import numpy as np
 # every one is imported inside the helper that uses it.
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_DISTANCE_CHUNK = 1 << 20  # (row, point) pairs per chunk of directed_distance
 
 
-def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=int(seed))
-    m = max(1, math.ceil(math.log2(max(2, n))))
-    pts = sampler.random_base2(m)[:n]
-    return np.clip(pts, 1e-12, 1.0 - 1e-12)
+def _kronecker(dim: int, n: int, seed: int) -> np.ndarray:
+    """n points of the R_d sequence in [0, 1)^dim, rotated by seed * _GOLDEN.
+
+    Point k is (1/2 + seed * _GOLDEN + k * alpha) mod 1 with alpha_i =
+    phi^-i, where phi is the positive root of x^(dim+1) = x + 1 (Roberts'
+    generalization of the golden ratio to dim dimensions).
+    """
+    phi = 2.0
+    for _ in range(64):  # x -> (1 + x)^(1/(dim+1)) contracts onto the root
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alpha = phi ** -np.arange(1.0, dim + 1.0)
+    start = 0.5 + (seed * _GOLDEN) % 1.0
+    return (start + np.arange(n)[:, None] * alpha) % 1.0
 
 
 def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
     """n low-discrepancy unit vectors in R^dim, deterministic per seed.
 
     dim == 1 returns the two directions; dim == 2 uses a rotated uniform
-    angle grid; higher dimensions push scrambled Sobol points through the
-    normal quantile and normalize.
+    angle grid; higher dimensions push rotated R_d points through the
+    Box-Muller transform (Ann. Math. Stat. 29, 1958) and normalize.
     """
     if dim == 1:
         return np.array([[1.0], [-1.0]])
@@ -32,8 +40,10 @@ def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
         offset = (seed * _GOLDEN) % 1.0
         theta = 2.0 * np.pi * ((np.arange(n) + 0.5 + offset) / n)
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    from scipy.special import ndtri
-    g = ndtri(_sobol(dim, n, seed))
+    u = _kronecker(dim + dim % 2, n, seed)  # coordinates 2i, 2i+1 make one pair
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
+    angle = 2.0 * np.pi * u[:, 1::2]
+    g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(n, -1)[:, :dim]
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms
@@ -41,7 +51,7 @@ def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
 
 def disk_points(n: int, radius: float, seed: int = 0) -> np.ndarray:
     """n low-discrepancy points in the open disk of the given radius."""
-    uv = _sobol(2, n, seed)
+    uv = _kronecker(2, n, seed)
     r = radius * np.sqrt(uv[:, 0])
     phi = 2.0 * np.pi * uv[:, 1]
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
@@ -63,59 +73,109 @@ def nm_polish(fn, x0, maxfev: int = 400, xatol: float = 1e-12, fatol: float = 1e
     return x0, float(f0)
 
 
-def _tangent_frame(u0: np.ndarray) -> np.ndarray:
-    """Orthonormal complement of the unit vector u0 (Householder columns)."""
-    dim = u0.size
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    v = e1 - u0
-    nv = np.linalg.norm(v)
-    H = np.eye(dim)
-    if nv > 1e-14:
-        v = v / nv
-        H -= 2.0 * np.outer(v, v)
-    return H[:, 1:]
+def _tangent_frames(U: np.ndarray) -> np.ndarray:
+    """(B, dim, dim-1) orthonormal complements of the unit rows of U.
 
-
-def sphere_polish(fn, u0, maxfev: int = 600, simplex_radius: float = 0.15):
-    """Minimize fn over unit vectors near u0, parametrized on the tangent frame.
-
-    The normalization map x -> x/|x| is constant along rays, which stalls a
-    simplex in ambient coordinates; optimizing over tangent offsets removes
-    the degeneracy.  Returns (unit vector, value).
+    The columns are the last dim-1 columns of the Householder reflection
+    that maps e1 to the row.
     """
-    u0 = np.asarray(u0, dtype=float)
-    u0 = u0 / np.linalg.norm(u0)
-    dim = u0.size
-    if dim == 1:
-        return u0, float(fn(u0))
-    T = _tangent_frame(u0)
+    v = -U
+    v[:, 0] += 1.0
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    v = np.divide(v, nv, out=np.zeros_like(v), where=nv > 1e-14)
+    return (np.eye(U.shape[1]) - 2.0 * v[:, :, None] * v[:, None, :])[:, :, 1:]
 
-    def obj(t):
-        u = u0 + T @ t
-        return fn(u / np.linalg.norm(u))
 
-    from scipy import optimize
+# Nelder-Mead trial points as a * centroid + b * worst vertex: reflection
+# (rho = 1), expansion (chi = 2), outside and inside contraction (psi = 1/2)
+_NM_A = np.array([2.0, 3.0, 1.5, 0.5])
+_NM_B = np.array([-1.0, -2.0, -0.5, 0.5])
+_NM_SIMPLEX = 0.15  # initial simplex edge on the tangent frame
+_NM_XATOL, _NM_FATOL = 1e-12, 1e-14
+_NM_RESTARTS = 4
+
+
+def _lockstep_nelder_mead(fn, U0, live):
+    """One Nelder-Mead run per row of U0 on its tangent frame; see sphere_polish.
+
+    Rows with live False are evaluated along with the others but never move.
+    """
+    B, dim = U0.shape
     k = dim - 1
-    simplex = np.zeros((k + 1, k))
-    simplex[1:] = simplex_radius * np.eye(k)
-    res = optimize.minimize(
-        obj,
-        np.zeros(k),
-        method="Nelder-Mead",
-        options={
-            "maxfev": maxfev,
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-            "initial_simplex": simplex,
-        },
-    )
-    f0 = float(fn(u0))
-    if res.fun <= f0:
-        u = u0 + T @ res.x
-        u = u / np.linalg.norm(u)
-        return u, float(res.fun)
-    return u0, f0
+    T = np.swapaxes(_tangent_frames(U0), 1, 2)  # (B, k, dim)
+
+    def points(t):
+        u = U0[:, None, :] + t @ T
+        return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+    def sort(sim, fsim):
+        order = np.argsort(fsim, axis=1)
+        return np.take_along_axis(sim, order[:, :, None], 1), np.take_along_axis(fsim, order, 1)
+
+    rows = np.arange(B)
+    sim = np.zeros((B, k + 1, k))
+    sim[:, 1:] = _NM_SIMPLEX * np.eye(k)
+    sim, fsim = sort(sim, fn(points(sim)))
+    for _ in range(200 * dim):
+        live = live & ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > _NM_XATOL)
+                       | (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) > _NM_FATOL))
+        if not live.any():
+            break
+        centroid = sim[:, :-1].sum(axis=1) / k
+        trial = _NM_A[:, None] * centroid[:, None, :] + _NM_B[:, None] * sim[:, -1:, :]
+        ftrial = fn(points(trial))
+        fr, fe, fo, fi = ftrial.T
+        best, second, worst = fsim[:, 0], fsim[:, -2], fsim[:, -1]
+        pick = np.where(fr < best, np.where(fe < fr, 1, 0),
+                        np.where(fr < second, 0, np.where(fr < worst, 2, 3)))
+        accept = (fr < second) | ((pick == 2) & (fo <= fr)) | ((pick == 3) & (fi < worst))
+        take = live & accept
+        sim[take, -1] = trial[rows, pick][take]
+        fsim[take, -1] = ftrial[rows, pick][take]
+        shrink = live & ~accept
+        if shrink.any():
+            shrunk = sim[:, :1] + 0.5 * (sim[:, 1:] - sim[:, :1])
+            fshrunk = fn(points(shrunk))
+            sim[shrink, 1:] = shrunk[shrink]
+            fsim[shrink, 1:] = fshrunk[shrink]
+        sim, fsim = sort(sim, fsim)
+    return fsim[:, 0], points(sim[:, :1])[:, 0]
+
+
+def sphere_polish(fn, U0):
+    """Minimize B objectives over unit vectors, each near its row of U0.
+
+    fn maps a (B, m, dim) array of unit vectors to their (B, m) values, row
+    b under objective b.  Every element runs the Nelder-Mead method
+    (Comput. J. 7, 1965) with scipy's coefficients on the offsets t of its
+    tangent frame T, at the point (u0 + T t) / |u0 + T t|: the normalization
+    is constant along rays, which would stall a simplex in ambient
+    coordinates.  The elements advance in lockstep: one fn call per
+    iteration evaluates every element's reflection, expansion and both
+    contractions, and one more runs only when some element shrinks.  An
+    element stops once its simplex is within 1e-12 and its values within
+    1e-14 of its best vertex, or after 200 * dim iterations.  A simplex can
+    collapse before it reaches a minimum, so every element then restarts
+    from its best point on a fresh frame, and again while a restart gains
+    more than 1e-14, at most _NM_RESTARTS times.  Returns the (B,) best
+    values and their (B, dim) unit vectors.
+    """
+    U = np.asarray(U0, dtype=float)
+    U = U / np.linalg.norm(U, axis=-1, keepdims=True)
+    if U.shape[1] == 1:
+        return fn(U[:, None, :])[:, 0], U
+    values = np.full(U.shape[0], np.inf)
+    live = np.ones(U.shape[0], dtype=bool)
+    for _ in range(_NM_RESTARTS + 1):
+        f, u = _lockstep_nelder_mead(fn, U, live)
+        better = live & (f < values)
+        gain = values[better] - f[better]
+        values[better], U[better] = f[better], u[better]
+        live[:] = False
+        live[better] = gain > _NM_FATOL
+        if not live.any():
+            break
+    return values, U
 
 
 _COMPASS_8 = np.array(
@@ -182,11 +242,22 @@ def golden_min(fn, lo, hi, iters: int = 60):
 
 
 def directed_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """sup over rows of a of the distance to the point set b."""
-    from scipy.spatial import cKDTree
-    tree = cKDTree(np.asarray(b, dtype=float))
-    d, _ = tree.query(np.asarray(a, dtype=float))
-    return float(np.max(d))
+    """sup over rows of a of the distance to the point set b.
+
+    A brute-force minimum of squared distances summed over the coordinates
+    in order, before one square root: for planar points the arithmetic of a
+    k-d tree query, bit for bit.  Rows of a go in chunks of at most
+    _DISTANCE_CHUNK (row, point) pairs.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    step = max(1, _DISTANCE_CHUNK // len(b))
+    nearest = np.empty(len(a))
+    for lo in range(0, len(a), step):
+        d2 = (a[lo:lo + step, None, 0] - b[:, 0]) ** 2
+        for c in range(1, a.shape[1]):
+            d2 += (a[lo:lo + step, None, c] - b[:, c]) ** 2
+        nearest[lo:lo + step] = d2.min(axis=1)
+    return float(np.sqrt(nearest.max()))
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -260,6 +260,9 @@ def test_cli_import_skips_optimize_and_stats():
         ["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"],
         ["classify", "--fn", "norm_plus_i_im", "--res", "100"],
         ["mnc", "--expr", "IsometryOntoCodim(1) + CompactLinear"],
+        # candidates, so the containment check against the curve runs too
+        ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,24,30"],
+        ["bifurcate", "--fn", "conj_pair", "--grid=-1.5,1.5,-1.5,1.5,8,8"],
     ):
         assert scipy_loaded(argv) == set(), argv
     shift = scipy_loaded(["shift", "--truncate", "60", "--lambda", "2,0", "--xi-eps", "0.1"])

@@ -7,6 +7,7 @@ from specpoint.core import PreconditionError
 from specpoint.estimators import (
     RateConfig,
     Verdict,
+    _general_scan_residuals,
     _planar_scan_residuals,
     bifurcation_scan,
     c1_spectrum,
@@ -18,6 +19,8 @@ from specpoint.estimators import (
     spectrum_set,
 )
 from specpoint.maps import black_box, builtin, difference, evaluate, identity_map, scale_map
+from specpoint.numerics import sphere_directions
+from test_numerics import scalar_sphere_polish
 
 RNG = np.random.default_rng(11)
 
@@ -86,6 +89,22 @@ def test_rates_divergence_flag():
     r = estimate_rates(f, np.zeros(2), RateConfig(divergence_threshold=500.0, polish=False))
     assert r.q_flagged and math.isinf(r.q_p)
     assert not r.d_flagged
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_rates_and_membership_polish_to_singular_values(homogeneous):
+    # every tail radius, min and max, is polished; sampling alone is ~1e-4 off
+    rng = np.random.default_rng(17)
+    for n in (3, 4, 6):
+        M = rng.normal(size=(n, n))
+        f = black_box(n, lambda x, _M=M: np.asarray(x) @ _M.T, homogeneous=homogeneous)
+        r = estimate_rates(f, np.zeros(n))
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert abs(r.d_p - sv[-1]) <= 1e-12 and abs(r.q_p - sv[0]) <= 1e-12
+        gap = np.linalg.svd(0.7 * np.eye(n) - M, compute_uv=False)[-1]
+        res = sigma_membership(f, np.zeros(n), 0.7, tol=gap * (1.0 + 1e-9))
+        assert np.max(np.abs(np.array(res.per_radius_min) - gap)) <= 1e-12
+        assert res.verdict == Verdict.MEMBER
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +354,82 @@ def test_planar_scan_matches_inline_golden_loop(f):
     assert np.max(np.abs(new - old)) <= 1e-12
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(old, 0.02)[1]
     assert "candidate" in scan_verdicts(new, 0.02)[1]
+
+
+# ---------------------------------------------------------------------------
+# general-dimension scans against exact minima and the per-lambda search
+
+
+def _complex_scaling(lam, dim):
+    """R(lam): multiplication by lam on each (re, im) coordinate pair of R^dim."""
+    return np.kron(np.eye(dim // 2), np.array([[lam.real, -lam.imag], [lam.imag, lam.real]]))
+
+
+def _grid(x0, x1, y0, y1, nx, ny):
+    return [complex(x, y) for y in np.linspace(y0, y1, ny) for x in np.linspace(x0, x1, nx)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scan_conj_pair_matches_exact_sigma_min(seed):
+    # conj_pair is R-linear, so min over |u| = 1 of |lam u - f(u)| = sigma_min(R(lam) - M)
+    f = builtin("conj_pair")
+    M = evaluate(f, np.eye(4)).T
+    lams = _grid(-1.5, 1.5, -1.5, 1.5, 8, 8)
+    scan = bifurcation_scan(f, lams, seed=seed)
+    exact = np.array([np.linalg.svd(_complex_scaling(l, 4) - M, compute_uv=False)[-1] for l in lams])
+    assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
+    assert (scan.residuals == scan.residuals[:, :1]).all()  # homogeneous: one radius, repeated
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_scan_linear_black_box_matches_sigma_min(dim):
+    rng = np.random.default_rng(40 + dim)
+    M = rng.normal(size=(dim, dim))
+    lams = np.concatenate([np.linalg.eigvals(M).real, rng.uniform(-3.0, 3.0, size=6)])
+    exact = np.array([np.linalg.svd(l * np.eye(dim) - M, compute_uv=False)[-1] for l in lams])
+    for homogeneous in (True, False):
+        f = black_box(dim, lambda x, _M=M: np.asarray(x) @ _M.T, homogeneous=homogeneous)
+        scan = bifurcation_scan(f, lams, seed=1)
+        assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
+        assert (scan.residuals == scan.residuals[:, :1]).all() == homogeneous
+
+
+def _scalar_general_scan_residuals(g, lams, radii, samples, seed):
+    """Reference: one scalar scipy Nelder-Mead search per (lam, radius)."""
+    dirs = sphere_directions(g.dim, samples, seed)
+    res = np.empty((lams.size, len(radii)))
+    for j, r in enumerate(radii):
+        vals = evaluate(g, r * dirs) / r
+        for i, lam in enumerate(lams):
+            gap = np.linalg.norm(lam.real * dirs - vals, axis=-1)
+            i0 = int(np.argmin(gap))
+
+            def on_sphere(u, _r=r, _lam=lam):
+                return float(np.linalg.norm(_lam.real * u - evaluate(g, _r * u) / _r))
+
+            _, best = scalar_sphere_polish(on_sphere, dirs[i0], maxfev=150 * g.dim)
+            res[i, j] = min(float(gap[i0]), best)
+    return res
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
+    # lam x = |x| x: the residual at radius r is |lam - r|, so only lam near 0 is a candidate
+    g = builtin("norm_times_x", dim=dim)
+    lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0.2j, -1.0 + 0j])
+    radii = (1e-1, 1e-2, 1e-3)
+    new = _general_scan_residuals(g, lams, radii, 512, 0)
+    ref = _scalar_general_scan_residuals(g, lams, radii, 512, 0)
+    assert np.all(new <= ref + 1e-12)
+    assert scan_verdicts(new, 0.02)[1] == scan_verdicts(ref, 0.02)[1]
+    assert set(scan_verdicts(new, 0.02)[1]) == {"candidate", "undecided", "rejected"}
+    assert np.max(np.abs(new - np.abs(lams.real[:, None] - np.array(radii)))) <= 1e-12
+
+
+def test_rates_of_a_homogeneous_map_repeat_one_radius():
+    f = builtin("conj_pair")
+    rates = estimate_rates(f, np.zeros(4))
+    assert len(set(rates.per_radius_min)) == len(set(rates.per_radius_max)) == 1
+    assert abs(rates.d_p - 1.0) < 1e-12 and abs(rates.q_p - 1.0) < 1e-12
+    member = sigma_membership(f, np.zeros(4), 0.5 + 0.5j)
+    assert len(set(member.per_radius_min)) == 1 and member.verdict == Verdict.NON_MEMBER

@@ -12,6 +12,7 @@ from specpoint.homog2d import (
     MARGIN_TOL,
     MAX_BAND_CELLS,
     CellLabel,
+    PlaneSpectrum,
     _band_distances,
     _components_consistent,
     bifurcation_set_homog,
@@ -326,6 +327,91 @@ def test_scanline_counts_double_clockwise_turns():
     assert set(np.unique(seen)) == {-1, 0, 1}
     curve = sigma_curve(f, samples=2048)
     assert scanline_turns(curve, np.array([0.0]), np.array([0.0]))[0, 0] == -1
+
+
+def _scanline_turns_int64(curve, xs, ys):
+    """Reference: scanline_turns with int64 copies of the crossing counts."""
+    a = curve.values
+    b = np.roll(a, -1)
+    lo = np.minimum(a.imag, b.imag)
+    hi = np.maximum(a.imag, b.imag)
+    first = np.searchsorted(ys, lo, side="left")
+    counts = np.searchsorted(ys, hi, side="left") - first
+    edge = np.repeat(np.arange(a.size), counts)
+    row = first[edge] + np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ea, eb = a[edge], b[edge]
+    x_cross = ea.real + (ys[row] - ea.imag) * (eb.real - ea.real) / (eb.imag - ea.imag)
+    sign = np.where(eb.imag > ea.imag, 1.0, -1.0)
+    col = np.searchsorted(xs, x_cross, side="left")
+    nx = xs.size
+    binned = np.bincount(row * (nx + 1) + col, weights=sign, minlength=ys.size * (nx + 1))
+    binned = binned.reshape(ys.size, nx + 1).astype(np.int64)
+    right = np.cumsum(binned[:, ::-1], axis=1)[:, ::-1]
+    return 1 + right[:, 1:]
+
+
+@given(planar_maps, st.integers(2, 70), st.integers(2, 70))
+def test_scanline_turns_match_int64_reference(f, nx, ny):
+    curve = sigma_curve(f, samples=256)
+    z = curve.values
+    xs = np.linspace(z.real.min() - 0.3, z.real.max() + 0.2, nx)
+    ys = np.linspace(z.imag.min() - 0.2, z.imag.max() + 0.3, ny)
+    turns = scanline_turns(curve, xs, ys)
+    assert turns.dtype == np.int32
+    assert np.array_equal(turns, _scanline_turns_int64(curve, xs, ys))
+
+
+def test_scanline_turns_memory_at_the_largest_grid():
+    # the int64 accumulation peaked at about 385 MB here
+    curve = sigma_curve(builtin("norm_plus_i_im"), samples=CURVE_SAMPLES)
+    xs = ys = np.linspace(-2.0, 2.0, 4096)
+    tracemalloc.start()
+    try:
+        turns = scanline_turns(curve, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6, peak
+    assert np.array_equal(turns, _scanline_turns_int64(curve, xs, ys))
+
+
+def _max_abs_by_meshgrid(ps):
+    """Reference: the largest modulus of an in-spectrum cell over the full grid."""
+    mask = ps.labels == CellLabel.IN_SPECTRUM
+    if not mask.any():
+        return 0.0
+    gx, gy = np.meshgrid(ps.xs, ps.ys)
+    return float(np.max(np.hypot(gx[mask], gy[mask])))
+
+
+@pytest.mark.parametrize("name", ["norm_plus_i_im", "half_abs_re_plus_i_im", "abs_re_plus_i_im", "norm_only"])
+def test_summary_matches_full_grid_reference(name):
+    f = builtin(name)
+    for bounds, res in (((-2.0, 2.0, -2.0, 2.0), 97), ((-1.3, 2.1, -0.4, 1.7), 160), ((3.0, 4.0, 3.0, 4.0), 10)):
+        ps = classify_plane(f, bounds=bounds, resolution=res)
+        summary = ps.summary()
+        assert summary["max_abs_in_spectrum"] == _max_abs_by_meshgrid(ps)
+        assert summary["counts"] == {label.name.lower(): int(np.sum(ps.labels == label)) for label in CellLabel}
+    # a label grid taller than one row block
+    labels = RNG.integers(0, 3, size=(700, 600)).astype(np.int8)
+    xs, ys = np.linspace(-3.0, 1.0, 600), np.linspace(-1.0, 2.5, 700)
+    ps = PlaneSpectrum(curve=ps.curve, xs=xs, ys=ys, labels=labels, band_radius=0.1)
+    assert ps.summary()["max_abs_in_spectrum"] == _max_abs_by_meshgrid(ps)
+    assert ps.counts()["band"] == int(np.sum(labels == CellLabel.BAND))
+
+
+def test_summary_memory_at_the_largest_grid():
+    # the full meshgrid and hypot peaked at about 403 MB here
+    f = builtin("norm_plus_i_im")
+    ps = classify_plane(f, resolution=4096, curve=sigma_curve(f, samples=CURVE_SAMPLES))
+    tracemalloc.start()
+    try:
+        summary = ps.summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert summary["max_abs_in_spectrum"] == _max_abs_by_meshgrid(ps)
 
 
 def _components_consistent_by_label(labels, decided):
