@@ -145,6 +145,39 @@ def test_sphere_polish_no_worse_than_scalar_scipy_reference(dim, batch, seed, sh
         assert values[b] <= ref + 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_sphere_polish_follows_the_scipy_simplex(dim):
+    """The first 40 points scipy's Nelder-Mead evaluates appear, in order,
+    among the kernel's trial points: the lockstep run is the same method.
+
+    Later on both runs compare values that differ only by rounding, so
+    their paths may part; in 160 seeded runs of dimension 2 to 8 the first
+    40 points always matched.
+    """
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        fn = linear_objectives(rng.normal(size=(1, dim, dim)), np.zeros(1))
+        u0 = rng.normal(size=dim)
+        ours, theirs = [], []
+
+        def recording(U):
+            ours.extend(U.reshape(-1, dim))
+            return fn(U)
+
+        def one(u):
+            theirs.append(u)
+            return float(fn(u[None, None, :])[0, 0])
+
+        sphere_polish(recording, u0[None, :])
+        scalar_sphere_polish(one, u0, maxfev=200 * dim)
+        i = 0
+        for p in theirs[:40]:
+            while i < len(ours) and np.max(np.abs(ours[i] - p)) > 1e-12:
+                i += 1
+            assert i < len(ours), (seed, p)
+            i += 1
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_sphere_polish_reaches_the_smallest_singular_value(dim):
     """min over the sphere of |M u| is sigma_min(M), from starts anywhere."""
