@@ -40,8 +40,6 @@ Expression grammar for `mnc --expr` (composition `o` binds tighter than `+`):
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -158,12 +156,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _curve_csv(curve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta", "re", "im"])
-    for t, v in zip(curve.thetas, curve.values):
-        writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+    # the same bytes csv.writer gives: no field here needs quoting
+    rows = zip(curve.thetas.tolist(), curve.values.real.tolist(), curve.values.imag.tolist())
+    return "theta,re,im\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, x, y in rows)
 
 
 def _grid_csv(spectrum) -> str:
@@ -363,9 +358,11 @@ def _cmd_bifurcate(args, config) -> int:
         if not 0 <= angles <= MAX_ANGLES:
             raise PreconditionError(f"--angles must lie in [0, {MAX_ANGLES}], got {angles}")
         thetas = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
-        lams = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
-        for extra in args.extra_lambda or []:
-            lams.append(_parse_pair(extra))
+        # one orbit for the circle, whose modulus is SQRT2 as built, and one
+        # for each extra lambda: the scan solves once per orbit
+        circle = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
+        extras = [_parse_pair(extra) for extra in args.extra_lambda or []]
+        lams = structured.LambdaOrbits([(structured.SQRT2, circle)] + [(lam, [lam]) for lam in extras])
         perturb = _effective(args, config, "perturb", "none", str)
         h_const = None
         if perturb == "normsq_e1":

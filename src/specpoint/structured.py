@@ -19,9 +19,24 @@ of an isometry onto a codimension-one subspace and a rank-one nonlinear
 part.  Its exact local data is emitted analytically; a truncated version on
 C^N supports numerical verification of the eigenvalue circle, via exact
 sphere-constrained least squares (the objective is affine on each sphere).
-For A = lam I - L_N, A^H A is tridiagonal and a diagonal phase change makes
-it real, so each minimum is an O(N) secular solve on banded Cholesky
-factorizations, with the Moré-Sorensen hard case handled explicitly.
+For A = lam I - L_N and m = |lam|, a diagonal phase change turns A^H A into
+the real tridiagonal T with diagonal m^2 + 1, ..., m^2 + 1, m^2 and
+off-diagonal -m, and each minimum is an O(N) secular solve on it, numpy
+only:
+
+    lowest eigenpair  v_k = sin(k theta), lambda_1 = (m - 1)^2 + 4m sin^2(theta/2)
+                      with m sin((N+1) theta) = sin(N theta), for m > N/(N+1);
+                      v_k = sinh(k t), lambda_1 = (m - 1)^2 - 4m sinh^2(t/2)
+                      with m sinh((N+1) t) = sinh(N t), for m < N/(N+1);
+                      v_k = k at m = N/(N+1); each root by bisection
+    shifted solves    cyclic reduction of T - mu I, log2 N vectorized levels
+    hard case         the Moré-Sorensen completion along v_1
+
+A scan whose right-hand side b is proportional to e_1 has the same minimum
+at every lambda of one modulus, so it solves once per orbit: the lambdas
+are grouped as they were built (`LambdaOrbits`: a circle is one orbit, any
+other lambda its own), never by comparing computed moduli.  Without a
+perturbation the normalized minimum does not depend on the radius either.
 """
 from __future__ import annotations
 
@@ -521,6 +536,116 @@ def _shift_adjoint(lam: complex, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bisect(positive: Callable[[float], bool], hi: float) -> float:
+    """Where the predicate turns false on (0, hi), to the last bit; it holds just above 0."""
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _lowest_eigenpair(m: float, n: int) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the n x n tridiagonal T(m) of the shift model.
+
+    T has diagonal m^2 + 1, ..., m^2 + 1, m^2 and off-diagonal -m.  Its rows
+    1..n-1 hold for v_k = sin(k theta) with eigenvalue m^2 + 1 - 2m cos(theta),
+    and row n holds when m sin((n+1) theta) = sin(n theta).  For
+    m > n/(n+1) the lowest root lies in (0, pi/(n+1)); for m < n/(n+1) it is
+    imaginary, theta = i t with m sinh((n+1) t) = sinh(n t), and
+    lambda_1 = (1 - m e^t)(1 - m e^-t), whose first factor the root equation
+    gives without cancellation.  At m = n/(n+1), v_k = k; at m = 0,
+    T = diag(1, ..., 1, 0).  Returns lambda_1 and the unit v_1 >= 0.
+    """
+    if m == 0.0:
+        v = np.zeros(n)
+        v[-1] = 1.0
+        return 0.0, v
+    k = np.arange(1, n + 1, dtype=float)
+    gap = m * (n + 1) - n
+    if gap > 0.0:
+        theta = _bisect(lambda x: m * math.sin((n + 1) * x) > math.sin(n * x), math.pi / (n + 1))
+        lam1 = (m - 1.0) ** 2 + 4.0 * m * math.sin(0.5 * theta) ** 2
+        v = k if (n * theta) ** 2 < 1e-16 else np.sin(k * theta)
+    elif gap < 0.0:
+        # both sides scaled by 2 e^{-nt}, so nothing overflows for tiny m
+        logm = math.log(m)
+        t = _bisect(
+            lambda x: math.exp(x + logm) * math.expm1(-2.0 * (n + 1) * x) > math.expm1(-2.0 * n * x),
+            -logm,
+        )
+        lam1 = (
+            math.exp(-2.0 * n * t) * math.expm1(-2.0 * t) / math.expm1(-2.0 * (n + 1) * t)
+            * (1.0 - m * math.exp(-t))
+        )
+        # sinh(kt) up to the factor e^{nt}/2
+        v = k if (n * t) ** 2 < 1e-16 else -np.exp(t * (k - n)) * np.expm1(-2.0 * t * k)
+    else:
+        lam1, v = (m - 1.0) ** 2, k
+    return lam1, v / np.linalg.norm(v)
+
+
+def _odd_even_factor(d: np.ndarray, e: np.ndarray):
+    """Cyclic reduction of the SPD tridiagonal with diagonal d, off-diagonal e.
+
+    Each level eliminates the odd unknowns, which couple only to their even
+    neighbours, and leaves the Schur complement on the even ones, again
+    tridiagonal (Buzbee, Golub and Nielson 1970).  This is Cholesky on the
+    odd-even permutation, so every pivot is positive.  Returns the levels
+    (odd pivots, their left and right couplings, and the couplings over the
+    pivots) and the last 1 x 1 pivot.
+    """
+    levels = []
+    while d.size > 1:
+        piv, left, right = d[1::2], e[0::2], e[1::2]
+        left_m, right_m = left / piv, right / piv[: right.size]
+        d2 = d[0::2].copy()
+        d2[: piv.size] -= left * left_m
+        d2[1:] -= right * right_m
+        e = -left[: right.size] * right_m
+        levels.append((piv, left, right, left_m, right_m))
+        d = d2
+    return levels, float(d[0])
+
+
+def _odd_even_forward(levels, f: np.ndarray):
+    """L^{-1} f level by level: the reduced right-hand sides of the odd unknowns, and the last."""
+    odd = []
+    for piv, _, right, left_m, right_m in levels:
+        fo = f[1::2]
+        f = f[0::2].copy()
+        f[: piv.size] -= left_m * fo
+        f[1:] -= right_m * fo[: right.size]
+        odd.append(fo)
+    return odd, f
+
+
+def _odd_even_solve(levels, last: float, f: np.ndarray) -> np.ndarray:
+    odd, x = _odd_even_forward(levels, f)
+    x = x / last
+    for (piv, left, right, _, _), fo in zip(reversed(levels), reversed(odd)):
+        xo = fo - left * x[: piv.size]
+        xo[: right.size] -= right * x[1:]
+        full = np.empty(x.size + xo.size, dtype=x.dtype)
+        full[0::2] = x
+        full[1::2] = xo / piv
+        x = full
+    return x
+
+
+def _odd_even_energy(levels, last: float, f: np.ndarray) -> float:
+    """f^H (T - mu I)^{-1} f from the forward sweep alone: sum |L^{-1} f|^2 / pivot."""
+    odd, f = _odd_even_forward(levels, f)
+    total = float(np.abs(f[0]) ** 2) / last
+    for (piv, *_), fo in zip(levels, odd):
+        total += float(np.sum((fo.real ** 2 + fo.imag ** 2) / piv))
+    return total
+
+
 def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
     """Global minimizer z of |(lam I - L_N) z - b| over |z| = s in C^N, N = len(b).
 
@@ -528,17 +653,21 @@ def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
     D^H A^H A D for A = lam I - L_N is the real tridiagonal T with diagonal
     m^2 + 1, ..., m^2 + 1, m^2 and off-diagonal -m, so z = D y with
     (T - mu I) y = c = D^H A^H b, |y| = s and mu <= lambda_1(T) (Moré and
-    Sorensen 1983; Gander, Golub and von Matt 1989).  Below the root of
-    |y(mu)| = s a rational model |y|^2 ~ alpha / (lambda_1 - mu)^2 + beta
-    takes the step, above it Newton on 1/|y| - 1/s; each step is one banded
-    Cholesky factorization and two solves.  The hard case, c orthogonal to
-    the lowest eigenvector v_1 up to rounding (c = 0 for lam = 0, b = e_1;
-    v_1 in the tail for |lam| < 1), shows as |y| < s just below lambda_1 and
-    is completed along v_1.  O(N) time and memory; the residual is evaluated
-    at the returned z.
+    Sorensen 1983; Gander, Golub and von Matt 1989).  lambda_1 and v_1 are in
+    closed form (`_lowest_eigenpair`; Yueh 2005): v_k = sin(k theta) with
+    m sin((N+1) theta) = sin(N theta) for m > N/(N+1), v_k = sinh(k t) with
+    m sinh((N+1) t) = sinh(N t) for m < N/(N+1), each root by bisection.
+    Below the root of |y(mu)| = s a rational model
+    |y|^2 ~ alpha / (lambda_1 - mu)^2 + beta takes the step, above it Newton
+    on 1/|y| - 1/s; each step is one cyclic reduction of T - mu I (log2 N
+    vectorized levels; Buzbee, Golub and Nielson 1970), one solve and one
+    forward sweep for the derivative.  The hard case, c orthogonal to v_1 up
+    to rounding (c = 0 for lam = 0, b = e_1; v_1 in the tail for |lam| < 1),
+    shows as |y| < s just below lambda_1 and is completed along v_1.  O(N)
+    time and memory; the residual is evaluated at the returned z.  For b
+    proportional to e_1, c = conj(lam) b_1 e_1, so the minimum depends on
+    |lam| alone: `shift_bifurcation_scan` solves once per `LambdaOrbits` orbit.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
-
     lam = as_complex(lam)
     b = np.asarray(b, dtype=complex)
     n = b.size
@@ -547,27 +676,21 @@ def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
     c = d.conj() * _shift_adjoint(lam, b)
     diag = np.full(n, m * m + 1.0)
     diag[-1] = m * m
-    ab = np.zeros((2, n))  # lower banded storage of T - mu I
-    ab[1, :-1] = -m
-    w, v = eigh_tridiagonal(diag, ab[1, :-1], select="i", select_range=(0, 0))
-    lam1, v1 = float(w[0]), v[:, 0]
-    # the closest shift a banded Cholesky factorization still takes
+    off = np.full(n - 1, -m)
+    lam1, v1 = _lowest_eigenpair(m, n)
+    # the closest shift at which every pivot of the reduction stays positive
     tiny = 16.0 * np.finfo(float).eps * (1.0 + m) ** 2
     top = lam1 - tiny
-
-    def solve(mu):
-        ab[0] = diag - mu
-        factor = cholesky_banded(ab, lower=True)
-        return factor, cho_solve_banded((factor, True), c)
 
     mu = min(lam1 - np.linalg.norm(c) / s, top)  # |y(mu)| <= s here
     last = False
     for _ in range(60):  # about 8 steps in practice
-        factor, y = solve(mu)
+        factor = _odd_even_factor(diag - mu, off)
+        y = _odd_even_solve(*factor, c)
         ny = float(np.linalg.norm(y))
         if last or abs(ny - s) <= 4.0 * np.finfo(float).eps * s or (mu == top and ny < s):
             break
-        dn = np.vdot(y, cho_solve_banded((factor, True), y)).real  # (1/2) d|y|^2/dmu
+        dn = _odd_even_energy(*factor, y)  # (1/2) d|y|^2/dmu
         new = mu + (1.0 - ny / s) * ny * ny / dn
         beta = ny * ny - dn * (lam1 - mu)
         if ny < s and beta < s * s:
@@ -617,6 +740,29 @@ def geometric_seed(lam, N: int, radius: float = 1.0) -> np.ndarray:
     return z * (radius / np.linalg.norm(z))
 
 
+class LambdaOrbits(tuple):
+    """The lambdas of a shift scan, listed orbit by orbit.
+
+    Built from (lam0, members) pairs: every member has the modulus of lam0
+    as it was built (a circle of radius r has lam0 = r), so for b
+    proportional to e_1 each member has the sphere minimum of lam0.  The
+    tuple holds the members in order; `spans` holds (start, stop, lam0).
+    """
+
+    def __new__(cls, orbits):
+        spans, flat = [], []
+        for lam0, members in orbits:
+            lam0 = as_complex(lam0)
+            members = [as_complex(l) for l in members]
+            if any(abs(abs(l) - abs(lam0)) > 1e-12 * abs(lam0) for l in members):
+                raise UsageError(f"an orbit of modulus {abs(lam0)!r} holds a lambda of another modulus")
+            spans.append((len(flat), len(flat) + len(members), lam0))
+            flat.extend(members)
+        self = super().__new__(cls, flat)
+        self.spans = tuple(spans)
+        return self
+
+
 @dataclass(frozen=True)
 class ShiftScanResult:
     lams: tuple
@@ -643,7 +789,10 @@ def shift_bifurcation_scan(
     relative to |z| near 0.  When h is constant on each sphere (for example
     a power of the norm times a fixed vector), pass h_sphere_const(r) -> the
     vector value so the per-sphere problem stays affine and is solved
-    exactly; otherwise a seeded derivative-free descent is used.
+    exactly; otherwise a seeded derivative-free descent is used.  When the
+    right-hand side r e_1 + h_sphere_const(r) is proportional to e_1, each
+    orbit of a `LambdaOrbits` grid takes one solve (one for all radii when
+    there is no perturbation); any other iterable is one orbit per lambda.
     """
     _check_truncation(N)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
@@ -651,43 +800,53 @@ def shift_bifurcation_scan(
     e1 = np.zeros(N, dtype=complex)
     e1[0] = 1.0
 
-    def full_h(z):
-        return h(z) if h is not None else 0.0
-
     res = np.empty((len(lams), len(radii)))
-    for i, lam in enumerate(lams):
+    # b = beta e_1 gives c = conj(lam) beta e_1, so the minimum at m e^{i theta}
+    # is the minimum at m turned by e^{i theta}: one solve per orbit.  With
+    # h = None the problem at radius r is r times the one on the unit sphere.
+    spans = lam_grid.spans if isinstance(lam_grid, LambdaOrbits) else [(i, i + 1, l) for i, l in enumerate(lams)]
+    spans = [span for span in spans if span[0] < span[1]]
+    if h_sphere_const is not None:
         for j, r in enumerate(radii):
-            if h is None or h_sphere_const is not None:
-                b = r * e1
-                if h_sphere_const is not None:
-                    b = b + np.asarray(h_sphere_const(r), dtype=complex)
-                _, resid = sphere_least_squares(lam, b, r)
-                res[i, j] = resid
-                continue
-            # general perturbation: seeded derivative-free descent on the sphere
-            from scipy import optimize
-            if abs(lam) > 1.0:
-                z0 = geometric_seed(lam, N, r)
+            b = r * e1 + np.asarray(h_sphere_const(r), dtype=complex)
+            if np.any(b[1:] != 0.0):  # the minimum then depends on the phase of lam
+                for i, lam in enumerate(lams):
+                    res[i, j] = sphere_least_squares(lam, b, r)[1]
             else:
-                dirs = np.exp(2j * math.pi * np.linspace(0, 1, 64, endpoint=False))
-                cands = np.zeros((64, N), dtype=complex)
-                cands[np.arange(64), np.arange(64) % N] = r * dirs
-                z0 = min(cands, key=lambda z: np.linalg.norm(_shift_apply(lam, z, np.linalg.norm(z) * e1 + full_h(z))))
+                for start, stop, lam0 in spans:
+                    res[start:stop, j] = sphere_least_squares(lam0, b, r)[1]
+    elif h is None:
+        scale = np.asarray(radii)
+        for start, stop, lam0 in spans:
+            res[start:stop] = sphere_least_squares(lam0, e1, 1.0)[1] * scale
+    else:
+        # general perturbation: seeded derivative-free descent on the sphere
+        from scipy import optimize
 
-            def objective(wr, _lam=lam, _r=r):
-                z = wr[:N] + 1j * wr[N:]
-                nz = np.linalg.norm(z)
-                if nz == 0.0:
-                    return float(np.linalg.norm(full_h(np.zeros(N, dtype=complex)) ))
-                z = z * (_r / nz)
-                return float(np.linalg.norm(_shift_apply(_lam, z, _r * e1 + full_h(z))))
+        for i, lam in enumerate(lams):
+            for j, r in enumerate(radii):
+                if abs(lam) > 1.0:
+                    z0 = geometric_seed(lam, N, r)
+                else:
+                    dirs = np.exp(2j * math.pi * np.linspace(0, 1, 64, endpoint=False))
+                    cands = np.zeros((64, N), dtype=complex)
+                    cands[np.arange(64), np.arange(64) % N] = r * dirs
+                    z0 = min(cands, key=lambda z: np.linalg.norm(_shift_apply(lam, z, np.linalg.norm(z) * e1 + h(z))))
 
-            w0 = np.concatenate([z0.real, z0.imag])
-            f0 = objective(w0)
-            out = optimize.minimize(
-                objective, w0, method="Powell", options={"maxfev": polish_budget}
-            )
-            res[i, j] = min(f0, float(out.fun))
+                def objective(wr, _lam=lam, _r=r):
+                    z = wr[:N] + 1j * wr[N:]
+                    nz = np.linalg.norm(z)
+                    if nz == 0.0:
+                        return float(np.linalg.norm(h(np.zeros(N, dtype=complex))))
+                    z = z * (_r / nz)
+                    return float(np.linalg.norm(_shift_apply(_lam, z, _r * e1 + h(z))))
+
+                w0 = np.concatenate([z0.real, z0.imag])
+                f0 = objective(w0)
+                out = optimize.minimize(
+                    objective, w0, method="Powell", options={"maxfev": polish_budget}
+                )
+                res[i, j] = min(f0, float(out.fun))
 
     normalized = res / np.asarray(radii)[None, :]
     from .estimators import scan_verdicts

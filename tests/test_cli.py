@@ -263,11 +263,12 @@ def test_cli_import_skips_optimize_and_stats():
         # candidates, so the containment check against the curve runs too
         ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,24,30"],
         ["bifurcate", "--fn", "conj_pair", "--grid=-1.5,1.5,-1.5,1.5,8,8"],
+        # the shift model's sphere minima are numpy only
+        ["shift", "--truncate", "60", "--lambda", "2,0", "--xi-eps", "0.1"],
+        ["bifurcate", "--shift"],
+        ["bifurcate", "--shift", "--perturb", "normsq_e1", "--truncate", "40", "--extra-lambda", "1.2,0"],
     ):
         assert scipy_loaded(argv) == set(), argv
-    shift = scipy_loaded(["shift", "--truncate", "60", "--lambda", "2,0", "--xi-eps", "0.1"])
-    assert "scipy.linalg" in shift
-    assert not shift & {"scipy.spatial", "scipy.ndimage", "scipy.special", "scipy.optimize", "scipy.stats"}
 
 
 def test_classify_band_cap_exits_before_allocating(capsys):
@@ -353,6 +354,33 @@ def test_grid_csv_matches_csv_writer():
         for i, x in enumerate(ps.xs):
             writer.writerow([repr(float(x)), repr(float(y)), names[int(ps.labels[j, i])]])
     assert cli._grid_csv(ps) == buf.getvalue()
+
+
+def _csv_writer_curve_csv(curve):
+    """Reference: the former curve CSV writer, csv.writer over the samples."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["theta", "re", "im"])
+    for t, v in zip(curve.thetas, curve.values):
+        writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue()
+
+
+def test_curve_csv_matches_csv_writer():
+    from specpoint.homog2d import sigma_curve
+    from specpoint.maps import builtin
+
+    for f in (builtin("real_linear", s=1.0, t=-2.0, u=2.0, v=1.0), builtin("norm_plus_i_im")):
+        curve = sigma_curve(f, samples=4096)
+        assert cli._curve_csv(curve) == _csv_writer_curve_csv(curve)
+    odd = SimpleNamespace(
+        thetas=np.array([0.0, 1e-300, 0.5, 3.0]),
+        values=np.array([complex(-0.0, 0.0), complex(5e-324, -1e300), complex(0.1, -2.5e-17), complex(1 / 3, 7.0)]),
+    )
+    assert cli._curve_csv(odd) == _csv_writer_curve_csv(odd)
 
 
 def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):

@@ -15,6 +15,7 @@ from specpoint.structured import (
     Interval,
     IsometryOntoCodim,
     KnownRates,
+    LambdaOrbits,
     LocallyCompactNonlinear,
     Scale,
     ScalarMultiple,
@@ -29,6 +30,13 @@ from specpoint.structured import (
     truncated_shift_map,
     truncated_shift_min,
     xi_equation_solvable,
+)
+from specpoint.structured import (
+    _lowest_eigenpair,
+    _odd_even_factor,
+    _odd_even_solve,
+    _shift_adjoint,
+    _shift_apply,
 )
 
 RNG = np.random.default_rng(5)
@@ -339,6 +347,118 @@ def test_sphere_least_squares_matches_dense_reference(modulus, phase, n, kind, s
     assert resid <= ref + 1e-12 * max(1.0, np.linalg.norm(b))
 
 
+def _shift_tridiagonal(m, n):
+    diag = np.full(n, m * m + 1.0)
+    diag[-1] = m * m
+    return diag, np.full(n - 1, -m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 27, 200, 100_000])
+def test_lowest_eigenpair_matches_eigh_tridiagonal(n):
+    from scipy.linalg import eigh_tridiagonal
+
+    edge = n / (n + 1)
+    for m in (0.0, 1e-300, 1e-8, 0.5, edge, edge - 1e-9, edge + 1e-9, 0.99, 1.0, 1.2, SQRT2, 2.0, 3.0, 1e3):
+        diag, off = _shift_tridiagonal(m, n)
+        w, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        lam1, v = _lowest_eigenpair(m, n)
+        assert abs(lam1 - w[0]) <= 1e-14 * max(1.0, m * m), (n, m, lam1, w[0])
+        tv = diag * v
+        tv[:-1] += off * v[1:]
+        tv[1:] += off * v[:-1]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(tv - lam1 * v) <= 1e-12 * (1.0 + m) ** 2, (n, m)
+
+
+@given(st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_odd_even_solve_matches_dense_solve(n, seed):
+    # random SPD tridiagonals of every size parity, complex right-hand sides
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=n - 1)
+    d = np.abs(rng.normal(size=n)) + 0.1
+    d[:-1] += np.abs(e)
+    d[1:] += np.abs(e)
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    x = _odd_even_solve(*_odd_even_factor(d, e), f)
+    ref = np.linalg.solve(dense, f)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.cond(dense) * np.linalg.norm(ref)
+
+
+def _banded_sphere_least_squares(lam, b, s=1.0):
+    """Reference: the former solver, scipy's banded Cholesky and eigh_tridiagonal."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+
+    lam = complex(lam)
+    b = np.asarray(b, dtype=complex)
+    n = b.size
+    m = abs(lam)
+    d = np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
+    c = d.conj() * _shift_adjoint(lam, b)
+    diag = np.full(n, m * m + 1.0)
+    diag[-1] = m * m
+    ab = np.zeros((2, n))
+    ab[1, :-1] = -m
+    w, v = eigh_tridiagonal(diag, ab[1, :-1], select="i", select_range=(0, 0))
+    lam1, v1 = float(w[0]), v[:, 0]
+    tiny = 16.0 * np.finfo(float).eps * (1.0 + m) ** 2
+    top = lam1 - tiny
+
+    def solve(mu):
+        ab[0] = diag - mu
+        factor = cholesky_banded(ab, lower=True)
+        return factor, cho_solve_banded((factor, True), c)
+
+    mu = min(lam1 - np.linalg.norm(c) / s, top)
+    last = False
+    for _ in range(60):
+        factor, y = solve(mu)
+        ny = float(np.linalg.norm(y))
+        if last or abs(ny - s) <= 4.0 * np.finfo(float).eps * s or (mu == top and ny < s):
+            break
+        dn = np.vdot(y, cho_solve_banded((factor, True), y)).real
+        new = mu + (1.0 - ny / s) * ny * ny / dn
+        beta = ny * ny - dn * (lam1 - mu)
+        if ny < s and beta < s * s:
+            new = lam1 - (lam1 - mu) * math.sqrt(dn * (lam1 - mu) / (s * s - beta))
+        new = min(new, top)
+        last = abs(new - mu) <= tiny / 2.0
+        mu = new
+    a = complex(v1 @ y)
+    rest = s * s - float(np.linalg.norm(y - a * v1)) ** 2
+    along = (a / abs(a) if a else 1.0) * math.sqrt(max(rest, 0.0))
+    if rest > 0.0 and (ny == 0.0 or (lam1 - mu) * abs(along - a) ** 2 <= (s / ny - 1.0) ** 2 * np.vdot(y, c).real):
+        y += (along - a) * v1
+    else:
+        y *= s / ny
+    z = d * y
+    return z, float(np.linalg.norm(_shift_apply(lam, z, b)))
+
+
+@given(
+    st.sampled_from(MODULI),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(1, 64),
+    st.sampled_from(("random", "e1")),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_sphere_least_squares_matches_banded_cholesky_reference(modulus, phase, n, kind, s, seed):
+    rng = np.random.default_rng(seed)
+    lam = modulus * complex(math.cos(phase), math.sin(phase))
+    if kind == "e1":
+        b = np.zeros(n, dtype=complex)
+        b[0] = complex(*rng.normal(size=2))
+    else:
+        b = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3)
+    z, resid = sphere_least_squares(lam, b, s)
+    _, ref = _banded_sphere_least_squares(lam, b, s)
+    assert abs(np.linalg.norm(z) - s) <= 1e-12 * s
+    # rounding only: both run the same secular iteration
+    scale = max(1.0, float(np.linalg.norm(b)) + (1.0 + modulus) * s)
+    assert abs(resid - ref) <= 1e-13 * scale
+
+
 def test_sphere_least_squares_high_precision_oracle():
     # lam = 0.5, N = 38: the minimum from the same secular equation in
     # 50-digit arithmetic is 0.0030043231237886454...; the dense reference
@@ -512,3 +632,66 @@ def test_shift_scan_general_callable_matches_constant_path():
     general = shift_bifurcation_scan([SQRT2], N=N, radii=(1e-2,), tol=0.02, h=h_full)
     assert general.residuals[0, 0] >= exact.residuals[0, 0] - 1e-12
     assert general.verdicts == ("candidate",)
+
+
+def _per_lambda_normalized(lams, N, radii, h_const=None):
+    """Reference: one sphere solve for every (lambda, radius) pair."""
+    e1 = np.zeros(N, dtype=complex)
+    e1[0] = 1.0
+    out = np.empty((len(lams), len(radii)))
+    for i, lam in enumerate(lams):
+        for j, r in enumerate(radii):
+            b = r * e1 if h_const is None else r * e1 + h_const(r)
+            out[i, j] = sphere_least_squares(lam, b, r)[1] / r
+    return out
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_grouped_shift_scan_matches_per_lambda_scan(perturbed):
+    N = 200
+
+    def h_const(r, _n=N):
+        v = np.zeros(_n, dtype=complex)
+        v[0] = r * r
+        return v
+
+    rng = np.random.default_rng(8)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
+    extras = [m * complex(math.cos(p), math.sin(p)) for m, p in zip(rng.uniform(1.1, 1.6, 4), rng.uniform(0, 6.3, 4))]
+    lams = LambdaOrbits([(SQRT2, circle)] + [(lam, [lam]) for lam in extras])
+    assert list(lams) == circle + extras
+    h = h_const if perturbed else None
+    grouped = shift_bifurcation_scan(lams, N=N, tol=0.02, h_sphere_const=h)
+    ref = _per_lambda_normalized(circle + extras, N, grouped.radii, h)
+    flat = shift_bifurcation_scan(circle + extras, N=N, tol=0.02, h_sphere_const=h)
+    from specpoint.estimators import scan_verdicts
+
+    assert grouped.verdicts == scan_verdicts(ref, 0.02)[1] == flat.verdicts
+    assert grouped.verdicts[:64] == ("candidate",) * 64
+    assert np.max(np.abs(grouped.normalized - ref)) <= 1e-15
+    assert np.max(np.abs(flat.normalized - ref)) <= 1e-15
+
+
+def test_shift_scan_off_e1_right_hand_side_solves_per_lambda():
+    # a perturbation with a second component makes the minimum depend on the
+    # phase of lambda, so the orbit is not shared
+    N = 30
+
+    def h_const(r, _n=N):
+        v = np.zeros(_n, dtype=complex)
+        v[1] = r * r
+        return v
+
+    circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in (0.0, 1.0, 2.0)]
+    scan = shift_bifurcation_scan(LambdaOrbits([(SQRT2, circle)]), N=N, tol=0.02, h_sphere_const=h_const)
+    ref = _per_lambda_normalized(circle, N, scan.radii, h_const)
+    assert np.array_equal(scan.normalized, ref)
+    assert np.ptp(ref[:, -1]) > 0.0
+
+
+def test_lambda_orbits_reject_a_foreign_modulus():
+    with pytest.raises(UsageError):
+        LambdaOrbits([(SQRT2, [1.2])])
+    empty = LambdaOrbits([(SQRT2, [])])
+    assert shift_bifurcation_scan(empty, N=8).verdicts == ()
