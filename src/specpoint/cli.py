@@ -161,15 +161,24 @@ def _curve_csv(curve) -> str:
     return "theta,re,im\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, x, y in rows)
 
 
-def _grid_csv(spectrum) -> str:
-    # the same bytes csv.writer gives: no field here needs quoting
-    names = ("in_spectrum", "regular", "band")
-    cols = [repr(float(x)) + "," for x in spectrum.xs]
-    lines = ["re,im,label\n"]
-    for y, row in zip(spectrum.ys, spectrum.labels.tolist()):
-        yc = repr(float(y)) + ","
-        lines.extend(f"{xc}{yc}{names[lab]}\n" for xc, lab in zip(cols, row))
-    return "".join(lines)
+def _grid_csv(spectrum, out) -> None:
+    """Write the `re,im,label` CSV of a classified grid to the text file `out`.
+
+    One line per cell, rows of ascending im, each row in ascending re: the
+    same bytes csv.writer gives, since no field here needs quoting.  The
+    lines of a run of equal labels share their `im,label` suffix, so a run
+    is one join of its `re,` prefixes.  Runs are written as
+    `PlaneSpectrum.label_runs` yields them, one row block at a time, so
+    memory stays at a row block's runs whatever the size of the file.
+    """
+    names = ("in_spectrum\n", "regular\n", "band\n")
+    cols = [repr(x) + "," for x in spectrum.xs.tolist()]
+    ims = [repr(y) + "," for y in spectrum.ys.tolist()]
+    out.write("re,im,label\n")
+    for rows, starts, stops, labels in spectrum.label_runs():
+        for j, a, b, lab in zip(rows.tolist(), starts.tolist(), stops.tolist(), labels.tolist()):
+            suffix = ims[j] + names[lab]
+            out.write(suffix.join(cols[a:b]) + suffix)
 
 
 def _curve_json(curve, limit: int | None = None) -> dict:
@@ -273,7 +282,8 @@ def _cmd_classify(args, config) -> int:
     _emit(payload, args.out)
     if args.out:
         base = Path(args.out)
-        _write_text(base.with_suffix(".csv"), _grid_csv(spectrum))
+        with base.with_suffix(".csv").open("w") as csv_file:
+            _grid_csv(spectrum, csv_file)
         _write_text(base.with_suffix(".svg"), svgfig.classify_svg(spectrum, title=f.name))
     if spectrum.violations:
         return EXIT_UNDECIDED

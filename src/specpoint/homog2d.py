@@ -51,7 +51,7 @@ MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
 _BAND_CHUNK = 1 << 20  # window entries per chunk of the band query
-_SUMMARY_CHUNK = 1 << 18  # cells per row block of PlaneSpectrum.summary
+_SUMMARY_CHUNK = 1 << 18  # cells per row block of PlaneSpectrum.summary and .label_runs
 
 ZERO_EPI_PROXY_NOTE = (
     "winding==0 is treated as 'in spectrum'; nonzero winding soundly implies "
@@ -118,6 +118,25 @@ class PlaneSpectrum:
         step = max(1, _SUMMARY_CHUNK // self.labels.shape[1])
         for lo in range(0, self.labels.shape[0], step):
             yield lo, self.labels[lo:lo + step]
+
+    def label_runs(self):
+        """Maximal runs of equal labels along the rows, one row block at a time.
+
+        Yields (rows, starts, stops, labels) arrays per block of
+        `_row_blocks`: row `rows[k]` holds `labels[k]` in columns
+        starts[k] <= i < stops[k].  Runs come in row-major order and end at
+        the row ends, so every row is covered by its runs exactly once.
+        """
+        nx = self.labels.shape[1]
+        for lo, block in self._row_blocks():
+            opens = np.ones(block.shape, dtype=bool)  # a run starts at the cell
+            np.not_equal(block[:, 1:], block[:, :-1], out=opens[:, 1:])
+            flat = np.flatnonzero(opens)
+            rows, starts = np.divmod(flat, nx)
+            # a run stops where the next one starts; each row's last run
+            # stops at column 0 of the next row, that is at nx
+            stops = np.append(flat[1:], opens.size) - rows * nx
+            yield lo + rows, starts, stops, block.ravel()[flat]
 
     def counts(self) -> dict:
         n = np.zeros(len(CellLabel), dtype=np.int64)
@@ -281,7 +300,9 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     around a cell is the signed count of its row's crossings strictly to its
     right: crossings are binned by the first column at or right of them and
     summed from the right (Hormann & Agathos, Comput. Geom. 20, 2001).  The
-    crossing list is sparse, one entry per (edge, row) pair it covers.
+    crossing list is sparse, one entry per (edge, row) pair it covers; the
+    bins and their sums are int32, so the grid is held twice at 4 bytes a
+    cell.
     """
     a = curve.values
     b = np.roll(a, -1)
@@ -293,11 +314,10 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     row = first[edge] + np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
     ea, eb = a[edge], b[edge]
     x_cross = ea.real + (ys[row] - ea.imag) * (eb.real - ea.real) / (eb.imag - ea.imag)
-    sign = np.where(eb.imag > ea.imag, 1.0, -1.0)
+    sign = np.where(eb.imag > ea.imag, np.int32(1), np.int32(-1))
     col = np.searchsorted(xs, x_cross, side="left")  # cells 0..col-1 lie left of it
-    nx = xs.size
-    binned = np.bincount(row * (nx + 1) + col, weights=sign, minlength=ys.size * (nx + 1))
-    binned = binned.reshape(ys.size, nx + 1)
+    binned = np.zeros((ys.size, xs.size + 1), dtype=np.int32)
+    np.add.at(binned, (row, col), sign)
     turns = np.cumsum(binned[:, :0:-1], axis=1, dtype=np.int32)[:, ::-1]
     turns += 1
     return turns

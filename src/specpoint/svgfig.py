@@ -2,13 +2,20 @@
 
 Figures contain the shaded region and the boundary curve as separate
 labeled groups so downstream tooling can address them; output bytes depend
-only on the inputs.
+only on the inputs.  Coordinates are mapped to the canvas as numpy arrays
+and formatted from Python floats: the shaded region is one rectangle per
+run of in-spectrum cells of a row (`PlaneSpectrum.label_runs`), never a
+walk over the cells.  The module imports no specpoint engine, so the shift
+figure loads none.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .homog2d import CellLabel, PlaneSpectrum
+if TYPE_CHECKING:
+    from .homog2d import PlaneSpectrum
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
@@ -25,39 +32,34 @@ class _Canvas:
         self.sx = (size - 2 * pad) / (self.x1 - self.x0)
         self.sy = (size - 2 * pad) / (self.y1 - self.y0)
 
-    def px(self, x: float) -> float:
+    # px and py map scalars or arrays, elementwise with the same arithmetic
+    def px(self, x: float | np.ndarray) -> float | np.ndarray:
         return self.pad + (x - self.x0) * self.sx
 
-    def py(self, y: float) -> float:
+    def py(self, y: float | np.ndarray) -> float | np.ndarray:
         return self.size - self.pad - (y - self.y0) * self.sy
 
 
 def _region_rects(spectrum: PlaneSpectrum, canvas: _Canvas) -> list[str]:
-    """Row-merged rectangles covering the in-spectrum cells."""
+    """Row-merged rectangles covering the in-spectrum cells, row by row."""
+    from .homog2d import CellLabel  # a PlaneSpectrum exists, so homog2d is loaded
+
     xs, ys = spectrum.xs, spectrum.ys
     dx = xs[1] - xs[0] if xs.size > 1 else 1.0
     dy = ys[1] - ys[0] if ys.size > 1 else 1.0
     rects = []
-    mask = spectrum.labels == CellLabel.IN_SPECTRUM
-    for j in range(mask.shape[0]):
-        row = mask[j]
-        i = 0
-        while i < row.size:
-            if not row[i]:
-                i += 1
-                continue
-            k = i
-            while k + 1 < row.size and row[k + 1]:
-                k += 1
-            x_left = canvas.px(xs[i] - 0.5 * dx)
-            x_right = canvas.px(xs[k] + 0.5 * dx)
-            y_top = canvas.py(ys[j] + 0.5 * dy)
-            y_bot = canvas.py(ys[j] - 0.5 * dy)
-            rects.append(
-                f'<rect x="{_f(x_left)}" y="{_f(y_top)}" '
-                f'width="{_f(x_right - x_left)}" height="{_f(y_bot - y_top)}"/>'
-            )
-            i = k + 1
+    for rows, starts, stops, labels in spectrum.label_runs():
+        keep = labels == CellLabel.IN_SPECTRUM
+        rows, starts, stops = rows[keep], starts[keep], stops[keep]
+        x_left = canvas.px(xs[starts] - 0.5 * dx)
+        x_right = canvas.px(xs[stops - 1] + 0.5 * dx)
+        y_top = canvas.py(ys[rows] + 0.5 * dy)
+        y_bot = canvas.py(ys[rows] - 0.5 * dy)
+        rects.extend(
+            f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" height="{h:.6g}"/>'
+            for x, y, w, h in zip(x_left.tolist(), y_top.tolist(),
+                                  (x_right - x_left).tolist(), (y_bot - y_top).tolist())
+        )
     return rects
 
 
@@ -83,7 +85,8 @@ def classify_svg(spectrum: PlaneSpectrum, size: int = 640, title: str = "") -> s
     canvas = _Canvas(bounds, size)
     pts = spectrum.curve.pairs()
     closed = np.concatenate([pts, pts[:1]])
-    poly = " ".join(f"{_f(canvas.px(x))},{_f(canvas.py(y))}" for x, y in closed)
+    poly = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(canvas.px(closed[:, 0]).tolist(),
+                                                        canvas.py(closed[:, 1]).tolist()))
     parts = [
         _HEADER,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

@@ -271,6 +271,29 @@ def test_cli_import_skips_optimize_and_stats():
         assert scipy_loaded(argv) == set(), argv
 
 
+SPECPOINT_PROBE = """
+import contextlib, io, json, sys
+from specpoint import cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(argv)
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "specpoint")]))
+"""
+
+
+def test_shift_figure_loads_no_planar_engine(tmp_path):
+    # svgfig reaches homog2d only inside classify_svg, which is handed a PlaneSpectrum
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["shift", "--truncate", "8", "--out", str(tmp_path / "shift.json")]
+    out = subprocess.run([sys.executable, "-c", SPECPOINT_PROBE, json.dumps(argv)],
+                         env=env, capture_output=True, text=True, check=True)
+    rc, mods = json.loads(out.stdout)
+    assert rc == 0, out.stderr
+    assert (tmp_path / "shift.svg").stat().st_size > 0
+    assert "specpoint.svgfig" in mods and "specpoint.structured" in mods
+    assert "specpoint.homog2d" not in mods and "specpoint.numerics" not in mods, mods
+
+
 def test_classify_band_cap_exits_before_allocating(capsys):
     # --band 1 at --res 4096 is about 1000 grid spacings, over the cap of 64;
     # one 4096 x 4096 float grid alone would take 134 MB
@@ -353,7 +376,32 @@ def test_grid_csv_matches_csv_writer():
     for j, y in enumerate(ps.ys):
         for i, x in enumerate(ps.xs):
             writer.writerow([repr(float(x)), repr(float(y)), names[int(ps.labels[j, i])]])
-    assert cli._grid_csv(ps) == buf.getvalue()
+    out = io.StringIO()
+    cli._grid_csv(ps, out)
+    assert out.getvalue() == buf.getvalue()
+
+
+def test_grid_csv_streams_at_the_largest_grid():
+    # the former writer held the whole text (about 800 MB here) and a list of
+    # its 16.7M lines before writing a byte
+    from specpoint.homog2d import PlaneSpectrum, SigmaCurve
+
+    n = 4096
+    labels = np.full((n, n), 1, dtype=np.int8)
+    j = np.arange(n)[:, None]
+    labels[(np.arange(n) > j // 2) & (np.arange(n) < n - j // 3)] = 0
+    labels[np.abs(np.arange(n) - j) < 3] = 2
+    curve = SigmaCurve(np.zeros(1), np.zeros(1, dtype=complex), 1e-3, True)
+    xs = ys = np.linspace(-2.0, 2.0, n)
+    ps = PlaneSpectrum(curve=curve, xs=xs, ys=ys, labels=labels, band_radius=0.01)
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            cli._grid_csv(ps, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def _csv_writer_curve_csv(curve):
