@@ -29,6 +29,7 @@ from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 20  # entries of (lam, direction, coordinate) per sampled-gap chunk
+UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
 
 
 @dataclass(frozen=True)
@@ -364,18 +365,19 @@ def _general_scan_residuals(g: MapSpec, lams: np.ndarray, radii, samples: int, s
     return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
 
 
-def scan_verdicts(normalized: np.ndarray, tol: float, undecided_factor: float = 2.0):
+def scan_verdicts(normalized: np.ndarray, tol: float):
     """candidate / undecided / rejected from normalized residual profiles.
 
     A candidate needs the smallest-radius residual below tol and a
     non-increasing trend (the minima must head to zero).  Residuals landing
-    in the gray zone just above tol are undecided: sampled minimization only
-    certifies upper bounds, so near-threshold values cannot be rejected.
+    in the gray zone [tol, UNDECIDED_FACTOR * tol) are undecided: sampled
+    minimization only certifies upper bounds, so near-threshold values
+    cannot be rejected.
     """
     last = normalized[:, -1]
     trend_ok = last <= normalized[:, 0] + tol
     mask = (last < tol) & trend_ok
-    gray = (last < undecided_factor * tol) & ~mask
+    gray = (last < UNDECIDED_FACTOR * tol) & ~mask
     verdicts = tuple(
         "candidate" if m else ("undecided" if u else "rejected")
         for m, u in zip(mask, gray)
@@ -390,7 +392,6 @@ def bifurcation_scan(
     tol: float = 0.02,
     theta_samples: int = 1024,
     seed: int = 0,
-    check_containment: bool = True,
 ) -> BifurcationScan:
     """Flag lam values near which lam x = f(x) has small nontrivial solutions.
 
@@ -416,7 +417,7 @@ def bifurcation_scan(
     candidates = tuple(complex(l) for l in lams[mask])
 
     contained = None
-    if check_containment and candidates and f.dim == 2:
+    if candidates and f.dim == 2:
         curve = (
             sigma_curve(f, samples=2048)
             if f.homogeneous

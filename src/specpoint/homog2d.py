@@ -36,14 +36,7 @@ from .core import (
     SolverError,
 )
 from .maps import MapSpec, evaluate
-from .numerics import (
-    disk_points,
-    golden_min,
-    nm_polish,
-    pattern_search_2d,
-    sphere_directions,
-    sphere_polish,
-)
+from .numerics import disk_points, golden_min, sphere_directions, sphere_polish
 
 TWO_PI = 2.0 * math.pi
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
@@ -417,12 +410,15 @@ def classify_plane(
     dist = _band_distances(curve.values, xs, ys, reach * (1.0 + 1e-9))
     off = dist > band
     margin = off & (dist < MARGIN_TOL)
-    chord_hit = off & ~margin & (dist <= chord)
+    hit = margin | (off & (dist <= chord))
+    del dist
     violations = tuple(
         (int(i), int(j), "margin" if margin[j, i] else "chord")
-        for j, i in zip(*np.nonzero(margin | chord_hit))
+        for j, i in zip(*np.nonzero(hit))
     )
-    decided = off & ~margin & ~chord_hit
+    decided = off & ~hit
+    # scanline_turns allocates two int32 grids; only `decided` is kept beside them
+    del off, margin, hit
 
     turns = scanline_turns(curve, xs, ys)
     grid_labels = np.where(turns != 0, np.int8(CellLabel.REGULAR), np.int8(CellLabel.IN_SPECTRUM))
@@ -489,8 +485,15 @@ def rouche_coincidence(
 
     Preconditions checked by sampling: the boundary curve of f winds around
     the origin a nonzero number of times, and max |k| on the closed disk is
-    below min |f| on the boundary circle.  The solver is a multistart damped
-    fixed-direction descent on the squared residual.
+    below min |f| on the boundary circle.  Both searches run the batched
+    Nelder-Mead `sphere_polish` on the unit sphere of R^3: every unit vector
+    u casts the point radius * u[:2] of the closed disk, and every disk
+    point x is cast by (x / radius, sqrt(1 - |x / radius|^2)), so the disk
+    needs no feasibility test.  max |k| is polished from the best of the
+    disk samples.  The residual |f - k| is polished from the origin first
+    and, when that misses tol, from the other starts in one batch.  The
+    solution is the first start whose point has residual below tol and lies
+    in the open disk.
     """
     if f.dim != 2 or k.dim != 2:
         raise PreconditionError("coincidence solving is planar")
@@ -507,40 +510,40 @@ def rouche_coincidence(
     w = evaluate(f, radius * _unit_points(thetas))
     min_f, _ = _norm_extrema(f, thetas, np.abs(w[..., 0] + 1j * w[..., 1]), radius)
 
+    def shadow(U):
+        return radius * U[..., :2]
+
+    def lift(x):
+        u = x / radius
+        height = np.sqrt(np.maximum(1.0 - (u * u).sum(axis=-1, keepdims=True), 0.0))
+        return np.concatenate([u, height], axis=-1)
+
     disk = np.concatenate([np.zeros((1, 2)), disk_points(disk_samples - 1, radius, seed)])
     k_disk = np.linalg.norm(evaluate(k, disk), axis=-1)
     i_hi = int(np.argmax(k_disk))
-
-    def neg_k(x):
-        x = np.asarray(x, dtype=float)
-        if math.hypot(x[0], x[1]) > radius:
-            return 0.0
-        return -float(np.linalg.norm(evaluate(k, x)))
-
-    _, neg_best = nm_polish(neg_k, disk[i_hi], maxfev=300)
-    max_k = max(float(k_disk[i_hi]), -neg_best)
+    neg_best, _ = sphere_polish(lambda U: -np.linalg.norm(evaluate(k, shadow(U)), axis=-1), lift(disk[i_hi:i_hi + 1]))
+    max_k = max(float(k_disk[i_hi]), -float(neg_best[0]))
     if not (max_k < min_f):
         raise PreconditionError(
             f"dominance fails: max|k| on the disk = {max_k:.6g} is not below "
             f"min|f| on the boundary = {min_f:.6g}"
         )
 
-    def sq_residual(x):
-        d = evaluate(f, x) - evaluate(k, x)
-        return float(d[0] * d[0] + d[1] * d[1])
+    def residual(U):
+        x = shadow(U)
+        return np.linalg.norm(evaluate(f, x) - evaluate(k, x), axis=-1)
 
-    feasible = lambda x: math.hypot(x[0], x[1]) < radius
-    start_pts = np.concatenate([np.zeros((1, 2)), disk_points(starts - 1, 0.9 * radius, seed)])
-    best = None
-    for i, x0 in enumerate(start_pts):
-        x, val = pattern_search_2d(
-            sq_residual, x0, step0=0.25 * radius, feasible=feasible, f_tol=tol * tol
-        )
-        res = math.sqrt(max(val, 0.0))
-        if best is None or res < best[1]:
-            best = (x, res, i)
-        if res < tol:
-            return RoucheSolution(point=x, residual=res, winding=turns, start_index=i)
+    U0 = lift(np.concatenate([np.zeros((1, 2)), disk_points(starts - 1, 0.9 * radius, seed)]))
+    res, U = sphere_polish(residual, U0[:1])
+    if not (res[0] < tol and math.hypot(*shadow(U[0])) < radius) and starts > 1:
+        rest = sphere_polish(residual, U0[1:])
+        res, U = np.concatenate([res, rest[0]]), np.concatenate([U, rest[1]])
+    points = shadow(U)
+    hit = np.flatnonzero((res < tol) & (np.hypot(points[:, 0], points[:, 1]) < radius))
+    if hit.size:
+        i = int(hit[0])
+        return RoucheSolution(point=points[i], residual=float(res[i]), winding=turns, start_index=i)
+    i = int(np.argmin(res))
     raise SolverError(
-        f"coincidence solver stagnated; best residual {best[1]:.3e} from start {best[2]}"
+        f"coincidence solver stagnated; best residual {res[i]:.3e} from start {i}"
     )

@@ -50,9 +50,8 @@ class MapSpec:
     jacobian: Optional[Callable] = None
     inv_oscillation_hint: bool = False
     domain: Optional[Callable] = None
-    params: tuple = ()
 
-    def __repr__(self):  # params already baked into the name
+    def __repr__(self):  # factory arguments are baked into the name
         return f"MapSpec({self.name}, dim={self.dim})"
 
 
@@ -100,7 +99,6 @@ def translate_to_origin(f: MapSpec, p) -> MapSpec:
         jacobian=(lambda q, _j=f.jacobian, _p=p: _j(_p + q)) if f.jacobian else None,
         inv_oscillation_hint=f.inv_oscillation_hint,
         domain=(lambda x, _d=f.domain, _p=p: _d(x + _p)) if f.domain else None,
-        params=f.params,
     )
 
 
@@ -448,7 +446,7 @@ def _builtin_1d(name, ev, dini, hint=False):
     )
 
 
-def _builtin_plane(name, ev, *, homogeneous, jacobian=None, params=()):
+def _builtin_plane(name, ev, *, homogeneous, jacobian=None):
     return MapSpec(
         name=name,
         dim=2,
@@ -457,7 +455,6 @@ def _builtin_plane(name, ev, *, homogeneous, jacobian=None, params=()):
         homogeneous=homogeneous,
         complex_pairs=True,
         jacobian=jacobian,
-        params=params,
     )
 
 
@@ -468,7 +465,6 @@ def _factory_real_linear(s=1.0, t=0.0, u=0.0, v=1.0):
         ev,
         homogeneous=True,
         jacobian=lambda q, _m=m: _m,
-        params=(float(s), float(t), float(u), float(v)),
     )
 
 
@@ -477,7 +473,6 @@ def _factory_norm_plus_i_im_pow(n=2):
         f"norm_plus_i_im_pow({int(n)})",
         _make_norm_plus_i_im_pow(n),
         homogeneous=False,
-        params=(int(n),),
     )
 
 
@@ -491,7 +486,6 @@ def _factory_norm_times_x(dim=2):
         homogeneous=False,
         complex_pairs=False,
         jacobian=jac,
-        params=(int(dim),),
     )
 
 

@@ -1,12 +1,14 @@
-"""Deterministic sampling and derivative-free local search helpers."""
+"""Deterministic sampling and derivative-free local search helpers, numpy only.
+
+Low-discrepancy directions and disk points, the batched lockstep
+Nelder-Mead `sphere_polish` on unit spheres, vectorized golden-section
+search, and brute-force point-set distances.
+"""
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-# Each scipy subpackage costs a quarter to half a second of start-up, so
-# every one is imported inside the helper that uses it.
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DISTANCE_CHUNK = 1 << 20  # (row, point) pairs per chunk of directed_distance
@@ -55,22 +57,6 @@ def disk_points(n: int, radius: float, seed: int = 0) -> np.ndarray:
     r = radius * np.sqrt(uv[:, 0])
     phi = 2.0 * np.pi * uv[:, 1]
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
-
-
-def nm_polish(fn, x0, maxfev: int = 400, xatol: float = 1e-12, fatol: float = 1e-14):
-    """Local Nelder-Mead refinement; returns (x, fn(x)) at the best point seen."""
-    from scipy import optimize
-    x0 = np.asarray(x0, dtype=float)
-    res = optimize.minimize(
-        fn,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol},
-    )
-    f0 = fn(x0)
-    if res.fun <= f0:
-        return np.asarray(res.x, dtype=float), float(res.fun)
-    return x0, float(f0)
 
 
 def _tangent_frames(U: np.ndarray) -> np.ndarray:
@@ -176,47 +162,6 @@ def sphere_polish(fn, U0):
         if not live.any():
             break
     return values, U
-
-
-_COMPASS_8 = np.array(
-    [
-        [1.0, 0.0],
-        [-1.0, 0.0],
-        [0.0, 1.0],
-        [0.0, -1.0],
-        [1.0, 1.0],
-        [1.0, -1.0],
-        [-1.0, 1.0],
-        [-1.0, -1.0],
-    ]
-)
-
-
-def pattern_search_2d(obj, x0, step0: float, *, feasible=None, f_tol: float = 0.0,
-                      step_tol: float = 1e-14, max_iter: int = 4000):
-    """Damped fixed-direction descent: try compass moves, halve on failure.
-
-    Suited to continuous objectives without derivatives.  Returns (x, value).
-    """
-    x = np.asarray(x0, dtype=float)
-    fx = float(obj(x))
-    step = float(step0)
-    it = 0
-    while step > step_tol and fx > f_tol and it < max_iter:
-        it += 1
-        improved = False
-        for d in _COMPASS_8:
-            cand = x + step * d
-            if feasible is not None and not feasible(cand):
-                continue
-            fc = float(obj(cand))
-            if fc < fx:
-                x, fx = cand, fc
-                improved = True
-                break
-        if not improved:
-            step *= 0.5
-    return x, fx
 
 
 def golden_min(fn, lo, hi, iters: int = 60):

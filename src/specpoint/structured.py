@@ -57,6 +57,7 @@ from .core import (
 
 SQRT2 = math.sqrt(2.0)
 MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
+_FROZEN_H_STEPS = 16  # frozen-perturbation solves per (lam, radius) of a general-h scan
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +733,18 @@ def truncated_shift_min(lam, N: int) -> float:
 
 
 def geometric_seed(lam, N: int, radius: float = 1.0) -> np.ndarray:
-    """Truncated eigen-direction z_n proportional to lam^{1-n}, scaled to radius."""
+    """Truncated eigen-direction z_n proportional to lam^{-n}, scaled to radius.
+
+    lam z = (|z|, z_1, z_2, ...) gives z_{n+1} = z_n / lam and lam z_1 = |z|,
+    so z_n = |z| lam^{-n}: the map is not complex homogeneous, so the phase
+    of the direction matters.  On the circle |lam| = sqrt(2) the untruncated
+    sequence has norm |z| (the sum of 2^{-n} is 1), so it is an eigenvector;
+    its first N terms leave a residual of about 2^{-N-1} radius.
+    """
     lam = as_complex(lam)
     if abs(lam) <= 1.0:
         raise PreconditionError("the geometric direction needs |lam| > 1")
-    z = lam ** (1.0 - np.arange(1, N + 1, dtype=float))
+    z = lam ** -np.arange(1, N + 1, dtype=float)
     return z * (radius / np.linalg.norm(z))
 
 
@@ -781,7 +789,6 @@ def shift_bifurcation_scan(
     tol: float = 0.02,
     h: Optional[Callable] = None,
     h_sphere_const: Optional[Callable] = None,
-    polish_budget: int = 2000,
 ) -> ShiftScanResult:
     """Small-radius nontrivial-solution scan for lam z = f_N(z) + h(z).
 
@@ -789,10 +796,16 @@ def shift_bifurcation_scan(
     relative to |z| near 0.  When h is constant on each sphere (for example
     a power of the norm times a fixed vector), pass h_sphere_const(r) -> the
     vector value so the per-sphere problem stays affine and is solved
-    exactly; otherwise a seeded derivative-free descent is used.  When the
-    right-hand side r e_1 + h_sphere_const(r) is proportional to e_1, each
-    orbit of a `LambdaOrbits` grid takes one solve (one for all radii when
-    there is no perturbation); any other iterable is one orbit per lambda.
+    exactly.  A general callable h is frozen at the current iterate: from
+    the unperturbed minimizer on |z| = r, each step solves the affine
+    problem with right-hand side r e_1 + h(z) exactly, while the true
+    residual |(lam I - L_N) z - r e_1 - h(z)| falls, at most
+    _FROZEN_H_STEPS times; the smallest true residual of the iterates is
+    reported.  For h constant on spheres the first step is the exact
+    problem.  When the right-hand side r e_1 + h_sphere_const(r) is
+    proportional to e_1, each orbit of a `LambdaOrbits` grid takes one solve
+    (one for all radii when there is no perturbation); any other iterable
+    is one orbit per lambda.
     """
     _check_truncation(N)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
@@ -820,33 +833,19 @@ def shift_bifurcation_scan(
         for start, stop, lam0 in spans:
             res[start:stop] = sphere_least_squares(lam0, e1, 1.0)[1] * scale
     else:
-        # general perturbation: seeded derivative-free descent on the sphere
-        from scipy import optimize
-
         for i, lam in enumerate(lams):
             for j, r in enumerate(radii):
-                if abs(lam) > 1.0:
-                    z0 = geometric_seed(lam, N, r)
-                else:
-                    dirs = np.exp(2j * math.pi * np.linspace(0, 1, 64, endpoint=False))
-                    cands = np.zeros((64, N), dtype=complex)
-                    cands[np.arange(64), np.arange(64) % N] = r * dirs
-                    z0 = min(cands, key=lambda z: np.linalg.norm(_shift_apply(lam, z, np.linalg.norm(z) * e1 + h(z))))
-
-                def objective(wr, _lam=lam, _r=r):
-                    z = wr[:N] + 1j * wr[N:]
-                    nz = np.linalg.norm(z)
-                    if nz == 0.0:
-                        return float(np.linalg.norm(h(np.zeros(N, dtype=complex))))
-                    z = z * (_r / nz)
-                    return float(np.linalg.norm(_shift_apply(_lam, z, _r * e1 + h(z))))
-
-                w0 = np.concatenate([z0.real, z0.imag])
-                f0 = objective(w0)
-                out = optimize.minimize(
-                    objective, w0, method="Powell", options={"maxfev": polish_budget}
-                )
-                res[i, j] = min(f0, float(out.fun))
+                z = sphere_least_squares(lam, r * e1, r)[0]
+                hz = np.asarray(h(z), dtype=complex)
+                best = float(np.linalg.norm(_shift_apply(lam, z, r * e1 + hz)))
+                for _ in range(_FROZEN_H_STEPS):
+                    z = sphere_least_squares(lam, r * e1 + hz, r)[0]
+                    hz = np.asarray(h(z), dtype=complex)
+                    true = float(np.linalg.norm(_shift_apply(lam, z, r * e1 + hz)))
+                    if not true < best:
+                        break
+                    best = true
+                res[i, j] = best
 
     normalized = res / np.asarray(radii)[None, :]
     from .estimators import scan_verdicts

@@ -271,6 +271,41 @@ def test_cli_import_skips_optimize_and_stats():
         assert scipy_loaded(argv) == set(), argv
 
 
+LIBRARY_NO_SCIPY_PROBE = """
+import importlib, math, pkgutil, sys
+import numpy as np
+import specpoint
+for info in pkgutil.iter_modules(specpoint.__path__):
+    importlib.import_module("specpoint." + info.name)
+sys.modules["scipy"] = None  # any scipy import from here on raises ImportError
+from specpoint.homog2d import rouche_coincidence
+from specpoint.maps import MapSpec, builtin, lambda_minus
+from specpoint.structured import SQRT2, shift_bifurcation_scan
+
+shifted = lambda_minus(2 + 0j, builtin("abs_re_plus_i_im"))
+const = MapSpec("const", 2, lambda x: np.broadcast_to([0.1, 0.0], np.shape(x)).copy(), np.zeros(2))
+sol = rouche_coincidence(shifted, const, radius=1.0)
+print(sol.residual < 1e-10 and math.dist(sol.point, (0.1, 0.0)) < 1e-9)
+
+def h(z):
+    v = np.zeros(z.shape[0], dtype=complex)
+    v[0] = np.linalg.norm(z) ** 2
+    return v
+
+print(shift_bifurcation_scan([SQRT2, 1.2], N=12, h=h).verdicts)
+"""
+
+
+def test_library_solvers_run_without_scipy():
+    # the coincidence solver and the general-perturbation shift scan are
+    # the last library paths that could reach scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", LIBRARY_NO_SCIPY_PROBE],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["True", "('candidate', 'rejected')"], out.stdout
+
+
 SPECPOINT_PROBE = """
 import contextlib, io, json, sys
 from specpoint import cli

@@ -375,6 +375,19 @@ def test_scanline_turns_memory_at_the_largest_grid():
     assert np.array_equal(turns, _scanline_turns_int64(curve, xs, ys))
 
 
+def test_classify_plane_memory_at_the_largest_grid():
+    # the float64 distance grid and its masks were alive beside the winding
+    # bins: 337 MB here before they were freed ahead of scanline_turns
+    tracemalloc.start()
+    try:
+        ps = classify_plane(builtin("norm_plus_i_im"), resolution=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 240e6, peak
+    assert ps.labels.shape == (4096, 4096) and ps.component_consistent
+
+
 def _max_abs_by_meshgrid(ps):
     """Reference: the largest modulus of an in-spectrum cell over the full grid."""
     mask = ps.labels == CellLabel.IN_SPECTRUM
@@ -604,6 +617,28 @@ def test_rouche_shifted_abs_re():
     best = grid[int(np.argmin(resid))]
     assert np.linalg.norm(sol.point - best) < 0.05
     assert np.allclose(sol.point, [0.1, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("lam, name, value, exact", [
+    # (2 + i) x - (|x_1|, x_2) = (-0.3, 0.25) is linear on x_1 < 0: x = (-1/80, 21/80)
+    (2.0 + 1.0j, "abs_re_plus_i_im", (-0.3, 0.25), (-0.0125, 0.2625)),
+    (2.5 + 0.5j, "norm_plus_i_im", (0.2, 0.1), None),
+])
+def test_rouche_non_real_shift(lam, name, value, exact):
+    # oracle: dense grid search over the disk for the residual minimum
+    f = lambda_minus(lam, builtin(name))
+    k = const_map(*value)
+    sol = rouche_coincidence(f, k, radius=1.0)
+    assert sol.residual < 1e-10
+    assert math.hypot(*sol.point) < 1.0
+    assert np.linalg.norm(evaluate(f, sol.point) - evaluate(k, sol.point)) == pytest.approx(sol.residual, abs=1e-15)
+    xs = np.linspace(-0.99, 0.99, 199)
+    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    grid = grid[np.hypot(grid[:, 0], grid[:, 1]) < 1.0]
+    resid = np.linalg.norm(evaluate(f, grid) - evaluate(k, grid), axis=1)
+    assert np.linalg.norm(sol.point - grid[int(np.argmin(resid))]) < 0.02
+    if exact is not None:
+        assert np.allclose(sol.point, exact, atol=1e-12)
 
 
 def test_rouche_precondition_failures():

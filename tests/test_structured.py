@@ -534,6 +534,19 @@ def test_truncated_min_at_circle_radius():
     assert val < 1e-6
 
 
+def test_geometric_seed_solves_the_truncated_eigen_equation_on_the_circle():
+    # lam z = (|z|, z_1, ...) needs lam z_1 = |z| > 0, so z_n ~ lam^-n: the
+    # phase of the direction matters, as the map is not complex homogeneous
+    for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+        lam = SQRT2 * complex(math.cos(t), math.sin(t))
+        for radius in (1.0, 1e-3):
+            seed = geometric_seed(lam, 60, radius)
+            assert abs(np.linalg.norm(seed) - radius) < 1e-15
+            assert np.linalg.norm(lam * seed - truncated_shift_map(seed)) < 1e-12 * radius, (t, radius)
+    seed = geometric_seed(-SQRT2, 60)
+    assert np.linalg.norm(-SQRT2 * seed - truncated_shift_map(seed)) < 1e-12
+
+
 def test_truncated_min_at_zero():
     # closed form: |f_N(z)|^2 = 2 - |z_N|^2 on the unit sphere, minimized at e_N
     for n in (8, 30, 60):
@@ -632,6 +645,29 @@ def test_shift_scan_general_callable_matches_constant_path():
     general = shift_bifurcation_scan([SQRT2], N=N, radii=(1e-2,), tol=0.02, h=h_full)
     assert general.residuals[0, 0] >= exact.residuals[0, 0] - 1e-12
     assert general.verdicts == ("candidate",)
+
+
+def test_shift_scan_general_callable_finds_the_whole_circle():
+    # h = |z|^2 e_1 passed as a black box: the frozen-h iteration starts at
+    # the unperturbed minimizer, where h already has its value on the
+    # sphere, so its first step is the exact constant-on-spheres problem
+    N, radii = 40, (1e-1, 1e-2, 1e-3)
+
+    def h_full(z):
+        v = np.zeros(z.shape[0], dtype=complex)
+        v[0] = np.linalg.norm(z) ** 2
+        return v
+
+    def h_const(r, _n=N):
+        v = np.zeros(_n, dtype=complex)
+        v[0] = r * r
+        return v
+
+    lams = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
+    general = shift_bifurcation_scan(lams, N=N, radii=radii, tol=0.02, h=h_full)
+    exact = shift_bifurcation_scan(lams, N=N, radii=radii, tol=0.02, h_sphere_const=h_const)
+    assert general.verdicts == ("candidate",) * 8
+    assert np.all(np.abs(general.residuals - exact.residuals) <= 1e-12 * np.asarray(general.radii))
 
 
 def _per_lambda_normalized(lams, N, radii, h_const=None):
