@@ -1,7 +1,7 @@
 """Finite dimensional numerical estimators.
 
-Growth rates d_p and q_p by sphere sampling over a shrinking radius
-schedule, point-spectrum membership tests with first-class Undecided
+Growth rates d_p and q_p from sphere minima and maxima over a shrinking
+radius schedule, point-spectrum membership tests with first-class Undecided
 verdicts, the smooth-map reduction to Jacobian eigenvalues, equivalence
 checking under rate-null perturbations, and a bifurcation candidate
 scanner for maps vanishing at the origin.
@@ -23,13 +23,14 @@ from .core import (
     PreconditionError,
     as_complex,
 )
-from .maps import MapSpec, difference, evaluate, lambda_minus, translate_to_origin
+from .maps import MapSpec, difference, evaluate, translate_to_origin
 from .numerics import golden_min, hausdorff, sphere_directions, sphere_polish
 from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 20  # entries of (lam, direction, coordinate) per sampled-gap chunk
 UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
+EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,17 @@ class RateConfig:
 
 @dataclass(frozen=True)
 class LocalRates:
-    """Sampled lower/upper local growth rates of f at p (0 <= d_p <= q_p)."""
+    """Lower/upper local growth rates of f at p (0 <= d_p <= q_p).
+
+    per_radius_min and per_radius_max hold the sphere minimum and maximum
+    of |f(p + x) - f(p)| / r at every radius r, each sampled and then
+    polished from its best sample; d_p and q_p are their extremes over the
+    tail radii.
+    """
 
     d_p: float
     q_p: float
     radii_used: tuple
-    samples_per_sphere: int
     d_flagged: bool = False
     q_flagged: bool = False
     per_radius_min: tuple = ()
@@ -62,58 +68,68 @@ class LocalRates:
             raise ValueError(f"rates out of order: d={self.d_p}, q={self.q_p}")
 
 
-def _sphere_norm_ratios(g: MapSpec, dirs: np.ndarray, r: float) -> np.ndarray:
-    if g.dim == 1:
-        vals = evaluate(g, r * dirs[:, 0])
-        return np.abs(np.asarray(vals, dtype=float)) / r
-    vals = evaluate(g, r * dirs)
-    return np.linalg.norm(vals, axis=-1) / r
+def _scaled(g: MapSpec, lams: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """lams[b] * U[b] for a (B, m, dim) array U: the complex action on
+    coordinate pairs, or multiplication by the real part."""
+    lams = lams[:, None, None]
+    if not g.complex_pairs:
+        return lams.real * U
+    z = lams * (U[..., 0::2] + 1j * U[..., 1::2])
+    return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (g.dim,))
 
 
-def _polished_ratios(g: MapSpec, U0: np.ndarray, radii: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """sign * |g(r u)| / r locally minimized over unit u near each row of U0.
+def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
+                   sign: float = 1.0, polish: bool = True) -> np.ndarray:
+    """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
 
-    Row b uses radius radii[b] and sign signs[b] (-1 refines a maximum);
-    all rows are polished as one batch.
+    Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
+    maxima for sign -1.  Every entry is sampled at the unit vectors dirs,
+    with one map evaluation per radius, and then (unless polish is False
+    or the sphere is the two points of dim 1) polished from its best
+    sample, all (lam, radius) entries in one `sphere_polish` batch.  A
+    positively homogeneous g has the same entries at every radius, so one
+    radius is computed and repeated.
     """
-    r, s = radii[:, None], signs[:, None]
+    cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
+    res = np.empty((lams.size, cols.size))
+    i0 = np.empty(res.shape, dtype=np.intp)
+    step = max(1, _CHUNK // dirs.size)  # lams per chunk of the sampled gaps
+    for j, r in enumerate(cols):
+        vals = evaluate(g, r * dirs) / r
+        for lo in range(0, lams.size, step):
+            sampled = sign * np.linalg.norm(_scaled(g, lams[lo:lo + step], dirs[None]) - vals, axis=-1)
+            i0[lo:lo + step, j] = sampled.argmin(axis=1)
+            res[lo:lo + step, j] = sampled.min(axis=1)
+    if polish and g.dim > 1:
+        rows = np.repeat(lams, cols.size)  # row-major over (lam, radius)
+        r = np.tile(cols, lams.size)[:, None, None]
 
-    def on_sphere(U):
-        return s * np.linalg.norm(evaluate(g, r[..., None] * U), axis=-1) / r
+        def gap(U):  # (B, m, dim) unit vectors -> (B, m) signed residuals
+            return sign * np.linalg.norm(_scaled(g, rows, U) - evaluate(g, r * U) / r, axis=-1)
 
-    best, _ = sphere_polish(on_sphere, U0)
-    return signs * best
-
-
-def _radius_ratios(g: MapSpec, dirs: np.ndarray, radii) -> list:
-    """Sphere norm ratios at every radius; a positively homogeneous g's
-    do not depend on the radius, so they are computed once and repeated."""
-    if g.homogeneous:
-        return [_sphere_norm_ratios(g, dirs, float(radii[0]))] * len(radii)
-    return [_sphere_norm_ratios(g, dirs, float(r)) for r in radii]
+        best, _ = sphere_polish(gap, dirs[i0.ravel()])
+        np.minimum(res, best.reshape(res.shape), out=res)
+    res *= sign
+    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
 
 
 def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRates:
-    """Estimate d_p and q_p from sphere samples over a geometric radius tail."""
+    """Estimate d_p and q_p from the sphere minima and maxima over a geometric radius schedule.
+
+    Every radius's minimum and maximum of |f(p + x) - f(p)| / r over the
+    sphere |x| = r is sampled and, with config.polish, polished; d_p and
+    q_p are the smallest minimum and the largest maximum of the last
+    config.tail radii.
+    """
     g = translate_to_origin(f, p)
     dirs = sphere_directions(g.dim, config.directions, config.seed)
     radii = config.r0 * config.ratio ** np.arange(config.n_radii)
-    ratios = _radius_ratios(g, dirs, radii)
-    mins = [float(x.min()) for x in ratios]
-    maxs = [float(x.max()) for x in ratios]
+    zero = np.zeros(1, dtype=complex)
+    mins = _sphere_minima(g, zero, radii, dirs, 1.0, config.polish)[0]
+    maxs = _sphere_minima(g, zero, radii, dirs, -1.0, config.polish)[0]
     t0 = config.n_radii - config.tail
-    d = min(mins[t0:])
-    q = max(maxs[t0:])
-
-    if config.polish and g.dim >= 2:
-        # every tail radius's min and max in one batch; one radius if homogeneous
-        m = 1 if g.homogeneous else len(radii[t0:])
-        tail = ratios[t0:t0 + m]
-        starts = [dirs[int(np.argmin(x))] for x in tail] + [dirs[int(np.argmax(x))] for x in tail]
-        polished = _polished_ratios(g, np.array(starts), np.tile(radii[t0:t0 + m], 2),
-                                    np.repeat([1.0, -1.0], m))
-        d = min(d, float(polished[:m].min()))
-        q = max(q, float(polished[m:].max()))
+    d = float(mins[t0:].min())
+    q = float(maxs[t0:].max())
 
     th = config.divergence_threshold
     d_flagged = d > th
@@ -122,11 +138,10 @@ def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRat
         d_p=POS_INF if d_flagged else d,
         q_p=POS_INF if q_flagged else q,
         radii_used=tuple(float(r) for r in radii),
-        samples_per_sphere=dirs.shape[0],
         d_flagged=d_flagged,
         q_flagged=q_flagged,
-        per_radius_min=tuple(mins),
-        per_radius_max=tuple(maxs),
+        per_radius_min=tuple(float(x) for x in mins),
+        per_radius_max=tuple(float(x) for x in maxs),
     )
 
 
@@ -152,19 +167,14 @@ def sigma_membership(
     the estimated rate as margin) when every one sits above, Undecided when
     the per-radius minima straddle the tolerance.
     """
-    g = lambda_minus(lam, translate_to_origin(f, p))
+    lam = as_complex(lam)
+    if lam.imag != 0.0 and not f.complex_pairs:
+        raise PreconditionError("complex scalar acting on a map without complex structure")
+    g = translate_to_origin(f, p)
     dirs = sphere_directions(g.dim, config.directions, config.seed)
     radii = config.r0 * config.ratio ** np.arange(config.n_radii)
-    tail = radii[-config.tail :]
-
-    ratios = _radius_ratios(g, dirs, tail)
-    per_radius = [float(x.min()) for x in ratios]
-    if config.polish and g.dim >= 2:
-        # every tail radius in one batch; one radius if homogeneous
-        m = 1 if g.homogeneous else len(tail)
-        starts = np.array([dirs[int(np.argmin(x))] for x in ratios[:m]])
-        polished = np.broadcast_to(_polished_ratios(g, starts, tail[:m], np.ones(m)), len(tail))
-        per_radius = [min(v, float(w)) for v, w in zip(per_radius, polished)]
+    per_radius = [float(x) for x in _sphere_minima(g, np.array([lam]), radii[-config.tail:], dirs,
+                                                   polish=config.polish)[0]]
 
     below = [m < tol for m in per_radius]
     if all(below):
@@ -223,44 +233,34 @@ class EquivalenceReport:
     message: str
 
 
-def perturbation_equivalence_check(
-    f: MapSpec,
-    g: MapSpec,
-    p,
-    rate_tol: float = 1e-3,
-    curve_radius: float = 1e-3,
-    curve_samples: int = 2048,
-    config: RateConfig = RateConfig(),
-) -> EquivalenceReport:
+def perturbation_equivalence_check(f: MapSpec, g: MapSpec, p) -> EquivalenceReport:
     """Check that g - f is rate-null at p and compare the computed spectra.
 
-    A vanishing upper rate of the difference forces the two local spectra to
-    coincide; the report carries the distance between the computed spectra
-    as corroboration.  A non-null difference is reported as inapplicable,
-    not as a failure.
+    A vanishing upper rate of the difference (below EQUIVALENCE_RATE_TOL)
+    forces the two local spectra to coincide; the report carries the
+    distance between the computed spectra as corroboration: planar maps
+    compare eigenvalue curves of 2048 samples, local ones at radius 1e-3.
+    A non-null difference is reported as inapplicable, not as a failure.
     """
     diff = difference(f, g)
-    rates = estimate_rates(diff, p, config)
-    if rates.q_p >= rate_tol:
+    rates = estimate_rates(diff, p)
+    if rates.q_p >= EQUIVALENCE_RATE_TOL:
         return EquivalenceReport(
             applicable=False,
             rate_of_difference=rates.q_p,
             hausdorff_distance=None,
-            message=f"difference has upper rate {rates.q_p:.6g} >= {rate_tol:g}; "
+            message=f"difference has upper rate {rates.q_p:.6g} >= {EQUIVALENCE_RATE_TOL:g}; "
             "the equivalence criterion does not apply",
         )
     if f.dim == 2:
-        ca = (
-            sigma_curve(f, samples=curve_samples)
-            if f.homogeneous and np.all(np.asarray(p, dtype=float) == 0)
-            else local_sigma_curve(f, p, curve_radius, curve_samples)
-        )
-        cb = (
-            sigma_curve(g, samples=curve_samples)
-            if g.homogeneous and np.all(np.asarray(p, dtype=float) == 0)
-            else local_sigma_curve(g, p, curve_radius, curve_samples)
-        )
-        dist = hausdorff(ca.pairs(), cb.pairs())
+        at_origin = bool(np.all(np.asarray(p, dtype=float) == 0))
+
+        def curve(h):
+            if h.homogeneous and at_origin:
+                return sigma_curve(h, samples=2048)
+            return local_sigma_curve(h, p, 1e-3, 2048)
+
+        dist = hausdorff(curve(f).pairs(), curve(g).pairs())
         return EquivalenceReport(
             applicable=True,
             rate_of_difference=rates.q_p,
@@ -305,7 +305,6 @@ class BifurcationScan:
     radii: tuple
     residuals: np.ndarray  # (n_lams, n_radii) normalized residuals
     candidates: tuple  # complex candidates
-    candidate_mask: np.ndarray
     contained_in_sigma: bool | None
     verdicts: tuple  # per-lam "candidate" / "rejected"
 
@@ -326,43 +325,6 @@ def _planar_scan_residuals(g: MapSpec, lams: np.ndarray, radii, theta_samples: i
         _, refined = golden_min(gap, t_best - dt, t_best + dt, iters=40)
         res[:, j] = np.minimum(sampled.min(axis=1), refined)
     return res
-
-
-def _scaled(g: MapSpec, lams: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """lams[b] * U[b] for a (B, m, dim) array U: the complex action on
-    coordinate pairs, or multiplication by the real part."""
-    lams = lams[:, None, None]
-    if not g.complex_pairs:
-        return lams.real * U
-    z = lams * (U[..., 0::2] + 1j * U[..., 1::2])
-    return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (g.dim,))
-
-
-def _general_scan_residuals(g: MapSpec, lams: np.ndarray, radii, samples: int, seed: int):
-    """min over |u| = 1 of |lam u - g(r u) / r| for every lam and radius.
-
-    The sampled minimum of every lam is polished from its best direction,
-    all lams of a radius in one batch.  A positively homogeneous g has the
-    same residuals at every radius, so one radius is computed and repeated.
-    """
-    dirs = sphere_directions(g.dim, samples, seed)
-    cols = radii[:1] if g.homogeneous else radii
-    res = np.empty((lams.size, len(cols)))
-    step = max(1, _CHUNK // dirs.size)  # lams per chunk of the sampled gaps
-    for j, r in enumerate(cols):
-
-        def gap(U):  # (B, m, dim) unit vectors -> (B, m) residuals
-            return np.linalg.norm(_scaled(g, lams, U) - evaluate(g, r * U) / r, axis=-1)
-
-        vals = evaluate(g, r * dirs) / r
-        i0 = np.empty(lams.size, dtype=np.intp)
-        for lo in range(0, lams.size, step):
-            sampled = np.linalg.norm(_scaled(g, lams[lo:lo + step], dirs[None]) - vals, axis=-1)
-            i0[lo:lo + step] = sampled.argmin(axis=1)
-            res[lo:lo + step, j] = sampled.min(axis=1)
-        best, _ = sphere_polish(gap, dirs[i0])
-        np.minimum(res[:, j], best, out=res[:, j])
-    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
 
 
 def scan_verdicts(normalized: np.ndarray, tol: float):
@@ -390,7 +352,6 @@ def bifurcation_scan(
     lam_grid,
     radii=(1e-1, 1e-2, 1e-3),
     tol: float = 0.02,
-    theta_samples: int = 1024,
     seed: int = 0,
 ) -> BifurcationScan:
     """Flag lam values near which lam x = f(x) has small nontrivial solutions.
@@ -409,9 +370,9 @@ def bifurcation_scan(
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     if g.dim == 2:
-        res = _planar_scan_residuals(g, lams, radii, theta_samples)
+        res = _planar_scan_residuals(g, lams, radii, 1024)
     else:
-        res = _general_scan_residuals(g, lams, radii, min(theta_samples, 512), seed)
+        res = _sphere_minima(g, lams, radii, sphere_directions(g.dim, 512, seed))
 
     mask, verdicts = scan_verdicts(res, tol)
     candidates = tuple(complex(l) for l in lams[mask])
@@ -435,7 +396,6 @@ def bifurcation_scan(
         radii=radii,
         residuals=res,
         candidates=candidates,
-        candidate_mask=mask,
         contained_in_sigma=contained,
         verdicts=verdicts,
     )

@@ -36,11 +36,13 @@ from .core import (
     SolverError,
 )
 from .maps import MapSpec, evaluate
-from .numerics import disk_points, golden_min, sphere_directions, sphere_polish
+from .numerics import disk_points, golden_min, sphere_polish
 
 TWO_PI = 2.0 * math.pi
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
+ROUCHE_STARTS = 64  # coincidence-solver starts: the origin and 63 disk points
+ROUCHE_TOL = 1e-10  # residual |f - k| below which a coincidence is accepted
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
 _BAND_CHUNK = 1 << 20  # window entries per chunk of the band query
@@ -83,8 +85,6 @@ class CellLabel(IntEnum):
 class WindingResult:
     turns: int
     margin: float
-    samples_used: int
-    max_increment: float
 
 
 @dataclass(frozen=True)
@@ -250,13 +250,12 @@ def winding_number(
     lam,
     radius: float = 1.0,
     samples: int = 256,
-    margin_tol: float = 1e-9,
-    max_samples: int = 1 << 18,
 ) -> WindingResult:
     """Winding of theta -> lam * z - f(z) on |z| = radius around the origin.
 
-    Samples are refined until every angular increment is below pi/2; the
-    reported margin is the minimum distance of the curve to the origin.
+    Samples are refined, up to 2^18, until every angular increment is below
+    pi/2; the reported margin is the minimum distance of the curve to the
+    origin, and one below MARGIN_TOL * max(1, radius) is an error.
     """
     if f.dim != 2:
         raise PreconditionError(f"map {f.name} is not planar")
@@ -270,14 +269,14 @@ def winding_number(
         steps = np.angle(np.roll(gamma, -1) * np.conj(gamma))
         margin = float(np.min(np.abs(gamma)))
         max_inc = float(np.max(np.abs(steps)))
-        if margin < margin_tol * max(1.0, radius):
+        if margin < MARGIN_TOL * max(1.0, radius):
             raise AdmissibilityError(
                 f"boundary curve of {f.name} passes within {margin:.3e} of the origin"
             )
         if max_inc < 0.5 * math.pi:
             turns = int(round(float(steps.sum()) / TWO_PI))
-            return WindingResult(turns, margin, n, max_inc)
-        if n >= max_samples:
+            return WindingResult(turns, margin)
+        if n >= 1 << 18:
             raise NumericError(
                 f"angular increments did not settle below pi/2 with {n} samples"
             )
@@ -436,25 +435,18 @@ def classify_plane(
     )
 
 
-def spectral_radius_bound(f: MapSpec, p=None, samples: int = 4096, seed: int = 0) -> float:
+def spectral_radius_bound(f: MapSpec, p=None, samples: int = 4096) -> float:
     """Upper bound for |lam| over the spectrum: the local quasinorm at p.
 
-    Every lam with modulus above the returned value is regular.  Homogeneous
-    maps use the exact sup over the unit sphere; other maps fall back to the
-    sampled limsup estimator.
+    Every lam with modulus above the returned value is regular.  A planar
+    homogeneous map takes the largest modulus of its eigenvalue curve,
+    traced with `samples` samples.  Any other map takes the upper rate q_p
+    of `estimators.estimate_rates` at p (the basepoint by default): the
+    largest polished sphere maximum of |f(p + x) - f(p)| / r over the tail
+    radii, one radius for a homogeneous map.
     """
-    if f.homogeneous:
-        if f.dim == 2:
-            return d_and_quasinorm(f, sigma_curve(f, samples=samples))[1]
-        dirs = sphere_directions(f.dim, samples, seed)
-        norms = np.linalg.norm(evaluate(f, dirs), axis=-1)
-        i_hi = int(np.argmax(norms))
-
-        def neg(U):
-            return -np.linalg.norm(evaluate(f, U), axis=-1)
-
-        best, _ = sphere_polish(neg, dirs[i_hi:i_hi + 1])
-        return max(float(norms[i_hi]), -float(best[0]))
+    if f.homogeneous and f.dim == 2:
+        return d_and_quasinorm(f, sigma_curve(f, samples=samples))[1]
     from . import estimators  # lazy: general maps use the rate estimator
 
     base = f.basepoint if p is None else p
@@ -474,12 +466,6 @@ def rouche_coincidence(
     f: MapSpec,
     k: MapSpec,
     radius: float,
-    *,
-    starts: int = 64,
-    tol: float = 1e-10,
-    boundary_samples: int = 2048,
-    disk_samples: int = 4096,
-    seed: int = 0,
 ) -> RoucheSolution:
     """Solve f(x) = k(x) inside the disk, under the dominated-perturbation test.
 
@@ -491,9 +477,9 @@ def rouche_coincidence(
     point x is cast by (x / radius, sqrt(1 - |x / radius|^2)), so the disk
     needs no feasibility test.  max |k| is polished from the best of the
     disk samples.  The residual |f - k| is polished from the origin first
-    and, when that misses tol, from the other starts in one batch.  The
-    solution is the first start whose point has residual below tol and lies
-    in the open disk.
+    and, when that misses ROUCHE_TOL, from the other ROUCHE_STARTS - 1
+    starts in one batch.  The solution is the first start whose point has
+    residual below ROUCHE_TOL and lies in the open disk.
     """
     if f.dim != 2 or k.dim != 2:
         raise PreconditionError("coincidence solving is planar")
@@ -502,11 +488,11 @@ def rouche_coincidence(
         raise PreconditionError("radius must be positive")
 
     # -f(z) = 0 * z - f(z) winds as often as f(z)
-    turns = winding_number(f, 0.0, radius=radius, samples=max(64, boundary_samples // 8)).turns
+    turns = winding_number(f, 0.0, radius=radius, samples=256).turns
     if turns == 0:
         raise PreconditionError("boundary winding of f is zero; solvability not certified")
 
-    thetas = np.linspace(0.0, TWO_PI, boundary_samples, endpoint=False)
+    thetas = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
     w = evaluate(f, radius * _unit_points(thetas))
     min_f, _ = _norm_extrema(f, thetas, np.abs(w[..., 0] + 1j * w[..., 1]), radius)
 
@@ -518,7 +504,7 @@ def rouche_coincidence(
         height = np.sqrt(np.maximum(1.0 - (u * u).sum(axis=-1, keepdims=True), 0.0))
         return np.concatenate([u, height], axis=-1)
 
-    disk = np.concatenate([np.zeros((1, 2)), disk_points(disk_samples - 1, radius, seed)])
+    disk = np.concatenate([np.zeros((1, 2)), disk_points(4095, radius)])
     k_disk = np.linalg.norm(evaluate(k, disk), axis=-1)
     i_hi = int(np.argmax(k_disk))
     neg_best, _ = sphere_polish(lambda U: -np.linalg.norm(evaluate(k, shadow(U)), axis=-1), lift(disk[i_hi:i_hi + 1]))
@@ -533,13 +519,13 @@ def rouche_coincidence(
         x = shadow(U)
         return np.linalg.norm(evaluate(f, x) - evaluate(k, x), axis=-1)
 
-    U0 = lift(np.concatenate([np.zeros((1, 2)), disk_points(starts - 1, 0.9 * radius, seed)]))
+    U0 = lift(np.concatenate([np.zeros((1, 2)), disk_points(ROUCHE_STARTS - 1, 0.9 * radius)]))
     res, U = sphere_polish(residual, U0[:1])
-    if not (res[0] < tol and math.hypot(*shadow(U[0])) < radius) and starts > 1:
+    if not (res[0] < ROUCHE_TOL and math.hypot(*shadow(U[0])) < radius):
         rest = sphere_polish(residual, U0[1:])
         res, U = np.concatenate([res, rest[0]]), np.concatenate([U, rest[1]])
     points = shadow(U)
-    hit = np.flatnonzero((res < tol) & (np.hypot(points[:, 0], points[:, 1]) < radius))
+    hit = np.flatnonzero((res < ROUCHE_TOL) & (np.hypot(points[:, 0], points[:, 1]) < radius))
     if hit.size:
         i = int(hit[0])
         return RoucheSolution(point=points[i], residual=float(res[i]), winding=turns, start_index=i)

@@ -82,10 +82,6 @@ class Interval:
     def unknown(cls) -> "Interval":
         return cls(0.0, POS_INF)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -732,22 +728,6 @@ def truncated_shift_min(lam, N: int) -> float:
     return sphere_least_squares(lam, b, 1.0)[1]
 
 
-def geometric_seed(lam, N: int, radius: float = 1.0) -> np.ndarray:
-    """Truncated eigen-direction z_n proportional to lam^{-n}, scaled to radius.
-
-    lam z = (|z|, z_1, z_2, ...) gives z_{n+1} = z_n / lam and lam z_1 = |z|,
-    so z_n = |z| lam^{-n}: the map is not complex homogeneous, so the phase
-    of the direction matters.  On the circle |lam| = sqrt(2) the untruncated
-    sequence has norm |z| (the sum of 2^{-n} is 1), so it is an eigenvector;
-    its first N terms leave a residual of about 2^{-N-1} radius.
-    """
-    lam = as_complex(lam)
-    if abs(lam) <= 1.0:
-        raise PreconditionError("the geometric direction needs |lam| > 1")
-    z = lam ** -np.arange(1, N + 1, dtype=float)
-    return z * (radius / np.linalg.norm(z))
-
-
 class LambdaOrbits(tuple):
     """The lambdas of a shift scan, listed orbit by orbit.
 
@@ -778,7 +758,6 @@ class ShiftScanResult:
     residuals: np.ndarray       # raw residuals, shape (n_lams, n_radii)
     normalized: np.ndarray      # residual / radius
     candidates: tuple
-    candidate_mask: np.ndarray
     verdicts: tuple
 
 
@@ -857,6 +836,5 @@ def shift_bifurcation_scan(
         residuals=res,
         normalized=normalized,
         candidates=tuple(l for l, m in zip(lams, mask) if m),
-        candidate_mask=mask,
         verdicts=verdicts,
     )

@@ -7,8 +7,8 @@ from specpoint.core import PreconditionError
 from specpoint.estimators import (
     RateConfig,
     Verdict,
-    _general_scan_residuals,
     _planar_scan_residuals,
+    _sphere_minima,
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
@@ -18,8 +18,16 @@ from specpoint.estimators import (
     sigma_membership,
     spectrum_set,
 )
-from specpoint.maps import black_box, builtin, difference, evaluate, identity_map, scale_map
-from specpoint.numerics import sphere_directions
+from specpoint.maps import (
+    black_box,
+    builtin,
+    difference,
+    evaluate,
+    identity_map,
+    scale_map,
+    translate_to_origin,
+)
+from specpoint.numerics import sphere_directions, sphere_polish
 from test_numerics import scalar_sphere_polish
 
 RNG = np.random.default_rng(11)
@@ -69,6 +77,18 @@ def test_rates_match_singular_values():
         sv = np.linalg.svd(M, compute_uv=False)
         worst = max(worst, abs(r.d_p - sv[-1]), abs(r.q_p - sv[0]))
     assert worst < 1e-4
+
+
+def test_every_radius_of_a_linear_black_box_polishes_to_singular_values():
+    # per-radius minima and maxima are polished at every radius, not only the tail's
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 5):
+        M = rng.normal(size=(n, n))
+        sv = np.linalg.svd(M, compute_uv=False)
+        r = estimate_rates(linear_map(M), np.zeros(n))
+        assert len(r.per_radius_min) == len(r.per_radius_max) == len(r.radii_used)
+        assert np.max(np.abs(np.array(r.per_radius_min) - sv[-1])) <= 1e-12
+        assert np.max(np.abs(np.array(r.per_radius_max) - sv[0])) <= 1e-12
 
 
 def test_rates_order_invariant():
@@ -132,6 +152,11 @@ def test_membership_annulus_bound():
         res = sigma_membership(f, np.zeros(2), lam, tol=tol)
         if res.verdict == Verdict.MEMBER:
             assert d - tol <= abs(lam) <= q + tol
+
+
+def test_membership_rejects_complex_lambda_without_complex_structure():
+    with pytest.raises(PreconditionError):
+        sigma_membership(builtin("norm_times_x", dim=3), np.zeros(3), 0.5 + 0.2j)
 
 
 def test_membership_undecided_is_reported():
@@ -418,7 +443,7 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     g = builtin("norm_times_x", dim=dim)
     lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0.2j, -1.0 + 0j])
     radii = (1e-1, 1e-2, 1e-3)
-    new = _general_scan_residuals(g, lams, radii, 512, 0)
+    new = _sphere_minima(g, lams, radii, sphere_directions(g.dim, 512, 0))
     ref = _scalar_general_scan_residuals(g, lams, radii, 512, 0)
     assert np.all(new <= ref + 1e-12)
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(ref, 0.02)[1]
@@ -433,3 +458,49 @@ def test_rates_of_a_homogeneous_map_repeat_one_radius():
     assert abs(rates.d_p - 1.0) < 1e-12 and abs(rates.q_p - 1.0) < 1e-12
     member = sigma_membership(f, np.zeros(4), 0.5 + 0.5j)
     assert len(set(member.per_radius_min)) == 1 and member.verdict == Verdict.NON_MEMBER
+
+
+def _frozen_scaled(g, lams, U):
+    lams = lams[:, None, None]
+    if not g.complex_pairs:
+        return lams.real * U
+    z = lams * (U[..., 0::2] + 1j * U[..., 1::2])
+    return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (g.dim,))
+
+
+def _frozen_general_scan_residuals(g, lams, radii, samples, seed):
+    """The general scan as it was before it shared the sphere-minimum kernel:
+    one sphere_polish batch per radius."""
+    dirs = sphere_directions(g.dim, samples, seed)
+    cols = radii[:1] if g.homogeneous else radii
+    res = np.empty((lams.size, len(cols)))
+    step = max(1, (1 << 20) // dirs.size)
+    for j, r in enumerate(cols):
+
+        def gap(U):
+            return np.linalg.norm(_frozen_scaled(g, lams, U) - evaluate(g, r * U) / r, axis=-1)
+
+        vals = evaluate(g, r * dirs) / r
+        i0 = np.empty(lams.size, dtype=np.intp)
+        for lo in range(0, lams.size, step):
+            sampled = np.linalg.norm(_frozen_scaled(g, lams[lo:lo + step], dirs[None]) - vals, axis=-1)
+            i0[lo:lo + step] = sampled.argmin(axis=1)
+            res[lo:lo + step, j] = sampled.min(axis=1)
+        best, _ = sphere_polish(gap, dirs[i0])
+        np.minimum(res[:, j], best, out=res[:, j])
+    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
+
+
+@pytest.mark.parametrize(
+    "name, params, seed",
+    [("norm_times_x", {"dim": 3}, 0), ("conj_pair", {}, 0), ("conj_pair", {}, 3)],
+    ids=["norm_times_x3", "conj_pair-seed0", "conj_pair-seed3"],
+)
+def test_scan_residuals_match_the_per_radius_batches(name, params, seed):
+    # one polish batch over every (lam, radius) entry gives the per-radius batches' bits
+    f = builtin(name, **params)
+    lams = np.array(_grid(-1.5, 1.5, -1.5, 1.5, 9, 7))
+    radii = (1e-1, 1e-2, 1e-3)
+    scan = bifurcation_scan(f, lams, radii=radii, seed=seed)
+    ref = _frozen_general_scan_residuals(translate_to_origin(f, f.basepoint), lams, radii, 512, seed)
+    assert np.array_equal(scan.residuals, ref)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from specpoint.core import POS_INF, PreconditionError, UsageError
+from specpoint.core import POS_INF, PreconditionError, UsageError, as_complex
 from specpoint.structured import (
     CompactLinear,
     Compose,
@@ -21,7 +21,6 @@ from specpoint.structured import (
     ScalarMultiple,
     Sum,
     SQRT2,
-    geometric_seed,
     mnc_bounds,
     parse_expr,
     shift_bifurcation_scan,
@@ -38,6 +37,23 @@ from specpoint.structured import (
     _shift_adjoint,
     _shift_apply,
 )
+
+
+def geometric_seed(lam, N: int, radius: float = 1.0) -> np.ndarray:
+    """Truncated eigen-direction z_n proportional to lam^{-n}, scaled to radius.
+
+    lam z = (|z|, z_1, z_2, ...) gives z_{n+1} = z_n / lam and lam z_1 = |z|,
+    so z_n = |z| lam^{-n}: the map is not complex homogeneous, so the phase
+    of the direction matters.  On the circle |lam| = sqrt(2) the untruncated
+    sequence has norm |z| (the sum of 2^{-n} is 1), so it is an eigenvector;
+    its first N terms leave a residual of about 2^{-N-1} radius.
+    """
+    lam = as_complex(lam)
+    if abs(lam) <= 1.0:
+        raise PreconditionError("the geometric direction needs |lam| > 1")
+    z = lam ** -np.arange(1, N + 1, dtype=float)
+    return z * (radius / np.linalg.norm(z))
+
 
 RNG = np.random.default_rng(5)
 
