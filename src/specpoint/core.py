@@ -2,16 +2,15 @@
 
 Extended-real conventions (sup of nothing is -inf, inf of nothing is +inf),
 normalized sets of closed real intervals, the four-derivative quadruple used
-by the one dimensional engine, complex pair utilities, and the exception
-taxonomy shared by every engine.
+by the one dimensional engine, complex scalar parsing, and the exception
+taxonomy shared by every engine.  Pure Python: the scalar action on
+(re, im) coordinate pairs lives in `maps.scalar_action`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -249,16 +248,6 @@ class DiniQuad:
         c = float(c)
         return DiniQuad(*(c + v for v in self.as_tuple()))
 
-    def reflected_about(self, lam: float) -> "DiniQuad":
-        """Quadruple of (lam*id - f): negation swaps lower/upper on each side."""
-        lam = float(lam)
-        return DiniQuad(
-            lam - self.d_minus_high,
-            lam - self.d_minus_low,
-            lam - self.d_plus_high,
-            lam - self.d_plus_low,
-        )
-
     def to_json(self) -> dict:
         return {
             "d_minus_low": ext_to_json(self.d_minus_low),
@@ -269,41 +258,14 @@ class DiniQuad:
 
 
 # ---------------------------------------------------------------------------
-# complex pair utilities
-#
-# Points live in dense real coordinate tuples; a complex number a+ib is the
-# pair (a, b).  Spaces with a complex scalar action are real spaces of even
-# dimension whose coordinates pair up as (re, im, re, im, ...).
-
-
-def cmul(p, q) -> np.ndarray:
-    """Complex product of pairs: (a,b)*(c,d) = (ac-bd, ad+bc), broadcasting."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    a, b = p[..., 0], p[..., 1]
-    c, d = q[..., 0], q[..., 1]
-    return np.stack([a * c - b * d, a * d + b * c], axis=-1)
+# complex scalars
 
 
 def as_complex(lam) -> complex:
-    """Accept complex, real, or an (a, b) pair."""
-    if isinstance(lam, (tuple, list, np.ndarray)):
-        arr = np.asarray(lam, dtype=float).reshape(-1)
-        if arr.size != 2:
+    """Accept complex, real, or an (a, b) pair as a tuple, list or array."""
+    if isinstance(lam, (tuple, list)) or getattr(lam, "ndim", 0):
+        pair = lam.reshape(-1).tolist() if hasattr(lam, "reshape") else list(lam)
+        if len(pair) != 2:
             raise ValueError(f"expected an (a, b) pair, got {lam!r}")
-        return complex(arr[0], arr[1])
+        return complex(float(pair[0]), float(pair[1]))
     return complex(lam)
-
-
-def complex_scale(lam, x) -> np.ndarray:
-    """Multiply every (re, im) coordinate pair of x by the complex scalar lam."""
-    lam = as_complex(lam)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] % 2:
-        raise ValueError("complex scalar action needs an even last dimension")
-    shape = x.shape
-    pairs = x.reshape(shape[:-1] + (shape[-1] // 2, 2))
-    z = pairs[..., 0] + 1j * pairs[..., 1]
-    z = lam * z
-    out = np.stack([z.real, z.imag], axis=-1)
-    return out.reshape(shape)

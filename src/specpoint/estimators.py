@@ -23,7 +23,7 @@ from .core import (
     PreconditionError,
     as_complex,
 )
-from .maps import MapSpec, difference, evaluate, translate_to_origin
+from .maps import MapSpec, difference, evaluate, scalar_action, translate_to_origin
 from .numerics import golden_min, hausdorff, sphere_directions, sphere_polish
 from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
@@ -33,16 +33,15 @@ UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are un
 EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
 
 
+RADII = 0.1 * 0.5 ** np.arange(17)  # the sphere radii of the growth rates and membership tests
+TAIL = 6  # d_p, q_p and membership read the last TAIL radii
+
+
 @dataclass(frozen=True)
 class RateConfig:
-    r0: float = 0.1
-    ratio: float = 0.5
-    n_radii: int = 17
-    tail: int = 6
     directions: int = 1024
     polish: bool = True
     divergence_threshold: float = 1e6
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,6 @@ class LocalRates:
             raise ValueError(f"rates out of order: d={self.d_p}, q={self.q_p}")
 
 
-def _scaled(g: MapSpec, lams: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """lams[b] * U[b] for a (B, m, dim) array U: the complex action on
-    coordinate pairs, or multiplication by the real part."""
-    lams = lams[:, None, None]
-    if not g.complex_pairs:
-        return lams.real * U
-    z = lams * (U[..., 0::2] + 1j * U[..., 1::2])
-    return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (g.dim,))
-
-
 def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
                    sign: float = 1.0, polish: bool = True) -> np.ndarray:
     """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
@@ -88,7 +77,8 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
     or the sphere is the two points of dim 1) polished from its best
     sample, all (lam, radius) entries in one `sphere_polish` batch.  A
     positively homogeneous g has the same entries at every radius, so one
-    radius is computed and repeated.
+    radius is computed and repeated.  lam acts through `scalar_action`, so a
+    complex lam on a g without complex structure raises PreconditionError.
     """
     cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
     res = np.empty((lams.size, cols.size))
@@ -97,7 +87,8 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
     for j, r in enumerate(cols):
         vals = evaluate(g, r * dirs) / r
         for lo in range(0, lams.size, step):
-            sampled = sign * np.linalg.norm(_scaled(g, lams[lo:lo + step], dirs[None]) - vals, axis=-1)
+            gaps = scalar_action(lams[lo:lo + step, None], dirs[None], g.complex_pairs) - vals
+            sampled = sign * np.linalg.norm(gaps, axis=-1)
             i0[lo:lo + step, j] = sampled.argmin(axis=1)
             res[lo:lo + step, j] = sampled.min(axis=1)
     if polish and g.dim > 1:
@@ -105,7 +96,8 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
         r = np.tile(cols, lams.size)[:, None, None]
 
         def gap(U):  # (B, m, dim) unit vectors -> (B, m) signed residuals
-            return sign * np.linalg.norm(_scaled(g, rows, U) - evaluate(g, r * U) / r, axis=-1)
+            gaps = scalar_action(rows[:, None], U, g.complex_pairs) - evaluate(g, r * U) / r
+            return sign * np.linalg.norm(gaps, axis=-1)
 
         best, _ = sphere_polish(gap, dirs[i0.ravel()])
         np.minimum(res, best.reshape(res.shape), out=res)
@@ -119,17 +111,15 @@ def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRat
     Every radius's minimum and maximum of |f(p + x) - f(p)| / r over the
     sphere |x| = r is sampled and, with config.polish, polished; d_p and
     q_p are the smallest minimum and the largest maximum of the last
-    config.tail radii.
+    TAIL radii.
     """
     g = translate_to_origin(f, p)
-    dirs = sphere_directions(g.dim, config.directions, config.seed)
-    radii = config.r0 * config.ratio ** np.arange(config.n_radii)
+    dirs = sphere_directions(g.dim, config.directions)
     zero = np.zeros(1, dtype=complex)
-    mins = _sphere_minima(g, zero, radii, dirs, 1.0, config.polish)[0]
-    maxs = _sphere_minima(g, zero, radii, dirs, -1.0, config.polish)[0]
-    t0 = config.n_radii - config.tail
-    d = float(mins[t0:].min())
-    q = float(maxs[t0:].max())
+    mins = _sphere_minima(g, zero, RADII, dirs, 1.0, config.polish)[0]
+    maxs = _sphere_minima(g, zero, RADII, dirs, -1.0, config.polish)[0]
+    d = float(mins[-TAIL:].min())
+    q = float(maxs[-TAIL:].max())
 
     th = config.divergence_threshold
     d_flagged = d > th
@@ -137,7 +127,7 @@ def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRat
     return LocalRates(
         d_p=POS_INF if d_flagged else d,
         q_p=POS_INF if q_flagged else q,
-        radii_used=tuple(float(r) for r in radii),
+        radii_used=tuple(float(r) for r in RADII),
         d_flagged=d_flagged,
         q_flagged=q_flagged,
         per_radius_min=tuple(float(x) for x in mins),
@@ -167,14 +157,10 @@ def sigma_membership(
     the estimated rate as margin) when every one sits above, Undecided when
     the per-radius minima straddle the tolerance.
     """
-    lam = as_complex(lam)
-    if lam.imag != 0.0 and not f.complex_pairs:
-        raise PreconditionError("complex scalar acting on a map without complex structure")
     g = translate_to_origin(f, p)
-    dirs = sphere_directions(g.dim, config.directions, config.seed)
-    radii = config.r0 * config.ratio ** np.arange(config.n_radii)
-    per_radius = [float(x) for x in _sphere_minima(g, np.array([lam]), radii[-config.tail:], dirs,
-                                                   polish=config.polish)[0]]
+    dirs = sphere_directions(g.dim, config.directions)
+    mins = _sphere_minima(g, np.array([as_complex(lam)]), RADII[-TAIL:], dirs, polish=config.polish)
+    per_radius = [float(x) for x in mins[0]]
 
     below = [m < tol for m in per_radius]
     if all(below):
@@ -369,7 +355,7 @@ def bifurcation_scan(
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    if g.dim == 2:
+    if g.dim == 2 and g.complex_pairs:
         res = _planar_scan_residuals(g, lams, radii, 1024)
     else:
         res = _sphere_minima(g, lams, radii, sphere_directions(g.dim, 512, seed))

@@ -34,7 +34,6 @@ from .core import (
     PreconditionError,
     UnsupportedError,
     as_complex,
-    complex_scale,
 )
 
 
@@ -106,101 +105,61 @@ def translate_to_origin(f: MapSpec, p) -> MapSpec:
 # scalar algebra on maps
 
 
-def _scalar_apply(c, x, complex_pairs: bool) -> np.ndarray:
-    c = as_complex(c)
+def scalar_action(lam, x, complex_pairs: bool) -> np.ndarray:
+    """lam * x for the scalar field of the space.
+
+    With complex_pairs the coordinates of x pair up as (re, im, re, im,
+    ...) and lam acts on every pair as a complex number; otherwise lam must
+    be real and multiplies every coordinate.  lam is a scalar or an array
+    that broadcasts against x without its last axis.
+    """
+    lam = np.asarray(lam)
+    x = np.asarray(x, dtype=float)
     if complex_pairs:
-        return complex_scale(c, x)
-    if c.imag != 0.0:
-        raise PreconditionError("complex scalar acting on a map without complex structure")
-    return c.real * np.asarray(x, dtype=float)
+        if x.shape[-1] % 2:
+            raise ValueError("complex scalar action needs an even last dimension")
+        z = (lam[..., None] if lam.ndim else lam) * (x[..., 0::2] + 1j * x[..., 1::2])
+        return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (x.shape[-1],))
+    if np.iscomplexobj(lam):
+        if np.any(lam.imag != 0.0):
+            raise PreconditionError("complex scalar acting on a map without complex structure")
+        lam = lam.real
+    return (lam[..., None] if lam.ndim else lam) * x
 
 
-def _rot_matrix(c: complex, dim: int) -> np.ndarray:
-    """Matrix of x -> c*x for the complex pair action on R^dim."""
-    blocks = dim // 2
-    m = np.zeros((dim, dim))
-    r = np.array([[c.real, -c.imag], [c.imag, c.real]])
-    for k in range(blocks):
-        m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = r
-    return m
+def _affine(a, c, f: MapSpec, name: str) -> MapSpec:
+    """The map x -> a*x + c*f(x), the scalars acting on the space of f."""
+    a, c = as_complex(a), as_complex(c)
+    cp, ev = f.complex_pairs, f.evaluator
 
+    def combined(x):
+        y = scalar_action(c, ev(x), cp)
+        return y if a == 0 else scalar_action(a, x, cp) + y  # scale_map has no a*x term
 
-def _scalar_matrix(c, dim: int, complex_pairs: bool) -> np.ndarray:
-    c = as_complex(c)
-    if complex_pairs:
-        return _rot_matrix(c, dim)
-    if c.imag != 0.0:
-        raise PreconditionError("complex scalar acting on a map without complex structure")
-    return c.real * np.eye(max(dim, 1))
+    dini = None
+    if f.dini_exact is not None and a.imag == c.imag == 0.0:
+        dini = lambda p, _d=f.dini_exact: _d(p).scaled(c.real).plus_const(a.real)
+    jac = None
+    if f.jacobian is not None and (cp or a.imag == c.imag == 0.0):
+        eye = np.eye(max(f.dim, 1))
+        m_a, m_c = scalar_action(a, eye, cp).T, scalar_action(c, eye, cp).T
+        jac = lambda q, _j=f.jacobian: m_a + m_c @ _j(q)
+    return replace(f, name=name, evaluator=combined, dini_exact=dini, jacobian=jac)
 
 
 def scale_map(c, f: MapSpec) -> MapSpec:
     """The map x -> c * f(x), with the complex action when available."""
-    cc = as_complex(c)
-    ev = f.evaluator
-
-    def scaled(x, _ev=ev, _c=cc, _cp=f.complex_pairs):
-        return _scalar_apply(_c, _ev(x), _cp)
-
-    dini = None
-    if f.dini_exact is not None and cc.imag == 0.0:
-        dini = lambda p, _d=f.dini_exact, _c=cc.real: _d(p).scaled(_c)
-    jac = None
-    if f.jacobian is not None and (cc.imag == 0.0 or f.complex_pairs):
-        jac = lambda q, _j=f.jacobian, _m=_scalar_matrix(cc, f.dim, f.complex_pairs): _m @ _j(q)
-    return replace(
-        f,
-        name=f"scale({c})*{f.name}",
-        evaluator=scaled,
-        dini_exact=dini,
-        jacobian=jac,
-    )
+    return _affine(0.0, c, f, f"scale({c})*{f.name}")
 
 
 def add_identity(c, f: MapSpec) -> MapSpec:
     """The map x -> c*x + f(x) (c acts as the scalar of the space)."""
-    cc = as_complex(c)
-    ev = f.evaluator
-
-    def added(x, _ev=ev, _c=cc, _cp=f.complex_pairs):
-        return _scalar_apply(_c, x, _cp) + _ev(x)
-
-    dini = None
-    if f.dini_exact is not None and cc.imag == 0.0:
-        dini = lambda p, _d=f.dini_exact, _c=cc.real: _d(p).plus_const(_c)
-    jac = None
-    if f.jacobian is not None and (cc.imag == 0.0 or f.complex_pairs):
-        jac = lambda q, _j=f.jacobian, _m=_scalar_matrix(cc, f.dim, f.complex_pairs): _m + _j(q)
-    return replace(
-        f,
-        name=f"({c}*id+{f.name})",
-        evaluator=added,
-        dini_exact=dini,
-        jacobian=jac,
-    )
+    return _affine(c, 1.0, f, f"({c}*id+{f.name})")
 
 
 def lambda_minus(lam, f: MapSpec) -> MapSpec:
     """The map x -> lam*x - f(x) whose regularity decides membership of lam."""
-    cc = as_complex(lam)
-    ev = f.evaluator
-
-    def shifted(x, _ev=ev, _c=cc, _cp=f.complex_pairs):
-        return _scalar_apply(_c, x, _cp) - _ev(x)
-
-    dini = None
-    if f.dini_exact is not None and cc.imag == 0.0:
-        dini = lambda p, _d=f.dini_exact, _c=cc.real: _d(p).reflected_about(_c)
-    jac = None
-    if f.jacobian is not None and (cc.imag == 0.0 or f.complex_pairs):
-        jac = lambda q, _j=f.jacobian, _m=_scalar_matrix(cc, f.dim, f.complex_pairs): _m - _j(q)
-    return replace(
-        f,
-        name=f"({lam}*id-{f.name})",
-        evaluator=shifted,
-        dini_exact=dini,
-        jacobian=jac,
-    )
+    return _affine(lam, -1.0, f, f"({lam}*id-{f.name})")
 
 
 def difference(f: MapSpec, g: MapSpec) -> MapSpec:

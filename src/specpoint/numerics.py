@@ -51,9 +51,9 @@ def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
     return g / norms
 
 
-def disk_points(n: int, radius: float, seed: int = 0) -> np.ndarray:
+def disk_points(n: int, radius: float) -> np.ndarray:
     """n low-discrepancy points in the open disk of the given radius."""
-    uv = _kronecker(2, n, seed)
+    uv = _kronecker(2, n, 0)
     r = radius * np.sqrt(uv[:, 0])
     phi = 2.0 * np.pi * uv[:, 1]
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)

@@ -177,6 +177,13 @@ def test_exit_codes(capsys):
     assert rc == 2
 
 
+def test_bifurcate_real_map_rejects_its_default_complex_grid(capsys):
+    assert cli.main(["bifurcate", "--fn", "norm_times_x", "--params", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "complex scalar acting on a map without complex structure" in captured.err
+
+
 def test_exit_code_band_violations(capsys):
     # a grid point sits closer to the spectrum than the winding tolerance but
     # outside the (tiny) band: one undecided cell makes classify exit 5

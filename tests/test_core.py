@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +13,13 @@ from specpoint.core import (
     NEG_INF,
     POS_INF,
     RealIntervalSet,
-    cmul,
-    complex_scale,
+    as_complex,
     ext_from_json,
     ext_to_json,
     inf_of,
     sup_of,
 )
+from specpoint.maps import black_box, lambda_minus, scalar_action
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 endpoint = st.one_of(finite, st.just(POS_INF), st.just(NEG_INF))
@@ -126,22 +129,36 @@ def test_quad_scale_zero():
 
 def test_quad_reflect_matches_pointwise():
     q = DiniQuad(-2.0, -1.0, 3.0, 5.0)
-    r = q.reflected_about(1.0)
+    f = black_box(1, lambda x: np.asarray(x, dtype=float), dini_exact=lambda p: q)
+    r = lambda_minus(1.0, f).dini_exact(0.0)
     assert r.as_tuple() == (1.0 - (-1.0), 1.0 - (-2.0), 1.0 - 5.0, 1.0 - 3.0)
-
-
-@given(finite, finite, finite, finite)
-def test_cmul_matches_complex_product(a, b, c, d):
-    p = np.array([a, b])
-    q = np.array([c, d])
-    out = cmul(p, q)
-    want = complex(a, b) * complex(c, d)
-    assert math.isclose(out[0], want.real, rel_tol=1e-12, abs_tol=1e-6)
-    assert math.isclose(out[1], want.imag, rel_tol=1e-12, abs_tol=1e-6)
 
 
 def test_complex_scale_on_two_pairs():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    out = complex_scale(1j, x)
+    out = scalar_action(1j, x, True)
     # i*(1+2i) = -2+i ; i*(3+4i) = -4+3i
     assert np.allclose(out, [-2.0, 1.0, -4.0, 3.0])
+
+
+def test_as_complex_accepts_scalars_and_pairs():
+    assert as_complex(1 + 2j) == 1 + 2j
+    assert as_complex(0.5) == 0.5 + 0j
+    assert as_complex((3.0, -4.0)) == as_complex(np.array([3.0, -4.0])) == 3 - 4j
+    with pytest.raises(ValueError):
+        as_complex([1.0, 2.0, 3.0])
+
+
+def test_core_runs_without_numpy():
+    # run the module file itself: importing through the package would load maps, and numpy with it
+    core = Path(__file__).resolve().parents[1] / "src" / "specpoint" / "core.py"
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "as_complex = runpy.run_path(sys.argv[1])['as_complex']\n"
+        "assert as_complex(1 + 2j) == 1 + 2j\n"
+        "assert as_complex(0.5) == 0.5 + 0j\n"
+        "assert as_complex((3.0, -4.0)) == 3 - 4j\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(core)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

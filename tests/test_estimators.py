@@ -304,6 +304,20 @@ def test_scan_candidates_subset_of_members():
         assert res.verdict in (Verdict.MEMBER, Verdict.UNDECIDED)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        builtin("norm_times_x", dim=3),
+        builtin("sqrt_abs"),
+        black_box(2, lambda x: np.asarray(x, dtype=float) @ np.array([[1.0, 2.0], [0.0, 3.0]]).T),
+    ],
+    ids=["norm_times_x3", "sqrt_abs", "planar_black_box"],
+)
+def test_scan_rejects_complex_lambda_without_complex_structure(f):
+    with pytest.raises(PreconditionError, match="without complex structure"):
+        bifurcation_scan(f, [0.0, 0.5 + 0.5j])
+
+
 def test_scan_requires_zero_at_origin():
     shifted = black_box(2, lambda x: np.asarray(x, dtype=float) + 1.0, name="affine")
     with pytest.raises(PreconditionError):
@@ -406,8 +420,9 @@ def test_scan_conj_pair_matches_exact_sigma_min(seed):
     assert (scan.residuals == scan.residuals[:, :1]).all()  # homogeneous: one radius, repeated
 
 
-@pytest.mark.parametrize("dim", range(3, 9))
+@pytest.mark.parametrize("dim", range(2, 9))
 def test_scan_linear_black_box_matches_sigma_min(dim):
+    # no complex_pairs: dim 2 takes the sphere kernel, not the planar angle scan
     rng = np.random.default_rng(40 + dim)
     M = rng.normal(size=(dim, dim))
     lams = np.concatenate([np.linalg.eigvals(M).real, rng.uniform(-3.0, 3.0, size=6)])
@@ -441,7 +456,7 @@ def _scalar_general_scan_residuals(g, lams, radii, samples, seed):
 def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     # lam x = |x| x: the residual at radius r is |lam - r|, so only lam near 0 is a candidate
     g = builtin("norm_times_x", dim=dim)
-    lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0.2j, -1.0 + 0j])
+    lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0j, -1.0 + 0j])
     radii = (1e-1, 1e-2, 1e-3)
     new = _sphere_minima(g, lams, radii, sphere_directions(g.dim, 512, 0))
     ref = _scalar_general_scan_residuals(g, lams, radii, 512, 0)
@@ -492,14 +507,18 @@ def _frozen_general_scan_residuals(g, lams, radii, samples, seed):
 
 
 @pytest.mark.parametrize(
-    "name, params, seed",
-    [("norm_times_x", {"dim": 3}, 0), ("conj_pair", {}, 0), ("conj_pair", {}, 3)],
+    "name, params, seed, grid",
+    [
+        ("norm_times_x", {"dim": 3}, 0, (-1.5, 1.5, 0.0, 0.0, 63, 1)),  # a real map takes real lams
+        ("conj_pair", {}, 0, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
+        ("conj_pair", {}, 3, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
+    ],
     ids=["norm_times_x3", "conj_pair-seed0", "conj_pair-seed3"],
 )
-def test_scan_residuals_match_the_per_radius_batches(name, params, seed):
+def test_scan_residuals_match_the_per_radius_batches(name, params, seed, grid):
     # one polish batch over every (lam, radius) entry gives the per-radius batches' bits
     f = builtin(name, **params)
-    lams = np.array(_grid(-1.5, 1.5, -1.5, 1.5, 9, 7))
+    lams = np.array(_grid(*grid))
     radii = (1e-1, 1e-2, 1e-3)
     scan = bifurcation_scan(f, lams, radii=radii, seed=seed)
     ref = _frozen_general_scan_residuals(translate_to_origin(f, f.basepoint), lams, radii, 512, seed)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from specpoint.core import DomainError, EvaluationError, PreconditionError, UnsupportedError
+from specpoint.core import DiniQuad, DomainError, EvaluationError, PreconditionError, UnsupportedError
 from specpoint.maps import (
     BUILTIN_NAMES,
+    add_identity,
     black_box,
     builtin,
     difference,
@@ -134,6 +135,64 @@ def test_lambda_minus_real_structure_rejects_complex():
     g = lambda_minus(1j, f)
     with pytest.raises(PreconditionError):
         evaluate(g, np.ones(3))
+
+
+INF = float("inf")
+QUAD = DiniQuad(-2.0, -1.0, 3.0, 5.0)
+CUSP = DiniQuad(-INF, -INF, INF, INF)  # sqrt|x| at 0
+
+
+@pytest.mark.parametrize(
+    "quad, combine, want",
+    [
+        (QUAD, lambda f: scale_map(2.5, f), (-5.0, -2.5, 7.5, 12.5)),
+        (QUAD, lambda f: scale_map(-1.5, f), (1.5, 3.0, -7.5, -4.5)),  # c < 0 swaps within each side
+        (QUAD, lambda f: scale_map(0.0, f), (0.0, 0.0, 0.0, 0.0)),
+        (QUAD, lambda f: add_identity(0.5, f), (-1.5, -0.5, 3.5, 5.5)),
+        (QUAD, lambda f: lambda_minus(1.0, f), (2.0, 3.0, -4.0, -2.0)),
+        (CUSP, lambda f: scale_map(-2.0, f), (INF, INF, -INF, -INF)),
+        (CUSP, lambda f: scale_map(0.0, f), (0.0, 0.0, 0.0, 0.0)),
+        (CUSP, lambda f: add_identity(1.0, f), (-INF, -INF, INF, INF)),
+        (CUSP, lambda f: lambda_minus(1.0, f), (INF, INF, -INF, -INF)),
+    ],
+    ids=["scale_positive", "scale_negative", "scale_zero", "add_identity", "lambda_minus",
+         "cusp_scale_negative", "cusp_scale_zero", "cusp_add_identity", "cusp_lambda_minus"],
+)
+def test_map_algebra_carries_the_exact_quadruple(quad, combine, want):
+    f = black_box(1, lambda x: np.asarray(x, dtype=float), dini_exact=lambda p: quad)
+    assert combine(f).dini_exact(0.3).as_tuple() == want
+
+
+def _rotation(c):
+    return np.array([[c.real, -c.imag], [c.imag, c.real]])
+
+
+def _central_jacobian(f, p, h=1e-6):
+    cols = [(evaluate(f, p + h * e) - evaluate(f, p - h * e)) / (2.0 * h) for e in np.eye(f.dim)]
+    return np.stack(cols, axis=-1)
+
+
+def test_map_algebra_jacobians():
+    f = builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0)
+    M = np.array([[1.0, 2.0], [3.0, 4.0]])
+    q = np.array([0.3, -0.7])
+    lam, c = 1.5 - 0.5j, -0.4 + 2.0j
+    g = lambda_minus(lam, f)
+    assert np.allclose(g.jacobian(q), _rotation(lam) - M, rtol=0, atol=1e-15)
+    assert np.allclose(g.jacobian(q), _central_jacobian(g, q), atol=1e-8)
+    g = scale_map(c, f)
+    assert np.allclose(g.jacobian(q), _rotation(c) @ M, rtol=0, atol=1e-15)
+    assert np.allclose(g.jacobian(q), _central_jacobian(g, q), atol=1e-8)
+
+    f = builtin("norm_times_x", dim=3)
+    p = np.array([0.5, -1.0, 2.0])
+    r = np.linalg.norm(p)
+    g = add_identity(-0.75, f)
+    assert np.allclose(g.jacobian(p), -0.75 * np.eye(3) + r * np.eye(3) + np.outer(p, p) / r, rtol=0, atol=1e-15)
+    assert np.allclose(g.jacobian(p), _central_jacobian(g, p), atol=1e-6)
+    g = scale_map(1j, f)  # no complex action on R^3: no derivative either
+    assert g.jacobian is None
+    assert scale_map(1j, builtin("sqrt_abs")).dini_exact is None
 
 
 def test_scale_and_difference():
