@@ -3,31 +3,10 @@
 Engines: one dimensional derivative-quadruple intervals (`dini`), eigenvalue
 curves and winding-number classification for positively homogeneous planar
 maps (`homog2d`), sampling-based growth-rate and membership estimators
-(`estimators`), a symbolic compactness-rate calculus plus the sequence-space
-shift model (`structured`), and a deterministic CLI (`cli`).
+(`estimators`), a symbolic compactness-rate calculus (`rates`), the
+sequence-space shift model (`structured`), and a deterministic CLI (`cli`).
+Import each from its module: the package itself loads none of them, so a
+command loads only the engines it computes with.
 """
 
 __version__ = "0.1.0"
-
-from .core import (  # noqa: F401
-    AdmissibilityError,
-    DiniQuad,
-    DomainError,
-    EvaluationError,
-    NumericError,
-    PreconditionError,
-    RealIntervalSet,
-    SolverError,
-    SpecpointError,
-    UnsupportedError,
-    UsageError,
-)
-from .maps import (  # noqa: F401
-    BUILTIN_NAMES,
-    MapSpec,
-    black_box,
-    builtin,
-    evaluate,
-    identity_map,
-    translate_to_origin,
-)

@@ -20,7 +20,12 @@ Sizes are capped, and a larger value exits 3 before anything is allocated:
 --res <= 4096, --samples <= 2^20, --truncate <= 100000, --angles <= 4096,
 --grid counts nx, ny <= 128, and the reach of the classify band query (the
 widest of --band, 1e-9 and the longest chord of a curve that missed its
-chord bound) <= 64 grid spacings.
+chord bound) <= 64 grid spacings.  --samples below 1, a negative --band,
+and a --tol that is not positive and finite exit 3 too.
+
+`bifurcate --fn` scans --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24
+real lambdas of --grid=-1.5,1.5,0,0,24,1 for a map without complex structure,
+which takes real lambda only.
 
 Exit codes: 0 success, 2 usage error, 3 precondition violated, 4 numeric or
 solver failure, 5 undecided result: `classify` when any cell is undecided
@@ -45,11 +50,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-# Each command imports the engine modules it computes with: every call
-# compiles or loads the modules it imports, and a `shift` call needs none
-# of the planar and sampling engines.
+# Each command imports the engine modules it computes with, numpy included:
+# every call loads the modules it imports, `mnc` needs no numpy, and a
+# `shift` call needs none of the planar and sampling engines.
 from .core import (
     EvaluationError,
     NumericError,
@@ -59,7 +62,6 @@ from .core import (
     UnsupportedError,
     UsageError,
 )
-from .maps import BUILTIN_NAMES, builtin
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,6 +120,8 @@ def _effective(args, config: dict, key: str, default, cast):
 
 
 def _build_map(args, config):
+    from .maps import builtin
+
     name = _effective(args, config, "fn", None, str)
     if not name:
         raise UsageError("--fn NAME is required")
@@ -128,12 +132,11 @@ def _build_map(args, config):
             if len(params) != 4:
                 raise UsageError("real_linear needs --params s,t,u,v")
             return builtin(name, s=params[0], t=params[1], u=params[2], v=params[3])
-        if name == "norm_plus_i_im_pow":
+        if name in ("norm_plus_i_im_pow", "norm_times_x"):
+            if params and not params[0].is_integer():
+                raise UsageError(f"{name} takes an integer parameter, got {params[0]!r}")
             n = int(params[0]) if params else 2
-            return builtin(name, n=n)
-        if name == "norm_times_x":
-            d = int(params[0]) if params else 2
-            return builtin(name, dim=d)
+            return builtin(name, n=n) if name == "norm_plus_i_im_pow" else builtin(name, dim=n)
         if params:
             raise UsageError(f"builtin {name} takes no parameters")
         return builtin(name)
@@ -342,17 +345,17 @@ def _cmd_mnc(args, config) -> int:
     expr_text = _effective(args, config, "expr", None, str)
     if not expr_text:
         raise UsageError("--expr EXPRESSION is required")
-    from . import structured
+    from . import rates
 
-    expr = structured.parse_expr(expr_text)
-    bounds = structured.mnc_bounds(expr)
+    expr = rates.parse_expr(expr_text)
+    bounds = rates.mnc_bounds(expr)
     payload = {"command": "mnc", "expr": expr_text, **bounds.to_json()}
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_bifurcate(args, config) -> int:
-    from . import estimators, structured  # the shift scan's verdicts come from estimators
+    import numpy as np
 
     radii_text = _effective(args, config, "radii", "0.1,0.01,0.001", str)
     radii = _parse_floats(radii_text)
@@ -361,8 +364,12 @@ def _cmd_bifurcate(args, config) -> int:
     if not all(0.0 < r < math.inf for r in radii):
         raise PreconditionError(f"radii must be positive and finite, got {radii_text!r}")
     tol = _effective(args, config, "tol", 0.02, float)
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"--tol must be positive and finite, got {tol!r}")
 
     if args.shift:
+        from . import structured
+
         n = int(_effective(args, config, "truncate", 40, int))
         angles = int(_effective(args, config, "angles", 16, int))
         if not 0 <= angles <= MAX_ANGLES:
@@ -400,8 +407,12 @@ def _cmd_bifurcate(args, config) -> int:
         _emit(payload, args.out)
         return EXIT_OK
 
+    from . import estimators
+
     f = _build_map(args, config)
-    grid_text = _effective(args, config, "grid", "-1.5,1.5,-1.5,1.5,24,30", str)
+    # a map without complex structure takes real lambda only
+    default_grid = "-1.5,1.5,-1.5,1.5,24,30" if f.complex_pairs else "-1.5,1.5,0,0,24,1"
+    grid_text = _effective(args, config, "grid", default_grid, str)
     g = _parse_floats(grid_text)
     if len(g) != 6:
         raise UsageError("--grid needs x0,x1,y0,y1,nx,ny")
@@ -456,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p1 = sub.add_parser("spec1d", help="one dimensional spectral intervals")
-    p1.add_argument("--fn", type=str, default=None, help=f"one of {', '.join(BUILTIN_NAMES)}")
+    p1.add_argument("--fn", type=str, default=None)
     p1.add_argument("--point", type=float, default=None)
     mode = p1.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")

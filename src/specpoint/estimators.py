@@ -24,12 +24,11 @@ from .core import (
     as_complex,
 )
 from .maps import MapSpec, difference, evaluate, scalar_action, translate_to_origin
-from .numerics import golden_min, hausdorff, sphere_directions, sphere_polish
+from .numerics import golden_min, hausdorff, scan_verdicts, sphere_directions, sphere_polish
 from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 20  # entries of (lam, direction, coordinate) per sampled-gap chunk
-UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
 EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
 
 
@@ -311,26 +310,6 @@ def _planar_scan_residuals(g: MapSpec, lams: np.ndarray, radii, theta_samples: i
         _, refined = golden_min(gap, t_best - dt, t_best + dt, iters=40)
         res[:, j] = np.minimum(sampled.min(axis=1), refined)
     return res
-
-
-def scan_verdicts(normalized: np.ndarray, tol: float):
-    """candidate / undecided / rejected from normalized residual profiles.
-
-    A candidate needs the smallest-radius residual below tol and a
-    non-increasing trend (the minima must head to zero).  Residuals landing
-    in the gray zone [tol, UNDECIDED_FACTOR * tol) are undecided: sampled
-    minimization only certifies upper bounds, so near-threshold values
-    cannot be rejected.
-    """
-    last = normalized[:, -1]
-    trend_ok = last <= normalized[:, 0] + tol
-    mask = (last < tol) & trend_ok
-    gray = (last < UNDECIDED_FACTOR * tol) & ~mask
-    verdicts = tuple(
-        "candidate" if m else ("undecided" if u else "rejected")
-        for m, u in zip(mask, gray)
-    )
-    return mask, verdicts
 
 
 def bifurcation_scan(

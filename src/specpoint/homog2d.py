@@ -214,8 +214,8 @@ def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
                 max_samples: int = 1 << 20, label: str = "point-spectrum") -> SigmaCurve:
     """Trace the eigenvalue curve, bisecting arcs until the chord bound holds."""
     _require_planar_homogeneous(f)
-    if samples > max_samples:
-        raise PreconditionError(f"{samples} curve samples exceed {max_samples}")
+    if not 1 <= samples <= max_samples:
+        raise PreconditionError(f"curve samples must lie in [1, {max_samples}], got {samples}")
     n0 = max(16, 4 * math.ceil(samples / 4))
     thetas = np.linspace(0.0, TWO_PI, n0, endpoint=False)
     vals = _curve_values(f, thetas)
@@ -387,6 +387,8 @@ def classify_plane(
         raise PreconditionError("need a nondegenerate grid")
     if resolution > MAX_RESOLUTION:
         raise PreconditionError(f"grid resolution {resolution} exceeds {MAX_RESOLUTION}")
+    if band_radius is not None and not band_radius >= 0.0:
+        raise PreconditionError(f"band radius must be nonnegative, got {band_radius}")
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     spacing = min(xs[1] - xs[0], ys[1] - ys[0])

@@ -27,7 +27,7 @@ from specpoint.homog2d import (
     winding_number,
 )
 from specpoint.maps import add_identity, black_box, builtin, scale_map
-from specpoint.structured import (
+from specpoint.rates import (
     CompactLinear,
     Compose,
     Identity,
@@ -35,9 +35,11 @@ from specpoint.structured import (
     IsometryOntoCodim,
     KnownRates,
     Scale,
-    SQRT2,
     Sum,
     mnc_bounds,
+)
+from specpoint.structured import (
+    SQRT2,
     shift_bifurcation_scan,
     shift_model_report,
     truncated_shift_min,

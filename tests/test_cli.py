@@ -178,10 +178,18 @@ def test_exit_codes(capsys):
 
 
 def test_bifurcate_real_map_rejects_its_default_complex_grid(capsys):
-    assert cli.main(["bifurcate", "--fn", "norm_times_x", "--params", "3"]) == 3
+    argv = ["bifurcate", "--fn", "norm_times_x", "--params", "3", "--grid=-1.5,1.5,-1.5,1.5,24,30"]
+    assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "complex scalar acting on a map without complex structure" in captured.err
+
+
+def test_bifurcate_real_map_defaults_to_a_real_grid(capsys):
+    # a map without complex structure scans the 24 real lambdas of [-1.5, 1.5]
+    d = run_json(capsys, ["bifurcate", "--fn", "norm_times_x", "--params", "3"])
+    assert d["grid"] == [-1.5, 1.5, 0.0, 0.0, 24, 1]
+    assert sum(d["verdicts_summary"].values()) == 24
 
 
 def test_exit_code_band_violations(capsys):
@@ -334,6 +342,39 @@ def test_shift_figure_loads_no_planar_engine(tmp_path):
     assert (tmp_path / "shift.svg").stat().st_size > 0
     assert "specpoint.svgfig" in mods and "specpoint.structured" in mods
     assert "specpoint.homog2d" not in mods and "specpoint.numerics" not in mods, mods
+
+
+def probe_modules(argv, block_numpy=False):
+    """Exit code and specpoint modules of one CLI call in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    script = ("import sys; sys.modules['numpy'] = None\n" if block_numpy else "") + SPECPOINT_PROBE
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rc, mods = json.loads(out.stdout)
+    assert rc == 0, (argv, out.stderr)
+    return set(mods)
+
+
+def test_cli_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", "import sys, specpoint.cli; print('numpy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_mnc_runs_without_numpy():
+    # the rate calculus is pure Python: the README's mnc line runs with every numpy import failing
+    mods = probe_modules(["mnc", "--expr", "IsometryOntoCodim(1) + CompactLinear"], block_numpy=True)
+    assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.rates"}
+
+
+def test_shift_scan_loads_no_planar_or_sampling_engine():
+    mods = probe_modules(["bifurcate", "--shift", "--perturb", "normsq_e1", "--truncate", "40",
+                          "--extra-lambda", "1.2,0"])
+    assert "specpoint.structured" in mods and "specpoint.numerics" in mods
+    engines = {"specpoint.maps", "specpoint.homog2d", "specpoint.estimators", "specpoint.dini", "specpoint.svgfig"}
+    assert not mods & engines, mods
 
 
 def test_classify_band_cap_exits_before_allocating(capsys):
@@ -523,3 +564,34 @@ def test_size_and_count_guards_exit_cleanly(capsys):
     for code, argvs in cases.items():
         for argv in argvs:
             assert run_cli(capsys, argv)[0] == code, argv
+
+
+def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
+    # the README bounds these inputs; before, each ran to exit 0 on a value it had replaced
+    from specpoint import homog2d
+
+    cases = {
+        3: [
+            ["spec2d", "--fn", "norm_plus_i_im", "--samples=-5"],
+            ["spec2d", "--fn", "norm_plus_i_im", "--samples", "0"],
+            ["classify", "--fn", "norm_plus_i_im", "--res", "20", "--band=-1"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,2,2", "--tol=-1"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,2,2", "--tol", "0"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,2,2", "--tol", "nan"],
+            ["bifurcate", "--shift", "--truncate", "8", "--tol", "inf"],
+        ],
+        2: [
+            ["bifurcate", "--fn", "norm_times_x", "--params", "1.5", "--grid=-1,1,0,0,2,1"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2.5", "--grid=-1,1,-1,1,2,2"],
+        ],
+    }
+    for code, argvs in cases.items():
+        for argv in argvs:
+            rc, out = run_cli(capsys, argv)
+            assert (rc, out) == (code, ""), argv
+
+    def no_curve(*args, **kwargs):
+        raise AssertionError("classify traced the curve before checking --band")
+
+    monkeypatch.setattr(homog2d, "sigma_curve", no_curve)
+    assert run_cli(capsys, ["classify", "--fn", "norm_plus_i_im", "--res", "20", "--band=-1"])[0] == 3

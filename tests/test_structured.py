@@ -7,7 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from specpoint.core import POS_INF, PreconditionError, UsageError, as_complex
-from specpoint.structured import (
+from specpoint.rates import (
     CompactLinear,
     Compose,
     FiniteRank,
@@ -15,14 +15,16 @@ from specpoint.structured import (
     Interval,
     IsometryOntoCodim,
     KnownRates,
-    LambdaOrbits,
     LocallyCompactNonlinear,
     Scale,
     ScalarMultiple,
     Sum,
-    SQRT2,
     mnc_bounds,
     parse_expr,
+)
+from specpoint.structured import (
+    LambdaOrbits,
+    SQRT2,
     shift_bifurcation_scan,
     shift_model_report,
     sphere_least_squares,
