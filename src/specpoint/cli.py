@@ -133,6 +133,8 @@ def _build_map(args, config):
                 raise UsageError("real_linear needs --params s,t,u,v")
             return builtin(name, s=params[0], t=params[1], u=params[2], v=params[3])
         if name in ("norm_plus_i_im_pow", "norm_times_x"):
+            if len(params) > 1:
+                raise UsageError(f"{name} takes at most one parameter, got {len(params)}")
             if params and not params[0].is_integer():
                 raise UsageError(f"{name} takes an integer parameter, got {params[0]!r}")
             n = int(params[0]) if params else 2

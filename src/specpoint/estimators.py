@@ -24,11 +24,10 @@ from .core import (
     as_complex,
 )
 from .maps import MapSpec, difference, evaluate, scalar_action, translate_to_origin
-from .numerics import golden_min, hausdorff, scan_verdicts, sphere_directions, sphere_polish
+from .numerics import CHUNK, golden_min, hausdorff, scan_verdicts, sphere_directions, sphere_polish
 from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
 
 TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 20  # entries of (lam, direction, coordinate) per sampled-gap chunk
 EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
 
 
@@ -82,7 +81,7 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
     cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
     res = np.empty((lams.size, cols.size))
     i0 = np.empty(res.shape, dtype=np.intp)
-    step = max(1, _CHUNK // dirs.size)  # lams per chunk of the sampled gaps
+    step = max(1, CHUNK // dirs.size)  # lams per chunk of the sampled gaps
     for j, r in enumerate(cols):
         vals = evaluate(g, r * dirs) / r
         for lo in range(0, lams.size, step):
@@ -295,20 +294,34 @@ class BifurcationScan:
 
 
 def _planar_scan_residuals(g: MapSpec, lams: np.ndarray, radii, theta_samples: int):
+    """min over theta of |lam e^{i theta} - g(r e^{i theta}) / r| for every lam and radius.
+
+    The map is evaluated once per radius on the sampled angles; each chunk
+    of at most CHUNK (lam, angle) pairs is reduced to its per-lam minimum
+    and best angle before the next is built, and every lam's minimum is
+    then golden-polished around its best angle.
+    """
     thetas = np.linspace(0.0, TWO_PI, theta_samples, endpoint=False)
+    turn = np.exp(1j * thetas)
     dt = TWO_PI / theta_samples
+    step = max(1, CHUNK // theta_samples)
     res = np.empty((lams.size, len(radii)))
+    best = np.empty(lams.size, dtype=np.intp)
     for j, r in enumerate(radii):
 
         def gap(ts, lam=lams):  # |lam e^{it} - g(r e^{it}) / r|
             w = evaluate(g, r * _unit_points(ts))
             return np.abs(lam * np.exp(1j * ts) - (w[..., 0] + 1j * w[..., 1]) / r)
 
-        sampled = gap(thetas, lams[:, None])
-        # golden-polish the angular minimum of every lam around its best sample
-        t_best = thetas[sampled.argmin(axis=1)]
+        w = evaluate(g, r * _unit_points(thetas))
+        ring = (w[..., 0] + 1j * w[..., 1]) / r
+        for lo in range(0, lams.size, step):
+            sampled = np.abs(lams[lo:lo + step, None] * turn - ring)
+            best[lo:lo + step] = sampled.argmin(axis=1)
+            res[lo:lo + step, j] = sampled.min(axis=1)
+        t_best = thetas[best]
         _, refined = golden_min(gap, t_best - dt, t_best + dt, iters=40)
-        res[:, j] = np.minimum(sampled.min(axis=1), refined)
+        np.minimum(res[:, j], refined, out=res[:, j])
     return res
 
 

@@ -36,7 +36,7 @@ from .core import (
     SolverError,
 )
 from .maps import MapSpec, evaluate
-from .numerics import disk_points, golden_min, sphere_polish
+from .numerics import CHUNK, disk_points, golden_min, sphere_polish
 
 TWO_PI = 2.0 * math.pi
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
@@ -45,8 +45,9 @@ ROUCHE_STARTS = 64  # coincidence-solver starts: the origin and 63 disk points
 ROUCHE_TOL = 1e-10  # residual |f - k| below which a coincidence is accepted
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
-_BAND_CHUNK = 1 << 20  # window entries per chunk of the band query
-_SUMMARY_CHUNK = 1 << 18  # cells per row block of PlaneSpectrum.summary and .label_runs
+# band codes of a node by its distance d to the curve: d <= band, d < MARGIN_TOL
+# ("margin"), d <= the chord ("chord"), and decided, in this order of precedence
+_BAND, _MARGIN, _CHORD, _DECIDED = range(4)
 
 ZERO_EPI_PROXY_NOTE = (
     "winding==0 is treated as 'in spectrum'; nonzero winding soundly implies "
@@ -107,8 +108,8 @@ class PlaneSpectrum:
     metadata: dict = field(default_factory=dict)
 
     def _row_blocks(self):
-        """(first row, rows) blocks of the labels, at most _SUMMARY_CHUNK cells each."""
-        step = max(1, _SUMMARY_CHUNK // self.labels.shape[1])
+        """(first row, rows) blocks of the labels, at most CHUNK cells each."""
+        step = max(1, CHUNK // self.labels.shape[1])
         for lo in range(0, self.labels.shape[0], step):
             yield lo, self.labels[lo:lo + step]
 
@@ -326,17 +327,37 @@ def _components_consistent(labels: np.ndarray, decided: np.ndarray) -> bool:
     return not (across.any() or down.any())
 
 
-def _band_distances(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    bound: float) -> np.ndarray:
-    """(ny, nx) distances from the nodes of an ascending grid to the nearest sample.
+def _root_cut(t: float, strict: bool) -> float:
+    """The largest float x >= 0 with sqrt(x) <= t (< t when strict), or -inf.
 
-    Distances of `bound` or more read inf.  Each sample is bucketed to its
-    nearest node, and the squared distance dx^2 + dy^2 to every node of the
-    window that can lie within `bound` of it (ceil(bound / spacing) nodes a
-    side, plus one for rounding) is min-reduced into the grid before one
-    square root: the arithmetic of a k-d tree query with an upper bound,
-    bit for bit.  Samples go in chunks of at most _BAND_CHUNK window
-    entries, so memory does not grow with the window.
+    sqrt is correctly rounded, hence monotone, so sqrt(x) <= t (< t) holds
+    exactly for the floats x at or below the cut.
+    """
+    def within(x):
+        return math.sqrt(x) < t if strict else math.sqrt(x) <= t
+
+    x = t * t
+    while x >= 0.0 and not within(x):
+        x = math.nextafter(x, -math.inf)
+    while x < math.inf and within(math.nextafter(x, math.inf)):
+        x = math.nextafter(x, math.inf)
+    return x if x >= 0.0 and within(x) else -math.inf
+
+
+def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float,
+                band: float, margin: float, chord: float) -> np.ndarray:
+    """(ny, nx) int8 band codes of the nodes of an ascending grid.
+
+    A node's code is that of its distance d to the nearest sample: _BAND
+    for d <= band, else _MARGIN for d < margin, else _CHORD for d <= chord,
+    else _DECIDED, which distances of `bound` or more read too.  Each sample
+    is bucketed to its nearest node, and the squared distance dx^2 + dy^2
+    to every node of the window that can lie within `bound` of it
+    (ceil(bound / spacing) nodes a side, plus one for rounding) is coded
+    and min-reduced into the grid: the code is non-decreasing in d, and
+    sqrt is monotone, so this is the code of the distance a k-d tree query
+    with an upper bound returns, bit for bit.  Samples go in chunks of at
+    most CHUNK window entries, so memory does not grow with the window.
     """
     nx, ny = xs.size, ys.size
     dx, dy = (xs[-1] - xs[0]) / (nx - 1), (ys[-1] - ys[0]) / (ny - 1)
@@ -348,21 +369,25 @@ def _band_distances(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     sx, sy = values.real[near], values.imag[near]
     ix, iy = np.rint(fx[near]).astype(np.int64), np.rint(fy[near]).astype(np.int64)
     offx, offy = np.arange(-kx, kx + 1), np.arange(-ky, ky + 1)
-    d2 = np.full(ny * nx, np.inf)
-    step = max(1, _BAND_CHUNK // (offx.size * offy.size))
+    # the code of d^2 is the number of cuts below it; d^2 >= bound^2 is past all three
+    a, b, c = _root_cut(band, False), _root_cut(margin, True), _root_cut(chord, False)
+    reach_cut = math.nextafter(bound * bound, -math.inf)
+    cuts = [min(a, reach_cut), min(max(a, b), reach_cut), min(max(a, b, c), reach_cut)]
+    codes = np.full(ny * nx, np.int8(_DECIDED))
+    step = max(1, CHUNK // (offx.size * offy.size))
     for lo in range(0, sx.size, step):
         cx = ix[lo:lo + step, None] + offx
         cy = iy[lo:lo + step, None] + offy
         okx, oky = (cx >= 0) & (cx < nx), (cy >= 0) & (cy < ny)
         ddx = (xs[np.clip(cx, 0, nx - 1)] - sx[lo:lo + step, None]) ** 2
         ddy = (ys[np.clip(cy, 0, ny - 1)] - sy[lo:lo + step, None]) ** 2
-        ok = oky[:, :, None] & okx[:, None, :]
-        node = (cy * nx)[:, :, None] + cx[:, None, :]
-        np.minimum.at(d2, node[ok], (ddx[:, None, :] + ddy[:, :, None])[ok])
-    far = d2 >= bound * bound
-    np.sqrt(d2, out=d2)
-    d2[far] = np.inf
-    return d2.reshape(ny, nx)
+        d2 = ddx[:, None, :] + ddy[:, :, None]
+        keep = oky[:, :, None] & okx[:, None, :] & (d2 <= cuts[2])
+        node = ((cy * nx)[:, :, None] + cx[:, None, :])[keep]
+        d2 = d2[keep]
+        code = (d2 > cuts[0]).view(np.int8) + (d2 > cuts[1]).view(np.int8)
+        np.minimum.at(codes, node, code)
+    return codes.reshape(ny, nx)
 
 
 def classify_plane(
@@ -402,37 +427,41 @@ def classify_plane(
     chord = 0.0 if curve.chord_met else curve.max_gap()
 
     # Nothing past the widest threshold matters; the slack keeps every
-    # distance at a threshold finite, so the comparisons below see it.
+    # distance at a threshold below the bound, so its band code sees it.
     reach = max(band, MARGIN_TOL, chord)
     if not reach <= MAX_BAND_CELLS * spacing:
         raise PreconditionError(
             f"band query reach {reach:.6g} exceeds {MAX_BAND_CELLS} grid spacings of {spacing:.6g}"
         )
-    dist = _band_distances(curve.values, xs, ys, reach * (1.0 + 1e-9))
-    off = dist > band
-    margin = off & (dist < MARGIN_TOL)
-    hit = margin | (off & (dist <= chord))
-    del dist
-    violations = tuple(
-        (int(i), int(j), "margin" if margin[j, i] else "chord")
-        for j, i in zip(*np.nonzero(hit))
-    )
-    decided = off & ~hit
-    # scanline_turns allocates two int32 grids; only `decided` is kept beside them
-    del off, margin, hit
-
-    turns = scanline_turns(curve, xs, ys)
-    grid_labels = np.where(turns != 0, np.int8(CellLabel.REGULAR), np.int8(CellLabel.IN_SPECTRUM))
-    grid_labels[~decided] = CellLabel.BAND
+    # The band codes become the labels in place, one row block at a time: a
+    # row's crossings depend only on its own y, and the component check of
+    # a block takes the last row of the one before it.
+    labels = _band_codes(curve.values, xs, ys, reach * (1.0 + 1e-9), band, MARGIN_TOL, chord)
+    violations, consistent = [], True
+    step = max(1, CHUNK // resolution)
+    for lo in range(0, resolution, step):
+        block = labels[lo:lo + step]
+        rows, cols = np.nonzero((block == _MARGIN) | (block == _CHORD))
+        violations.extend(
+            (int(i), lo + int(j), "margin" if block[j, i] == _MARGIN else "chord")
+            for j, i in zip(rows, cols)
+        )
+        decided = block == _DECIDED
+        # a nonzero degree is REGULAR (1), zero is IN_SPECTRUM (0)
+        block[...] = scanline_turns(curve, xs, ys[lo:lo + step]) != 0
+        block[~decided] = CellLabel.BAND
+        if consistent:
+            seam = labels[max(lo - 1, 0):lo + step]
+            consistent = _components_consistent(seam, seam != CellLabel.BAND)
 
     return PlaneSpectrum(
         curve=curve,
         xs=xs,
         ys=ys,
-        labels=grid_labels,
+        labels=labels,
         band_radius=band,
-        violations=violations,
-        component_consistent=_components_consistent(grid_labels, decided),
+        violations=tuple(violations),
+        component_consistent=consistent,
         metadata={"zero_epi_proxy": ZERO_EPI_PROXY_NOTE},
     )
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_DISTANCE_CHUNK = 1 << 20  # (row, point) pairs per chunk of directed_distance
+CHUNK = 1 << 18  # array entries per chunk of every batched kernel
 UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
 
 
@@ -193,11 +193,11 @@ def directed_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     A brute-force minimum of squared distances summed over the coordinates
     in order, before one square root: for planar points the arithmetic of a
-    k-d tree query, bit for bit.  Rows of a go in chunks of at most
-    _DISTANCE_CHUNK (row, point) pairs.
+    k-d tree query, bit for bit.  Rows of a go in chunks of at most CHUNK
+    (row, point) pairs.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    step = max(1, _DISTANCE_CHUNK // len(b))
+    step = max(1, CHUNK // len(b))
     nearest = np.empty(len(a))
     for lo in range(0, len(a), step):
         d2 = (a[lo:lo + step, None, 0] - b[:, 0]) ** 2

@@ -340,7 +340,10 @@ class _Parser:
         v = self.take("num")
         if self.peek() == ("op", ".."):
             self.take()
-            return Interval(v, self.take("num"))
+            hi = self.take("num")
+            if v > hi:
+                raise UsageError(f"interval {v!r}..{hi!r} is reversed")
+            return Interval(v, hi)
         return Interval.exact(v)
 
     def factor(self) -> OperatorExpr:
@@ -365,9 +368,11 @@ class _Parser:
             if cast is None:
                 return node()
             self.take("op", "(")
-            arg = cast(self.take("num"))
+            arg = self.take("num")
+            if cast is int and not (arg >= 0.0 and arg.is_integer()):
+                raise UsageError(f"{name} takes a nonnegative integer, got {arg!r}")
             self.take("op", ")")
-            return node(arg)
+            return node(cast(arg))
         if name == "KnownRates":
             self.take("op", "(")
             fields: dict[str, Interval] = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from specpoint import cli
 
@@ -122,6 +123,19 @@ def test_mnc_expression(capsys):
     assert d["alpha"] == [1.0, 1.0]
     assert d["omega"] == [1.0, 1.0]
     assert any("sum" in r for r in d["derivation"])
+
+
+@pytest.mark.parametrize("expr", [
+    "FiniteRank(inf)",  # escaped as OverflowError
+    "IsometryOntoCodim(inf)",  # escaped as OverflowError
+    "KnownRates(alpha=2..1, omega=0)",  # escaped as ValueError
+    "FiniteRank(1.5)",  # read as rank 1
+    "FiniteRank(-2)",
+    "IsometryOntoCodim(1.5)",  # read as codimension 1
+    "IsometryOntoCodim(-1)",
+])
+def test_mnc_rejects_a_bad_count_or_interval(capsys, expr):
+    assert run_cli(capsys, ["mnc", "--expr", expr]) == (2, "")
 
 
 def test_bifurcate_planar(capsys):
@@ -583,6 +597,8 @@ def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
         2: [
             ["bifurcate", "--fn", "norm_times_x", "--params", "1.5", "--grid=-1,1,0,0,2,1"],
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2.5", "--grid=-1,1,-1,1,2,2"],
+            ["bifurcate", "--fn", "norm_times_x", "--params", "3,7", "--grid=-1,1,0,0,2,1"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2,5", "--grid=-1,1,-1,1,2,2"],
         ],
     }
     for code, argvs in cases.items():

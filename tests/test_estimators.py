@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from specpoint.maps import (
     scale_map,
     translate_to_origin,
 )
-from specpoint.numerics import sphere_directions, sphere_polish
+from specpoint.homog2d import _unit_points
+from specpoint.numerics import golden_min, sphere_directions, sphere_polish
 from test_numerics import scalar_sphere_polish
 
 RNG = np.random.default_rng(11)
@@ -393,6 +395,47 @@ def test_planar_scan_matches_inline_golden_loop(f):
     assert np.max(np.abs(new - old)) <= 1e-12
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(old, 0.02)[1]
     assert "candidate" in scan_verdicts(new, 0.02)[1]
+
+
+def _unchunked_planar_scan_residuals(g, lams, radii, theta_samples):
+    """The scan as it was before it went in chunks of lams: one (lams, thetas) array per radius."""
+    TWO_PI = 2.0 * math.pi
+    thetas = np.linspace(0.0, TWO_PI, theta_samples, endpoint=False)
+    dt = TWO_PI / theta_samples
+    res = np.empty((lams.size, len(radii)))
+    for j, r in enumerate(radii):
+
+        def gap(ts, lam=lams):  # |lam e^{it} - g(r e^{it}) / r|
+            w = evaluate(g, r * _unit_points(ts))
+            return np.abs(lam * np.exp(1j * ts) - (w[..., 0] + 1j * w[..., 1]) / r)
+
+        sampled = gap(thetas, lams[:, None])
+        # golden-polish the angular minimum of every lam around its best sample
+        t_best = thetas[sampled.argmin(axis=1)]
+        _, refined = golden_min(gap, t_best - dt, t_best + dt, iters=40)
+        res[:, j] = np.minimum(sampled.min(axis=1), refined)
+    return res
+
+
+@pytest.mark.parametrize("nx, ny", [(24, 30), (128, 128)], ids=["default-grid", "grid-cap"])
+def test_planar_scan_memory_and_residuals_match_the_unchunked_scan(nx, ny):
+    # the unchunked scan peaked at about 672 MB on the 128 x 128 grid
+    f = builtin("norm_plus_i_im_pow", n=2)
+    xs, ys = np.linspace(-1.5, 1.5, nx), np.linspace(-1.5, 1.5, ny)
+    lams = [complex(x, y) for y in ys for x in xs]  # the order of `bifurcate --grid`
+    tracemalloc.start()
+    try:
+        scan = bifurcation_scan(f, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+    # the reference takes the whole grid at once: numpy computes a temporary
+    # of 256 KiB or more in place, which reorders the operands of the golden
+    # polish's complex products, and the fused rounding follows the order
+    g = translate_to_origin(f, f.basepoint)
+    expect = _unchunked_planar_scan_residuals(g, np.array(lams), scan.radii, 1024)
+    assert np.array_equal(scan.residuals, expect)
 
 
 # ---------------------------------------------------------------------------

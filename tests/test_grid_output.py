@@ -152,7 +152,7 @@ def _spectrum(labels, x_box, y_box, points=((0.5, 0.25),)):
 def test_label_runs_are_the_maximal_runs_of_each_row(grid):
     labels, rows_per_block = grid
     ps = _spectrum(labels, (0.0, 1.0), (0.0, 1.0))
-    with mock.patch.object(homog2d, "_SUMMARY_CHUNK", rows_per_block * labels.shape[1]):
+    with mock.patch.object(homog2d, "CHUNK", rows_per_block * labels.shape[1]):
         blocks = list(ps.label_runs())
     assert len(blocks) == -(-labels.shape[0] // rows_per_block)
     got = [tuple(int(v) for v in run) for block in blocks for run in zip(*block)]
@@ -163,7 +163,7 @@ def test_label_runs_are_the_maximal_runs_of_each_row(grid):
 def test_grid_csv_matches_former_writer_and_csv_writer(grid, x_box, y_box):
     labels, rows_per_block = grid
     ps = _spectrum(labels, x_box, y_box)
-    with mock.patch.object(homog2d, "_SUMMARY_CHUNK", rows_per_block * labels.shape[1]):
+    with mock.patch.object(homog2d, "CHUNK", rows_per_block * labels.shape[1]):
         text = _written_csv(ps)
     assert text == _list_grid_csv(ps)
     assert text == _csv_writer_grid_csv(ps)
@@ -175,7 +175,7 @@ def test_region_rects_and_svg_match_former_cell_walk(grid, x_box, y_box, points)
     ps = _spectrum(labels, x_box, y_box, points)
     bounds = (float(ps.xs[0]), float(ps.xs[-1]), float(ps.ys[0]), float(ps.ys[-1]))
     canvas = svgfig._Canvas(bounds, 640)
-    with mock.patch.object(homog2d, "_SUMMARY_CHUNK", rows_per_block * labels.shape[1]):
+    with mock.patch.object(homog2d, "CHUNK", rows_per_block * labels.shape[1]):
         assert svgfig._region_rects(ps, canvas) == _cell_region_rects(ps, canvas)
         assert svgfig.classify_svg(ps, title="grid") == _reference_classify_svg(ps, title="grid")
 

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given
 
+from specpoint import homog2d
 from specpoint.core import AdmissibilityError, PreconditionError
 from specpoint.homog2d import (
     CURVE_SAMPLES,
@@ -13,7 +15,8 @@ from specpoint.homog2d import (
     MAX_BAND_CELLS,
     CellLabel,
     PlaneSpectrum,
-    _band_distances,
+    SigmaCurve,
+    _band_codes,
     _components_consistent,
     bifurcation_set_homog,
     classify_plane,
@@ -377,14 +380,15 @@ def test_scanline_turns_memory_at_the_largest_grid():
 
 def test_classify_plane_memory_at_the_largest_grid():
     # the float64 distance grid and its masks were alive beside the winding
-    # bins: 337 MB here before they were freed ahead of scanline_turns
+    # bins: 337 MB here before they were freed ahead of scanline_turns, and
+    # 185 MB before the int8 band codes became the labels row block by row block
     tracemalloc.start()
     try:
         ps = classify_plane(builtin("norm_plus_i_im"), resolution=4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 240e6, peak
+    assert peak < 64e6, peak
     assert ps.labels.shape == (4096, 4096) and ps.component_consistent
 
 
@@ -447,6 +451,76 @@ def test_component_check_matches_per_component_loop():
         assert _components_consistent(labels, decided) == expect
 
 
+# the band query as it was before it coded the distances, kept as a frozen reference
+_BAND_CHUNK = 1 << 20  # window entries per chunk of the band query
+
+
+def _band_distances(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    bound: float) -> np.ndarray:
+    """(ny, nx) distances from the nodes of an ascending grid to the nearest sample.
+
+    Distances of `bound` or more read inf.  Each sample is bucketed to its
+    nearest node, and the squared distance dx^2 + dy^2 to every node of the
+    window that can lie within `bound` of it (ceil(bound / spacing) nodes a
+    side, plus one for rounding) is min-reduced into the grid before one
+    square root: the arithmetic of a k-d tree query with an upper bound,
+    bit for bit.  Samples go in chunks of at most _BAND_CHUNK window
+    entries, so memory does not grow with the window.
+    """
+    nx, ny = xs.size, ys.size
+    dx, dy = (xs[-1] - xs[0]) / (nx - 1), (ys[-1] - ys[0]) / (ny - 1)
+    kx, ky = math.ceil(bound / dx) + 1, math.ceil(bound / dy) + 1
+    fx, fy = (values.real - xs[0]) / dx, (values.imag - ys[0]) / dy
+    # only samples whose window meets the grid; this also keeps the casts
+    # below in range when a narrow box puts a far sample at index 1e300
+    near = (fx > -kx - 1) & (fx < nx + kx) & (fy > -ky - 1) & (fy < ny + ky)
+    sx, sy = values.real[near], values.imag[near]
+    ix, iy = np.rint(fx[near]).astype(np.int64), np.rint(fy[near]).astype(np.int64)
+    offx, offy = np.arange(-kx, kx + 1), np.arange(-ky, ky + 1)
+    d2 = np.full(ny * nx, np.inf)
+    step = max(1, _BAND_CHUNK // (offx.size * offy.size))
+    for lo in range(0, sx.size, step):
+        cx = ix[lo:lo + step, None] + offx
+        cy = iy[lo:lo + step, None] + offy
+        okx, oky = (cx >= 0) & (cx < nx), (cy >= 0) & (cy < ny)
+        ddx = (xs[np.clip(cx, 0, nx - 1)] - sx[lo:lo + step, None]) ** 2
+        ddy = (ys[np.clip(cy, 0, ny - 1)] - sy[lo:lo + step, None]) ** 2
+        ok = oky[:, :, None] & okx[:, None, :]
+        node = (cy * nx)[:, :, None] + cx[:, None, :]
+        np.minimum.at(d2, node[ok], (ddx[:, None, :] + ddy[:, :, None])[ok])
+    far = d2 >= bound * bound
+    np.sqrt(d2, out=d2)
+    d2[far] = np.inf
+    return d2.reshape(ny, nx)
+
+
+def _codes_of(dist, band, margin, chord):
+    """Reference band codes: the comparisons classify_plane made on a distance grid."""
+    off = dist > band
+    near = off & (dist < margin)
+    codes = np.full(dist.shape, homog2d._DECIDED, dtype=np.int8)
+    codes[~off] = homog2d._BAND
+    codes[near] = homog2d._MARGIN
+    codes[off & ~near & (dist <= chord)] = homog2d._CHORD
+    return codes
+
+
+def _assert_codes_match(values, xs, ys, bound, dist, thresholds):
+    """The band codes are the codes of the exact distances `dist`, at the
+    (band, margin, chord) `thresholds` of the call and at thresholds placed
+    on sampled distances, where <= and < meet their ties.
+    """
+    finite = np.unique(dist[np.isfinite(dist)])
+    cases = [thresholds]
+    if finite.size:
+        on = [float(v) for v in finite[np.linspace(0, finite.size - 1, 3).astype(int)]]
+        cases += [tuple(on[k:] + on[:k]) for k in range(3)] + [(on[1],) * 3]
+    for band, margin, chord in cases:
+        got = _band_codes(values, xs, ys, bound, band, margin, chord)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _codes_of(dist, band, margin, chord)), (band, margin, chord)
+
+
 def _kdtree_distances(values, xs, ys, bound):
     """Reference band query: a k-d tree over the samples, queried at every node."""
     from scipy.spatial import cKDTree
@@ -491,6 +565,7 @@ def test_band_query_matches_kdtree(f, coarse, at, log_width, res, log_band, miss
     bound = reach * (1.0 + 1e-9)
     got = _band_distances(z, xs, ys, bound)
     assert np.array_equal(got, _kdtree_distances(z, xs, ys, bound))
+    _assert_codes_match(z, xs, ys, bound, got, (band, MARGIN_TOL, chord))
 
 
 @pytest.mark.filterwarnings("error")
@@ -507,6 +582,7 @@ def test_band_query_on_a_box_1e300_narrow():
         bound = MAX_BAND_CELLS * (xs[1] - xs[0])
         got = _band_distances(curve.values, xs, ys, bound)
         assert np.array_equal(got, _kdtree_distances(curve.values, xs, ys, bound))
+        _assert_codes_match(curve.values, xs, ys, bound, got, (0.5 * bound, MARGIN_TOL, 0.0))
         # below 1e-154 the squared bound underflows to 0, for the tree as well
         assert np.isfinite(got).all() == (width > 1e-154)
 
@@ -522,6 +598,7 @@ def test_band_query_far_from_the_origin():
         reach = max(ps.band_radius, MARGIN_TOL) * (1.0 + 1e-9)
         expect = _kdtree_distances(curve.values, ps.xs, ps.ys, reach)
         assert np.array_equal(_band_distances(curve.values, ps.xs, ps.ys, reach), expect)
+        _assert_codes_match(curve.values, ps.xs, ps.ys, reach, expect, (ps.band_radius, MARGIN_TOL, 0.0))
         assert np.array_equal(ps.labels == CellLabel.BAND, ~(expect > ps.band_radius))
     with pytest.raises(PreconditionError, match="64 ulps"):
         classify_plane(f, bounds=(1e5, 1e5 + 1e-10, 0.0, 1.0), resolution=20, curve=curve)
@@ -546,7 +623,7 @@ def test_classify_rejects_a_reach_beyond_the_cap():
 
 
 def test_classify_memory_at_the_largest_grid():
-    # the parent's k-d tree query peaked at about 1.25 GB here
+    # a k-d tree query peaked at about 1.25 GB here, the float64 distance grid at 185 MB
     f = builtin("norm_plus_i_im")
     curve = sigma_curve(f, samples=CURVE_SAMPLES)
     tracemalloc.start()
@@ -556,7 +633,7 @@ def test_classify_memory_at_the_largest_grid():
     finally:
         tracemalloc.stop()
     assert ps.labels.shape == (4096, 4096)
-    assert peak < 700e6, peak
+    assert peak < 64e6, peak
 
 
 def test_classify_coarse_curve_marks_chord_band():
@@ -575,6 +652,48 @@ def test_classify_coarse_curve_marks_chord_band():
     assert np.all(ps.labels[chord] == CellLabel.BAND)
     fine = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.01)
     assert not fine.violations
+
+
+def _break_below_row(ys, j):
+    """A clockwise rectangle far right and above a grid on [-1, 1]^2, whose
+    bottom edge runs between rows j - 1 and j.
+
+    Every cell is decided: cells above the edge wind once clockwise around
+    it (degree 0, in spectrum) and cells below not at all (degree 1,
+    regular), so the only component break lies between rows j - 1 and j.
+    """
+    ym = 0.5 * (ys[j - 1] + ys[j])
+    values = np.array([complex(-10.0, ym), -10.0 + 100.0j, 10.0 + 100.0j, complex(10.0, ym)])
+    return SigmaCurve(np.arange(4.0), values, 1e-3, True)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_classify_row_blocks_match_one_block(rows):
+    f = builtin("norm_plus_i_im")
+    coarse = sigma_curve(f, samples=64, max_samples=64)
+    ys = np.linspace(-1.0, 1.0, 12)
+    cases = [
+        dict(bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.01, curve=coarse),
+        dict(bounds=(-2, 2, -2, 2), resolution=61),
+        # a break on a block boundary for 1, 2 and 3 rows a block, and one inside a block
+        dict(bounds=(-1, 1, -1, 1), resolution=12, curve=_break_below_row(ys, 6)),
+        dict(bounds=(-1, 1, -1, 1), resolution=12, curve=_break_below_row(ys, 7)),
+    ]
+    for kw in cases:
+        with mock.patch.object(homog2d, "CHUNK", 1 << 30):
+            whole = classify_plane(f, **kw)
+        with mock.patch.object(homog2d, "CHUNK", rows * kw["resolution"]):
+            blocked = classify_plane(f, **kw)
+        assert np.array_equal(blocked.labels, whole.labels)
+        assert blocked.violations == whole.violations
+        assert blocked.component_consistent == whole.component_consistent
+    coarse_run, fine_run, at_6, at_7 = (classify_plane(f, **kw) for kw in cases)
+    assert {v[2] for v in coarse_run.violations} == {"chord"}
+    assert fine_run.component_consistent and not fine_run.violations
+    for run, j in ((at_6, 6), (at_7, 7)):
+        assert not run.component_consistent
+        assert np.all(run.labels[:j] == CellLabel.REGULAR)
+        assert np.all(run.labels[j:] == CellLabel.IN_SPECTRUM)
 
 
 # ---------------------------------------------------------------------------
