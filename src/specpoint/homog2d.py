@@ -292,10 +292,16 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     horizontal edges cross nothing and a vertex is counted once.  The winding
     around a cell is the signed count of its row's crossings strictly to its
     right: crossings are binned by the first column at or right of them and
-    summed from the right (Hormann & Agathos, Comput. Geom. 20, 2001).  The
-    crossing list is sparse, one entry per (edge, row) pair it covers; the
-    bins and their sums are int32, so the grid is held twice at 4 bytes a
-    cell.
+    summed from the right (Hormann & Agathos, Comput. Geom. 20, 2001).
+    """
+    return _turns(*_crossings(curve, xs, ys), ys.size, xs.size)
+
+
+def _crossings(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray):
+    """(row, col, sign) of every crossing of the curve's edges with the rows ys.
+
+    The list is sparse, one entry per (edge, row) pair an edge covers, in
+    ascending row order; col is the first column at or right of the crossing.
     """
     a = curve.values
     b = np.roll(a, -1)
@@ -309,7 +315,17 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     x_cross = ea.real + (ys[row] - ea.imag) * (eb.real - ea.real) / (eb.imag - ea.imag)
     sign = np.where(eb.imag > ea.imag, np.int32(1), np.int32(-1))
     col = np.searchsorted(xs, x_cross, side="left")  # cells 0..col-1 lie left of it
-    binned = np.zeros((ys.size, xs.size + 1), dtype=np.int32)
+    order = np.argsort(row, kind="stable")
+    return row[order], col[order], sign[order]
+
+
+def _turns(row: np.ndarray, col: np.ndarray, sign: np.ndarray, ny: int, nx: int) -> np.ndarray:
+    """(ny, nx) int32 degrees from the crossings of rows 0..ny-1.
+
+    The bins and their sums are int32, so the grid is held twice at 4 bytes
+    a cell.
+    """
+    binned = np.zeros((ny, nx + 1), dtype=np.int32)
     np.add.at(binned, (row, col), sign)
     turns = np.cumsum(binned[:, :0:-1], axis=1, dtype=np.int32)[:, ::-1]
     turns += 1
@@ -327,23 +343,6 @@ def _components_consistent(labels: np.ndarray, decided: np.ndarray) -> bool:
     return not (across.any() or down.any())
 
 
-def _root_cut(t: float, strict: bool) -> float:
-    """The largest float x >= 0 with sqrt(x) <= t (< t when strict), or -inf.
-
-    sqrt is correctly rounded, hence monotone, so sqrt(x) <= t (< t) holds
-    exactly for the floats x at or below the cut.
-    """
-    def within(x):
-        return math.sqrt(x) < t if strict else math.sqrt(x) <= t
-
-    x = t * t
-    while x >= 0.0 and not within(x):
-        x = math.nextafter(x, -math.inf)
-    while x < math.inf and within(math.nextafter(x, math.inf)):
-        x = math.nextafter(x, math.inf)
-    return x if x >= 0.0 and within(x) else -math.inf
-
-
 def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float,
                 band: float, margin: float, chord: float) -> np.ndarray:
     """(ny, nx) int8 band codes of the nodes of an ascending grid.
@@ -351,13 +350,14 @@ def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float
     A node's code is that of its distance d to the nearest sample: _BAND
     for d <= band, else _MARGIN for d < margin, else _CHORD for d <= chord,
     else _DECIDED, which distances of `bound` or more read too.  Each sample
-    is bucketed to its nearest node, and the squared distance dx^2 + dy^2
-    to every node of the window that can lie within `bound` of it
+    is bucketed to its nearest node, and the distance sqrt(dx^2 + dy^2) to
+    every node of the window that can lie within `bound` of it
     (ceil(bound / spacing) nodes a side, plus one for rounding) is coded
-    and min-reduced into the grid: the code is non-decreasing in d, and
-    sqrt is monotone, so this is the code of the distance a k-d tree query
-    with an upper bound returns, bit for bit.  Samples go in chunks of at
-    most CHUNK window entries, so memory does not grow with the window.
+    and min-reduced into the grid.  sqrt is monotone and the code is
+    non-decreasing in d, so this is the code of the distance a k-d tree
+    query with an upper bound returns, bit for bit.  Samples go in chunks
+    of at most CHUNK window entries, so memory does not grow with the
+    window.
     """
     nx, ny = xs.size, ys.size
     dx, dy = (xs[-1] - xs[0]) / (nx - 1), (ys[-1] - ys[0]) / (ny - 1)
@@ -369,10 +369,6 @@ def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float
     sx, sy = values.real[near], values.imag[near]
     ix, iy = np.rint(fx[near]).astype(np.int64), np.rint(fy[near]).astype(np.int64)
     offx, offy = np.arange(-kx, kx + 1), np.arange(-ky, ky + 1)
-    # the code of d^2 is the number of cuts below it; d^2 >= bound^2 is past all three
-    a, b, c = _root_cut(band, False), _root_cut(margin, True), _root_cut(chord, False)
-    reach_cut = math.nextafter(bound * bound, -math.inf)
-    cuts = [min(a, reach_cut), min(max(a, b), reach_cut), min(max(a, b, c), reach_cut)]
     codes = np.full(ny * nx, np.int8(_DECIDED))
     step = max(1, CHUNK // (offx.size * offy.size))
     for lo in range(0, sx.size, step):
@@ -382,10 +378,11 @@ def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float
         ddx = (xs[np.clip(cx, 0, nx - 1)] - sx[lo:lo + step, None]) ** 2
         ddy = (ys[np.clip(cy, 0, ny - 1)] - sy[lo:lo + step, None]) ** 2
         d2 = ddx[:, None, :] + ddy[:, :, None]
-        keep = oky[:, :, None] & okx[:, None, :] & (d2 <= cuts[2])
+        keep = oky[:, :, None] & okx[:, None, :] & (d2 < bound * bound)
         node = ((cy * nx)[:, :, None] + cx[:, None, :])[keep]
-        d2 = d2[keep]
-        code = (d2 > cuts[0]).view(np.int8) + (d2 > cuts[1]).view(np.int8)
+        d = np.sqrt(d2[keep])
+        code = np.select([d <= band, d < margin, d <= chord],
+                         [np.int8(_BAND), np.int8(_MARGIN), np.int8(_CHORD)], np.int8(_DECIDED))
         np.minimum.at(codes, node, code)
     return codes.reshape(ny, nx)
 
@@ -433,14 +430,16 @@ def classify_plane(
         raise PreconditionError(
             f"band query reach {reach:.6g} exceeds {MAX_BAND_CELLS} grid spacings of {spacing:.6g}"
         )
-    # The band codes become the labels in place, one row block at a time: a
-    # row's crossings depend only on its own y, and the component check of
-    # a block takes the last row of the one before it.
+    # The band codes become the labels in place, one row block at a time:
+    # the crossings are listed once, by row, and binned per block, and the
+    # component check of a block takes the last row of the one before it.
     labels = _band_codes(curve.values, xs, ys, reach * (1.0 + 1e-9), band, MARGIN_TOL, chord)
+    row, col, sign = _crossings(curve, xs, ys)
     violations, consistent = [], True
     step = max(1, CHUNK // resolution)
     for lo in range(0, resolution, step):
         block = labels[lo:lo + step]
+        c0, c1 = np.searchsorted(row, [lo, lo + step])
         rows, cols = np.nonzero((block == _MARGIN) | (block == _CHORD))
         violations.extend(
             (int(i), lo + int(j), "margin" if block[j, i] == _MARGIN else "chord")
@@ -448,7 +447,7 @@ def classify_plane(
         )
         decided = block == _DECIDED
         # a nonzero degree is REGULAR (1), zero is IN_SPECTRUM (0)
-        block[...] = scanline_turns(curve, xs, ys[lo:lo + step]) != 0
+        block[...] = _turns(row[c0:c1] - lo, col[c0:c1], sign[c0:c1], len(block), resolution) != 0
         block[~decided] = CellLabel.BAND
         if consistent:
             seam = labels[max(lo - 1, 0):lo + step]

@@ -341,9 +341,10 @@ class _Parser:
         if self.peek() == ("op", ".."):
             self.take()
             hi = self.take("num")
-            if v > hi:
-                raise UsageError(f"interval {v!r}..{hi!r} is reversed")
-            return Interval(v, hi)
+            try:
+                return Interval(v, hi)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         return Interval.exact(v)
 
     def factor(self) -> OperatorExpr:
