@@ -12,16 +12,18 @@ Subcommands:
 
 All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it)
 and --config FILE with `key = value` lines overridden by explicit flags.
-`bifurcate` also takes --seed, which fixes the sphere directions of scans of
-non-planar maps; no other command's result depends on a seed.  Identical
-argv produce byte-identical outputs.
+`bifurcate` also takes --seed, which rotates the sphere directions of every
+--fn scan; no other command's result depends on a seed.  Identical argv
+produce byte-identical outputs.
 
 Sizes are capped, and a larger value exits 3 before anything is allocated:
 --res <= 4096, --samples <= 2^20, --truncate <= 100000, --angles <= 4096,
 --grid counts nx, ny <= 128, and the reach of the classify band query (the
 widest of --band, 1e-9 and the longest chord of a curve that missed its
 chord bound) <= 64 grid spacings.  --samples below 1, a negative --band,
-and a --tol that is not positive and finite exit 3 too.
+a --tol that is not positive and finite, and a non-finite --grid bound,
+--lambda, --extra-lambda or --point exit 3 too.  The JSON is strict: a
+non-finite number in an output exits 4 instead.
 
 `bifurcate --fn` scans --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24
 real lambdas of --grid=-1.5,1.5,0,0,24,1 for a map without complex structure,
@@ -69,7 +71,7 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_UNDECIDED = 5
 MAX_ANGLES = 4096  # bifurcate --shift: lambdas on the sqrt(2) circle
-MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 1024 angles
+MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 512 sphere directions
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -79,13 +81,13 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"bad numeric list {text!r}: {exc}") from None
 
 
-def _parse_pair(text: str) -> complex:
+def _parse_pair(flag: str, text: str) -> complex:
     vals = _parse_floats(text)
-    if len(vals) == 1:
-        return complex(vals[0], 0.0)
-    if len(vals) == 2:
-        return complex(vals[0], vals[1])
-    raise UsageError(f"expected `a` or `a,b`, got {text!r}")
+    if len(vals) not in (1, 2):
+        raise UsageError(f"expected `a` or `a,b`, got {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise PreconditionError(f"{flag} must be finite, got {text!r}")
+    return complex(vals[0], vals[1] if len(vals) == 2 else 0.0)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -147,7 +149,10 @@ def _build_map(args, config):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:  # strict JSON: NaN and Infinity are not JSON numbers
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"non-finite number in the output: {exc}") from None
     if out_path:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text(text)
@@ -208,6 +213,8 @@ def _cmd_spec1d(args, config) -> int:
     if f.dim != 1:
         raise PreconditionError(f"{f.name} is not one dimensional")
     point = _effective(args, config, "point", 0.0, float)
+    if not math.isfinite(point):
+        raise PreconditionError(f"--point must be finite, got {point!r}")
     h0 = _effective(args, config, "h0", 0.1, float)
     ratio = _effective(args, config, "ratio", 0.6, float)
     steps = int(_effective(args, config, "steps", 60, int))
@@ -300,6 +307,7 @@ def _cmd_shift(args, config) -> int:
 
     n = int(_effective(args, config, "truncate", 60, int))
     eps = _effective(args, config, "xi_eps", 0.1, float)
+    lam = _parse_pair("--lambda", args.lam) if args.lam else None
     report = structured.shift_model_report()
     payload = {
         "command": "shift",
@@ -316,8 +324,7 @@ def _cmd_shift(args, config) -> int:
         },
         "truncation_note": "sphere minima are reliable probes only for |lambda| > 1",
     }
-    if args.lam:
-        lam = _parse_pair(args.lam)
+    if lam is not None:
         entry = {
             "lambda": [lam.real, lam.imag],
             "truncated_min": structured.truncated_shift_min(lam, n),
@@ -380,7 +387,7 @@ def _cmd_bifurcate(args, config) -> int:
         # one orbit for the circle, whose modulus is SQRT2 as built, and one
         # for each extra lambda: the scan solves once per orbit
         circle = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
-        extras = [_parse_pair(extra) for extra in args.extra_lambda or []]
+        extras = [_parse_pair("--extra-lambda", extra) for extra in args.extra_lambda or []]
         lams = structured.LambdaOrbits([(structured.SQRT2, circle)] + [(lam, [lam]) for lam in extras])
         perturb = _effective(args, config, "perturb", "none", str)
         h_const = None
@@ -423,6 +430,8 @@ def _cmd_bifurcate(args, config) -> int:
         raise UsageError(f"--grid counts nx, ny must be integers, got {nx!r}, {ny!r}")
     if not (1 <= nx <= MAX_GRID and 1 <= ny <= MAX_GRID):
         raise PreconditionError(f"--grid counts nx, ny must lie in [1, {MAX_GRID}]")
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise PreconditionError(f"--grid bounds must be finite, got {grid_text!r}")
     xs = np.linspace(x0, x1, int(nx))
     ys = np.linspace(y0, y1, int(ny))
     lams = [complex(x, y) for y in ys for x in xs]
@@ -524,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p6.add_argument("--grid", type=str, default=None, help="x0,x1,y0,y1,nx,ny")
     p6.add_argument("--radii", type=str, default=None)
     p6.add_argument("--tol", type=float, default=None)
-    p6.add_argument("--seed", type=int, default=None, help="sphere directions when scanning a non-planar --fn map")
+    p6.add_argument("--seed", type=int, default=None, help="rotates the sphere directions of a --fn scan")
     _add_common(p6)
     p6.set_defaults(run=_cmd_bifurcate)
 

@@ -65,15 +65,25 @@ class LocalRates:
             raise ValueError(f"rates out of order: d={self.d_p}, q={self.q_p}")
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """|x| over the last axis, squares summed in order: np.linalg.norm's bits up to dim 7, faster."""
+    s = x[..., 0] ** 2
+    for c in range(1, x.shape[-1]):
+        s += x[..., c] ** 2
+    return np.sqrt(s)
+
+
 def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
                    sign: float = 1.0, polish: bool = True) -> np.ndarray:
     """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
 
     Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
     maxima for sign -1.  Every entry is sampled at the unit vectors dirs,
-    with one map evaluation per radius, and then (unless polish is False
-    or the sphere is the two points of dim 1) polished from its best
-    sample, all (lam, radius) entries in one `sphere_polish` batch.  A
+    one map evaluation per radius and CHUNK coordinates at a time, and then
+    (unless polish is False) polished from its best sample, all entries in
+    one batch: not at all in dim 1, whose sphere is two points; in dim 2,
+    where dirs must be a uniform angle grid, by `golden_min` over the best
+    angle plus or minus one spacing; by `sphere_polish` from dim 3.  A
     positively homogeneous g has the same entries at every radius, so one
     radius is computed and repeated.  lam acts through `scalar_action`, so a
     complex lam on a g without complex structure raises PreconditionError.
@@ -86,7 +96,7 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
         vals = evaluate(g, r * dirs) / r
         for lo in range(0, lams.size, step):
             gaps = scalar_action(lams[lo:lo + step, None], dirs[None], g.complex_pairs) - vals
-            sampled = sign * np.linalg.norm(gaps, axis=-1)
+            sampled = sign * _row_norm(gaps)
             i0[lo:lo + step, j] = sampled.argmin(axis=1)
             res[lo:lo + step, j] = sampled.min(axis=1)
     if polish and g.dim > 1:
@@ -95,9 +105,14 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, dirs: np.ndarray,
 
         def gap(U):  # (B, m, dim) unit vectors -> (B, m) signed residuals
             gaps = scalar_action(rows[:, None], U, g.complex_pairs) - evaluate(g, r * U) / r
-            return sign * np.linalg.norm(gaps, axis=-1)
+            return sign * _row_norm(gaps)
 
-        best, _ = sphere_polish(gap, dirs[i0.ravel()])
+        start = dirs[i0.ravel()]
+        if g.dim == 2:
+            t, dt = np.arctan2(start[:, 1], start[:, 0]), TWO_PI / len(dirs)
+            _, best = golden_min(lambda ts: gap(_unit_points(ts)[:, None])[:, 0], t - dt, t + dt)
+        else:
+            best, _ = sphere_polish(gap, start)
         np.minimum(res, best.reshape(res.shape), out=res)
     res *= sign
     return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
@@ -293,38 +308,6 @@ class BifurcationScan:
     verdicts: tuple  # per-lam "candidate" / "rejected"
 
 
-def _planar_scan_residuals(g: MapSpec, lams: np.ndarray, radii, theta_samples: int):
-    """min over theta of |lam e^{i theta} - g(r e^{i theta}) / r| for every lam and radius.
-
-    The map is evaluated once per radius on the sampled angles; each chunk
-    of at most CHUNK (lam, angle) pairs is reduced to its per-lam minimum
-    and best angle before the next is built, and every lam's minimum is
-    then golden-polished around its best angle.
-    """
-    thetas = np.linspace(0.0, TWO_PI, theta_samples, endpoint=False)
-    turn = np.exp(1j * thetas)
-    dt = TWO_PI / theta_samples
-    step = max(1, CHUNK // theta_samples)
-    res = np.empty((lams.size, len(radii)))
-    best = np.empty(lams.size, dtype=np.intp)
-    for j, r in enumerate(radii):
-
-        def gap(ts, lam=lams):  # |lam e^{it} - g(r e^{it}) / r|
-            w = evaluate(g, r * _unit_points(ts))
-            return np.abs(lam * np.exp(1j * ts) - (w[..., 0] + 1j * w[..., 1]) / r)
-
-        w = evaluate(g, r * _unit_points(thetas))
-        ring = (w[..., 0] + 1j * w[..., 1]) / r
-        for lo in range(0, lams.size, step):
-            sampled = np.abs(lams[lo:lo + step, None] * turn - ring)
-            best[lo:lo + step] = sampled.argmin(axis=1)
-            res[lo:lo + step, j] = sampled.min(axis=1)
-        t_best = thetas[best]
-        _, refined = golden_min(gap, t_best - dt, t_best + dt, iters=40)
-        np.minimum(res[:, j], refined, out=res[:, j])
-    return res
-
-
 def bifurcation_scan(
     f: MapSpec,
     lam_grid,
@@ -347,10 +330,7 @@ def bifurcation_scan(
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    if g.dim == 2 and g.complex_pairs:
-        res = _planar_scan_residuals(g, lams, radii, 1024)
-    else:
-        res = _sphere_minima(g, lams, radii, sphere_directions(g.dim, 512, seed))
+    res = _sphere_minima(g, lams, radii, sphere_directions(g.dim, 512, seed))
 
     mask, verdicts = scan_verdicts(res, tol)
     candidates = tuple(complex(l) for l in lams[mask])

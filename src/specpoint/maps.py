@@ -118,8 +118,11 @@ def scalar_action(lam, x, complex_pairs: bool) -> np.ndarray:
     if complex_pairs:
         if x.shape[-1] % 2:
             raise ValueError("complex scalar action needs an even last dimension")
-        z = (lam[..., None] if lam.ndim else lam) * (x[..., 0::2] + 1j * x[..., 1::2])
-        return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (x.shape[-1],))
+        # named, pairs is no temporary for numpy to multiply into in place,
+        # which rounds differently: a lam gets the same bits in any batch
+        pairs = x[..., 0::2] + 1j * x[..., 1::2]
+        z = (lam[..., None] if lam.ndim else lam) * pairs
+        return np.ascontiguousarray(z).view(float)
     if np.iscomplexobj(lam):
         if np.any(lam.imag != 0.0):
             raise PreconditionError("complex scalar acting on a map without complex structure")

@@ -580,6 +580,17 @@ def test_size_and_count_guards_exit_cleanly(capsys):
             assert run_cli(capsys, argv)[0] == code, argv
 
 
+def test_non_finite_output_exits_4_and_writes_nothing(capsys, monkeypatch, tmp_path):
+    # the JSON is strict: NaN and Infinity are no JSON numbers
+    from specpoint import structured
+
+    monkeypatch.setattr(structured, "truncated_shift_min", lambda lam, n: math.nan)
+    assert run_cli(capsys, ["shift", "--truncate", "8"]) == (4, "")
+    out = tmp_path / "shift.json"
+    assert run_cli(capsys, ["shift", "--truncate", "8", "--out", str(out)]) == (4, "")
+    assert not out.exists()
+
+
 def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
     # the README bounds these inputs; before, each ran to exit 0 on a value it had replaced
     from specpoint import homog2d
@@ -593,6 +604,16 @@ def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,2,2", "--tol", "0"],
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,2,2", "--tol", "nan"],
             ["bifurcate", "--shift", "--truncate", "8", "--tol", "inf"],
+            # non-finite numbers went into the computation and out as bare NaN / Infinity
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=nan,1,0,0,3,1"],
+            ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,inf,3,3"],
+            ["bifurcate", "--fn", "conj_pair", "--grid=-1,1,-1,nan,2,2"],
+            ["shift", "--lambda", "nan,0"],
+            ["shift", "--lambda", "inf,0"],
+            ["bifurcate", "--shift", "--extra-lambda", "nan,0"],
+            ["bifurcate", "--shift", "--extra-lambda", "inf,0"],
+            ["spec1d", "--fn", "sqrt_abs", "--point", "inf"],
+            ["spec1d", "--fn", "sqrt_abs", "--point", "nan"],
         ],
         2: [
             ["bifurcate", "--fn", "norm_times_x", "--params", "1.5", "--grid=-1,1,0,0,2,1"],

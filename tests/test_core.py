@@ -141,6 +141,20 @@ def test_complex_scale_on_two_pairs():
     assert np.allclose(out, [-2.0, 1.0, -4.0, 3.0])
 
 
+def test_complex_scale_does_not_depend_on_the_batch():
+    # numpy multiplies into a temporary of 256 KiB or more in place, and
+    # that product rounds differently: one (lam, u) row per lam of the
+    # 128 x 128 scan grid makes one
+    xs = np.linspace(-1.5, 1.5, 128)
+    lams = np.array([complex(x, y) for y in xs for x in xs])
+    theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, lams.size)
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
+    whole = scalar_action(lams[:, None], U, True)
+    sliced = [scalar_action(lams[lo:lo + 1000, None], U[lo:lo + 1000], True)
+              for lo in range(0, lams.size, 1000)]
+    assert np.array_equal(whole, np.concatenate(sliced))
+
+
 def test_as_complex_accepts_scalars_and_pairs():
     assert as_complex(1 + 2j) == 1 + 2j
     assert as_complex(0.5) == 0.5 + 0j
