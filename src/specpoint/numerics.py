@@ -166,8 +166,8 @@ def sphere_polish(fn, U0):
     return values, U
 
 
-def golden_min(fn, lo, hi, iters: int = 60):
-    """Golden-section minimization on brackets; returns (x, fn(x)).
+def golden_min(fn, lo, hi):
+    """Golden-section minimization on brackets, 60 steps; returns (x, fn(x)).
 
     lo and hi may be arrays: every element is searched on its own bracket
     and fn maps an array of points to their values, one call per iteration.
@@ -177,7 +177,7 @@ def golden_min(fn, lo, hi, iters: int = 60):
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(60):
         left = fc <= fd  # keep [a, d]: d <- c and c is new; else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
