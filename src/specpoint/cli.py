@@ -18,12 +18,14 @@ produce byte-identical outputs.
 
 Sizes are capped, and a larger value exits 3 before anything is allocated:
 --res <= 4096, --samples <= 2^20, --truncate <= 100000, --angles <= 4096,
---grid counts nx, ny <= 128, and the reach of the classify band query (the
-widest of --band, 1e-9 and the longest chord of a curve that missed its
-chord bound) <= 64 grid spacings.  --samples below 1, a negative --band,
-a --tol that is not positive and finite, and a non-finite --grid bound,
---lambda, --extra-lambda or --point exit 3 too.  The JSON is strict: a
-non-finite number in an output exits 4 instead.
+--steps in [8, 4096], --grid counts nx, ny <= 128, and the reach of the
+classify band query (the widest of --band, 1e-9 and the longest chord of a
+curve that missed its chord bound) <= 64 grid spacings.  --samples below 1,
+a negative --band, a --tol or --h0 that is not positive and finite, a
+--threshold that is not positive (inf turns divergence detection off), a
+smallest spec1d step --h0 * --ratio^(--steps - 1) that underflows to 0, and
+a non-finite --grid bound, --lambda, --extra-lambda or --point exit 3 too.
+The JSON is strict: a non-finite number in an output exits 4 instead.
 
 `bifurcate --fn` scans --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24
 real lambdas of --grid=-1.5,1.5,0,0,24,1 for a map without complex structure,
@@ -209,7 +211,12 @@ def _curve_json(curve, limit: int | None = None) -> dict:
 
 
 def _cmd_spec1d(args, config) -> int:
-    f = _build_map(args, config)
+    from . import dini as dini_mod
+
+    # a 1-D builtin runs on bare Python; any other name errs as in the catalogue
+    name = _effective(args, config, "fn", None, str)
+    plain = name in dini_mod.BUILTINS_1D and not _effective(args, config, "params", "", str)
+    f = dini_mod.builtin_1d(name) if plain else _build_map(args, config)
     if f.dim != 1:
         raise PreconditionError(f"{f.name} is not one dimensional")
     point = _effective(args, config, "point", 0.0, float)
@@ -219,9 +226,6 @@ def _cmd_spec1d(args, config) -> int:
     ratio = _effective(args, config, "ratio", 0.6, float)
     steps = int(_effective(args, config, "steps", 60, int))
     threshold = _effective(args, config, "threshold", 1e6, float)
-
-    from . import dini as dini_mod
-
     mode = "numeric" if args.numeric else "exact"
     if not args.numeric and not args.exact:
         mode = "exact" if f.dini_exact is not None else "numeric"
@@ -485,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--numeric", action="store_true")
     p1.add_argument("--h0", type=float, default=None)
     p1.add_argument("--ratio", type=float, default=None)
-    p1.add_argument("--steps", type=int, default=None)
-    p1.add_argument("--threshold", type=float, default=None)
+    p1.add_argument("--steps", type=int, default=None, help="grid steps, 8 to 4096")
+    p1.add_argument("--threshold", type=float, default=None,
+                    help="divergence threshold, positive; inf turns detection off")
     p1.add_argument("--params", type=str, default=None)
     _add_common(p1)
     p1.set_defaults(run=_cmd_spec1d)

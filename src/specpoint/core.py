@@ -2,15 +2,16 @@
 
 Extended-real conventions (sup of nothing is -inf, inf of nothing is +inf),
 normalized sets of closed real intervals, the four-derivative quadruple used
-by the one dimensional engine, complex scalar parsing, and the exception
-taxonomy shared by every engine.  Pure Python: the scalar action on
-(re, im) coordinate pairs lives in `maps.scalar_action`.
+by the one dimensional engine, complex scalar parsing, the `MapSpec` map
+description, and the exception taxonomy shared by every engine.  Pure
+Python: the scalar action on (re, im) coordinate pairs lives in
+`maps.scalar_action`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -269,3 +270,24 @@ def as_complex(lam) -> complex:
             raise ValueError(f"expected an (a, b) pair, got {lam!r}")
         return complex(float(pair[0]), float(pair[1]))
     return complex(lam)
+
+
+# ---------------------------------------------------------------------------
+# map descriptions
+
+
+@dataclass(frozen=True, eq=False)
+class MapSpec:  # built by `maps` for the array engines, by `dini` for spec1d
+    name: str
+    dim: int
+    evaluator: Callable
+    basepoint: object  # the origin: a float, or a numpy array from `maps`
+    homogeneous: bool = False
+    complex_pairs: bool = False
+    dini_exact: Optional[Callable] = None
+    jacobian: Optional[Callable] = None
+    inv_oscillation_hint: bool = False
+    domain: Optional[Callable] = None
+
+    def __repr__(self):  # factory arguments are baked into the name
+        return f"MapSpec({self.name}, dim={self.dim})"

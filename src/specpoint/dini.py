@@ -23,23 +23,86 @@ Divergence handling is a documented heuristic with no certification: any
 tail quotient beyond the configurable threshold flags the corresponding
 extreme as infinite, and a side whose quotients all share one sign while
 its extreme diverges has both components flagged (monotone blow-up).
+
+Pure Python: maps are evaluated one float at a time.  The one dimensional
+builtins are here as scalar `math` functions next to their exact
+quadruples; `maps` vectorizes them for the array engines.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     DiniQuad,
+    DomainError,
     EvaluationError,
+    MapSpec,
     NEG_INF,
     POS_INF,
     PreconditionError,
     RealIntervalSet,
     UnsupportedError,
 )
-from .maps import MapSpec, evaluate
+
+MAX_STEPS = 4096  # grid steps: the same cap as classify --res and bifurcate --angles
+
+
+# ---------------------------------------------------------------------------
+# the one dimensional builtins
+
+
+def _sin_inv(x: float) -> float:
+    """sin(1/x), 0 at x = 0, and nan where 1/x overflows (numpy's sin(inf))."""
+    y = 1.0 / x if x else 0.0
+    return math.sin(y) if math.isfinite(y) else math.nan
+
+
+def _dini_sqrt_abs(p: float) -> DiniQuad:
+    if p == 0.0:
+        return DiniQuad(NEG_INF, NEG_INF, POS_INF, POS_INF)
+    d = math.copysign(1.0, p) / (2.0 * math.sqrt(abs(p)))
+    return DiniQuad(d, d, d, d)
+
+
+def _dini_signed_sqrt_abs(p: float) -> DiniQuad:
+    if p == 0.0:
+        return DiniQuad(POS_INF, POS_INF, POS_INF, POS_INF)
+    d = 1.0 / (2.0 * math.sqrt(abs(p)))
+    return DiniQuad(d, d, d, d)
+
+
+def _dini_sqrt_abs_sin_inv(p: float) -> DiniQuad:
+    if p == 0.0:
+        return DiniQuad(NEG_INF, POS_INF, NEG_INF, POS_INF)
+    r = math.sqrt(abs(p))
+    d = math.copysign(1.0, p) * math.sin(1.0 / p) / (2.0 * r) - r * math.cos(1.0 / p) / (p * p)
+    return DiniQuad(d, d, d, d)
+
+
+def _dini_xsq_sin_inv(p: float) -> DiniQuad:
+    if p == 0.0:
+        return DiniQuad(0.0, 0.0, 0.0, 0.0)
+    d = 2.0 * p * math.sin(1.0 / p) - math.cos(1.0 / p)
+    return DiniQuad(d, d, d, d)
+
+
+# name -> (scalar evaluator, exact quadruple, inverse-argument oscillation hint)
+BUILTINS_1D = {
+    "sqrt_abs": (lambda x: math.sqrt(abs(x)), _dini_sqrt_abs, False),
+    "signed_sqrt_abs": (
+        lambda x: math.copysign(math.sqrt(abs(x)), x) if x else 0.0, _dini_signed_sqrt_abs, False
+    ),
+    "sqrt_abs_sin_inv": (lambda x: math.sqrt(abs(x)) * _sin_inv(x), _dini_sqrt_abs_sin_inv, True),
+    "xsq_sin_inv": (lambda x: x * x * _sin_inv(x), _dini_xsq_sin_inv, True),
+}
+
+
+def builtin_1d(name: str) -> MapSpec:
+    """A one dimensional builtin with its scalar evaluator (no numpy)."""
+    ev, quad, hint = BUILTINS_1D[name]
+    return MapSpec(name=name, dim=1, evaluator=ev, basepoint=0.0, dini_exact=quad,
+                   inv_oscillation_hint=hint)
 
 
 @dataclass(frozen=True)
@@ -60,19 +123,20 @@ def dini_exact(f: MapSpec, p: float) -> DiniQuad:
     return f.dini_exact(float(p))
 
 
-def _osc_snaps(tail_h: np.ndarray, h0: float) -> np.ndarray:
+def _osc_snaps(tail: list[float], h0: float) -> list[float]:
     """Sample points snapped to the oscillation extremes nearest each tail h."""
     snaps = []
-    for phase in (0.5 * np.pi, 1.5 * np.pi):
-        m = np.maximum(1.0, np.round((1.0 / tail_h - phase) / (2.0 * np.pi)))
-        snaps.append(1.0 / (phase + 2.0 * np.pi * m))
-    out = np.concatenate(snaps)
-    return np.unique(out[(out > 0.0) & (out <= h0)])
+    for phase in (0.5 * math.pi, 1.5 * math.pi):
+        for h in tail:
+            # round(v, 0) rounds half to even and keeps an infinite v, as np.round does
+            m = max(1.0, round((1.0 / h - phase) / (2.0 * math.pi), 0))
+            snaps.append(1.0 / (phase + 2.0 * math.pi * m))
+    return [s for s in snaps if 0.0 < s <= h0]
 
 
-def _flag_side(quotients: np.ndarray, threshold: float):
-    lo = float(np.min(quotients))
-    hi = float(np.max(quotients))
+def _flag_side(quotients: list[float], threshold: float):
+    lo = min(quotients)
+    hi = max(quotients)
     lo_flag = hi_flag = False
     if hi > threshold:
         hi, hi_flag = POS_INF, True
@@ -90,6 +154,15 @@ def _flag_side(quotients: np.ndarray, threshold: float):
     return lo, hi, lo_flag, hi_flag
 
 
+def _evaluate(f: MapSpec, xs: list[float]) -> list[float]:
+    """f at each of xs, after the input checks `maps.evaluate` makes on a batch."""
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"non-finite input to {f.name}")
+    if f.domain is not None and not all(f.domain(x) for x in xs):
+        raise DomainError(f"point outside the domain of {f.name}")
+    return [float(f.evaluator(x)) for x in xs]
+
+
 def dini_estimate(
     f: MapSpec,
     p: float,
@@ -98,38 +171,40 @@ def dini_estimate(
     steps: int = 60,
     divergence_threshold: float = 1e6,
 ) -> DiniEstimate:
-    """Numerical quadruple from two-sided geometric difference quotients."""
+    """Numerical quadruple from two-sided geometric difference quotients.
+
+    A divergence threshold of inf turns divergence detection off.
+    """
     if f.dim != 1:
         raise PreconditionError("difference-quotient estimation is one dimensional")
-    if not (h0 > 0.0):
-        raise PreconditionError("h0 must be positive")
-    if not (0.0 < ratio < 1.0):
-        raise PreconditionError("ratio must lie in (0, 1)")
-    if steps < 8:
-        raise PreconditionError("need at least 8 grid steps")
+    if not 0.0 < h0 < POS_INF:
+        raise PreconditionError(f"h0 must be positive and finite, got {h0!r}")
+    if not 0.0 < ratio < 1.0:
+        raise PreconditionError(f"ratio must lie in (0, 1), got {ratio!r}")
+    if not 8 <= steps <= MAX_STEPS:
+        raise PreconditionError(f"steps must lie in [8, {MAX_STEPS}], got {steps!r}")
+    if not h0 * ratio ** (steps - 1) > 0.0:
+        raise PreconditionError("the smallest step h0 * ratio^(steps - 1) underflows to 0")
+    if not divergence_threshold > 0.0:
+        raise PreconditionError(f"divergence threshold must be positive, got {divergence_threshold!r}")
     p = float(p)
-    fp = float(evaluate(f, p))
+    (fp,) = _evaluate(f, [p])
+    if not math.isfinite(fp):
+        raise EvaluationError(f"non-finite value from {f.name}")
 
-    hs = h0 * ratio ** np.arange(steps)
-    tail = hs[steps // 2 :]
+    tail = [h0 * ratio**k for k in range(steps // 2, steps)]
     if f.inv_oscillation_hint:
-        tail = np.unique(np.concatenate([tail, _osc_snaps(tail, h0)]))
+        tail = sorted(set(tail).union(_osc_snaps(tail, h0)))
 
     sides = []
     flags = []
     for sign in (-1.0, 1.0):
-        h = sign * tail
-        try:
-            vals = evaluate(f, p + h)
-        except EvaluationError:
-            # re-evaluate pointwise to report the offending step
-            for hk in h:
-                try:
-                    evaluate(f, p + hk)
-                except EvaluationError as exc:
-                    raise EvaluationError(f"evaluation failed at h={hk!r}: {exc}") from exc
-            raise
-        quot = (np.asarray(vals, dtype=float) - fp) / h
+        hs = [sign * t for t in tail]
+        vals = _evaluate(f, [p + h for h in hs])
+        for h, v in zip(hs, vals):
+            if not math.isfinite(v):
+                raise EvaluationError(f"evaluation failed at h={h!r}: non-finite value from {f.name}")
+        quot = [(v - fp) / h for h, v in zip(hs, vals)]
         lo, hi, lo_flag, hi_flag = _flag_side(quot, divergence_threshold)
         sides.append((lo, hi))
         flags.extend([lo_flag, hi_flag])
@@ -138,7 +213,7 @@ def dini_estimate(
     return DiniEstimate(
         quad=DiniQuad(dml, dmh, dpl, dph),
         flagged=tuple(flags),
-        tail_h=(float(tail.min()), float(tail.max())),
+        tail_h=(min(tail), max(tail)),
     )
 
 

@@ -1,9 +1,10 @@
 """Map descriptions, the builtin catalogue, evaluation, and map algebra.
 
-A MapSpec bundles a deterministic evaluator with the metadata the engines
-need: dimension, basepoint, a positive-homogeneity flag, an optional exact
-derivative-quadruple provider (one dimensional maps), an optional Jacobian
-provider, and whether the real coordinates carry a complex scalar action.
+A MapSpec (defined in `core`) bundles a deterministic evaluator with the
+metadata the engines need: dimension, basepoint, a positive-homogeneity
+flag, an optional exact derivative-quadruple provider (one dimensional
+maps), an optional Jacobian provider, and whether the real coordinates
+carry a complex scalar action.
 
 Builtin catalogue (addressable by name from tests and the CLI):
 
@@ -15,12 +16,12 @@ Builtin catalogue (addressable by name from tests and the CLI):
 
 Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
 higher dimensional maps take arrays of shape (..., dim) and act on the last
-axis.
+axis.  The one dimensional builtins are scalar functions of `dini`,
+vectorized here.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,29 +30,12 @@ from .core import (
     DiniQuad,
     DomainError,
     EvaluationError,
-    NEG_INF,
-    POS_INF,
+    MapSpec,
     PreconditionError,
     UnsupportedError,
     as_complex,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class MapSpec:
-    name: str
-    dim: int
-    evaluator: Callable
-    basepoint: np.ndarray
-    homogeneous: bool = False
-    complex_pairs: bool = False
-    dini_exact: Optional[Callable] = None
-    jacobian: Optional[Callable] = None
-    inv_oscillation_hint: bool = False
-    domain: Optional[Callable] = None
-
-    def __repr__(self):  # factory arguments are baked into the name
-        return f"MapSpec({self.name}, dim={self.dim})"
+from .dini import builtin_1d
 
 
 def _zero_point(dim: int) -> np.ndarray:
@@ -255,66 +239,6 @@ def identity_map(dim: int) -> MapSpec:
 # builtin catalogue
 
 
-def _safe_inv_sin(x):
-    x = np.asarray(x, dtype=float)
-    nz = x != 0
-    safe = np.where(nz, x, 1.0)
-    return np.where(nz, np.sin(1.0 / safe), 0.0)
-
-
-def _f_sqrt_abs(x):
-    return np.sqrt(np.abs(np.asarray(x, dtype=float)))
-
-
-def _f_signed_sqrt_abs(x):
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.sqrt(np.abs(x))
-
-
-def _f_sqrt_abs_sin_inv(x):
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(np.abs(x)) * _safe_inv_sin(x)
-
-
-def _f_xsq_sin_inv(x):
-    x = np.asarray(x, dtype=float)
-    return x * x * _safe_inv_sin(x)
-
-
-def _dini_sqrt_abs(p: float) -> DiniQuad:
-    p = float(p)
-    if p == 0.0:
-        return DiniQuad(NEG_INF, NEG_INF, POS_INF, POS_INF)
-    d = math.copysign(1.0, p) / (2.0 * math.sqrt(abs(p)))
-    return DiniQuad(d, d, d, d)
-
-
-def _dini_signed_sqrt_abs(p: float) -> DiniQuad:
-    p = float(p)
-    if p == 0.0:
-        return DiniQuad(POS_INF, POS_INF, POS_INF, POS_INF)
-    d = 1.0 / (2.0 * math.sqrt(abs(p)))
-    return DiniQuad(d, d, d, d)
-
-
-def _dini_sqrt_abs_sin_inv(p: float) -> DiniQuad:
-    p = float(p)
-    if p == 0.0:
-        return DiniQuad(NEG_INF, POS_INF, NEG_INF, POS_INF)
-    d = math.copysign(1.0, p) * math.sin(1.0 / p) / (2.0 * math.sqrt(abs(p))) - math.sqrt(
-        abs(p)
-    ) * math.cos(1.0 / p) / (p * p)
-    return DiniQuad(d, d, d, d)
-
-
-def _dini_xsq_sin_inv(p: float) -> DiniQuad:
-    p = float(p)
-    if p == 0.0:
-        return DiniQuad(0.0, 0.0, 0.0, 0.0)
-    d = 2.0 * p * math.sin(1.0 / p) - math.cos(1.0 / p)
-    return DiniQuad(d, d, d, d)
-
-
 def _f_abs_re_plus_i_im(x):
     x = np.asarray(x, dtype=float)
     out = x.copy()
@@ -397,15 +321,9 @@ def _make_norm_times_x(dim):
     return ev, jac
 
 
-def _builtin_1d(name, ev, dini, hint=False):
-    return MapSpec(
-        name=name,
-        dim=1,
-        evaluator=ev,
-        basepoint=np.zeros(()),
-        dini_exact=dini,
-        inv_oscillation_hint=hint,
-    )
+def _builtin_1d(name):
+    f = builtin_1d(name)  # the scalar evaluator, vectorized for the array engines
+    return replace(f, evaluator=_wrap_unvectorized(f.evaluator, 1), basepoint=np.zeros(()))
 
 
 def _builtin_plane(name, ev, *, homogeneous, jacobian=None):
@@ -452,16 +370,10 @@ def _factory_norm_times_x(dim=2):
 
 
 _FACTORIES: dict[str, Callable[..., MapSpec]] = {
-    "sqrt_abs": lambda: _builtin_1d("sqrt_abs", _f_sqrt_abs, _dini_sqrt_abs),
-    "signed_sqrt_abs": lambda: _builtin_1d(
-        "signed_sqrt_abs", _f_signed_sqrt_abs, _dini_signed_sqrt_abs
-    ),
-    "sqrt_abs_sin_inv": lambda: _builtin_1d(
-        "sqrt_abs_sin_inv", _f_sqrt_abs_sin_inv, _dini_sqrt_abs_sin_inv, hint=True
-    ),
-    "xsq_sin_inv": lambda: _builtin_1d(
-        "xsq_sin_inv", _f_xsq_sin_inv, _dini_xsq_sin_inv, hint=True
-    ),
+    "sqrt_abs": lambda: _builtin_1d("sqrt_abs"),
+    "signed_sqrt_abs": lambda: _builtin_1d("signed_sqrt_abs"),
+    "sqrt_abs_sin_inv": lambda: _builtin_1d("sqrt_abs_sin_inv"),
+    "xsq_sin_inv": lambda: _builtin_1d("xsq_sin_inv"),
     "abs_re_plus_i_im": lambda: _builtin_plane(
         "abs_re_plus_i_im", _f_abs_re_plus_i_im, homogeneous=True
     ),

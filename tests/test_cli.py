@@ -42,6 +42,27 @@ def test_spec1d_numeric_matches_exact(capsys):
         assert abs(float(numeric["dini"][key])) < 1e-6
 
 
+@pytest.mark.parametrize("flags", [
+    "--steps 3000",  # 0.1 * 0.6^2999 underflowed to 0: a NaN quotient and a traceback, exit 1
+    "--steps 4097 --ratio 0.99",  # ran: no cap, and the grid is a Python list now
+    "--threshold nan",  # switched divergence detection off, exit 0
+    "--threshold -5",  # flagged all four components, exit 0
+    "--threshold 0",  # flagged every nonzero extreme, exit 0
+    "--h0 inf",  # exited 2 as the domain error "non-finite input to sqrt_abs"
+])
+def test_spec1d_rejects_a_bad_estimator_flag(capsys, flags):
+    argv = ["spec1d", "--fn", "sqrt_abs", "--point", "0", "--numeric", *flags.split()]
+    assert run_cli(capsys, argv) == (3, "")
+
+
+@pytest.mark.parametrize("flags", ["--steps 3000 --ratio 0.999", "--steps 4096 --ratio 0.99", "--threshold inf"])
+def test_spec1d_takes_the_deepest_grids_and_no_threshold(capsys, flags):
+    d = run_json(capsys, ["spec1d", "--fn", "sqrt_abs", "--point", "0", "--numeric", *flags.split()])
+    if flags == "--threshold inf":  # divergence detection off: the extremes stay finite
+        assert d["divergence_flags"] == [False] * 4
+        assert all(isinstance(v, float) for v in d["dini"].values())
+
+
 def test_spec2d_degenerate_linear(capsys, tmp_path):
     out = tmp_path / "lin.json"
     rc, _ = run_cli(
@@ -381,6 +402,16 @@ def test_mnc_runs_without_numpy():
     # the rate calculus is pure Python: the README's mnc line runs with every numpy import failing
     mods = probe_modules(["mnc", "--expr", "IsometryOntoCodim(1) + CompactLinear"], block_numpy=True)
     assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.rates"}
+
+
+def test_spec1d_runs_without_numpy():
+    # the 1-D engine and its builtins are pure Python: both README spec1d lines
+    # run with every numpy import failing
+    for argv in (["spec1d", "--fn", "sqrt_abs", "--point", "0", "--exact"],
+                 ["spec1d", "--fn", "xsq_sin_inv", "--point", "0", "--numeric",
+                  "--h0", "0.1", "--ratio", "0.6", "--steps", "60"]):
+        mods = probe_modules(argv, block_numpy=True)
+        assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.dini"}, argv
 
 
 def test_shift_scan_loads_no_planar_or_sampling_engine():
