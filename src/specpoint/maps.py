@@ -35,7 +35,6 @@ from .core import (
     UnsupportedError,
     as_complex,
 )
-from .dini import builtin_1d
 
 
 def _zero_point(dim: int) -> np.ndarray:
@@ -322,6 +321,8 @@ def _make_norm_times_x(dim):
 
 
 def _builtin_1d(name):
+    from .dini import builtin_1d  # here, so that the planar commands load no dini
+
     f = builtin_1d(name)  # the scalar evaluator, vectorized for the array engines
     return replace(f, evaluator=_wrap_unvectorized(f.evaluator, 1), basepoint=np.zeros(()))
 

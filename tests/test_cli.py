@@ -414,6 +414,12 @@ def test_spec1d_runs_without_numpy():
         assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.dini"}, argv
 
 
+def test_planar_command_loads_no_dini():
+    # maps imports the 1-D builtins from dini only when one is built
+    mods = probe_modules(["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"])
+    assert "specpoint.maps" in mods and "specpoint.dini" not in mods, mods
+
+
 def test_shift_scan_loads_no_planar_or_sampling_engine():
     mods = probe_modules(["bifurcate", "--shift", "--perturb", "normsq_e1", "--truncate", "40",
                           "--extra-lambda", "1.2,0"])
