@@ -23,7 +23,8 @@ classify band query (the widest of --band, 1e-9 and the longest chord of a
 curve that missed its chord bound) <= 64 grid spacings.  --samples below 1,
 a negative --band, a --tol or --h0 that is not positive and finite, a
 --threshold that is not positive (inf turns divergence detection off), a
-smallest spec1d step --h0 * --ratio^(--steps - 1) that underflows to 0, and
+smallest spec1d step --h0 * --ratio^(--steps - 1) that underflows to 0, a
+--point +- --h0 beyond the floats (spec1d checks its grid in every mode), and
 a non-finite --grid bound, --lambda, --extra-lambda or --point exit 3 too.
 The JSON is strict: a non-finite number in an output exits 4 instead.
 
@@ -226,6 +227,7 @@ def _cmd_spec1d(args, config) -> int:
     ratio = _effective(args, config, "ratio", 0.6, float)
     steps = int(_effective(args, config, "steps", 60, int))
     threshold = _effective(args, config, "threshold", 1e6, float)
+    dini_mod.check_estimator(point, h0, ratio, steps, threshold)  # checked in every mode
     mode = "numeric" if args.numeric else "exact"
     if not args.numeric and not args.exact:
         mode = "exact" if f.dini_exact is not None else "numeric"

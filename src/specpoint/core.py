@@ -1,20 +1,78 @@
 """Shared domain types for local spectra of continuous maps.
 
-Extended-real conventions (sup of nothing is -inf, inf of nothing is +inf),
-normalized sets of closed real intervals, the four-derivative quadruple used
-by the one dimensional engine, complex scalar parsing, the `MapSpec` map
-description, and the exception taxonomy shared by every engine.  Pure
-Python: the scalar action on (re, im) coordinate pairs lives in
-`maps.scalar_action`.
+The `Record` base of every frozen value type, extended-real conventions
+(sup of nothing is -inf, inf of nothing is +inf), normalized sets of closed
+real intervals, the four-derivative quadruple used by the one dimensional
+engine, complex scalar parsing, the `MapSpec` map description, and the
+exception taxonomy shared by every engine.  Pure Python: the scalar action
+on (re, im) coordinate pairs lives in `maps.scalar_action`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 POS_INF = math.inf
 NEG_INF = -math.inf
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+
+class Record:
+    """Base of the frozen value types: what `@dataclass(frozen=True)` gave them, with no build at import.
+
+    The fields are the annotated class attributes, in order, and a class
+    attribute is a field's default.  `__post_init__` runs once the fields
+    are set, and assigning a field raises AttributeError.  ==, hash and
+    repr go over the fields as a dataclass's do.  (`dataclasses` compiles
+    source for every class at import, and imports `inspect`.)
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields) or not set(kwargs) <= set(cls._fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {len(args)} and {sorted(kwargs)}")
+        values = dict(zip(cls._fields, args), **kwargs)
+        for name in cls._fields:
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
+        self.__dict__.update({name: values.get(name, getattr(cls, name, None)) for name in cls._fields})
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of record with some fields changed; `__post_init__` runs again."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +179,7 @@ def _fmt_endpoint(v: float) -> str:
 # interval sets
 
 
-@dataclass(frozen=True)
-class RealIntervalSet:
+class RealIntervalSet(Record):
     """A normalized finite union of closed intervals of the real line.
 
     Endpoints are extended reals; every stored interval is nonempty as a
@@ -208,8 +265,7 @@ class RealIntervalSet:
 # Dini quadruple
 
 
-@dataclass(frozen=True)
-class DiniQuad:
+class DiniQuad(Record):
     """The four one-sided limit extremes of difference quotients at a point.
 
     Field order: (left lower, left upper, right lower, right upper).
@@ -276,8 +332,7 @@ def as_complex(lam) -> complex:
 # map descriptions
 
 
-@dataclass(frozen=True, eq=False)
-class MapSpec:  # built by `maps` for the array engines, by `dini` for spec1d
+class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for spec1d
     name: str
     dim: int
     evaluator: Callable
@@ -288,6 +343,9 @@ class MapSpec:  # built by `maps` for the array engines, by `dini` for spec1d
     jacobian: Optional[Callable] = None
     inv_oscillation_hint: bool = False
     domain: Optional[Callable] = None
+
+    __eq__ = object.__eq__  # identity: evaluators and arrays have no useful equality
+    __hash__ = object.__hash__
 
     def __repr__(self):  # factory arguments are baked into the name
         return f"MapSpec({self.name}, dim={self.dim})"

@@ -31,7 +31,6 @@ quadruples; `maps` vectorizes them for the array engines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     DiniQuad,
@@ -42,6 +41,7 @@ from .core import (
     POS_INF,
     PreconditionError,
     RealIntervalSet,
+    Record,
     UnsupportedError,
 )
 
@@ -105,8 +105,7 @@ def builtin_1d(name: str) -> MapSpec:
                    inv_oscillation_hint=hint)
 
 
-@dataclass(frozen=True)
-class DiniEstimate:
+class DiniEstimate(Record):
     """Estimated quadruple plus which components were divergence-flagged."""
 
     quad: DiniQuad
@@ -155,12 +154,29 @@ def _flag_side(quotients: list[float], threshold: float):
 
 
 def _evaluate(f: MapSpec, xs: list[float]) -> list[float]:
-    """f at each of xs, after the input checks `maps.evaluate` makes on a batch."""
-    if not all(map(math.isfinite, xs)):
-        raise DomainError(f"non-finite input to {f.name}")
+    """f at each of xs, after the domain check `maps.evaluate` makes on a batch.
+
+    Every x is finite: `check_estimator` keeps p +- h0, and so each grid point, finite.
+    """
     if f.domain is not None and not all(f.domain(x) for x in xs):
         raise DomainError(f"point outside the domain of {f.name}")
     return [float(f.evaluator(x)) for x in xs]
+
+
+def check_estimator(p: float, h0: float, ratio: float, steps: int, divergence_threshold: float) -> None:
+    """The preconditions of `dini_estimate` on its grid; spec1d checks them in every mode."""
+    if not 0.0 < h0 < POS_INF:
+        raise PreconditionError(f"h0 must be positive and finite, got {h0!r}")
+    if not 0.0 < ratio < 1.0:
+        raise PreconditionError(f"ratio must lie in (0, 1), got {ratio!r}")
+    if not 8 <= steps <= MAX_STEPS:
+        raise PreconditionError(f"steps must lie in [8, {MAX_STEPS}], got {steps!r}")
+    if not h0 * ratio ** (steps - 1) > 0.0:
+        raise PreconditionError("the smallest step h0 * ratio^(steps - 1) underflows to 0")
+    if not divergence_threshold > 0.0:
+        raise PreconditionError(f"divergence threshold must be positive, got {divergence_threshold!r}")
+    if not (math.isfinite(p - h0) and math.isfinite(p + h0)):
+        raise PreconditionError(f"the grid points p +- h0 must be finite, got p = {p!r} and h0 = {h0!r}")
 
 
 def dini_estimate(
@@ -177,17 +193,8 @@ def dini_estimate(
     """
     if f.dim != 1:
         raise PreconditionError("difference-quotient estimation is one dimensional")
-    if not 0.0 < h0 < POS_INF:
-        raise PreconditionError(f"h0 must be positive and finite, got {h0!r}")
-    if not 0.0 < ratio < 1.0:
-        raise PreconditionError(f"ratio must lie in (0, 1), got {ratio!r}")
-    if not 8 <= steps <= MAX_STEPS:
-        raise PreconditionError(f"steps must lie in [8, {MAX_STEPS}], got {steps!r}")
-    if not h0 * ratio ** (steps - 1) > 0.0:
-        raise PreconditionError("the smallest step h0 * ratio^(steps - 1) underflows to 0")
-    if not divergence_threshold > 0.0:
-        raise PreconditionError(f"divergence threshold must be positive, got {divergence_threshold!r}")
     p = float(p)
+    check_estimator(p, h0, ratio, steps, divergence_threshold)
     (fp,) = _evaluate(f, [p])
     if not math.isfinite(fp):
         raise EvaluationError(f"non-finite value from {f.name}")

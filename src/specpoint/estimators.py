@@ -12,7 +12,6 @@ report Undecided whenever the per-radius minima straddle the tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,6 +20,7 @@ from .core import (
     NumericError,
     POS_INF,
     PreconditionError,
+    Record,
     as_complex,
 )
 from .maps import MapSpec, difference, evaluate, scalar_action, translate_to_origin
@@ -35,15 +35,13 @@ RADII = 0.1 * 0.5 ** np.arange(17)  # the sphere radii of the growth rates and m
 TAIL = 6  # d_p, q_p and membership read the last TAIL radii
 
 
-@dataclass(frozen=True)
-class RateConfig:
+class RateConfig(Record):
     directions: int = 1024
     polish: bool = True
     divergence_threshold: float = 1e6
 
 
-@dataclass(frozen=True)
-class LocalRates:
+class LocalRates(Record):
     """Lower/upper local growth rates of f at p (0 <= d_p <= q_p).
 
     per_radius_min and per_radius_max hold the sphere minimum and maximum
@@ -158,8 +156,7 @@ class Verdict(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     verdict: Verdict
     margin: float
     per_radius_min: tuple
@@ -227,8 +224,7 @@ def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) 
     return SigmaCurve(thetas, vals, float("nan"), True, label="local")
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     applicable: bool
     rate_of_difference: float
     hausdorff_distance: float | None
@@ -301,8 +297,7 @@ def perturbation_equivalence_check(f: MapSpec, g: MapSpec, p) -> EquivalenceRepo
     )
 
 
-@dataclass(frozen=True)
-class BifurcationScan:
+class BifurcationScan(Record):
     lams: tuple
     radii: tuple
     residuals: np.ndarray  # (n_lams, n_radii) normalized residuals

@@ -24,8 +24,9 @@ validated against the planar benchmark maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     AdmissibilityError,
     NumericError,
     PreconditionError,
+    Record,
     SolverError,
 )
 from .maps import MapSpec, evaluate
@@ -55,8 +57,7 @@ ZERO_EPI_PROXY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SigmaCurve:
+class SigmaCurve(Record):
     """Sampled eigenvalue curve: thetas strictly increasing in [0, 2pi)."""
 
     thetas: np.ndarray
@@ -82,22 +83,19 @@ class CellLabel(IntEnum):
     BAND = 2
 
 
-@dataclass(frozen=True)
-class WindingResult:
+class WindingResult(Record):
     turns: int
     margin: float
 
 
-@dataclass(frozen=True)
-class RoucheSolution:
+class RoucheSolution(Record):
     point: np.ndarray
     residual: float
     winding: int
     start_index: int
 
 
-@dataclass(frozen=True)
-class PlaneSpectrum:
+class PlaneSpectrum(Record):
     curve: SigmaCurve
     xs: np.ndarray
     ys: np.ndarray
@@ -105,7 +103,7 @@ class PlaneSpectrum:
     band_radius: float
     violations: tuple = ()
     component_consistent: bool = True
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = MappingProxyType({})  # immutable; summary() copies it
 
     def _row_blocks(self):
         """(first row, rows) blocks of the labels, at most CHUNK cells each."""

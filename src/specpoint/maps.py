@@ -21,7 +21,6 @@ vectorized here.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core import (
     PreconditionError,
     UnsupportedError,
     as_complex,
+    replace,
 )
 
 

@@ -21,18 +21,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import POS_INF, UsageError, ext, ext_to_json
+from .core import POS_INF, Record, UsageError, ext, ext_to_json
 
 
 # ---------------------------------------------------------------------------
 # intervals of nonnegative extended reals
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     lo: float
     hi: float
 
@@ -93,41 +91,34 @@ def _add_bound(a: float, b: float) -> float:
 # operator expressions
 
 
-class OperatorExpr:
+class OperatorExpr(Record):
     """Base class; atoms carry rates, combinators carry children."""
 
 
-@dataclass(frozen=True)
 class Identity(OperatorExpr):
     pass
 
 
-@dataclass(frozen=True)
 class ScalarMultiple(OperatorExpr):
     c: float
 
 
-@dataclass(frozen=True)
 class IsometryOntoCodim(OperatorExpr):
     k: int
 
 
-@dataclass(frozen=True)
 class CompactLinear(OperatorExpr):
     pass
 
 
-@dataclass(frozen=True)
 class FiniteRank(OperatorExpr):
     r: int
 
 
-@dataclass(frozen=True)
 class LocallyCompactNonlinear(OperatorExpr):
     pass
 
 
-@dataclass(frozen=True)
 class KnownRates(OperatorExpr):
     alpha: Interval = None  # type: ignore[assignment]
     omega: Interval = None  # type: ignore[assignment]
@@ -143,26 +134,22 @@ class KnownRates(OperatorExpr):
             object.__setattr__(self, "q", _iv(self.q))
 
 
-@dataclass(frozen=True)
 class Sum(OperatorExpr):
     left: OperatorExpr
     right: OperatorExpr
 
 
-@dataclass(frozen=True)
 class Compose(OperatorExpr):
     outer: OperatorExpr
     inner: OperatorExpr
 
 
-@dataclass(frozen=True)
 class Scale(OperatorExpr):
     c: float
     inner: OperatorExpr
 
 
-@dataclass(frozen=True)
-class RateBounds:
+class RateBounds(Record):
     """Derived intervals for the two compactness rates plus the rule trace."""
 
     alpha: Interval

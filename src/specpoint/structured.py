@@ -27,12 +27,11 @@ perturbation the normalized minimum does not depend on the radius either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PreconditionError, UsageError, as_complex
+from .core import PreconditionError, Record, UsageError, as_complex
 
 SQRT2 = math.sqrt(2.0)
 MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
@@ -43,8 +42,7 @@ _FROZEN_H_STEPS = 16  # frozen-perturbation solves per (lam, radius) of a genera
 # the shift model
 
 
-@dataclass(frozen=True)
-class ShiftModelReport:
+class ShiftModelReport(Record):
     """Exact local data of z -> (|z|, z_1, z_2, ...) on the sequence space.
 
     All values are analytic facts: the lower growth rate and quasinorm are
@@ -356,8 +354,7 @@ class LambdaOrbits(tuple):
         return self
 
 
-@dataclass(frozen=True)
-class ShiftScanResult:
+class ShiftScanResult(Record):
     lams: tuple
     radii: tuple
     residuals: np.ndarray       # raw residuals, shape (n_lams, n_radii)

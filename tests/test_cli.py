@@ -42,16 +42,24 @@ def test_spec1d_numeric_matches_exact(capsys):
         assert abs(float(numeric["dini"][key])) < 1e-6
 
 
-@pytest.mark.parametrize("flags", [
+BAD_ESTIMATOR_FLAGS = [
     "--steps 3000",  # 0.1 * 0.6^2999 underflowed to 0: a NaN quotient and a traceback, exit 1
     "--steps 4097 --ratio 0.99",  # ran: no cap, and the grid is a Python list now
     "--threshold nan",  # switched divergence detection off, exit 0
     "--threshold -5",  # flagged all four components, exit 0
     "--threshold 0",  # flagged every nonzero extreme, exit 0
     "--h0 inf",  # exited 2 as the domain error "non-finite input to sqrt_abs"
+]
+
+
+# --exact and the default mode of sqrt_abs, which is exact, read the flags
+# too and ignored them with exit 0; a --numeric case keeps the bare flags as its id
+@pytest.mark.parametrize("mode, flags", [
+    pytest.param(mode, flags, id=flags if mode == "--numeric" else f"{mode or 'default'} {flags}")
+    for mode in ("--numeric", "--exact", "") for flags in BAD_ESTIMATOR_FLAGS
 ])
-def test_spec1d_rejects_a_bad_estimator_flag(capsys, flags):
-    argv = ["spec1d", "--fn", "sqrt_abs", "--point", "0", "--numeric", *flags.split()]
+def test_spec1d_rejects_a_bad_estimator_flag(capsys, mode, flags):
+    argv = ["spec1d", "--fn", "sqrt_abs", "--point", "0", *mode.split(), *flags.split()]
     assert run_cli(capsys, argv) == (3, "")
 
 
@@ -362,7 +370,7 @@ from specpoint import cli
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(argv)
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "specpoint")]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] in ("specpoint", "dataclasses", "inspect"))]))
 """
 
 
@@ -380,7 +388,7 @@ def test_shift_figure_loads_no_planar_engine(tmp_path):
 
 
 def probe_modules(argv, block_numpy=False):
-    """Exit code and specpoint modules of one CLI call in a fresh interpreter."""
+    """The specpoint modules, dataclasses and inspect that one CLI call loads in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     script = ("import sys; sys.modules['numpy'] = None\n" if block_numpy else "") + SPECPOINT_PROBE
     out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
@@ -392,21 +400,23 @@ def probe_modules(argv, block_numpy=False):
 
 
 def test_cli_import_loads_no_numpy():
+    # nor dataclasses, which builds each class from compiled source, nor the inspect it imports
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", "import sys, specpoint.cli; print('numpy' in sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    code = "import sys, specpoint.cli; print([m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[False, False, False]\n"
 
 
 def test_mnc_runs_without_numpy():
-    # the rate calculus is pure Python: the README's mnc line runs with every numpy import failing
+    # the rate calculus is pure Python: the README's mnc line runs with every numpy import
+    # failing, and loads neither dataclasses nor inspect
     mods = probe_modules(["mnc", "--expr", "IsometryOntoCodim(1) + CompactLinear"], block_numpy=True)
     assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.rates"}
 
 
 def test_spec1d_runs_without_numpy():
     # the 1-D engine and its builtins are pure Python: both README spec1d lines
-    # run with every numpy import failing
+    # run with every numpy import failing, and load neither dataclasses nor inspect
     for argv in (["spec1d", "--fn", "sqrt_abs", "--point", "0", "--exact"],
                  ["spec1d", "--fn", "xsq_sin_inv", "--point", "0", "--numeric",
                   "--h0", "0.1", "--ratio", "0.6", "--steps", "60"]):
@@ -651,6 +661,9 @@ def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
             ["bifurcate", "--shift", "--extra-lambda", "inf,0"],
             ["spec1d", "--fn", "sqrt_abs", "--point", "inf"],
             ["spec1d", "--fn", "sqrt_abs", "--point", "nan"],
+            # a grid point beyond the floats exited 2 as "non-finite input to sqrt_abs"
+            ["spec1d", "--fn", "sqrt_abs", "--numeric", "--point", "1.79e308", "--h0", "1e308",
+             "--ratio", "0.5", "--steps", "8"],
         ],
         2: [
             ["bifurcate", "--fn", "norm_times_x", "--params", "1.5", "--grid=-1,1,0,0,2,1"],

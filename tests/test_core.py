@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -10,16 +13,21 @@ import hypothesis.strategies as st
 
 from specpoint.core import (
     DiniQuad,
+    MapSpec,
     NEG_INF,
     POS_INF,
     RealIntervalSet,
     as_complex,
+    ext,
     ext_from_json,
     ext_to_json,
     inf_of,
+    replace,
     sup_of,
 )
+from specpoint.homog2d import PlaneSpectrum
 from specpoint.maps import black_box, lambda_minus, scalar_action
+from specpoint.rates import Interval, KnownRates, _iv
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 endpoint = st.one_of(finite, st.just(POS_INF), st.just(NEG_INF))
@@ -176,3 +184,161 @@ def test_core_runs_without_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code, str(core)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Frozen-dataclass twins of four records, the reference for `core.Record`:
+# the same fields, defaults and __post_init__, built by `dataclasses`.
+
+
+@dataclasses.dataclass(frozen=True)
+class DiniQuadTwin:
+    d_minus_low: float
+    d_minus_high: float
+    d_plus_low: float
+    d_plus_high: float
+
+    def __post_init__(self):
+        for v in (self.d_minus_low, self.d_minus_high, self.d_plus_low, self.d_plus_high):
+            ext(v)
+        if self.d_minus_low > self.d_minus_high or self.d_plus_low > self.d_plus_high:
+            raise ValueError("quadruple sides out of order")
+
+
+@dataclasses.dataclass(frozen=True)
+class IntervalTwin:
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if ext(self.lo) > ext(self.hi):
+            raise ValueError("interval endpoints out of order")
+
+
+@dataclasses.dataclass(frozen=True)
+class KnownRatesTwin:
+    alpha: Interval = None
+    omega: Interval = None
+    d: Optional[Interval] = None
+    q: Optional[Interval] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _iv(self.alpha))
+        object.__setattr__(self, "omega", _iv(self.omega))
+        if self.d is not None:
+            object.__setattr__(self, "d", _iv(self.d))
+        if self.q is not None:
+            object.__setattr__(self, "q", _iv(self.q))
+
+
+@dataclasses.dataclass(frozen=True)
+class PlaneSpectrumTwin:
+    curve: object
+    xs: object
+    ys: object
+    labels: object
+    band_radius: float
+    violations: tuple = ()
+    component_consistent: bool = True
+    metadata: dict = dataclasses.field(default_factory=dict)
+
+
+# (record, twin, positional arguments, the first n of them required,
+#  arguments __post_init__ rejects, a new value of the last field)
+RECORD_CASES = [
+    (DiniQuad, DiniQuadTwin, (-1.0, 0.0, 1.0, POS_INF), 4, [(1.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0)], 5.0),
+    (Interval, IntervalTwin, (0.5, 2.0), 2, [(2.0, 1.0), (0.0, math.nan)], 3.0),
+    (KnownRates, KnownRatesTwin, (1.0, (0.0, 2.0), 0.5, None), 0, [((2.0, 1.0),), (1.0, math.nan)], (1.0, 2.0)),
+    # metadata is passed: a record's default is an empty mappingproxy, a twin's an empty dict
+    (PlaneSpectrum, PlaneSpectrumTwin, ("curve", (0.0, 1.0), (0.0,), ((1, 2),), 0.1, (), False, {"k": "v"}), 5, [],
+     {"a": "b"}),
+]
+
+
+def _plain(values):
+    """A record's values with its empty mappingproxy default as the twin's dict."""
+    return tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+
+
+def _twin_fields(twin_obj):
+    return tuple(getattr(twin_obj, f.name) for f in dataclasses.fields(twin_obj))
+
+
+def _twin_repr(twin_obj):
+    name = type(twin_obj).__name__
+    return repr(twin_obj).replace(name, name.removesuffix("Twin"), 1)
+
+
+@pytest.mark.parametrize("record, twin, args, required, bad, last", RECORD_CASES,
+                         ids=[case[0].__name__ for case in RECORD_CASES])
+def test_record_matches_its_frozen_dataclass_twin(record, twin, args, required, bad, last):
+    names = tuple(f.name for f in dataclasses.fields(twin))
+    assert record._fields == names
+    rec, ref = record(*args), twin(*args)
+    assert record._values(rec) == _twin_fields(ref)
+    # keywords, and defaults for every field after the required ones
+    assert record(**dict(zip(names, args))) == rec
+    assert _plain(record._values(record(*args[:required]))) == _twin_fields(twin(*args[:required]))
+    for values in bad:
+        with pytest.raises(ValueError):
+            twin(*values)
+        with pytest.raises(ValueError):
+            record(*values)
+    wrong = [(args + args, {}), (args, {"nope": 1}), (args, {names[0]: args[0]})]  # too many, unknown, repeated
+    if required:
+        wrong.append((args[:required - 1], {}))  # a field missing
+    for wrong_args, wrong_kwargs in wrong:
+        with pytest.raises(TypeError):
+            twin(*wrong_args, **wrong_kwargs)
+        with pytest.raises(TypeError):
+            record(*wrong_args, **wrong_kwargs)
+    for obj in (rec, ref):
+        with pytest.raises(AttributeError):
+            setattr(obj, names[0], args[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, names[-1])
+    # value semantics: ==, hash and repr over the fields, NotImplemented for another class
+    assert rec == record(*args) and not rec != record(*args)
+    assert rec.__eq__(ref) is NotImplemented and ref.__eq__(rec) is NotImplemented
+    assert repr(rec) == _twin_repr(ref)
+    try:
+        want = hash(ref)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == want == hash(record(*args))
+    # replace keeps every other field and runs __post_init__ again
+    new = replace(rec, **{names[-1]: last})
+    assert record._values(new) == _twin_fields(dataclasses.replace(ref, **{names[-1]: last}))
+    assert record._values(new)[:-1] == record._values(rec)[:-1] and new != rec
+    if bad:
+        with pytest.raises(ValueError):
+            dataclasses.replace(ref, **dict(zip(names, bad[0])))
+        with pytest.raises(ValueError):
+            replace(rec, **dict(zip(names, bad[0])))
+
+
+def test_record_equality_over_arrays_matches_a_dataclass():
+    # tuple equality: the same array objects compare equal, distinct ones are ambiguous
+    xs = np.linspace(0.0, 1.0, 3)
+    args = ("curve", xs, xs, np.zeros((3, 3)), 0.1)
+    assert PlaneSpectrum(*args) == PlaneSpectrum(*args)
+    assert PlaneSpectrumTwin(*args) == PlaneSpectrumTwin(*args)
+    for cls in (PlaneSpectrum, PlaneSpectrumTwin):
+        with pytest.raises(ValueError):
+            cls(*args) == cls("curve", xs.copy(), *args[2:])  # noqa: B015
+        with pytest.raises(TypeError):
+            hash(cls(*args))
+    # the default metadata is empty and immutable; summary() copies it with dict()
+    meta = PlaneSpectrum(*args).metadata
+    assert dict(meta) == PlaneSpectrumTwin(*args).metadata == {}
+    with pytest.raises(TypeError):
+        meta["k"] = "v"
+
+
+def test_mapspec_compares_by_identity_and_replace_keeps_fields():
+    f = MapSpec(name="f", dim=1, evaluator=abs, basepoint=0.0, homogeneous=True)
+    g = replace(f, name="g")
+    assert f == f and f != replace(f) and hash(f) == object.__hash__(f)
+    assert (g.name, g.dim, g.evaluator, g.basepoint, g.homogeneous, g.jacobian) == ("g", 1, abs, 0.0, True, None)
+    assert repr(g) == "MapSpec(g, dim=1)"
