@@ -11,7 +11,9 @@ Subcommands:
     bifurcate bifurcation candidate scan (planar builtin or shift model)
 
 All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it)
-and --config FILE with `key = value` lines overridden by explicit flags.
+and --config FILE with `key = value` lines overridden by explicit flags.  A
+key is one of the command's value flags with - written _, other than --out,
+--config, --lambda and --extra-lambda; any other key exits 2.
 `bifurcate` also takes --seed, which rotates the sphere directions of every
 --fn scan; no other command's result depends on a seed.  Identical argv
 produce byte-identical outputs.
@@ -93,7 +95,8 @@ def _parse_pair(flag: str, text: str) -> complex:
     return complex(vals[0], vals[1] if len(vals) == 2 else 0.0)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str | None, cmd: str, keys: tuple) -> dict[str, str]:
+    """The `key = value` lines of the file at path; a key that cmd does not read is a usage error."""
     if not path:
         return {}
     out: dict[str, str] = {}
@@ -108,7 +111,10 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"bad config line {line!r} (expected key = value)")
         key, val = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise UsageError(f"config key {key!r} is not read by {cmd}; it reads {', '.join(keys)}")
+        out[key] = val.strip()
     return out
 
 
@@ -259,7 +265,7 @@ def _cmd_spec2d(args, config) -> int:
     f = _build_map(args, config)
     samples = int(_effective(args, config, "samples", 4096, int))
     curve = homog2d.sigma_curve(f, samples=samples)
-    d, q = homog2d.d_and_quasinorm(f, curve)
+    d, q = homog2d.d_and_quasinorm(f)
     payload = {
         "command": "spec2d",
         "fn": f.name,
@@ -294,7 +300,7 @@ def _cmd_classify(args, config) -> int:
         "fn": f.name,
         "bounds": [xmin, xmax, ymin, ymax],
         "res": res,
-        "radius_bound": homog2d.d_and_quasinorm(f, spectrum.curve)[1],
+        "radius_bound": homog2d.spectral_radius_bound(f),
         **summary,
     }
     _emit(payload, args.out)
@@ -496,14 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="divergence threshold, positive; inf turns detection off")
     p1.add_argument("--params", type=str, default=None)
     _add_common(p1)
-    p1.set_defaults(run=_cmd_spec1d)
+    p1.set_defaults(run=_cmd_spec1d, config_keys=("fn", "params", "point", "h0", "ratio", "steps", "threshold"))
 
     p2 = sub.add_parser("spec2d", help="planar eigenvalue curve and rates")
     p2.add_argument("--fn", type=str, default=None)
     p2.add_argument("--params", type=str, default=None)
     p2.add_argument("--samples", type=int, default=None)
     _add_common(p2)
-    p2.set_defaults(run=_cmd_spec2d)
+    p2.set_defaults(run=_cmd_spec2d, config_keys=("fn", "params", "samples"))
 
     p3 = sub.add_parser("classify", help="region labeling over a plane grid")
     p3.add_argument("--fn", type=str, default=None)
@@ -515,19 +521,19 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--res", type=int, default=None)
     p3.add_argument("--band", type=float, default=None)
     _add_common(p3)
-    p3.set_defaults(run=_cmd_classify)
+    p3.set_defaults(run=_cmd_classify, config_keys=("fn", "params", "xmin", "xmax", "ymin", "ymax", "res", "band"))
 
     p4 = sub.add_parser("shift", help="sequence-space shift model report")
     p4.add_argument("--truncate", type=int, default=None)
     p4.add_argument("--lambda", dest="lam", type=str, default=None, help="a,b")
     p4.add_argument("--xi-eps", dest="xi_eps", type=float, default=None)
     _add_common(p4)
-    p4.set_defaults(run=_cmd_shift)
+    p4.set_defaults(run=_cmd_shift, config_keys=("truncate", "xi_eps"))
 
     p5 = sub.add_parser("mnc", help="compactness-rate bounds for an expression")
     p5.add_argument("--expr", type=str, default=None)
     _add_common(p5)
-    p5.set_defaults(run=_cmd_mnc)
+    p5.set_defaults(run=_cmd_mnc, config_keys=("expr",))
 
     p6 = sub.add_parser("bifurcate", help="bifurcation candidate scan")
     p6.add_argument("--fn", type=str, default=None)
@@ -542,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p6.add_argument("--tol", type=float, default=None)
     p6.add_argument("--seed", type=int, default=None, help="rotates the sphere directions of a --fn scan")
     _add_common(p6)
-    p6.set_defaults(run=_cmd_bifurcate)
+    p6.set_defaults(run=_cmd_bifurcate, config_keys=("fn", "params", "perturb", "truncate", "angles",
+                                                     "grid", "radii", "tol", "seed"))
 
     return parser
 
@@ -554,7 +561,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, args.cmd, args.config_keys)
         return args.run(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

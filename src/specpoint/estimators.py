@@ -4,7 +4,8 @@ Growth rates d_p and q_p from sphere minima and maxima over a shrinking
 radius schedule, point-spectrum membership tests with first-class Undecided
 verdicts, the smooth-map reduction to Jacobian eigenvalues, equivalence
 checking under rate-null perturbations, and a bifurcation candidate
-scanner for maps vanishing at the origin.
+scanner for maps vanishing at the origin.  Every sphere extremum comes
+from `homog2d._sphere_minima`, the kernel the planar engine shares.
 
 Sampling cannot certify that an infimum is zero, so membership verdicts
 report Undecided whenever the per-radius minima straddle the tolerance.
@@ -23,9 +24,9 @@ from .core import (
     Record,
     as_complex,
 )
-from .maps import MapSpec, difference, evaluate, scalar_action, translate_to_origin
-from .numerics import CHUNK, golden_min, hausdorff, scan_verdicts, sphere_directions, sphere_polish
-from .homog2d import SigmaCurve, _curve_values, _unit_points, sigma_curve
+from .maps import MapSpec, difference, evaluate, translate_to_origin
+from .numerics import hausdorff, scan_verdicts
+from .homog2d import SPHERE_DIRECTIONS, SigmaCurve, _curve_values, _sphere_minima, sigma_curve
 
 TWO_PI = 2.0 * math.pi
 EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
@@ -36,7 +37,7 @@ TAIL = 6  # d_p, q_p and membership read the last TAIL radii
 
 
 class RateConfig(Record):
-    directions: int = 1024
+    directions: int = SPHERE_DIRECTIONS
     polish: bool = True
     divergence_threshold: float = 1e6
 
@@ -61,64 +62,6 @@ class LocalRates(Record):
     def __post_init__(self):
         if not (0.0 <= self.d_p <= self.q_p):
             raise ValueError(f"rates out of order: d={self.d_p}, q={self.q_p}")
-
-
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """|x| over the last axis, squares summed in order: np.linalg.norm's bits up to dim 7.
-
-    np.linalg.norm in its place slows the 128 x 128 scan of norm_plus_i_im_pow(2) from 0.41 s to 0.75 s.
-    """
-    s = x[..., 0] ** 2
-    for c in range(1, x.shape[-1]):
-        s += x[..., c] ** 2
-    return np.sqrt(s)
-
-
-def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
-                   sign: float = 1.0, polish: bool = True) -> np.ndarray:
-    """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
-
-    Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
-    maxima for sign -1.  Every entry is sampled at the n unit vectors
-    `sphere_directions(g.dim, n, seed)`, one map evaluation per radius and
-    CHUNK coordinates at a time, and then (unless polish is False) polished
-    from its best sample, all entries in one batch: not at all in dim 1,
-    whose sphere is two points; in dim 2, whose directions are a uniform
-    angle grid, by `golden_min` over the best angle plus or minus one
-    spacing; by `sphere_polish` from dim 3.  A positively homogeneous g has
-    the same entries at every radius, so one radius is computed and
-    repeated.  lam acts through `scalar_action`, so a complex lam on a g
-    without complex structure raises PreconditionError.
-    """
-    dirs = sphere_directions(g.dim, n, seed)
-    cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
-    res = np.empty((lams.size, cols.size))
-    i0 = np.empty(res.shape, dtype=np.intp)
-    step = max(1, CHUNK // dirs.size)  # lams per chunk of the sampled gaps
-    for j, r in enumerate(cols):
-        vals = evaluate(g, r * dirs) / r
-        for lo in range(0, lams.size, step):
-            gaps = scalar_action(lams[lo:lo + step, None], dirs[None], g.complex_pairs) - vals
-            sampled = sign * _row_norm(gaps)
-            i0[lo:lo + step, j] = sampled.argmin(axis=1)
-            res[lo:lo + step, j] = sampled.min(axis=1)
-    if polish and g.dim > 1:
-        rows = np.repeat(lams, cols.size)  # row-major over (lam, radius)
-        r = np.tile(cols, lams.size)[:, None, None]
-
-        def gap(U):  # (B, m, dim) unit vectors -> (B, m) signed residuals
-            gaps = scalar_action(rows[:, None], U, g.complex_pairs) - evaluate(g, r * U) / r
-            return sign * _row_norm(gaps)
-
-        start = dirs[i0.ravel()]
-        if g.dim == 2:
-            t, dt = np.arctan2(start[:, 1], start[:, 0]), TWO_PI / n
-            _, best = golden_min(lambda ts: gap(_unit_points(ts)[:, None])[:, 0], t - dt, t + dt)
-        else:
-            best, _ = sphere_polish(gap, start)
-        np.minimum(res, best.reshape(res.shape), out=res)
-    res *= sign
-    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
 
 
 def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRates:

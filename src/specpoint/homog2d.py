@@ -14,7 +14,9 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
     deg(lam*id - f) = 1 + wind(sigma, lam),
 
 and a grid is labelled by a point-in-polygon winding query on the traced
-curve, with no further map evaluations.
+curve, with no further map evaluations; `winding_number` counts at a
+single node with the same crossings.  `_sphere_minima`, the one sphere
+extremum kernel, gives d, q and Rouche's min |f| here and all of `estimators`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is
@@ -37,10 +39,11 @@ from .core import (
     Record,
     SolverError,
 )
-from .maps import MapSpec, evaluate
-from .numerics import CHUNK, disk_points, golden_min, sphere_polish
+from .maps import MapSpec, evaluate, scalar_action
+from .numerics import CHUNK, disk_points, golden_min, sphere_directions, sphere_polish
 
 TWO_PI = 2.0 * math.pi
+SPHERE_DIRECTIONS = 1024  # sampled unit vectors of the growth rates, d, q and Rouche's min |f|
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
 ROUCHE_STARTS = 64  # coincidence-solver starts: the origin and 63 disk points
@@ -189,24 +192,68 @@ def _curve_values(f: MapSpec, thetas: np.ndarray, radius: float = 1.0) -> np.nda
     return (w[..., 0] + 1j * w[..., 1]) * np.exp(-1j * thetas) / radius
 
 
-def _norm_extrema(f: MapSpec, thetas: np.ndarray, norms: np.ndarray,
-                  radius: float = 1.0) -> tuple[float, float]:
-    """Min and max of |f| on the circle |z| = radius from its samples `norms`.
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """|x| over the last axis, squares summed in order: np.linalg.norm's bits up to dim 7.
 
-    The sampled minimum and maximum are golden-polished together, each over
-    the two sample spacings around it.  math.hypot is correctly rounded;
-    np.hypot can be one ulp off.
+    np.linalg.norm in its place slows the 128 x 128 scan of norm_plus_i_im_pow(2) from 0.41 s to 0.75 s.
     """
-    delta = 2.0 * TWO_PI / thetas.size
-    at = thetas[[int(np.argmin(norms)), int(np.argmax(norms))]]
-    sign = np.array([1.0, -1.0])
+    s = x[..., 0] ** 2
+    for c in range(1, x.shape[-1]):
+        s += x[..., c] ** 2
+    return np.sqrt(s)
 
-    def signed_norms(ts):
-        w = evaluate(f, radius * _unit_points(ts))
-        return sign * np.array([math.hypot(x, y) for x, y in w])
 
-    _, best = golden_min(signed_norms, at - delta, at + delta)
-    return min(float(norms.min()), float(best[0])), max(float(norms.max()), -float(best[1]))
+def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
+                   sign: float = 1.0, polish: bool = True) -> np.ndarray:
+    """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
+
+    Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
+    maxima for sign -1; the growth rates, d and q take lam = 0.  Every entry
+    is sampled at the n unit vectors `sphere_directions(g.dim, n, seed)`,
+    one map evaluation per radius and CHUNK coordinates at a time, and then
+    (unless polish is False) polished from its best sample, all entries in
+    one batch: not at all in dim 1, whose sphere is two points; in dim 2,
+    whose directions are a uniform angle grid, by `golden_min` over the best
+    angle plus or minus one spacing; by `sphere_polish` from dim 3.  A
+    positively homogeneous g has the same entries at every radius, so one
+    radius is computed and repeated.  lam acts through `scalar_action`, so
+    a complex lam on a g without complex structure raises PreconditionError.
+    """
+    dirs = sphere_directions(g.dim, n, seed)
+    cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
+    res = np.empty((lams.size, cols.size))
+    i0 = np.empty(res.shape, dtype=np.intp)
+    step = max(1, CHUNK // dirs.size)  # lams per chunk of the sampled gaps
+    for j, r in enumerate(cols):
+        vals = evaluate(g, r * dirs) / r
+        for lo in range(0, lams.size, step):
+            gaps = scalar_action(lams[lo:lo + step, None], dirs[None], g.complex_pairs) - vals
+            sampled = sign * _row_norm(gaps)
+            i0[lo:lo + step, j] = sampled.argmin(axis=1)
+            res[lo:lo + step, j] = sampled.min(axis=1)
+    if polish and g.dim > 1:
+        rows = np.repeat(lams, cols.size)  # row-major over (lam, radius)
+        r = np.tile(cols, lams.size)[:, None, None]
+
+        def gap(U):  # (B, m, dim) unit vectors -> (B, m) signed residuals
+            gaps = scalar_action(rows[:, None], U, g.complex_pairs) - evaluate(g, r * U) / r
+            return sign * _row_norm(gaps)
+
+        start = dirs[i0.ravel()]
+        if g.dim == 2:
+            t, dt = np.arctan2(start[:, 1], start[:, 0]), TWO_PI / n
+            _, best = golden_min(lambda ts: gap(_unit_points(ts)[:, None])[:, 0], t - dt, t + dt)
+        else:
+            best, _ = sphere_polish(gap, start)
+        np.minimum(res, best.reshape(res.shape), out=res)
+    res *= sign
+    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
+
+
+def _circle_extremum(f: MapSpec, sign: float, radius: float = 1.0) -> float:
+    """min (sign 1) or max (sign -1) of |f(z)| / radius over |z| = radius: the kernel at lam = 0."""
+    zero = np.zeros(1, dtype=complex)
+    return float(_sphere_minima(f, zero, (radius,), SPHERE_DIRECTIONS, sign=sign)[0, 0])
 
 
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
@@ -231,17 +278,15 @@ def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
     return SigmaCurve(thetas, vals, chord_bound, met, label)
 
 
-def d_and_quasinorm(f: MapSpec, curve: SigmaCurve | None = None) -> tuple[float, float]:
+def d_and_quasinorm(f: MapSpec) -> tuple[float, float]:
     """Growth rates d and q: the min and max of |f| on the unit circle.
 
-    On the circle |f(e^{i theta})| = |sigma(theta)|, so both are read off the
-    traced curve (traced here with 4096 initial samples when none is given)
-    and golden-polished around the sampled extrema.
+    Both are `_sphere_minima` at lam = 0 and radius 1 with sign 1 and -1:
+    SPHERE_DIRECTIONS angles, each extremum golden-polished over the best
+    angle plus or minus one spacing.  |f(e^{i theta})| = |sigma(theta)|.
     """
     _require_planar_homogeneous(f)
-    if curve is None:
-        curve = sigma_curve(f, samples=4096)
-    return _norm_extrema(f, curve.thetas, np.abs(curve.values))
+    return _circle_extremum(f, 1.0), _circle_extremum(f, -1.0)
 
 
 def winding_number(
@@ -250,31 +295,31 @@ def winding_number(
     radius: float = 1.0,
     samples: int = 256,
 ) -> WindingResult:
-    """Winding of theta -> lam * z - f(z) on |z| = radius around the origin.
+    """Winding of gamma(theta) = lam * z - f(z) on |z| = radius around the origin.
 
-    Samples are refined, up to 2^18, until every angular increment is below
-    pi/2; the reported margin is the minimum distance of the curve to the
-    origin, and one below MARGIN_TOL * max(1, radius) is an error.
+    gamma = z (lam - sigma_r) for the curve sigma_r normalized at radius r,
+    so the winding is 1 + wind(sigma_r, lam), the crossing count of
+    `scanline_turns` at the node lam.  Samples are doubled, up to 2^18,
+    until every angular increment of gamma is below pi/2; a margin min
+    |gamma| below MARGIN_TOL * max(1, radius) is an error.
     """
     if f.dim != 2:
         raise PreconditionError(f"map {f.name} is not planar")
-    lam = complex(lam) if not isinstance(lam, complex) else lam
+    lam = complex(lam)
     n = max(16, int(samples))
     while True:
         thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        pts = radius * _unit_points(thetas)
-        w = evaluate(f, pts)
-        gamma = lam * radius * np.exp(1j * thetas) - (w[..., 0] + 1j * w[..., 1])
+        sigma = _curve_values(f, thetas, radius)
+        gamma = radius * np.exp(1j * thetas) * (lam - sigma)
         steps = np.angle(np.roll(gamma, -1) * np.conj(gamma))
         margin = float(np.min(np.abs(gamma)))
-        max_inc = float(np.max(np.abs(steps)))
         if margin < MARGIN_TOL * max(1.0, radius):
             raise AdmissibilityError(
                 f"boundary curve of {f.name} passes within {margin:.3e} of the origin"
             )
-        if max_inc < 0.5 * math.pi:
-            turns = int(round(float(steps.sum()) / TWO_PI))
-            return WindingResult(turns, margin)
+        if float(np.max(np.abs(steps))) < 0.5 * math.pi:
+            row, col, sign = _crossings(sigma, np.array([lam.real]), np.array([lam.imag]))
+            return WindingResult(int(_turns(row, col, sign, 1, 1)[0, 0]), margin)
         if n >= 1 << 18:
             raise NumericError(
                 f"angular increments did not settle below pi/2 with {n} samples"
@@ -292,16 +337,15 @@ def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     right: crossings are binned by the first column at or right of them and
     summed from the right (Hormann & Agathos, Comput. Geom. 20, 2001).
     """
-    return _turns(*_crossings(curve, xs, ys), ys.size, xs.size)
+    return _turns(*_crossings(curve.values, xs, ys), ys.size, xs.size)
 
 
-def _crossings(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray):
-    """(row, col, sign) of every crossing of the curve's edges with the rows ys.
+def _crossings(a: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """(row, col, sign) of every crossing of the closed polygon of complex points a with the rows ys.
 
     The list is sparse, one entry per (edge, row) pair an edge covers, in
     ascending row order; col is the first column at or right of the crossing.
     """
-    a = curve.values
     b = np.roll(a, -1)
     lo = np.minimum(a.imag, b.imag)
     hi = np.maximum(a.imag, b.imag)
@@ -432,7 +476,7 @@ def classify_plane(
     # the crossings are listed once, by row, and binned per block, and the
     # component check of a block takes the last row of the one before it.
     labels = _band_codes(curve.values, xs, ys, reach * (1.0 + 1e-9), band, MARGIN_TOL, chord)
-    row, col, sign = _crossings(curve, xs, ys)
+    row, col, sign = _crossings(curve.values, xs, ys)
     violations, consistent = [], True
     step = max(1, CHUNK // resolution)
     for lo in range(0, resolution, step):
@@ -463,21 +507,21 @@ def classify_plane(
     )
 
 
-def spectral_radius_bound(f: MapSpec, p=None, samples: int = 4096) -> float:
+def spectral_radius_bound(f: MapSpec, p=None) -> float:
     """Upper bound for |lam| over the spectrum: the local quasinorm at p.
 
     Every lam with modulus above the returned value is regular.  A planar
-    homogeneous map takes the largest modulus of its eigenvalue curve,
-    traced with `samples` samples.  Any other map takes the upper rate q_p
-    of `estimators.estimate_rates` at p (the basepoint by default): the
-    largest polished sphere maximum of |f(p + x) - f(p)| / r over the tail
-    radii, one radius for a homogeneous map.
+    homogeneous map at its basepoint (p None or equal) takes `d_and_quasinorm`'s
+    q, bit for bit.  Any other map or point takes the upper rate q_p of
+    `estimators.estimate_rates` at p: the largest polished sphere maximum
+    of |f(p + x) - f(p)| / r over the tail radii, one radius for a
+    homogeneous map.
     """
-    if f.homogeneous and f.dim == 2:
-        return d_and_quasinorm(f, sigma_curve(f, samples=samples))[1]
+    base = f.basepoint if p is None else np.asarray(p, dtype=float)
+    if f.homogeneous and f.dim == 2 and np.array_equal(base, f.basepoint):
+        return _circle_extremum(f, -1.0)
     from . import estimators  # lazy: general maps use the rate estimator
 
-    base = f.basepoint if p is None else p
     return estimators.estimate_rates(f, base).q_p
 
 
@@ -512,17 +556,15 @@ def rouche_coincidence(
     if f.dim != 2 or k.dim != 2:
         raise PreconditionError("coincidence solving is planar")
     radius = float(radius)
-    if radius <= 0:
-        raise PreconditionError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise PreconditionError(f"radius must be positive and finite, got {radius!r}")
 
     # -f(z) = 0 * z - f(z) winds as often as f(z)
     turns = winding_number(f, 0.0, radius=radius, samples=256).turns
     if turns == 0:
         raise PreconditionError("boundary winding of f is zero; solvability not certified")
 
-    thetas = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    w = evaluate(f, radius * _unit_points(thetas))
-    min_f, _ = _norm_extrema(f, thetas, np.abs(w[..., 0] + 1j * w[..., 1]), radius)
+    min_f = radius * _circle_extremum(f, 1.0, radius)
 
     def shadow(U):
         return radius * U[..., :2]

@@ -425,9 +425,13 @@ def test_spec1d_runs_without_numpy():
 
 
 def test_planar_command_loads_no_dini():
-    # maps imports the 1-D builtins from dini only when one is built
-    mods = probe_modules(["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"])
-    assert "specpoint.maps" in mods and "specpoint.dini" not in mods, mods
+    # maps imports the 1-D builtins from dini only when one is built, and the
+    # circle kernel behind d, q and the radius bound lives in homog2d
+    for argv in (["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"],
+                 ["classify", "--fn", "norm_plus_i_im", "--res", "20"]):
+        mods = probe_modules(argv)
+        assert "specpoint.maps" in mods and "specpoint.homog2d" in mods, mods
+        assert not mods & {"specpoint.dini", "specpoint.estimators"}, mods
 
 
 def test_shift_scan_loads_no_planar_or_sampling_engine():
@@ -465,19 +469,36 @@ def test_exit_code_numeric_failure_mapping(capsys, monkeypatch):
 
 
 def test_config_file_defaults_and_override(capsys, tmp_path):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("samples = 512\n# comment\npoint = 0\n")
+    # one file per command: a key that the command does not read exits 2
+    cfg2d = tmp_path / "spec2d.txt"
+    cfg2d.write_text("samples = 512\n# comment\n")
     d = run_json(
         capsys,
-        ["spec2d", "--fn", "abs_re_plus_i_im", "--config", str(cfg)],
+        ["spec2d", "--fn", "abs_re_plus_i_im", "--config", str(cfg2d)],
     )
     assert d["curve"]["samples"] >= 512
     # explicit flag wins over the config value
+    cfg1d = tmp_path / "spec1d.txt"
+    cfg1d.write_text("point = 0.5\n")
     d2 = run_json(
         capsys,
-        ["spec1d", "--fn", "sqrt_abs", "--exact", "--config", str(cfg), "--point", "0"],
+        ["spec1d", "--fn", "sqrt_abs", "--exact", "--config", str(cfg1d), "--point", "0"],
     )
     assert d2["point"] == 0.0
+
+
+@pytest.mark.parametrize("argv, line, key", [
+    (["classify", "--fn", "abs_re_plus_i_im"], "rez = 100", "rez"),
+    (["spec2d", "--fn", "norm_plus_i_im"], "seed = 3", "seed"),
+    (["shift", "--truncate", "8"], "lambda = 2,0", "lambda"),
+])
+def test_config_key_the_command_does_not_read_exits_2(capsys, tmp_path, argv, line, key):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(f"# a misspelt or foreign key\n{line}\n")
+    rc = cli.main(argv + ["--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert f"config key {key!r} is not read by {argv[0]}" in err, err
 
 
 def test_seeded_bifurcate_deterministic(capsys, tmp_path):
@@ -590,7 +611,7 @@ def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
     d = run_json(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "512"])
     assert len(calls) == 1
     assert d["radius_bound"] == d["q"]
-    assert d["q"] == homog2d.spectral_radius_bound(builtin("norm_plus_i_im"), samples=512)
+    assert d["q"] == homog2d.spectral_radius_bound(builtin("norm_plus_i_im"))
     calls.clear()
     rc, _ = run_cli(capsys, ["classify", "--fn", "norm_plus_i_im", "--res", "40",
                              "--out", str(tmp_path / "c.json")])

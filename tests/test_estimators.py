@@ -8,8 +8,6 @@ from specpoint.core import PreconditionError
 from specpoint.estimators import (
     RateConfig,
     Verdict,
-    _row_norm,
-    _sphere_minima,
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
@@ -19,6 +17,7 @@ from specpoint.estimators import (
     sigma_membership,
     spectrum_set,
 )
+from specpoint.homog2d import _row_norm, _sphere_minima
 from specpoint.maps import (
     black_box,
     builtin,

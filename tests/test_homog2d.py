@@ -168,13 +168,11 @@ def test_d_and_quasinorm_values():
 
 
 @given(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
-def test_d_and_quasinorm_polish_finds_singular_values_from_a_coarse_curve(m):
-    # 16 samples leave the extrema between samples; the polish must find them
+def test_d_and_quasinorm_are_the_singular_values_of_a_linear_map(m):
+    # the extrema lie between the sampled angles; the golden polish must find them
     f = builtin("real_linear", s=m[0], t=m[1], u=m[2], v=m[3])
-    coarse = sigma_curve(f, samples=16, chord_bound=math.inf)
-    assert coarse.thetas.size == 16
     sv = np.linalg.svd(np.array(m).reshape(2, 2), compute_uv=False)
-    assert d_and_quasinorm(f, coarse) == pytest.approx((sv[1], sv[0]), abs=1e-9)
+    assert d_and_quasinorm(f) == pytest.approx((sv[1], sv[0]), abs=1e-9)
 
 
 def test_spectral_radius_bound_values():
@@ -183,8 +181,39 @@ def test_spectral_radius_bound_values():
     assert abs(spectral_radius_bound(builtin("conj_pair")) - 1.0) < 1e-9
 
 
+def test_spectral_radius_bound_honours_the_point():
+    # at the basepoint the bound is the circle's q; off it, the local quasinorm there
+    from specpoint.estimators import estimate_rates
+
+    f = builtin("norm_plus_i_im")
+    q = d_and_quasinorm(f)[1]
+    assert spectral_radius_bound(f) == q == spectral_radius_bound(f, p=[0.0, 0.0])
+    assert q == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    bound = spectral_radius_bound(f, p=[1.0, 0.0])
+    assert bound == estimate_rates(f, np.array([1.0, 0.0])).q_p
+    assert bound == pytest.approx(1.0, abs=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
+
+
+def _angle_sum_winding(f, lam, radius=1.0, samples=256):
+    """Reference: the former winding_number, which summed the angular increments of gamma.
+
+    gamma(theta) = lam z - f(z) on |z| = radius, sampled at n angles,
+    doubled until every increment is below pi/2.
+    """
+    n = max(16, samples)
+    while True:
+        assert n <= 1 << 18
+        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        w = evaluate(f, radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+        gamma = lam * radius * np.exp(1j * thetas) - (w[..., 0] + 1j * w[..., 1])
+        steps = np.angle(np.roll(gamma, -1) * np.conj(gamma))
+        if np.max(np.abs(steps)) < 0.5 * math.pi:
+            return int(round(float(steps.sum()) / (2.0 * math.pi)))
+        n *= 2
 
 
 def test_winding_examples():
@@ -214,6 +243,22 @@ def test_winding_margin_is_distance_to_curve():
 def test_winding_admissibility_error_on_curve():
     with pytest.raises(AdmissibilityError):
         winding_number(builtin("abs_re_plus_i_im"), 1 + 0j)
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_winding_off_the_unit_circle_matches_the_angle_sum(radius):
+    # norm_plus_i_im_pow(2) is not homogeneous, so sigma_r differs from sigma_1
+    f = builtin("norm_plus_i_im_pow", n=2)
+    sigma = homog2d._curve_values(f, np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False), radius)
+    rng = np.random.default_rng(5)
+    lams = rng.uniform(-3.0, 3.0, size=200) + 1j * rng.uniform(-3.0, 3.0, size=200)
+    lams = lams[np.min(np.abs(lams[:, None] - sigma[None]), axis=1) > 0.05]
+    seen = []
+    for lam in lams:
+        turns = winding_number(f, lam, radius=radius).turns
+        assert turns == _angle_sum_winding(f, lam, radius)
+        seen.append(turns)
+    assert {0, 1} <= set(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +345,7 @@ planar_maps = st.one_of(
 
 
 def assert_scanline_matches_evaluation(f, res=20, band=0.05, check=None):
-    """Scanline degree equals the evaluated winding_number on off-band cells."""
+    """Scanline degree equals the angle-sum reference and winding_number on off-band cells."""
     curve = sigma_curve(f, samples=2048)
     z = curve.values
     bounds = (z.real.min() - 0.7, z.real.max() + 0.5, z.imag.min() - 0.5, z.imag.max() + 0.7)
@@ -311,7 +356,8 @@ def assert_scanline_matches_evaluation(f, res=20, band=0.05, check=None):
         pick = np.random.default_rng(0).choice(rows.size, check, replace=False)
         rows, cols = rows[pick], cols[pick]
     for j, i in zip(rows, cols):
-        assert turns[j, i] == winding_number(f, complex(ps.xs[i], ps.ys[j])).turns
+        lam = complex(ps.xs[i], ps.ys[j])
+        assert turns[j, i] == _angle_sum_winding(f, lam) == winding_number(f, lam).turns
     expect = np.where(turns != 0, int(CellLabel.REGULAR), int(CellLabel.IN_SPECTRUM))
     off = ps.labels != CellLabel.BAND
     assert np.array_equal(ps.labels[off], expect[off])
@@ -766,3 +812,6 @@ def test_rouche_precondition_failures():
     zero_map = builtin("real_linear", s=0.0, t=0.0, u=0.0, v=0.0)
     with pytest.raises(PreconditionError):
         rouche_coincidence(zero_map, const_map(0.1, 0.0), radius=1.0)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            rouche_coincidence(identity_map(2), const_map(0.1, 0.0), radius=radius)
