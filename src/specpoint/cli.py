@@ -1,38 +1,33 @@
-"""Command line front end.
-
-Subcommands:
-
-    spec1d    derivative quadruple and spectral intervals of a 1-D builtin
-    spec2d    eigenvalue curve, growth rates, and radius bound (planar)
-    classify  region labeling over a plane grid by deg(lam*id - f) =
-              1 + wind(sigma, lam), SVG figure
-    shift     analytic shift-model report plus truncation residuals
-    mnc       compactness-rate bounds for an operator expression
-    bifurcate bifurcation candidate scan (planar builtin or shift model)
+"""Command line front end: `specpoint --help` lists the commands, `specpoint CMD --help` their flags.
 
 All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it)
 and --config FILE with `key = value` lines overridden by explicit flags.  A
 key is one of the command's value flags with - written _, other than --out,
---config, --lambda and --extra-lambda; any other key exits 2.
-`bifurcate` also takes --seed, which rotates the sphere directions of every
---fn scan; no other command's result depends on a seed.  Identical argv
-produce byte-identical outputs.
+--config, --lambda and --extra-lambda; any other key exits 2.  Identical
+argv produce byte-identical outputs.
 
-Sizes are capped, and a larger value exits 3 before anything is allocated:
---res <= 4096, --samples <= 2^20, --truncate <= 100000, --angles <= 4096,
---steps in [8, 4096], --grid counts nx, ny <= 128, and the reach of the
-classify band query (the widest of --band, 1e-9 and the longest chord of a
-curve that missed its chord bound) <= 64 grid spacings.  --samples below 1,
-a negative --band, a --tol or --h0 that is not positive and finite, a
---threshold that is not positive (inf turns divergence detection off), a
-smallest spec1d step --h0 * --ratio^(--steps - 1) that underflows to 0, a
---point +- --h0 beyond the floats (spec1d checks its grid in every mode), and
-a non-finite --grid bound, --lambda, --extra-lambda or --point exit 3 too.
-The JSON is strict: a non-finite number in an output exits 4 instead.
+`bifurcate --fn` alone reads --fn, --params, --grid and --seed, which
+rotates the sphere directions of its scan (no other result depends on a
+seed); `bifurcate --shift` alone reads --truncate, --angles, --perturb and
+--extra-lambda.  A flag or key of the other mode exits 2.  The --fn scan
+covers --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24 real lambdas of
+--grid=-1.5,1.5,0,0,24,1 for a map without complex structure, which takes
+real lambda only.
 
-`bifurcate --fn` scans --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24
-real lambdas of --grid=-1.5,1.5,0,0,24,1 for a map without complex structure,
-which takes real lambda only.
+A value that is no number, an empty field of a list (an empty --params is no
+parameters), an empty --radii and a non-integer --grid count exit 2.  A
+non-finite number exits 3, but --threshold inf turns divergence detection
+off.  Sizes are capped, and a value out of range exits 3 before anything is
+allocated: --res <= 4096, --samples in [1, 2^20], --truncate <= 100000,
+--angles <= 4096, --steps in [8, 4096], --grid counts nx, ny in [1, 128],
+|--seed| <= 2^53, and the reach of the classify band query (the widest of
+--band, 1e-9 and the longest chord of a curve that missed its chord bound)
+<= 64 grid spacings.  A negative --band, a --tol, --h0, --xi-eps, --radii or
+--threshold that is not positive, a smallest spec1d step --h0 *
+--ratio^(--steps - 1) that underflows to 0, a --point +- --h0 or a --grid
+span x1 - x0, y1 - y0 beyond the floats (spec1d checks its grid in every
+mode), and a shift lambda whose |lambda|^2 overflows exit 3 too.  The JSON
+is strict: a non-finite number in an output exits 4 instead.
 
 Exit codes: 0 success, 2 usage error, 3 precondition violated, 4 numeric or
 solver failure, 5 undecided result: `classify` when any cell is undecided
@@ -75,30 +70,67 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_UNDECIDED = 5
-MAX_ANGLES = 4096  # bifurcate --shift: lambdas on the sqrt(2) circle
 MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 512 sphere directions
 
 
-def _parse_floats(text: str) -> list[float]:
+def _cast(flag: str, kind, text):
+    """text read as a value of the row's kind; a text that is not one exits 2 and names the flag."""
+    if kind == "pairs":
+        return [_cast(flag, "pair", t) for t in text]
+    if kind == "pair":
+        vals = _cast(flag, "floats", text)
+        if len(vals) not in (1, 2):
+            raise UsageError(f"{flag} expects `a` or `a,b`, got {text!r}")
+        return complex(*vals)
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(f"{flag} takes {' | '.join(kind)}, got {text!r}")
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}: {exc}") from None
+        if kind == "int":
+            return int(text)
+        if kind == "float":
+            return float(text)
+        if kind == "floats":  # a blank text holds no numbers
+            fields = text.split(",") if text.strip() else []
+            if not all(t.strip() for t in fields):
+                raise UsageError(f"{flag} has an empty field in {text!r}")
+            return [float(t) for t in fields]
+    except ValueError:
+        raise UsageError(f"bad {kind} value for {flag}: {text!r}") from None
+    return text
 
 
-def _parse_pair(flag: str, text: str) -> complex:
-    vals = _parse_floats(text)
-    if len(vals) not in (1, 2):
-        raise UsageError(f"expected `a` or `a,b`, got {text!r}")
-    if not all(map(math.isfinite, vals)):
-        raise PreconditionError(f"{flag} must be finite, got {text!r}")
-    return complex(vals[0], vals[1] if len(vals) == 2 else 0.0)
+def _check(flag: str, check, value) -> None:
+    """Exit 3 naming flag unless value passes the row's check (a malformed --grid or empty --radii exits 2)."""
+    items = value if isinstance(value, list) else [value]
+    if isinstance(check, tuple):
+        if not check[0] <= value <= check[1]:
+            raise PreconditionError(f"{flag} must lie in [{check[0]}, {check[1]}], got {value}")
+    elif check == "finite":
+        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in items):
+            raise PreconditionError(f"{flag} must be finite, got {value!r}")
+    elif check == "positive":
+        if not items:
+            raise UsageError(f"{flag} needs at least one value")
+        if not all(0.0 < x < math.inf for x in items):
+            raise PreconditionError(f"{flag} must be positive and finite, got {value!r}")
+    else:  # "grid"
+        if len(value) != 6:
+            raise UsageError(f"{flag} needs x0,x1,y0,y1,nx,ny")
+        x0, x1, y0, y1, nx, ny = value
+        if not all(map(math.isfinite, (*value, x1 - x0, y1 - y0))):
+            raise PreconditionError(f"{flag} fields and spans x1 - x0, y1 - y0 must be finite, got {value!r}")
+        if not (nx.is_integer() and ny.is_integer()):
+            raise UsageError(f"{flag} counts nx, ny must be integers, got {nx!r}, {ny!r}")
+        if not (1 <= nx <= MAX_GRID and 1 <= ny <= MAX_GRID):
+            raise PreconditionError(f"{flag} counts nx, ny must lie in [1, {MAX_GRID}]")
 
 
-def _load_config(path: str | None, cmd: str, keys: tuple) -> dict[str, str]:
+def _load_config(path: str | None, cmd: str) -> dict[str, str]:
     """The `key = value` lines of the file at path; a key that cmd does not read is a usage error."""
     if not path:
         return {}
+    rows = COMMANDS[cmd][2]
+    keys = [flag[2:].replace("-", "_") for flag, kind, *_ in rows if kind not in ("switch", "pair", "pairs")]
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -118,26 +150,37 @@ def _load_config(path: str | None, cmd: str, keys: tuple) -> dict[str, str]:
     return out
 
 
-def _effective(args, config: dict, key: str, default, cast):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        try:
-            return cast(config[key])
-        except (ValueError, UsageError) as exc:
-            raise UsageError(f"bad config value for {key}: {exc}") from None
-    return default
+def _resolve(args, config: dict) -> None:
+    """Set each value flag of args to its argv value, else its config value, else its row's default.
+
+    A given text is cast by the row's kind and checked; one of the other `bifurcate` mode exits 2.
+    """
+    mode = "shift" if getattr(args, "shift", False) else "fn"
+    for flag, kind, default, check, only, _ in COMMANDS[args.cmd][2]:
+        if kind == "switch":
+            continue
+        key = flag[2:].replace("-", "_")
+        text, source = getattr(args, key), flag
+        if text is None and key in config:
+            text, source = config[key], f"config key {key!r}"
+        if only not in (None, mode):
+            if text is not None:
+                raise UsageError(f"{source} is read by {args.cmd} --{only} only")
+            continue
+        value = default
+        if text is not None:
+            value = _cast(source, kind, text)
+            if check is not None:
+                _check(source, check, value)
+        setattr(args, key, value)
 
 
-def _build_map(args, config):
+def _build_map(args):
     from .maps import builtin
 
-    name = _effective(args, config, "fn", None, str)
+    name, params = args.fn, args.params
     if not name:
         raise UsageError("--fn NAME is required")
-    params_text = _effective(args, config, "params", "", str)
-    params = _parse_floats(params_text) if params_text else []
     try:
         if name == "real_linear":
             if len(params) != 4:
@@ -163,8 +206,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
     except ValueError as exc:
         raise NumericError(f"non-finite number in the output: {exc}") from None
     if out_path:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_path).write_text(text)
+        _write_text(Path(out_path), text)
     else:
         sys.stdout.write(text)
 
@@ -217,38 +259,29 @@ def _curve_json(curve, limit: int | None = None) -> dict:
 # subcommands
 
 
-def _cmd_spec1d(args, config) -> int:
+def _cmd_spec1d(args) -> int:
     from . import dini as dini_mod
 
     # a 1-D builtin runs on bare Python; any other name errs as in the catalogue
-    name = _effective(args, config, "fn", None, str)
-    plain = name in dini_mod.BUILTINS_1D and not _effective(args, config, "params", "", str)
-    f = dini_mod.builtin_1d(name) if plain else _build_map(args, config)
+    plain = args.fn in dini_mod.BUILTINS_1D and not args.params
+    f = dini_mod.builtin_1d(args.fn) if plain else _build_map(args)
     if f.dim != 1:
         raise PreconditionError(f"{f.name} is not one dimensional")
-    point = _effective(args, config, "point", 0.0, float)
-    if not math.isfinite(point):
-        raise PreconditionError(f"--point must be finite, got {point!r}")
-    h0 = _effective(args, config, "h0", 0.1, float)
-    ratio = _effective(args, config, "ratio", 0.6, float)
-    steps = int(_effective(args, config, "steps", 60, int))
-    threshold = _effective(args, config, "threshold", 1e6, float)
-    dini_mod.check_estimator(point, h0, ratio, steps, threshold)  # checked in every mode
+    dini_mod.check_estimator(args.point, args.h0, args.ratio, args.steps, args.threshold)  # in every mode
     mode = "numeric" if args.numeric else "exact"
     if not args.numeric and not args.exact:
         mode = "exact" if f.dini_exact is not None else "numeric"
     if mode == "exact":
-        quad = dini_mod.dini_exact(f, point)
+        quad = dini_mod.dini_exact(f, args.point)
         flags = tuple(math.isinf(v) for v in quad.as_tuple())
     else:
-        est = dini_mod.dini_estimate(
-            f, point, h0=h0, ratio=ratio, steps=steps, divergence_threshold=threshold
-        )
+        est = dini_mod.dini_estimate(f, args.point, h0=args.h0, ratio=args.ratio, steps=args.steps,
+                                     divergence_threshold=args.threshold)
         quad, flags = est.quad, est.flagged
     payload = {
         "command": "spec1d",
         "fn": f.name,
-        "point": point,
+        "point": args.point,
         "mode": mode,
         "dini": quad.to_json(),
         "divergence_flags": list(flags),
@@ -259,12 +292,11 @@ def _cmd_spec1d(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_spec2d(args, config) -> int:
+def _cmd_spec2d(args) -> int:
     from . import homog2d
 
-    f = _build_map(args, config)
-    samples = int(_effective(args, config, "samples", 4096, int))
-    curve = homog2d.sigma_curve(f, samples=samples)
+    f = _build_map(args)
+    curve = homog2d.sigma_curve(f, samples=args.samples)
     d, q = homog2d.d_and_quasinorm(f)
     payload = {
         "command": "spec2d",
@@ -281,27 +313,19 @@ def _cmd_spec2d(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args, config) -> int:
+def _cmd_classify(args) -> int:
     from . import homog2d, svgfig
 
-    f = _build_map(args, config)
-    xmin = _effective(args, config, "xmin", -2.0, float)
-    xmax = _effective(args, config, "xmax", 2.0, float)
-    ymin = _effective(args, config, "ymin", -2.0, float)
-    ymax = _effective(args, config, "ymax", 2.0, float)
-    res = int(_effective(args, config, "res", 200, int))
-    band = _effective(args, config, "band", None, float)
-    spectrum = homog2d.classify_plane(
-        f, bounds=(xmin, xmax, ymin, ymax), resolution=res, band_radius=band
-    )
-    summary = spectrum.summary()
+    f = _build_map(args)
+    bounds = [args.xmin, args.xmax, args.ymin, args.ymax]
+    spectrum = homog2d.classify_plane(f, bounds=bounds, resolution=args.res, band_radius=args.band)
     payload = {
         "command": "classify",
         "fn": f.name,
-        "bounds": [xmin, xmax, ymin, ymax],
-        "res": res,
+        "bounds": bounds,
+        "res": args.res,
         "radius_bound": homog2d.spectral_radius_bound(f),
-        **summary,
+        **spectrum.summary(),
     }
     _emit(payload, args.out)
     if args.out:
@@ -314,12 +338,10 @@ def _cmd_classify(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_shift(args, config) -> int:
+def _cmd_shift(args) -> int:
     from . import structured
 
-    n = int(_effective(args, config, "truncate", 60, int))
-    eps = _effective(args, config, "xi_eps", 0.1, float)
-    lam = _parse_pair("--lambda", args.lam) if args.lam else None
+    n, eps, lam = args.truncate, args.xi_eps, getattr(args, "lambda")
     report = structured.shift_model_report()
     payload = {
         "command": "shift",
@@ -362,63 +384,45 @@ def _cmd_shift(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_mnc(args, config) -> int:
-    expr_text = _effective(args, config, "expr", None, str)
-    if not expr_text:
+def _cmd_mnc(args) -> int:
+    if not args.expr:
         raise UsageError("--expr EXPRESSION is required")
     from . import rates
 
-    expr = rates.parse_expr(expr_text)
-    bounds = rates.mnc_bounds(expr)
-    payload = {"command": "mnc", "expr": expr_text, **bounds.to_json()}
+    bounds = rates.mnc_bounds(rates.parse_expr(args.expr))
+    payload = {"command": "mnc", "expr": args.expr, **bounds.to_json()}
     _emit(payload, args.out)
     return EXIT_OK
 
 
-def _cmd_bifurcate(args, config) -> int:
+def _cmd_bifurcate(args) -> int:
     import numpy as np
-
-    radii_text = _effective(args, config, "radii", "0.1,0.01,0.001", str)
-    radii = _parse_floats(radii_text)
-    if not radii:
-        raise UsageError("--radii needs at least one radius")
-    if not all(0.0 < r < math.inf for r in radii):
-        raise PreconditionError(f"radii must be positive and finite, got {radii_text!r}")
-    tol = _effective(args, config, "tol", 0.02, float)
-    if not 0.0 < tol < math.inf:
-        raise PreconditionError(f"--tol must be positive and finite, got {tol!r}")
 
     if args.shift:
         from . import structured
 
-        n = int(_effective(args, config, "truncate", 40, int))
-        angles = int(_effective(args, config, "angles", 16, int))
-        if not 0 <= angles <= MAX_ANGLES:
-            raise PreconditionError(f"--angles must lie in [0, {MAX_ANGLES}], got {angles}")
-        thetas = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
+        n = args.truncate
+        thetas = np.linspace(0.0, 2.0 * math.pi, args.angles, endpoint=False)
         # one orbit for the circle, whose modulus is SQRT2 as built, and one
         # for each extra lambda: the scan solves once per orbit
         circle = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
-        extras = [_parse_pair("--extra-lambda", extra) for extra in args.extra_lambda or []]
-        lams = structured.LambdaOrbits([(structured.SQRT2, circle)] + [(lam, [lam]) for lam in extras])
-        perturb = _effective(args, config, "perturb", "none", str)
+        extras = [(lam, [lam]) for lam in args.extra_lambda]
+        lams = structured.LambdaOrbits([(structured.SQRT2, circle)] + extras)
         h_const = None
-        if perturb == "normsq_e1":
+        if args.perturb == "normsq_e1":
             def h_const(r, _n=n):
                 v = np.zeros(_n, dtype=complex)
                 v[0] = r * r
                 return v
-        elif perturb != "none":
-            raise UsageError(f"unknown perturbation {perturb!r}")
         scan = structured.shift_bifurcation_scan(
-            lams, N=n, radii=radii, tol=tol, h_sphere_const=h_const
+            lams, N=n, radii=args.radii, tol=args.tol, h_sphere_const=h_const
         )
         payload = {
             "command": "bifurcate",
             "model": "shift",
             "truncate": n,
-            "perturb": perturb,
-            "tol": tol,
+            "perturb": args.perturb,
+            "tol": args.tol,
             "radii": list(scan.radii),
             "lambdas": [[l.real, l.imag] for l in scan.lams],
             "normalized_residuals": [[float(v) for v in row] for row in scan.normalized],
@@ -430,31 +434,20 @@ def _cmd_bifurcate(args, config) -> int:
 
     from . import estimators
 
-    f = _build_map(args, config)
+    f = _build_map(args)
     # a map without complex structure takes real lambda only
-    default_grid = "-1.5,1.5,-1.5,1.5,24,30" if f.complex_pairs else "-1.5,1.5,0,0,24,1"
-    grid_text = _effective(args, config, "grid", default_grid, str)
-    g = _parse_floats(grid_text)
-    if len(g) != 6:
-        raise UsageError("--grid needs x0,x1,y0,y1,nx,ny")
-    x0, x1, y0, y1, nx, ny = g
-    if not (nx.is_integer() and ny.is_integer()):
-        raise UsageError(f"--grid counts nx, ny must be integers, got {nx!r}, {ny!r}")
-    if not (1 <= nx <= MAX_GRID and 1 <= ny <= MAX_GRID):
-        raise PreconditionError(f"--grid counts nx, ny must lie in [1, {MAX_GRID}]")
-    if not all(map(math.isfinite, (x0, x1, y0, y1))):
-        raise PreconditionError(f"--grid bounds must be finite, got {grid_text!r}")
+    default_grid = (-1.5, 1.5, -1.5, 1.5, 24, 30) if f.complex_pairs else (-1.5, 1.5, 0.0, 0.0, 24, 1)
+    x0, x1, y0, y1, nx, ny = args.grid or default_grid
     xs = np.linspace(x0, x1, int(nx))
     ys = np.linspace(y0, y1, int(ny))
     lams = [complex(x, y) for y in ys for x in xs]
-    seed = int(_effective(args, config, "seed", 0, int))
-    scan = estimators.bifurcation_scan(f, lams, radii=radii, tol=tol, seed=seed)
+    scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol, seed=args.seed)
     undecided = [v for v in scan.verdicts if v == "undecided"]
     payload = {
         "command": "bifurcate",
         "fn": f.name,
         "grid": [x0, x1, y0, y1, int(nx), int(ny)],
-        "tol": tol,
+        "tol": args.tol,
         "radii": list(scan.radii),
         "candidates": [[c.real, c.imag] for c in scan.candidates],
         "n_candidates": len(scan.candidates),
@@ -472,12 +465,66 @@ def _cmd_bifurcate(args, config) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flag tables and parser
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--out", type=str, default=None, help="write JSON here (CSV/SVG alongside)")
-    p.add_argument("--config", type=str, default=None, help="key = value defaults file")
+# One table per command: its help, its function, and a row per flag that
+# the parser, the config keys and `_resolve` all read.  kind: int, float,
+# str, floats (a,b,...), pair (a lambda a or a,b, read from argv only), pairs
+# (repeatable), switch (a|b: mutually exclusive), or the names a str may
+# take.  check: finite, positive (and finite, at least one), grid (see
+# `_check`), an integer range (lo, hi), or None where the library checks the
+# value.  mode: the bifurcate mode that alone reads the flag, shift or fn.
+COMMANDS = {
+    "spec1d": ("derivative quadruple and spectral intervals of a 1-D builtin", _cmd_spec1d, (
+        # flag, kind, default, check, mode, help
+        ("--fn", "str", None, None, None, None),
+        ("--point", "float", 0.0, "finite", None, None),
+        ("--exact|--numeric", "switch", None, None, None, None),
+        ("--h0", "float", 0.1, None, None, None),
+        ("--ratio", "float", 0.6, None, None, None),
+        ("--steps", "int", 60, None, None, "grid steps, 8 to 4096"),
+        ("--threshold", "float", 1e6, None, None, "divergence threshold, positive; inf turns detection off"),
+        ("--params", "floats", (), "finite", None, None),
+    )),
+    "spec2d": ("eigenvalue curve, growth rates, and radius bound (planar)", _cmd_spec2d, (
+        ("--fn", "str", None, None, None, None),
+        ("--params", "floats", (), "finite", None, None),
+        ("--samples", "int", 4096, None, None, None),
+    )),
+    "classify": ("region labeling over a plane grid by deg(lam*id - f) = 1 + wind(sigma, lam), SVG figure",
+                 _cmd_classify, (
+        ("--fn", "str", None, None, None, None),
+        ("--params", "floats", (), "finite", None, None),
+        ("--xmin", "float", -2.0, "finite", None, None),
+        ("--xmax", "float", 2.0, "finite", None, None),
+        ("--ymin", "float", -2.0, "finite", None, None),
+        ("--ymax", "float", 2.0, "finite", None, None),
+        ("--res", "int", 200, None, None, None),
+        ("--band", "float", None, None, None, None),  # None: two cell diagonals
+    )),
+    "shift": ("analytic shift-model report plus truncation residuals", _cmd_shift, (
+        ("--truncate", "int", 60, None, None, None),
+        ("--lambda", "pair", None, "finite", None, "a,b"),
+        ("--xi-eps", "float", 0.1, "positive", None, None),
+    )),
+    "mnc": ("compactness-rate bounds for an operator expression", _cmd_mnc, (
+        ("--expr", "str", None, None, None, None),
+    )),
+    "bifurcate": ("bifurcation candidate scan (planar builtin or shift model)", _cmd_bifurcate, (
+        ("--fn", "str", None, None, "fn", None),
+        ("--params", "floats", (), "finite", "fn", None),
+        ("--shift", "switch", None, None, None, "scan the shift model instead"),
+        ("--perturb", ("none", "normsq_e1"), "none", None, "shift", None),
+        ("--truncate", "int", 40, None, "shift", None),
+        ("--angles", "int", 16, (0, 4096), "shift", None),  # lambdas on the sqrt(2) circle
+        ("--extra-lambda", "pairs", (), "finite", "shift", "a,b (repeatable)"),
+        ("--grid", "floats", None, "grid", "fn", "x0,x1,y0,y1,nx,ny"),  # None: set by the map
+        ("--radii", "floats", (0.1, 0.01, 0.001), "positive", None, None),
+        ("--tol", "float", 0.02, "positive", None, None),
+        # a float holds every integer up to 2^53 exactly
+        ("--seed", "int", 0, (-2**53, 2**53), "fn", "rotates the sphere directions of a --fn scan"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,69 +535,19 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p1 = sub.add_parser("spec1d", help="one dimensional spectral intervals")
-    p1.add_argument("--fn", type=str, default=None)
-    p1.add_argument("--point", type=float, default=None)
-    mode = p1.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--numeric", action="store_true")
-    p1.add_argument("--h0", type=float, default=None)
-    p1.add_argument("--ratio", type=float, default=None)
-    p1.add_argument("--steps", type=int, default=None, help="grid steps, 8 to 4096")
-    p1.add_argument("--threshold", type=float, default=None,
-                    help="divergence threshold, positive; inf turns detection off")
-    p1.add_argument("--params", type=str, default=None)
-    _add_common(p1)
-    p1.set_defaults(run=_cmd_spec1d, config_keys=("fn", "params", "point", "h0", "ratio", "steps", "threshold"))
-
-    p2 = sub.add_parser("spec2d", help="planar eigenvalue curve and rates")
-    p2.add_argument("--fn", type=str, default=None)
-    p2.add_argument("--params", type=str, default=None)
-    p2.add_argument("--samples", type=int, default=None)
-    _add_common(p2)
-    p2.set_defaults(run=_cmd_spec2d, config_keys=("fn", "params", "samples"))
-
-    p3 = sub.add_parser("classify", help="region labeling over a plane grid")
-    p3.add_argument("--fn", type=str, default=None)
-    p3.add_argument("--params", type=str, default=None)
-    p3.add_argument("--xmin", type=float, default=None)
-    p3.add_argument("--xmax", type=float, default=None)
-    p3.add_argument("--ymin", type=float, default=None)
-    p3.add_argument("--ymax", type=float, default=None)
-    p3.add_argument("--res", type=int, default=None)
-    p3.add_argument("--band", type=float, default=None)
-    _add_common(p3)
-    p3.set_defaults(run=_cmd_classify, config_keys=("fn", "params", "xmin", "xmax", "ymin", "ymax", "res", "band"))
-
-    p4 = sub.add_parser("shift", help="sequence-space shift model report")
-    p4.add_argument("--truncate", type=int, default=None)
-    p4.add_argument("--lambda", dest="lam", type=str, default=None, help="a,b")
-    p4.add_argument("--xi-eps", dest="xi_eps", type=float, default=None)
-    _add_common(p4)
-    p4.set_defaults(run=_cmd_shift, config_keys=("truncate", "xi_eps"))
-
-    p5 = sub.add_parser("mnc", help="compactness-rate bounds for an expression")
-    p5.add_argument("--expr", type=str, default=None)
-    _add_common(p5)
-    p5.set_defaults(run=_cmd_mnc, config_keys=("expr",))
-
-    p6 = sub.add_parser("bifurcate", help="bifurcation candidate scan")
-    p6.add_argument("--fn", type=str, default=None)
-    p6.add_argument("--params", type=str, default=None)
-    p6.add_argument("--shift", action="store_true", help="scan the shift model instead")
-    p6.add_argument("--perturb", type=str, default=None, help="none | normsq_e1")
-    p6.add_argument("--truncate", type=int, default=None)
-    p6.add_argument("--angles", type=int, default=None)
-    p6.add_argument("--extra-lambda", action="append", default=None, help="a,b (repeatable)")
-    p6.add_argument("--grid", type=str, default=None, help="x0,x1,y0,y1,nx,ny")
-    p6.add_argument("--radii", type=str, default=None)
-    p6.add_argument("--tol", type=float, default=None)
-    p6.add_argument("--seed", type=int, default=None, help="rotates the sphere directions of a --fn scan")
-    _add_common(p6)
-    p6.set_defaults(run=_cmd_bifurcate, config_keys=("fn", "params", "perturb", "truncate", "angles",
-                                                     "grid", "radii", "tol", "seed"))
-
+    for cmd, (text, run, _) in COMMANDS.items():
+        p = sub.add_parser(cmd, help=text)
+        for flag, kind, _, _, _, note in COMMANDS[cmd][2]:
+            if kind == "switch":
+                group = p.add_mutually_exclusive_group() if "|" in flag else p
+                for name in flag.split("|"):
+                    group.add_argument(name, action="store_true", help=note)
+            else:
+                note = " | ".join(kind) if isinstance(kind, tuple) else note
+                p.add_argument(flag, action="append" if kind == "pairs" else "store", help=note)
+        p.add_argument("--out", help="write JSON here (CSV/SVG alongside)")
+        p.add_argument("--config", help="key = value defaults file")
+        p.set_defaults(run=run)
     return parser
 
 
@@ -561,8 +558,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        config = _load_config(args.config, args.cmd, args.config_keys)
-        return args.run(args, config)
+        _resolve(args, _load_config(args.config, args.cmd))
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -447,8 +447,8 @@ def classify_plane(
     """
     _require_planar_homogeneous(f)
     x0, x1, y0, y1 = map(float, bounds)
-    if not (x1 > x0 and y1 > y0) or resolution < 2:
-        raise PreconditionError("need a nondegenerate grid")
+    if not (0.0 < x1 - x0 < math.inf and 0.0 < y1 - y0 < math.inf) or resolution < 2:
+        raise PreconditionError("need a nondegenerate grid with finite spans")
     if resolution > MAX_RESOLUTION:
         raise PreconditionError(f"grid resolution {resolution} exceeds {MAX_RESOLUTION}")
     if band_radius is not None and not band_radius >= 0.0:

@@ -269,9 +269,11 @@ def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
     |lam| alone: `shift_bifurcation_scan` solves once per `LambdaOrbits` orbit.
     """
     lam = as_complex(lam)
+    m = abs(lam)
+    if not math.isfinite(m * m):
+        raise PreconditionError(f"|lam|^2 must be finite, got |lam| = {m!r}")
     b = np.asarray(b, dtype=complex)
     n = b.size
-    m = abs(lam)
     d = np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
     c = d.conj() * _shift_adjoint(lam, b)
     diag = np.full(n, m * m + 1.0)

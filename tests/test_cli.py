@@ -659,6 +659,7 @@ def test_non_finite_output_exits_4_and_writes_nothing(capsys, monkeypatch, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
     # the README bounds these inputs; before, each ran to exit 0 on a value it had replaced
     from specpoint import homog2d
@@ -685,12 +686,28 @@ def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
             # a grid point beyond the floats exited 2 as "non-finite input to sqrt_abs"
             ["spec1d", "--fn", "sqrt_abs", "--numeric", "--point", "1.79e308", "--h0", "1e308",
              "--ratio", "0.5", "--steps", "8"],
+            # |lambda|^2 overflowed in the sphere solve, an OverflowError traceback
+            ["shift", "--truncate", "8", "--lambda", "1.4e154,0"],
+            ["bifurcate", "--shift", "--truncate", "4", "--extra-lambda", "1e200,0"],
+            # linspace over an infinite span gave NaN lambdas, RuntimeWarnings and exit 0
+            ["bifurcate", "--fn", "conj_pair", "--grid=-1e308,1.7e308,-1,1,2,2"],
+            # unused without --lambda, exit 0; numeric failure (exit 4) with it
+            ["shift", "--xi-eps", "nan"],
+            ["shift", "--xi-eps", "inf", "--lambda", "2,0"],
+            # a numeric failure of the map, exit 4
+            ["spec2d", "--fn", "real_linear", "--params", "nan,0,0,1"],
+            # linspace over an infinite span printed RuntimeWarnings before the exit
+            ["classify", "--fn", "norm_plus_i_im", "--xmin=-1e308", "--xmax=1.7e308", "--res", "10"],
         ],
         2: [
             ["bifurcate", "--fn", "norm_times_x", "--params", "1.5", "--grid=-1,1,0,0,2,1"],
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2.5", "--grid=-1,1,-1,1,2,2"],
             ["bifurcate", "--fn", "norm_times_x", "--params", "3,7", "--grid=-1,1,0,0,2,1"],
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2,5", "--grid=-1,1,-1,1,2,2"],
+            # an empty field was dropped, and the rest ran to exit 0
+            ["spec2d", "--fn", "real_linear", "--params", "1,,-2,2,1"],
+            ["bifurcate", "--fn", "conj_pair", "--grid=-1,,1,-1,1,2,2"],
+            ["bifurcate", "--shift", "--truncate", "8", "--radii", "0.1,,0.01"],
         ],
     }
     for code, argvs in cases.items():
@@ -703,3 +720,91 @@ def test_bounded_inputs_exit_cleanly(capsys, monkeypatch):
 
     monkeypatch.setattr(homog2d, "sigma_curve", no_curve)
     assert run_cli(capsys, ["classify", "--fn", "norm_plus_i_im", "--res", "20", "--band=-1"])[0] == 3
+
+
+def test_empty_params_are_no_params(capsys):
+    plain = run_cli(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "64"])
+    assert plain[0] == 0
+    assert run_cli(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "64", "--params="]) == plain
+
+
+@pytest.mark.parametrize("seed, code", [(2**53, 0), (-2**53, 0), (2**53 + 1, 3), (-2**53 - 1, 3), (10**400, 3)])
+def test_seed_bound(capsys, seed, code):
+    # seed * golden ratio raised OverflowError beyond the floats; a float holds integers up to 2^53 exactly
+    argv = ["bifurcate", "--fn", "conj_pair", "--grid=-1,1,-1,1,2,2", f"--seed={seed}"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == code and (out == "") == (code != 0)
+
+
+# each mode of bifurcate read the other's flags and ignored them with exit 0
+FOREIGN_FLAGS = [
+    ("--shift", "--fn conj_pair --seed 5 --grid=1,2,3", "--fn"),
+    ("--shift", "--seed 5", "--seed"),
+    ("--shift", "--grid=-1,1,-1,1,2,2", "--grid"),
+    ("--shift", "--params 2", "--params"),
+    ("--fn conj_pair", "--truncate 5 --angles 3 --perturb bogus", "--perturb"),
+    ("--fn conj_pair", "--truncate 5", "--truncate"),
+    ("--fn conj_pair", "--angles 3", "--angles"),
+    ("--fn conj_pair", "--extra-lambda 1.2,0", "--extra-lambda"),
+]
+
+
+@pytest.mark.parametrize("mode, foreign, flag, route", [
+    (*case, route) for case in FOREIGN_FLAGS for route in ("argv", "config")
+    if route == "argv" or case[2] != "--extra-lambda"  # a lambda is no config key
+])
+def test_bifurcate_rejects_the_other_modes_flags(capsys, tmp_path, mode, foreign, flag, route):
+    argv = ["bifurcate", *mode.split(), "--grid=-1,1,-1,1,2,2" if mode != "--shift" else "--angles=2"]
+    if route == "argv":
+        argv += foreign.split()
+        named = flag
+    else:
+        pairs = foreign.replace("--", "").replace("=", " ").split()
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("".join(f"{k.replace('-', '_')} = {v}\n" for k, v in zip(pairs[::2], pairs[1::2])))
+        argv += ["--config", str(cfg)]
+        named = f"config key {flag[2:].replace('-', '_')!r}"
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{named} is read by bifurcate --{'fn' if mode == '--shift' else 'shift'} only" in err, err
+
+
+# a small valid call per command, and per bifurcate mode; the walk appends one --flag=value
+WALK_BASE = {
+    ("spec1d", None): ["spec1d", "--fn", "sqrt_abs", "--numeric", "--steps", "8"],
+    ("spec2d", None): ["spec2d", "--fn", "norm_plus_i_im", "--samples", "16"],
+    ("classify", None): ["classify", "--fn", "norm_plus_i_im", "--res", "8"],
+    ("shift", None): ["shift", "--truncate", "8", "--lambda", "2,0"],
+    ("mnc", None): ["mnc", "--expr", "Identity"],
+    ("bifurcate", "fn"): ["bifurcate", "--fn", "conj_pair", "--grid=-1,1,-1,1,2,2"],
+    ("bifurcate", "shift"): ["bifurcate", "--shift", "--truncate", "8", "--angles", "2"],
+}
+
+
+def _table_walk():
+    """(argv, exit code) for each bad value of each numeric flag in the flag tables, and each base call."""
+    for base in WALK_BASE.values():
+        yield base, 0
+    for cmd, (_, _, rows) in cli.COMMANDS.items():
+        for flag, kind, _, check, mode, _ in rows:
+            if kind == "int":  # a negative value is rejected unless the row's range takes it
+                bad = [("nan", 2), ("-1", 0 if isinstance(check, tuple) and check[0] < 0 else 3)]
+            elif kind == "float":
+                bad = [("nan", 3), ("inf", 0 if flag == "--threshold" else 3), ("-inf", 3)]
+            elif kind in ("floats", "pair", "pairs"):
+                bad = [("nan,1,-1,1,2,2" if check == "grid" else "nan", 3)]
+            else:
+                continue
+            for (base_cmd, base_mode), base in WALK_BASE.items():
+                if base_cmd == cmd and mode in (None, base_mode):
+                    yield from ((base + [f"{flag}={value}"], code) for value, code in bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code", list(_table_walk()), ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_numeric_flag_exits_as_documented(capsys, argv, code):
+    # --threshold inf turns divergence detection off; a RuntimeWarning would raise here
+    rc, out = run_cli(capsys, argv)
+    assert rc == code
+    assert (out == "") == (code != 0)

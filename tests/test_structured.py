@@ -571,6 +571,13 @@ def test_truncated_min_at_zero():
         assert truncated_shift_min(0.0, n) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_truncated_min_rejects_a_modulus_whose_square_overflows():
+    # (m - 1)^2 in the closed-form eigenpair raised OverflowError
+    assert truncated_shift_min(1.3e154, 8) > 0.0
+    with pytest.raises(PreconditionError, match="must be finite"):
+        truncated_shift_min(1e200, 8)
+
+
 def test_truncated_min_outside():
     v60 = truncated_shift_min(2.0, 60)
     v120 = truncated_shift_min(2.0, 120)
