@@ -53,8 +53,9 @@ import sys
 from pathlib import Path
 
 # Each command imports the engine modules it computes with, numpy included:
-# every call loads the modules it imports, `mnc` needs no numpy, and a
-# `shift` call needs none of the planar and sampling engines.
+# every call loads the modules it imports.  `mnc`, `spec1d`, `shift` and
+# `bifurcate --shift` need no numpy, and the shift model none of the planar
+# and sampling engines.
 from .core import (
     EvaluationError,
     NumericError,
@@ -396,13 +397,12 @@ def _cmd_mnc(args) -> int:
 
 
 def _cmd_bifurcate(args) -> int:
-    import numpy as np
-
     if args.shift:
         from . import structured
 
         n = args.truncate
-        thetas = np.linspace(0.0, 2.0 * math.pi, args.angles, endpoint=False)
+        # the bits of np.linspace(0, 2 pi, angles, endpoint=False)
+        thetas = [i * (2.0 * math.pi / args.angles) for i in range(args.angles)]
         # one orbit for the circle, whose modulus is SQRT2 as built, and one
         # for each extra lambda: the scan solves once per orbit
         circle = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
@@ -411,9 +411,7 @@ def _cmd_bifurcate(args) -> int:
         h_const = None
         if args.perturb == "normsq_e1":
             def h_const(r, _n=n):
-                v = np.zeros(_n, dtype=complex)
-                v[0] = r * r
-                return v
+                return (r * r,) + (0.0,) * (_n - 1)
         scan = structured.shift_bifurcation_scan(
             lams, N=n, radii=args.radii, tol=args.tol, h_sphere_const=h_const
         )
@@ -431,6 +429,8 @@ def _cmd_bifurcate(args) -> int:
         }
         _emit(payload, args.out)
         return EXIT_OK
+
+    import numpy as np
 
     from . import estimators
 

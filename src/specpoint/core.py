@@ -3,9 +3,10 @@
 The `Record` base of every frozen value type, extended-real conventions
 (sup of nothing is -inf, inf of nothing is +inf), normalized sets of closed
 real intervals, the four-derivative quadruple used by the one dimensional
-engine, complex scalar parsing, the `MapSpec` map description, and the
-exception taxonomy shared by every engine.  Pure Python: the scalar action
-on (re, im) coordinate pairs lives in `maps.scalar_action`.
+engine, complex scalar parsing, the verdicts of bifurcation scans, the
+`MapSpec` map description, and the exception taxonomy shared by every
+engine.  Pure Python: the scalar action on (re, im) coordinate pairs lives
+in `maps.scalar_action`.
 """
 from __future__ import annotations
 
@@ -326,6 +327,31 @@ def as_complex(lam) -> complex:
             raise ValueError(f"expected an (a, b) pair, got {lam!r}")
         return complex(float(pair[0]), float(pair[1]))
     return complex(lam)
+
+
+# ---------------------------------------------------------------------------
+# bifurcation scan verdicts
+
+UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
+
+
+def scan_verdicts(normalized, tol: float):
+    """candidate / undecided / rejected from normalized residual profiles, one row per lambda.
+
+    A candidate needs the smallest-radius residual (the last of its row)
+    below tol and a non-increasing trend (the minima must head to zero).
+    Residuals landing in the gray zone [tol, UNDECIDED_FACTOR * tol) are
+    undecided: sampled minimization only certifies upper bounds, so
+    near-threshold values cannot be rejected.  Returns the candidate mask
+    and the verdicts, as tuples.
+    """
+    mask, verdicts = [], []
+    for row in normalized:
+        last = row[-1]
+        keep = bool(last < tol and last <= row[0] + tol)
+        mask.append(keep)
+        verdicts.append("candidate" if keep else "undecided" if last < UNDECIDED_FACTOR * tol else "rejected")
+    return tuple(mask), tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from .core import (
     PreconditionError,
     Record,
     as_complex,
+    scan_verdicts,
 )
 from .maps import MapSpec, difference, evaluate, translate_to_origin
-from .numerics import hausdorff, scan_verdicts
+from .numerics import hausdorff
 from .homog2d import SPHERE_DIRECTIONS, SigmaCurve, _curve_values, _sphere_minima, sigma_curve
 
 TWO_PI = 2.0 * math.pi
@@ -273,8 +274,8 @@ def bifurcation_scan(
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     res = _sphere_minima(g, lams, radii, 512, seed)
 
-    mask, verdicts = scan_verdicts(res, tol)
-    candidates = tuple(complex(l) for l in lams[mask])
+    mask, verdicts = scan_verdicts(res.tolist(), tol)
+    candidates = tuple(complex(l) for l, keep in zip(lams, mask) if keep)
 
     contained = None
     if candidates and f.dim == 2:

@@ -16,8 +16,10 @@ Builtin catalogue (addressable by name from tests and the CLI):
 
 Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
 higher dimensional maps take arrays of shape (..., dim) and act on the last
-axis.  The one dimensional builtins are scalar functions of `dini`,
-vectorized here.
+axis.  A one dimensional evaluator also takes a bare float, the convention
+of `dini`, which evaluates one float at a time: the one dimensional
+builtins are scalar functions of `dini`, vectorized here, and
+`norm_times_x(1)` is x |x|, elementwise.
 """
 from __future__ import annotations
 
@@ -307,6 +309,8 @@ def _make_norm_times_x(dim):
         raise PreconditionError("norm_times_x needs dim >= 1")
 
     def ev(x, _d=dim):
+        if _d == 1:  # no coordinate axis: a bare float or an array of points
+            return x * abs(x)
         x = np.asarray(x, dtype=float)
         return x * np.linalg.norm(x, axis=-1, keepdims=True)
 

@@ -2,8 +2,8 @@
 
 Low-discrepancy directions and disk points, the batched lockstep
 Nelder-Mead `sphere_polish` on unit spheres, vectorized golden-section
-search, brute-force point-set distances, and the verdicts of bifurcation
-scans from their residual profiles.
+search, and brute-force point-set distances.  The verdicts of bifurcation
+scans are in `core`, so the shift scan loads none of this module.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 CHUNK = 1 << 18  # array entries per chunk of every batched kernel
-UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
 
 
 def _kronecker(dim: int, n: int, seed: int) -> np.ndarray:
@@ -209,23 +208,3 @@ def directed_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return max(directed_distance(a, b), directed_distance(b, a))
-
-
-def scan_verdicts(normalized: np.ndarray, tol: float):
-    """candidate / undecided / rejected from normalized residual profiles.
-
-    A candidate needs the smallest-radius residual below tol and a
-    non-increasing trend (the minima must head to zero).  Residuals landing
-    in the gray zone [tol, UNDECIDED_FACTOR * tol) are undecided: sampled
-    minimization only certifies upper bounds, so near-threshold values
-    cannot be rejected.
-    """
-    last = normalized[:, -1]
-    trend_ok = last <= normalized[:, 0] + tol
-    mask = (last < tol) & trend_ok
-    gray = (last < UNDECIDED_FACTOR * tol) & ~mask
-    verdicts = tuple(
-        "candidate" if m else ("undecided" if u else "rejected")
-        for m, u in zip(mask, gray)
-    )
-    return mask, verdicts

@@ -7,35 +7,43 @@ C^N supports numerical verification of the eigenvalue circle, via exact
 sphere-constrained least squares (the objective is affine on each sphere).
 For A = lam I - L_N and m = |lam|, a diagonal phase change turns A^H A into
 the real tridiagonal T with diagonal m^2 + 1, ..., m^2 + 1, m^2 and
-off-diagonal -m, and each minimum is an O(N) secular solve on it, numpy
-only:
+off-diagonal -m, and each minimum is a secular solve on it:
 
     lowest eigenpair  v_k = sin(k theta), lambda_1 = (m - 1)^2 + 4m sin^2(theta/2)
                       with m sin((N+1) theta) = sin(N theta), for m > N/(N+1);
                       v_k = sinh(k t), lambda_1 = (m - 1)^2 - 4m sinh^2(t/2)
                       with m sinh((N+1) t) = sinh(N t), for m < N/(N+1);
                       v_k = k at m = N/(N+1); each root by bisection
-    shifted solves    cyclic reduction of T - mu I, log2 N vectorized levels
+    b along e_1       |(T - mu I)^{-1} e_1| in closed form, O(1) a step, then
+                      a few O(N) passes over lists; `math` alone
+    any other b       cyclic reduction of T - mu I, log2 N vectorized numpy levels
     hard case         the Moré-Sorensen completion along v_1
 
-A scan whose right-hand side b is proportional to e_1 has the same minimum
-at every lambda of one modulus, so it solves once per orbit: the lambdas
-are grouped as they were built (`LambdaOrbits`: a circle is one orbit, any
-other lambda its own), never by comparing computed moduli.  Without a
-perturbation the normalized minimum does not depend on the radius either.
+Every right-hand side of the CLI is along e_1: the probes of
+`truncated_shift_min` and the orbit solves of `shift_bifurcation_scan`, so
+importing this module and those paths load no numpy.  `sphere_least_squares`,
+a right-hand side off e_1 and a general perturbation h import it when called.
+A scan whose right-hand side is along e_1 has the same minimum at every
+lambda of one modulus, so it solves once per orbit: the lambdas are grouped
+as they were built (`LambdaOrbits`: a circle is one orbit, any other lambda
+its own), never by comparing computed moduli.  Without a perturbation the
+normalized minimum does not depend on the radius either.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+import sys
+from itertools import islice, repeat
 from typing import Callable, Optional
 
-import numpy as np
-
-from .core import PreconditionError, Record, UsageError, as_complex
+from .core import PreconditionError, Record, UsageError, as_complex, scan_verdicts
 
 SQRT2 = math.sqrt(2.0)
 MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
 _FROZEN_H_STEPS = 16  # frozen-perturbation solves per (lam, radius) of a general-h scan
+_EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +124,23 @@ def xi_equation_solvable(lam, eps: float, boundary_tol: float = 1e-12):
     return False, None
 
 
-def truncated_shift_map(z: np.ndarray) -> np.ndarray:
+def truncated_shift_map(z):
     """The dimension-N truncation: z -> (|z|, z_1, ..., z_{N-1})."""
+    import numpy as np
+
     z = np.asarray(z, dtype=complex)
     return np.concatenate([[np.linalg.norm(z)], z[:-1]])
 
 
-def _shift_apply(lam: complex, z: np.ndarray, b) -> np.ndarray:
-    """(lam I - L_N) z - b in O(N), where L_N z = (0, z_1, ..., z_{N-1})."""
+def _shift_apply(lam: complex, z, b):
+    """(lam I - L_N) z - b in O(N) on arrays, where L_N z = (0, z_1, ..., z_{N-1})."""
     r = lam * z - b
     r[1:] -= z[:-1]
     return r
 
 
-def _shift_adjoint(lam: complex, r: np.ndarray) -> np.ndarray:
-    """(lam I - L_N)^H r in O(N)."""
+def _shift_adjoint(lam: complex, r):
+    """(lam I - L_N)^H r in O(N) on arrays."""
     out = lam.conjugate() * r
     out[:-1] -= r[1:]
     return out
@@ -149,7 +159,7 @@ def _bisect(positive: Callable[[float], bool], hi: float) -> float:
             hi = mid
 
 
-def _lowest_eigenpair(m: float, n: int) -> tuple[float, np.ndarray]:
+def _lowest_eigenpair(m: float, n: int) -> tuple[float, list]:
     """Lowest eigenpair of the n x n tridiagonal T(m) of the shift model.
 
     T has diagonal m^2 + 1, ..., m^2 + 1, m^2 and off-diagonal -m.  Its rows
@@ -159,18 +169,16 @@ def _lowest_eigenpair(m: float, n: int) -> tuple[float, np.ndarray]:
     imaginary, theta = i t with m sinh((n+1) t) = sinh(n t), and
     lambda_1 = (1 - m e^t)(1 - m e^-t), whose first factor the root equation
     gives without cancellation.  At m = n/(n+1), v_k = k; at m = 0,
-    T = diag(1, ..., 1, 0).  Returns lambda_1 and the unit v_1 >= 0.
+    T = diag(1, ..., 1, 0).  Returns lambda_1 and the unit v_1 >= 0 as a list.
     """
     if m == 0.0:
-        v = np.zeros(n)
-        v[-1] = 1.0
-        return 0.0, v
-    k = np.arange(1, n + 1, dtype=float)
+        return 0.0, [0.0] * (n - 1) + [1.0]
+    ks = range(1, n + 1)
     gap = m * (n + 1) - n
     if gap > 0.0:
         theta = _bisect(lambda x: m * math.sin((n + 1) * x) > math.sin(n * x), math.pi / (n + 1))
         lam1 = (m - 1.0) ** 2 + 4.0 * m * math.sin(0.5 * theta) ** 2
-        v = k if (n * theta) ** 2 < 1e-16 else np.sin(k * theta)
+        v = ks if (n * theta) ** 2 < 1e-16 else map(math.sin, map(operator.mul, ks, repeat(theta)))
     elif gap < 0.0:
         # both sides scaled by 2 e^{-nt}, so nothing overflows for tiny m
         logm = math.log(m)
@@ -183,13 +191,198 @@ def _lowest_eigenpair(m: float, n: int) -> tuple[float, np.ndarray]:
             * (1.0 - m * math.exp(-t))
         )
         # sinh(kt) up to the factor e^{nt}/2
-        v = k if (n * t) ** 2 < 1e-16 else -np.exp(t * (k - n)) * np.expm1(-2.0 * t * k)
+        v = ks if (n * t) ** 2 < 1e-16 else [-math.exp(t * (k - n)) * math.expm1(-2.0 * t * k) for k in ks]
     else:
-        lam1, v = (m - 1.0) ** 2, k
-    return lam1, v / np.linalg.norm(v)
+        lam1, v = (m - 1.0) ** 2, ks
+    v = list(v)
+    return lam1, list(map(operator.truediv, v, repeat(math.hypot(*v))))
 
 
-def _odd_even_factor(d: np.ndarray, e: np.ndarray):
+def _secular_root(lam1: float, tiny: float, c: float, s: float, measure):
+    """The multiplier mu <= lambda_1 - tiny of a sphere minimum, |y(mu)| and what measure kept of y(mu).
+
+    y(mu) = (T - mu I)^{-1} c.  measure(mu) gives |y(mu)|, a function for
+    (1/2) d|y|^2/dmu = y^H (T - mu I)^{-1} y, called only when a step is
+    taken, and what the caller keeps of the solve at mu.
+    From mu = lambda_1 - |c|/s, where |y| <= s, a rational model
+    |y|^2 ~ alpha / (lambda_1 - mu)^2 + beta takes the step below the root of
+    |y(mu)| = s, Newton on 1/|y| - 1/s above it (Moré and Sorensen 1983).
+    The hard case shows as |y| < s at lambda_1 - tiny, which ends it.
+    """
+    top = lam1 - tiny
+    mu = min(lam1 - c / s, top)  # |y(mu)| <= s here
+    last = False
+    for _ in range(60):  # about 8 steps in practice
+        ny, slope, kept = measure(mu)
+        if last or ny == 0.0 or abs(ny - s) <= 4.0 * _EPS * s or (mu == top and ny < s):
+            return mu, ny, kept
+        dn = slope()
+        new = mu + (1.0 - ny / s) * ny * ny / dn
+        const = ny * ny - dn * (lam1 - mu)
+        if ny < s and const < s * s:
+            new = lam1 - (lam1 - mu) * math.sqrt(dn * (lam1 - mu) / (s * s - const))
+        new = min(new, top)
+        last = abs(new - mu) <= tiny / 2.0  # quadratic convergence: one more solve
+        mu = new
+    ny, _, kept = measure(mu)
+    return mu, ny, kept
+
+
+# ---------------------------------------------------------------------------
+# right-hand sides along e_1: the secular solve in closed form
+
+
+def _chebyshev(j, g):
+    """sinh(jt)/sinh(t) and its excess over j divided by g, summed as a series in g = 4 sinh^2(t/2).
+
+    sinh(jt)/sinh(t) = sum_k C(j + k, 2k + 1) g^k, a polynomial for integer
+    j; fourteen terms reach the rounding for j^2 |g| <= 7, as on |Nt| < 2
+    with j <= N + 1 and N >= 4.
+    """
+    term, excess = j * (j * j - 1.0) / 6.0, 0.0
+    for k in range(1, 15):
+        excess += term
+        term *= g * (j - k - 1) * (j + k + 1) / ((2 * k + 2) * (2 * k + 3))
+    return j + g * excess, excess
+
+
+def _geometric_pair(m: float, root, half, mu, e):
+    """(a, b) along (1 - m e^t, 1 - m e^-t), whose product is mu, with the larger of |a| and |b e| near 1.
+
+    With root = 2 sinh(t/2) and half = e^{-t/2}, e^t - 1 = root / half and
+    1 - e^{-t} = root half have no cancellation.  Each factor is formed where
+    it has none either (for m >= 1 the first, else the second) and the other
+    as mu over it, which stays accurate where mu, and with it one factor,
+    nears 0.
+    """
+    if m >= 1.0:
+        a = (1.0 - m) - m * root / half
+        return 1.0, mu / a / a
+    b = (1.0 - m) + m * root * half
+    if abs(mu.real) > abs((b * b * e).real):
+        return 1.0, b * b / mu
+    return mu / (b * b), 1.0
+
+
+def _e1_norm_sq(m: float, n: int, mu):
+    """m^2 |x|^2 for x = (T - mu I)^{-1} e_1 and mu < lambda_1, in O(1).
+
+    With m (u + 1/u) = m^2 + 1 - mu and u = e^{-t}, x_k = n_{N-k} / (m n_N)
+    for n_j = (sinh(jt) - m sinh((j+1)t)) / sinh(t) (Yueh 2005), and
+    m^2 |x|^2 = (K^2 s_N + mu (s_N - N) / (2 sinh^2 t)) / n_N^2 with
+    s_j = sinh(jt)/sinh(t) and K = n_{(N-1)/2}.  g = ((m - 1)^2 - mu) / m =
+    4 sinh^2(t/2) picks the form that keeps it accurate:
+      |Nt| < 2, around the band edge:  s_j summed in g (`_chebyshev`)
+      inside the band, t = i phi:      sines of j phi
+      below the band, Nt >= 2:         m x_k = u^k (a - b u^{2(N-k)}) / (a - b u^{2N})
+                                       (`_geometric_pair`), a geometric sum
+    mu may carry a complex step: each form is real-analytic in mu, so the
+    imaginary part of the result is the step times the derivative (Squire
+    and Trapp 1998).
+    """
+    g = ((m - 1.0) ** 2 - mu) / m
+    if n * n * abs(g.real) < 4.0:
+        s = lambda j: _chebyshev(j, g)[0]
+        sn, excess = _chebyshev(n, g)
+        sigma = excess / (1.0 + 0.25 * g)  # (s_N - N) / sinh^2 t
+    elif g.real < 0.0:
+        phi = 2.0 * cmath.asin(0.5 * cmath.sqrt(-g))
+        sin_phi = cmath.sin(phi)
+        s = lambda j: cmath.sin(j * phi) / sin_phi
+        sn = s(n)
+        sigma = (n - sn) / (sin_phi * sin_phi)
+    else:
+        root = cmath.sqrt(g)
+        t = 2.0 * cmath.asinh(0.5 * root)
+        half = cmath.exp(-0.5 * t)
+        e, tail = cmath.exp(-2.0 * n * t), cmath.exp(-2.0 * (n - 1) * t)  # u^2N, u^(2N-2)
+        a, b = _geometric_pair(m, root, half, mu, e)
+        # sum_k u^(2k-2) (a - b u^(2N-2k))^2 over k = 1..N; 1 - u^2 = root half (1 + half^2)
+        total = (a * a + b * b * tail) * (1.0 - e) / (root * half * (1.0 + half * half)) - 2.0 * a * b * n * tail
+        return half ** 4 * total / (a - b * e) ** 2
+    scale = max(1.0, m)  # n_j grows like m
+    k = (s((n - 1) / 2) - m * s((n + 1) / 2)) / scale
+    nn = (sn - m * s(n + 1)) / scale
+    return (k * k * sn + mu / scale / scale * sigma / 2.0) / (nn * nn)
+
+
+def _e1_resolvent(m: float, n: int, mu: float) -> list:
+    """The list m (T - mu I)^{-1} e_1 at a real mu < lambda_1, in the forms of `_e1_norm_sq`."""
+    g = ((m - 1.0) ** 2 - mu) / m
+    if g > 0.0 and n * n * g >= 4.0:
+        root = math.sqrt(g)
+        t = 2.0 * math.asinh(0.5 * root)
+        u = list(map(math.exp, map(operator.mul, range(0, -n - 1, -1), repeat(t))))  # u^j, j = 0..N
+        e = u[n] * u[n]
+        a, b = _geometric_pair(m, root, math.exp(-0.5 * t), mu, e)
+        d = a - b * e
+        return [uk * (a - b * ul * ul) / d for uk, ul in zip(islice(u, 1, None), reversed(u[:n]))]
+    if g < 0.0:
+        w = map(math.sin, map(operator.mul, range(n + 2), repeat(2.0 * math.asin(0.5 * math.sqrt(-g)))))
+    elif g > 0.0:
+        w = map(math.sinh, map(operator.mul, range(n + 2), repeat(2.0 * math.asinh(0.5 * math.sqrt(g)))))
+    else:
+        w = map(float, range(n + 2))
+    w = list(w)  # n_j = w_j - m w_{j+1}, up to a common factor
+    nj = list(map(operator.sub, w, map(operator.mul, repeat(m), islice(w, 1, None))))
+    return list(map(operator.truediv, reversed(nj[:n]), repeat(nj[n])))
+
+
+def _e1_sphere_least_squares(lam, n: int, beta=1.0, s: float = 1.0):
+    """`sphere_least_squares` for b = beta e_1 in C^n, with `math` alone.
+
+    c = conj(lam) beta e_1, so y(mu) = (T - mu I)^{-1} c is c_1 times the
+    real x(mu) of `_e1_norm_sq`: each step of the same iteration (the
+    rational model below the root, Newton on 1/|y| - 1/s above it) costs
+    O(1), its derivative from a complex step.  After it, O(N) passes over
+    lists build x, put y on the sphere along v_1 or radially as that solver
+    does, and evaluate the residual at the minimizer
+    z_k = gamma e^{-i(k-1) arg lam} y_k, y real: with the phase factored
+    out, |r_1| = |lam gamma y_1 - beta| and |r_k| = |gamma| |m y_k - y_{k-1}|
+    for k >= 2.  Returns (gamma, y, residual).
+    """
+    lam, beta = as_complex(lam), complex(beta)
+    m = abs(lam)
+    if not math.isfinite(m * m):
+        raise PreconditionError(f"|lam|^2 must be finite, got |lam| = {m!r}")
+    lam1, v1 = _lowest_eigenpair(m, n)
+    tiny = 16.0 * _EPS * (1.0 + m) ** 2  # the closest shift below lambda_1
+    size, step = abs(beta), 1e-100 * (1.0 + m) ** 2
+
+    def measure(mu):
+        w = _e1_norm_sq(m, n, complex(mu, step))
+        return size * math.sqrt(w.real), lambda: size * size * w.imag / (2.0 * step), None
+
+    mu, ny = 0.0, 0.0  # y = 0 where c = conj(lam) beta e_1 is
+    if m and size:
+        mu, ny, _ = _secular_root(lam1, tiny, abs(lam.conjugate() * beta), s, measure)
+    if ny == 0.0:  # y = 0 (c = 0 or below the floats): the hard case, all along v_1
+        y = [s * v for v in v1]
+        head, gamma, size = lam * y[0] - beta, 1.0, 1.0
+    else:
+        # y = gamma x with gamma = c_1 / m.  Put y on the sphere along v_1 or
+        # radially, whichever raises the objective less: as y solves
+        # (T - mu I) y = c, every point y + e of the sphere has
+        # f(y + e) = f_mu + e^H (T - mu I) e for one constant f_mu.
+        x = _e1_resolvent(m, n, mu)
+        gamma = lam.conjugate() * beta / m
+        p = sum(map(operator.mul, v1, x))  # (v_1 . y) / gamma
+        rest = s * s - (size * math.dist(x, list(map(operator.mul, repeat(p), v1)))) ** 2
+        lift = math.sqrt(max(rest, 0.0)) / size - p  # (along - a) / gamma
+        if rest > 0.0 and (lam1 - mu) * (size * lift * ny) ** 2 <= (s - ny) ** 2 * m * size * size * x[0]:
+            y = list(map(operator.add, x, map(operator.mul, repeat(lift), v1)))
+        else:
+            y = list(map(operator.mul, x, repeat(s / ny)))
+        head = beta * (m * y[0] - 1.0)  # lam gamma = m beta
+    tail = math.dist(list(map(operator.mul, repeat(m), y[1:])), y[:-1])
+    return gamma, y, math.hypot(abs(head), size * tail)
+
+
+# ---------------------------------------------------------------------------
+# any right-hand side: cyclic reduction on numpy arrays
+
+
+def _odd_even_factor(d, e):
     """Cyclic reduction of the SPD tridiagonal with diagonal d, off-diagonal e.
 
     Each level eliminates the odd unknowns, which couple only to their even
@@ -212,7 +405,7 @@ def _odd_even_factor(d: np.ndarray, e: np.ndarray):
     return levels, float(d[0])
 
 
-def _odd_even_forward(levels, f: np.ndarray):
+def _odd_even_forward(levels, f):
     """L^{-1} f level by level: the reduced right-hand sides of the odd unknowns, and the last."""
     odd = []
     for piv, _, right, left_m, right_m in levels:
@@ -224,7 +417,9 @@ def _odd_even_forward(levels, f: np.ndarray):
     return odd, f
 
 
-def _odd_even_solve(levels, last: float, f: np.ndarray) -> np.ndarray:
+def _odd_even_solve(levels, last: float, f):
+    import numpy as np
+
     odd, x = _odd_even_forward(levels, f)
     x = x / last
     for (piv, left, right, _, _), fo in zip(reversed(levels), reversed(odd)):
@@ -237,37 +432,35 @@ def _odd_even_solve(levels, last: float, f: np.ndarray) -> np.ndarray:
     return x
 
 
-def _odd_even_energy(levels, last: float, f: np.ndarray) -> float:
+def _odd_even_energy(levels, last: float, f) -> float:
     """f^H (T - mu I)^{-1} f from the forward sweep alone: sum |L^{-1} f|^2 / pivot."""
     odd, f = _odd_even_forward(levels, f)
-    total = float(np.abs(f[0]) ** 2) / last
+    total = float(abs(f[0]) ** 2) / last
     for (piv, *_), fo in zip(levels, odd):
-        total += float(np.sum((fo.real ** 2 + fo.imag ** 2) / piv))
+        total += float(((fo.real ** 2 + fo.imag ** 2) / piv).sum())
     return total
 
 
-def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
+def sphere_least_squares(lam, b, s: float = 1.0):
     """Global minimizer z of |(lam I - L_N) z - b| over |z| = s in C^N, N = len(b).
 
     Returns (z, residual).  With lam = m e^{i theta} and D = diag(e^{-ik theta}),
     D^H A^H A D for A = lam I - L_N is the real tridiagonal T with diagonal
     m^2 + 1, ..., m^2 + 1, m^2 and off-diagonal -m, so z = D y with
     (T - mu I) y = c = D^H A^H b, |y| = s and mu <= lambda_1(T) (Moré and
-    Sorensen 1983; Gander, Golub and von Matt 1989).  lambda_1 and v_1 are in
-    closed form (`_lowest_eigenpair`; Yueh 2005): v_k = sin(k theta) with
-    m sin((N+1) theta) = sin(N theta) for m > N/(N+1), v_k = sinh(k t) with
-    m sinh((N+1) t) = sinh(N t) for m < N/(N+1), each root by bisection.
-    Below the root of |y(mu)| = s a rational model
-    |y|^2 ~ alpha / (lambda_1 - mu)^2 + beta takes the step, above it Newton
-    on 1/|y| - 1/s; each step is one cyclic reduction of T - mu I (log2 N
-    vectorized levels; Buzbee, Golub and Nielson 1970), one solve and one
-    forward sweep for the derivative.  The hard case, c orthogonal to v_1 up
-    to rounding (c = 0 for lam = 0, b = e_1; v_1 in the tail for |lam| < 1),
-    shows as |y| < s just below lambda_1 and is completed along v_1.  O(N)
-    time and memory; the residual is evaluated at the returned z.  For b
-    proportional to e_1, c = conj(lam) b_1 e_1, so the minimum depends on
-    |lam| alone: `shift_bifurcation_scan` solves once per `LambdaOrbits` orbit.
+    Sorensen 1983; Gander, Golub and von Matt 1989), lambda_1 and v_1 in
+    closed form (`_lowest_eigenpair`; Yueh 2005).  Each step of
+    `_secular_root` is one cyclic reduction of T - mu I (log2 N vectorized
+    levels; Buzbee, Golub and Nielson 1970), one solve and one forward sweep
+    for the derivative.  The hard case, c orthogonal to v_1 up to rounding
+    (c = 0 for lam = 0, b = e_1; v_1 in the tail for |lam| < 1), shows as
+    |y| < s just below lambda_1 and is completed along v_1.  O(N) time and
+    memory; the residual is evaluated at the returned z.  Serves any b; for
+    b along e_1, `_e1_sphere_least_squares` gives the same minimum without
+    numpy.
     """
+    import numpy as np
+
     lam = as_complex(lam)
     m = abs(lam)
     if not math.isfinite(m * m):
@@ -280,33 +473,23 @@ def sphere_least_squares(lam, b: np.ndarray, s: float = 1.0):
     diag[-1] = m * m
     off = np.full(n - 1, -m)
     lam1, v1 = _lowest_eigenpair(m, n)
-    # the closest shift at which every pivot of the reduction stays positive
-    tiny = 16.0 * np.finfo(float).eps * (1.0 + m) ** 2
-    top = lam1 - tiny
+    v1 = np.array(v1)
 
-    mu = min(lam1 - np.linalg.norm(c) / s, top)  # |y(mu)| <= s here
-    last = False
-    for _ in range(60):  # about 8 steps in practice
+    def measure(mu):
         factor = _odd_even_factor(diag - mu, off)
         y = _odd_even_solve(*factor, c)
-        ny = float(np.linalg.norm(y))
-        if last or abs(ny - s) <= 4.0 * np.finfo(float).eps * s or (mu == top and ny < s):
-            break
-        dn = _odd_even_energy(*factor, y)  # (1/2) d|y|^2/dmu
-        new = mu + (1.0 - ny / s) * ny * ny / dn
-        beta = ny * ny - dn * (lam1 - mu)
-        if ny < s and beta < s * s:
-            new = lam1 - (lam1 - mu) * math.sqrt(dn * (lam1 - mu) / (s * s - beta))
-        new = min(new, top)
-        last = abs(new - mu) <= tiny / 2.0  # quadratic convergence: one more solve
-        mu = new
+        return float(np.linalg.norm(y)), lambda: _odd_even_energy(*factor, y), y
+
+    # the closest shift at which every pivot of the reduction stays positive
+    tiny = 16.0 * _EPS * (1.0 + m) ** 2
+    mu, ny, y = _secular_root(lam1, tiny, float(np.linalg.norm(c)), s, measure)
     # Put y on the sphere along v_1 or radially, whichever raises the
     # objective less: as y solves (T - mu I) y = c, every point y + e of the
     # sphere has f(y + e) = f_mu + e^H (T - mu I) e for one constant f_mu.
     a = complex(v1 @ y)
     rest = s * s - float(np.linalg.norm(y - a * v1)) ** 2
     along = (a / abs(a) if a else 1.0) * math.sqrt(max(rest, 0.0))
-    if rest > 0.0 and (ny == 0.0 or (lam1 - mu) * abs(along - a) ** 2 <= (s / ny - 1.0) ** 2 * np.vdot(y, c).real):
+    if rest > 0.0 and (ny == 0.0 or (lam1 - mu) * (abs(along - a) * ny) ** 2 <= (s - ny) ** 2 * np.vdot(y, c).real):
         y += (along - a) * v1
     else:
         y *= s / ny
@@ -323,14 +506,13 @@ def truncated_shift_min(lam, N: int) -> float:
     """min over |z| = 1 in C^N of |lam z - (|z|, z_1, ..., z_{N-1})|.
 
     On the unit sphere the truncated map is affine, so the minimum is a
-    sphere-constrained least-squares problem solved exactly.  Reliable as a
-    point-spectrum probe only for |lam| > 1, where eigenvector tails decay;
-    for |lam| <= 1 truncation distorts the sphere minimum.
+    sphere-constrained least-squares problem with right-hand side e_1,
+    solved exactly.  Reliable as a point-spectrum probe only for
+    |lam| > 1, where eigenvector tails decay; for |lam| <= 1 truncation
+    distorts the sphere minimum.
     """
     _check_truncation(N)
-    b = np.zeros(N, dtype=complex)
-    b[0] = 1.0
-    return sphere_least_squares(lam, b, 1.0)[1]
+    return _e1_sphere_least_squares(lam, N)[2]
 
 
 class LambdaOrbits(tuple):
@@ -359,8 +541,8 @@ class LambdaOrbits(tuple):
 class ShiftScanResult(Record):
     lams: tuple
     radii: tuple
-    residuals: np.ndarray       # raw residuals, shape (n_lams, n_radii)
-    normalized: np.ndarray      # residual / radius
+    residuals: tuple            # raw residuals, one row of n_radii per lambda
+    normalized: tuple           # residual / radius
     candidates: tuple
     verdicts: tuple
 
@@ -378,25 +560,23 @@ def shift_bifurcation_scan(
     h is a truncation-compatible perturbation with h(0) = 0 and h(z) small
     relative to |z| near 0.  When h is constant on each sphere (for example
     a power of the norm times a fixed vector), pass h_sphere_const(r) -> the
-    vector value so the per-sphere problem stays affine and is solved
-    exactly.  A general callable h is frozen at the current iterate: from
-    the unperturbed minimizer on |z| = r, each step solves the affine
-    problem with right-hand side r e_1 + h(z) exactly, while the true
+    vector value, any sequence, so the per-sphere problem stays affine and
+    is solved exactly.  A general callable h is frozen at the current
+    iterate: from the unperturbed minimizer on |z| = r, each step solves the
+    affine problem with right-hand side r e_1 + h(z) exactly, while the true
     residual |(lam I - L_N) z - r e_1 - h(z)| falls, at most
     _FROZEN_H_STEPS times; the smallest true residual of the iterates is
     reported.  For h constant on spheres the first step is the exact
-    problem.  When the right-hand side r e_1 + h_sphere_const(r) is
-    proportional to e_1, each orbit of a `LambdaOrbits` grid takes one solve
-    (one for all radii when there is no perturbation); any other iterable
-    is one orbit per lambda.
+    problem.  When the right-hand side r e_1 + h_sphere_const(r) is along
+    e_1, each orbit of a `LambdaOrbits` grid takes one solve (one for all
+    radii when there is no perturbation), with `math` alone; any other
+    iterable is one orbit per lambda.
     """
     _check_truncation(N)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     lams = [as_complex(l) for l in lam_grid]
-    e1 = np.zeros(N, dtype=complex)
-    e1[0] = 1.0
 
-    res = np.empty((len(lams), len(radii)))
+    res = [[0.0] * len(radii) for _ in lams]
     # b = beta e_1 gives c = conj(lam) beta e_1, so the minimum at m e^{i theta}
     # is the minimum at m turned by e^{i theta}: one solve per orbit.  With
     # h = None the problem at radius r is r times the one on the unit sphere.
@@ -404,18 +584,30 @@ def shift_bifurcation_scan(
     spans = [span for span in spans if span[0] < span[1]]
     if h_sphere_const is not None:
         for j, r in enumerate(radii):
-            b = r * e1 + np.asarray(h_sphere_const(r), dtype=complex)
-            if np.any(b[1:] != 0.0):  # the minimum then depends on the phase of lam
+            hr = h_sphere_const(r)
+            if any(islice(hr, 1, None)):  # the minimum then depends on the phase of lam
+                import numpy as np
+
+                b = np.array(hr, dtype=complex)
+                b[0] += r
                 for i, lam in enumerate(lams):
-                    res[i, j] = sphere_least_squares(lam, b, r)[1]
+                    res[i][j] = sphere_least_squares(lam, b, r)[1]
             else:
+                beta = r + complex(hr[0])
                 for start, stop, lam0 in spans:
-                    res[start:stop, j] = sphere_least_squares(lam0, b, r)[1]
+                    value = _e1_sphere_least_squares(lam0, N, beta, r)[2]
+                    for i in range(start, stop):
+                        res[i][j] = value
     elif h is None:
-        scale = np.asarray(radii)
         for start, stop, lam0 in spans:
-            res[start:stop] = sphere_least_squares(lam0, e1, 1.0)[1] * scale
+            value = _e1_sphere_least_squares(lam0, N)[2]
+            for i in range(start, stop):
+                res[i] = [value * r for r in radii]
     else:
+        import numpy as np
+
+        e1 = np.zeros(N, dtype=complex)
+        e1[0] = 1.0
         for i, lam in enumerate(lams):
             for j, r in enumerate(radii):
                 z = sphere_least_squares(lam, r * e1, r)[0]
@@ -428,17 +620,15 @@ def shift_bifurcation_scan(
                     if not true < best:
                         break
                     best = true
-                res[i, j] = best
+                res[i][j] = best
 
-    normalized = res / np.asarray(radii)[None, :]
-    from .numerics import scan_verdicts  # lazy: the other shift paths need no numerics
-
+    normalized = tuple(tuple(v / r for v, r in zip(row, radii)) for row in res)
     mask, verdicts = scan_verdicts(normalized, tol)
     return ShiftScanResult(
         lams=tuple(lams),
         radii=radii,
-        residuals=res,
+        residuals=tuple(tuple(row) for row in res),
         normalized=normalized,
-        candidates=tuple(l for l, m in zip(lams, mask) if m),
+        candidates=tuple(l for l, keep in zip(lams, mask) if keep),
         verdicts=verdicts,
     )

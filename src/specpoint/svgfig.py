@@ -5,16 +5,16 @@ labeled groups so downstream tooling can address them; output bytes depend
 only on the inputs.  Coordinates are mapped to the canvas as numpy arrays
 and formatted from Python floats: the shaded region is one rectangle per
 run of in-spectrum cells of a row (`PlaneSpectrum.label_runs`), never a
-walk over the cells.  The module imports no specpoint engine, so the shift
-figure loads none.
+walk over the cells.  The module imports no specpoint engine and numpy only
+inside `classify_svg`, so the shift figure loads neither.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .homog2d import PlaneSpectrum
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -76,6 +76,8 @@ def _axes(canvas: _Canvas) -> str:
 
 
 def classify_svg(spectrum: PlaneSpectrum, size: int = 640, title: str = "") -> str:
+    import numpy as np
+
     bounds = (
         float(spectrum.xs[0]),
         float(spectrum.xs[-1]),

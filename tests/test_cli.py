@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from specpoint import cli
+from specpoint.structured import SQRT2
 
 
 def run_cli(capsys, argv):
@@ -424,6 +425,46 @@ def test_spec1d_runs_without_numpy():
         assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.dini"}, argv
 
 
+def test_shift_model_runs_without_numpy(tmp_path):
+    # the shift model's sphere minima are along e_1 and pure Python: the README's
+    # shift and bifurcate --shift lines, the default scan and the shift figure run
+    # with every numpy import failing, and load no other engine
+    bare = {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.structured"}
+    for argv in (["shift", "--truncate", "60", "--lambda", "2,0", "--xi-eps", "0.1"],
+                 ["bifurcate", "--shift", "--perturb", "normsq_e1", "--truncate", "40", "--extra-lambda", "1.2,0"],
+                 ["bifurcate", "--shift"]):
+        assert probe_modules(argv, block_numpy=True) == bare, argv
+    mods = probe_modules(["shift", "--truncate", "8", "--out", str(tmp_path / "shift.json")], block_numpy=True)
+    assert mods == bare | {"specpoint.svgfig"}
+    assert (tmp_path / "shift.svg").stat().st_size > 0
+
+
+def test_shift_circle_is_linspace_bit_for_bit(capsys):
+    # the --angles circle is built from i * (2 pi / n) without numpy
+    for n in [*range(0, 40), 64, 255, 1000, 4095, 4096]:
+        d = run_json(capsys, ["bifurcate", "--shift", "--truncate", "4", "--angles", str(n)])
+        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        circle = [[v.real, v.imag] for v in (SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas)]
+        assert d["lambdas"] == circle, n
+
+
+def test_spec1d_runs_on_every_one_dimensional_map_of_maps(capsys):
+    # a 1-D map built by maps takes the bare floats of the 1-D engine: each runs to
+    # exit 0, or to exit 2 with a message (no exact quadruple), never to a traceback
+    from specpoint.maps import BUILTIN_NAMES, builtin
+
+    argvs = [["--fn", name] for name in BUILTIN_NAMES if builtin(name).dim == 1]
+    argvs.append(["--fn", "norm_times_x", "--params", "1"])
+    for fn_args in argvs:
+        for mode in ([], ["--exact"], ["--numeric"]):
+            rc = cli.main(["spec1d", *fn_args, "--point", "0.3", *mode])
+            err = capsys.readouterr().err
+            assert rc in (0, 2), (fn_args, mode, rc, err)
+            assert rc == 0 or err.startswith("error: "), (fn_args, mode, err)
+    d = run_json(capsys, ["spec1d", "--fn", "norm_times_x", "--params", "1", "--point", "0.3"])
+    assert d["mode"] == "numeric" and abs(d["sigma"]["intervals"][0][0] - 0.6) < 1e-2  # d/dx x|x| = 2|x|
+
+
 def test_planar_command_loads_no_dini():
     # maps imports the 1-D builtins from dini only when one is built, and the
     # circle kernel behind d, q and the radius bound lives in homog2d
@@ -437,8 +478,9 @@ def test_planar_command_loads_no_dini():
 def test_shift_scan_loads_no_planar_or_sampling_engine():
     mods = probe_modules(["bifurcate", "--shift", "--perturb", "normsq_e1", "--truncate", "40",
                           "--extra-lambda", "1.2,0"])
-    assert "specpoint.structured" in mods and "specpoint.numerics" in mods
-    engines = {"specpoint.maps", "specpoint.homog2d", "specpoint.estimators", "specpoint.dini", "specpoint.svgfig"}
+    assert "specpoint.structured" in mods
+    engines = {"specpoint.maps", "specpoint.homog2d", "specpoint.estimators", "specpoint.dini", "specpoint.svgfig",
+               "specpoint.numerics"}
     assert not mods & engines, mods
 
 

@@ -402,3 +402,21 @@ def test_builtin_evaluators_have_the_frozen_bits():
         assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite])), name
         scalar = np.array([BUILTINS_1D[name][0](x) for x in xs.tolist()])
         assert np.array_equal(scalar, got, equal_nan=True), name
+
+
+def test_dini_estimate_runs_on_every_one_dimensional_map_of_maps():
+    # every 1-D MapSpec that maps builds takes a bare float, the convention of
+    # the estimator, and gives the value its array evaluation gives
+    from specpoint.maps import BUILTIN_NAMES, add_identity, identity_map, lambda_minus, scale_map
+
+    specs = [f for f in (builtin(name) for name in BUILTIN_NAMES) if f.dim == 1]
+    specs += [builtin("norm_times_x", dim=1), identity_map(1)]
+    cube = builtin("norm_times_x", dim=1)
+    specs += [scale_map(2.0, cube), add_identity(0.5, cube), lambda_minus(1.5, cube), translate_to_origin(cube, 0.1)]
+    xs = np.array([-0.7, 0.0, 0.3, 2.0])
+    for f in specs:
+        assert list(evaluate(f, xs)) == [float(f.evaluator(float(x))) for x in xs], f
+        est = dini_estimate(f, 0.3)
+        assert all(math.isfinite(v) for v in est.quad.as_tuple()), f
+    est = dini_estimate(cube, 0.3)
+    assert all(abs(v - 0.6) < 1e-2 for v in est.quad.as_tuple())  # d/dx x|x| = 2|x|

@@ -33,7 +33,10 @@ from specpoint.structured import (
     xi_equation_solvable,
 )
 from specpoint.structured import (
+    _e1_norm_sq,
+    _e1_sphere_least_squares,
     _lowest_eigenpair,
+    _odd_even_energy,
     _odd_even_factor,
     _odd_even_solve,
     _shift_adjoint,
@@ -380,6 +383,7 @@ def test_lowest_eigenpair_matches_eigh_tridiagonal(n):
         diag, off = _shift_tridiagonal(m, n)
         w, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         lam1, v = _lowest_eigenpair(m, n)
+        v = np.asarray(v)
         assert abs(lam1 - w[0]) <= 1e-14 * max(1.0, m * m), (n, m, lam1, w[0])
         tv = diag * v
         tv[:-1] += off * v[1:]
@@ -539,6 +543,99 @@ def test_sphere_least_squares_memory_is_linear():
 
 
 # ---------------------------------------------------------------------------
+# right-hand sides along e_1: the scalar secular solve
+
+
+def _e1_point(lam, n, gamma, y):
+    """The minimizer z_k = gamma e^{-i(k-1) arg lam} y_k that `_e1_sphere_least_squares` describes."""
+    lam = complex(lam)
+    return gamma * np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n)) * np.asarray(y)
+
+
+def _e1_moduli(n):
+    edge = n / (n + 1)  # lambda_1 reaches the band edge (m - 1)^2 here
+    return (0.0, 1e-3, 0.3, 0.5, 0.9, edge * (1.0 - 1e-8), edge * (1.0 + 1e-8), 1.0, 1.2, SQRT2, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 60, 1000, 100_000])
+def test_e1_solve_matches_cyclic_reduction(n):
+    # the same minimum as the general solver, at a point of the sphere where
+    # the returned residual is evaluated
+    cases = [(1.0, 1.0), (0.1 + 0.2j, 0.1), (1e-3 + 1e-6j, 1e-3), (-3.0, 7.0), (0.0, 0.5)]
+    phases = (0.0, 1.0, -2.5)
+    if n == 100_000:  # about 0.1 s for the two solves
+        cases, phases = cases[:2], phases[1:2]
+    for modulus in _e1_moduli(n):
+        for phase in phases:
+            lam = modulus * complex(math.cos(phase), math.sin(phase))
+            for beta, s in cases:
+                b = np.zeros(n, dtype=complex)
+                b[0] = beta
+                gamma, y, resid = _e1_sphere_least_squares(lam, n, beta, s)
+                z = _e1_point(lam, n, gamma, y)
+                _, ref = sphere_least_squares(lam, b, s)
+                scale = max(1.0, abs(beta))
+                assert abs(resid - ref) <= 1e-12 * scale, (modulus, phase, beta, s, resid, ref)
+                assert abs(np.linalg.norm(z) - s) <= 1e-12 * s, (modulus, phase, beta, s)
+                assert abs(np.linalg.norm(_shift_apply(lam, z, b)) - resid) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [4, 60, 1000])
+def test_e1_norm_sq_and_its_complex_step_match_cyclic_reduction(n):
+    # m^2 |x|^2 and (1/2) d/dmu of it, x = (T - mu I)^{-1} e_1: below the band,
+    # inside it and at its edge (m - 1)^2, where the series form takes over
+    step = 1e-100
+    for m in (1e-3, 0.5, 0.9, 1.0, 1.2, SQRT2, 3.0):
+        lam1, _ = _lowest_eigenpair(m, n)
+        edge = (m - 1.0) ** 2
+        mus = [lam1 - 10.0, lam1 - 1e-3, lam1 - 1e-6 * (1.0 + m) ** 2, edge - 1e-9, edge, edge + 1e-9]
+        for mu in [mu for mu in mus if mu <= lam1 - 1e-6 * (1.0 + m) ** 2]:
+            diag = np.full(n, m * m + 1.0)
+            diag[-1] = m * m
+            factor = _odd_even_factor(diag - mu, np.full(n - 1, -m))
+            x = _odd_even_solve(*factor, np.eye(n)[0])
+            w = _e1_norm_sq(m, n, complex(mu, step * (1.0 + m) ** 2))
+            assert w.real == pytest.approx(m * m * float(x @ x), rel=1e-10), (m, mu)
+            half_slope = w.imag / (2.0 * step * (1.0 + m) ** 2)
+            assert half_slope == pytest.approx(m * m * _odd_even_energy(*factor, x), rel=1e-9), (m, mu)
+
+
+def test_e1_solve_zero_gradient_branch():
+    # lam = 0: c = 0, so the minimum lies along the null direction e_N, value |beta|
+    for n in (12, 1000):
+        gamma, y, resid = _e1_sphere_least_squares(0.0, n)
+        assert resid == pytest.approx(1.0, abs=1e-12)
+        assert abs(_e1_point(0.0, n, gamma, y)[-1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_e1_solve_hard_case():
+    # |lam| <= 1/2: v_1 lives in the tail, orthogonal to e_1 up to lam^N
+    for lam, n in ((0.5, 40), (0.3 * np.exp(2.0j), 64), (-0.5j, 200)):
+        b = np.zeros(n, dtype=complex)
+        b[0] = 0.1
+        gamma, y, resid = _e1_sphere_least_squares(lam, n, 0.1, 0.1)
+        _, ref = _dense_sphere_least_squares(lam * np.eye(n) - _shift_matrix(n), b, 0.1)
+        assert abs(resid - ref) <= 1e-12
+        assert np.linalg.norm(_e1_point(lam, n, gamma, y)[n // 2:]) > 0.5 * 0.1
+
+
+def test_e1_solve_high_precision_oracle():
+    # the secular equation on 60-digit eigenpairs of T (mpmath): at lam = 0.5,
+    # N = 38 the multiplier lies 2.9e-12 below lambda_1, next to the hard case;
+    # two ulps of 0.87 are 2.2e-16
+    assert _e1_sphere_least_squares(0.5, 38)[2] == pytest.approx(0.8660254037822108488, abs=2.3e-16)
+    resid = _e1_sphere_least_squares(1.2, 38, 0.3 + 0.1j, 0.7)[2]
+    assert resid == pytest.approx(0.0719255062948767353, abs=1e-16)
+
+
+def test_e1_solve_tiny_modulus():
+    # |y| = |lam| |x| falls below the floats, and the hard case takes it
+    for lam in (1e-160, 1e-300):
+        assert _e1_sphere_least_squares(lam, 8)[2] == 1.0
+        assert truncated_shift_min(lam, 8) == 1.0
+
+
+# ---------------------------------------------------------------------------
 # truncated minima
 
 
@@ -619,7 +716,7 @@ def test_truncated_min_preconditions():
 def test_shift_scan_unperturbed():
     scan = shift_bifurcation_scan([SQRT2, 1.2], N=40, tol=0.02)
     assert scan.verdicts == ("candidate", "rejected")
-    assert scan.normalized[1, -1] > 0.1
+    assert np.asarray(scan.normalized)[1, -1] > 0.1
 
 
 def test_shift_scan_norm_square_perturbation():
@@ -640,7 +737,7 @@ def test_shift_scan_norm_square_perturbation():
     assert scan.verdicts[:-1] == ("candidate",) * 8
     assert scan.verdicts[-1] == "rejected"
     # derived example: raw residual below 1e-4 at radius 1e-3
-    assert scan.residuals[0, -1] < 1e-4
+    assert np.asarray(scan.residuals)[0, -1] < 1e-4
 
     # oracle: the fixed-point construction z = r * v/|v| with v the resolvent
     # direction gives residual exactly r^2 at |lam| = sqrt(2), an upper bound
@@ -648,9 +745,9 @@ def test_shift_scan_norm_square_perturbation():
     seed = geometric_seed(lams[0], N, r)
     resid = np.linalg.norm(lams[0] * seed - truncated_shift_map(seed) - h_full(seed))
     assert abs(resid - r * r) < 1e-9
-    assert scan.residuals[0, -1] <= resid + 1e-12
+    assert np.asarray(scan.residuals)[0, -1] <= resid + 1e-12
     # analytic lower bound: sigma_min(lam I - L) >= sqrt(2) - 1 times r^2
-    assert scan.residuals[0, -1] >= 0.3 * r * r
+    assert np.asarray(scan.residuals)[0, -1] >= 0.3 * r * r
 
 
 def test_shift_scan_general_callable_matches_constant_path():
@@ -668,7 +765,7 @@ def test_shift_scan_general_callable_matches_constant_path():
 
     exact = shift_bifurcation_scan([SQRT2], N=N, radii=(1e-2,), tol=0.02, h_sphere_const=h_const)
     general = shift_bifurcation_scan([SQRT2], N=N, radii=(1e-2,), tol=0.02, h=h_full)
-    assert general.residuals[0, 0] >= exact.residuals[0, 0] - 1e-12
+    assert np.asarray(general.residuals)[0, 0] >= np.asarray(exact.residuals)[0, 0] - 1e-12
     assert general.verdicts == ("candidate",)
 
 
@@ -692,7 +789,7 @@ def test_shift_scan_general_callable_finds_the_whole_circle():
     general = shift_bifurcation_scan(lams, N=N, radii=radii, tol=0.02, h=h_full)
     exact = shift_bifurcation_scan(lams, N=N, radii=radii, tol=0.02, h_sphere_const=h_const)
     assert general.verdicts == ("candidate",) * 8
-    assert np.all(np.abs(general.residuals - exact.residuals) <= 1e-12 * np.asarray(general.radii))
+    assert np.all(np.abs(np.asarray(general.residuals) - np.asarray(exact.residuals)) <= 1e-12 * np.asarray(general.radii))
 
 
 def _per_lambda_normalized(lams, N, radii, h_const=None):
@@ -730,8 +827,8 @@ def test_grouped_shift_scan_matches_per_lambda_scan(perturbed):
 
     assert grouped.verdicts == scan_verdicts(ref, 0.02)[1] == flat.verdicts
     assert grouped.verdicts[:64] == ("candidate",) * 64
-    assert np.max(np.abs(grouped.normalized - ref)) <= 1e-15
-    assert np.max(np.abs(flat.normalized - ref)) <= 1e-15
+    assert np.max(np.abs(np.asarray(grouped.normalized) - ref)) <= 1e-15
+    assert np.max(np.abs(np.asarray(flat.normalized) - ref)) <= 1e-15
 
 
 def test_shift_scan_off_e1_right_hand_side_solves_per_lambda():
@@ -747,7 +844,7 @@ def test_shift_scan_off_e1_right_hand_side_solves_per_lambda():
     circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in (0.0, 1.0, 2.0)]
     scan = shift_bifurcation_scan(LambdaOrbits([(SQRT2, circle)]), N=N, tol=0.02, h_sphere_const=h_const)
     ref = _per_lambda_normalized(circle, N, scan.radii, h_const)
-    assert np.array_equal(scan.normalized, ref)
+    assert np.array_equal(np.asarray(scan.normalized), ref)
     assert np.ptp(ref[:, -1]) > 0.0
 
 
