@@ -53,9 +53,9 @@ import sys
 from pathlib import Path
 
 # Each command imports the engine modules it computes with, numpy included:
-# every call loads the modules it imports.  `mnc`, `spec1d`, `shift` and
-# `bifurcate --shift` need no numpy, and the shift model none of the planar
-# and sampling engines.
+# every call loads the modules it imports.  `mnc`, `spec1d`, `spec2d`, `shift`
+# and `bifurcate --shift` need no numpy, and the shift model none of the
+# planar and sampling engines.
 from .core import (
     EvaluationError,
     NumericError,
@@ -176,27 +176,33 @@ def _resolve(args, config: dict) -> None:
         setattr(args, key, value)
 
 
-def _build_map(args):
-    from .maps import builtin
-
+def _fn_params(args) -> dict:
+    """The keyword parameters of the --fn builtin, read from --params; a wrong count or kind exits 2."""
     name, params = args.fn, args.params
     if not name:
         raise UsageError("--fn NAME is required")
+    if name == "real_linear":
+        if len(params) != 4:
+            raise UsageError("real_linear needs --params s,t,u,v")
+        return dict(zip("stuv", params))
+    if name in ("norm_plus_i_im_pow", "norm_times_x"):
+        if len(params) > 1:
+            raise UsageError(f"{name} takes at most one parameter, got {len(params)}")
+        if params and not params[0].is_integer():
+            raise UsageError(f"{name} takes an integer parameter, got {params[0]!r}")
+        n = int(params[0]) if params else 2
+        return {"n": n} if name == "norm_plus_i_im_pow" else {"dim": n}
+    if params:
+        raise UsageError(f"builtin {name} takes no parameters")
+    return {}
+
+
+def _build_map(args):
+    from .maps import builtin
+
+    params = _fn_params(args)
     try:
-        if name == "real_linear":
-            if len(params) != 4:
-                raise UsageError("real_linear needs --params s,t,u,v")
-            return builtin(name, s=params[0], t=params[1], u=params[2], v=params[3])
-        if name in ("norm_plus_i_im_pow", "norm_times_x"):
-            if len(params) > 1:
-                raise UsageError(f"{name} takes at most one parameter, got {len(params)}")
-            if params and not params[0].is_integer():
-                raise UsageError(f"{name} takes an integer parameter, got {params[0]!r}")
-            n = int(params[0]) if params else 2
-            return builtin(name, n=n) if name == "norm_plus_i_im_pow" else builtin(name, dim=n)
-        if params:
-            raise UsageError(f"builtin {name} takes no parameters")
-        return builtin(name)
+        return builtin(args.fn, **params)
     except UnsupportedError as exc:
         raise UsageError(str(exc)) from None
 
@@ -219,8 +225,8 @@ def _write_text(path: Path, text: str) -> None:
 
 def _curve_csv(curve) -> str:
     # the same bytes csv.writer gives: no field here needs quoting
-    rows = zip(curve.thetas.tolist(), curve.values.real.tolist(), curve.values.imag.tolist())
-    return "theta,re,im\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, x, y in rows)
+    rows = zip(curve.thetas, curve.values)
+    return "theta,re,im\n" + "".join(f"{t!r},{v.real!r},{v.imag!r}\n" for t, v in rows)
 
 
 def _grid_csv(spectrum, out) -> None:
@@ -245,13 +251,13 @@ def _grid_csv(spectrum, out) -> None:
 
 def _curve_json(curve, limit: int | None = None) -> dict:
     vals = curve.values
-    step = 1 if limit is None or vals.size <= limit else math.ceil(vals.size / limit)
+    step = 1 if limit is None or len(vals) <= limit else math.ceil(len(vals) / limit)
     return {
-        "samples": int(vals.size),
+        "samples": len(vals),
         "chord_bound": None if math.isnan(curve.chord_bound) else curve.chord_bound,
         "chord_met": curve.chord_met,
         "label": curve.label,
-        "points": [[float(v.real), float(v.imag)] for v in vals[::step]],
+        "points": [[v.real, v.imag] for v in vals[::step]],
         "thinned_by": step,
     }
 
@@ -294,11 +300,16 @@ def _cmd_spec1d(args) -> int:
 
 
 def _cmd_spec2d(args) -> int:
-    from . import homog2d
+    from . import planar
 
-    f = _build_map(args)
-    curve = homog2d.sigma_curve(f, samples=args.samples)
-    d, q = homog2d.d_and_quasinorm(f)
+    # a planar builtin runs on bare Python; any other name, none of them a planar
+    # homogeneous map, errs as in the catalogue
+    f = planar.builtin(args.fn, **_fn_params(args)) if args.fn in planar.BUILTINS else _build_map(args)
+    planar.require_planar_homogeneous(f)
+    # d and q first: a map whose |f| overflows exits 4 before its curve is traced
+    moduli = planar.moduli_at(f)
+    d, q = (planar.circle_extremum(moduli, sign, f.name) for sign in (1.0, -1.0))
+    curve = planar.trace_curve(planar.curve_at(f), samples=args.samples)
     payload = {
         "command": "spec2d",
         "fn": f.name,

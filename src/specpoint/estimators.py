@@ -27,7 +27,8 @@ from .core import (
 )
 from .maps import MapSpec, difference, evaluate, translate_to_origin
 from .numerics import hausdorff
-from .homog2d import SPHERE_DIRECTIONS, SigmaCurve, _curve_values, _sphere_minima, sigma_curve
+from .homog2d import _curve_values, _sphere_minima, sigma_curve
+from .planar import SPHERE_DIRECTIONS, SigmaCurve
 
 TWO_PI = 2.0 * math.pi
 EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null

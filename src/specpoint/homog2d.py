@@ -15,8 +15,11 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
 
 and a grid is labelled by a point-in-polygon winding query on the traced
 curve, with no further map evaluations; `winding_number` counts at a
-single node with the same crossings.  `_sphere_minima`, the one sphere
-extremum kernel, gives d, q and Rouche's min |f| here and all of `estimators`.
+single node with the same crossings.  The curve is traced, and d, q and
+Rouche's min |f| are taken, by the pure-Python loops of `planar`, which
+evaluate the map here on numpy arrays of angles.  `_sphere_minima`, the
+sphere extremum kernel of `estimators`, answers a linear map exactly by
+singular values and samples and polishes any other.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is
@@ -41,9 +44,14 @@ from .core import (
 )
 from .maps import MapSpec, evaluate, scalar_action
 from .numerics import CHUNK, disk_points, golden_min, sphere_directions, sphere_polish
+from .planar import (
+    TWO_PI,
+    SigmaCurve,
+    circle_extremum,
+    require_planar_homogeneous,
+    trace_curve,
+)
 
-TWO_PI = 2.0 * math.pi
-SPHERE_DIRECTIONS = 1024  # sampled unit vectors of the growth rates, d, q and Rouche's min |f|
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
 ROUCHE_STARTS = 64  # coincidence-solver starts: the origin and 63 disk points
@@ -58,26 +66,6 @@ ZERO_EPI_PROXY_NOTE = (
     "winding==0 is treated as 'in spectrum'; nonzero winding soundly implies "
     "regular, the converse is a heuristic validated on planar benchmark maps"
 )
-
-
-class SigmaCurve(Record):
-    """Sampled eigenvalue curve: thetas strictly increasing in [0, 2pi)."""
-
-    thetas: np.ndarray
-    values: np.ndarray  # complex samples lam(theta)
-    chord_bound: float
-    chord_met: bool
-    label: str = "point-spectrum"
-
-    def pairs(self) -> np.ndarray:
-        return np.stack([self.values.real, self.values.imag], axis=-1)
-
-    def max_gap(self) -> float:
-        nxt = np.roll(self.values, -1)
-        return float(np.max(np.abs(nxt - self.values)))
-
-    def is_point(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.values - self.values[0])) <= tol)
 
 
 class CellLabel(IntEnum):
@@ -175,13 +163,6 @@ class PlaneSpectrum(Record):
         }
 
 
-def _require_planar_homogeneous(f: MapSpec):
-    if f.dim != 2:
-        raise PreconditionError(f"map {f.name} is not planar")
-    if not f.homogeneous:
-        raise PreconditionError(f"map {f.name} does not declare positive homogeneity")
-
-
 def _unit_points(thetas: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
@@ -218,7 +199,32 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
     positively homogeneous g has the same entries at every radius, so one
     radius is computed and repeated.  lam acts through `scalar_action`, so
     a complex lam on a g without complex structure raises PreconditionError.
+
+    A positively homogeneous g with a Jacobian A is linear, g(u) = A u, and
+    its entries are exact: the smallest (sign 1) or largest (sign -1)
+    singular value of R(lam) - A, where R(lam) is the matrix of u -> lam u
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.6), one batched
+    SVD for every lam; n, seed and polish do not enter.  An entry, or an
+    entry of R(lam) - A, that is not finite is a NumericError naming g.
     """
+    if g.homogeneous and g.jacobian is not None:
+        A = np.asarray(g.jacobian(g.basepoint), dtype=float)
+        rows = scalar_action(lams[:, None], np.eye(g.dim)[None], g.complex_pairs)  # row i is lam e_i
+        shifted = np.swapaxes(rows, 1, 2) - A
+        if not np.isfinite(shifted).all():
+            raise NumericError(f"lam*id - f of {g.name} has a non-finite matrix entry")
+        sv = np.linalg.svd(shifted, compute_uv=False)  # descending
+        return np.repeat(sv[:, -1:] if sign > 0 else sv[:, :1], len(radii), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        res = _sampled_and_polished(g, lams, radii, n, seed, sign, polish)
+    if not np.isfinite(res).all():
+        raise NumericError(f"a sphere extremum of |lam u - f(r u)| / r is not finite for {g.name}")
+    return res
+
+
+def _sampled_and_polished(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int,
+                          sign: float, polish: bool) -> np.ndarray:
+    """`_sphere_minima` of a map that is not known to be linear."""
     dirs = sphere_directions(g.dim, n, seed)
     cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
     res = np.empty((lams.size, cols.size))
@@ -250,43 +256,43 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
     return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
 
 
-def _circle_extremum(f: MapSpec, sign: float, radius: float = 1.0) -> float:
-    """min (sign 1) or max (sign -1) of |f(z)| / radius over |z| = radius: the kernel at lam = 0."""
-    zero = np.zeros(1, dtype=complex)
-    return float(_sphere_minima(f, zero, (radius,), SPHERE_DIRECTIONS, sign=sign)[0, 0])
+def _circle_moduli(f: MapSpec, radius: float = 1.0):
+    """angles -> |f(r e^{i theta})| / r as a list, the squares summed as `_row_norm` sums them.
+
+    These are the sampled entries of `_sphere_minima` at lam = 0, bit for
+    bit.  An overflow reads inf, which `circle_extremum` rejects.
+    """
+    def moduli(thetas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _row_norm(evaluate(f, radius * _unit_points(np.array(thetas))) / radius).tolist()
+
+    return moduli
 
 
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
                 max_samples: int = 1 << 20, label: str = "point-spectrum") -> SigmaCurve:
-    """Trace the eigenvalue curve, bisecting arcs until the chord bound holds."""
-    _require_planar_homogeneous(f)
-    if not 1 <= samples <= max_samples:
-        raise PreconditionError(f"curve samples must lie in [1, {max_samples}], got {samples}")
-    n0 = max(16, 4 * math.ceil(samples / 4))
-    thetas = np.linspace(0.0, TWO_PI, n0, endpoint=False)
-    vals = _curve_values(f, thetas)
-    while True:
-        nxt_theta = np.concatenate([thetas[1:], [TWO_PI]])
-        bad = np.abs(np.roll(vals, -1) - vals) > chord_bound
-        met = not bad.any()
-        room = max_samples - thetas.size
-        if met or room <= 0:
-            break
-        mids = 0.5 * (thetas[bad] + nxt_theta[bad])[:room]
-        thetas = np.sort(np.concatenate([thetas, mids]))
-        vals = _curve_values(f, thetas)
-    return SigmaCurve(thetas, vals, chord_bound, met, label)
+    """The eigenvalue curve of `planar.trace_curve`, f evaluated on numpy arrays, in numpy arrays.
+
+    Each round evaluates the new midpoints only, which gives every angle the
+    bits of evaluating all angles at once.
+    """
+    require_planar_homogeneous(f)
+    curve = trace_curve(lambda ts: _curve_values(f, np.array(ts)).tolist(),
+                        samples, chord_bound, max_samples, label)
+    return SigmaCurve(np.array(curve.thetas), np.array(curve.values, dtype=complex),
+                      chord_bound, curve.chord_met, label)
 
 
 def d_and_quasinorm(f: MapSpec) -> tuple[float, float]:
     """Growth rates d and q: the min and max of |f| on the unit circle.
 
-    Both are `_sphere_minima` at lam = 0 and radius 1 with sign 1 and -1:
-    SPHERE_DIRECTIONS angles, each extremum golden-polished over the best
-    angle plus or minus one spacing.  |f(e^{i theta})| = |sigma(theta)|.
+    Both are `planar.circle_extremum` of `_circle_moduli`: SPHERE_DIRECTIONS
+    angles, each extremum golden-polished over the best angle plus or minus
+    one spacing.  |f(e^{i theta})| = |sigma(theta)|.
     """
-    _require_planar_homogeneous(f)
-    return _circle_extremum(f, 1.0), _circle_extremum(f, -1.0)
+    require_planar_homogeneous(f)
+    moduli = _circle_moduli(f)
+    return circle_extremum(moduli, 1.0, f.name), circle_extremum(moduli, -1.0, f.name)
 
 
 def winding_number(
@@ -445,7 +451,7 @@ def classify_plane(
     the degree 1 + wind(sigma, lam) of `scanline_turns`.  The widest of
     these distances may span at most MAX_BAND_CELLS node spacings.
     """
-    _require_planar_homogeneous(f)
+    require_planar_homogeneous(f)
     x0, x1, y0, y1 = map(float, bounds)
     if not (0.0 < x1 - x0 < math.inf and 0.0 < y1 - y0 < math.inf) or resolution < 2:
         raise PreconditionError("need a nondegenerate grid with finite spans")
@@ -519,7 +525,7 @@ def spectral_radius_bound(f: MapSpec, p=None) -> float:
     """
     base = f.basepoint if p is None else np.asarray(p, dtype=float)
     if f.homogeneous and f.dim == 2 and np.array_equal(base, f.basepoint):
-        return _circle_extremum(f, -1.0)
+        return circle_extremum(_circle_moduli(f), -1.0, f.name)
     from . import estimators  # lazy: general maps use the rate estimator
 
     return estimators.estimate_rates(f, base).q_p
@@ -564,7 +570,7 @@ def rouche_coincidence(
     if turns == 0:
         raise PreconditionError("boundary winding of f is zero; solvability not certified")
 
-    min_f = radius * _circle_extremum(f, 1.0, radius)
+    min_f = radius * circle_extremum(_circle_moduli(f, radius), 1.0, f.name)
 
     def shadow(U):
         return radius * U[..., :2]

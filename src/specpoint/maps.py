@@ -11,7 +11,8 @@ Builtin catalogue (addressable by name from tests and the CLI):
     one dimensional     sqrt_abs, signed_sqrt_abs, sqrt_abs_sin_inv, xsq_sin_inv
     planar              abs_re_plus_i_im, half_abs_re_plus_i_im,
                         real_linear(s,t,u,v), norm_plus_i_im (alias cardioid_map),
-                        norm_plus_i_im_pow(n), norm_only, conj_pair
+                        norm_plus_i_im_pow(n), norm_only
+    R^4                 conj_pair
     general dimension   norm_times_x(dim)
 
 Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
@@ -19,14 +20,18 @@ higher dimensional maps take arrays of shape (..., dim) and act on the last
 axis.  A one dimensional evaluator also takes a bare float, the convention
 of `dini`, which evaluates one float at a time: the one dimensional
 builtins are scalar functions of `dini`, vectorized here, and
-`norm_times_x(1)` is x |x|, elementwise.
+`norm_times_x(1)` is x |x|, elementwise.  The planar builtins are formulas
+of `planar`, evaluated here on arrays of points.  The linear builtins,
+real_linear and conj_pair, declare their matrices as their Jacobians.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import planar
 from .core import (
     DiniQuad,
     DomainError,
@@ -240,60 +245,11 @@ def identity_map(dim: int) -> MapSpec:
 # builtin catalogue
 
 
-def _f_abs_re_plus_i_im(x):
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., 0] = np.abs(out[..., 0])
-    return out
-
-
-def _f_half_abs_re_plus_i_im(x):
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., 0] = 0.5 * np.abs(out[..., 0])
-    return out
-
-
-def _f_norm_plus_i_im(x):
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., 0] = np.hypot(x[..., 0], x[..., 1])
-    return out
-
-
-def _f_norm_only(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[..., 0] = np.hypot(x[..., 0], x[..., 1])
-    return out
-
-
-def _make_real_linear(s, t, u, v):
-    m = np.array([[s, t], [u, v]], dtype=float)
-
-    def ev(x, _m=m):
-        return np.asarray(x, dtype=float) @ _m.T
-
-    return ev, m
-
-
-def _make_norm_plus_i_im_pow(n):
-    n = int(n)
-    if n < 2:
-        raise PreconditionError("norm_plus_i_im_pow needs an exponent n >= 2")
-
-    def ev(x, _n=n):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = np.hypot(x[..., 0], x[..., 1])
-        out[..., 1] = x[..., 1] ** _n
-        return out
-
-    return ev
+# (z, w) -> (conj w, i conj z) on R^4 coordinates (x1, y1, x2, y2): R-linear, this matrix
+_CONJ_PAIR = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
 
 def _f_conj_pair(x):
-    # (z, w) -> (conj w, i conj z) on R^4 coordinates (x1, y1, x2, y2)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     out[..., 0] = x[..., 2]
@@ -331,34 +287,20 @@ def _builtin_1d(name):
     return replace(f, evaluator=_wrap_unvectorized(f.evaluator, 1), basepoint=np.zeros(()))
 
 
-def _builtin_plane(name, ev, *, homogeneous, jacobian=None):
-    return MapSpec(
-        name=name,
-        dim=2,
-        evaluator=ev,
-        basepoint=np.zeros(2),
-        homogeneous=homogeneous,
-        complex_pairs=True,
-        jacobian=jacobian,
-    )
+def _builtin_plane(name, **params):
+    """A planar builtin of `planar`, its formula evaluated on arrays of points with np.hypot."""
+    f = planar.builtin(name, **params)
 
+    def ev(x, _formula=f.evaluator):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0], out[..., 1] = _formula(x[..., 0], x[..., 1], np.hypot)
+        return out
 
-def _factory_real_linear(s=1.0, t=0.0, u=0.0, v=1.0):
-    ev, m = _make_real_linear(s, t, u, v)
-    return _builtin_plane(
-        f"real_linear({s},{t},{u},{v})",
-        ev,
-        homogeneous=True,
-        jacobian=lambda q, _m=m: _m,
-    )
-
-
-def _factory_norm_plus_i_im_pow(n=2):
-    return _builtin_plane(
-        f"norm_plus_i_im_pow({int(n)})",
-        _make_norm_plus_i_im_pow(n),
-        homogeneous=False,
-    )
+    jac = None
+    if f.jacobian is not None:
+        jac = lambda q, _m=np.array(f.jacobian(None), dtype=float): _m
+    return replace(f, evaluator=ev, basepoint=np.zeros(2), jacobian=jac)
 
 
 def _factory_norm_times_x(dim=2):
@@ -379,21 +321,7 @@ _FACTORIES: dict[str, Callable[..., MapSpec]] = {
     "signed_sqrt_abs": lambda: _builtin_1d("signed_sqrt_abs"),
     "sqrt_abs_sin_inv": lambda: _builtin_1d("sqrt_abs_sin_inv"),
     "xsq_sin_inv": lambda: _builtin_1d("xsq_sin_inv"),
-    "abs_re_plus_i_im": lambda: _builtin_plane(
-        "abs_re_plus_i_im", _f_abs_re_plus_i_im, homogeneous=True
-    ),
-    "half_abs_re_plus_i_im": lambda: _builtin_plane(
-        "half_abs_re_plus_i_im", _f_half_abs_re_plus_i_im, homogeneous=True
-    ),
-    "real_linear": _factory_real_linear,
-    "norm_plus_i_im": lambda: _builtin_plane(
-        "norm_plus_i_im", _f_norm_plus_i_im, homogeneous=True
-    ),
-    "cardioid_map": lambda: _builtin_plane(
-        "cardioid_map", _f_norm_plus_i_im, homogeneous=True
-    ),
-    "norm_plus_i_im_pow": _factory_norm_plus_i_im_pow,
-    "norm_only": lambda: _builtin_plane("norm_only", _f_norm_only, homogeneous=True),
+    **{name: partial(_builtin_plane, name) for name in planar.BUILTINS},
     "conj_pair": lambda: MapSpec(
         name="conj_pair",
         dim=4,
@@ -401,6 +329,7 @@ _FACTORIES: dict[str, Callable[..., MapSpec]] = {
         basepoint=np.zeros(4),
         homogeneous=True,
         complex_pairs=True,
+        jacobian=lambda q: _CONJ_PAIR,
     ),
     "norm_times_x": _factory_norm_times_x,
 }

@@ -7,11 +7,10 @@ scans are in `core`, so the shift scan loads none of this module.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .planar import GOLDEN as _GOLDEN
+
 CHUNK = 1 << 18  # array entries per chunk of every batched kernel
 
 
@@ -170,7 +169,8 @@ def golden_min(fn, lo, hi):
 
     lo and hi may be arrays: every element is searched on its own bracket
     and fn maps an array of points to their values, one call per iteration.
-    Each element follows the iterates of the scalar search exactly.
+    Each element follows the iterates of the scalar `planar.golden_min`
+    exactly.
     """
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - _GOLDEN * (b - a)

@@ -466,13 +466,55 @@ def test_spec1d_runs_on_every_one_dimensional_map_of_maps(capsys):
 
 
 def test_planar_command_loads_no_dini():
-    # maps imports the 1-D builtins from dini only when one is built, and the
-    # circle kernel behind d, q and the radius bound lives in homog2d
-    for argv in (["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"],
-                 ["classify", "--fn", "norm_plus_i_im", "--res", "20"]):
-        mods = probe_modules(argv)
-        assert "specpoint.maps" in mods and "specpoint.homog2d" in mods, mods
-        assert not mods & {"specpoint.dini", "specpoint.estimators"}, mods
+    # maps imports the 1-D builtins from dini only when one is built; spec2d loads
+    # neither numpy nor maps, numerics and homog2d, and classify's circle kernel
+    # lives in homog2d
+    mods = probe_modules(["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"], block_numpy=True)
+    assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.planar"}, mods
+    mods = probe_modules(["classify", "--fn", "norm_plus_i_im", "--res", "20"])
+    assert "specpoint.maps" in mods and "specpoint.homog2d" in mods, mods
+    assert not mods & {"specpoint.dini", "specpoint.estimators"}, mods
+
+
+def test_spec2d_runs_without_numpy(tmp_path):
+    # the planar builtins, the curve tracer and the circle extremum are pure Python:
+    # the README's spec2d line and spec2d on every planar homogeneous builtin, with
+    # and without --out, run with every numpy import failing
+    from specpoint import planar
+
+    bare = {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.planar"}
+    argvs = [["--fn", "real_linear", "--params", "1,-2,2,1", "--out", str(tmp_path / "out" / "linear.json")]]
+    for name in planar.BUILTINS:
+        fn = ["--fn", name] + (["--params", "0.5,-1,0.8,1.2"] if name == "real_linear" else [])
+        if planar.builtin(name).homogeneous:
+            argvs += [fn, fn + ["--out", str(tmp_path / f"{name}.json")]]
+    assert len(argvs) == 13
+    for argv in argvs:
+        assert probe_modules(["spec2d", *argv], block_numpy=True) == bare, argv
+        if "--out" in argv:
+            out = Path(argv[-1])
+            assert json.loads(out.read_text())["command"] == "spec2d"
+            assert out.with_suffix(".csv").read_text().startswith("theta,re,im\n"), argv
+
+
+def test_overflowing_maps_exit_cleanly():
+    # |f|^2 overflows on the circle: spec2d printed numpy's overflow warning and exited 4
+    # on its JSON, and bifurcate printed it too and rejected every lambda on infinite
+    # residuals; the scan of a linear map is exact now
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    params = "--params=1e308,1e308,0,1"
+    for argv, code in (
+        (["spec2d", "--fn", "real_linear", params], 4),
+        (["bifurcate", "--fn", "real_linear", params, "--grid=-1,1,-1,1,2,2"], 0),
+    ):
+        out = subprocess.run([sys.executable, "-m", "specpoint.cli", *argv], env=env, capture_output=True, text=True)
+        assert out.returncode == code, (argv, out.stderr)
+        if code:
+            assert out.stderr == "numeric error: |f| of real_linear(1e+308,1e+308,0.0,1.0) is not finite on the circle\n"
+            assert out.stdout == ""
+        else:
+            assert out.stderr == ""
+            assert json.loads(out.stdout)["verdicts_summary"] == {"candidate": 0, "rejected": 4, "undecided": 0}
 
 
 def test_shift_scan_loads_no_planar_or_sampling_engine():
@@ -625,31 +667,33 @@ def _csv_writer_curve_csv(curve):
 
 
 def test_curve_csv_matches_csv_writer():
-    from specpoint.homog2d import sigma_curve
-    from specpoint.maps import builtin
+    # spec2d writes the lists of the bare tracer
+    from specpoint import planar
 
-    for f in (builtin("real_linear", s=1.0, t=-2.0, u=2.0, v=1.0), builtin("norm_plus_i_im")):
-        curve = sigma_curve(f, samples=4096)
+    for f in (planar.builtin("real_linear", s=1.0, t=-2.0, u=2.0, v=1.0), planar.builtin("norm_plus_i_im")):
+        curve = planar.trace_curve(planar.curve_at(f), samples=4096)
         assert cli._curve_csv(curve) == _csv_writer_curve_csv(curve)
     odd = SimpleNamespace(
-        thetas=np.array([0.0, 1e-300, 0.5, 3.0]),
-        values=np.array([complex(-0.0, 0.0), complex(5e-324, -1e300), complex(0.1, -2.5e-17), complex(1 / 3, 7.0)]),
+        thetas=[0.0, 1e-300, 0.5, 3.0],
+        values=[complex(-0.0, 0.0), complex(5e-324, -1e300), complex(0.1, -2.5e-17), complex(1 / 3, 7.0)],
     )
     assert cli._curve_csv(odd) == _csv_writer_curve_csv(odd)
 
 
 def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
-    from specpoint import homog2d
+    # one tracer serves both commands: spec2d calls it on bare Python, classify through homog2d
+    from specpoint import homog2d, planar
     from specpoint.maps import builtin
 
     calls = []
-    trace = homog2d.sigma_curve
+    trace = planar.trace_curve
 
     def counted(*args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(args[0])
         return trace(*args, **kwargs)
 
-    monkeypatch.setattr(homog2d, "sigma_curve", counted)
+    monkeypatch.setattr(planar, "trace_curve", counted)
+    monkeypatch.setattr(homog2d, "trace_curve", counted)
     d = run_json(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "512"])
     assert len(calls) == 1
     assert d["radius_bound"] == d["q"]
