@@ -23,8 +23,9 @@ The module imports no numpy, so `spec2d` runs on bare Python.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import cos, sin
+from operator import lt, sub
 
 from .core import MapSpec, NumericError, PreconditionError, Record
 
@@ -151,13 +152,16 @@ class SigmaCurve(Record):
         v = np.asarray(self.values, dtype=complex)
         return np.stack([v.real, v.imag], axis=-1)
 
+    def _samples(self) -> list:
+        return self.values if isinstance(self.values, list) else self.values.tolist()
+
     def max_gap(self) -> float:
-        v = self.values
-        return float(max(abs(b - a) for a, b in zip(v, chain(v[1:], v[:1]))))
+        v = self._samples()
+        return max(map(abs, map(sub, chain(v[1:], v[:1]), v)))
 
     def is_point(self, tol: float = 1e-9) -> bool:
-        v0 = self.values[0]
-        return all(abs(v - v0) <= tol for v in self.values)
+        v = self._samples()
+        return all(abs(x - v[0]) <= tol for x in v)
 
 
 def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
@@ -177,11 +181,15 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
     n = max(16, 4 * math.ceil(samples / 4))
     thetas = list(map((TWO_PI / n).__mul__, range(n)))
     values = values_at(thetas)
-    check = range(n)  # arcs whose chords are untested; arc i ends at the next sample, or wraps to 0
+    check = None  # the arcs whose chords are untested, None for all; arc i ends at sample i + 1, or 0
     while True:
-        values.append(values[0])
-        bad = [i for i in check if abs(values[i + 1] - values[i]) > chord_bound]
-        values.pop()
+        if check is None:
+            gaps = map(abs, map(sub, values[1:] + values[:1], values))
+            bad = list(compress(range(len(values)), map(lt, repeat(chord_bound), gaps)))
+        else:
+            values.append(values[0])
+            bad = [i for i in check if abs(values[i + 1] - values[i]) > chord_bound]
+            values.pop()
         room = max_samples - len(thetas)
         met = not bad
         if met or room <= 0:
@@ -189,8 +197,13 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
         thetas.append(TWO_PI)
         mids = [0.5 * (thetas[i] + thetas[i + 1]) for i in bad[:room]]
         thetas.pop()
+        mid_values = values_at(mids)
+        if len(mids) == len(thetas):  # every arc is bisected: interleave
+            thetas, values = _interleave(thetas, mids), _interleave(values, mid_values)
+            check = None
+            continue
         new_t, new_v, check, lo = [], [], [], 0
-        for i, t, v in zip(bad, mids, values_at(mids)):
+        for i, t, v in zip(bad, mids, mid_values):
             new_t += thetas[lo:i + 1]
             new_v += values[lo:i + 1]
             new_t.append(t)
@@ -201,6 +214,12 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
         if len(bad) > room:  # the rest of the arcs stay over the bound
             break
     return SigmaCurve(thetas, values, chord_bound, met, label)
+
+
+def _interleave(a: list, b: list) -> list:
+    out = a + b
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 # ---------------------------------------------------------------------------
