@@ -189,7 +189,7 @@ def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
     """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
 
     Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
-    maxima for sign -1; the growth rates, d and q take lam = 0.  Every entry
+    maxima for sign -1; the growth rates take lam = 0.  Every entry
     is sampled at the n unit vectors `sphere_directions(g.dim, n, seed)`,
     one map evaluation per radius and CHUNK coordinates at a time, and then
     (unless polish is False) polished from its best sample, all entries in

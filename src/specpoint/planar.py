@@ -245,16 +245,17 @@ def golden_min(fn, a: float, b: float):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def circle_extremum(moduli, sign: float, name: str, n: int = SPHERE_DIRECTIONS) -> float:
+def circle_extremum(moduli, sign: float, name: str) -> float:
     """min (sign 1) or max (sign -1) over the angles of the function moduli evaluates.
 
     moduli maps a list of angles to their values.  They are sampled at the
-    n angles 2pi (k + 1/2) / n, the directions of
+    n = SPHERE_DIRECTIONS angles 2pi (k + 1/2) / n, the directions of
     `numerics.sphere_directions(2, n)`, and the best sample is polished by
     `golden_min` over its angle plus or minus one spacing.  A sample or an
     extremum that is not finite (|f|^2 overflows) is a NumericError that
     names the map.
     """
+    n = SPHERE_DIRECTIONS
     thetas = [TWO_PI * ((k + 0.5) / n) for k in range(n)]
     sampled = moduli(thetas)
     signed = [sign * m for m in sampled]

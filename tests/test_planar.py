@@ -85,14 +85,41 @@ def test_golden_min_is_the_iteration_of_the_array_search():
         assert (x, fx) == (xs[i], fs[i])
 
 
-def test_tracer_stops_at_its_sample_cap():
-    # the first arcs are bisected up to the cap, and the chord bound is reported unmet
-    f = planar.builtin("norm_plus_i_im")
-    curve = planar.trace_curve(planar.curve_at(f), samples=16, max_samples=40)
-    ref = homog2d.sigma_curve(builtin("norm_plus_i_im"), samples=16, max_samples=40)
-    assert len(curve.values) == 40 and not curve.chord_met
-    assert curve.thetas == ref.thetas.tolist()
-    assert curve.thetas == sorted(curve.thetas) and curve.thetas[16] < math.pi
+def _former_array_tracer(f, samples, max_samples, chord_bound=1e-3):
+    """Reference: the numpy loop the tracer replaced, which re-evaluated every angle each round."""
+    n0 = max(16, 4 * math.ceil(samples / 4))
+    thetas = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)
+    vals = homog2d._curve_values(f, thetas)
+    while True:
+        nxt_theta = np.concatenate([thetas[1:], [2.0 * math.pi]])
+        bad = np.abs(np.roll(vals, -1) - vals) > chord_bound
+        met = not bad.any()
+        room = max_samples - thetas.size
+        if met or room <= 0:
+            break
+        mids = 0.5 * (thetas[bad] + nxt_theta[bad])[:room]
+        thetas = np.sort(np.concatenate([thetas, mids]))
+        vals = homog2d._curve_values(f, thetas)
+    return thetas, vals, met
+
+
+@pytest.mark.parametrize("name, params, samples, max_samples", [
+    ("norm_plus_i_im", {}, 2048, 1 << 20),  # some arcs bisected each round
+    ("half_abs_re_plus_i_im", {}, 64, 1 << 20),
+    ("real_linear", LINEAR_PARAMS[2], 16, 1 << 20),  # every arc bisected each round
+    ("norm_plus_i_im", {}, 16, 40),  # the cap cuts a round short
+    ("norm_plus_i_im", {}, 16, 11000),
+    ("real_linear", LINEAR_PARAMS[2], 16, 100),
+    ("abs_re_plus_i_im", {}, 16, 16),  # no room from the start
+])
+def test_tracer_matches_the_former_array_loop(name, params, samples, max_samples):
+    # evaluating the new midpoints only gives the angles, values and chord flag of
+    # evaluating every angle each round, bit for bit
+    f = builtin(name, **params)
+    curve = homog2d.sigma_curve(f, samples=samples, max_samples=max_samples)
+    thetas, vals, met = _former_array_tracer(f, samples, max_samples)
+    assert np.array_equal(curve.thetas, thetas) and np.array_equal(curve.values, vals)
+    assert curve.chord_met == met and (met or curve.values.size == max_samples)
 
 
 def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
