@@ -1,10 +1,11 @@
 """Command line front end: `specpoint --help` lists the commands, `specpoint CMD --help` their flags.
 
-All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it)
-and --config FILE with `key = value` lines overridden by explicit flags.  A
-key is one of the command's value flags with - written _, other than --out,
---config, --lambda and --extra-lambda; any other key exits 2.  Identical
-argv produce byte-identical outputs.
+All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it,
+so a PATH with an artifact's suffix exits 2) and --config FILE with
+`key = value` lines overridden by explicit flags.  A key is one of the
+command's value flags with - written _, other than --out, --config,
+--lambda and --extra-lambda; any other key exits 2.  Identical argv
+produce byte-identical outputs.
 
 `bifurcate --fn` alone reads --fn, --params, --grid and --seed, which
 rotates the sphere directions of its scan (no other result depends on a
@@ -72,6 +73,7 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_UNDECIDED = 5
 MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 512 sphere directions
+ARTIFACTS = {"spec2d": (".csv",), "classify": (".csv", ".svg"), "shift": (".svg",)}  # written next to --out
 
 
 def _cast(flag: str, kind, text):
@@ -249,12 +251,12 @@ def _grid_csv(spectrum, out) -> None:
             out.write(suffix.join(cols[a:b]) + suffix)
 
 
-def _curve_json(curve, limit: int | None = None) -> dict:
+def _curve_json(curve, limit: int) -> dict:
     vals = curve.values
-    step = 1 if limit is None or len(vals) <= limit else math.ceil(len(vals) / limit)
+    step = math.ceil(len(vals) / limit)  # a traced curve has 16 samples or more
     return {
         "samples": len(vals),
-        "chord_bound": None if math.isnan(curve.chord_bound) else curve.chord_bound,
+        "chord_bound": curve.chord_bound,
         "chord_met": curve.chord_met,
         "label": curve.label,
         "points": [[v.real, v.imag] for v in vals[::step]],
@@ -569,6 +571,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
+        if args.out and Path(args.out).suffix in ARTIFACTS.get(args.cmd, ()):  # before any work
+            raise UsageError(f"--out {args.out!r} is the path of an artifact {args.cmd} writes next to the JSON")
         _resolve(args, _load_config(args.config, args.cmd))
         return args.run(args)
     except UsageError as exc:

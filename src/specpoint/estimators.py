@@ -5,7 +5,8 @@ radius schedule, point-spectrum membership tests with first-class Undecided
 verdicts, the smooth-map reduction to Jacobian eigenvalues, equivalence
 checking under rate-null perturbations, and a bifurcation candidate
 scanner for maps vanishing at the origin.  Every sphere extremum comes
-from `homog2d._sphere_minima`, the kernel the planar engine shares.
+from `numerics.sphere_extrema`; the planar engine `homog2d` is loaded
+only where a planar curve is drawn.
 
 Sampling cannot certify that an infimum is zero, so membership verdicts
 report Undecided whenever the per-radius minima straddle the tolerance.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -26,11 +28,9 @@ from .core import (
     scan_verdicts,
 )
 from .maps import MapSpec, difference, evaluate, translate_to_origin
-from .numerics import hausdorff
-from .homog2d import _curve_values, _sphere_minima, sigma_curve
-from .planar import SPHERE_DIRECTIONS, SigmaCurve
+from .numerics import directed_distance, hausdorff, sphere_extrema
+from .planar import SPHERE_DIRECTIONS
 
-TWO_PI = 2.0 * math.pi
 EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
 
 
@@ -76,8 +76,8 @@ def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRat
     """
     g = translate_to_origin(f, p)
     zero = np.zeros(1, dtype=complex)
-    mins = _sphere_minima(g, zero, RADII, config.directions, sign=1.0, polish=config.polish)[0]
-    maxs = _sphere_minima(g, zero, RADII, config.directions, sign=-1.0, polish=config.polish)[0]
+    mins = sphere_extrema(g, zero, RADII, config.directions, sign=1.0, polish=config.polish)[0]
+    maxs = sphere_extrema(g, zero, RADII, config.directions, sign=-1.0, polish=config.polish)[0]
     d = float(mins[-TAIL:].min())
     q = float(maxs[-TAIL:].max())
 
@@ -117,7 +117,7 @@ def sigma_membership(
     the per-radius minima straddle the tolerance.
     """
     g = translate_to_origin(f, p)
-    mins = _sphere_minima(g, np.array([as_complex(lam)]), RADII[-TAIL:], config.directions, polish=config.polish)
+    mins = sphere_extrema(g, np.array([as_complex(lam)]), RADII[-TAIL:], config.directions, polish=config.polish)
     per_radius = [float(x) for x in mins[0]]
 
     below = [m < tol for m in per_radius]
@@ -154,21 +154,6 @@ def spectrum_set(eigs: np.ndarray, tol: float = 1e-8) -> tuple:
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) -> SigmaCurve:
-    """Normalized small-radius eigenvalue curve of a planar map at p.
-
-    For maps that are homogeneous plus a higher-order remainder this
-    converges to the eigenvalue curve of the homogeneous part as the radius
-    shrinks.
-    """
-    if f.dim != 2:
-        raise PreconditionError("local curves are planar")
-    n = max(16, 4 * math.ceil(samples / 4))
-    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    vals = _curve_values(translate_to_origin(f, p), thetas, radius)
-    return SigmaCurve(thetas, vals, float("nan"), True, label="local")
-
-
 class EquivalenceReport(Record):
     applicable: bool
     rate_of_difference: float
@@ -195,7 +180,10 @@ def perturbation_equivalence_check(f: MapSpec, g: MapSpec, p) -> EquivalenceRepo
             message=f"difference has upper rate {rates.q_p:.6g} >= {EQUIVALENCE_RATE_TOL:g}; "
             "the equivalence criterion does not apply",
         )
+    report = partial(EquivalenceReport, applicable=True, rate_of_difference=rates.q_p)
     if f.dim == 2:
+        from .homog2d import local_sigma_curve, sigma_curve
+
         at_origin = bool(np.all(np.asarray(p, dtype=float) == 0))
 
         def curve(h):
@@ -204,12 +192,7 @@ def perturbation_equivalence_check(f: MapSpec, g: MapSpec, p) -> EquivalenceRepo
             return local_sigma_curve(h, p, 1e-3, 2048)
 
         dist = hausdorff(curve(f).pairs(), curve(g).pairs())
-        return EquivalenceReport(
-            applicable=True,
-            rate_of_difference=rates.q_p,
-            hausdorff_distance=dist,
-            message=f"equivalent; curve distance {dist:.3e}",
-        )
+        return report(hausdorff_distance=dist, message=f"equivalent; curve distance {dist:.3e}")
     if f.dim == 1:
         from .dini import dini_estimate
 
@@ -217,29 +200,14 @@ def perturbation_equivalence_check(f: MapSpec, g: MapSpec, p) -> EquivalenceRepo
         qb = dini_estimate(g, float(np.asarray(p))).quad.as_tuple()
         gaps = []
         for a, b in zip(qa, qb):
-            if math.isinf(a) or math.isinf(b):
-                if a != b:
-                    return EquivalenceReport(
-                        applicable=True,
-                        rate_of_difference=rates.q_p,
-                        hausdorff_distance=None,
-                        message="rate-null but divergence flags disagree",
-                    )
-            else:
+            if not (math.isinf(a) or math.isinf(b)):
                 gaps.append(abs(a - b))
+            elif a != b:
+                return report(hausdorff_distance=None, message="rate-null but divergence flags disagree")
         dist = max(gaps, default=0.0)
-        return EquivalenceReport(
-            applicable=True,
-            rate_of_difference=rates.q_p,
-            hausdorff_distance=dist,
-            message=f"equivalent; quadruple components within {dist:.3e}",
-        )
-    return EquivalenceReport(
-        applicable=True,
-        rate_of_difference=rates.q_p,
-        hausdorff_distance=None,
-        message="equivalent by the rate criterion (no curve engine in this dimension)",
-    )
+        return report(hausdorff_distance=dist, message=f"equivalent; quadruple components within {dist:.3e}")
+    return report(hausdorff_distance=None,
+                  message="equivalent by the rate criterion (no curve engine in this dimension)")
 
 
 class BifurcationScan(Record):
@@ -273,21 +241,21 @@ def bifurcation_scan(
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    res = _sphere_minima(g, lams, radii, 512, seed)
+    res = sphere_extrema(g, lams, radii, 512, seed)
 
     mask, verdicts = scan_verdicts(res.tolist(), tol)
     candidates = tuple(complex(l) for l, keep in zip(lams, mask) if keep)
 
     contained = None
     if candidates and f.dim == 2:
+        from .homog2d import local_sigma_curve, sigma_curve
+
         curve = (
             sigma_curve(f, samples=2048)
             if f.homogeneous
             else local_sigma_curve(f, f.basepoint, radius=radii[-1], samples=2048)
         )
         pts = np.array([[c.real, c.imag] for c in candidates])
-        from .numerics import directed_distance
-
         contained = directed_distance(pts, curve.pairs()) <= max(
             2.0 * tol, 10.0 * radii[-1]
         )

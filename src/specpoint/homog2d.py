@@ -17,9 +17,9 @@ and a grid is labelled by a point-in-polygon winding query on the traced
 curve, with no further map evaluations; `winding_number` counts at a
 single node with the same crossings.  The curve is traced, and d, q and
 Rouche's min |f| are taken, by the pure-Python loops of `planar`, which
-evaluate the map here on numpy arrays of angles.  `_sphere_minima`, the
-sphere extremum kernel of `estimators`, answers a linear map exactly by
-singular values and samples and polishes any other.
+evaluate the map here on numpy arrays of angles; `local_sigma_curve`
+samples the curve of any planar map at a small radius.  Sphere extrema
+of any other map or point come from `numerics.sphere_extrema`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is
@@ -42,8 +42,8 @@ from .core import (
     Record,
     SolverError,
 )
-from .maps import MapSpec, evaluate, scalar_action
-from .numerics import CHUNK, disk_points, golden_min, sphere_directions, sphere_polish
+from .maps import MapSpec, evaluate, translate_to_origin
+from .numerics import CHUNK, disk_points, row_norm, sphere_polish, unit_points
 from .planar import (
     TWO_PI,
     SigmaCurve,
@@ -163,108 +163,21 @@ class PlaneSpectrum(Record):
         }
 
 
-def _unit_points(thetas: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-
-
 def _curve_values(f: MapSpec, thetas: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """sigma(theta) = f(r e^{i theta}) e^{-i theta} / r, the curve normalized at radius r."""
-    w = evaluate(f, radius * _unit_points(thetas))
+    w = evaluate(f, radius * unit_points(thetas))
     return (w[..., 0] + 1j * w[..., 1]) * np.exp(-1j * thetas) / radius
 
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """|x| over the last axis, squares summed in order: np.linalg.norm's bits up to dim 7.
-
-    np.linalg.norm in its place slows the 128 x 128 scan of norm_plus_i_im_pow(2) from 0.41 s to 0.75 s.
-    """
-    s = x[..., 0] ** 2
-    for c in range(1, x.shape[-1]):
-        s += x[..., c] ** 2
-    return np.sqrt(s)
-
-
-def _sphere_minima(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
-                   sign: float = 1.0, polish: bool = True) -> np.ndarray:
-    """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
-
-    Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
-    maxima for sign -1; the growth rates take lam = 0.  Every entry
-    is sampled at the n unit vectors `sphere_directions(g.dim, n, seed)`,
-    one map evaluation per radius and CHUNK coordinates at a time, and then
-    (unless polish is False) polished from its best sample, all entries in
-    one batch: not at all in dim 1, whose sphere is two points; in dim 2,
-    whose directions are a uniform angle grid, by `golden_min` over the best
-    angle plus or minus one spacing; by `sphere_polish` from dim 3.  A
-    positively homogeneous g has the same entries at every radius, so one
-    radius is computed and repeated.  lam acts through `scalar_action`, so
-    a complex lam on a g without complex structure raises PreconditionError.
-
-    A positively homogeneous g with a Jacobian A is linear, g(u) = A u, and
-    its entries are exact: the smallest (sign 1) or largest (sign -1)
-    singular value of R(lam) - A, where R(lam) is the matrix of u -> lam u
-    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.6), one batched
-    SVD for every lam; n, seed and polish do not enter.  An entry, or an
-    entry of R(lam) - A, that is not finite is a NumericError naming g.
-    """
-    if g.homogeneous and g.jacobian is not None:
-        A = np.asarray(g.jacobian(g.basepoint), dtype=float)
-        rows = scalar_action(lams[:, None], np.eye(g.dim)[None], g.complex_pairs)  # row i is lam e_i
-        shifted = np.swapaxes(rows, 1, 2) - A
-        if not np.isfinite(shifted).all():
-            raise NumericError(f"lam*id - f of {g.name} has a non-finite matrix entry")
-        sv = np.linalg.svd(shifted, compute_uv=False)  # descending
-        return np.repeat(sv[:, -1:] if sign > 0 else sv[:, :1], len(radii), axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        res = _sampled_and_polished(g, lams, radii, n, seed, sign, polish)
-    if not np.isfinite(res).all():
-        raise NumericError(f"a sphere extremum of |lam u - f(r u)| / r is not finite for {g.name}")
-    return res
-
-
-def _sampled_and_polished(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int,
-                          sign: float, polish: bool) -> np.ndarray:
-    """`_sphere_minima` of a map that is not known to be linear."""
-    dirs = sphere_directions(g.dim, n, seed)
-    cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
-    res = np.empty((lams.size, cols.size))
-    i0 = np.empty(res.shape, dtype=np.intp)
-    step = max(1, CHUNK // dirs.size)  # lams per chunk of the sampled gaps
-    for j, r in enumerate(cols):
-        vals = evaluate(g, r * dirs) / r
-        for lo in range(0, lams.size, step):
-            gaps = scalar_action(lams[lo:lo + step, None], dirs[None], g.complex_pairs) - vals
-            sampled = sign * _row_norm(gaps)
-            i0[lo:lo + step, j] = sampled.argmin(axis=1)
-            res[lo:lo + step, j] = sampled.min(axis=1)
-    if polish and g.dim > 1:
-        rows = np.repeat(lams, cols.size)  # row-major over (lam, radius)
-        r = np.tile(cols, lams.size)[:, None, None]
-
-        def gap(U):  # (B, m, dim) unit vectors -> (B, m) signed residuals
-            gaps = scalar_action(rows[:, None], U, g.complex_pairs) - evaluate(g, r * U) / r
-            return sign * _row_norm(gaps)
-
-        start = dirs[i0.ravel()]
-        if g.dim == 2:
-            t, dt = np.arctan2(start[:, 1], start[:, 0]), TWO_PI / n
-            _, best = golden_min(lambda ts: gap(_unit_points(ts)[:, None])[:, 0], t - dt, t + dt)
-        else:
-            best, _ = sphere_polish(gap, start)
-        np.minimum(res, best.reshape(res.shape), out=res)
-    res *= sign
-    return np.repeat(res, len(radii), axis=1) if g.homogeneous else res
-
-
 def _circle_moduli(f: MapSpec, radius: float = 1.0):
-    """angles -> |f(r e^{i theta})| / r as a list, the squares summed as `_row_norm` sums them.
+    """angles -> |f(r e^{i theta})| / r as a list, the squares summed as `row_norm` sums them.
 
-    These are the sampled entries of `_sphere_minima` at lam = 0, bit for
-    bit.  An overflow reads inf, which `circle_extremum` rejects.
+    These are the sampled entries of `numerics.sphere_extrema` at lam = 0,
+    bit for bit.  An overflow reads inf, which `circle_extremum` rejects.
     """
     def moduli(thetas):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _row_norm(evaluate(f, radius * _unit_points(np.array(thetas))) / radius).tolist()
+            return row_norm(evaluate(f, radius * unit_points(np.array(thetas))) / radius).tolist()
 
     return moduli
 
@@ -281,6 +194,21 @@ def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
                         samples, chord_bound, max_samples, label)
     return SigmaCurve(np.array(curve.thetas), np.array(curve.values, dtype=complex),
                       chord_bound, curve.chord_met, label)
+
+
+def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) -> SigmaCurve:
+    """Normalized small-radius eigenvalue curve of a planar map at p.
+
+    For maps that are homogeneous plus a higher-order remainder this
+    converges to the eigenvalue curve of the homogeneous part as the radius
+    shrinks.
+    """
+    if f.dim != 2:
+        raise PreconditionError("local curves are planar")
+    n = max(16, 4 * math.ceil(samples / 4))
+    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    vals = _curve_values(translate_to_origin(f, p), thetas, radius)
+    return SigmaCurve(thetas, vals, float("nan"), True, label="local")
 
 
 def d_and_quasinorm(f: MapSpec) -> tuple[float, float]:

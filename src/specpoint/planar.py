@@ -116,7 +116,7 @@ def curve_at(f: MapSpec):
 
 
 def moduli_at(f: MapSpec):
-    """angles -> |f(e^{i theta})| of a builtin, the squares summed as `homog2d._row_norm` sums them."""
+    """angles -> |f(e^{i theta})| of a builtin, the squares summed as `numerics.row_norm` sums them."""
     formula = f.evaluator
 
     def moduli(thetas):

@@ -148,6 +148,21 @@ def test_shift_svg_artifact(capsys, tmp_path):
     assert svg.count("<circle") == 3  # shaded disk plus two circles
 
 
+def test_out_naming_an_artifact_path_exits_2_and_writes_nothing(capsys, tmp_path):
+    # the artifact written next to the JSON took the JSON's own path and overwrote it
+    for argv, name in (
+        (["spec2d", "--fn", "norm_plus_i_im"], "curve.csv"),
+        (["classify", "--fn", "norm_plus_i_im", "--res", "20"], "c.svg"),
+        (["classify", "--fn", "norm_plus_i_im", "--res", "20"], "c.csv"),
+        (["shift"], "s.svg"),
+    ):
+        rc = cli.main([*argv, "--out", str(tmp_path / "o" / name)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", argv
+        assert captured.err.startswith("usage error: --out "), captured.err
+        assert not any(tmp_path.iterdir()), argv
+
+
 def test_mnc_expression(capsys):
     d = run_json(capsys, ["mnc", "--expr", "IsometryOntoCodim(1) + CompactLinear"])
     assert d["alpha"] == [1.0, 1.0]
@@ -474,6 +489,19 @@ def test_planar_command_loads_no_dini():
     mods = probe_modules(["classify", "--fn", "norm_plus_i_im", "--res", "20"])
     assert "specpoint.maps" in mods and "specpoint.homog2d" in mods, mods
     assert not mods & {"specpoint.dini", "specpoint.estimators"}, mods
+
+
+def test_bifurcate_fn_loads_the_planar_engine_only_for_candidates():
+    # the sphere-extremum kernel lives in numerics: a scan without candidates draws no
+    # curve and loads no homog2d; a planar scan with candidates checks them against its curve
+    def specpoint_modules(argv):  # numpy brings inspect along
+        return {m for m in probe_modules(["bifurcate", "--fn", *argv]) if m.startswith("specpoint")}
+
+    scan = {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.estimators",
+            "specpoint.maps", "specpoint.numerics", "specpoint.planar"}
+    assert specpoint_modules(["conj_pair", "--grid=-1.5,1.5,-1.5,1.5,8,8"]) == scan
+    mods = specpoint_modules(["norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,24,30", "--tol", "0.02"])
+    assert mods == scan | {"specpoint.homog2d"}
 
 
 def test_spec2d_runs_without_numpy(tmp_path):

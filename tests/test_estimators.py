@@ -11,13 +11,12 @@ from specpoint.estimators import (
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
-    local_sigma_curve,
     perturbation_equivalence_check,
     scan_verdicts,
     sigma_membership,
     spectrum_set,
 )
-from specpoint.homog2d import _row_norm, _sphere_minima
+from specpoint.homog2d import local_sigma_curve
 from specpoint.maps import (
     black_box,
     builtin,
@@ -27,8 +26,7 @@ from specpoint.maps import (
     scale_map,
     translate_to_origin,
 )
-from specpoint.homog2d import _unit_points
-from specpoint.numerics import sphere_directions, sphere_polish
+from specpoint.numerics import row_norm, sphere_directions, sphere_extrema, sphere_polish, unit_points
 from test_numerics import scalar_sphere_polish
 
 RNG = np.random.default_rng(11)
@@ -365,7 +363,7 @@ def test_row_norm_has_the_bits_of_np_linalg_norm(dim):
     # frozen references of the scans below take
     rng = np.random.default_rng(dim)
     x = rng.normal(size=(3000, 5, dim)) * np.exp(rng.uniform(-20.0, 20.0, size=(3000, 5, 1)))
-    assert np.array_equal(_row_norm(x), np.linalg.norm(x, axis=-1))
+    assert np.array_equal(row_norm(x), np.linalg.norm(x, axis=-1))
 
 
 def _inline_planar_scan_residuals(g, lams, radii, theta_samples):
@@ -410,7 +408,7 @@ def test_planar_scan_matches_inline_golden_loop(f, M):
     xs = np.linspace(-1.5, 1.5, 13)
     lams = np.array([complex(x, y) for y in xs for x in xs])
     radii = (1e-1, 1e-2, 1e-3)
-    new = _sphere_minima(f, lams, radii, 512)
+    new = sphere_extrema(f, lams, radii, 512)
     old = _inline_planar_scan_residuals(f, lams, radii, 1024)
     # the kernel takes 60 golden steps to the reference's 40; where the
     # reference stops more than 1e-12 short of a real-linear map's exact
@@ -452,7 +450,7 @@ def _unchunked_planar_scan_residuals(g, lams, radii, theta_samples):
     for j, r in enumerate(radii):
 
         def gap(ts, lam=lams):  # |lam e^{it} - g(r e^{it}) / r|
-            w = evaluate(g, r * _unit_points(ts))
+            w = evaluate(g, r * unit_points(ts))
             return np.abs(lam * np.exp(1j * ts) - (w[..., 0] + 1j * w[..., 1]) / r)
 
         sampled = gap(thetas, lams[:, None])
@@ -584,7 +582,7 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     g = builtin("norm_times_x", dim=dim)
     lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0j, -1.0 + 0j])
     radii = (1e-1, 1e-2, 1e-3)
-    new = _sphere_minima(g, lams, radii, 512)
+    new = sphere_extrema(g, lams, radii, 512)
     ref = _scalar_general_scan_residuals(g, lams, radii, 512, 0)
     assert np.all(new <= ref + 1e-12)
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(ref, 0.02)[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specpoint import homog2d, planar
+from specpoint import homog2d, numerics, planar
 from specpoint.core import NumericError
 from specpoint.maps import black_box, builtin
 from specpoint.numerics import golden_min
@@ -63,7 +63,7 @@ def test_circle_extremum_matches_sphere_minima(name, params):
         moduli = homog2d._circle_moduli(f, radius)
         for sign in (1.0, -1.0):
             got = planar.circle_extremum(moduli, sign, f.name)
-            expect = float(homog2d._sphere_minima(f, zero, (radius,), planar.SPHERE_DIRECTIONS, sign=sign)[0, 0])
+            expect = float(numerics.sphere_extrema(f, zero, (radius,), planar.SPHERE_DIRECTIONS, sign=sign)[0, 0])
             assert abs(got - expect) <= 1e-15 * abs(expect), (radius, sign, got, expect)
     # spec2d's d and q, on floats, are homog2d's bit for bit
     bare = planar.moduli_at(planar.builtin(name, **params))
@@ -132,8 +132,8 @@ def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
 
     f = black_box(4, never, homogeneous=True, complex_pairs=True, jacobian=lambda q, _M=M: _M)
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j])
-    res = homog2d._sphere_minima(f, lams, (0.1, 0.01), 512)
-    top = homog2d._sphere_minima(f, lams, (0.1,), 512, sign=-1.0)
+    res = numerics.sphere_extrema(f, lams, (0.1, 0.01), 512)
+    top = numerics.sphere_extrema(f, lams, (0.1,), 512, sign=-1.0)
     for i, lam in enumerate(lams):
         scale = np.kron(np.eye(2), [[lam.real, -lam.imag], [lam.imag, lam.real]])
         sv = np.linalg.svd(scale - M, compute_uv=False)
@@ -144,8 +144,8 @@ def test_non_finite_sphere_extremum_is_a_numeric_error():
     # |f(r u)|^2 / r^2 overflows: an error naming the map, not an inf residual
     f = black_box(2, lambda x: np.asarray(x) * 1e200, name="huge")
     with pytest.raises(NumericError, match="huge"):
-        homog2d._sphere_minima(f, np.array([0.5 + 0j]), (0.1,), 64)
+        numerics.sphere_extrema(f, np.array([0.5 + 0j]), (0.1,), 64)
     g = black_box(2, lambda x: np.asarray(x), name="inf_matrix", homogeneous=True,
                   jacobian=lambda q: np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericError, match="inf_matrix"):
-        homog2d._sphere_minima(g, np.array([0.5 + 0j]), (0.1,), 64)
+        numerics.sphere_extrema(g, np.array([0.5 + 0j]), (0.1,), 64)
