@@ -1,11 +1,12 @@
 """Command line front end: `specpoint --help` lists the commands, `specpoint CMD --help` their flags.
 
 All commands accept --out PATH (JSON to PATH; CSV/SVG artifacts next to it,
-so a PATH with an artifact's suffix exits 2) and --config FILE with
-`key = value` lines overridden by explicit flags.  A key is one of the
-command's value flags with - written _, other than --out, --config,
---lambda and --extra-lambda; any other key exits 2.  Identical argv
-produce byte-identical outputs.
+so a PATH with an artifact's suffix exits 2, as do a directory and a file
+that cannot be written; existing files are replaced, not written into) and
+--config FILE with `key = value` lines overridden by explicit flags.  A key
+is one of the command's value flags with - written _, other than --out,
+--config, --lambda and --extra-lambda; any other key exits 2.  Identical
+argv produce byte-identical outputs.
 
 `bifurcate --fn` alone reads --fn, --params, --grid and --seed, which
 rotates the sphere directions of its scan (no other result depends on a
@@ -220,9 +221,24 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write(path: Path, fill) -> None:
+    """Write a new file at path by fill(file): an existing file is unlinked, not truncated.
+
+    Truncating a file in place makes the write wait while the old data is
+    flushed, and writes through to every hard link of it.  An OSError is a
+    usage error naming the path.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
+        with path.open("w") as out:
+            fill(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    _write(path, lambda out: out.write(text))
 
 
 def _curve_csv(curve) -> str:
@@ -344,8 +360,7 @@ def _cmd_classify(args) -> int:
     _emit(payload, args.out)
     if args.out:
         base = Path(args.out)
-        with base.with_suffix(".csv").open("w") as csv_file:
-            _grid_csv(spectrum, csv_file)
+        _write(base.with_suffix(".csv"), lambda out: _grid_csv(spectrum, out))
         _write_text(base.with_suffix(".svg"), svgfig.classify_svg(spectrum, title=f.name))
     if spectrum.violations:
         return EXIT_UNDECIDED
@@ -573,6 +588,8 @@ def main(argv=None) -> int:
     try:
         if args.out and Path(args.out).suffix in ARTIFACTS.get(args.cmd, ()):  # before any work
             raise UsageError(f"--out {args.out!r} is the path of an artifact {args.cmd} writes next to the JSON")
+        if args.out and Path(args.out).is_dir():
+            raise UsageError(f"--out {args.out!r} is a directory")
         _resolve(args, _load_config(args.config, args.cmd))
         return args.run(args)
     except UsageError as exc:

@@ -100,10 +100,6 @@ class PreconditionError(SpecpointError):
     """A documented precondition of an operation does not hold."""
 
 
-class AdmissibilityError(PreconditionError):
-    """A boundary curve passes too close to the origin for a degree count."""
-
-
 class SolverError(SpecpointError):
     """An iterative solver stagnated; the message carries the best residual."""
 
@@ -158,16 +154,6 @@ def ext_to_json(v: float):
     return v
 
 
-def ext_from_json(v) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return POS_INF
-        if v == "-inf":
-            return NEG_INF
-        raise ValueError(f"bad extended real literal {v!r}")
-    return ext(v)
-
-
 def _fmt_endpoint(v: float) -> str:
     if v == POS_INF:
         return "+inf"
@@ -210,18 +196,6 @@ class RealIntervalSet(Record):
                 merged.append((lo, hi))
         return cls(tuple(merged))
 
-    @classmethod
-    def empty(cls) -> "RealIntervalSet":
-        return cls(())
-
-    @classmethod
-    def reals(cls) -> "RealIntervalSet":
-        return cls(((NEG_INF, POS_INF),))
-
-    @classmethod
-    def point(cls, x: float) -> "RealIntervalSet":
-        return cls.from_pairs([(x, x)])
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -229,18 +203,6 @@ class RealIntervalSet(Record):
     @property
     def is_all_reals(self) -> bool:
         return self.intervals == ((NEG_INF, POS_INF),)
-
-    def contains(self, x: float) -> bool:
-        x = float(x)
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    def hull(self) -> "RealIntervalSet":
-        """Smallest closed interval containing the set."""
-        if self.is_empty:
-            return RealIntervalSet.empty()
-        lo = min(p[0] for p in self.intervals)
-        hi = max(p[1] for p in self.intervals)
-        return RealIntervalSet.from_pairs([(lo, hi)])
 
     def display(self) -> str:
         if not self.intervals:
@@ -338,8 +300,8 @@ UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are un
 def scan_verdicts(normalized, tol: float):
     """candidate / undecided / rejected from normalized residual profiles, one row per lambda.
 
-    A candidate needs the smallest-radius residual (the last of its row)
-    below tol and a non-increasing trend (the minima must head to zero).
+    The verdict reads the smallest-radius residual alone (the last of its
+    row): below tol it is a candidate, whatever the larger radii read.
     Residuals landing in the gray zone [tol, UNDECIDED_FACTOR * tol) are
     undecided: sampled minimization only certifies upper bounds, so
     near-threshold values cannot be rejected.  Returns the candidate mask
@@ -348,7 +310,7 @@ def scan_verdicts(normalized, tol: float):
     mask, verdicts = [], []
     for row in normalized:
         last = row[-1]
-        keep = bool(last < tol and last <= row[0] + tol)
+        keep = bool(last < tol)
         mask.append(keep)
         verdicts.append("candidate" if keep else "undecided" if last < UNDECIDED_FACTOR * tol else "rejected")
     return tuple(mask), tuple(verdicts)

@@ -230,8 +230,8 @@ def bifurcation_scan(
 
     For each lam and each radius r the scanner minimizes the normalized
     residual |lam x - f(x)| / r over the sphere |x| = r; lam is a candidate
-    when the residual at the smallest radius drops below tol with a
-    non-increasing trend.  Candidates are cross-checked for containment in
+    when the residual at the smallest radius drops below tol
+    (`core.scan_verdicts`).  Candidates are cross-checked for containment in
     the computed point-spectrum part.  Any scan output is a candidate list,
     not a certificate.
     """

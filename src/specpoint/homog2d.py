@@ -14,12 +14,12 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
     deg(lam*id - f) = 1 + wind(sigma, lam),
 
 and a grid is labelled by a point-in-polygon winding query on the traced
-curve, with no further map evaluations; `winding_number` counts at a
-single node with the same crossings.  The curve is traced, and d, q and
-Rouche's min |f| are taken, by the pure-Python loops of `planar`, which
-evaluate the map here on numpy arrays of angles; `local_sigma_curve`
-samples the curve of any planar map at a small radius.  Sphere extrema
-of any other map or point come from `numerics.sphere_extrema`.
+curve, with no further map evaluations: `scanline_turns` is that one
+winding kernel.  The curve is traced, and d and q are taken, by the
+pure-Python loops of `planar`, which evaluate the map here on numpy arrays
+of angles; `local_sigma_curve` samples the curve of any planar map at a
+small radius.  Sphere extrema of any other map or point come from
+`numerics.sphere_extrema`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is
@@ -35,15 +35,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (
-    AdmissibilityError,
-    NumericError,
-    PreconditionError,
-    Record,
-    SolverError,
-)
+from .core import PreconditionError, Record
 from .maps import MapSpec, evaluate, translate_to_origin
-from .numerics import CHUNK, disk_points, row_norm, sphere_polish, unit_points
+from .numerics import CHUNK, row_norm, unit_points
 from .planar import (
     TWO_PI,
     SigmaCurve,
@@ -54,8 +48,6 @@ from .planar import (
 
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
-ROUCHE_STARTS = 64  # coincidence-solver starts: the origin and 63 disk points
-ROUCHE_TOL = 1e-10  # residual |f - k| below which a coincidence is accepted
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
 # band codes of a node by its distance d to the curve: d <= band, d < MARGIN_TOL
@@ -72,18 +64,6 @@ class CellLabel(IntEnum):
     IN_SPECTRUM = 0
     REGULAR = 1
     BAND = 2
-
-
-class WindingResult(Record):
-    turns: int
-    margin: float
-
-
-class RoucheSolution(Record):
-    point: np.ndarray
-    residual: float
-    winding: int
-    start_index: int
 
 
 class PlaneSpectrum(Record):
@@ -221,44 +201,6 @@ def d_and_quasinorm(f: MapSpec) -> tuple[float, float]:
     require_planar_homogeneous(f)
     moduli = _circle_moduli(f)
     return circle_extremum(moduli, 1.0, f.name), circle_extremum(moduli, -1.0, f.name)
-
-
-def winding_number(
-    f: MapSpec,
-    lam,
-    radius: float = 1.0,
-    samples: int = 256,
-) -> WindingResult:
-    """Winding of gamma(theta) = lam * z - f(z) on |z| = radius around the origin.
-
-    gamma = z (lam - sigma_r) for the curve sigma_r normalized at radius r,
-    so the winding is 1 + wind(sigma_r, lam), the crossing count of
-    `scanline_turns` at the node lam.  Samples are doubled, up to 2^18,
-    until every angular increment of gamma is below pi/2; a margin min
-    |gamma| below MARGIN_TOL * max(1, radius) is an error.
-    """
-    if f.dim != 2:
-        raise PreconditionError(f"map {f.name} is not planar")
-    lam = complex(lam)
-    n = max(16, int(samples))
-    while True:
-        thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        sigma = _curve_values(f, thetas, radius)
-        gamma = radius * np.exp(1j * thetas) * (lam - sigma)
-        steps = np.angle(np.roll(gamma, -1) * np.conj(gamma))
-        margin = float(np.min(np.abs(gamma)))
-        if margin < MARGIN_TOL * max(1.0, radius):
-            raise AdmissibilityError(
-                f"boundary curve of {f.name} passes within {margin:.3e} of the origin"
-            )
-        if float(np.max(np.abs(steps))) < 0.5 * math.pi:
-            row, col, sign = _crossings(sigma, np.array([lam.real]), np.array([lam.imag]))
-            return WindingResult(int(_turns(row, col, sign, 1, 1)[0, 0]), margin)
-        if n >= 1 << 18:
-            raise NumericError(
-                f"angular increments did not settle below pi/2 with {n} samples"
-            )
-        n *= 2
 
 
 def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -457,83 +399,3 @@ def spectral_radius_bound(f: MapSpec, p=None) -> float:
     from . import estimators  # lazy: general maps use the rate estimator
 
     return estimators.estimate_rates(f, base).q_p
-
-
-def bifurcation_set_homog(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3) -> SigmaCurve:
-    """Bifurcation set of a homogeneous planar map: its eigenvalue curve.
-
-    Eigenvalues are always bifurcation points; off the (empty, in finite
-    dimension) compactness-defect part the converse holds as well.
-    """
-    return sigma_curve(f, samples=samples, chord_bound=chord_bound, label="bifurcation")
-
-
-def rouche_coincidence(
-    f: MapSpec,
-    k: MapSpec,
-    radius: float,
-) -> RoucheSolution:
-    """Solve f(x) = k(x) inside the disk, under the dominated-perturbation test.
-
-    Preconditions checked by sampling: the boundary curve of f winds around
-    the origin a nonzero number of times, and max |k| on the closed disk is
-    below min |f| on the boundary circle.  Both searches run the batched
-    Nelder-Mead `sphere_polish` on the unit sphere of R^3: every unit vector
-    u casts the point radius * u[:2] of the closed disk, and every disk
-    point x is cast by (x / radius, sqrt(1 - |x / radius|^2)), so the disk
-    needs no feasibility test.  max |k| is polished from the best of the
-    disk samples.  The residual |f - k| is polished from the origin first
-    and, when that misses ROUCHE_TOL, from the other ROUCHE_STARTS - 1
-    starts in one batch.  The solution is the first start whose point has
-    residual below ROUCHE_TOL and lies in the open disk.
-    """
-    if f.dim != 2 or k.dim != 2:
-        raise PreconditionError("coincidence solving is planar")
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise PreconditionError(f"radius must be positive and finite, got {radius!r}")
-
-    # -f(z) = 0 * z - f(z) winds as often as f(z)
-    turns = winding_number(f, 0.0, radius=radius, samples=256).turns
-    if turns == 0:
-        raise PreconditionError("boundary winding of f is zero; solvability not certified")
-
-    min_f = radius * circle_extremum(_circle_moduli(f, radius), 1.0, f.name)
-
-    def shadow(U):
-        return radius * U[..., :2]
-
-    def lift(x):
-        u = x / radius
-        height = np.sqrt(np.maximum(1.0 - (u * u).sum(axis=-1, keepdims=True), 0.0))
-        return np.concatenate([u, height], axis=-1)
-
-    disk = np.concatenate([np.zeros((1, 2)), disk_points(4095, radius)])
-    k_disk = np.linalg.norm(evaluate(k, disk), axis=-1)
-    i_hi = int(np.argmax(k_disk))
-    neg_best, _ = sphere_polish(lambda U: -np.linalg.norm(evaluate(k, shadow(U)), axis=-1), lift(disk[i_hi:i_hi + 1]))
-    max_k = max(float(k_disk[i_hi]), -float(neg_best[0]))
-    if not (max_k < min_f):
-        raise PreconditionError(
-            f"dominance fails: max|k| on the disk = {max_k:.6g} is not below "
-            f"min|f| on the boundary = {min_f:.6g}"
-        )
-
-    def residual(U):
-        x = shadow(U)
-        return np.linalg.norm(evaluate(f, x) - evaluate(k, x), axis=-1)
-
-    U0 = lift(np.concatenate([np.zeros((1, 2)), disk_points(ROUCHE_STARTS - 1, 0.9 * radius)]))
-    res, U = sphere_polish(residual, U0[:1])
-    if not (res[0] < ROUCHE_TOL and math.hypot(*shadow(U[0])) < radius):
-        rest = sphere_polish(residual, U0[1:])
-        res, U = np.concatenate([res, rest[0]]), np.concatenate([U, rest[1]])
-    points = shadow(U)
-    hit = np.flatnonzero((res < ROUCHE_TOL) & (np.hypot(points[:, 0], points[:, 1]) < radius))
-    if hit.size:
-        i = int(hit[0])
-        return RoucheSolution(point=points[i], residual=float(res[i]), winding=turns, start_index=i)
-    i = int(np.argmin(res))
-    raise SolverError(
-        f"coincidence solver stagnated; best residual {res[i]:.3e} from start {i}"
-    )

@@ -1,13 +1,12 @@
 """Deterministic sampling, derivative-free local search and the sphere-extremum kernel.
 
-Low-discrepancy directions and disk points, the batched lockstep
-Nelder-Mead `sphere_polish` on unit spheres, vectorized golden-section
-search, brute-force point-set distances, and `sphere_extrema`, the one
-kernel behind every numpy sphere extremum of |lam u - f(r u) / r|: the
-growth rates, point-spectrum membership, the radius bound of a general
-map and the `bifurcate --fn` scan, in any dimension.  The verdicts of
-bifurcation scans are in `core`, so the shift scan loads none of this
-module.
+Low-discrepancy sphere directions, the batched lockstep Nelder-Mead
+`sphere_polish` on unit spheres, vectorized golden-section search,
+brute-force point-set distances, and `sphere_extrema`, the one kernel
+behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
+rates, point-spectrum membership, the radius bound of a general map and
+the `bifurcate --fn` scan, in any dimension.  The verdicts of bifurcation
+scans are in `core`, so the shift scan loads none of this module.
 """
 from __future__ import annotations
 
@@ -55,14 +54,6 @@ def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms
-
-
-def disk_points(n: int, radius: float) -> np.ndarray:
-    """n low-discrepancy points in the open disk of the given radius."""
-    uv = _kronecker(2, n, 0)
-    r = radius * np.sqrt(uv[:, 0])
-    phi = 2.0 * np.pi * uv[:, 1]
-    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
 
 
 def _tangent_frames(U: np.ndarray) -> np.ndarray:

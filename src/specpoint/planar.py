@@ -31,7 +31,7 @@ from .core import MapSpec, NumericError, PreconditionError, Record
 
 TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-SPHERE_DIRECTIONS = 1024  # sampled unit vectors of the growth rates, d, q and Rouche's min |f|
+SPHERE_DIRECTIONS = 1024  # sampled unit vectors of the growth rates d and q
 
 
 # ---------------------------------------------------------------------------

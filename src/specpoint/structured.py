@@ -15,19 +15,18 @@ off-diagonal -m, and each minimum is a secular solve on it:
                       with m sinh((N+1) t) = sinh(N t), for m < N/(N+1);
                       v_k = k at m = N/(N+1); each root by bisection
     b along e_1       |(T - mu I)^{-1} e_1| in closed form, O(1) a step, then
-                      a few O(N) passes over lists; `math` alone
-    any other b       cyclic reduction of T - mu I, log2 N vectorized numpy levels
+                      a few O(N) passes over lists
     hard case         the Moré-Sorensen completion along v_1
 
-Every right-hand side of the CLI is along e_1: the probes of
-`truncated_shift_min` and the orbit solves of `shift_bifurcation_scan`, so
-importing this module and those paths load no numpy.  `sphere_least_squares`,
-a right-hand side off e_1 and a general perturbation h import it when called.
-A scan whose right-hand side is along e_1 has the same minimum at every
-lambda of one modulus, so it solves once per orbit: the lambdas are grouped
-as they were built (`LambdaOrbits`: a circle is one orbit, any other lambda
-its own), never by comparing computed moduli.  Without a perturbation the
-normalized minimum does not depend on the radius either.
+Every right-hand side is along e_1: the probes of `truncated_shift_min` and
+the orbit solves of `shift_bifurcation_scan`, whose perturbation must be
+along e_1 too.  So there is one solver, `_e1_sphere_least_squares`, in
+`math` alone, and the module imports no numpy.  A scan's minimum is then
+the same at every lambda of one modulus, so it solves once per orbit: the
+lambdas are grouped as they were built (`LambdaOrbits`: a circle is one
+orbit, any other lambda its own), never by comparing computed moduli.
+Without a perturbation the normalized minimum does not depend on the radius
+either.
 """
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ from .core import PreconditionError, Record, UsageError, as_complex, scan_verdic
 
 SQRT2 = math.sqrt(2.0)
 MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
-_FROZEN_H_STEPS = 16  # frozen-perturbation solves per (lam, radius) of a general-h scan
 _EPS = sys.float_info.epsilon
 
 
@@ -122,28 +120,6 @@ def xi_equation_solvable(lam, eps: float, boundary_tol: float = 1e-12):
         c = 1.0 / math.sqrt(m * m - 1.0)
         return True, eps / (1.0 - c)
     return False, None
-
-
-def truncated_shift_map(z):
-    """The dimension-N truncation: z -> (|z|, z_1, ..., z_{N-1})."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([[np.linalg.norm(z)], z[:-1]])
-
-
-def _shift_apply(lam: complex, z, b):
-    """(lam I - L_N) z - b in O(N) on arrays, where L_N z = (0, z_1, ..., z_{N-1})."""
-    r = lam * z - b
-    r[1:] -= z[:-1]
-    return r
-
-
-def _shift_adjoint(lam: complex, r):
-    """(lam I - L_N)^H r in O(N) on arrays."""
-    out = lam.conjugate() * r
-    out[:-1] -= r[1:]
-    return out
 
 
 def _bisect(positive: Callable[[float], bool], hi: float) -> float:
@@ -329,17 +305,21 @@ def _e1_resolvent(m: float, n: int, mu: float) -> list:
 
 
 def _e1_sphere_least_squares(lam, n: int, beta=1.0, s: float = 1.0):
-    """`sphere_least_squares` for b = beta e_1 in C^n, with `math` alone.
+    """Global minimizer of |(lam I - L_N) z - b| over |z| = s in C^n for b = beta e_1, with `math` alone.
 
-    c = conj(lam) beta e_1, so y(mu) = (T - mu I)^{-1} c is c_1 times the
-    real x(mu) of `_e1_norm_sq`: each step of the same iteration (the
-    rational model below the root, Newton on 1/|y| - 1/s above it) costs
-    O(1), its derivative from a complex step.  After it, O(N) passes over
-    lists build x, put y on the sphere along v_1 or radially as that solver
-    does, and evaluate the residual at the minimizer
+    With lam = m e^{i theta} and D = diag(e^{-ik theta}), D^H A^H A D for
+    A = lam I - L_N is the real tridiagonal T, so z = D y with
+    (T - mu I) y = c = D^H A^H b, |y| = s and mu <= lambda_1(T) (Moré and
+    Sorensen 1983; Gander, Golub and von Matt 1989).  c = conj(lam) beta e_1,
+    so y(mu) is c_1 times the real x(mu) of `_e1_norm_sq`: each step of
+    `_secular_root` costs O(1), its derivative from a complex step.  After
+    it, O(N) passes over lists build x, put y on the sphere along v_1 or
+    radially, and evaluate the residual at the minimizer
     z_k = gamma e^{-i(k-1) arg lam} y_k, y real: with the phase factored
     out, |r_1| = |lam gamma y_1 - beta| and |r_k| = |gamma| |m y_k - y_{k-1}|
-    for k >= 2.  Returns (gamma, y, residual).
+    for k >= 2.  The hard case, c orthogonal to v_1 up to rounding (c = 0
+    for lam = 0; v_1 in the tail for |lam| < 1), shows as |y| < s just
+    below lambda_1 and is completed along v_1.  Returns (gamma, y, residual).
     """
     lam, beta = as_complex(lam), complex(beta)
     m = abs(lam)
@@ -376,125 +356,6 @@ def _e1_sphere_least_squares(lam, n: int, beta=1.0, s: float = 1.0):
         head = beta * (m * y[0] - 1.0)  # lam gamma = m beta
     tail = math.dist(list(map(operator.mul, repeat(m), y[1:])), y[:-1])
     return gamma, y, math.hypot(abs(head), size * tail)
-
-
-# ---------------------------------------------------------------------------
-# any right-hand side: cyclic reduction on numpy arrays
-
-
-def _odd_even_factor(d, e):
-    """Cyclic reduction of the SPD tridiagonal with diagonal d, off-diagonal e.
-
-    Each level eliminates the odd unknowns, which couple only to their even
-    neighbours, and leaves the Schur complement on the even ones, again
-    tridiagonal (Buzbee, Golub and Nielson 1970).  This is Cholesky on the
-    odd-even permutation, so every pivot is positive.  Returns the levels
-    (odd pivots, their left and right couplings, and the couplings over the
-    pivots) and the last 1 x 1 pivot.
-    """
-    levels = []
-    while d.size > 1:
-        piv, left, right = d[1::2], e[0::2], e[1::2]
-        left_m, right_m = left / piv, right / piv[: right.size]
-        d2 = d[0::2].copy()
-        d2[: piv.size] -= left * left_m
-        d2[1:] -= right * right_m
-        e = -left[: right.size] * right_m
-        levels.append((piv, left, right, left_m, right_m))
-        d = d2
-    return levels, float(d[0])
-
-
-def _odd_even_forward(levels, f):
-    """L^{-1} f level by level: the reduced right-hand sides of the odd unknowns, and the last."""
-    odd = []
-    for piv, _, right, left_m, right_m in levels:
-        fo = f[1::2]
-        f = f[0::2].copy()
-        f[: piv.size] -= left_m * fo
-        f[1:] -= right_m * fo[: right.size]
-        odd.append(fo)
-    return odd, f
-
-
-def _odd_even_solve(levels, last: float, f):
-    import numpy as np
-
-    odd, x = _odd_even_forward(levels, f)
-    x = x / last
-    for (piv, left, right, _, _), fo in zip(reversed(levels), reversed(odd)):
-        xo = fo - left * x[: piv.size]
-        xo[: right.size] -= right * x[1:]
-        full = np.empty(x.size + xo.size, dtype=x.dtype)
-        full[0::2] = x
-        full[1::2] = xo / piv
-        x = full
-    return x
-
-
-def _odd_even_energy(levels, last: float, f) -> float:
-    """f^H (T - mu I)^{-1} f from the forward sweep alone: sum |L^{-1} f|^2 / pivot."""
-    odd, f = _odd_even_forward(levels, f)
-    total = float(abs(f[0]) ** 2) / last
-    for (piv, *_), fo in zip(levels, odd):
-        total += float(((fo.real ** 2 + fo.imag ** 2) / piv).sum())
-    return total
-
-
-def sphere_least_squares(lam, b, s: float = 1.0):
-    """Global minimizer z of |(lam I - L_N) z - b| over |z| = s in C^N, N = len(b).
-
-    Returns (z, residual).  With lam = m e^{i theta} and D = diag(e^{-ik theta}),
-    D^H A^H A D for A = lam I - L_N is the real tridiagonal T with diagonal
-    m^2 + 1, ..., m^2 + 1, m^2 and off-diagonal -m, so z = D y with
-    (T - mu I) y = c = D^H A^H b, |y| = s and mu <= lambda_1(T) (Moré and
-    Sorensen 1983; Gander, Golub and von Matt 1989), lambda_1 and v_1 in
-    closed form (`_lowest_eigenpair`; Yueh 2005).  Each step of
-    `_secular_root` is one cyclic reduction of T - mu I (log2 N vectorized
-    levels; Buzbee, Golub and Nielson 1970), one solve and one forward sweep
-    for the derivative.  The hard case, c orthogonal to v_1 up to rounding
-    (c = 0 for lam = 0, b = e_1; v_1 in the tail for |lam| < 1), shows as
-    |y| < s just below lambda_1 and is completed along v_1.  O(N) time and
-    memory; the residual is evaluated at the returned z.  Serves any b; for
-    b along e_1, `_e1_sphere_least_squares` gives the same minimum without
-    numpy.
-    """
-    import numpy as np
-
-    lam = as_complex(lam)
-    m = abs(lam)
-    if not math.isfinite(m * m):
-        raise PreconditionError(f"|lam|^2 must be finite, got |lam| = {m!r}")
-    b = np.asarray(b, dtype=complex)
-    n = b.size
-    d = np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
-    c = d.conj() * _shift_adjoint(lam, b)
-    diag = np.full(n, m * m + 1.0)
-    diag[-1] = m * m
-    off = np.full(n - 1, -m)
-    lam1, v1 = _lowest_eigenpair(m, n)
-    v1 = np.array(v1)
-
-    def measure(mu):
-        factor = _odd_even_factor(diag - mu, off)
-        y = _odd_even_solve(*factor, c)
-        return float(np.linalg.norm(y)), lambda: _odd_even_energy(*factor, y), y
-
-    # the closest shift at which every pivot of the reduction stays positive
-    tiny = 16.0 * _EPS * (1.0 + m) ** 2
-    mu, ny, y = _secular_root(lam1, tiny, float(np.linalg.norm(c)), s, measure)
-    # Put y on the sphere along v_1 or radially, whichever raises the
-    # objective less: as y solves (T - mu I) y = c, every point y + e of the
-    # sphere has f(y + e) = f_mu + e^H (T - mu I) e for one constant f_mu.
-    a = complex(v1 @ y)
-    rest = s * s - float(np.linalg.norm(y - a * v1)) ** 2
-    along = (a / abs(a) if a else 1.0) * math.sqrt(max(rest, 0.0))
-    if rest > 0.0 and (ny == 0.0 or (lam1 - mu) * (abs(along - a) * ny) ** 2 <= (s - ny) ** 2 * np.vdot(y, c).real):
-        y += (along - a) * v1
-    else:
-        y *= s / ny
-    z = d * y
-    return z, float(np.linalg.norm(_shift_apply(lam, z, b)))
 
 
 def _check_truncation(N: int) -> None:
@@ -552,25 +413,17 @@ def shift_bifurcation_scan(
     N: int = 40,
     radii=(1e-1, 1e-2, 1e-3),
     tol: float = 0.02,
-    h: Optional[Callable] = None,
     h_sphere_const: Optional[Callable] = None,
 ) -> ShiftScanResult:
     """Small-radius nontrivial-solution scan for lam z = f_N(z) + h(z).
 
-    h is a truncation-compatible perturbation with h(0) = 0 and h(z) small
-    relative to |z| near 0.  When h is constant on each sphere (for example
-    a power of the norm times a fixed vector), pass h_sphere_const(r) -> the
-    vector value, any sequence, so the per-sphere problem stays affine and
-    is solved exactly.  A general callable h is frozen at the current
-    iterate: from the unperturbed minimizer on |z| = r, each step solves the
-    affine problem with right-hand side r e_1 + h(z) exactly, while the true
-    residual |(lam I - L_N) z - r e_1 - h(z)| falls, at most
-    _FROZEN_H_STEPS times; the smallest true residual of the iterates is
-    reported.  For h constant on spheres the first step is the exact
-    problem.  When the right-hand side r e_1 + h_sphere_const(r) is along
-    e_1, each orbit of a `LambdaOrbits` grid takes one solve (one for all
-    radii when there is no perturbation), with `math` alone; any other
-    iterable is one orbit per lambda.
+    h is a perturbation along e_1 that is constant on each sphere, such as
+    |z|^2 e_1: h_sphere_const(r) -> its value on |z| = r, any sequence whose
+    entries after the first are 0 (any other raises PreconditionError).  The
+    per-sphere problem then has the right-hand side (r + h_1(r)) e_1 and is
+    solved exactly, with `math` alone.  Each orbit of a `LambdaOrbits` grid
+    takes one solve per radius, and one for all radii when there is no
+    perturbation; any other iterable is one orbit per lambda.
     """
     _check_truncation(N)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
@@ -578,49 +431,27 @@ def shift_bifurcation_scan(
 
     res = [[0.0] * len(radii) for _ in lams]
     # b = beta e_1 gives c = conj(lam) beta e_1, so the minimum at m e^{i theta}
-    # is the minimum at m turned by e^{i theta}: one solve per orbit.  With
-    # h = None the problem at radius r is r times the one on the unit sphere.
+    # is the minimum at m turned by e^{i theta}: one solve per orbit.  Without
+    # a perturbation the problem at radius r is r times the one on the unit sphere.
     spans = lam_grid.spans if isinstance(lam_grid, LambdaOrbits) else [(i, i + 1, l) for i, l in enumerate(lams)]
     spans = [span for span in spans if span[0] < span[1]]
-    if h_sphere_const is not None:
-        for j, r in enumerate(radii):
-            hr = h_sphere_const(r)
-            if any(islice(hr, 1, None)):  # the minimum then depends on the phase of lam
-                import numpy as np
-
-                b = np.array(hr, dtype=complex)
-                b[0] += r
-                for i, lam in enumerate(lams):
-                    res[i][j] = sphere_least_squares(lam, b, r)[1]
-            else:
-                beta = r + complex(hr[0])
-                for start, stop, lam0 in spans:
-                    value = _e1_sphere_least_squares(lam0, N, beta, r)[2]
-                    for i in range(start, stop):
-                        res[i][j] = value
-    elif h is None:
+    if h_sphere_const is None:
         for start, stop, lam0 in spans:
             value = _e1_sphere_least_squares(lam0, N)[2]
             for i in range(start, stop):
                 res[i] = [value * r for r in radii]
     else:
-        import numpy as np
-
-        e1 = np.zeros(N, dtype=complex)
-        e1[0] = 1.0
-        for i, lam in enumerate(lams):
-            for j, r in enumerate(radii):
-                z = sphere_least_squares(lam, r * e1, r)[0]
-                hz = np.asarray(h(z), dtype=complex)
-                best = float(np.linalg.norm(_shift_apply(lam, z, r * e1 + hz)))
-                for _ in range(_FROZEN_H_STEPS):
-                    z = sphere_least_squares(lam, r * e1 + hz, r)[0]
-                    hz = np.asarray(h(z), dtype=complex)
-                    true = float(np.linalg.norm(_shift_apply(lam, z, r * e1 + hz)))
-                    if not true < best:
-                        break
-                    best = true
-                res[i][j] = best
+        for j, r in enumerate(radii):
+            hr = h_sphere_const(r)
+            if any(islice(hr, 1, None)):
+                raise PreconditionError(
+                    f"h_sphere_const({r!r}) is off e_1: an entry after the first is nonzero"
+                )
+            beta = r + complex(hr[0])
+            for start, stop, lam0 in spans:
+                value = _e1_sphere_least_squares(lam0, N, beta, r)[2]
+                for i in range(start, stop):
+                    res[i][j] = value
 
     normalized = tuple(tuple(v / r for v, r in zip(row, radii)) for row in res)
     mask, verdicts = scan_verdicts(normalized, tol)

@@ -19,10 +19,10 @@ from specpoint.core import (
     RealIntervalSet,
     as_complex,
     ext,
-    ext_from_json,
     ext_to_json,
     inf_of,
     replace,
+    scan_verdicts,
     sup_of,
 )
 from specpoint.homog2d import PlaneSpectrum
@@ -45,9 +45,9 @@ def test_nan_rejected():
         sup_of([float("nan")])
 
 
-def test_ext_json_round_trip():
-    for v in (1.5, POS_INF, NEG_INF, 0.0):
-        assert ext_from_json(ext_to_json(v)) == v
+def test_ext_json():
+    for v in (1.5, 0.0, -2.0):
+        assert ext_to_json(v) == v
     assert ext_to_json(POS_INF) == "inf"
     assert ext_to_json(NEG_INF) == "-inf"
 
@@ -79,7 +79,7 @@ def test_interval_set_normalized(pairs):
 def test_interval_set_contains_matches_inputs(pairs, x):
     s = RealIntervalSet.from_pairs(pairs)
     should = any(lo <= x <= hi for lo, hi in pairs)
-    assert s.contains(x) == should
+    assert any(lo <= x <= hi for lo, hi in s.intervals) == should
 
 
 @given(interval_pairs())
@@ -88,22 +88,10 @@ def test_interval_set_idempotent(pairs):
     assert RealIntervalSet.from_pairs(s.intervals) == s
 
 
-@given(interval_pairs())
-def test_hull_is_smallest_interval(pairs):
-    s = RealIntervalSet.from_pairs(pairs)
-    h = s.hull()
-    if s.is_empty:
-        assert h.is_empty
-    else:
-        (lo, hi), = h.intervals
-        assert lo == min(p[0] for p in s.intervals)
-        assert hi == max(p[1] for p in s.intervals)
-
-
 def test_interval_display():
-    assert RealIntervalSet.empty().display() == "[]"
-    assert RealIntervalSet.reals().display() == "(-inf,+inf)"
-    assert RealIntervalSet.point(0.0).display() == "{0}"
+    assert RealIntervalSet().display() == "[]"
+    assert RealIntervalSet(((NEG_INF, POS_INF),)).display() == "(-inf,+inf)"
+    assert RealIntervalSet.from_pairs([(0.0, 0.0)]).display() == "{0}"
     assert RealIntervalSet.from_pairs([(0.0, POS_INF)]).display() == "[0,+inf)"
     assert RealIntervalSet.from_pairs([(-1, -1), (1, 1)]).display() == "{-1} u {1}"
 
@@ -112,6 +100,14 @@ def test_degenerate_infinite_pairs_dropped():
     assert RealIntervalSet.from_pairs([(POS_INF, POS_INF)]).is_empty
     assert RealIntervalSet.from_pairs([(NEG_INF, NEG_INF)]).is_empty
     assert RealIntervalSet.from_pairs([(NEG_INF, POS_INF)]).is_all_reals
+
+
+def test_scan_verdicts_read_the_smallest_radius_alone():
+    # a rising row is a candidate when its last residual is below tol
+    rows = [(0.001, 0.01), (0.5, 0.01), (0.0, 0.03), (0.0, 0.04)]
+    mask, verdicts = scan_verdicts(rows, 0.02)
+    assert mask == (True, True, False, False)
+    assert verdicts == ("candidate", "candidate", "undecided", "rejected")
 
 
 def test_quad_validation():

@@ -182,23 +182,29 @@ def test_estimate_threshold_configurable():
 # ---------------------------------------------------------------------------
 # interval extraction
 
+REALS = RealIntervalSet(((-INF, INF),))
+
+
+def contains(s, x):
+    return any(lo <= x <= hi for lo, hi in s.intervals)
+
 
 def test_spectrum_examples():
-    assert spectrum_1d(DiniQuad(-INF, -INF, INF, INF)) == RealIntervalSet.reals()
+    assert spectrum_1d(DiniQuad(-INF, -INF, INF, INF)) == REALS
     assert spectrum_1d(DiniQuad(INF, INF, INF, INF)).is_empty
-    assert spectrum_1d(DiniQuad(0.0, 0.0, 0.0, 0.0)) == RealIntervalSet.point(0.0)
+    assert spectrum_1d(DiniQuad(0.0, 0.0, 0.0, 0.0)) == RealIntervalSet(((0.0, 0.0),))
 
 
 def test_point_spectrum_examples():
     assert point_spectrum_1d(DiniQuad(-INF, -INF, INF, INF)).is_empty
-    assert point_spectrum_1d(DiniQuad(-INF, INF, -INF, INF)) == RealIntervalSet.reals()
+    assert point_spectrum_1d(DiniQuad(-INF, INF, -INF, INF)) == REALS
     # derived: |x| quadruple gives two singletons, contained in sigma = [-1, 1]
     sig = spectrum_1d(DiniQuad(-1.0, -1.0, 1.0, 1.0))
     pts = point_spectrum_1d(DiniQuad(-1.0, -1.0, 1.0, 1.0))
     assert pts == RealIntervalSet.from_pairs([(-1, -1), (1, 1)])
     assert sig == RealIntervalSet.from_pairs([(-1, 1)])
     for lo, hi in pts.intervals:
-        assert sig.contains(lo) and sig.contains(hi)
+        assert contains(sig, lo) and contains(sig, hi)
 
 
 endpoint = st.one_of(
@@ -221,11 +227,11 @@ def test_point_spectrum_subset_of_spectrum(q):
     pts = point_spectrum_1d(q)
     for lo, hi in pts.intervals:
         if math.isfinite(lo):
-            assert sig.contains(lo)
+            assert contains(sig, lo)
         if math.isfinite(hi):
-            assert sig.contains(hi)
+            assert contains(sig, hi)
         if math.isfinite(lo) and math.isfinite(hi):
-            assert sig.contains(0.5 * (lo + hi))
+            assert contains(sig, 0.5 * (lo + hi))
 
 
 @given(quads())
@@ -240,7 +246,7 @@ def test_spectrum_is_hull_of_point_spectrum_when_nonempty(q):
     sig = spectrum_1d(q)
     pts = point_spectrum_1d(q)
     if not pts.is_empty and sides_real:
-        assert sig == pts.hull()
+        assert sig == RealIntervalSet(((pts.intervals[0][0], pts.intervals[-1][1]),))  # the hull of pts
 
 
 @given(quads(), st.sampled_from([-2.0, -1.0, 0.5, 3.0]))

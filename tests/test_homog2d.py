@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 
 from specpoint import homog2d
-from specpoint.core import AdmissibilityError, PreconditionError
+from specpoint.core import PreconditionError
 from specpoint.homog2d import (
     CURVE_SAMPLES,
     MARGIN_TOL,
@@ -18,14 +18,11 @@ from specpoint.homog2d import (
     SigmaCurve,
     _band_codes,
     _components_consistent,
-    bifurcation_set_homog,
     classify_plane,
     d_and_quasinorm,
-    rouche_coincidence,
     scanline_turns,
     sigma_curve,
     spectral_radius_bound,
-    winding_number,
 )
 from specpoint.maps import (
     add_identity,
@@ -33,21 +30,10 @@ from specpoint.maps import (
     builtin,
     evaluate,
     identity_map,
-    lambda_minus,
     scale_map,
 )
 
 RNG = np.random.default_rng(2024)
-
-
-def const_map(a, b, name="const"):
-    v = np.array([a, b], dtype=float)
-
-    def ev(x, _v=v):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(_v, x.shape).copy()
-
-    return black_box(2, ev, name=name)
 
 
 def circle_params(s, t, u, v):
@@ -216,33 +202,28 @@ def _angle_sum_winding(f, lam, radius=1.0, samples=256):
         n *= 2
 
 
+def node_turns(f, lam, samples=256, radius=1.0):
+    """Degree 1 + wind(sigma_r, lam) at one node: `scanline_turns` on the curve at `samples` uniform angles."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    curve = SigmaCurve(thetas, homog2d._curve_values(f, thetas, radius), math.nan, True, "uniform")
+    return int(scanline_turns(curve, np.array([lam.real]), np.array([lam.imag]))[0, 0])
+
+
 def test_winding_examples():
     zero_map = builtin("real_linear", s=0.0, t=0.0, u=0.0, v=0.0)
-    assert winding_number(zero_map, 1 + 0j).turns == 1
+    assert node_turns(zero_map, 1 + 0j) == _angle_sum_winding(zero_map, 1 + 0j) == 1
     conj = builtin("real_linear", s=1.0, t=0.0, u=0.0, v=-1.0)
     # oracle: the curve is -e^{-i theta}, one clockwise turn
-    assert winding_number(conj, 0j).turns == -1
+    assert node_turns(conj, 0j) == _angle_sum_winding(conj, 0j) == -1
     # oracle: the curve -(|cos| + i sin) stays in the closed left half plane
-    assert winding_number(builtin("abs_re_plus_i_im"), 0j).turns == 0
+    f = builtin("abs_re_plus_i_im")
+    assert node_turns(f, 0j) == _angle_sum_winding(f, 0j) == 0
 
 
 def test_winding_stable_under_doubling():
     f = builtin("norm_plus_i_im")
     for lam in (0.2 + 0.1j, 1.5 - 0.4j, -1.2 + 0.3j):
-        w1 = winding_number(f, lam, samples=256)
-        w2 = winding_number(f, lam, samples=512)
-        assert w1.turns == w2.turns
-
-
-def test_winding_margin_is_distance_to_curve():
-    f = builtin("abs_re_plus_i_im")
-    w = winding_number(f, 0.5 + 0j)
-    assert abs(w.margin - 0.5) < 1e-9
-
-
-def test_winding_admissibility_error_on_curve():
-    with pytest.raises(AdmissibilityError):
-        winding_number(builtin("abs_re_plus_i_im"), 1 + 0j)
+        assert node_turns(f, lam, samples=256) == node_turns(f, lam, samples=512) == _angle_sum_winding(f, lam)
 
 
 @pytest.mark.parametrize("radius", [0.5, 2.0])
@@ -255,7 +236,7 @@ def test_winding_off_the_unit_circle_matches_the_angle_sum(radius):
     lams = lams[np.min(np.abs(lams[:, None] - sigma[None]), axis=1) > 0.05]
     seen = []
     for lam in lams:
-        turns = winding_number(f, lam, radius=radius).turns
+        turns = node_turns(f, lam, samples=4096, radius=radius)
         assert turns == _angle_sum_winding(f, lam, radius)
         seen.append(turns)
     assert {0, 1} <= set(seen)
@@ -345,7 +326,7 @@ planar_maps = st.one_of(
 
 
 def assert_scanline_matches_evaluation(f, res=20, band=0.05, check=None):
-    """Scanline degree equals the angle-sum reference and winding_number on off-band cells."""
+    """Scanline degree equals the angle-sum reference on off-band cells."""
     curve = sigma_curve(f, samples=2048)
     z = curve.values
     bounds = (z.real.min() - 0.7, z.real.max() + 0.5, z.imag.min() - 0.5, z.imag.max() + 0.7)
@@ -357,7 +338,7 @@ def assert_scanline_matches_evaluation(f, res=20, band=0.05, check=None):
         rows, cols = rows[pick], cols[pick]
     for j, i in zip(rows, cols):
         lam = complex(ps.xs[i], ps.ys[j])
-        assert turns[j, i] == _angle_sum_winding(f, lam) == winding_number(f, lam).turns
+        assert turns[j, i] == _angle_sum_winding(f, lam)
     expect = np.where(turns != 0, int(CellLabel.REGULAR), int(CellLabel.IN_SPECTRUM))
     off = ps.labels != CellLabel.BAND
     assert np.array_equal(ps.labels[off], expect[off])
@@ -747,71 +728,11 @@ def test_classify_row_blocks_match_one_block(rows):
 
 
 def test_bifurcation_set_examples():
-    ident = bifurcation_set_homog(identity_map(2))
+    # the bifurcation set of a homogeneous planar map is its eigenvalue curve
+    ident = sigma_curve(identity_map(2), label="bifurcation")
     assert ident.is_point(1e-12) and abs(ident.values[0] - 1.0) < 1e-12
     assert ident.label == "bifurcation"
-    circle = bifurcation_set_homog(builtin("abs_re_plus_i_im"))
+    circle = sigma_curve(builtin("abs_re_plus_i_im"), label="bifurcation")
     assert np.max(np.abs(np.abs(circle.values) - 1.0)) < 1e-12
-    base = bifurcation_set_homog(builtin("norm_only"))
+    base = sigma_curve(builtin("norm_only"), label="bifurcation")
     assert np.max(np.abs(np.abs(base.values) - 1.0)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# coincidence solving
-
-
-def test_rouche_fixed_point_examples():
-    sol = rouche_coincidence(identity_map(2), const_map(0.3, 0.2), radius=1.0)
-    assert np.allclose(sol.point, [0.3, 0.2], atol=1e-9)
-    sol2 = rouche_coincidence(
-        builtin("real_linear", s=2.0, t=0.0, u=0.0, v=2.0), const_map(0.3, 0.2), radius=1.0
-    )
-    assert np.allclose(sol2.point, [0.15, 0.1], atol=1e-9)
-
-
-def test_rouche_shifted_abs_re():
-    # oracle: dense grid search over the disk for the residual minimum
-    f = lambda_minus(2 + 0j, builtin("abs_re_plus_i_im"))
-    k = const_map(0.1, 0.0)
-    sol = rouche_coincidence(f, k, radius=1.0)
-    assert sol.residual < 1e-9
-    xs = np.linspace(-0.9, 0.9, 101)
-    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
-    grid = grid[np.hypot(grid[:, 0], grid[:, 1]) < 1.0]
-    resid = np.linalg.norm(evaluate(f, grid) - evaluate(k, grid), axis=1)
-    best = grid[int(np.argmin(resid))]
-    assert np.linalg.norm(sol.point - best) < 0.05
-    assert np.allclose(sol.point, [0.1, 0.0], atol=1e-9)
-
-
-@pytest.mark.parametrize("lam, name, value, exact", [
-    # (2 + i) x - (|x_1|, x_2) = (-0.3, 0.25) is linear on x_1 < 0: x = (-1/80, 21/80)
-    (2.0 + 1.0j, "abs_re_plus_i_im", (-0.3, 0.25), (-0.0125, 0.2625)),
-    (2.5 + 0.5j, "norm_plus_i_im", (0.2, 0.1), None),
-])
-def test_rouche_non_real_shift(lam, name, value, exact):
-    # oracle: dense grid search over the disk for the residual minimum
-    f = lambda_minus(lam, builtin(name))
-    k = const_map(*value)
-    sol = rouche_coincidence(f, k, radius=1.0)
-    assert sol.residual < 1e-10
-    assert math.hypot(*sol.point) < 1.0
-    assert np.linalg.norm(evaluate(f, sol.point) - evaluate(k, sol.point)) == pytest.approx(sol.residual, abs=1e-15)
-    xs = np.linspace(-0.99, 0.99, 199)
-    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
-    grid = grid[np.hypot(grid[:, 0], grid[:, 1]) < 1.0]
-    resid = np.linalg.norm(evaluate(f, grid) - evaluate(k, grid), axis=1)
-    assert np.linalg.norm(sol.point - grid[int(np.argmin(resid))]) < 0.02
-    if exact is not None:
-        assert np.allclose(sol.point, exact, atol=1e-12)
-
-
-def test_rouche_precondition_failures():
-    with pytest.raises(PreconditionError):
-        rouche_coincidence(identity_map(2), const_map(5.0, 0.0), radius=1.0)
-    zero_map = builtin("real_linear", s=0.0, t=0.0, u=0.0, v=0.0)
-    with pytest.raises(PreconditionError):
-        rouche_coincidence(zero_map, const_map(0.1, 0.0), radius=1.0)
-    for radius in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(PreconditionError, match="positive and finite"):
-            rouche_coincidence(identity_map(2), const_map(0.1, 0.0), radius=radius)

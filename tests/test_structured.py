@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,25 +26,25 @@ from specpoint.rates import (
     mnc_bounds,
     parse_expr,
 )
+from specpoint import structured
 from specpoint.structured import (
     LambdaOrbits,
     SQRT2,
     shift_bifurcation_scan,
     shift_model_report,
-    sphere_least_squares,
-    truncated_shift_map,
     truncated_shift_min,
     xi_equation_solvable,
 )
-from specpoint.structured import (
-    _e1_norm_sq,
-    _e1_sphere_least_squares,
-    _lowest_eigenpair,
+from specpoint.structured import _e1_norm_sq, _e1_sphere_least_squares, _lowest_eigenpair
+
+from oracles import (
     _odd_even_energy,
     _odd_even_factor,
     _odd_even_solve,
     _shift_adjoint,
     _shift_apply,
+    sphere_least_squares,
+    truncated_shift_map,
 )
 
 
@@ -750,48 +754,6 @@ def test_shift_scan_norm_square_perturbation():
     assert np.asarray(scan.residuals)[0, -1] >= 0.3 * r * r
 
 
-def test_shift_scan_general_callable_matches_constant_path():
-    N = 12
-
-    def h_full(z):
-        v = np.zeros(z.shape[0], dtype=complex)
-        v[0] = np.linalg.norm(z) ** 2
-        return v
-
-    def h_const(r, _n=N):
-        v = np.zeros(_n, dtype=complex)
-        v[0] = r * r
-        return v
-
-    exact = shift_bifurcation_scan([SQRT2], N=N, radii=(1e-2,), tol=0.02, h_sphere_const=h_const)
-    general = shift_bifurcation_scan([SQRT2], N=N, radii=(1e-2,), tol=0.02, h=h_full)
-    assert np.asarray(general.residuals)[0, 0] >= np.asarray(exact.residuals)[0, 0] - 1e-12
-    assert general.verdicts == ("candidate",)
-
-
-def test_shift_scan_general_callable_finds_the_whole_circle():
-    # h = |z|^2 e_1 passed as a black box: the frozen-h iteration starts at
-    # the unperturbed minimizer, where h already has its value on the
-    # sphere, so its first step is the exact constant-on-spheres problem
-    N, radii = 40, (1e-1, 1e-2, 1e-3)
-
-    def h_full(z):
-        v = np.zeros(z.shape[0], dtype=complex)
-        v[0] = np.linalg.norm(z) ** 2
-        return v
-
-    def h_const(r, _n=N):
-        v = np.zeros(_n, dtype=complex)
-        v[0] = r * r
-        return v
-
-    lams = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-    general = shift_bifurcation_scan(lams, N=N, radii=radii, tol=0.02, h=h_full)
-    exact = shift_bifurcation_scan(lams, N=N, radii=radii, tol=0.02, h_sphere_const=h_const)
-    assert general.verdicts == ("candidate",) * 8
-    assert np.all(np.abs(np.asarray(general.residuals) - np.asarray(exact.residuals)) <= 1e-12 * np.asarray(general.radii))
-
-
 def _per_lambda_normalized(lams, N, radii, h_const=None):
     """Reference: one sphere solve for every (lambda, radius) pair."""
     e1 = np.zeros(N, dtype=complex)
@@ -831,9 +793,9 @@ def test_grouped_shift_scan_matches_per_lambda_scan(perturbed):
     assert np.max(np.abs(np.asarray(flat.normalized) - ref)) <= 1e-15
 
 
-def test_shift_scan_off_e1_right_hand_side_solves_per_lambda():
-    # a perturbation with a second component makes the minimum depend on the
-    # phase of lambda, so the orbit is not shared
+def test_shift_scan_rejects_an_off_e1_perturbation():
+    # every perturbation the scan solves is along e_1; a second component
+    # would make the minimum depend on the phase of lambda
     N = 30
 
     def h_const(r, _n=N):
@@ -842,10 +804,27 @@ def test_shift_scan_off_e1_right_hand_side_solves_per_lambda():
         return v
 
     circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in (0.0, 1.0, 2.0)]
-    scan = shift_bifurcation_scan(LambdaOrbits([(SQRT2, circle)]), N=N, tol=0.02, h_sphere_const=h_const)
-    ref = _per_lambda_normalized(circle, N, scan.radii, h_const)
-    assert np.array_equal(np.asarray(scan.normalized), ref)
-    assert np.ptp(ref[:, -1]) > 0.0
+    with pytest.raises(PreconditionError, match="off e_1"):
+        shift_bifurcation_scan(LambdaOrbits([(SQRT2, circle)]), N=N, tol=0.02, h_sphere_const=h_const)
+    with pytest.raises(PreconditionError, match="off e_1"):
+        shift_bifurcation_scan([1.2], N=N, h_sphere_const=lambda r: (r * r, 0.0, 1e-300))
+
+
+BARE_SHIFT_PROBE = """
+import sys
+sys.modules["numpy"] = None  # any numpy import from here on raises ImportError
+import specpoint.structured as st
+scan = st.shift_bifurcation_scan(st.LambdaOrbits([(st.SQRT2, [st.SQRT2, -st.SQRT2]), (1.2, [1.2])]), N=40,
+                                 h_sphere_const=lambda r: (r * r,) + (0.0,) * 39)
+print(scan.verdicts)
+"""
+
+
+def test_perturbed_shift_scan_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(structured.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", BARE_SHIFT_PROBE], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "('candidate', 'candidate', 'rejected')\n"
 
 
 def test_lambda_orbits_reject_a_foreign_modulus():
