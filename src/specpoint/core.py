@@ -196,14 +196,6 @@ class RealIntervalSet(Record):
                 merged.append((lo, hi))
         return cls(tuple(merged))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def is_all_reals(self) -> bool:
-        return self.intervals == ((NEG_INF, POS_INF),)
-
     def display(self) -> str:
         if not self.intervals:
             return "[]"

@@ -2,20 +2,17 @@
 
 Growth rates d_p and q_p from sphere minima and maxima over a shrinking
 radius schedule, point-spectrum membership tests with first-class Undecided
-verdicts, the smooth-map reduction to Jacobian eigenvalues, equivalence
-checking under rate-null perturbations, and a bifurcation candidate
-scanner for maps vanishing at the origin.  Every sphere extremum comes
-from `numerics.sphere_extrema`; the planar engine `homog2d` is loaded
-only where a planar curve is drawn.
+verdicts, the smooth-map reduction to Jacobian eigenvalues, and a
+bifurcation candidate scanner for maps vanishing at the origin.  Every
+sphere extremum comes from `numerics.sphere_extrema`; the planar engine
+`homog2d` is loaded only where a planar curve is drawn.
 
 Sampling cannot certify that an infimum is zero, so membership verdicts
 report Undecided whenever the per-radius minima straddle the tolerance.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -27,12 +24,9 @@ from .core import (
     as_complex,
     scan_verdicts,
 )
-from .maps import MapSpec, difference, evaluate, translate_to_origin
-from .numerics import directed_distance, hausdorff, sphere_extrema
+from .maps import MapSpec, evaluate, translate_to_origin
+from .numerics import directed_distance, sphere_extrema
 from .planar import SPHERE_DIRECTIONS
-
-EQUIVALENCE_RATE_TOL = 1e-3  # a difference with a smaller upper rate counts as rate-null
-
 
 RADII = 0.1 * 0.5 ** np.arange(17)  # the sphere radii of the growth rates and membership tests
 TAIL = 6  # d_p, q_p and membership read the last TAIL radii
@@ -152,62 +146,6 @@ def spectrum_set(eigs: np.ndarray, tol: float = 1e-8) -> tuple:
         if not any(abs(e - o) <= tol for o in out):
             out.append(complex(e))
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
-
-
-class EquivalenceReport(Record):
-    applicable: bool
-    rate_of_difference: float
-    hausdorff_distance: float | None
-    message: str
-
-
-def perturbation_equivalence_check(f: MapSpec, g: MapSpec, p) -> EquivalenceReport:
-    """Check that g - f is rate-null at p and compare the computed spectra.
-
-    A vanishing upper rate of the difference (below EQUIVALENCE_RATE_TOL)
-    forces the two local spectra to coincide; the report carries the
-    distance between the computed spectra as corroboration: planar maps
-    compare eigenvalue curves of 2048 samples, local ones at radius 1e-3.
-    A non-null difference is reported as inapplicable, not as a failure.
-    """
-    diff = difference(f, g)
-    rates = estimate_rates(diff, p)
-    if rates.q_p >= EQUIVALENCE_RATE_TOL:
-        return EquivalenceReport(
-            applicable=False,
-            rate_of_difference=rates.q_p,
-            hausdorff_distance=None,
-            message=f"difference has upper rate {rates.q_p:.6g} >= {EQUIVALENCE_RATE_TOL:g}; "
-            "the equivalence criterion does not apply",
-        )
-    report = partial(EquivalenceReport, applicable=True, rate_of_difference=rates.q_p)
-    if f.dim == 2:
-        from .homog2d import local_sigma_curve, sigma_curve
-
-        at_origin = bool(np.all(np.asarray(p, dtype=float) == 0))
-
-        def curve(h):
-            if h.homogeneous and at_origin:
-                return sigma_curve(h, samples=2048)
-            return local_sigma_curve(h, p, 1e-3, 2048)
-
-        dist = hausdorff(curve(f).pairs(), curve(g).pairs())
-        return report(hausdorff_distance=dist, message=f"equivalent; curve distance {dist:.3e}")
-    if f.dim == 1:
-        from .dini import dini_estimate
-
-        qa = dini_estimate(f, float(np.asarray(p))).quad.as_tuple()
-        qb = dini_estimate(g, float(np.asarray(p))).quad.as_tuple()
-        gaps = []
-        for a, b in zip(qa, qb):
-            if not (math.isinf(a) or math.isinf(b)):
-                gaps.append(abs(a - b))
-            elif a != b:
-                return report(hausdorff_distance=None, message="rate-null but divergence flags disagree")
-        dist = max(gaps, default=0.0)
-        return report(hausdorff_distance=dist, message=f"equivalent; quadruple components within {dist:.3e}")
-    return report(hausdorff_distance=None,
-                  message="equivalent by the rate criterion (no curve engine in this dimension)")
 
 
 class BifurcationScan(Record):

@@ -305,6 +305,17 @@ def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float
     return codes.reshape(ny, nx)
 
 
+def _max_chord(values) -> float:
+    """The longest chord of the closed polygon through the curve samples.
+
+    np.hypot, not np.abs: it is C's hypot, the bits of Python's abs of each
+    complex chord.
+    """
+    v = np.asarray(values, dtype=complex)
+    d = np.roll(v, -1) - v
+    return float(np.hypot(d.real, d.imag).max())
+
+
 def classify_plane(
     f: MapSpec,
     bounds: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0),
@@ -339,7 +350,7 @@ def classify_plane(
         curve = sigma_curve(f, samples=CURVE_SAMPLES)
     cell_diag = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     band = 2.0 * cell_diag if band_radius is None else float(band_radius)
-    chord = 0.0 if curve.chord_met else curve.max_gap()
+    chord = 0.0 if curve.chord_met else _max_chord(curve.values)
 
     # Nothing past the widest threshold matters; the slack keeps every
     # distance at a threshold below the bound, so its band code sees it.

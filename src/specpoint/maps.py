@@ -17,12 +17,13 @@ Builtin catalogue (addressable by name from tests and the CLI):
 
 Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
 higher dimensional maps take arrays of shape (..., dim) and act on the last
-axis.  A one dimensional evaluator also takes a bare float, the convention
-of `dini`, which evaluates one float at a time: the one dimensional
-builtins are scalar functions of `dini`, vectorized here, and
-`norm_times_x(1)` is x |x|, elementwise.  The planar builtins are formulas
-of `planar`, evaluated here on arrays of points.  The linear builtins,
-real_linear and conj_pair, declare their matrices as their Jacobians.
+axis, and so does the user evaluator that `black_box` wraps.  A one
+dimensional evaluator also takes a bare float, the convention of `dini`,
+which evaluates one float at a time: the one dimensional builtins are
+scalar functions of `dini`, vectorized here, and `norm_times_x(1)` is
+x |x|, elementwise.  The planar builtins are formulas of `planar`,
+evaluated here on arrays of points.  The linear builtins, real_linear
+and conj_pair, declare their matrices as their Jacobians.
 """
 from __future__ import annotations
 
@@ -155,42 +156,8 @@ def lambda_minus(lam, f: MapSpec) -> MapSpec:
     return _affine(lam, -1.0, f, f"({lam}*id-{f.name})")
 
 
-def difference(f: MapSpec, g: MapSpec) -> MapSpec:
-    """The map x -> f(x) - g(x)."""
-    if f.dim != g.dim:
-        raise PreconditionError("difference of maps with unequal dimensions")
-    fe, ge = f.evaluator, g.evaluator
-
-    def diff(x, _f=fe, _g=ge):
-        return _f(x) - _g(x)
-
-    return MapSpec(
-        name=f"({f.name}-{g.name})",
-        dim=f.dim,
-        evaluator=diff,
-        basepoint=_zero_point(f.dim),
-        homogeneous=f.homogeneous and g.homogeneous,
-        complex_pairs=f.complex_pairs and g.complex_pairs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # black boxes
-
-
-def _wrap_unvectorized(ev: Callable, dim: int) -> Callable:
-    if dim == 1:
-        return np.vectorize(ev, otypes=[float])
-
-    def wrapped(x, _ev=ev, _dim=dim):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            return np.asarray(_ev(arr), dtype=float)
-        flat = arr.reshape(-1, _dim)
-        out = np.stack([np.asarray(_ev(row), dtype=float) for row in flat])
-        return out.reshape(arr.shape)
-
-    return wrapped
 
 
 def black_box(
@@ -198,19 +165,17 @@ def black_box(
     evaluator: Callable,
     *,
     name: str = "black_box",
-    vectorized: bool = True,
     dini_exact: Optional[Callable] = None,
     jacobian: Optional[Callable] = None,
     domain: Optional[Callable] = None,
     complex_pairs: bool = False,
     homogeneous: bool = False,
 ) -> MapSpec:
-    """Wrap a user evaluator.  Set vectorized=False for pointwise callables."""
-    ev = evaluator if vectorized else _wrap_unvectorized(evaluator, dim)
+    """Wrap a user evaluator, vectorized as every evaluator is."""
     return MapSpec(
         name=name,
         dim=dim,
-        evaluator=ev,
+        evaluator=evaluator,
         basepoint=_zero_point(dim),
         homogeneous=homogeneous,
         complex_pairs=complex_pairs,
@@ -284,7 +249,7 @@ def _builtin_1d(name):
     from .dini import builtin_1d  # here, so that the planar commands load no dini
 
     f = builtin_1d(name)  # the scalar evaluator, vectorized for the array engines
-    return replace(f, evaluator=_wrap_unvectorized(f.evaluator, 1), basepoint=np.zeros(()))
+    return replace(f, evaluator=np.vectorize(f.evaluator, otypes=[float]), basepoint=np.zeros(()))
 
 
 def _builtin_plane(name, **params):

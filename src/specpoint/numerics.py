@@ -288,7 +288,3 @@ def directed_distance(a: np.ndarray, b: np.ndarray) -> float:
             d2 += (a[lo:lo + step, None, c] - b[:, c]) ** 2
         nearest[lo:lo + step] = d2.min(axis=1)
     return float(np.sqrt(nearest.max()))
-
-
-def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    return max(directed_distance(a, b), directed_distance(b, a))

@@ -23,7 +23,7 @@ The module imports no numpy, so `spec2d` runs on bare Python.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import cos, sin
 from operator import lt, sub
 
@@ -154,10 +154,6 @@ class SigmaCurve(Record):
 
     def _samples(self) -> list:
         return self.values if isinstance(self.values, list) else self.values.tolist()
-
-    def max_gap(self) -> float:
-        v = self._samples()
-        return max(map(abs, map(sub, chain(v[1:], v[:1]), v)))
 
     def is_point(self, tol: float = 1e-9) -> bool:
         v = self._samples()

@@ -47,9 +47,6 @@ class Interval(Record):
     def unknown(cls) -> "Interval":
         return cls(0.0, POS_INF)
 
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def to_json(self):
         return [ext_to_json(self.lo), ext_to_json(self.hi)]
 
@@ -206,8 +203,8 @@ def mnc_bounds(e: OperatorExpr) -> RateBounds:
             c = abs(node.c)
             trace.append("rule:scale")
             return (
-                Interval(c * a.lo, _mul_bound(c, a.hi)),
-                Interval(c * w.lo, _mul_bound(c, w.hi)),
+                Interval(_mul_bound(c, a.lo), _mul_bound(c, a.hi)),
+                Interval(_mul_bound(c, w.lo), _mul_bound(c, w.hi)),
             )
         if isinstance(node, Sum):
             a1, w1 = walk(node.left)

@@ -13,6 +13,8 @@ import pytest
 from specpoint import cli
 from specpoint.structured import SQRT2
 
+from oracles import sphere_least_squares
+
 
 def run_cli(capsys, argv):
     rc = cli.main(argv)
@@ -139,6 +141,23 @@ def test_shift_report(capsys):
     assert q["xi_solvable"] is True
 
 
+def test_shift_query_inside_the_unit_circle(capsys):
+    # the finite-section regime: index -1, no resolvent direction, and the
+    # truncated minimum of the closed-form solve agrees with cyclic reduction
+    q = run_json(capsys, ["shift", "--truncate", "60", "--lambda", "0.5,0"])["lambda_query"]
+    assert q["index"] == -1
+    assert "eigvec_norm_sq" not in q and not any(k.startswith("xi_") for k in q)
+    e1 = np.zeros(60, dtype=complex)
+    e1[0] = 1.0
+    assert abs(q["truncated_min"] - sphere_least_squares(0.5, e1)[1]) < 1e-12
+
+
+def test_shift_query_on_the_unit_circle(capsys):
+    q = run_json(capsys, ["shift", "--truncate", "60", "--lambda", "1,0"])["lambda_query"]
+    assert q["index"] is None
+    assert "eigvec_norm_sq" not in q
+
+
 def test_shift_svg_artifact(capsys, tmp_path):
     out = tmp_path / "shift.json"
     rc, _ = run_cli(capsys, ["shift", "--out", str(out)])
@@ -218,6 +237,17 @@ def test_mnc_expression(capsys):
     assert d["alpha"] == [1.0, 1.0]
     assert d["omega"] == [1.0, 1.0]
     assert any("sum" in r for r in d["derivation"])
+
+
+@pytest.mark.parametrize("expr", [
+    "scale(0, KnownRates(alpha=inf))",
+    "scale(inf, CompactLinear)",
+    "scale(0, KnownRates(alpha=1..inf, omega=inf))",
+])
+def test_mnc_scale_takes_zero_times_inf_as_zero(capsys, expr):
+    d = run_json(capsys, ["mnc", "--expr", expr])
+    assert d["alpha"] == [0.0, 0.0]
+    assert d["omega"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("expr", [

@@ -97,9 +97,9 @@ def test_interval_display():
 
 
 def test_degenerate_infinite_pairs_dropped():
-    assert RealIntervalSet.from_pairs([(POS_INF, POS_INF)]).is_empty
-    assert RealIntervalSet.from_pairs([(NEG_INF, NEG_INF)]).is_empty
-    assert RealIntervalSet.from_pairs([(NEG_INF, POS_INF)]).is_all_reals
+    assert RealIntervalSet.from_pairs([(POS_INF, POS_INF)]) == RealIntervalSet()
+    assert RealIntervalSet.from_pairs([(NEG_INF, NEG_INF)]) == RealIntervalSet()
+    assert RealIntervalSet.from_pairs([(NEG_INF, POS_INF)]) == RealIntervalSet(((NEG_INF, POS_INF),))
 
 
 def test_scan_verdicts_read_the_smallest_radius_alone():

@@ -11,7 +11,6 @@ from specpoint.estimators import (
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
-    perturbation_equivalence_check,
     scan_verdicts,
     sigma_membership,
     spectrum_set,
@@ -20,7 +19,6 @@ from specpoint.homog2d import local_sigma_curve
 from specpoint.maps import (
     black_box,
     builtin,
-    difference,
     evaluate,
     identity_map,
     scale_map,
@@ -61,7 +59,7 @@ def test_rates_difference_of_pow_map():
     # the difference map is i*y^2; analytic bound: its ratio at radius r is <= r
     g = builtin("norm_plus_i_im_pow", n=2)
     f = builtin("norm_only")
-    diff = difference(g, f)
+    diff = black_box(2, lambda x: g.evaluator(x) - f.evaluator(x), complex_pairs=True)
     r = estimate_rates(diff, np.zeros(2))
     assert r.d_p <= r.q_p <= max(r.radii_used[-6:]) * (1.0 + 1e-12)
     assert r.q_p < 1e-3
@@ -207,54 +205,10 @@ def test_c1_requires_jacobian():
         c1_spectrum(builtin("abs_re_plus_i_im"), np.zeros(2))
 
 
-# ---------------------------------------------------------------------------
-# perturbation equivalence
-
-
-def test_equivalence_pow_map():
-    rep = perturbation_equivalence_check(
-        builtin("norm_only"), builtin("norm_plus_i_im_pow", n=2), np.zeros(2)
-    )
-    assert rep.applicable
-    assert rep.hausdorff_distance < 5e-3
-
-
-def test_equivalence_reflexive():
-    f = builtin("norm_plus_i_im")
-    rep = perturbation_equivalence_check(f, f, np.zeros(2))
-    assert rep.applicable
-    assert rep.hausdorff_distance == 0.0
-
-
-def test_equivalence_inapplicable_for_linear_gap():
-    ident = identity_map(2)
-    rep = perturbation_equivalence_check(ident, scale_map(1.1, ident), np.zeros(2))
-    assert not rep.applicable
-    assert abs(rep.rate_of_difference - 0.1) < 1e-6
-
-
 def test_local_curve_close_to_homogeneous_part():
     g = builtin("norm_plus_i_im_pow", n=2)
     local = local_sigma_curve(g, np.zeros(2), radius=1e-3)
     assert np.max(np.abs(np.abs(local.values) - 1.0)) < 2e-3
-
-
-def test_equivalence_one_dimensional():
-    f = builtin("xsq_sin_inv")
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return evaluate_f(x) + x**3
-
-    from specpoint.maps import evaluate as _eval
-
-    def evaluate_f(x):
-        return _eval(f, x)
-
-    g = black_box(1, ev, name="xsq_sin_inv_plus_cubic")
-    rep = perturbation_equivalence_check(f, g, 0.0)
-    assert rep.applicable
-    assert rep.hausdorff_distance < 1e-6
 
 
 # ---------------------------------------------------------------------------

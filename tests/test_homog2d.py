@@ -18,6 +18,7 @@ from specpoint.homog2d import (
     SigmaCurve,
     _band_codes,
     _components_consistent,
+    _max_chord,
     classify_plane,
     d_and_quasinorm,
     scanline_turns,
@@ -587,7 +588,7 @@ def test_band_query_matches_kdtree(f, coarse, at, log_width, res, log_band, miss
     ys = np.linspace(y0, y0 + wy, res[1])
     cap = MAX_BAND_CELLS * min(xs[1] - xs[0], ys[1] - ys[0])
     band = MARGIN_TOL if log_band > 2.0 else cap * 10.0 ** -log_band
-    chord = 0.0 if curve.chord_met else curve.max_gap()
+    chord = 0.0 if curve.chord_met else _max_chord(curve.values)
     reach = min(max(band, MARGIN_TOL, chord), cap)
     bound = reach * (1.0 + 1e-9)
     got = _band_distances(z, xs, ys, bound)
@@ -644,7 +645,9 @@ def test_classify_rejects_a_reach_beyond_the_cap():
             classify_plane(f, resolution=200, band_radius=bad, curve=curve)
     # a coarse curve's longest chord counts towards the reach too
     coarse = sigma_curve(f, samples=16, max_samples=16)
-    assert coarse.max_gap() > MAX_BAND_CELLS * 4.0 / 4095
+    assert _max_chord(coarse.values) > MAX_BAND_CELLS * 4.0 / 4095
+    v = coarse.values.tolist()
+    assert _max_chord(coarse.values) == max(abs(b - a) for a, b in zip(v, v[1:] + v[:1]))
     with pytest.raises(PreconditionError):
         classify_plane(f, resolution=4096, band_radius=0.0, curve=coarse)
 
@@ -674,7 +677,7 @@ def test_classify_coarse_curve_marks_chord_band():
     assert {v[2] for v in ps.violations} == {"chord"}
     gx, gy = np.meshgrid(ps.xs, ps.ys)
     dist = np.min(np.abs((gx + 1j * gy)[..., None] - coarse.values), axis=-1)
-    chord = (dist > 0.01) & (dist <= coarse.max_gap())
+    chord = (dist > 0.01) & (dist <= _max_chord(coarse.values))
     assert sorted((j, i) for i, j, _ in ps.violations) == sorted(zip(*np.nonzero(chord)))
     assert np.all(ps.labels[chord] == CellLabel.BAND)
     fine = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.01)

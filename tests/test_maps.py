@@ -7,7 +7,6 @@ from specpoint.maps import (
     add_identity,
     black_box,
     builtin,
-    difference,
     evaluate,
     identity_map,
     lambda_minus,
@@ -195,13 +194,11 @@ def test_map_algebra_jacobians():
     assert scale_map(1j, builtin("sqrt_abs")).dini_exact is None
 
 
-def test_scale_and_difference():
+def test_scale_map_values():
     f = builtin("norm_plus_i_im")
     g = scale_map(-2.0, f)
     z = np.array([3.0, 4.0])
     assert np.allclose(evaluate(g, z), -2.0 * evaluate(f, z))
-    d = difference(f, f)
-    assert np.allclose(evaluate(d, z), 0.0)
 
 
 def test_conj_pair_is_isometry():
