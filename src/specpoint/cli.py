@@ -436,12 +436,8 @@ def _cmd_bifurcate(args) -> int:
         circle = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
         extras = [(lam, [lam]) for lam in args.extra_lambda]
         lams = structured.LambdaOrbits([(structured.SQRT2, circle)] + extras)
-        h_const = None
-        if args.perturb == "normsq_e1":
-            def h_const(r, _n=n):
-                return (r * r,) + (0.0,) * (_n - 1)
         scan = structured.shift_bifurcation_scan(
-            lams, N=n, radii=args.radii, tol=args.tol, h_sphere_const=h_const
+            lams, N=n, radii=args.radii, tol=args.tol, normsq_e1=args.perturb == "normsq_e1"
         )
         payload = {
             "command": "bifurcate",

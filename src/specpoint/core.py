@@ -85,7 +85,7 @@ class SpecpointError(Exception):
 
 
 class DomainError(SpecpointError):
-    """A point lies outside the domain of a map."""
+    """A point that no map takes: not finite, or with the wrong number of coordinates."""
 
 
 class EvaluationError(SpecpointError):
@@ -124,9 +124,9 @@ def ext(v) -> float:
     return v
 
 
-def sup_of(values: Iterable[float], default: float = NEG_INF) -> float:
+def sup_of(values: Iterable[float]) -> float:
     """Supremum with the empty convention sup {} = -inf."""
-    out = default
+    out = NEG_INF
     for v in values:
         v = ext(v)
         if v > out:
@@ -134,9 +134,9 @@ def sup_of(values: Iterable[float], default: float = NEG_INF) -> float:
     return out
 
 
-def inf_of(values: Iterable[float], default: float = POS_INF) -> float:
+def inf_of(values: Iterable[float]) -> float:
     """Infimum with the empty convention inf {} = +inf."""
-    out = default
+    out = POS_INF
     for v in values:
         v = ext(v)
         if v < out:
@@ -322,7 +322,6 @@ class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for s
     dini_exact: Optional[Callable] = None
     jacobian: Optional[Callable] = None
     inv_oscillation_hint: bool = False
-    domain: Optional[Callable] = None
 
     __eq__ = object.__eq__  # identity: evaluators and arrays have no useful equality
     __hash__ = object.__hash__

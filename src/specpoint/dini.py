@@ -34,7 +34,6 @@ import math
 
 from .core import (
     DiniQuad,
-    DomainError,
     EvaluationError,
     MapSpec,
     NEG_INF,
@@ -154,12 +153,10 @@ def _flag_side(quotients: list[float], threshold: float):
 
 
 def _evaluate(f: MapSpec, xs: list[float]) -> list[float]:
-    """f at each of xs, after the domain check `maps.evaluate` makes on a batch.
+    """f at each of xs.
 
     Every x is finite: `check_estimator` keeps p +- h0, and so each grid point, finite.
     """
-    if f.domain is not None and not all(f.domain(x) for x in xs):
-        raise DomainError(f"point outside the domain of {f.name}")
     return [float(f.evaluator(x)) for x in xs]
 
 

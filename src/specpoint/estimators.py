@@ -4,8 +4,9 @@ Growth rates d_p and q_p from sphere minima and maxima over a shrinking
 radius schedule, point-spectrum membership tests with first-class Undecided
 verdicts, the smooth-map reduction to Jacobian eigenvalues, and a
 bifurcation candidate scanner for maps vanishing at the origin.  Every
-sphere extremum comes from `numerics.sphere_extrema`; the planar engine
-`homog2d` is loaded only where a planar curve is drawn.
+sphere extremum comes from `numerics.sphere_extrema`, sampled and polished
+(the scan's at its smallest radius alone); the planar engine `homog2d` is
+loaded only where a planar curve is drawn.
 
 Sampling cannot certify that an infimum is zero, so membership verdicts
 report Undecided whenever the per-radius minima straddle the tolerance.
@@ -30,12 +31,7 @@ from .planar import SPHERE_DIRECTIONS
 
 RADII = 0.1 * 0.5 ** np.arange(17)  # the sphere radii of the growth rates and membership tests
 TAIL = 6  # d_p, q_p and membership read the last TAIL radii
-
-
-class RateConfig(Record):
-    directions: int = SPHERE_DIRECTIONS
-    polish: bool = True
-    divergence_threshold: float = 1e6
+DIVERGENCE_THRESHOLD = 1e6  # a rate above it is flagged and reported as inf
 
 
 class LocalRates(Record):
@@ -60,24 +56,23 @@ class LocalRates(Record):
             raise ValueError(f"rates out of order: d={self.d_p}, q={self.q_p}")
 
 
-def estimate_rates(f: MapSpec, p, config: RateConfig = RateConfig()) -> LocalRates:
+def estimate_rates(f: MapSpec, p) -> LocalRates:
     """Estimate d_p and q_p from the sphere minima and maxima over a geometric radius schedule.
 
     Every radius's minimum and maximum of |f(p + x) - f(p)| / r over the
-    sphere |x| = r is sampled and, with config.polish, polished; d_p and
-    q_p are the smallest minimum and the largest maximum of the last
-    TAIL radii.
+    sphere |x| = r is sampled at SPHERE_DIRECTIONS directions and polished;
+    d_p and q_p are the smallest minimum and the largest maximum of the last
+    TAIL radii, each flagged and reported as inf above DIVERGENCE_THRESHOLD.
     """
     g = translate_to_origin(f, p)
     zero = np.zeros(1, dtype=complex)
-    mins = sphere_extrema(g, zero, RADII, config.directions, sign=1.0, polish=config.polish)[0]
-    maxs = sphere_extrema(g, zero, RADII, config.directions, sign=-1.0, polish=config.polish)[0]
+    mins = sphere_extrema(g, zero, RADII, SPHERE_DIRECTIONS, sign=1.0)[0]
+    maxs = sphere_extrema(g, zero, RADII, SPHERE_DIRECTIONS, sign=-1.0)[0]
     d = float(mins[-TAIL:].min())
     q = float(maxs[-TAIL:].max())
 
-    th = config.divergence_threshold
-    d_flagged = d > th
-    q_flagged = q > th
+    d_flagged = d > DIVERGENCE_THRESHOLD
+    q_flagged = q > DIVERGENCE_THRESHOLD
     return LocalRates(
         d_p=POS_INF if d_flagged else d,
         q_p=POS_INF if q_flagged else q,
@@ -101,9 +96,7 @@ class MembershipResult(Record):
     per_radius_min: tuple
 
 
-def sigma_membership(
-    f: MapSpec, p, lam, tol: float = 1e-3, config: RateConfig = RateConfig()
-) -> MembershipResult:
+def sigma_membership(f: MapSpec, p, lam, tol: float = 1e-3) -> MembershipResult:
     """Point-spectrum membership of lam via the lower rate of lam*id - f.
 
     Member when every tail-radius minimum sits below tol, NonMember (with
@@ -111,7 +104,7 @@ def sigma_membership(
     the per-radius minima straddle the tolerance.
     """
     g = translate_to_origin(f, p)
-    mins = sphere_extrema(g, np.array([as_complex(lam)]), RADII[-TAIL:], config.directions, polish=config.polish)
+    mins = sphere_extrema(g, np.array([as_complex(lam)]), RADII[-TAIL:], SPHERE_DIRECTIONS)
     per_radius = [float(x) for x in mins[0]]
 
     below = [m < tol for m in per_radius]
@@ -151,7 +144,7 @@ def spectrum_set(eigs: np.ndarray, tol: float = 1e-8) -> tuple:
 class BifurcationScan(Record):
     lams: tuple
     radii: tuple
-    residuals: np.ndarray  # (n_lams, n_radii) normalized residuals
+    residuals: np.ndarray  # (n_lams, 1) normalized residuals at the smallest radius
     candidates: tuple  # complex candidates
     contained_in_sigma: bool | None
     verdicts: tuple  # per-lam "candidate" / "rejected"
@@ -166,12 +159,12 @@ def bifurcation_scan(
 ) -> BifurcationScan:
     """Flag lam values near which lam x = f(x) has small nontrivial solutions.
 
-    For each lam and each radius r the scanner minimizes the normalized
-    residual |lam x - f(x)| / r over the sphere |x| = r; lam is a candidate
-    when the residual at the smallest radius drops below tol
-    (`core.scan_verdicts`).  Candidates are cross-checked for containment in
-    the computed point-spectrum part.  Any scan output is a candidate list,
-    not a certificate.
+    For each lam the scanner minimizes the normalized residual
+    |lam x - f(x)| / r over the sphere |x| = r at the smallest radius r,
+    the one residual `core.scan_verdicts` reads: lam is a candidate when it
+    drops below tol.  The larger radii are only echoed.  Candidates are
+    cross-checked for containment in the computed point-spectrum part.  Any
+    scan output is a candidate list, not a certificate.
     """
     g = translate_to_origin(f, f.basepoint)
     z0 = evaluate(f, f.basepoint)
@@ -179,7 +172,7 @@ def bifurcation_scan(
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    res = sphere_extrema(g, lams, radii, 512, seed)
+    res = sphere_extrema(g, lams, radii[-1:], 512, seed)
 
     mask, verdicts = scan_verdicts(res.tolist(), tol)
     candidates = tuple(complex(l) for l, keep in zip(lams, mask) if keep)

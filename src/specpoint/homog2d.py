@@ -163,7 +163,7 @@ def _circle_moduli(f: MapSpec, radius: float = 1.0):
 
 
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
-                max_samples: int = 1 << 20, label: str = "point-spectrum") -> SigmaCurve:
+                max_samples: int = 1 << 20) -> SigmaCurve:
     """The eigenvalue curve of `planar.trace_curve`, f evaluated on numpy arrays, in numpy arrays.
 
     Each round evaluates the new midpoints only, which gives every angle the
@@ -171,9 +171,9 @@ def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
     """
     require_planar_homogeneous(f)
     curve = trace_curve(lambda ts: _curve_values(f, np.array(ts)).tolist(),
-                        samples, chord_bound, max_samples, label)
+                        samples, chord_bound, max_samples)
     return SigmaCurve(np.array(curve.thetas), np.array(curve.values, dtype=complex),
-                      chord_bound, curve.chord_met, label)
+                      chord_bound, curve.chord_met)
 
 
 def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) -> SigmaCurve:

@@ -13,7 +13,7 @@ Builtin catalogue (addressable by name from tests and the CLI):
                         real_linear(s,t,u,v), norm_plus_i_im (alias cardioid_map),
                         norm_plus_i_im_pow(n), norm_only
     R^4                 conj_pair
-    general dimension   norm_times_x(dim)
+    general dimension   norm_times_x(dim), 1 <= dim <= MAX_DIM
 
 Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
 higher dimensional maps take arrays of shape (..., dim) and act on the last
@@ -45,6 +45,9 @@ from .core import (
 )
 
 
+MAX_DIM = 16  # the largest norm_times_x dimension: a sphere scan's Nelder-Mead work grows fast with it
+
+
 def _zero_point(dim: int) -> np.ndarray:
     return np.zeros(() if dim == 1 else (dim,))
 
@@ -56,8 +59,6 @@ def evaluate(f: MapSpec, x) -> np.ndarray:
         raise DomainError(f"map {f.name} expects points with {f.dim} coordinates")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"non-finite input to {f.name}")
-    if f.domain is not None and not np.all(f.domain(arr)):
-        raise DomainError(f"point outside the domain of {f.name}")
     out = np.asarray(f.evaluator(arr), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"non-finite value from {f.name}")
@@ -88,7 +89,6 @@ def translate_to_origin(f: MapSpec, p) -> MapSpec:
         dini_exact=(lambda t, _d=f.dini_exact, _p=p: _d(float(_p) + t)) if f.dini_exact else None,
         jacobian=(lambda q, _j=f.jacobian, _p=p: _j(_p + q)) if f.jacobian else None,
         inv_oscillation_hint=f.inv_oscillation_hint,
-        domain=(lambda x, _d=f.domain, _p=p: _d(x + _p)) if f.domain else None,
     )
 
 
@@ -167,7 +167,6 @@ def black_box(
     name: str = "black_box",
     dini_exact: Optional[Callable] = None,
     jacobian: Optional[Callable] = None,
-    domain: Optional[Callable] = None,
     complex_pairs: bool = False,
     homogeneous: bool = False,
 ) -> MapSpec:
@@ -181,7 +180,6 @@ def black_box(
         complex_pairs=complex_pairs,
         dini_exact=dini_exact,
         jacobian=jacobian,
-        domain=domain,
     )
 
 
@@ -226,8 +224,8 @@ def _f_conj_pair(x):
 
 def _make_norm_times_x(dim):
     dim = int(dim)
-    if dim < 1:
-        raise PreconditionError("norm_times_x needs dim >= 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise PreconditionError(f"norm_times_x needs 1 <= dim <= {MAX_DIM}, got {dim}")
 
     def ev(x, _d=dim):
         if _d == 1:  # no coordinate axis: a bare float or an array of points

@@ -5,8 +5,9 @@ Low-discrepancy sphere directions, the batched lockstep Nelder-Mead
 brute-force point-set distances, and `sphere_extrema`, the one kernel
 behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
 rates, point-spectrum membership, the radius bound of a general map and
-the `bifurcate --fn` scan, in any dimension.  The verdicts of bifurcation
-scans are in `core`, so the shift scan loads none of this module.
+the `bifurcate --fn` scan (at its smallest radius only), in any dimension.
+Every sampled extremum is polished.  The verdicts of bifurcation scans are
+in `core`, so the shift scan loads none of this module.
 """
 from __future__ import annotations
 
@@ -200,17 +201,17 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
-                   sign: float = 1.0, polish: bool = True) -> np.ndarray:
+                   sign: float = 1.0) -> np.ndarray:
     """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
 
     Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
     maxima for sign -1; the growth rates take lam = 0.  Every entry
     is sampled at the n unit vectors `sphere_directions(g.dim, n, seed)`,
     one map evaluation per radius and CHUNK coordinates at a time, and then
-    (unless polish is False) polished from its best sample, all entries in
-    one batch: not at all in dim 1, whose sphere is two points; in dim 2,
-    whose directions are a uniform angle grid, by `golden_min` over the best
-    angle plus or minus one spacing; by `sphere_polish` from dim 3.  A
+    polished from its best sample, all entries in one batch: not at all in
+    dim 1, whose sphere is two points; in dim 2, whose directions are a
+    uniform angle grid, by `golden_min` over the best angle plus or minus
+    one spacing; by `sphere_polish` from dim 3.  A
     positively homogeneous g has the same entries at every radius, so one
     radius is computed and repeated.  lam acts through `scalar_action`, so
     a complex lam on a g without complex structure raises PreconditionError.
@@ -219,8 +220,8 @@ def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
     its entries are exact: the smallest (sign 1) or largest (sign -1)
     singular value of R(lam) - A, where R(lam) is the matrix of u -> lam u
     (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.6), one batched
-    SVD for every lam; n, seed and polish do not enter.  An entry, or an
-    entry of R(lam) - A, that is not finite is a NumericError naming g.
+    SVD for every lam; n and seed do not enter.  An entry, or an entry of
+    R(lam) - A, that is not finite is a NumericError naming g.
     """
     if g.homogeneous and g.jacobian is not None:
         A = np.asarray(g.jacobian(g.basepoint), dtype=float)
@@ -231,14 +232,14 @@ def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
         sv = np.linalg.svd(shifted, compute_uv=False)  # descending
         return np.repeat(sv[:, -1:] if sign > 0 else sv[:, :1], len(radii), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        res = _sampled_and_polished(g, lams, radii, n, seed, sign, polish)
+        res = _sampled_and_polished(g, lams, radii, n, seed, sign)
     if not np.isfinite(res).all():
         raise NumericError(f"a sphere extremum of |lam u - f(r u)| / r is not finite for {g.name}")
     return res
 
 
 def _sampled_and_polished(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int,
-                          sign: float, polish: bool) -> np.ndarray:
+                          sign: float) -> np.ndarray:
     """`sphere_extrema` of a map that is not known to be linear."""
     dirs = sphere_directions(g.dim, n, seed)
     cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
@@ -252,7 +253,7 @@ def _sampled_and_polished(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int
             sampled = sign * row_norm(gaps)
             i0[lo:lo + step, j] = sampled.argmin(axis=1)
             res[lo:lo + step, j] = sampled.min(axis=1)
-    if polish and g.dim > 1:
+    if g.dim > 1:
         rows = np.repeat(lams, cols.size)  # row-major over (lam, radius)
         r = np.tile(cols, lams.size)[:, None, None]
 

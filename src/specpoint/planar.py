@@ -161,7 +161,7 @@ class SigmaCurve(Record):
 
 
 def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
-                max_samples: int = 1 << 20, label: str = "point-spectrum") -> SigmaCurve:
+                max_samples: int = 1 << 20) -> SigmaCurve:
     """Trace the eigenvalue curve, bisecting arcs until the chord bound holds.
 
     values_at maps a list of angles to their curve values.  The curve starts
@@ -209,7 +209,7 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
         thetas, values = new_t + thetas[lo:], new_v + values[lo:]
         if len(bad) > room:  # the rest of the arcs stay over the bound
             break
-    return SigmaCurve(thetas, values, chord_bound, met, label)
+    return SigmaCurve(thetas, values, chord_bound, met)
 
 
 def _interleave(a: list, b: list) -> list:

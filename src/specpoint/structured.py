@@ -19,14 +19,14 @@ off-diagonal -m, and each minimum is a secular solve on it:
     hard case         the Moré-Sorensen completion along v_1
 
 Every right-hand side is along e_1: the probes of `truncated_shift_min` and
-the orbit solves of `shift_bifurcation_scan`, whose perturbation must be
-along e_1 too.  So there is one solver, `_e1_sphere_least_squares`, in
-`math` alone, and the module imports no numpy.  A scan's minimum is then
-the same at every lambda of one modulus, so it solves once per orbit: the
-lambdas are grouped as they were built (`LambdaOrbits`: a circle is one
-orbit, any other lambda its own), never by comparing computed moduli.
-Without a perturbation the normalized minimum does not depend on the radius
-either.
+the orbit solves of `shift_bifurcation_scan`, whose one perturbation,
+|z|^2 e_1, is along e_1 too.  So there is one solver,
+`_e1_sphere_least_squares`, in `math` alone, and the module imports no
+numpy.  A scan's minimum is then the same at every lambda of one modulus,
+so it solves once per orbit: the lambdas are grouped as they were built
+(`LambdaOrbits`: a circle is one orbit, any other lambda its own), never by
+comparing computed moduli.  Without the perturbation the normalized minimum
+does not depend on the radius either.
 """
 from __future__ import annotations
 
@@ -101,14 +101,14 @@ def shift_model_report() -> ShiftModelReport:
     return ShiftModelReport()
 
 
-def xi_equation_solvable(lam, eps: float, boundary_tol: float = 1e-12):
+def xi_equation_solvable(lam, eps: float):
     """Solvability of xi - |xi| / sqrt(|lam|^2 - 1) = eps over the complex xi.
 
     Writing xi = rho e^{i phi}, the imaginary part forces phi in {0, pi};
     phi = pi gives rho (1 + c) = -eps < 0, impossible, so solutions exist
     exactly when c = 1/sqrt(|lam|^2 - 1) < 1, that is when |lam|^2 > 2, with
-    witness xi = eps/(1 - c).  The strict inequality is decided with a small
-    tolerance so the boundary modulus itself reports unsolvable.
+    witness xi = eps/(1 - c).  The strict inequality is decided as
+    |lam|^2 - 2 > 1e-12, so the boundary modulus itself reports unsolvable.
     Returns (solvable, witness or None).
     """
     m = abs(as_complex(lam))
@@ -116,7 +116,7 @@ def xi_equation_solvable(lam, eps: float, boundary_tol: float = 1e-12):
         raise PreconditionError("the equation is defined for |lam| > 1")
     if not eps > 0.0:
         raise PreconditionError("eps must be positive")
-    if m * m - 2.0 > boundary_tol:
+    if m * m - 2.0 > 1e-12:
         c = 1.0 / math.sqrt(m * m - 1.0)
         return True, eps / (1.0 - c)
     return False, None
@@ -413,16 +413,14 @@ def shift_bifurcation_scan(
     N: int = 40,
     radii=(1e-1, 1e-2, 1e-3),
     tol: float = 0.02,
-    h_sphere_const: Optional[Callable] = None,
+    normsq_e1: bool = False,
 ) -> ShiftScanResult:
-    """Small-radius nontrivial-solution scan for lam z = f_N(z) + h(z).
+    """Small-radius nontrivial-solution scan for lam z = f_N(z), or f_N(z) + |z|^2 e_1 with normsq_e1.
 
-    h is a perturbation along e_1 that is constant on each sphere, such as
-    |z|^2 e_1: h_sphere_const(r) -> its value on |z| = r, any sequence whose
-    entries after the first are 0 (any other raises PreconditionError).  The
-    per-sphere problem then has the right-hand side (r + h_1(r)) e_1 and is
-    solved exactly, with `math` alone.  Each orbit of a `LambdaOrbits` grid
-    takes one solve per radius, and one for all radii when there is no
+    The perturbation |z|^2 e_1 is r^2 e_1 on the sphere |z| = r, so the
+    per-sphere problem has the right-hand side (r + r^2) e_1 and is solved
+    exactly, with `math` alone.  Each orbit of a `LambdaOrbits` grid takes
+    one solve per radius, and one for all radii when there is no
     perturbation; any other iterable is one orbit per lambda.
     """
     _check_truncation(N)
@@ -435,21 +433,15 @@ def shift_bifurcation_scan(
     # a perturbation the problem at radius r is r times the one on the unit sphere.
     spans = lam_grid.spans if isinstance(lam_grid, LambdaOrbits) else [(i, i + 1, l) for i, l in enumerate(lams)]
     spans = [span for span in spans if span[0] < span[1]]
-    if h_sphere_const is None:
+    if not normsq_e1:
         for start, stop, lam0 in spans:
             value = _e1_sphere_least_squares(lam0, N)[2]
             for i in range(start, stop):
                 res[i] = [value * r for r in radii]
     else:
         for j, r in enumerate(radii):
-            hr = h_sphere_const(r)
-            if any(islice(hr, 1, None)):
-                raise PreconditionError(
-                    f"h_sphere_const({r!r}) is off e_1: an entry after the first is nonzero"
-                )
-            beta = r + complex(hr[0])
             for start, stop, lam0 in spans:
-                value = _e1_sphere_least_squares(lam0, N, beta, r)[2]
+                value = _e1_sphere_least_squares(lam0, N, r + r * r, r)[2]
                 for i in range(start, stop):
                     res[i][j] = value
 

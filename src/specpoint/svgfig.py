@@ -24,20 +24,21 @@ def _f(v: float) -> str:
     return f"{v:.6g}"
 
 
+SIZE, PAD = 640, 30  # the square canvas of every figure and its margin, in pixels
+
+
 class _Canvas:
-    def __init__(self, bounds, size=640, pad=30):
+    def __init__(self, bounds):
         self.x0, self.x1, self.y0, self.y1 = bounds
-        self.size = size
-        self.pad = pad
-        self.sx = (size - 2 * pad) / (self.x1 - self.x0)
-        self.sy = (size - 2 * pad) / (self.y1 - self.y0)
+        self.sx = (SIZE - 2 * PAD) / (self.x1 - self.x0)
+        self.sy = (SIZE - 2 * PAD) / (self.y1 - self.y0)
 
     # px and py map scalars or arrays, elementwise with the same arithmetic
     def px(self, x: float | np.ndarray) -> float | np.ndarray:
-        return self.pad + (x - self.x0) * self.sx
+        return PAD + (x - self.x0) * self.sx
 
     def py(self, y: float | np.ndarray) -> float | np.ndarray:
-        return self.size - self.pad - (y - self.y0) * self.sy
+        return SIZE - PAD - (y - self.y0) * self.sy
 
 
 def _region_rects(spectrum: PlaneSpectrum, canvas: _Canvas) -> list[str]:
@@ -66,16 +67,15 @@ def _region_rects(spectrum: PlaneSpectrum, canvas: _Canvas) -> list[str]:
 def _axes(canvas: _Canvas) -> str:
     cx = canvas.px(0.0)
     cy = canvas.py(0.0)
-    s = canvas.size
     return (
         '<g id="axes" stroke="#444" stroke-width="1" fill="none">'
-        f'<line x1="6" y1="{_f(cy)}" x2="{_f(s - 6.0)}" y2="{_f(cy)}"/>'
-        f'<line x1="{_f(cx)}" y1="{_f(s - 6.0)}" x2="{_f(cx)}" y2="6"/>'
+        f'<line x1="6" y1="{_f(cy)}" x2="{_f(SIZE - 6.0)}" y2="{_f(cy)}"/>'
+        f'<line x1="{_f(cx)}" y1="{_f(SIZE - 6.0)}" x2="{_f(cx)}" y2="6"/>'
         "</g>"
     )
 
 
-def classify_svg(spectrum: PlaneSpectrum, size: int = 640, title: str = "") -> str:
+def classify_svg(spectrum: PlaneSpectrum, title: str = "") -> str:
     import numpy as np
 
     bounds = (
@@ -84,17 +84,17 @@ def classify_svg(spectrum: PlaneSpectrum, size: int = 640, title: str = "") -> s
         float(spectrum.ys[0]),
         float(spectrum.ys[-1]),
     )
-    canvas = _Canvas(bounds, size)
+    canvas = _Canvas(bounds)
     pts = spectrum.curve.pairs()
     closed = np.concatenate([pts, pts[:1]])
     poly = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(canvas.px(closed[:, 0]).tolist(),
                                                         canvas.py(closed[:, 1]).tolist()))
     parts = [
         _HEADER,
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
         f"<title>{title}</title>" if title else "",
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
         '<g id="region" fill="#c8c8c8" stroke="none">',
         *_region_rects(spectrum, canvas),
         "</g>",
@@ -108,16 +108,10 @@ def classify_svg(spectrum: PlaneSpectrum, size: int = 640, title: str = "") -> s
     return "\n".join(p for p in parts if p != "")
 
 
-def annuli_svg(
-    disk_radius: float,
-    circle_radii: tuple[float, ...],
-    extent: float | None = None,
-    size: int = 640,
-    title: str = "",
-) -> str:
-    """Shaded disk plus labeled circles (used by the shift-model figure)."""
-    extent = extent or 1.25 * max((disk_radius, *circle_radii))
-    canvas = _Canvas((-extent, extent, -extent, extent), size)
+def annuli_svg(disk_radius: float, circle_radii: tuple[float, ...], title: str = "") -> str:
+    """Shaded disk plus labeled circles (used by the shift-model figure), 1.25 times the largest radius wide."""
+    extent = 1.25 * max((disk_radius, *circle_radii))
+    canvas = _Canvas((-extent, extent, -extent, extent))
     cx, cy = canvas.px(0.0), canvas.py(0.0)
     r_disk = disk_radius * canvas.sx
     circles = "".join(
@@ -125,10 +119,10 @@ def annuli_svg(
     )
     parts = [
         _HEADER,
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
         f"<title>{title}</title>" if title else "",
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
         f'<g id="region" fill="#c8c8c8" stroke="none">'
         f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r_disk)}"/></g>',
         _axes(canvas),

@@ -11,7 +11,6 @@ import pytest
 from specpoint.core import RealIntervalSet
 from specpoint.dini import dini_estimate, dini_exact, point_spectrum_1d, spectrum_1d
 from specpoint.estimators import (
-    RateConfig,
     Verdict,
     bifurcation_scan,
     c1_spectrum,
@@ -252,16 +251,9 @@ def test_acceptance_08_bifurcation():
     # and nowhere else: everything flagged lies in that collar by the check above
     assert scan.contained_in_sigma
 
-    N = 40
-
-    def h_const(r, _n=N):
-        v = np.zeros(_n, dtype=complex)
-        v[0] = r * r
-        return v
-
     angles = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     circle = [SQRT2 * complex(math.cos(a), math.sin(a)) for a in angles]
-    shift_scan = shift_bifurcation_scan(circle + [1.2], N=N, tol=0.02, h_sphere_const=h_const)
+    shift_scan = shift_bifurcation_scan(circle + [1.2], N=40, tol=0.02, normsq_e1=True)
     assert shift_scan.verdicts[:-1] == ("candidate",) * len(circle)
     assert shift_scan.verdicts[-1] == "rejected"
     _ok(8, f"{len(scan.candidates)} planar candidates hug the unit circle; shift scan flags the sqrt(2) circle only")
@@ -342,14 +334,13 @@ def test_acceptance_10_empty_spectrum_witness():
     rates = estimate_rates(f, np.zeros(4))
     assert abs(rates.q_p - 1.0) < 1e-6
 
-    cfg = RateConfig(polish=False, directions=512)
     margins = []
     radii = np.linspace(0.15, 1.5, 10)
     angles = np.linspace(0, 2 * math.pi, 10, endpoint=False)
     for r in radii:
         for a in angles:
             lam = r * complex(math.cos(a), math.sin(a))
-            res = sigma_membership(f, np.zeros(4), lam, tol=1e-3, config=cfg)
+            res = sigma_membership(f, np.zeros(4), lam, tol=1e-3)
             assert res.verdict == Verdict.NON_MEMBER, lam
             assert res.margin > 0.0
             margins.append(res.margin)

@@ -331,6 +331,20 @@ def test_bifurcate_real_map_defaults_to_a_real_grid(capsys):
     assert sum(d["verdicts_summary"].values()) == 24
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fn", "norm_plus_i_im_pow", "--params", "2"],  # golden-section polish
+    ["--fn", "abs_re_plus_i_im"],  # homogeneous: one radius, sampled and polished
+    ["--fn", "norm_times_x", "--params", "3", "--grid=-1.5,1.5,0,0,24,1"],  # Nelder-Mead polish
+    ["--fn", "conj_pair"],  # linear: exact singular values
+], ids=["norm_plus_i_im_pow2", "abs_re_plus_i_im", "norm_times_x3", "conj_pair"])
+def test_bifurcate_fn_reads_only_the_smallest_radius(capsys, argv):
+    # the verdicts and the containment check read the smallest radius alone
+    many = run_json(capsys, ["bifurcate", *argv, "--radii", "0.1,0.01,0.001"])
+    one = run_json(capsys, ["bifurcate", *argv, "--radii", "0.001"])
+    assert (many.pop("radii"), one.pop("radii")) == ([0.1, 0.01, 0.001], [0.001])
+    assert many == one
+
+
 def test_exit_code_band_violations(capsys):
     # a grid point sits closer to the spectrum than the winding tolerance but
     # outside the (tiny) band: one undecided cell makes classify exit 5
@@ -378,7 +392,7 @@ def test_exit_code_5_rule_for_bifurcate(capsys, monkeypatch):
         assert rc == code, n_undecided
         assert json.loads(out)["verdicts_summary"]["undecided"] == n_undecided
 
-    def undecided_shift_scan(lams, N, radii, tol, h_sphere_const):
+    def undecided_shift_scan(lams, N, radii, tol, normsq_e1):
         lams = tuple(lams)
         return SimpleNamespace(lams=lams, radii=tuple(radii), normalized=np.ones((len(lams), len(radii))),
                                candidates=(), verdicts=("undecided",) * len(lams))
@@ -433,7 +447,7 @@ for info in pkgutil.iter_modules(specpoint.__path__):
     importlib.import_module("specpoint." + info.name)
 from specpoint.structured import SQRT2, shift_bifurcation_scan
 
-print(shift_bifurcation_scan([SQRT2, 1.2], N=12, h_sphere_const=lambda r: (r * r,)).verdicts)
+print(shift_bifurcation_scan([SQRT2, 1.2], N=12, normsq_e1=True).verdicts)
 """
 
 
@@ -817,6 +831,10 @@ def test_size_and_count_guards_exit_cleanly(capsys):
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,1000000000,2"],
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,-3,5"],
             ["bifurcate", "--fn", "norm_plus_i_im_pow", "--grid=-1,1,-1,1,0,5"],
+            # norm_times_x above maps.MAX_DIM = 16: 1e20 ended in numpy's "maximum
+            # allowed dimension exceeded" (exit 1), 10000 asked numpy for 53.6 GiB
+            *([cmd, "--fn", "norm_times_x", "--params", dim]
+              for cmd in ("spec1d", "spec2d", "classify", "bifurcate") for dim in ("17", "1e20")),
         ],
         2: [
             ["bifurcate", "--shift", "--truncate", "8", "--radii="],

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from specpoint.core import (
     DiniQuad,
-    DomainError,
     EvaluationError,
     NEG_INF,
     POS_INF,
@@ -162,9 +161,6 @@ def test_estimate_reports_the_failing_step():
         dini_estimate(f, 0.0, h0=0.5, ratio=0.5, steps=8)
     with pytest.raises(EvaluationError, match=r"^non-finite value from holey$"):
         dini_estimate(f, -1.0)
-    half = black_box(1, ev, name="half", domain=lambda x: np.asarray(x) >= 0.0)
-    with pytest.raises(DomainError, match="point outside the domain of half"):
-        dini_estimate(half, 0.0)
     # a grid point beyond the floats was the domain error "non-finite input to holey"
     with pytest.raises(PreconditionError, match=r"^the grid points p \+- h0 must be finite"):
         dini_estimate(f, 1.79e308, h0=1e308, ratio=0.5, steps=8)

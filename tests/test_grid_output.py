@@ -70,7 +70,7 @@ def _reference_classify_svg(spectrum, size=640, title=""):
     """Reference: the former classify_svg, per-cell rectangles and a per-point polyline."""
     f = svgfig._f
     bounds = (float(spectrum.xs[0]), float(spectrum.xs[-1]), float(spectrum.ys[0]), float(spectrum.ys[-1]))
-    canvas = svgfig._Canvas(bounds, size)
+    canvas = svgfig._Canvas(bounds)  # the canvas of the size-640 figure
     pts = spectrum.curve.pairs()
     closed = np.concatenate([pts, pts[:1]])
     poly = " ".join(f"{f(canvas.px(x))},{f(canvas.py(y))}" for x, y in closed)
@@ -174,7 +174,7 @@ def test_region_rects_and_svg_match_former_cell_walk(grid, x_box, y_box, points)
     labels, rows_per_block = grid
     ps = _spectrum(labels, x_box, y_box, points)
     bounds = (float(ps.xs[0]), float(ps.xs[-1]), float(ps.ys[0]), float(ps.ys[-1]))
-    canvas = svgfig._Canvas(bounds, 640)
+    canvas = svgfig._Canvas(bounds)
     with mock.patch.object(homog2d, "CHUNK", rows_per_block * labels.shape[1]):
         assert svgfig._region_rects(ps, canvas) == _cell_region_rects(ps, canvas)
         assert svgfig.classify_svg(ps, title="grid") == _reference_classify_svg(ps, title="grid")

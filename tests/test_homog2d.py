@@ -732,10 +732,10 @@ def test_classify_row_blocks_match_one_block(rows):
 
 def test_bifurcation_set_examples():
     # the bifurcation set of a homogeneous planar map is its eigenvalue curve
-    ident = sigma_curve(identity_map(2), label="bifurcation")
+    ident = sigma_curve(identity_map(2))
     assert ident.is_point(1e-12) and abs(ident.values[0] - 1.0) < 1e-12
-    assert ident.label == "bifurcation"
-    circle = sigma_curve(builtin("abs_re_plus_i_im"), label="bifurcation")
+    assert ident.label == "point-spectrum"
+    circle = sigma_curve(builtin("abs_re_plus_i_im"))
     assert np.max(np.abs(np.abs(circle.values) - 1.0)) < 1e-12
-    base = sigma_curve(builtin("norm_only"), label="bifurcation")
+    base = sigma_curve(builtin("norm_only"))
     assert np.max(np.abs(np.abs(base.values) - 1.0)) < 1e-12

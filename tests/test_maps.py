@@ -4,6 +4,7 @@ import pytest
 from specpoint.core import DiniQuad, DomainError, EvaluationError, PreconditionError, UnsupportedError
 from specpoint.maps import (
     BUILTIN_NAMES,
+    MAX_DIM,
     add_identity,
     black_box,
     builtin,
@@ -101,17 +102,11 @@ def test_nonfinite_output_is_error():
         evaluate(f, 1.0)
 
 
-def test_domain_error():
-    f = black_box(
-        1,
-        lambda x: np.sqrt(np.asarray(x, dtype=float)),
-        name="sqrt",
-        domain=lambda x: np.asarray(x) >= 0,
-    )
-    with pytest.raises(DomainError):
-        evaluate(f, -1.0)
-    with pytest.raises(DomainError):
-        translate_to_origin(f, -2.0)
+def test_norm_times_x_dimension_cap():
+    assert builtin("norm_times_x", dim=MAX_DIM).dim == MAX_DIM
+    for dim in (0, MAX_DIM + 1, 1e20):
+        with pytest.raises(PreconditionError, match=f"norm_times_x needs 1 <= dim <= {MAX_DIM}"):
+            builtin("norm_times_x", dim=dim)
 
 
 def test_dimension_mismatch():

@@ -735,18 +735,13 @@ def test_shift_scan_unperturbed():
 def test_shift_scan_norm_square_perturbation():
     N = 40
 
-    def h_const(r, _n=N):
-        v = np.zeros(_n, dtype=complex)
-        v[0] = r * r
-        return v
-
     def h_full(z):
         v = np.zeros(z.shape[0], dtype=complex)
         v[0] = np.linalg.norm(z) ** 2
         return v
 
     lams = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-    scan = shift_bifurcation_scan(lams + [1.2], N=N, tol=0.02, h_sphere_const=h_const)
+    scan = shift_bifurcation_scan(lams + [1.2], N=N, tol=0.02, normsq_e1=True)
     assert scan.verdicts[:-1] == ("candidate",) * 8
     assert scan.verdicts[-1] == "rejected"
     # derived example: raw residual below 1e-4 at radius 1e-3
@@ -763,14 +758,14 @@ def test_shift_scan_norm_square_perturbation():
     assert np.asarray(scan.residuals)[0, -1] >= 0.3 * r * r
 
 
-def _per_lambda_normalized(lams, N, radii, h_const=None):
-    """Reference: one sphere solve for every (lambda, radius) pair."""
+def _per_lambda_normalized(lams, N, radii, normsq_e1=False):
+    """Reference: one sphere solve for every (lambda, radius) pair, with h(z) = |z|^2 e_1 if normsq_e1."""
     e1 = np.zeros(N, dtype=complex)
     e1[0] = 1.0
     out = np.empty((len(lams), len(radii)))
     for i, lam in enumerate(lams):
         for j, r in enumerate(radii):
-            b = r * e1 if h_const is None else r * e1 + h_const(r)
+            b = (r + r * r) * e1 if normsq_e1 else r * e1
             out[i, j] = sphere_least_squares(lam, b, r)[1] / r
     return out
 
@@ -778,22 +773,15 @@ def _per_lambda_normalized(lams, N, radii, h_const=None):
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_grouped_shift_scan_matches_per_lambda_scan(perturbed):
     N = 200
-
-    def h_const(r, _n=N):
-        v = np.zeros(_n, dtype=complex)
-        v[0] = r * r
-        return v
-
     rng = np.random.default_rng(8)
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
     extras = [m * complex(math.cos(p), math.sin(p)) for m, p in zip(rng.uniform(1.1, 1.6, 4), rng.uniform(0, 6.3, 4))]
     lams = LambdaOrbits([(SQRT2, circle)] + [(lam, [lam]) for lam in extras])
     assert list(lams) == circle + extras
-    h = h_const if perturbed else None
-    grouped = shift_bifurcation_scan(lams, N=N, tol=0.02, h_sphere_const=h)
-    ref = _per_lambda_normalized(circle + extras, N, grouped.radii, h)
-    flat = shift_bifurcation_scan(circle + extras, N=N, tol=0.02, h_sphere_const=h)
+    grouped = shift_bifurcation_scan(lams, N=N, tol=0.02, normsq_e1=perturbed)
+    ref = _per_lambda_normalized(circle + extras, N, grouped.radii, perturbed)
+    flat = shift_bifurcation_scan(circle + extras, N=N, tol=0.02, normsq_e1=perturbed)
     from specpoint.estimators import scan_verdicts
 
     assert grouped.verdicts == scan_verdicts(ref, 0.02)[1] == flat.verdicts
@@ -802,29 +790,12 @@ def test_grouped_shift_scan_matches_per_lambda_scan(perturbed):
     assert np.max(np.abs(np.asarray(flat.normalized) - ref)) <= 1e-15
 
 
-def test_shift_scan_rejects_an_off_e1_perturbation():
-    # every perturbation the scan solves is along e_1; a second component
-    # would make the minimum depend on the phase of lambda
-    N = 30
-
-    def h_const(r, _n=N):
-        v = np.zeros(_n, dtype=complex)
-        v[1] = r * r
-        return v
-
-    circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in (0.0, 1.0, 2.0)]
-    with pytest.raises(PreconditionError, match="off e_1"):
-        shift_bifurcation_scan(LambdaOrbits([(SQRT2, circle)]), N=N, tol=0.02, h_sphere_const=h_const)
-    with pytest.raises(PreconditionError, match="off e_1"):
-        shift_bifurcation_scan([1.2], N=N, h_sphere_const=lambda r: (r * r, 0.0, 1e-300))
-
-
 BARE_SHIFT_PROBE = """
 import sys
 sys.modules["numpy"] = None  # any numpy import from here on raises ImportError
 import specpoint.structured as st
 scan = st.shift_bifurcation_scan(st.LambdaOrbits([(st.SQRT2, [st.SQRT2, -st.SQRT2]), (1.2, [1.2])]), N=40,
-                                 h_sphere_const=lambda r: (r * r,) + (0.0,) * 39)
+                                 normsq_e1=True)
 print(scan.verdicts)
 """
 
