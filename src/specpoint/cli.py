@@ -43,7 +43,7 @@ Expression grammar for `mnc --expr` (composition `o` binds tighter than `+`):
     factor  := atom | scale(NUMBER, expr) | '(' expr ')'
     atom    := Identity | ScalarMultiple(c) | IsometryOntoCodim(k)
              | CompactLinear | FiniteRank(r) | LocallyCompactNonlinear
-             | KnownRates(alpha=V, omega=V [, d=V, q=V])
+             | KnownRates(alpha=V, omega=V)
     V       := NUMBER | NUMBER..NUMBER | inf
 """
 from __future__ import annotations
@@ -52,6 +52,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 # Each command imports the engine modules it computes with, numpy included:
@@ -74,6 +75,7 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_UNDECIDED = 5
 MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 512 sphere directions
+CURVE_CSV_ROWS = 1 << 12  # lines of a spec2d curve CSV joined per write
 ARTIFACTS = {"spec2d": (".csv",), "classify": (".csv", ".svg"), "shift": (".svg",)}  # written next to --out
 
 
@@ -241,10 +243,16 @@ def _write_text(path: Path, text: str) -> None:
     _write(path, lambda out: out.write(text))
 
 
-def _curve_csv(curve) -> str:
-    # the same bytes csv.writer gives: no field here needs quoting
+def _curve_csv(curve, out) -> None:
+    """Write the `theta,re,im` CSV of a curve to the text file `out`, CURVE_CSV_ROWS lines a write.
+
+    The same bytes csv.writer gives, since no field here needs quoting;
+    memory stays at one block of lines whatever the size of the file.
+    """
     rows = zip(curve.thetas, curve.values)
-    return "theta,re,im\n" + "".join(f"{t!r},{v.real!r},{v.imag!r}\n" for t, v in rows)
+    out.write("theta,re,im\n")
+    while block := "".join(f"{t!r},{v.real!r},{v.imag!r}\n" for t, v in islice(rows, CURVE_CSV_ROWS)):
+        out.write(block)
 
 
 def _grid_csv(spectrum, out) -> None:
@@ -325,8 +333,7 @@ def _cmd_spec2d(args) -> int:
     f = planar.builtin(args.fn, **_fn_params(args)) if args.fn in planar.BUILTINS else _build_map(args)
     planar.require_planar_homogeneous(f)
     # d and q first: a map whose |f| overflows exits 4 before its curve is traced
-    moduli = planar.moduli_at(f)
-    d, q = (planar.circle_extremum(moduli, sign, f.name) for sign in (1.0, -1.0))
+    d, q = planar.circle_extrema(planar.moduli_at(f), f.name)
     curve = planar.trace_curve(planar.curve_at(f), samples=args.samples)
     payload = {
         "command": "spec2d",
@@ -339,22 +346,24 @@ def _cmd_spec2d(args) -> int:
     }
     _emit(payload, args.out)
     if args.out:
-        _write_text(Path(args.out).with_suffix(".csv"), _curve_csv(curve))
+        _write(Path(args.out).with_suffix(".csv"), lambda out: _curve_csv(curve, out))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    from . import homog2d, svgfig
+    from . import homog2d, planar, svgfig
 
     f = _build_map(args)
     bounds = [args.xmin, args.xmax, args.ymin, args.ymax]
     spectrum = homog2d.classify_plane(f, bounds=bounds, resolution=args.res, band_radius=args.band)
+    # every map classify_plane accepts is a planar builtin: q as spec2d takes it, on floats
+    _, q = planar.circle_extrema(planar.moduli_at(planar.builtin(args.fn, **_fn_params(args))), f.name)
     payload = {
         "command": "classify",
         "fn": f.name,
         "bounds": bounds,
         "res": args.res,
-        "radius_bound": homog2d.spectral_radius_bound(f),
+        "radius_bound": q,
         **spectrum.summary(),
     }
     _emit(payload, args.out)

@@ -15,10 +15,11 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
 
 and a grid is labelled by a point-in-polygon winding query on the traced
 curve, with no further map evaluations: `scanline_turns` is that one
-winding kernel.  The curve is traced, and d and q are taken, by the
-pure-Python loops of `planar`, which evaluate the map here on numpy arrays
-of angles; `local_sigma_curve` samples the curve of any planar map at a
-small radius.  Sphere extrema of any other map or point come from
+winding kernel.  The curve is traced by the pure-Python loop of `planar`,
+which evaluates the map here on numpy arrays of angles, and
+`local_sigma_curve` samples the curve of any planar map at a small radius.
+The growth rates d and q of a planar builtin are `planar.circle_extrema`;
+sphere extrema of any other map or point come from
 `numerics.sphere_extrema`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
@@ -37,14 +38,8 @@ import numpy as np
 
 from .core import PreconditionError, Record
 from .maps import MapSpec, evaluate, translate_to_origin
-from .numerics import CHUNK, row_norm, unit_points
-from .planar import (
-    TWO_PI,
-    SigmaCurve,
-    circle_extremum,
-    require_planar_homogeneous,
-    trace_curve,
-)
+from .numerics import CHUNK, unit_points
+from .planar import TWO_PI, SigmaCurve, require_planar_homogeneous, trace_curve
 
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
@@ -149,19 +144,6 @@ def _curve_values(f: MapSpec, thetas: np.ndarray, radius: float = 1.0) -> np.nda
     return (w[..., 0] + 1j * w[..., 1]) * np.exp(-1j * thetas) / radius
 
 
-def _circle_moduli(f: MapSpec, radius: float = 1.0):
-    """angles -> |f(r e^{i theta})| / r as a list, the squares summed as `row_norm` sums them.
-
-    These are the sampled entries of `numerics.sphere_extrema` at lam = 0,
-    bit for bit.  An overflow reads inf, which `circle_extremum` rejects.
-    """
-    def moduli(thetas):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return row_norm(evaluate(f, radius * unit_points(np.array(thetas))) / radius).tolist()
-
-    return moduli
-
-
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
                 max_samples: int = 1 << 20) -> SigmaCurve:
     """The eigenvalue curve of `planar.trace_curve`, f evaluated on numpy arrays, in numpy arrays.
@@ -189,18 +171,6 @@ def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) 
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     vals = _curve_values(translate_to_origin(f, p), thetas, radius)
     return SigmaCurve(thetas, vals, float("nan"), True, label="local")
-
-
-def d_and_quasinorm(f: MapSpec) -> tuple[float, float]:
-    """Growth rates d and q: the min and max of |f| on the unit circle.
-
-    Both are `planar.circle_extremum` of `_circle_moduli`: SPHERE_DIRECTIONS
-    angles, each extremum golden-polished over the best angle plus or minus
-    one spacing.  |f(e^{i theta})| = |sigma(theta)|.
-    """
-    require_planar_homogeneous(f)
-    moduli = _circle_moduli(f)
-    return circle_extremum(moduli, 1.0, f.name), circle_extremum(moduli, -1.0, f.name)
 
 
 def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -392,21 +362,3 @@ def classify_plane(
         component_consistent=consistent,
         metadata={"zero_epi_proxy": ZERO_EPI_PROXY_NOTE},
     )
-
-
-def spectral_radius_bound(f: MapSpec, p=None) -> float:
-    """Upper bound for |lam| over the spectrum: the local quasinorm at p.
-
-    Every lam with modulus above the returned value is regular.  A planar
-    homogeneous map at its basepoint (p None or equal) takes `d_and_quasinorm`'s
-    q, bit for bit.  Any other map or point takes the upper rate q_p of
-    `estimators.estimate_rates` at p: the largest polished sphere maximum
-    of |f(p + x) - f(p)| / r over the tail radii, one radius for a
-    homogeneous map.
-    """
-    base = f.basepoint if p is None else np.asarray(p, dtype=float)
-    if f.homogeneous and f.dim == 2 and np.array_equal(base, f.basepoint):
-        return circle_extremum(_circle_moduli(f), -1.0, f.name)
-    from . import estimators  # lazy: general maps use the rate estimator
-
-    return estimators.estimate_rates(f, base).q_p

@@ -4,9 +4,10 @@ Low-discrepancy sphere directions, the batched lockstep Nelder-Mead
 `sphere_polish` on unit spheres, vectorized golden-section search,
 brute-force point-set distances, and `sphere_extrema`, the one kernel
 behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
-rates, point-spectrum membership, the radius bound of a general map and
-the `bifurcate --fn` scan (at its smallest radius only), in any dimension.
-Every sampled extremum is polished.  The verdicts of bifurcation scans are
+rates of `estimators`, point-spectrum membership and the `bifurcate --fn`
+scan (at its smallest radius only), in any dimension.  The circle extrema
+of a planar builtin are `planar.circle_extrema`, on floats.  Every sampled
+extremum is polished.  The verdicts of bifurcation scans are
 in `core`, so the shift scan loads none of this module.
 """
 from __future__ import annotations

@@ -1,14 +1,15 @@
-"""Planar builtins, the eigenvalue curve tracer and the circle extremum, pure Python.
+"""Planar builtins, the eigenvalue curve tracer and the circle extrema, pure Python.
 
 For a positively homogeneous map f of the plane, the eigenvalue curve is
 theta -> sigma(theta) = f(e^{i theta}) e^{-i theta}, and the growth rates d
 and q are the minimum and maximum of |f| on the unit circle, which is
 |sigma(theta)| there.  Both are loops over angles.  `trace_curve` bisects
-arcs until every chord meets a bound, and `circle_extremum` samples a grid
-of angles and polishes its best sample by golden-section search.  Each
-reads its function through a batch evaluator, from a list of angles to a
-list of values: `spec2d` hands them the builtins below on floats, and
-`homog2d` hands them any map on numpy arrays.
+arcs until every chord meets a bound, and `circle_extrema` samples a grid
+of angles once and polishes its least and its largest sample by
+golden-section search.  Each reads its function through a batch
+evaluator, from a list of angles to a list of values: `spec2d` and
+`classify` hand `circle_extrema` the builtins below on floats, and
+`homog2d` hands `trace_curve` any map on numpy arrays.
 
 Each planar builtin is one formula (x, y, hypot) -> (u, v), with f(x + iy)
 = u + iv.  Its operators act alike on floats and on numpy arrays, and its
@@ -241,24 +242,26 @@ def golden_min(fn, a: float, b: float):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def circle_extremum(moduli, sign: float, name: str) -> float:
-    """min (sign 1) or max (sign -1) over the angles of the function moduli evaluates.
+def circle_extrema(moduli, name: str) -> tuple[float, float]:
+    """(min, max) over the angles of the function moduli evaluates.
 
-    moduli maps a list of angles to their values.  They are sampled at the
-    n = SPHERE_DIRECTIONS angles 2pi (k + 1/2) / n, the directions of
-    `numerics.sphere_directions(2, n)`, and the best sample is polished by
-    `golden_min` over its angle plus or minus one spacing.  A sample or an
-    extremum that is not finite (|f|^2 overflows) is a NumericError that
-    names the map.
+    moduli maps a list of angles to their values.  They are sampled once, at
+    the n = SPHERE_DIRECTIONS angles 2pi (k + 1/2) / n, the directions of
+    `numerics.sphere_directions(2, n)`, and each extremum polishes its best
+    sample by `golden_min` over its angle plus or minus one spacing, the
+    maximum as the minimum of -moduli.  A sample or an extremum that is not
+    finite (|f|^2 overflows) is a NumericError that names the map.
     """
     n = SPHERE_DIRECTIONS
+    dt = TWO_PI / n
     thetas = [TWO_PI * ((k + 0.5) / n) for k in range(n)]
     sampled = moduli(thetas)
-    signed = [sign * m for m in sampled]
-    k = min(range(n), key=signed.__getitem__)
-    dt = TWO_PI / n
-    _, polished = golden_min(lambda t: sign * moduli([t])[0], thetas[k] - dt, thetas[k] + dt)
-    extremum = sign * min(signed[k], polished)
-    if not (math.isfinite(extremum) and all(map(math.isfinite, sampled))):
+    extrema = []
+    for sign in (1.0, -1.0):
+        signed = [sign * m for m in sampled]
+        k = min(range(n), key=signed.__getitem__)
+        _, polished = golden_min(lambda t: sign * moduli([t])[0], thetas[k] - dt, thetas[k] + dt)
+        extrema.append(sign * min(signed[k], polished))
+    if not all(map(math.isfinite, extrema + sampled)):
         raise NumericError(f"|f| of {name} is not finite on the circle")
-    return extremum
+    return tuple(extrema)

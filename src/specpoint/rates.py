@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Optional
 
 from .core import POS_INF, Record, UsageError, ext, ext_to_json
 
@@ -119,16 +118,10 @@ class LocallyCompactNonlinear(OperatorExpr):
 class KnownRates(OperatorExpr):
     alpha: Interval = None  # type: ignore[assignment]
     omega: Interval = None  # type: ignore[assignment]
-    d: Optional[Interval] = None
-    q: Optional[Interval] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _iv(self.alpha))
         object.__setattr__(self, "omega", _iv(self.omega))
-        if self.d is not None:
-            object.__setattr__(self, "d", _iv(self.d))
-        if self.q is not None:
-            object.__setattr__(self, "q", _iv(self.q))
 
 
 class Sum(OperatorExpr):
@@ -240,7 +233,7 @@ def mnc_bounds(e: OperatorExpr) -> RateBounds:
 #   factor  := atom | 'scale(' number ',' expr ')' | '(' expr ')'
 #   atom    := Identity | ScalarMultiple(c) | IsometryOntoCodim(k)
 #            | CompactLinear | FiniteRank(r) | LocallyCompactNonlinear
-#            | KnownRates(alpha=V, omega=V [, d=V, q=V])
+#            | KnownRates(alpha=V, omega=V)
 #   V       := number | number '..' number | 'inf'
 #
 # Compose(a, b) applies b first: 'g o f' is the map x -> g(f(x)).
@@ -370,15 +363,10 @@ class _Parser:
                     continue
                 break
             self.take("op", ")")
-            bad = set(fields) - {"alpha", "omega", "d", "q"}
+            bad = set(fields) - {"alpha", "omega"}
             if bad:
                 raise UsageError(f"unknown KnownRates fields {sorted(bad)}")
-            return KnownRates(
-                alpha=fields.get("alpha"),
-                omega=fields.get("omega"),
-                d=fields.get("d"),
-                q=fields.get("q"),
-            )
+            return KnownRates(alpha=fields.get("alpha"), omega=fields.get("omega"))
         raise UsageError(f"unknown atom {name!r}")
 
 

@@ -430,28 +430,31 @@ def shift_bifurcation_scan(
     res = [[0.0] * len(radii) for _ in lams]
     # b = beta e_1 gives c = conj(lam) beta e_1, so the minimum at m e^{i theta}
     # is the minimum at m turned by e^{i theta}: one solve per orbit.  Without
-    # a perturbation the problem at radius r is r times the one on the unit sphere.
+    # a perturbation the problem at radius r is r times the one on the unit
+    # sphere, whose value is the normalized residual at every radius.
     spans = lam_grid.spans if isinstance(lam_grid, LambdaOrbits) else [(i, i + 1, l) for i, l in enumerate(lams)]
     spans = [span for span in spans if span[0] < span[1]]
     if not normsq_e1:
+        normalized = [()] * len(lams)
         for start, stop, lam0 in spans:
             value = _e1_sphere_least_squares(lam0, N)[2]
             for i in range(start, stop):
                 res[i] = [value * r for r in radii]
+                normalized[i] = (value,) * len(radii)
     else:
         for j, r in enumerate(radii):
             for start, stop, lam0 in spans:
                 value = _e1_sphere_least_squares(lam0, N, r + r * r, r)[2]
                 for i in range(start, stop):
                     res[i][j] = value
+        normalized = [tuple(v / r for v, r in zip(row, radii)) for row in res]
 
-    normalized = tuple(tuple(v / r for v, r in zip(row, radii)) for row in res)
     mask, verdicts = scan_verdicts(normalized, tol)
     return ShiftScanResult(
         lams=tuple(lams),
         radii=radii,
         residuals=tuple(tuple(row) for row in res),
-        normalized=normalized,
+        normalized=tuple(normalized),
         candidates=tuple(l for l, keep in zip(lams, mask) if keep),
         verdicts=verdicts,
     )

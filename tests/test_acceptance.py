@@ -23,11 +23,11 @@ from specpoint.homog2d import (
     SigmaCurve,
     _curve_values,
     classify_plane,
-    d_and_quasinorm,
     scanline_turns,
     sigma_curve,
 )
 from specpoint.maps import add_identity, black_box, builtin, scale_map
+from specpoint.planar import builtin as planar_builtin, circle_extrema, moduli_at
 from specpoint.rates import (
     CompactLinear,
     Compose,
@@ -143,7 +143,7 @@ def test_acceptance_04_two_circles():
     )
     assert cover < 2e-3
 
-    d, q = d_and_quasinorm(f)
+    d, q = circle_extrema(moduli_at(planar_builtin("half_abs_re_plus_i_im")), f.name)
     assert abs(d - 0.5) < 1e-9 and abs(q - 1.0) < 1e-9
 
     ps = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=200, band_radius=0.05)
@@ -273,7 +273,7 @@ def test_acceptance_09_property_suites():
     # curve contained in the [d, q] annulus on every homogeneous builtin
     for name in ("abs_re_plus_i_im", "half_abs_re_plus_i_im", "norm_plus_i_im", "norm_only"):
         h = builtin(name)
-        d, q = d_and_quasinorm(h)
+        d, q = circle_extrema(moduli_at(planar_builtin(name)), name)
         mods = np.abs(sigma_curve(h, samples=1024).values)
         assert mods.min() >= d - 1e-9 and mods.max() <= q + 1e-9
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -258,6 +259,7 @@ def test_mnc_scale_takes_zero_times_inf_as_zero(capsys, expr):
     "FiniteRank(-2)",
     "IsometryOntoCodim(1.5)",  # read as codimension 1
     "IsometryOntoCodim(-1)",
+    "KnownRates(alpha=1, omega=0, d=5, q=3)",  # no rule reads d or q
 ])
 def test_mnc_rejects_a_bad_count_or_interval(capsys, expr):
     assert run_cli(capsys, ["mnc", "--expr", expr]) == (2, "")
@@ -303,6 +305,18 @@ def test_bifurcate_shift(capsys):
     )
     assert d["verdicts"][:-1] == ["candidate"] * 6
     assert d["verdicts"][-1] == "rejected"
+
+
+def test_unperturbed_shift_scan_normalizes_to_the_unit_sphere_value(capsys):
+    # without a perturbation the residual at radius r is r times the unit-sphere
+    # minimum, so every radius reads that minimum itself
+    from specpoint.structured import truncated_shift_min
+
+    d = run_json(capsys, ["bifurcate", "--shift", "--truncate", "40",
+                          "--extra-lambda", "0.3,0.1", "--extra-lambda", "1.2"])
+    rows = d["normalized_residuals"]
+    assert len(rows) == 18 and all(len(row) == 3 and len(set(row)) == 1 for row in rows)
+    assert rows[-2:] == [[truncated_shift_min(lam, 40)] * 3 for lam in (0.3 + 0.1j, 1.2)]
 
 
 def test_exit_codes(capsys):
@@ -719,7 +733,6 @@ def test_classify_rejects_huge_res_before_allocating(capsys):
 
 def test_grid_csv_matches_csv_writer():
     import csv
-    import io
 
     from specpoint.homog2d import classify_plane
     from specpoint.maps import builtin
@@ -764,7 +777,6 @@ def test_grid_csv_streams_at_the_largest_grid():
 def _csv_writer_curve_csv(curve):
     """Reference: the former curve CSV writer, csv.writer over the samples."""
     import csv
-    import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -778,20 +790,25 @@ def test_curve_csv_matches_csv_writer():
     # spec2d writes the lists of the bare tracer
     from specpoint import planar
 
+    def written(curve):
+        out = io.StringIO()
+        cli._curve_csv(curve, out)
+        return out.getvalue()
+
+    # 4096 samples and more: blocks of CURVE_CSV_ROWS lines
     for f in (planar.builtin("real_linear", s=1.0, t=-2.0, u=2.0, v=1.0), planar.builtin("norm_plus_i_im")):
         curve = planar.trace_curve(planar.curve_at(f), samples=4096)
-        assert cli._curve_csv(curve) == _csv_writer_curve_csv(curve)
+        assert written(curve) == _csv_writer_curve_csv(curve)
     odd = SimpleNamespace(
         thetas=[0.0, 1e-300, 0.5, 3.0],
         values=[complex(-0.0, 0.0), complex(5e-324, -1e300), complex(0.1, -2.5e-17), complex(1 / 3, 7.0)],
     )
-    assert cli._curve_csv(odd) == _csv_writer_curve_csv(odd)
+    assert written(odd) == _csv_writer_curve_csv(odd)
 
 
 def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
     # one tracer serves both commands: spec2d calls it on bare Python, classify through homog2d
     from specpoint import homog2d, planar
-    from specpoint.maps import builtin
 
     calls = []
     trace = planar.trace_curve
@@ -805,11 +822,42 @@ def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
     d = run_json(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "512"])
     assert len(calls) == 1
     assert d["radius_bound"] == d["q"]
-    assert d["q"] == homog2d.spectral_radius_bound(builtin("norm_plus_i_im"))
     calls.clear()
     rc, _ = run_cli(capsys, ["classify", "--fn", "norm_plus_i_im", "--res", "40",
                              "--out", str(tmp_path / "c.json")])
     assert rc == 0 and len(calls) == 1
+    assert json.loads((tmp_path / "c.json").read_text())["radius_bound"] == d["q"]
+
+
+def test_planar_commands_sample_the_circle_once(capsys, monkeypatch):
+    # d and q come from one sampling of the circle and two golden polishes of
+    # 62 evaluations each, and classify's radius bound is spec2d's q
+    from specpoint import planar
+
+    sizes = []
+    moduli_at = planar.moduli_at
+
+    def counted(f):
+        moduli = moduli_at(f)
+
+        def sampled(thetas):
+            sizes.append(len(thetas))
+            return moduli(thetas)
+
+        return sampled
+
+    monkeypatch.setattr(planar, "moduli_at", counted)
+    rng = np.random.default_rng(30)
+    linear = [",".join(map(repr, rng.uniform(-3.0, 3.0, 4).tolist())) for _ in range(3)]
+    maps = [("half_abs_re_plus_i_im", [])] + [("real_linear", [f"--params={p}"]) for p in linear]
+    for name, params in maps:
+        sizes.clear()
+        q = run_json(capsys, ["spec2d", "--fn", name, *params, "--samples", "64"])["q"]
+        assert sizes == [planar.SPHERE_DIRECTIONS] + [1] * 124
+        sizes.clear()
+        d = run_json(capsys, ["classify", "--fn", name, *params, "--res", "20"])
+        assert sizes == [planar.SPHERE_DIRECTIONS] + [1] * 124
+        assert d["radius_bound"] == q
 
 
 def test_seed_only_on_bifurcate(capsys):

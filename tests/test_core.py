@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -214,16 +213,10 @@ class IntervalTwin:
 class KnownRatesTwin:
     alpha: Interval = None
     omega: Interval = None
-    d: Optional[Interval] = None
-    q: Optional[Interval] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _iv(self.alpha))
         object.__setattr__(self, "omega", _iv(self.omega))
-        if self.d is not None:
-            object.__setattr__(self, "d", _iv(self.d))
-        if self.q is not None:
-            object.__setattr__(self, "q", _iv(self.q))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,7 +236,7 @@ class PlaneSpectrumTwin:
 RECORD_CASES = [
     (DiniQuad, DiniQuadTwin, (-1.0, 0.0, 1.0, POS_INF), 4, [(1.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0)], 5.0),
     (Interval, IntervalTwin, (0.5, 2.0), 2, [(2.0, 1.0), (0.0, math.nan)], 3.0),
-    (KnownRates, KnownRatesTwin, (1.0, (0.0, 2.0), 0.5, None), 0, [((2.0, 1.0),), (1.0, math.nan)], (1.0, 2.0)),
+    (KnownRates, KnownRatesTwin, (1.0, (0.0, 2.0)), 0, [((2.0, 1.0),), (1.0, math.nan)], (1.0, 2.0)),
     # metadata is passed: a record's default is an empty mappingproxy, a twin's an empty dict
     (PlaneSpectrum, PlaneSpectrumTwin, ("curve", (0.0, 1.0), (0.0,), ((1, 2),), 0.1, (), False, {"k": "v"}), 5, [],
      {"a": "b"}),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from specpoint import homog2d
+from specpoint import homog2d, planar
 from specpoint.core import PreconditionError
 from specpoint.homog2d import (
     CURVE_SAMPLES,
@@ -20,10 +20,8 @@ from specpoint.homog2d import (
     _components_consistent,
     _max_chord,
     classify_plane,
-    d_and_quasinorm,
     scanline_turns,
     sigma_curve,
-    spectral_radius_bound,
 )
 from specpoint.maps import (
     add_identity,
@@ -132,10 +130,15 @@ def test_translation_equivariance_of_curves():
     assert np.max(np.abs(shifted.values - (c + base.values))) < 1e-12
 
 
+def circle_rates(name, **params):
+    """d and q of a planar builtin as spec2d takes them."""
+    return planar.circle_extrema(planar.moduli_at(planar.builtin(name, **params)), name)
+
+
 def test_curve_inside_rate_annulus():
     for name in ("abs_re_plus_i_im", "half_abs_re_plus_i_im", "norm_plus_i_im", "norm_only"):
         f = builtin(name)
-        d, q = d_and_quasinorm(f)
+        d, q = circle_rates(name)
         c = sigma_curve(f, samples=1024)
         mods = np.abs(c.values)
         assert mods.min() >= d - 1e-9
@@ -146,39 +149,34 @@ def test_curve_inside_rate_annulus():
 # rates on the circle
 
 
-def test_d_and_quasinorm_values():
-    assert d_and_quasinorm(builtin("abs_re_plus_i_im")) == pytest.approx((1.0, 1.0), abs=1e-12)
-    d, q = d_and_quasinorm(builtin("half_abs_re_plus_i_im"))
+def test_circle_extrema_values():
+    assert circle_rates("abs_re_plus_i_im") == pytest.approx((1.0, 1.0), abs=1e-12)
+    d, q = circle_rates("half_abs_re_plus_i_im")
     assert abs(d - 0.5) < 1e-9
     assert abs(q - 1.0) < 1e-9
-    assert d_and_quasinorm(identity_map(2)) == pytest.approx((1.0, 1.0), abs=1e-12)
+    # the identity of the plane
+    assert circle_rates("real_linear", s=1.0, t=0.0, u=0.0, v=1.0) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 @given(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
-def test_d_and_quasinorm_are_the_singular_values_of_a_linear_map(m):
+def test_circle_extrema_are_the_singular_values_of_a_linear_map(m):
     # the extrema lie between the sampled angles; the golden polish must find them
-    f = builtin("real_linear", s=m[0], t=m[1], u=m[2], v=m[3])
     sv = np.linalg.svd(np.array(m).reshape(2, 2), compute_uv=False)
-    assert d_and_quasinorm(f) == pytest.approx((sv[1], sv[0]), abs=1e-9)
+    assert circle_rates("real_linear", s=m[0], t=m[1], u=m[2], v=m[3]) == pytest.approx((sv[1], sv[0]), abs=1e-9)
 
 
-def test_spectral_radius_bound_values():
-    assert abs(spectral_radius_bound(builtin("abs_re_plus_i_im")) - 1.0) < 1e-9
-    assert abs(spectral_radius_bound(builtin("half_abs_re_plus_i_im")) - 1.0) < 1e-9
-    assert abs(spectral_radius_bound(builtin("conj_pair")) - 1.0) < 1e-9
-
-
-def test_spectral_radius_bound_honours_the_point():
-    # at the basepoint the bound is the circle's q; off it, the local quasinorm there
+def test_radius_bound_values():
+    # every lam with |lam| > q is regular: the circle's q for a planar builtin,
+    # the local quasinorm q_p of the rate estimator for any other map or point
     from specpoint.estimators import estimate_rates
 
-    f = builtin("norm_plus_i_im")
-    q = d_and_quasinorm(f)[1]
-    assert spectral_radius_bound(f) == q == spectral_radius_bound(f, p=[0.0, 0.0])
-    assert q == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    bound = spectral_radius_bound(f, p=[1.0, 0.0])
-    assert bound == estimate_rates(f, np.array([1.0, 0.0])).q_p
-    assert bound == pytest.approx(1.0, abs=1e-4)
+    assert abs(circle_rates("abs_re_plus_i_im")[1] - 1.0) < 1e-9
+    assert abs(circle_rates("half_abs_re_plus_i_im")[1] - 1.0) < 1e-9
+    f = builtin("conj_pair")
+    assert abs(estimate_rates(f, f.basepoint).q_p - 1.0) < 1e-9
+    assert circle_rates("norm_plus_i_im")[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    off_base = estimate_rates(builtin("norm_plus_i_im"), np.array([1.0, 0.0])).q_p
+    assert off_base == pytest.approx(1.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def test_classify_radius_bound_invariant():
     f = builtin("half_abs_re_plus_i_im")
     ps = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.1)
     diag = math.hypot(ps.xs[1] - ps.xs[0], ps.ys[1] - ps.ys[0])
-    assert ps.summary()["max_abs_in_spectrum"] <= spectral_radius_bound(f) + diag
+    assert ps.summary()["max_abs_in_spectrum"] <= circle_rates("half_abs_re_plus_i_im")[1] + diag
 
 
 def test_classify_real_linear_all_regular():

@@ -5,7 +5,7 @@ import pytest
 
 from specpoint import homog2d, numerics, planar
 from specpoint.core import NumericError
-from specpoint.maps import black_box, builtin
+from specpoint.maps import black_box, builtin, evaluate
 from specpoint.numerics import golden_min
 
 LINEAR_PARAMS = [
@@ -53,21 +53,28 @@ def test_tracer_matches_curve_values(name, params, samples):
     assert np.all(np.abs(got - expect) <= 4.0 * ulps)
 
 
+def _array_moduli(f, radius):
+    """angles -> |f(r e^{i theta})| / r of a map evaluated on numpy arrays, as a list."""
+    def moduli(thetas):
+        return numerics.row_norm(evaluate(f, radius * numerics.unit_points(np.array(thetas))) / radius).tolist()
+
+    return moduli
+
+
 @pytest.mark.parametrize("name, params", HOMOGENEOUS, ids=IDS)
-def test_circle_extremum_matches_sphere_minima(name, params):
-    # the pure-Python extremum against the sphere kernel at lam = 0, which
+def test_circle_extrema_match_sphere_extrema(name, params):
+    # the pure-Python extrema against the sphere kernel at lam = 0, which
     # answers real_linear exactly by its singular values
     f = builtin(name, **params)
     zero = np.zeros(1, dtype=complex)
     for radius in (1.0, 0.3):
-        moduli = homog2d._circle_moduli(f, radius)
-        for sign in (1.0, -1.0):
-            got = planar.circle_extremum(moduli, sign, f.name)
+        got = planar.circle_extrema(_array_moduli(f, radius), f.name)
+        for sign, extremum in zip((1.0, -1.0), got):
             expect = float(numerics.sphere_extrema(f, zero, (radius,), planar.SPHERE_DIRECTIONS, sign=sign)[0, 0])
-            assert abs(got - expect) <= 1e-15 * abs(expect), (radius, sign, got, expect)
-    # spec2d's d and q, on floats, are homog2d's bit for bit
+            assert abs(extremum - expect) <= 1e-15 * abs(expect), (radius, sign, extremum, expect)
+    # spec2d's and classify's d and q, on floats, are those of the map on arrays bit for bit
     bare = planar.moduli_at(planar.builtin(name, **params))
-    assert [planar.circle_extremum(bare, s, f.name) for s in (1.0, -1.0)] == list(homog2d.d_and_quasinorm(f))
+    assert planar.circle_extrema(bare, f.name) == planar.circle_extrema(_array_moduli(f, 1.0), f.name)
 
 
 def test_golden_min_is_the_iteration_of_the_array_search():
