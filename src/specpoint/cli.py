@@ -9,8 +9,9 @@ is one of the command's value flags with - written _, other than --out,
 argv produce byte-identical outputs.
 
 `bifurcate --fn` alone reads --fn, --params, --grid and --seed, which
-rotates the sphere directions of its scan (no other result depends on a
-seed); `bifurcate --shift` alone reads --truncate, --angles, --perturb and
+rotates the sphere directions of a sampled scan (a map that declares its
+sphere matrix is scanned exactly, and no other result depends on a seed);
+`bifurcate --shift` alone reads --truncate, --angles, --perturb and
 --extra-lambda.  A flag or key of the other mode exits 2.  The --fn scan
 covers --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24 real lambdas of
 --grid=-1.5,1.5,0,0,24,1 for a map without complex structure, which takes
@@ -35,6 +36,7 @@ Exit codes: 0 success, 2 usage error, 3 precondition violated, 4 numeric or
 solver failure, 5 undecided result: `classify` when any cell is undecided
 (a band violation), `bifurcate --fn` when more than half of its verdicts
 are undecided; no other command, `bifurcate --shift` included, exits 5.
+Exits 2, 3 and 4 print one line on stderr and nothing on stdout.
 
 Expression grammar for `mnc --expr` (composition `o` binds tighter than `+`):
 
@@ -114,6 +116,8 @@ def _check(flag: str, check, value) -> None:
     elif check == "finite":
         if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in items):
             raise PreconditionError(f"{flag} must be finite, got {value!r}")
+        if not all(math.isfinite(math.hypot(x.real, x.imag)) for x in items):  # abs(lam) raises OverflowError
+            raise PreconditionError(f"{flag} must have a finite modulus, got {value!r}")
     elif check == "positive":
         if not items:
             raise UsageError(f"{flag} needs at least one value")
@@ -471,8 +475,11 @@ def _cmd_bifurcate(args) -> int:
     # a map without complex structure takes real lambda only
     default_grid = (-1.5, 1.5, -1.5, 1.5, 24, 30) if f.complex_pairs else (-1.5, 1.5, 0.0, 0.0, 24, 1)
     x0, x1, y0, y1, nx, ny = args.grid or default_grid
-    xs = np.linspace(x0, x1, int(nx))
-    ys = np.linspace(y0, y1, int(ny))
+    if not f.complex_pairs and (y0 or (ny > 1 and y1)):  # before numpy spans the grid
+        raise PreconditionError("complex scalar acting on a map without complex structure")
+    with np.errstate(over="ignore"):  # only a last point can overflow, and linspace sets it to the stop
+        xs = np.linspace(x0, x1, int(nx))
+        ys = np.linspace(y0, y1, int(ny))
     lams = [complex(x, y) for y in ys for x in xs]
     scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol, seed=args.seed)
     undecided = [v for v in scan.verdicts if v == "undecided"]
@@ -560,8 +567,13 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, as every other usage error, not the usage text
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="specpoint",
         description="local spectra of continuous nonlinear maps",
         epilog=__doc__,
@@ -585,12 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         if args.out and Path(args.out).suffix in ARTIFACTS.get(args.cmd, ()):  # before any work
             raise UsageError(f"--out {args.out!r} is the path of an artifact {args.cmd} writes next to the JSON")
         if args.out and Path(args.out).is_dir():
@@ -609,6 +617,8 @@ def main(argv=None) -> int:
     except SpecpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code is not None else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -313,14 +313,22 @@ def scan_verdicts(normalized, tol: float):
 
 
 class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for spec1d
+    """A map based at the origin, with what it declares of itself.
+
+    jacobian is p -> f'(p), the derivative of a C^1 map.  sphere_matrix is
+    r -> A(r) with f(r u) = r A(r) u for every unit u: a map that is linear
+    on each sphere about the origin (a linear map, A(r) its matrix, and
+    norm_times_x, A(r) = r I), whose sphere extrema are then exact.
+    """
+
     name: str
     dim: int
     evaluator: Callable
-    basepoint: object  # the origin: a float, or a numpy array from `maps`
     homogeneous: bool = False
     complex_pairs: bool = False
     dini_exact: Optional[Callable] = None
     jacobian: Optional[Callable] = None
+    sphere_matrix: Optional[Callable] = None
     inv_oscillation_hint: bool = False
 
     __eq__ = object.__eq__  # identity: evaluators and arrays have no useful equality

@@ -74,6 +74,8 @@ def _dini_signed_sqrt_abs(p: float) -> DiniQuad:
 def _dini_sqrt_abs_sin_inv(p: float) -> DiniQuad:
     if p == 0.0:
         return DiniQuad(NEG_INF, POS_INF, NEG_INF, POS_INF)
+    if p * p == 0.0:
+        raise PreconditionError(f"the exact quadruple of sqrt_abs_sin_inv needs p * p > 0, got p = {p!r}")
     r = math.sqrt(abs(p))
     d = math.copysign(1.0, p) * math.sin(1.0 / p) / (2.0 * r) - r * math.cos(1.0 / p) / (p * p)
     return DiniQuad(d, d, d, d)
@@ -82,6 +84,8 @@ def _dini_sqrt_abs_sin_inv(p: float) -> DiniQuad:
 def _dini_xsq_sin_inv(p: float) -> DiniQuad:
     if p == 0.0:
         return DiniQuad(0.0, 0.0, 0.0, 0.0)
+    if not math.isfinite(1.0 / p):
+        raise PreconditionError(f"the exact quadruple of xsq_sin_inv needs a finite 1 / p, got p = {p!r}")
     d = 2.0 * p * math.sin(1.0 / p) - math.cos(1.0 / p)
     return DiniQuad(d, d, d, d)
 
@@ -100,8 +104,7 @@ BUILTINS_1D = {
 def builtin_1d(name: str) -> MapSpec:
     """A one dimensional builtin with its scalar evaluator (no numpy)."""
     ev, quad, hint = BUILTINS_1D[name]
-    return MapSpec(name=name, dim=1, evaluator=ev, basepoint=0.0, dini_exact=quad,
-                   inv_oscillation_hint=hint)
+    return MapSpec(name=name, dim=1, evaluator=ev, dini_exact=quad, inv_oscillation_hint=hint)
 
 
 class DiniEstimate(Record):

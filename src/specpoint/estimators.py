@@ -4,8 +4,9 @@ Growth rates d_p and q_p from sphere minima and maxima over a shrinking
 radius schedule, point-spectrum membership tests with first-class Undecided
 verdicts, the smooth-map reduction to Jacobian eigenvalues, and a
 bifurcation candidate scanner for maps vanishing at the origin.  Every
-sphere extremum comes from `numerics.sphere_extrema`, sampled and polished
-(the scan's at its smallest radius alone); the planar engine `homog2d` is
+sphere extremum comes from `numerics.sphere_extrema`: exact for a map that
+declares its sphere matrix, else sampled and polished (the scan's at its
+smallest radius alone); the planar engine `homog2d` is
 loaded only where a planar curve is drawn.
 
 Sampling cannot certify that an infimum is zero, so membership verdicts
@@ -166,9 +167,9 @@ def bifurcation_scan(
     cross-checked for containment in the computed point-spectrum part.  Any
     scan output is a candidate list, not a certificate.
     """
-    g = translate_to_origin(f, f.basepoint)
-    z0 = evaluate(f, f.basepoint)
-    if float(np.max(np.abs(z0))) > 1e-12:
+    origin = np.zeros(() if f.dim == 1 else f.dim)
+    g = translate_to_origin(f, origin)
+    if float(np.max(np.abs(evaluate(f, origin)))) > 1e-12:
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
@@ -184,7 +185,7 @@ def bifurcation_scan(
         curve = (
             sigma_curve(f, samples=2048)
             if f.homogeneous
-            else local_sigma_curve(f, f.basepoint, radius=radii[-1], samples=2048)
+            else local_sigma_curve(f, origin, radius=radii[-1], samples=2048)
         )
         pts = np.array([[c.real, c.imag] for c in candidates])
         contained = directed_distance(pts, curve.pairs()) <= max(

@@ -42,6 +42,7 @@ from .numerics import CHUNK, unit_points
 from .planar import TWO_PI, SigmaCurve, require_planar_homogeneous, trace_curve
 
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
+CHORD_BOUND = 1e-3  # its chord bound, or 1/64 of the grid spacing where that is larger
 MARGIN_TOL = 1e-9  # off-band cells nearer the curve than this are undecided
 MAX_RESOLUTION = 4096  # classify_plane grids are at most this many cells a side
 MAX_BAND_CELLS = 64  # the band query reaches at most this many node spacings
@@ -300,7 +301,10 @@ def classify_plane(
     curve missed its chord bound, one within the largest chord is a "chord"
     violation.  Violations are Band too.  Every other cell is labelled by
     the degree 1 + wind(sigma, lam) of `scanline_turns`.  The widest of
-    these distances may span at most MAX_BAND_CELLS node spacings.
+    these distances may span at most MAX_BAND_CELLS node spacings.  Unless a
+    curve is given, it is traced from CURVE_SAMPLES samples to the chord
+    bound max(CHORD_BOUND, spacing / 64), spacing the smaller node spacing
+    of the two axes.
     """
     require_planar_homogeneous(f)
     x0, x1, y0, y1 = map(float, bounds)
@@ -310,14 +314,16 @@ def classify_plane(
         raise PreconditionError(f"grid resolution {resolution} exceeds {MAX_RESOLUTION}")
     if band_radius is not None and not band_radius >= 0.0:
         raise PreconditionError(f"band radius must be nonnegative, got {band_radius}")
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
+    with np.errstate(over="ignore"):  # only a last point can overflow, and linspace sets it to the stop
+        xs = np.linspace(x0, x1, resolution)
+        ys = np.linspace(y0, y1, resolution)
     spacing = min(xs[1] - xs[0], ys[1] - ys[0])
-    if not spacing > 64.0 * np.spacing(max(abs(x0), abs(x1), abs(y0), abs(y1))):
+    top = max(abs(x0), abs(x1), abs(y0), abs(y1))
+    if not spacing > 64.0 * (math.nextafter(top, math.inf) - top):  # np.spacing(top), without its overflow warning
         # the band query buckets samples to nodes in floating point
         raise PreconditionError("grid spacing is within 64 ulps of its coordinates")
-    if curve is None:
-        curve = sigma_curve(f, samples=CURVE_SAMPLES)
+    if curve is None:  # on a coarse grid a chord far below the spacing would only add samples
+        curve = sigma_curve(f, samples=CURVE_SAMPLES, chord_bound=max(CHORD_BOUND, float(spacing) / 64.0))
     cell_diag = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     band = 2.0 * cell_diag if band_radius is None else float(band_radius)
     chord = 0.0 if curve.chord_met else _max_chord(curve.values)

@@ -1,10 +1,11 @@
 """Map descriptions, the builtin catalogue, evaluation, and map algebra.
 
-A MapSpec (defined in `core`) bundles a deterministic evaluator with the
-metadata the engines need: dimension, basepoint, a positive-homogeneity
-flag, an optional exact derivative-quadruple provider (one dimensional
-maps), an optional Jacobian provider, and whether the real coordinates
-carry a complex scalar action.
+A MapSpec (defined in `core`) bundles a deterministic evaluator, based at
+the origin, with the metadata the engines need: dimension, a
+positive-homogeneity flag, an optional exact derivative-quadruple provider
+(one dimensional maps), an optional Jacobian provider, an optional sphere
+matrix A(r) with f(r u) = r A(r) u on the sphere of radius r, and whether
+the real coordinates carry a complex scalar action.
 
 Builtin catalogue (addressable by name from tests and the CLI):
 
@@ -23,7 +24,9 @@ which evaluates one float at a time: the one dimensional builtins are
 scalar functions of `dini`, vectorized here, and `norm_times_x(1)` is
 x |x|, elementwise.  The planar builtins are formulas of `planar`,
 evaluated here on arrays of points.  The linear builtins, real_linear
-and conj_pair, declare their matrices as their Jacobians.
+and conj_pair, declare their matrices as their Jacobians and as their
+sphere matrices; norm_times_x(dim) declares A(r) = r I, and the identity
+I.  `numerics.sphere_extrema` reads the sphere matrix alone.
 """
 from __future__ import annotations
 
@@ -45,11 +48,7 @@ from .core import (
 )
 
 
-MAX_DIM = 16  # the largest norm_times_x dimension: a sphere scan's Nelder-Mead work grows fast with it
-
-
-def _zero_point(dim: int) -> np.ndarray:
-    return np.zeros(() if dim == 1 else (dim,))
+MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim matrix per lambda
 
 
 def evaluate(f: MapSpec, x) -> np.ndarray:
@@ -66,7 +65,7 @@ def evaluate(f: MapSpec, x) -> np.ndarray:
 
 
 def translate_to_origin(f: MapSpec, p) -> MapSpec:
-    """The map x -> f(p + x) - f(p), based at the origin."""
+    """The map x -> f(p + x) - f(p), based at the origin; the sphere matrix carries over at p = 0 only."""
     p = np.asarray(p, dtype=float)
     if f.dim >= 2 and p.shape != (f.dim,):
         raise DomainError(f"basepoint must have {f.dim} coordinates")
@@ -83,11 +82,11 @@ def translate_to_origin(f: MapSpec, p) -> MapSpec:
         name=f"{f.name}@{np.round(p, 12).tolist()}",
         dim=f.dim,
         evaluator=shifted,
-        basepoint=_zero_point(f.dim),
         homogeneous=f.homogeneous and at_origin,
         complex_pairs=f.complex_pairs,
         dini_exact=(lambda t, _d=f.dini_exact, _p=p: _d(float(_p) + t)) if f.dini_exact else None,
         jacobian=(lambda q, _j=f.jacobian, _p=p: _j(_p + q)) if f.jacobian else None,
+        sphere_matrix=f.sphere_matrix if at_origin else None,
         inv_oscillation_hint=f.inv_oscillation_hint,
     )
 
@@ -133,12 +132,15 @@ def _affine(a, c, f: MapSpec, name: str) -> MapSpec:
     dini = None
     if f.dini_exact is not None and a.imag == c.imag == 0.0:
         dini = lambda p, _d=f.dini_exact: _d(p).scaled(c.real).plus_const(a.real)
-    jac = None
-    if f.jacobian is not None and (cp or a.imag == c.imag == 0.0):
+    jac = sphere = None
+    if cp or a.imag == c.imag == 0.0:  # both matrices compose as the map does
         eye = np.eye(max(f.dim, 1))
         m_a, m_c = scalar_action(a, eye, cp).T, scalar_action(c, eye, cp).T
-        jac = lambda q, _j=f.jacobian: m_a + m_c @ _j(q)
-    return replace(f, name=name, evaluator=combined, dini_exact=dini, jacobian=jac)
+        if f.jacobian is not None:
+            jac = lambda q, _j=f.jacobian: m_a + m_c @ _j(q)
+        if f.sphere_matrix is not None:
+            sphere = lambda r, _s=f.sphere_matrix: m_a + m_c @ _s(r)
+    return replace(f, name=name, evaluator=combined, dini_exact=dini, jacobian=jac, sphere_matrix=sphere)
 
 
 def scale_map(c, f: MapSpec) -> MapSpec:
@@ -175,7 +177,6 @@ def black_box(
         name=name,
         dim=dim,
         evaluator=evaluator,
-        basepoint=_zero_point(dim),
         homogeneous=homogeneous,
         complex_pairs=complex_pairs,
         dini_exact=dini_exact,
@@ -184,24 +185,18 @@ def black_box(
 
 
 def identity_map(dim: int) -> MapSpec:
-    if dim == 1:
-        return black_box(
-            1,
-            lambda x: np.asarray(x, dtype=float),
-            name="identity",
-            dini_exact=lambda p: DiniQuad(1.0, 1.0, 1.0, 1.0),
-            jacobian=lambda q: np.eye(1),
-            homogeneous=True,
-        )
     if dim == 2:
         return builtin("real_linear", s=1.0, t=0.0, u=0.0, v=1.0)
-    return black_box(
+    eye = np.eye(dim)
+    f = black_box(
         dim,
         lambda x: np.asarray(x, dtype=float),
         name="identity",
-        jacobian=lambda q, _d=dim: np.eye(_d),
+        dini_exact=(lambda p: DiniQuad(1.0, 1.0, 1.0, 1.0)) if dim == 1 else None,
+        jacobian=lambda q: eye,
         homogeneous=True,
     )
+    return replace(f, sphere_matrix=lambda r: eye)
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +217,11 @@ def _f_conj_pair(x):
     return out
 
 
-def _make_norm_times_x(dim):
-    dim = int(dim)
-    if not 1 <= dim <= MAX_DIM:
-        raise PreconditionError(f"norm_times_x needs 1 <= dim <= {MAX_DIM}, got {dim}")
-
-    def ev(x, _d=dim):
-        if _d == 1:  # no coordinate axis: a bare float or an array of points
-            return x * abs(x)
-        x = np.asarray(x, dtype=float)
-        return x * np.linalg.norm(x, axis=-1, keepdims=True)
-
-    def jac(p, _d=dim):
-        p = np.asarray(p, dtype=float)
-        r = float(np.linalg.norm(p))
-        if r == 0.0:
-            return np.zeros((_d, _d))
-        return r * np.eye(_d) + np.outer(p, p) / r
-
-    return ev, jac
-
-
 def _builtin_1d(name):
     from .dini import builtin_1d  # here, so that the planar commands load no dini
 
     f = builtin_1d(name)  # the scalar evaluator, vectorized for the array engines
-    return replace(f, evaluator=np.vectorize(f.evaluator, otypes=[float]), basepoint=np.zeros(()))
+    return replace(f, evaluator=np.vectorize(f.evaluator, otypes=[float]))
 
 
 def _builtin_plane(name, **params):
@@ -260,23 +234,34 @@ def _builtin_plane(name, **params):
         out[..., 0], out[..., 1] = _formula(x[..., 0], x[..., 1], np.hypot)
         return out
 
-    jac = None
-    if f.jacobian is not None:
-        jac = lambda q, _m=np.array(f.jacobian(None), dtype=float): _m
-    return replace(f, evaluator=ev, basepoint=np.zeros(2), jacobian=jac)
+    jac = sphere = None
+    if f.sphere_matrix is not None:  # real_linear: its matrix is its Jacobian too
+        m = np.array(f.sphere_matrix(1.0), dtype=float)
+        jac, sphere = (lambda q, _m=m: _m), (lambda r, _m=m: _m)
+    return replace(f, evaluator=ev, jacobian=jac, sphere_matrix=sphere)
 
 
-def _factory_norm_times_x(dim=2):
-    ev, jac = _make_norm_times_x(dim)
-    return MapSpec(
-        name=f"norm_times_x({int(dim)})",
-        dim=int(dim),
-        evaluator=ev,
-        basepoint=np.zeros(int(dim)),
-        homogeneous=False,
-        complex_pairs=False,
-        jacobian=jac,
-    )
+def _norm_times_x(dim=2):
+    """x -> |x| x: on the sphere of radius r it is x -> r x, so A(r) = r I."""
+    dim = int(dim)
+    if not 1 <= dim <= MAX_DIM:
+        raise PreconditionError(f"norm_times_x needs 1 <= dim <= {MAX_DIM}, got {dim}")
+
+    def ev(x):
+        if dim == 1:  # no coordinate axis: a bare float or an array of points
+            return x * abs(x)
+        x = np.asarray(x, dtype=float)
+        return x * np.linalg.norm(x, axis=-1, keepdims=True)
+
+    def jac(p):
+        p = np.asarray(p, dtype=float)
+        r = float(np.linalg.norm(p))
+        if r == 0.0:
+            return np.zeros((dim, dim))
+        return r * np.eye(dim) + np.outer(p, p) / r
+
+    return MapSpec(name=f"norm_times_x({dim})", dim=dim, evaluator=ev, jacobian=jac,
+                   sphere_matrix=lambda r: r * np.eye(dim))
 
 
 _FACTORIES: dict[str, Callable[..., MapSpec]] = {
@@ -289,12 +274,12 @@ _FACTORIES: dict[str, Callable[..., MapSpec]] = {
         name="conj_pair",
         dim=4,
         evaluator=_f_conj_pair,
-        basepoint=np.zeros(4),
         homogeneous=True,
         complex_pairs=True,
         jacobian=lambda q: _CONJ_PAIR,
+        sphere_matrix=lambda r: _CONJ_PAIR,
     ),
-    "norm_times_x": _factory_norm_times_x,
+    "norm_times_x": _norm_times_x,
 }
 
 BUILTIN_NAMES = tuple(sorted(_FACTORIES))

@@ -5,10 +5,14 @@ Low-discrepancy sphere directions, the batched lockstep Nelder-Mead
 brute-force point-set distances, and `sphere_extrema`, the one kernel
 behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
 rates of `estimators`, point-spectrum membership and the `bifurcate --fn`
-scan (at its smallest radius only), in any dimension.  The circle extrema
-of a planar builtin are `planar.circle_extrema`, on floats.  Every sampled
-extremum is polished.  The verdicts of bifurcation scans are
-in `core`, so the shift scan loads none of this module.
+scan (at its smallest radius only), in any dimension.  A map that declares
+its sphere matrix gets exact extrema from singular values; any other is
+sampled, and every sampled extremum is polished.  Every builtin of
+dimension 3 or more declares one, so the Nelder-Mead polish serves only
+black boxes and points away from the origin.  The circle extrema of a
+planar builtin are `planar.circle_extrema`, on floats.  The verdicts of
+bifurcation scans are in `core`, so the shift scan loads none of this
+module.
 """
 from __future__ import annotations
 
@@ -206,32 +210,35 @@ def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
     """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
 
     Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
-    maxima for sign -1; the growth rates take lam = 0.  Every entry
-    is sampled at the n unit vectors `sphere_directions(g.dim, n, seed)`,
-    one map evaluation per radius and CHUNK coordinates at a time, and then
-    polished from its best sample, all entries in one batch: not at all in
-    dim 1, whose sphere is two points; in dim 2, whose directions are a
-    uniform angle grid, by `golden_min` over the best angle plus or minus
-    one spacing; by `sphere_polish` from dim 3.  A
-    positively homogeneous g has the same entries at every radius, so one
-    radius is computed and repeated.  lam acts through `scalar_action`, so
+    maxima for sign -1; the growth rates take lam = 0.  A g that declares
+    no sphere matrix has every entry sampled at the n unit vectors
+    `sphere_directions(g.dim, n, seed)`, one map evaluation per radius and
+    CHUNK coordinates at a time, and then polished from its best sample,
+    all entries in one batch: not at all in dim 1, whose sphere is two
+    points; in dim 2, whose directions are a uniform angle grid, by
+    `golden_min` over the best angle plus or minus one spacing; by
+    `sphere_polish` from dim 3.  A positively homogeneous g has the same
+    entries at every radius, so one radius is computed and repeated.  lam acts through `scalar_action`, so
     a complex lam on a g without complex structure raises PreconditionError.
 
-    A positively homogeneous g with a Jacobian A is linear, g(u) = A u, and
-    its entries are exact: the smallest (sign 1) or largest (sign -1)
-    singular value of R(lam) - A, where R(lam) is the matrix of u -> lam u
-    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.6), one batched
-    SVD for every lam; n and seed do not enter.  An entry, or an entry of
-    R(lam) - A, that is not finite is a NumericError naming g.
+    A g that declares its sphere matrix, g(r u) = r A(r) u, has exact
+    entries: the smallest (sign 1) or largest (sign -1) singular value of
+    R(lam) - A(r), where R(lam) is the matrix of u -> lam u (Golub & Van
+    Loan, Matrix Computations, 4th ed., sec. 8.6), one batched SVD for every
+    lam per radius; n and seed do not enter.  An entry, or an entry of
+    R(lam) - A(r), that is not finite is a NumericError naming g.
     """
-    if g.homogeneous and g.jacobian is not None:
-        A = np.asarray(g.jacobian(g.basepoint), dtype=float)
+    if g.sphere_matrix is not None:
         rows = scalar_action(lams[:, None], np.eye(g.dim)[None], g.complex_pairs)  # row i is lam e_i
-        shifted = np.swapaxes(rows, 1, 2) - A
-        if not np.isfinite(shifted).all():
-            raise NumericError(f"lam*id - f of {g.name} has a non-finite matrix entry")
-        sv = np.linalg.svd(shifted, compute_uv=False)  # descending
-        return np.repeat(sv[:, -1:] if sign > 0 else sv[:, :1], len(radii), axis=1)
+        res = np.empty((lams.size, len(radii)))
+        for j, r in enumerate(radii):
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                shifted = np.swapaxes(rows, 1, 2) - np.asarray(g.sphere_matrix(r), dtype=float)
+            if not np.isfinite(shifted).all():
+                raise NumericError(f"lam*id - f of {g.name} has a non-finite matrix entry")
+            sv = np.linalg.svd(shifted, compute_uv=False)  # descending
+            res[:, j] = sv[:, -1] if sign > 0 else sv[:, 0]
+        return res
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         res = _sampled_and_polished(g, lams, radii, n, seed, sign)
     if not np.isfinite(res).all():
@@ -279,14 +286,16 @@ def directed_distance(a: np.ndarray, b: np.ndarray) -> float:
     A brute-force minimum of squared distances summed over the coordinates
     in order, before one square root: for planar points the arithmetic of a
     k-d tree query, bit for bit.  Rows of a go in chunks of at most CHUNK
-    (row, point) pairs.
+    (row, point) pairs.  A difference or square that overflows is a
+    distance beyond 1e154, which reads as inf.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     step = max(1, CHUNK // len(b))
     nearest = np.empty(len(a))
-    for lo in range(0, len(a), step):
-        d2 = (a[lo:lo + step, None, 0] - b[:, 0]) ** 2
-        for c in range(1, a.shape[1]):
-            d2 += (a[lo:lo + step, None, c] - b[:, c]) ** 2
-        nearest[lo:lo + step] = d2.min(axis=1)
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(a), step):
+            d2 = (a[lo:lo + step, None, 0] - b[:, 0]) ** 2
+            for c in range(1, a.shape[1]):
+                d2 += (a[lo:lo + step, None, c] - b[:, c]) ** 2
+            nearest[lo:lo + step] = d2.min(axis=1)
     return float(np.sqrt(nearest.max()))

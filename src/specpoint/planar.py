@@ -45,15 +45,8 @@ def _hypot(x: float, y: float) -> float:
 
 
 def _plane(name: str, formula, homogeneous: bool = True, matrix=None) -> MapSpec:
-    return MapSpec(
-        name=name,
-        dim=2,
-        evaluator=formula,
-        basepoint=(0.0, 0.0),
-        homogeneous=homogeneous,
-        complex_pairs=True,
-        jacobian=None if matrix is None else (lambda q, _m=matrix: _m),
-    )
+    return MapSpec(name=name, dim=2, evaluator=formula, homogeneous=homogeneous, complex_pairs=True,
+                   sphere_matrix=None if matrix is None else (lambda r: matrix))
 
 
 def _norm_plus_i_im(x, y, hypot):

@@ -366,7 +366,10 @@ class _Parser:
             bad = set(fields) - {"alpha", "omega"}
             if bad:
                 raise UsageError(f"unknown KnownRates fields {sorted(bad)}")
-            return KnownRates(alpha=fields.get("alpha"), omega=fields.get("omega"))
+            node = KnownRates(alpha=fields.get("alpha"), omega=fields.get("omega"))
+            if node.omega.lo > node.alpha.hi:  # no map has omega > alpha
+                raise UsageError(f"KnownRates has omega >= {node.omega.lo!r} above alpha <= {node.alpha.hi!r}")
+            return node
         raise UsageError(f"unknown atom {name!r}")
 
 

@@ -37,7 +37,7 @@ import sys
 from itertools import islice, repeat
 from typing import Callable, Optional
 
-from .core import PreconditionError, Record, UsageError, as_complex, scan_verdicts
+from .core import NumericError, PreconditionError, Record, UsageError, as_complex, scan_verdicts
 
 SQRT2 = math.sqrt(2.0)
 MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
@@ -183,7 +183,9 @@ def _secular_root(lam1: float, tiny: float, c: float, s: float, measure):
     From mu = lambda_1 - |c|/s, where |y| <= s, a rational model
     |y|^2 ~ alpha / (lambda_1 - mu)^2 + beta takes the step below the root of
     |y(mu)| = s, Newton on 1/|y| - 1/s above it (Moré and Sorensen 1983).
-    The hard case shows as |y| < s at lambda_1 - tiny, which ends it.
+    The hard case shows as |y| < s at lambda_1 - tiny, which ends it.  A
+    slope that underflows to 0 (a sphere of radius near 1e-300) is a
+    NumericError.
     """
     top = lam1 - tiny
     mu = min(lam1 - c / s, top)  # |y(mu)| <= s here
@@ -193,6 +195,8 @@ def _secular_root(lam1: float, tiny: float, c: float, s: float, measure):
         if last or ny == 0.0 or abs(ny - s) <= 4.0 * _EPS * s or (mu == top and ny < s):
             return mu, ny, kept
         dn = slope()
+        if not dn > 0.0:
+            raise NumericError(f"the secular slope underflows at sphere radius {s!r}")
         new = mu + (1.0 - ny / s) * ny * ny / dn
         const = ny * ny - dn * (lam1 - mu)
         if ny < s and const < s * s:

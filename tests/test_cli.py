@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -5,14 +6,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specpoint import cli
-from specpoint.structured import SQRT2
+from specpoint.dini import MAX_STEPS
+from specpoint.homog2d import MAX_RESOLUTION
+from specpoint.maps import BUILTIN_NAMES
+from specpoint.structured import MAX_TRUNCATION, SQRT2
 
 from oracles import sphere_least_squares
 
@@ -585,6 +591,26 @@ def test_planar_command_loads_no_dini():
     assert not mods & {"specpoint.dini", "specpoint.estimators"}, mods
 
 
+@pytest.mark.parametrize("argv", [
+    ["bifurcate", "--fn", "conj_pair"],
+    ["bifurcate", "--fn", "norm_times_x", "--params", "3"],
+    ["bifurcate", "--fn", "norm_times_x", "--params", "16"],
+    # the scans of the CI memory step
+    ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,128,128"],
+    ["bifurcate", "--fn", "conj_pair", "--grid=-1.5,1.5,-1.5,1.5,128,128"],
+    ["bifurcate", "--fn", "norm_times_x", "--params", "16", "--grid=-1.5,1.5,0,0,128,1"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_no_command_reaches_nelder_mead(capsys, monkeypatch, argv):
+    # every builtin of dimension 3 or more declares its sphere matrix, so its scan is exact
+    from specpoint import numerics
+
+    def polish(*args, **kwargs):
+        raise AssertionError("a command reached the Nelder-Mead polish")
+
+    monkeypatch.setattr(numerics, "sphere_polish", polish)
+    assert run_cli(capsys, argv)[0] == 0
+
+
 def test_bifurcate_fn_loads_the_planar_engine_only_for_candidates():
     # the sphere-extremum kernel lives in numerics: a scan without candidates draws no
     # curve and loads no homog2d; a planar scan with candidates checks them against its curve
@@ -1028,10 +1054,29 @@ WALK_BASE = {
 }
 
 
+MAX = "1.7976931348623157e308"
+# each ended in a traceback with exit 1, or printed a numpy RuntimeWarning before its exit 3
+PINNED = [
+    (["bifurcate", "--shift", "--perturb", "normsq_e1", "--radii", "1e-300"], 4),  # ZeroDivisionError
+    (["spec1d", "--fn", "sqrt_abs_sin_inv", "--point", "1e-300", "--exact"], 3),  # ZeroDivisionError
+    (["spec1d", "--fn", "xsq_sin_inv", "--point", "5e-324", "--steps", "8"], 3),  # ValueError
+    (["shift", "--lambda", f"{MAX},{MAX}"], 3),  # OverflowError
+    (["bifurcate", "--shift", f"--extra-lambda=-1e308,{MAX}"], 3),  # OverflowError
+    (["classify", "--fn", "norm_only", "--ymin", "17", "--ymax", MAX], 3),  # overflow in np.spacing
+    (["bifurcate", "--fn", "sqrt_abs", f"--grid=0.5,2,{MAX},16,1,8"], 3),  # overflow in np.linspace
+    # found by drawing argv as test_every_command_keeps_its_contract does: an overflow
+    # warning in the exact scan's R(lam) - A(r), then exit 4, and in the containment distance
+    (["bifurcate", "--fn", "norm_times_x", "--params", "16", f"--grid=2,-{MAX},0,0,3,1", "--radii=1e300"], 4),
+    (["bifurcate", "--fn", "real_linear", "--grid=0,0,3e-308,0.5,3,2", "--params=0,1e-200,1e300,1e300",
+      "--tol=1e-200", "--radii=1"], 0),
+]
+
+
 def _table_walk():
-    """(argv, exit code) for each bad value of each numeric flag in the flag tables, and each base call."""
+    """(argv, exit code) for each bad value of each numeric flag in the flag tables, each base call and each pin."""
     for base in WALK_BASE.values():
         yield base, 0
+    yield from PINNED
     for cmd, (_, _, rows) in cli.COMMANDS.items():
         for flag, kind, _, check, mode, _ in rows:
             if kind == "int":  # a negative value is rejected unless the row's range takes it
@@ -1054,3 +1099,103 @@ def test_every_numeric_flag_exits_as_documented(capsys, argv, code):
     rc, out = run_cli(capsys, argv)
     assert rc == code
     assert (out == "") == (code != 0)
+
+
+# ---------------------------------------------------------------------------
+# the contract of every command, on argv drawn from the flag tables
+
+CONTRACT_EXAMPLES = 200  # about 0.6 s of tier-1 on 2 cores; the conftest.py profile draws 60 and derandomizes
+ORDINARY = ["0", "0.5", "1", "2", "3", "16", "-1.5", "1.5", "0.01"]  # values most rows take
+SPECIAL = ["0", "-0", "1", "-1", "0.5", "1e-300", "5e-324", "1e300", MAX, "-" + MAX, "nan", "inf", "-inf"]
+# the size flags take small values and their cap + 1, never the cap: the largest calls are timed elsewhere
+SIZE_CAPS = {"--res": MAX_RESOLUTION, "--samples": 1 << 20, "--truncate": MAX_TRUNCATION, "--steps": MAX_STEPS,
+             "--angles": 4096}
+ATOMS = ["Identity", "CompactLinear", "LocallyCompactNonlinear", "ScalarMultiple({})", "FiniteRank({})",
+         "IsometryOntoCodim({})", "KnownRates(alpha={}, omega=0)", "KnownRates(alpha=1, omega={})"]
+
+
+def _numbers(k):
+    number = st.one_of(st.sampled_from(ORDINARY), st.sampled_from(SPECIAL))
+    return st.lists(number, min_size=k, max_size=k)
+
+
+def _value(flag, kind, check):
+    """A strategy for the text of one flag, from its row's kind and check: half ordinary, half extreme."""
+    if kind == "int":
+        extreme = ["-1", "0", "nan", "0.5"]
+        if isinstance(check, tuple):
+            extreme += [str(check[0] - 1), str(check[0]), str(check[1]), str(check[1] + 1)]
+        if flag in SIZE_CAPS:
+            extreme += [str(SIZE_CAPS[flag] + 1)]
+        return st.one_of(st.sampled_from(["1", "2", "8", "16"]), st.sampled_from(extreme))
+    if kind == "float":
+        return _numbers(1).map(",".join)
+    if kind == "floats" and check == "grid":
+        counts = st.lists(st.sampled_from(["1", "2", "3", "0", "129", "2.5"]), min_size=2, max_size=2)
+        return st.builds(lambda xy, n: ",".join(xy + n), _numbers(4), counts)
+    if kind in ("floats", "pair"):
+        return st.integers(0 if kind == "floats" else 1, 4 if kind == "floats" else 2).flatmap(_numbers).map(",".join)
+    if kind == "pairs":
+        return st.lists(_value(flag, "pair", check), max_size=2)
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind + ("bogus",))
+    if flag == "--fn":
+        return st.sampled_from(BUILTIN_NAMES + ("bogus",))
+    assert flag == "--expr", flag  # a new str row needs its values here
+    atom = st.builds(str.format, st.sampled_from(ATOMS), _numbers(1).map(",".join))
+    return st.lists(atom, min_size=1, max_size=3).map(" + ".join)
+
+
+@st.composite
+def command_argv(draw):
+    """A command, a bifurcate mode, and for each row of that mode a drawn value, or none one time in three.
+
+    The --fn and --expr rows, the size flags and the grid are always given, so no call runs a large default.
+    """
+    cmd = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    mode = draw(st.sampled_from(["fn", "shift"])) if cmd == "bifurcate" else None
+    argv = [cmd]
+    for flag, kind, _, check, only, _ in cli.COMMANDS[cmd][2]:
+        if only not in (None, mode):
+            continue
+        if kind == "switch":
+            names = flag.split("|")
+            if flag == "--shift":
+                argv += ["--shift"] if mode == "shift" else []
+            else:
+                argv += draw(st.sampled_from([[], *([n] for n in names), names]))
+            continue
+        if not (kind == "str" or flag in SIZE_CAPS or check == "grid" or draw(st.integers(0, 2)) == 0):
+            continue
+        value = draw(_value(flag, kind, check))
+        argv += [f"{flag}={v}" for v in value] if kind == "pairs" else [f"{flag}={value}"]
+    return argv
+
+
+def _contract_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _strict(token):
+    raise ValueError(f"not a JSON number: {token}")
+
+
+@settings(max_examples=CONTRACT_EXAMPLES)
+@given(command_argv())
+def test_every_command_keeps_its_contract(argv):
+    # no exception escapes and no RuntimeWarning is raised; strict JSON on exit 0
+    # and 5, one line on stderr and nothing on stdout on 2, 3 and 4; the same bytes twice
+    first = _contract_run(argv)
+    rc, out, err = first
+    assert rc in (0, 2, 3, 4, 5), (rc, err)
+    if rc in (0, 5):
+        json.loads(out, parse_constant=_strict)
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.split(": ", 1)[0] in ("usage error", "precondition error", "numeric error", "error"), err
+    assert _contract_run(argv) == first

@@ -326,8 +326,8 @@ def test_record_equality_over_arrays_matches_a_dataclass():
 
 
 def test_mapspec_compares_by_identity_and_replace_keeps_fields():
-    f = MapSpec(name="f", dim=1, evaluator=abs, basepoint=0.0, homogeneous=True)
+    f = MapSpec(name="f", dim=1, evaluator=abs, homogeneous=True)
     g = replace(f, name="g")
     assert f == f and f != replace(f) and hash(f) == object.__hash__(f)
-    assert (g.name, g.dim, g.evaluator, g.basepoint, g.homogeneous, g.jacobian) == ("g", 1, abs, 0.0, True, None)
+    assert (g.name, g.dim, g.evaluator, g.homogeneous, g.jacobian, g.sphere_matrix) == ("g", 1, abs, True, None, None)
     assert repr(g) == "MapSpec(g, dim=1)"

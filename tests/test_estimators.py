@@ -435,7 +435,7 @@ def test_planar_scan_memory_and_residuals_match_the_unchunked_scan(nx, ny):
     assert peak < 32e6, peak
     # the reference is the angle scan the sphere kernel replaced: 1024
     # angles and a 40-step golden polish against 512 directions and 60 steps
-    g = translate_to_origin(f, f.basepoint)
+    g = translate_to_origin(f, np.zeros(2))
     expect = _unchunked_planar_scan_residuals(g, np.array(lams), scan.radii, 1024)
     assert np.max(np.abs(scan.residuals - expect[:, -1:])) <= 1e-12
     assert scan.verdicts == scan_verdicts(expect, 0.02)[1]
@@ -548,6 +548,16 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     assert np.max(np.abs(new - np.abs(lams.real[:, None] - np.array(radii)))) <= 1e-12
 
 
+def test_norm_times_x_sphere_minima_are_exact_in_every_dimension():
+    # |x| x is r x on the sphere of radius r: its declared sphere matrix r I
+    # gives |lam - r| bit for bit on the 128 real lambdas of a bifurcate grid
+    lams = np.linspace(-1.5, 1.5, 128).astype(complex)
+    radii = (1e-1, 1e-2, 1e-3)
+    exact = np.abs(lams.real[:, None] - np.array(radii))
+    for dim in range(1, 17):
+        assert np.array_equal(sphere_extrema(builtin("norm_times_x", dim=dim), lams, radii, 512), exact), dim
+
+
 def test_rates_of_a_homogeneous_map_repeat_one_radius():
     f = builtin("conj_pair")
     rates = estimate_rates(f, np.zeros(4))
@@ -599,10 +609,10 @@ def _frozen_general_scan_residuals(g, lams, radii, samples, seed):
 )
 def test_scan_residuals_match_the_per_radius_batches(name, params, seed, grid):
     # the scan solves the smallest radius alone, with the bits of its own polish batch;
-    # without its Jacobian conj_pair is sampled and polished, not solved exactly
-    f = replace(builtin(name, **params), jacobian=None)
+    # without their sphere matrices both maps are sampled and polished, not solved exactly
+    f = replace(builtin(name, **params), sphere_matrix=None)
     lams = np.array(_grid(*grid))
     radii = (1e-1, 1e-2, 1e-3)
     scan = bifurcation_scan(f, lams, radii=radii, seed=seed)
-    ref = _frozen_general_scan_residuals(translate_to_origin(f, f.basepoint), lams, radii[-1:], 512, seed)
+    ref = _frozen_general_scan_residuals(translate_to_origin(f, np.zeros(f.dim)), lams, radii[-1:], 512, seed)
     assert np.array_equal(scan.residuals, ref)

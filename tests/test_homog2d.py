@@ -173,7 +173,7 @@ def test_radius_bound_values():
     assert abs(circle_rates("abs_re_plus_i_im")[1] - 1.0) < 1e-9
     assert abs(circle_rates("half_abs_re_plus_i_im")[1] - 1.0) < 1e-9
     f = builtin("conj_pair")
-    assert abs(estimate_rates(f, f.basepoint).q_p - 1.0) < 1e-9
+    assert abs(estimate_rates(f, np.zeros(4)).q_p - 1.0) < 1e-9
     assert circle_rates("norm_plus_i_im")[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     off_base = estimate_rates(builtin("norm_plus_i_im"), np.array([1.0, 0.0])).q_p
     assert off_base == pytest.approx(1.0, abs=1e-4)
@@ -680,6 +680,36 @@ def test_classify_coarse_curve_marks_chord_band():
     assert np.all(ps.labels[chord] == CellLabel.BAND)
     fine = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=60, band_radius=0.01)
     assert not fine.violations
+
+
+@pytest.mark.parametrize("bounds, res", [
+    ((-2.0, 2.0, -2.0, 2.0), 200),  # the README line
+    ((-2.0, 2.0, -2.0, 2.0), 220),  # the figure script
+    ((-1.5, 2.0, -1.5, 1.5), 220),
+    ((-2.0, 2.0, -2.0, 2.0), 800),  # the workloads
+    ((-1.5, 2.0, -1.5, 1.5), 400),
+    ((-2.0, 2.0, -2.0, 2.0), 64),
+    ((-2.0, 2.0, -2.0, 2.0), 100),
+    ((-2.0, 2.0, -2.0, 2.0), 4096),
+])
+def test_classify_chord_bound_is_1e_3_on_the_documented_boxes(bounds, res):
+    # spacing / 64 stays below 1e-3 here, so these curves keep their samples
+    # (bounds and res fix the spacing alone, so the map is the cheapest one)
+    ps = classify_plane(builtin("norm_only"), bounds=bounds, resolution=res)
+    assert ps.curve.chord_bound == 1e-3
+
+
+def test_classify_chord_bound_follows_a_coarse_grid():
+    # on a +-2e4 box at res 200 the bound 1e-3 was missed at 2^20 samples;
+    # spacing / 64 is met with far fewer, and every cell keeps its label
+    f = builtin("real_linear", s=1e4, t=0.0, u=0.0, v=-1e4)
+    ps = classify_plane(f, bounds=(-2e4, 2e4, -2e4, 2e4), resolution=200)
+    assert ps.curve.chord_bound == float(ps.xs[1] - ps.xs[0]) / 64.0 == pytest.approx(4e4 / 199 / 64.0)
+    assert ps.curve.chord_met and ps.curve.values.size <= 1 << 16
+    assert not ps.violations and ps.counts()["band"] > 0
+    assert np.array_equal(ps.labels, classify_plane(f, bounds=(-2e4, 2e4, -2e4, 2e4), resolution=200,
+                                                    curve=sigma_curve(f, samples=CURVE_SAMPLES,
+                                                                      chord_bound=0.5)).labels)
 
 
 def _break_below_row(ys, j):

@@ -14,6 +14,7 @@ from specpoint.maps import (
     scale_map,
     translate_to_origin,
 )
+from specpoint.numerics import sphere_extrema
 
 HOMOGENEOUS_PLANAR = [
     builtin("abs_re_plus_i_im"),
@@ -187,6 +188,70 @@ def test_map_algebra_jacobians():
     g = scale_map(1j, f)  # no complex action on R^3: no derivative either
     assert g.jacobian is None
     assert scale_map(1j, builtin("sqrt_abs")).dini_exact is None
+
+
+def _exact_minima(g, lams, M):
+    """sigma_min(R(lam) - M) for each lam, R(lam) the matrix of the scalar action on g's space."""
+    out = []
+    for lam in lams:
+        R = np.kron(np.eye(g.dim // 2), _rotation(lam)) if g.complex_pairs else lam.real * np.eye(g.dim)
+        out.append(np.linalg.svd(R - M, compute_uv=False)[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4)))), builtin("conj_pair")],
+    ids=["real_linear", "conj_pair"],
+)
+@pytest.mark.parametrize(
+    "combine",
+    [lambda f: scale_map(-0.4 + 2.0j, f), lambda f: add_identity(0.3 - 1.1j, f), lambda f: lambda_minus(1.5 - 0.5j, f)],
+    ids=["scale_map", "add_identity", "lambda_minus"],
+)
+def test_map_algebra_composes_the_sphere_matrix(f, combine):
+    # a*x + c*f(x) has the sphere matrix m_a + m_c A(r): its sphere minima are
+    # the singular values of the composed matrix, read off the evaluated map
+    g = combine(f)
+    M = evaluate(g, np.eye(g.dim)).T
+    assert g.sphere_matrix is not None and g.homogeneous
+    assert np.allclose(g.sphere_matrix(0.01), M, rtol=0, atol=1e-15)
+    lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
+    res = sphere_extrema(g, lams, (0.1, 0.01), 512)
+    assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
+
+
+def test_map_algebra_composes_a_sphere_matrix_that_varies_with_the_radius():
+    # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: minima |lam - 0.5 - r|
+    g = add_identity(0.5, builtin("norm_times_x", dim=3))
+    lams = np.linspace(-1.5, 1.5, 13).astype(complex)
+    radii = (0.1, 0.01)
+    res = sphere_extrema(g, lams, radii, 512)
+    assert np.allclose(res, np.abs(lams.real[:, None] - 0.5 - np.array(radii)), rtol=0, atol=1e-15)
+    assert scale_map(1j, builtin("norm_times_x", dim=3)).sphere_matrix is None  # no complex action on R^3
+
+
+def test_translate_to_origin_keeps_the_sphere_matrix_at_the_origin_only():
+    for f in (builtin("conj_pair"), builtin("norm_times_x", dim=3), identity_map(5)):
+        assert translate_to_origin(f, np.zeros(f.dim)).sphere_matrix is f.sphere_matrix
+        p = np.linspace(0.1, 0.5, f.dim)
+        assert translate_to_origin(f, p).sphere_matrix is None
+
+
+def test_sphere_matrices_of_the_builtins_and_the_identity():
+    # f(r u) = r A(r) u for unit u, checked on evaluations
+    u = np.random.default_rng(8).normal(size=(6, 16))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    maps = [builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), builtin("conj_pair"), identity_map(1),
+            identity_map(2), identity_map(5)] + [builtin("norm_times_x", dim=d) for d in (1, 2, 3, 16)]
+    for f in maps:
+        for r in (1e-3, 0.1, 2.0):
+            x = r * u[:, :f.dim] / np.linalg.norm(u[:, :f.dim], axis=-1, keepdims=True)
+            want = evaluate(f, x if f.dim > 1 else x[:, 0])
+            got = x @ np.asarray(f.sphere_matrix(r)).T
+            assert np.allclose(got if f.dim > 1 else got[:, 0], want, rtol=1e-15, atol=0), f.name
+    nonlinear = ["abs_re_plus_i_im", "norm_plus_i_im", "norm_only", "sqrt_abs", "xsq_sin_inv"]
+    assert all(builtin(name).sphere_matrix is None for name in nonlinear)
 
 
 def test_scale_map_values():

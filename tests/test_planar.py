@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specpoint import homog2d, numerics, planar
-from specpoint.core import NumericError
+from specpoint.core import NumericError, replace
 from specpoint.maps import black_box, builtin, evaluate
 from specpoint.numerics import golden_min
 
@@ -33,7 +33,8 @@ def test_planar_builtins_have_the_bits_of_maps(name):
     else:  # y ** n is C's pow on a float and a square on arrays; spec2d never evaluates it
         assert np.allclose(on_floats, f.evaluator(pts), rtol=4e-16, atol=0.0)
     if name == "real_linear":
-        assert np.array_equal(f.jacobian(np.zeros(2)), np.array(bare.jacobian(None)))
+        assert np.array_equal(f.jacobian(np.zeros(2)), np.array(bare.sphere_matrix(1.0)))
+        assert np.array_equal(f.sphere_matrix(0.1), np.array(bare.sphere_matrix(1.0)))
 
 
 @pytest.mark.parametrize("samples", [16, 4096, 1 << 16])
@@ -130,14 +131,14 @@ def test_tracer_matches_the_former_array_loop(name, params, samples, max_samples
 
 
 def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
-    # a homogeneous map with a Jacobian is solved by one batched SVD, with no evaluation
+    # a map that declares its sphere matrix is solved by one batched SVD per radius, with no evaluation
     rng = np.random.default_rng(9)
     M = rng.normal(size=(4, 4))
 
     def never(x):
         raise AssertionError("the exact path evaluated the map")
 
-    f = black_box(4, never, homogeneous=True, complex_pairs=True, jacobian=lambda q, _M=M: _M)
+    f = replace(black_box(4, never, homogeneous=True, complex_pairs=True), sphere_matrix=lambda r, _M=M: _M)
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j])
     res = numerics.sphere_extrema(f, lams, (0.1, 0.01), 512)
     top = numerics.sphere_extrema(f, lams, (0.1,), 512, sign=-1.0)
@@ -152,7 +153,7 @@ def test_non_finite_sphere_extremum_is_a_numeric_error():
     f = black_box(2, lambda x: np.asarray(x) * 1e200, name="huge")
     with pytest.raises(NumericError, match="huge"):
         numerics.sphere_extrema(f, np.array([0.5 + 0j]), (0.1,), 64)
-    g = black_box(2, lambda x: np.asarray(x), name="inf_matrix", homogeneous=True,
-                  jacobian=lambda q: np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    g = replace(black_box(2, lambda x: np.asarray(x), name="inf_matrix", homogeneous=True),
+                sphere_matrix=lambda r: np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericError, match="inf_matrix"):
         numerics.sphere_extrema(g, np.array([0.5 + 0j]), (0.1,), 64)
