@@ -358,10 +358,12 @@ def _cmd_classify(args) -> int:
     from . import homog2d, planar, svgfig
 
     f = _build_map(args)
+    planar.require_planar_homogeneous(f)
+    # every planar homogeneous map is a planar builtin: q as spec2d takes it, on floats, and
+    # before the grid, so a map whose |f| overflows exits 4 before any cell is labelled
+    _, q = planar.circle_extrema(planar.moduli_at(planar.builtin(args.fn, **_fn_params(args))), f.name)
     bounds = [args.xmin, args.xmax, args.ymin, args.ymax]
     spectrum = homog2d.classify_plane(f, bounds=bounds, resolution=args.res, band_radius=args.band)
-    # every map classify_plane accepts is a planar builtin: q as spec2d takes it, on floats
-    _, q = planar.circle_extrema(planar.moduli_at(planar.builtin(args.fn, **_fn_params(args))), f.name)
     payload = {
         "command": "classify",
         "fn": f.name,
@@ -431,7 +433,7 @@ def _cmd_mnc(args) -> int:
         raise UsageError("--expr EXPRESSION is required")
     from . import rates
 
-    bounds = rates.mnc_bounds(rates.parse_expr(args.expr))
+    bounds = rates.mnc_bounds(args.expr)
     payload = {"command": "mnc", "expr": args.expr, **bounds.to_json()}
     _emit(payload, args.out)
     return EXIT_OK

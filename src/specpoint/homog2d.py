@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import PreconditionError, Record
+from .core import NumericError, PreconditionError, Record
 from .maps import MapSpec, evaluate, translate_to_origin
 from .numerics import CHUNK, unit_points
 from .planar import TWO_PI, SigmaCurve, require_planar_homogeneous, trace_curve
@@ -170,7 +170,10 @@ def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) 
         raise PreconditionError("local curves are planar")
     n = max(16, 4 * math.ceil(samples / 4))
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    vals = _curve_values(translate_to_origin(f, p), thetas, radius)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's complex division by a subnormal r forms 1/r = inf
+        vals = _curve_values(translate_to_origin(f, p), thetas, radius)
+    if not np.isfinite(vals).all():
+        raise NumericError(f"the local curve of {f.name} at radius {radius!r} is not finite")
     return SigmaCurve(thetas, vals, float("nan"), True, label="local")
 
 

@@ -1,9 +1,10 @@
 """Symbolic compactness-rate calculus over operator expressions, pure Python.
 
-Operator expressions are trees of atoms with known local compactness rates
+Operator expressions combine atoms with known local compactness rates
 (alpha = worst-case expansion of the noncompactness measure, omega =
-best-case), combined by sums, compositions, and scalar multiples.  One
-bottom-up pass propagates interval bounds through the standard rules:
+best-case) by sums, compositions, and scalar multiples.  The parser applies
+each rule as soon as it has read the rule's operands, so one pass over the
+text propagates interval bounds through the standard rules:
 
     scale      alpha(c f) = |c| alpha(f),        omega(c f) = |c| omega(f)
     sum        |alpha(f) - alpha(g)| <= alpha(f+g) <= alpha(f) + alpha(g)
@@ -13,7 +14,7 @@ bottom-up pass propagates interval bounds through the standard rules:
     order      omega <= alpha, both nonnegative
     compact    locally compact atoms have alpha = omega = 0
 
-`parse_expr` reads expressions in the plain-text grammar written out above
+`mnc_bounds` reads expressions in the plain-text grammar written out above
 `_TOKEN`.  The module imports no numpy, so `specpoint mnc` runs on bare
 Python.
 """
@@ -50,16 +51,6 @@ class Interval(Record):
         return [ext_to_json(self.lo), ext_to_json(self.hi)]
 
 
-def _iv(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    if isinstance(x, (tuple, list)):
-        return Interval(float(x[0]), float(x[1]))
-    if x is None:
-        return Interval.unknown()
-    return Interval.exact(float(x))
-
-
 def _mul_bound(a: float, b: float) -> float:
     # 0 * inf = 0: a vanishing rate forces the composite rate to vanish
     if a == 0.0 or b == 0.0:
@@ -81,62 +72,6 @@ def _add_bound(a: float, b: float) -> float:
     if math.isinf(a) or math.isinf(b):
         return POS_INF
     return a + b
-
-
-# ---------------------------------------------------------------------------
-# operator expressions
-
-
-class OperatorExpr(Record):
-    """Base class; atoms carry rates, combinators carry children."""
-
-
-class Identity(OperatorExpr):
-    pass
-
-
-class ScalarMultiple(OperatorExpr):
-    c: float
-
-
-class IsometryOntoCodim(OperatorExpr):
-    k: int
-
-
-class CompactLinear(OperatorExpr):
-    pass
-
-
-class FiniteRank(OperatorExpr):
-    r: int
-
-
-class LocallyCompactNonlinear(OperatorExpr):
-    pass
-
-
-class KnownRates(OperatorExpr):
-    alpha: Interval = None  # type: ignore[assignment]
-    omega: Interval = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _iv(self.alpha))
-        object.__setattr__(self, "omega", _iv(self.omega))
-
-
-class Sum(OperatorExpr):
-    left: OperatorExpr
-    right: OperatorExpr
-
-
-class Compose(OperatorExpr):
-    outer: OperatorExpr
-    inner: OperatorExpr
-
-
-class Scale(OperatorExpr):
-    c: float
-    inner: OperatorExpr
 
 
 class RateBounds(Record):
@@ -167,62 +102,39 @@ def _tighten(alpha: Interval, omega: Interval, trace: list):
     return Interval(a_lo, a_hi), Interval(min(w_lo, w_hi), w_hi)
 
 
-def mnc_bounds(e: OperatorExpr) -> RateBounds:
-    """Tightest rate intervals derivable in one bottom-up pass of the rules."""
-    trace: list[str] = []
+# ---------------------------------------------------------------------------
+# the rules, each on (alpha, omega) pairs of its operands
 
-    def walk(node: OperatorExpr) -> tuple[Interval, Interval]:
-        if isinstance(node, Identity):
-            trace.append("atom:identity")
-            return Interval.exact(1.0), Interval.exact(1.0)
-        if isinstance(node, ScalarMultiple):
-            trace.append("atom:scalar-multiple")
-            c = abs(node.c)
-            return Interval.exact(c), Interval.exact(c)
-        if isinstance(node, IsometryOntoCodim):
-            trace.append("atom:isometry")
-            return Interval.exact(1.0), Interval.exact(1.0)
-        if isinstance(node, (CompactLinear, FiniteRank, LocallyCompactNonlinear)):
-            trace.append("atom:locally-compact(alpha=omega=0)")
-            return Interval.exact(0.0), Interval.exact(0.0)
-        if isinstance(node, KnownRates):
-            if node.alpha == Interval.unknown() and node.omega == Interval.unknown():
-                trace.append("atom:no rule")
-            else:
-                trace.append("atom:known-rates")
-            return node.alpha, node.omega
-        if isinstance(node, Scale):
-            a, w = walk(node.inner)
-            c = abs(node.c)
-            trace.append("rule:scale")
-            return (
-                Interval(_mul_bound(c, a.lo), _mul_bound(c, a.hi)),
-                Interval(_mul_bound(c, w.lo), _mul_bound(c, w.hi)),
-            )
-        if isinstance(node, Sum):
-            a1, w1 = walk(node.left)
-            a2, w2 = walk(node.right)
-            trace.append("rule:sum.alpha.two-sided")
-            a_lo = max(0.0, _sub_floor0(a1.lo, a2.hi), _sub_floor0(a2.lo, a1.hi))
-            a_hi = _add_bound(a1.hi, a2.hi)
-            trace.append("rule:sum.omega.sandwich")
-            w_lo = max(0.0, _sub_floor0(w1.lo, a2.hi), _sub_floor0(w2.lo, a1.hi))
-            w_hi = min(_add_bound(w1.hi, a2.hi), _add_bound(w2.hi, a1.hi))
-            return Interval(a_lo, a_hi), Interval(w_lo, max(w_lo, w_hi))
-        if isinstance(node, Compose):
-            ag, wg = walk(node.outer)
-            af, wf = walk(node.inner)
-            trace.append("rule:compose.alpha.product")
-            a_hi = _mul_bound(ag.hi, af.hi)
-            trace.append("rule:compose.omega.sandwich")
-            w_lo = _mul_bound(wg.lo, wf.lo)
-            w_hi = _mul_bound(ag.hi, wf.hi)
-            return Interval(0.0, a_hi), Interval(min(w_lo, w_hi), max(w_lo, w_hi))
-        raise UsageError(f"unknown expression node {node!r}")
 
-    alpha, omega = walk(e)
-    alpha, omega = _tighten(alpha, omega, trace)
-    return RateBounds(alpha=alpha, omega=omega, derivation=tuple(trace))
+def _scale(c: float, inner, trace: list):
+    a, w = inner
+    c = abs(c)
+    trace.append("rule:scale")
+    return (
+        Interval(_mul_bound(c, a.lo), _mul_bound(c, a.hi)),
+        Interval(_mul_bound(c, w.lo), _mul_bound(c, w.hi)),
+    )
+
+
+def _sum(left, right, trace: list):
+    (a1, w1), (a2, w2) = left, right
+    trace.append("rule:sum.alpha.two-sided")
+    a_lo = max(0.0, _sub_floor0(a1.lo, a2.hi), _sub_floor0(a2.lo, a1.hi))
+    a_hi = _add_bound(a1.hi, a2.hi)
+    trace.append("rule:sum.omega.sandwich")
+    w_lo = max(0.0, _sub_floor0(w1.lo, a2.hi), _sub_floor0(w2.lo, a1.hi))
+    w_hi = min(_add_bound(w1.hi, a2.hi), _add_bound(w2.hi, a1.hi))
+    return Interval(a_lo, a_hi), Interval(w_lo, max(w_lo, w_hi))
+
+
+def _compose(outer, inner, trace: list):
+    (ag, wg), (af, wf) = outer, inner
+    trace.append("rule:compose.alpha.product")
+    a_hi = _mul_bound(ag.hi, af.hi)
+    trace.append("rule:compose.omega.sandwich")
+    w_lo = _mul_bound(wg.lo, wf.lo)
+    w_hi = _mul_bound(ag.hi, wf.hi)
+    return Interval(0.0, a_hi), Interval(min(w_lo, w_hi), max(w_lo, w_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +146,9 @@ def mnc_bounds(e: OperatorExpr) -> RateBounds:
 #   atom    := Identity | ScalarMultiple(c) | IsometryOntoCodim(k)
 #            | CompactLinear | FiniteRank(r) | LocallyCompactNonlinear
 #            | KnownRates(alpha=V, omega=V)
-#   V       := number | number '..' number | 'inf'
+#   V       := number | number '..' number | 'inf'      (nonnegative)
 #
-# Compose(a, b) applies b first: 'g o f' is the map x -> g(f(x)).
+# 'g o f' applies f first: it is the map x -> g(f(x)).
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[-+]?(?:\d+\.\d+|\d+|\.\d+)(?:[eE][-+]?\d+)?|inf)"
@@ -265,21 +177,26 @@ def _tokenize(text: str):
     return out
 
 
-# the fixed atoms: name -> (node, cast of its one argument, or None for a bare atom)
+_COMPACT = "atom:locally-compact(alpha=omega=0)"
+# the fixed atoms: name -> (cast of its one argument, or None for a bare atom;
+# alpha = omega, or None for the cast argument; trace label)
 _ATOMS = {
-    "Identity": (Identity, None),
-    "CompactLinear": (CompactLinear, None),
-    "LocallyCompactNonlinear": (LocallyCompactNonlinear, None),
-    "ScalarMultiple": (ScalarMultiple, float),
-    "IsometryOntoCodim": (IsometryOntoCodim, int),
-    "FiniteRank": (FiniteRank, int),
+    "Identity": (None, 1.0, "atom:identity"),
+    "CompactLinear": (None, 0.0, _COMPACT),
+    "LocallyCompactNonlinear": (None, 0.0, _COMPACT),
+    "ScalarMultiple": (abs, None, "atom:scalar-multiple"),
+    "IsometryOntoCodim": (int, 1.0, "atom:isometry"),
+    "FiniteRank": (int, 0.0, _COMPACT),
 }
 
 
 class _Parser:
+    """Recursive descent that returns the (alpha, omega) pair of each phrase and traces its rules."""
+
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.trace: list[str] = []
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None)
@@ -293,44 +210,43 @@ class _Parser:
         self.i += 1
         return v
 
-    def parse(self) -> OperatorExpr:
-        e = self.expr()
-        if self.peek() != (None, None):
-            raise UsageError(f"trailing input at {self.peek()[1]!r}")
-        return e
-
-    def expr(self) -> OperatorExpr:
-        node = self.term()
+    def expr(self):
+        rates = self.term()
         while self.peek() == ("op", "+"):
             self.take()
-            node = Sum(node, self.term())
-        return node
+            rates = _sum(rates, self.term(), self.trace)
+        return rates
 
-    def term(self) -> OperatorExpr:
-        node = self.factor()
+    def term(self):
+        rates = self.factor()
         while self.peek() in (("name", "o"), ("op", "∘")):
             self.take()
-            node = Compose(node, self.factor())
-        return node
+            rates = _compose(rates, self.factor(), self.trace)
+        return rates
+
+    def rate(self) -> float:
+        v = self.take("num")
+        if v < 0.0:
+            raise UsageError(f"KnownRates takes nonnegative rates, got {v!r}")
+        return v
 
     def value(self) -> Interval:
-        v = self.take("num")
+        lo = hi = self.rate()
         if self.peek() == ("op", ".."):
             self.take()
-            hi = self.take("num")
-            try:
-                return Interval(v, hi)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        return Interval.exact(v)
+            hi = self.rate()
+        try:
+            return Interval(lo, hi)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
-    def factor(self) -> OperatorExpr:
+    def factor(self):
         k, v = self.peek()
         if k == "op" and v == "(":
             self.take()
-            node = self.expr()
+            rates = self.expr()
             self.take("op", ")")
-            return node
+            return rates
         if k != "name":
             raise UsageError(f"expected an atom, found {v!r}")
         name = self.take("name")
@@ -340,17 +256,19 @@ class _Parser:
             self.take("op", ",")
             inner = self.expr()
             self.take("op", ")")
-            return Scale(c, inner)
+            return _scale(c, inner, self.trace)
         if name in _ATOMS:
-            node, cast = _ATOMS[name]
-            if cast is None:
-                return node()
-            self.take("op", "(")
-            arg = self.take("num")
-            if cast is int and not (arg >= 0.0 and arg.is_integer()):
-                raise UsageError(f"{name} takes a nonnegative integer, got {arg!r}")
-            self.take("op", ")")
-            return node(cast(arg))
+            cast, rate, label = _ATOMS[name]
+            if cast is not None:
+                self.take("op", "(")
+                arg = self.take("num")
+                if cast is int and not (arg >= 0.0 and arg.is_integer()):
+                    raise UsageError(f"{name} takes a nonnegative integer, got {arg!r}")
+                self.take("op", ")")
+                if rate is None:
+                    rate = cast(arg)
+            self.trace.append(label)
+            return Interval.exact(rate), Interval.exact(rate)
         if name == "KnownRates":
             self.take("op", "(")
             fields: dict[str, Interval] = {}
@@ -366,15 +284,19 @@ class _Parser:
             bad = set(fields) - {"alpha", "omega"}
             if bad:
                 raise UsageError(f"unknown KnownRates fields {sorted(bad)}")
-            node = KnownRates(alpha=fields.get("alpha"), omega=fields.get("omega"))
-            if node.omega.lo > node.alpha.hi:  # no map has omega > alpha
-                raise UsageError(f"KnownRates has omega >= {node.omega.lo!r} above alpha <= {node.alpha.hi!r}")
-            return node
+            alpha, omega = (fields.get(key, Interval.unknown()) for key in ("alpha", "omega"))
+            if omega.lo > alpha.hi:  # no map has omega > alpha
+                raise UsageError(f"KnownRates has omega >= {omega.lo!r} above alpha <= {alpha.hi!r}")
+            self.trace.append("atom:no rule" if alpha == omega == Interval.unknown() else "atom:known-rates")
+            return alpha, omega
         raise UsageError(f"unknown atom {name!r}")
 
 
-def parse_expr(text: str) -> OperatorExpr:
-    """Parse the plain-text operator expression grammar (written out above `_TOKEN`)."""
-    return _Parser(_tokenize(text)).parse()
-
-
+def mnc_bounds(text: str) -> RateBounds:
+    """Tightest rate intervals of the expression `text`, each rule applied as the parser reads it."""
+    parser = _Parser(_tokenize(text))
+    alpha, omega = parser.expr()
+    if parser.peek() != (None, None):
+        raise UsageError(f"trailing input at {parser.peek()[1]!r}")
+    alpha, omega = _tighten(alpha, omega, parser.trace)
+    return RateBounds(alpha=alpha, omega=omega, derivation=tuple(parser.trace))

@@ -28,17 +28,7 @@ from specpoint.homog2d import (
 )
 from specpoint.maps import add_identity, black_box, builtin, scale_map
 from specpoint.planar import builtin as planar_builtin, circle_extrema, moduli_at
-from specpoint.rates import (
-    CompactLinear,
-    Compose,
-    Identity,
-    Interval,
-    IsometryOntoCodim,
-    KnownRates,
-    Scale,
-    Sum,
-    mnc_bounds,
-)
+from specpoint.rates import Interval, mnc_bounds
 from specpoint.structured import (
     SQRT2,
     shift_bifurcation_scan,
@@ -317,15 +307,15 @@ def test_acceptance_09_property_suites():
     assert worst < 1e-4
 
     # rate-calculus spot checks, including the shift decomposition
-    b = mnc_bounds(Sum(IsometryOntoCodim(1), CompactLinear()))
+    b = mnc_bounds("IsometryOntoCodim(1) + CompactLinear")
     assert b.alpha == Interval(1.0, 1.0) and b.omega == Interval(1.0, 1.0)
-    assert mnc_bounds(Scale(-2.0, Identity())).alpha == Interval(2.0, 2.0)
-    two_sided = mnc_bounds(Sum(KnownRates(alpha=3, omega=2), KnownRates(alpha=1, omega=1)))
+    assert mnc_bounds("scale(-2.0, Identity)").alpha == Interval(2.0, 2.0)
+    two_sided = mnc_bounds("KnownRates(alpha=3, omega=2) + KnownRates(alpha=1, omega=1)")
     assert two_sided.alpha == Interval(2.0, 4.0)  # |3-1| .. 3+1
     assert two_sided.omega == Interval(1.0, 3.0)  # max(2-1, 1-3, 0) .. min(2+1, 1+3)
-    comp = mnc_bounds(Compose(KnownRates(alpha=2, omega=1), KnownRates(alpha=3, omega=0.5)))
+    comp = mnc_bounds("KnownRates(alpha=2, omega=1) o KnownRates(alpha=3, omega=0.5)")
     assert comp.alpha.hi == 6.0 and comp.omega == Interval(0.5, 1.0)
-    assert mnc_bounds(CompactLinear()).alpha == Interval(0.0, 0.0)
+    assert mnc_bounds("CompactLinear").alpha == Interval(0.0, 0.0)
     _ok(9, f"equivariance, annulus, candidate containment, winding stability, rates (worst {worst:.1e}), rate calculus")
 
 

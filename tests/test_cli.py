@@ -266,9 +266,56 @@ def test_mnc_scale_takes_zero_times_inf_as_zero(capsys, expr):
     "IsometryOntoCodim(1.5)",  # read as codimension 1
     "IsometryOntoCodim(-1)",
     "KnownRates(alpha=1, omega=0, d=5, q=3)",  # no rule reads d or q
+    "KnownRates(alpha=-1, omega=-1)",  # escaped as ValueError
+    "KnownRates(alpha=-2..-1, omega=-3)",  # escaped as ValueError
+    "KnownRates(omega=-1)",  # printed omega [-1, -1]
+    "KnownRates(alpha=-1..2)",  # read as alpha [0, 2]
 ])
 def test_mnc_rejects_a_bad_count_or_interval(capsys, expr):
     assert run_cli(capsys, ["mnc", "--expr", expr]) == (2, "")
+
+
+ISO, ID, MUL, KNOWN = "atom:isometry", "atom:identity", "atom:scalar-multiple", "atom:known-rates"
+COMPACT = "atom:locally-compact(alpha=omega=0)"
+SUM = ["rule:sum.alpha.two-sided", "rule:sum.omega.sandwich"]
+COMPOSE = ["rule:compose.alpha.product", "rule:compose.omega.sandwich"]
+# expression: (alpha, omega, derivation), each rule listed after its operands, left before right
+MNC_CORPUS = {
+    "IsometryOntoCodim(1) + CompactLinear": ([1.0, 1.0], [1.0, 1.0], [ISO, COMPACT, *SUM]),
+    "scale(0, KnownRates(alpha=inf)) + KnownRates(alpha=1..2, omega=0.5) o IsometryOntoCodim(1)": (
+        [0.5, 2.0], [0.5, 2.0], [KNOWN, "rule:scale", KNOWN, ISO, *COMPOSE, *SUM, "order:alpha>=omega"]),
+    "Identity": ([1.0, 1.0], [1.0, 1.0], [ID]),
+    "ScalarMultiple(-2)": ([2.0, 2.0], [2.0, 2.0], [MUL]),
+    "IsometryOntoCodim(2)": ([1.0, 1.0], [1.0, 1.0], [ISO]),
+    "CompactLinear": ([0.0, 0.0], [0.0, 0.0], [COMPACT]),
+    "FiniteRank(3)": ([0.0, 0.0], [0.0, 0.0], [COMPACT]),
+    "LocallyCompactNonlinear": ([0.0, 0.0], [0.0, 0.0], [COMPACT]),
+    "KnownRates(alpha=2, omega=1)": ([2.0, 2.0], [1.0, 1.0], [KNOWN]),
+    "KnownRates(alpha=0..inf, omega=0..inf)": ([0.0, "inf"], [0.0, "inf"], ["atom:no rule"]),
+    "Identity + ScalarMultiple(2) o KnownRates(alpha=3, omega=0.5)": (
+        [0.0, 7.0], [0.0, 2.0], [ID, MUL, KNOWN, *COMPOSE, *SUM]),
+    "(Identity + ScalarMultiple(2)) o KnownRates(alpha=3, omega=0.5)": (
+        [0.5, 9.0], [0.5, 1.5], [ID, MUL, *SUM, KNOWN, *COMPOSE, "order:alpha>=omega"]),
+    "KnownRates(alpha=3, omega=2) + KnownRates(alpha=1, omega=1) + FiniteRank(1)": (
+        [2.0, 4.0], [1.0, 3.0], [KNOWN, KNOWN, *SUM, COMPACT, *SUM]),
+    "Identity ∘ ScalarMultiple(3) ∘ IsometryOntoCodim(2)": (
+        [3.0, 3.0], [3.0, 3.0], [ID, MUL, *COMPOSE, ISO, *COMPOSE, "order:alpha>=omega"]),
+    "scale(2, scale(-0.5, KnownRates(alpha=1..3, omega=0.5)) + CompactLinear)": (
+        [1.0, 3.0], [0.5, 0.5], [KNOWN, "rule:scale", COMPACT, *SUM, "rule:scale"]),
+    "KnownRates(omega=0.5)": ([0.5, "inf"], [0.5, 0.5], [KNOWN, "order:alpha>=omega"]),
+    "KnownRates(alpha=0..2)": ([0.0, 2.0], [0.0, 2.0], [KNOWN, "order:omega<=alpha"]),
+    "KnownRates(alpha=1..inf, omega=inf) + Identity o scale(inf, KnownRates(alpha=0.5))": (
+        [0.0, "inf"], [0.0, "inf"], [KNOWN, ID, KNOWN, "rule:scale", *COMPOSE, *SUM]),
+    "KnownRates(alpha=0..1, omega=0.5..3)": (
+        [0.5, 1.0], [0.5, 1.0], [KNOWN, "order:omega<=alpha", "order:alpha>=omega"]),
+}
+
+
+@pytest.mark.parametrize("expr", MNC_CORPUS)
+def test_mnc_corpus_output_is_pinned(capsys, expr):
+    alpha, omega, derivation = MNC_CORPUS[expr]
+    d = run_json(capsys, ["mnc", "--expr", expr])
+    assert d == {"command": "mnc", "expr": expr, "alpha": alpha, "omega": omega, "derivation": derivation}
 
 
 def test_bifurcate_planar(capsys):
@@ -1069,6 +1116,14 @@ PINNED = [
     (["bifurcate", "--fn", "norm_times_x", "--params", "16", f"--grid=2,-{MAX},0,0,3,1", "--radii=1e300"], 4),
     (["bifurcate", "--fn", "real_linear", "--grid=0,0,3e-308,0.5,3,2", "--params=0,1e-200,1e300,1e300",
       "--tol=1e-200", "--radii=1"], 0),
+    # classify takes its radius bound before the grid: an |f| that overflows exits 4 before any cell
+    # is labelled, where the band query and the crossings warned, or the band reach exited 3
+    (["classify", "--fn", "real_linear", "--params", "1e160,1e160,0,1", "--res", "20",
+      "--xmin=-1e161", "--xmax=1e161", "--ymin=-1e161", "--ymax=1e161"], 4),
+    (["classify", "--fn", "real_linear", "--params", "1e200,0,0,1e200"], 4),
+    # a subnormal radius: numpy's complex division formed 1/r = inf, and the verdicts were read off it
+    (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
+    (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "1e300", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
 ]
 
 

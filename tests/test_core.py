@@ -15,6 +15,7 @@ from specpoint.core import (
     MapSpec,
     NEG_INF,
     POS_INF,
+    Record,
     RealIntervalSet,
     as_complex,
     ext,
@@ -26,7 +27,7 @@ from specpoint.core import (
 )
 from specpoint.homog2d import PlaneSpectrum
 from specpoint.maps import black_box, lambda_minus, scalar_action
-from specpoint.rates import Interval, KnownRates, _iv
+from specpoint.rates import Interval
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 endpoint = st.one_of(finite, st.just(POS_INF), st.just(NEG_INF))
@@ -207,6 +208,27 @@ class IntervalTwin:
     def __post_init__(self):
         if ext(self.lo) > ext(self.hi):
             raise ValueError("interval endpoints out of order")
+
+
+def _iv(x) -> Interval:
+    if isinstance(x, Interval):
+        return x
+    if isinstance(x, (tuple, list)):
+        return Interval(float(x[0]), float(x[1]))
+    if x is None:
+        return Interval.unknown()
+    return Interval.exact(float(x))
+
+
+class KnownRates(Record):
+    """A record whose __post_init__ converts its fields: a value, a pair or None to an Interval."""
+
+    alpha: Interval = None
+    omega: Interval = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _iv(self.alpha))
+        object.__setattr__(self, "omega", _iv(self.omega))
 
 
 @dataclasses.dataclass(frozen=True)
