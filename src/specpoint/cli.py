@@ -23,6 +23,7 @@ non-finite number exits 3, but --threshold inf turns divergence detection
 off.  Sizes are capped, and a value out of range exits 3 before anything is
 allocated: --res <= 4096, --samples in [1, 2^20], --truncate <= 100000,
 --angles <= 4096, --steps in [8, 4096], --grid counts nx, ny in [1, 128],
+the --params of norm_times_x in [1, 16] and of norm_plus_i_im_pow in [2, 64],
 |--seed| <= 2^53, and the reach of the classify band query (the widest of
 --band, 1e-9 and the longest chord of a curve that missed its chord bound)
 <= 64 grid spacings.  A negative --band, a --tol, --h0, --xi-eps, --radii or
@@ -62,6 +63,7 @@ from pathlib import Path
 # and `bifurcate --shift` need no numpy, and the shift model none of the
 # planar and sampling engines.
 from .core import (
+    MAX_DIM,
     EvaluationError,
     NumericError,
     PreconditionError,
@@ -199,8 +201,13 @@ def _fn_params(args) -> dict:
             raise UsageError(f"{name} takes at most one parameter, got {len(params)}")
         if params and not params[0].is_integer():
             raise UsageError(f"{name} takes an integer parameter, got {params[0]!r}")
-        n = int(params[0]) if params else 2
-        return {"n": n} if name == "norm_plus_i_im_pow" else {"dim": n}
+        from .planar import MAX_POW
+
+        key, lo, hi = ("n", 2, MAX_POW) if name == "norm_plus_i_im_pow" else ("dim", 1, MAX_DIM)
+        n = params[0] if params else 2
+        if not lo <= n <= hi:  # on the float, as given: int(1e300) prints 301 digits
+            raise PreconditionError(f"{name} needs {lo} <= {key} <= {hi}, got {n:.16g}")
+        return {key: int(n)}
     if params:
         raise UsageError(f"builtin {name} takes no parameters")
     return {}

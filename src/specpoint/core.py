@@ -1,7 +1,7 @@
 """Shared domain types for local spectra of continuous maps.
 
-The `Record` base of every frozen value type, extended-real conventions
-(sup of nothing is -inf, inf of nothing is +inf), normalized sets of closed
+The `Record` base of every frozen value type, extended reals (floats with
++-inf, never NaN) and their JSON form, normalized sets of closed
 real intervals, the four-derivative quadruple used by the one dimensional
 engine, complex scalar parsing, the verdicts of bifurcation scans, the
 `MapSpec` map description, and the exception taxonomy shared by every
@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 POS_INF = math.inf
 NEG_INF = -math.inf
+MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim matrix per lambda
 
 
 # ---------------------------------------------------------------------------
@@ -122,26 +123,6 @@ def ext(v) -> float:
     if math.isnan(v):
         raise ValueError("NaN is not an extended real")
     return v
-
-
-def sup_of(values: Iterable[float]) -> float:
-    """Supremum with the empty convention sup {} = -inf."""
-    out = NEG_INF
-    for v in values:
-        v = ext(v)
-        if v > out:
-            out = v
-    return out
-
-
-def inf_of(values: Iterable[float]) -> float:
-    """Infimum with the empty convention inf {} = +inf."""
-    out = POS_INF
-    for v in values:
-        v = ext(v)
-        if v < out:
-            out = v
-    return out
 
 
 def ext_to_json(v: float):

@@ -39,6 +39,7 @@ from . import planar
 from .core import (
     DiniQuad,
     DomainError,
+    MAX_DIM,
     EvaluationError,
     MapSpec,
     PreconditionError,
@@ -46,9 +47,6 @@ from .core import (
     as_complex,
     replace,
 )
-
-
-MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim matrix per lambda
 
 
 def evaluate(f: MapSpec, x) -> np.ndarray:

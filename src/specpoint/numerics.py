@@ -1,9 +1,10 @@
 """Deterministic sampling, derivative-free local search and the sphere-extremum kernel.
 
 Low-discrepancy sphere directions, the batched lockstep Nelder-Mead
-`sphere_polish` on unit spheres, vectorized golden-section search,
-brute-force point-set distances, and `sphere_extrema`, the one kernel
-behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
+`sphere_polish` on unit spheres, golden-section search on arrays of
+brackets (the one iteration, `planar.golden_min`, with np.where as its
+`where`), brute-force point-set distances, and `sphere_extrema`, the one
+kernel behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
 rates of `estimators`, point-spectrum membership and the `bifurcate --fn`
 scan (at its smallest radius only), in any dimension.  A map that declares
 its sphere matrix gets exact extrema from singular values; any other is
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import planar
 from .core import NumericError
 from .maps import MapSpec, evaluate, scalar_action
 from .planar import GOLDEN as _GOLDEN, TWO_PI
@@ -51,8 +53,7 @@ def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
         offset = (seed * _GOLDEN) % 1.0
-        theta = 2.0 * np.pi * ((np.arange(n) + 0.5 + offset) / n)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return unit_points(2.0 * np.pi * ((np.arange(n) + 0.5 + offset) / n))
     u = _kronecker(dim + dim % 2, n, seed)  # coordinates 2i, 2i+1 make one pair
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
     angle = 2.0 * np.pi * u[:, 1::2]
@@ -168,26 +169,13 @@ def sphere_polish(fn, U0):
 
 
 def golden_min(fn, lo, hi):
-    """Golden-section minimization on brackets, 60 steps; returns (x, fn(x)).
+    """`planar.golden_min` on arrays of brackets, every element on its own; returns (x, fn(x)).
 
-    lo and hi may be arrays: every element is searched on its own bracket
-    and fn maps an array of points to their values, one call per iteration.
-    Each element follows the iterates of the scalar `planar.golden_min`
-    exactly.
+    fn maps an array of points to their values, one call per step; a 0-d
+    bracket gives numpy scalars.
     """
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(60):
-        left = fc <= fd  # keep [a, d]: d <- c and c is new; else keep [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = fn(x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
-    left = fc <= fd
-    return np.where(left, c, d)[()], np.where(left, fc, fd)[()]
+    x, fx = planar.golden_min(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), np.where)
+    return x[()], fx[()]
 
 
 def unit_points(thetas: np.ndarray) -> np.ndarray:

@@ -6,10 +6,12 @@ and q are the minimum and maximum of |f| on the unit circle, which is
 |sigma(theta)| there.  Both are loops over angles.  `trace_curve` bisects
 arcs until every chord meets a bound, and `circle_extrema` samples a grid
 of angles once and polishes its least and its largest sample by
-golden-section search.  Each reads its function through a batch
-evaluator, from a list of angles to a list of values: `spec2d` and
-`classify` hand `circle_extrema` the builtins below on floats, and
-`homog2d` hands `trace_curve` any map on numpy arrays.
+`golden_min`, the package's one golden-section iteration: each update is a
+`where`, on floats here and np.where when `numerics` searches arrays of
+brackets.  Each reads its function through a batch evaluator, from a list
+of angles to a list of values: `spec2d` and `classify` hand
+`circle_extrema` the builtins below on floats, and `homog2d` hands
+`trace_curve` any map on numpy arrays.
 
 Each planar builtin is one formula (x, y, hypot) -> (u, v), with f(x + iy)
 = u + iv.  Its operators act alike on floats and on numpy arrays, and its
@@ -33,6 +35,7 @@ from .core import MapSpec, NumericError, PreconditionError, Record
 TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPHERE_DIRECTIONS = 1024  # sampled unit vectors of the growth rates d and q
+MAX_POW = 64  # the largest norm_plus_i_im_pow exponent
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +65,8 @@ def _real_linear(s=1.0, t=0.0, u=0.0, v=1.0) -> MapSpec:
 
 def _norm_plus_i_im_pow(n=2) -> MapSpec:
     n = int(n)
-    if n < 2:
-        raise PreconditionError("norm_plus_i_im_pow needs an exponent n >= 2")
+    if not 2 <= n <= MAX_POW:
+        raise PreconditionError(f"norm_plus_i_im_pow needs 2 <= n <= {MAX_POW}, got {n}")
 
     def formula(x, y, hypot):
         return hypot(x, y), y ** n
@@ -216,23 +219,24 @@ def _interleave(a: list, b: list) -> list:
 # extrema on the circle
 
 
-def golden_min(fn, a: float, b: float):
+def golden_min(fn, a, b, where=lambda left, x, y: x if left else y):
     """Golden-section search for a minimum of fn on [a, b], 60 steps; returns (x, fn(x)).
 
-    numerics.golden_min runs this iteration on every element of its brackets.
+    The package's one golden-section iteration, on floats and on arrays:
+    every update is where(left, x, y), x if left else y on floats, and
+    np.where when `numerics.golden_min` searches every element of an array
+    of brackets in lockstep, one fn call per step on the whole array.
     """
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(60):
-        if fc <= fd:  # keep [a, d]: d <- c and c is new
-            b = d
-            x = b - GOLDEN * (b - a)
-            c, d, fc, fd = x, c, fn(x), fc
-        else:  # keep [c, b]: c <- d and d is new
-            a = c
-            x = a + GOLDEN * (b - a)
-            c, d, fc, fd = d, x, fd, fn(x)
-    return (c, fc) if fc <= fd else (d, fd)
+        left = fc <= fd  # keep [a, d]: d <- c and c is new; else keep [c, b]: c <- d and d is new
+        a, b = where(left, a, c), where(left, d, b)
+        x = where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fx = fn(x)
+        c, d, fc, fd = where(left, x, d), where(left, c, x), where(left, fx, fd), where(left, fc, fx)
+    left = fc <= fd
+    return where(left, c, d), where(left, fc, fd)
 
 
 def circle_extrema(moduli, name: str) -> tuple[float, float]:

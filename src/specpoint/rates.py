@@ -228,7 +228,7 @@ class _Parser:
         v = self.take("num")
         if v < 0.0:
             raise UsageError(f"KnownRates takes nonnegative rates, got {v!r}")
-        return v
+        return v + 0.0  # -0 reads as 0
 
     def value(self) -> Interval:
         lo = hi = self.rate()

@@ -318,6 +318,14 @@ def test_mnc_corpus_output_is_pinned(capsys, expr):
     assert d == {"command": "mnc", "expr": expr, "alpha": alpha, "omega": omega, "derivation": derivation}
 
 
+@pytest.mark.parametrize("expr", ["KnownRates(alpha=-0..2)", "KnownRates(alpha=-0, omega=-0)"])
+def test_mnc_reads_negative_zero_as_zero(capsys, expr):
+    # -0.0 == 0.0, so the test reads the text: both printed a rate of -0.0
+    rc, out = run_cli(capsys, ["mnc", "--expr", expr])
+    assert rc == 0 and "-0.0" not in out
+    assert json.loads(out)["alpha"][0] == 0.0
+
+
 def test_bifurcate_planar(capsys):
     d = run_json(
         capsys,
@@ -1123,8 +1131,24 @@ PINNED = [
     (["classify", "--fn", "real_linear", "--params", "1e200,0,0,1e200"], 4),
     # a subnormal radius: numpy's complex division formed 1/r = inf, and the verdicts were read off it
     (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
-    (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "1e300", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
+    (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "64", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
+    # exponents above planar.MAX_POW = 64: 1e300 scanned at exit 0 and named the map with 301 digits
+    (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "65", "--grid=-1,1,-1,1,3,3"], 3),
+    (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "1e300", "--grid=-1,1,-1,1,3,3"], 3),
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spec2d", "--fn", "norm_plus_i_im_pow", "--params", "1e300"],
+    ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "1e300", "--grid=-1,1,-1,1,3,3"],
+    ["bifurcate", "--fn", "norm_times_x", "--params", "1e300"],
+])
+def test_an_integer_param_out_of_range_is_named_as_given(capsys, argv):
+    # the range is checked on the float: int(1e300) printed all of its 301 digits
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(", got 1e+300\n") and len(captured.err) < 80, captured.err
 
 
 def _table_walk():

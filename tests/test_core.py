@@ -20,10 +20,8 @@ from specpoint.core import (
     as_complex,
     ext,
     ext_to_json,
-    inf_of,
     replace,
     scan_verdicts,
-    sup_of,
 )
 from specpoint.homog2d import PlaneSpectrum
 from specpoint.maps import black_box, lambda_minus, scalar_action
@@ -33,16 +31,9 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 endpoint = st.one_of(finite, st.just(POS_INF), st.just(NEG_INF))
 
 
-def test_empty_extrema_conventions():
-    assert sup_of([]) == NEG_INF
-    assert inf_of([]) == POS_INF
-    assert sup_of([3.0, -1.0]) == 3.0
-    assert inf_of([3.0, -1.0]) == -1.0
-
-
 def test_nan_rejected():
     with pytest.raises(ValueError):
-        sup_of([float("nan")])
+        ext(float("nan"))
 
 
 def test_ext_json():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from specpoint import planar
 from specpoint.numerics import directed_distance, golden_min, sphere_directions, sphere_polish
 
 G = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,6 +72,16 @@ def test_golden_min_evaluates_once_per_iteration():
     x, _ = golden_min(fn, np.zeros(5), np.ones(5))
     assert len(calls) == 62 and set(calls) == {(5,)}
     assert np.allclose(x, 0.3, atol=1e-8)
+    # the same iteration on floats, through planar: one float per call
+    kinds = []
+
+    def scalar_fn(x):
+        kinds.append(type(x))
+        return (x - 0.3) ** 2
+
+    x, _ = planar.golden_min(scalar_fn, 0.0, 1.0)
+    assert kinds == [float] * 62 and type(x) is float
+    assert abs(x - 0.3) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,26 @@ def test_circle_extrema_match_sphere_extrema(name, params):
     assert planar.circle_extrema(bare, f.name) == planar.circle_extrema(_array_moduli(f, 1.0), f.name)
 
 
+# (d, q) of every planar builtin at its default parameters and of one point-curve linear map,
+# as circle_extrema gave them when the float search had its own branching loop
+CIRCLE_EXTREMA = {
+    "abs_re_plus_i_im": (0.9999999999999999, 1.0),
+    "cardioid_map": (1.0, 1.4142135623730951),
+    "half_abs_re_plus_i_im": (0.5, 1.0),
+    "norm_only": (0.9999999999999999, 1.0),
+    "norm_plus_i_im": (1.0, 1.4142135623730951),
+    "norm_plus_i_im_pow(2)": (1.0, 1.4142135623730951),
+    "real_linear(1.0,0.0,0.0,1.0)": (0.9999999999999999, 1.0),
+    "real_linear(1,-2,2,1)": (2.2360679774997894, 2.2360679774997902),
+}
+
+
+def test_circle_extrema_keep_their_bits():
+    maps = [planar.builtin(name) for name in planar.BUILTINS] + [planar.builtin("real_linear", s=1, t=-2, u=2, v=1)]
+    got = {f.name: planar.circle_extrema(planar.moduli_at(f), f.name) for f in maps}
+    assert got == CIRCLE_EXTREMA
+
+
 def test_golden_min_is_the_iteration_of_the_array_search():
     rng = np.random.default_rng(5)
     lo = rng.uniform(-3.0, 3.0, size=64)
