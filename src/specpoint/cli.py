@@ -8,12 +8,11 @@ is one of the command's value flags with - written _, other than --out,
 --config, --lambda and --extra-lambda; any other key exits 2.  Identical
 argv produce byte-identical outputs.
 
-`bifurcate --fn` alone reads --fn, --params, --grid and --seed, which
-rotates the sphere directions of a sampled scan (a map that declares its
-sphere matrix is scanned exactly, and no other result depends on a seed);
-`bifurcate --shift` alone reads --truncate, --angles, --perturb and
---extra-lambda.  A flag or key of the other mode exits 2.  The --fn scan
-covers --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24 real lambdas of
+`bifurcate --fn` alone reads --fn, --params and --grid; `bifurcate --shift`
+alone reads --truncate, --angles, --perturb and --extra-lambda.  A flag or
+key of the other mode exits 2.  A sampled result depends on the map, the
+grid, the radii and --tol alone.  The --fn scan covers
+--grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24 real lambdas of
 --grid=-1.5,1.5,0,0,24,1 for a map without complex structure, which takes
 real lambda only.
 
@@ -24,9 +23,9 @@ off.  Sizes are capped, and a value out of range exits 3 before anything is
 allocated: --res <= 4096, --samples in [1, 2^20], --truncate <= 100000,
 --angles <= 4096, --steps in [8, 4096], --grid counts nx, ny in [1, 128],
 the --params of norm_times_x in [1, 16] and of norm_plus_i_im_pow in [2, 64],
-|--seed| <= 2^53, and the reach of the classify band query (the widest of
---band, 1e-9 and the longest chord of a curve that missed its chord bound)
-<= 64 grid spacings.  A negative --band, a --tol, --h0, --xi-eps, --radii or
+and the reach of the classify band query (the widest of --band, 1e-9 and
+the longest chord of a curve that missed its chord bound) <= 64 grid
+spacings.  A negative --band, a --tol, --h0, --xi-eps, --radii or
 --threshold that is not positive, a smallest spec1d step --h0 *
 --ratio^(--steps - 1) that underflows to 0, a --point +- --h0 or a --grid
 span x1 - x0, y1 - y0 beyond the floats (spec1d checks its grid in every
@@ -293,7 +292,7 @@ def _curve_json(curve, limit: int) -> dict:
         "samples": len(vals),
         "chord_bound": curve.chord_bound,
         "chord_met": curve.chord_met,
-        "label": curve.label,
+        "label": "point-spectrum",
         "points": [[v.real, v.imag] for v in vals[::step]],
         "thinned_by": step,
     }
@@ -490,7 +489,7 @@ def _cmd_bifurcate(args) -> int:
         xs = np.linspace(x0, x1, int(nx))
         ys = np.linspace(y0, y1, int(ny))
     lams = [complex(x, y) for y in ys for x in xs]
-    scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol, seed=args.seed)
+    scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol)
     undecided = [v for v in scan.verdicts if v == "undecided"]
     payload = {
         "command": "bifurcate",
@@ -570,8 +569,6 @@ COMMANDS = {
         ("--grid", "floats", None, "grid", "fn", "x0,x1,y0,y1,nx,ny"),  # None: set by the map
         ("--radii", "floats", (0.1, 0.01, 0.001), "positive", None, None),
         ("--tol", "float", 0.02, "positive", None, None),
-        # a float holds every integer up to 2^53 exactly
-        ("--seed", "int", 0, (-2**53, 2**53), "fn", "rotates the sphere directions of a --fn scan"),
     )),
 }
 

@@ -5,12 +5,13 @@ radius schedule, point-spectrum membership tests with first-class Undecided
 verdicts, the smooth-map reduction to Jacobian eigenvalues, and a
 bifurcation candidate scanner for maps vanishing at the origin.  Every
 sphere extremum comes from `numerics.sphere_extrema`: exact for a map that
-declares its sphere matrix, else sampled and polished (the scan's at its
-smallest radius alone); the planar engine `homog2d` is
-loaded only where a planar curve is drawn.
+declares its sphere matrix, else sampled and polished (membership's and
+the scan's at the smallest radius alone); the planar engine `homog2d` is
+loaded only where a scan with candidates traces its containment curve.
 
-Sampling cannot certify that an infimum is zero, so membership verdicts
-report Undecided whenever the per-radius minima straddle the tolerance.
+Sampling cannot certify that an infimum is zero, so membership and the
+scans share one rule, `core.scan_verdicts`: a minimum in [tol, 2 tol) is
+Undecided, not rejected.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .numerics import directed_distance, sphere_extrema
 from .planar import SPHERE_DIRECTIONS
 
 RADII = 0.1 * 0.5 ** np.arange(17)  # the sphere radii of the growth rates and membership tests
-TAIL = 6  # d_p, q_p and membership read the last TAIL radii
+TAIL = 6  # d_p and q_p read the last TAIL radii
 DIVERGENCE_THRESHOLD = 1e6  # a rate above it is flagged and reported as inf
 
 
@@ -93,29 +94,24 @@ class Verdict(Enum):
 
 class MembershipResult(Record):
     verdict: Verdict
-    margin: float
-    per_radius_min: tuple
+    margin: float  # the sphere minimum the verdict reads
+
+
+_MEMBERSHIP = {"candidate": Verdict.MEMBER, "undecided": Verdict.UNDECIDED, "rejected": Verdict.NON_MEMBER}
 
 
 def sigma_membership(f: MapSpec, p, lam, tol: float = 1e-3) -> MembershipResult:
-    """Point-spectrum membership of lam via the lower rate of lam*id - f.
+    """Point-spectrum membership of lam by the rule of the bifurcation scans.
 
-    Member when every tail-radius minimum sits below tol, NonMember (with
-    the estimated rate as margin) when every one sits above, Undecided when
-    the per-radius minima straddle the tolerance.
+    The sphere minimum of |lam x - (f(p + x) - f(p))| / r at the smallest
+    radius r of RADII, sampled and polished, gets its `core.scan_verdicts`
+    verdict: a candidate is a Member, an undecided lam is Undecided and a
+    rejected one a NonMember.
     """
     g = translate_to_origin(f, p)
-    mins = sphere_extrema(g, np.array([as_complex(lam)]), RADII[-TAIL:], SPHERE_DIRECTIONS)
-    per_radius = [float(x) for x in mins[0]]
-
-    below = [m < tol for m in per_radius]
-    if all(below):
-        verdict = Verdict.MEMBER
-    elif not any(below):
-        verdict = Verdict.NON_MEMBER
-    else:
-        verdict = Verdict.UNDECIDED
-    return MembershipResult(verdict=verdict, margin=min(per_radius), per_radius_min=tuple(per_radius))
+    res = sphere_extrema(g, np.array([as_complex(lam)]), RADII[-1:], SPHERE_DIRECTIONS)
+    verdict = scan_verdicts(res.tolist(), tol)[1][0]
+    return MembershipResult(verdict=_MEMBERSHIP[verdict], margin=float(res[0, 0]))
 
 
 def c1_spectrum(f: MapSpec, p) -> np.ndarray:
@@ -143,12 +139,11 @@ def spectrum_set(eigs: np.ndarray, tol: float = 1e-8) -> tuple:
 
 
 class BifurcationScan(Record):
-    lams: tuple
     radii: tuple
     residuals: np.ndarray  # (n_lams, 1) normalized residuals at the smallest radius
     candidates: tuple  # complex candidates
     contained_in_sigma: bool | None
-    verdicts: tuple  # per-lam "candidate" / "rejected"
+    verdicts: tuple  # per-lam "candidate" / "undecided" / "rejected"
 
 
 def bifurcation_scan(
@@ -156,16 +151,18 @@ def bifurcation_scan(
     lam_grid,
     radii=(1e-1, 1e-2, 1e-3),
     tol: float = 0.02,
-    seed: int = 0,
 ) -> BifurcationScan:
     """Flag lam values near which lam x = f(x) has small nontrivial solutions.
 
     For each lam the scanner minimizes the normalized residual
     |lam x - f(x)| / r over the sphere |x| = r at the smallest radius r,
     the one residual `core.scan_verdicts` reads: lam is a candidate when it
-    drops below tol.  The larger radii are only echoed.  Candidates are
-    cross-checked for containment in the computed point-spectrum part.  Any
-    scan output is a candidate list, not a certificate.
+    drops below tol.  The larger radii are only echoed.  The candidates of
+    a planar map are checked for containment in its eigenvalue curve
+    sigma_r at the same radius: each must lie within reach = max(2 tol,
+    10 r) of the curve, traced from 2048 samples to the chord bound
+    max(reach, `homog2d.CHORD_BOUND`).  Any scan output is a candidate
+    list, not a certificate.
     """
     origin = np.zeros(() if f.dim == 1 else f.dim)
     g = translate_to_origin(f, origin)
@@ -173,27 +170,22 @@ def bifurcation_scan(
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    res = sphere_extrema(g, lams, radii[-1:], 512, seed)
+    r = radii[-1]
+    res = sphere_extrema(g, lams, (r,), 512)
 
     mask, verdicts = scan_verdicts(res.tolist(), tol)
     candidates = tuple(complex(l) for l, keep in zip(lams, mask) if keep)
 
     contained = None
     if candidates and f.dim == 2:
-        from .homog2d import local_sigma_curve, sigma_curve
+        from .homog2d import CHORD_BOUND, sigma_curve
 
-        curve = (
-            sigma_curve(f, samples=2048)
-            if f.homogeneous
-            else local_sigma_curve(f, origin, radius=radii[-1], samples=2048)
-        )
+        reach = max(2.0 * tol, 10.0 * r)
+        curve = sigma_curve(f, samples=2048, chord_bound=max(reach, CHORD_BOUND), radius=r)
         pts = np.array([[c.real, c.imag] for c in candidates])
-        contained = directed_distance(pts, curve.pairs()) <= max(
-            2.0 * tol, 10.0 * radii[-1]
-        )
+        contained = directed_distance(pts, curve.pairs()) <= reach
 
     return BifurcationScan(
-        lams=tuple(complex(l) for l in lams),
         radii=radii,
         residuals=res,
         candidates=candidates,

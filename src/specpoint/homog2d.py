@@ -15,11 +15,12 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
 
 and a grid is labelled by a point-in-polygon winding query on the traced
 curve, with no further map evaluations: `scanline_turns` is that one
-winding kernel.  The curve is traced by the pure-Python loop of `planar`,
-which evaluates the map here on numpy arrays of angles, and
-`local_sigma_curve` samples the curve of any planar map at a small radius.
-The growth rates d and q of a planar builtin are `planar.circle_extrema`;
-sphere extrema of any other map or point come from
+winding kernel.  `sigma_curve` traces the curve by the pure-Python loop of
+`planar`, which evaluates the map here on numpy arrays of angles; it takes
+any planar map at a radius r, the curve sigma_r that a bifurcation scan
+checks its candidates against, one curve for every r when the map is
+positively homogeneous.  The growth rates d and q of a planar builtin are
+`planar.circle_extrema`; sphere extrema of any other map or point come from
 `numerics.sphere_extrema`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
@@ -37,9 +38,9 @@ from typing import Mapping
 import numpy as np
 
 from .core import NumericError, PreconditionError, Record
-from .maps import MapSpec, evaluate, translate_to_origin
+from .maps import MapSpec, evaluate
 from .numerics import CHUNK, unit_points
-from .planar import TWO_PI, SigmaCurve, require_planar_homogeneous, trace_curve
+from .planar import SigmaCurve, require_planar_homogeneous, trace_curve
 
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 CHORD_BOUND = 1e-3  # its chord bound, or 1/64 of the grid spacing where that is larger
@@ -146,35 +147,30 @@ def _curve_values(f: MapSpec, thetas: np.ndarray, radius: float = 1.0) -> np.nda
 
 
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
-                max_samples: int = 1 << 20) -> SigmaCurve:
-    """The eigenvalue curve of `planar.trace_curve`, f evaluated on numpy arrays, in numpy arrays.
+                max_samples: int = 1 << 20, radius: float = 1.0) -> SigmaCurve:
+    """The eigenvalue curve sigma_r of a planar map at radius r, traced by `planar.trace_curve`.
 
-    Each round evaluates the new midpoints only, which gives every angle the
-    bits of evaluating all angles at once.
-    """
-    require_planar_homogeneous(f)
-    curve = trace_curve(lambda ts: _curve_values(f, np.array(ts)).tolist(),
-                        samples, chord_bound, max_samples)
-    return SigmaCurve(np.array(curve.thetas), np.array(curve.values, dtype=complex),
-                      chord_bound, curve.chord_met)
-
-
-def local_sigma_curve(f: MapSpec, p, radius: float = 1e-3, samples: int = 2048) -> SigmaCurve:
-    """Normalized small-radius eigenvalue curve of a planar map at p.
-
-    For maps that are homogeneous plus a higher-order remainder this
-    converges to the eigenvalue curve of the homogeneous part as the radius
-    shrinks.
+    sigma_r(theta) = f(r e^{i theta}) e^{-i theta} / r is one curve for
+    every r when f is positively homogeneous; for a map that is homogeneous
+    plus a higher-order remainder it converges to the curve of the
+    homogeneous part as r shrinks.  f is evaluated on numpy arrays, and
+    each round evaluates the new midpoints only, which gives every angle
+    the bits of evaluating all angles at once.  A sample that is not finite
+    is a NumericError.
     """
     if f.dim != 2:
-        raise PreconditionError("local curves are planar")
-    n = max(16, 4 * math.ceil(samples / 4))
-    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy's complex division by a subnormal r forms 1/r = inf
-        vals = _curve_values(translate_to_origin(f, p), thetas, radius)
-    if not np.isfinite(vals).all():
-        raise NumericError(f"the local curve of {f.name} at radius {radius!r} is not finite")
-    return SigmaCurve(thetas, vals, float("nan"), True, label="local")
+        raise PreconditionError(f"map {f.name} is not planar")
+
+    def values_at(ts):
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's complex division by a subnormal r forms 1/r = inf
+            vals = _curve_values(f, np.array(ts), radius)
+        if not np.isfinite(vals).all():
+            raise NumericError(f"the local curve of {f.name} at radius {radius!r} is not finite")
+        return vals.tolist()
+
+    curve = trace_curve(values_at, samples, chord_bound, max_samples)
+    return SigmaCurve(np.array(curve.thetas), np.array(curve.values, dtype=complex),
+                      chord_bound, curve.chord_met)
 
 
 def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -1,19 +1,20 @@
 """Deterministic sampling, derivative-free local search and the sphere-extremum kernel.
 
-Low-discrepancy sphere directions, the batched lockstep Nelder-Mead
-`sphere_polish` on unit spheres, golden-section search on arrays of
-brackets (the one iteration, `planar.golden_min`, with np.where as its
-`where`), brute-force point-set distances, and `sphere_extrema`, the one
-kernel behind every numpy sphere extremum of |lam u - f(r u) / r|: the growth
-rates of `estimators`, point-spectrum membership and the `bifurcate --fn`
-scan (at its smallest radius only), in any dimension.  A map that declares
-its sphere matrix gets exact extrema from singular values; any other is
-sampled, and every sampled extremum is polished.  Every builtin of
-dimension 3 or more declares one, so the Nelder-Mead polish serves only
-black boxes and points away from the origin.  The circle extrema of a
-planar builtin are `planar.circle_extrema`, on floats.  The verdicts of
-bifurcation scans are in `core`, so the shift scan loads none of this
-module.
+Low-discrepancy sphere directions, the same on every call, the batched
+lockstep Nelder-Mead `sphere_polish` on unit spheres, golden-section
+search on arrays of brackets (the one iteration, `planar.golden_min`, with
+np.where as its `where`), brute-force point-set distances, and
+`sphere_extrema`, the one kernel behind every numpy sphere extremum of
+|lam u - f(r u) / r|: the growth rates of `estimators`, point-spectrum
+membership and the `bifurcate --fn` scan (both at their smallest radius
+only), in any dimension.  Every sampled extremum is a function of the map,
+the lambdas and the radii alone.  A map that declares its sphere matrix
+gets exact extrema from singular values; any other is sampled, and every
+sampled extremum is polished.  Every builtin of dimension 3 or more
+declares one, so the Nelder-Mead polish serves only black boxes and points
+away from the origin.  The circle extrema of a planar builtin are
+`planar.circle_extrema`, on floats.  The verdicts of bifurcation scans are
+in `core`, so the shift scan loads none of this module.
 """
 from __future__ import annotations
 
@@ -22,39 +23,37 @@ import numpy as np
 from . import planar
 from .core import NumericError
 from .maps import MapSpec, evaluate, scalar_action
-from .planar import GOLDEN as _GOLDEN, TWO_PI
+from .planar import TWO_PI
 
 CHUNK = 1 << 18  # array entries per chunk of every batched kernel
 
 
-def _kronecker(dim: int, n: int, seed: int) -> np.ndarray:
-    """n points of the R_d sequence in [0, 1)^dim, rotated by seed * _GOLDEN.
+def _kronecker(dim: int, n: int) -> np.ndarray:
+    """n points of the R_d sequence in [0, 1)^dim.
 
-    Point k is (1/2 + seed * _GOLDEN + k * alpha) mod 1 with alpha_i =
-    phi^-i, where phi is the positive root of x^(dim+1) = x + 1 (Roberts'
-    generalization of the golden ratio to dim dimensions).
+    Point k is (1/2 + k * alpha) mod 1 with alpha_i = phi^-i, where phi is
+    the positive root of x^(dim+1) = x + 1 (Roberts' generalization of the
+    golden ratio to dim dimensions).
     """
     phi = 2.0
     for _ in range(64):  # x -> (1 + x)^(1/(dim+1)) contracts onto the root
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
     alpha = phi ** -np.arange(1.0, dim + 1.0)
-    start = 0.5 + (seed * _GOLDEN) % 1.0
-    return (start + np.arange(n)[:, None] * alpha) % 1.0
+    return (0.5 + np.arange(n)[:, None] * alpha) % 1.0
 
 
-def sphere_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
-    """n low-discrepancy unit vectors in R^dim, deterministic per seed.
+def sphere_directions(dim: int, n: int) -> np.ndarray:
+    """n low-discrepancy unit vectors in R^dim, the same on every call.
 
-    dim == 1 returns the two directions; dim == 2 uses a rotated uniform
-    angle grid; higher dimensions push rotated R_d points through the
+    dim == 1 returns the two directions; dim == 2 the uniform angle grid
+    2pi (k + 1/2) / n; higher dimensions push R_d points through the
     Box-Muller transform (Ann. Math. Stat. 29, 1958) and normalize.
     """
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
-        offset = (seed * _GOLDEN) % 1.0
-        return unit_points(2.0 * np.pi * ((np.arange(n) + 0.5 + offset) / n))
-    u = _kronecker(dim + dim % 2, n, seed)  # coordinates 2i, 2i+1 make one pair
+        return unit_points(2.0 * np.pi * ((np.arange(n) + 0.5) / n))
+    u = _kronecker(dim + dim % 2, n)  # coordinates 2i, 2i+1 make one pair
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
     angle = 2.0 * np.pi * u[:, 1::2]
     g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(n, -1)[:, :dim]
@@ -193,14 +192,13 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
-def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
-                   sign: float = 1.0) -> np.ndarray:
+def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, sign: float = 1.0) -> np.ndarray:
     """min over unit u of sign * |lam u - g(r u) / r|, times sign, for every lam and radius.
 
     Returns a (len(lams), len(radii)) array: sphere minima for sign 1,
     maxima for sign -1; the growth rates take lam = 0.  A g that declares
     no sphere matrix has every entry sampled at the n unit vectors
-    `sphere_directions(g.dim, n, seed)`, one map evaluation per radius and
+    `sphere_directions(g.dim, n)`, one map evaluation per radius and
     CHUNK coordinates at a time, and then polished from its best sample,
     all entries in one batch: not at all in dim 1, whose sphere is two
     points; in dim 2, whose directions are a uniform angle grid, by
@@ -213,7 +211,7 @@ def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
     entries: the smallest (sign 1) or largest (sign -1) singular value of
     R(lam) - A(r), where R(lam) is the matrix of u -> lam u (Golub & Van
     Loan, Matrix Computations, 4th ed., sec. 8.6), one batched SVD for every
-    lam per radius; n and seed do not enter.  An entry, or an entry of
+    lam per radius; n does not enter.  An entry, or an entry of
     R(lam) - A(r), that is not finite is a NumericError naming g.
     """
     if g.sphere_matrix is not None:
@@ -228,16 +226,15 @@ def sphere_extrema(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int = 0,
             res[:, j] = sv[:, -1] if sign > 0 else sv[:, 0]
         return res
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        res = _sampled_and_polished(g, lams, radii, n, seed, sign)
+        res = _sampled_and_polished(g, lams, radii, n, sign)
     if not np.isfinite(res).all():
         raise NumericError(f"a sphere extremum of |lam u - f(r u)| / r is not finite for {g.name}")
     return res
 
 
-def _sampled_and_polished(g: MapSpec, lams: np.ndarray, radii, n: int, seed: int,
-                          sign: float) -> np.ndarray:
+def _sampled_and_polished(g: MapSpec, lams: np.ndarray, radii, n: int, sign: float) -> np.ndarray:
     """`sphere_extrema` of a map that is not known to be linear."""
-    dirs = sphere_directions(g.dim, n, seed)
+    dirs = sphere_directions(g.dim, n)
     cols = np.asarray(radii[:1] if g.homogeneous else radii, dtype=float)
     res = np.empty((lams.size, cols.size))
     i0 = np.empty(res.shape, dtype=np.intp)

@@ -141,7 +141,6 @@ class SigmaCurve(Record):
     values: object
     chord_bound: float
     chord_met: bool
-    label: str = "point-spectrum"
 
     def pairs(self):
         import numpy as np  # for the array engines; spec2d never asks

@@ -286,7 +286,7 @@ def test_acceptance_09_property_suites():
 
     def turns(lam, samples):
         thetas = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-        curve = SigmaCurve(thetas, _curve_values(card, thetas), math.nan, True, "uniform")
+        curve = SigmaCurve(thetas, _curve_values(card, thetas), math.nan, True)
         return scanline_turns(curve, np.array([lam.real]), np.array([lam.imag]))[0, 0]
 
     for lam in (0.2 + 0.1j, -1.1 + 0.2j, 1.6 - 0.3j):

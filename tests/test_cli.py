@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -454,7 +455,7 @@ def test_exit_code_5_rule_for_bifurcate(capsys, monkeypatch):
     from specpoint import estimators, structured
 
     def scan_with(verdicts):
-        def scan(f, lams, radii, tol, seed):
+        def scan(f, lams, radii, tol):
             return SimpleNamespace(radii=tuple(radii), candidates=(), contained_in_sigma=True,
                                    verdicts=tuple(verdicts))
         return scan
@@ -796,14 +797,44 @@ def test_seeded_bifurcate_deterministic(capsys, tmp_path):
         "--params",
         "2",
         "--grid=-1.2,1.2,-1.2,1.2,9,9",
-        "--seed",
-        "7",
     ]
     a = tmp_path / "s1.json"
     b = tmp_path / "s2.json"
     assert run_cli(capsys, args + ["--out", str(a)])[0] == 0
     assert run_cli(capsys, args + ["--out", str(b)])[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# the full stdout of bifurcate --fn calls, by SHA-256: the README line, the other
+# --fn call of the paper-mix workload, each planar builtin on its default grid, the
+# exact scans, a real map, a wide linear scan whose containment curve is coarse and
+# a fine grid whose undecided count once moved with the sphere directions
+BIFURCATE_FN_CORPUS = {
+    "--fn norm_plus_i_im_pow --params 2 --grid=-1.5,1.5,-1.5,1.5,24,30 --tol 0.02":
+        "2bd5e47c2c32f86ce54ef314676c77fb7634911b37d0a21a742bc3992510aa5e",
+    "--fn conj_pair --grid=-1.5,1.5,-1.5,1.5,8,8": "ac758c097b417dd9d97d798bf88d128616145b6fb2013827feb0e5c36a830f0a",
+    "--fn abs_re_plus_i_im": "354c253c3d1808e6edaecf69bd2efc5ce6dcbb5d51498315b2e6f8a2e63dca14",
+    "--fn half_abs_re_plus_i_im": "e76bbfa3aed16fdb74698f122b656d79a1f20fc1a8403e3d809cc8d9d1fe9169",
+    "--fn norm_plus_i_im": "907dfe1c7ff20dea38b7d45a3f54f80506caf05bfb1fec021f88688f0fb294a3",
+    "--fn norm_plus_i_im_pow": "2bd5e47c2c32f86ce54ef314676c77fb7634911b37d0a21a742bc3992510aa5e",
+    "--fn norm_only": "607e74725b6c0d5bf53361ec155c293a1df13c705645f646694c11202f8bfd59",
+    "--fn real_linear --params 1,-2,2,1": "3b2c8b8eab233703aeb6b190a75451ce59268d1d520110978a635d3b234d1e50",
+    "--fn conj_pair": "8780bcf72578e6ad438c0f790e74b5cc06a6592d90b5963ef8bbfc19ed587852",
+    "--fn norm_times_x --params 3": "3f47ff329ec0d7f9f82ed89acb9b57ea43be7e1127de7ee5f8163970a714b9ce",
+    "--fn sqrt_abs": "da59f31e35bf4d3e89048ea72bd468c441cd509cbd0d1cd0775ef016047bc9a1",
+    "--fn real_linear --params 1e4,0,0,-1e4 --grid=-2e4,2e4,-2e4,2e4,64,64 --tol 500":
+        "6cf50223a96c93b13222c1dba26e4ae67201733aed5822de9b03d78eba56a310",
+    "--fn half_abs_re_plus_i_im --grid=-1.5,2,-1.5,1.5,128,128 --tol 0.005":
+        "71102320c0b49802e378abe7bd83f14be1b5a5cedcac0b0446de3bbe223ca5c2",
+}
+
+
+def test_bifurcate_fn_corpus_output_is_pinned(capsys):
+    got = {}
+    for args, digest in BIFURCATE_FN_CORPUS.items():
+        rc, out = run_cli(capsys, ["bifurcate", *args.split()])
+        got[args] = (rc, hashlib.sha256(out.encode()).hexdigest())
+    assert got == {args: (0, digest) for args, digest in BIFURCATE_FN_CORPUS.items()}
 
 
 def test_classify_rejects_huge_res_before_allocating(capsys):
@@ -941,12 +972,6 @@ def test_planar_commands_sample_the_circle_once(capsys, monkeypatch):
         assert d["radius_bound"] == q
 
 
-def test_seed_only_on_bifurcate(capsys):
-    assert run_cli(capsys, ["classify", "--fn", "abs_re_plus_i_im", "--res", "20", "--seed", "1"])[0] == 2
-    for argv in (["spec2d", "--fn", "norm_plus_i_im"], ["shift"], ["mnc", "--expr", "Identity"]):
-        assert run_cli(capsys, argv + ["--seed", "1"])[0] == 2
-
-
 def test_size_and_count_guards_exit_cleanly(capsys):
     # each value would allocate gigabytes or crash inside numpy if it got through
     cases = {
@@ -1055,18 +1080,33 @@ def test_empty_params_are_no_params(capsys):
     assert run_cli(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "64", "--params="]) == plain
 
 
-@pytest.mark.parametrize("seed, code", [(2**53, 0), (-2**53, 0), (2**53 + 1, 3), (-2**53 - 1, 3), (10**400, 3)])
-def test_seed_bound(capsys, seed, code):
-    # seed * golden ratio raised OverflowError beyond the floats; a float holds integers up to 2^53 exactly
-    argv = ["bifurcate", "--fn", "conj_pair", "--grid=-1,1,-1,1,2,2", f"--seed={seed}"]
-    rc, out = run_cli(capsys, argv)
-    assert rc == code and (out == "") == (code != 0)
+@pytest.mark.parametrize("route", ["argv", "config"])
+@pytest.mark.parametrize("argv", [
+    ["spec1d", "--fn", "sqrt_abs", "--exact"],
+    ["spec2d", "--fn", "norm_plus_i_im", "--samples", "64"],
+    ["classify", "--fn", "abs_re_plus_i_im", "--res", "20"],
+    ["shift", "--truncate", "8"],
+    ["mnc", "--expr", "Identity"],
+    ["bifurcate", "--fn", "conj_pair", "--grid=-1,1,-1,1,2,2"],
+    ["bifurcate", "--shift", "--truncate", "8", "--angles", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_seed_exits_2_on_every_command(capsys, tmp_path, argv, route):
+    # no sampled result depends on anything but the map, the grid, the radii and tol
+    if route == "argv":
+        argv = argv + ["--seed", "0"]
+    else:
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("seed = 0\n")
+        argv = argv + ["--config", str(cfg)]
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "seed" in err, err
 
 
 # each mode of bifurcate read the other's flags and ignored them with exit 0
 FOREIGN_FLAGS = [
-    ("--shift", "--fn conj_pair --seed 5 --grid=1,2,3", "--fn"),
-    ("--shift", "--seed 5", "--seed"),
+    ("--shift", "--fn conj_pair --grid=1,2,3", "--fn"),
     ("--shift", "--grid=-1,1,-1,1,2,2", "--grid"),
     ("--shift", "--params 2", "--params"),
     ("--fn conj_pair", "--truncate 5 --angles 3 --perturb bogus", "--perturb"),
@@ -1132,6 +1172,9 @@ PINNED = [
     # a subnormal radius: numpy's complex division formed 1/r = inf, and the verdicts were read off it
     (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
     (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "64", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
+    # a homogeneous map's containment curve is traced at the scan radius too, where the scan's verdicts were
+    # read off the 0 and +-5e-324 coordinates of the points of that sphere
+    (["bifurcate", "--fn", "norm_plus_i_im", "--grid=-1,1,-1,1,3,3", "--radii=5e-324"], 4),
     # exponents above planar.MAX_POW = 64: 1e300 scanned at exit 0 and named the map with 301 digits
     (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "65", "--grid=-1,1,-1,1,3,3"], 3),
     (["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "1e300", "--grid=-1,1,-1,1,3,3"], 3),

@@ -17,7 +17,7 @@ from specpoint.estimators import (
     sigma_membership,
     spectrum_set,
 )
-from specpoint.homog2d import local_sigma_curve
+from specpoint.homog2d import sigma_curve
 from specpoint.maps import (
     black_box,
     builtin,
@@ -125,7 +125,7 @@ def test_rates_and_membership_polish_to_singular_values(homogeneous):
         assert abs(r.d_p - sv[-1]) <= 1e-12 and abs(r.q_p - sv[0]) <= 1e-12
         gap = np.linalg.svd(0.7 * np.eye(n) - M, compute_uv=False)[-1]
         res = sigma_membership(f, np.zeros(n), 0.7, tol=gap * (1.0 + 1e-9))
-        assert np.max(np.abs(np.array(res.per_radius_min) - gap)) <= 1e-12
+        assert abs(res.margin - gap) <= 1e-12
         assert res.verdict == Verdict.MEMBER
 
 
@@ -161,19 +161,16 @@ def test_membership_rejects_complex_lambda_without_complex_structure():
         sigma_membership(builtin("norm_times_x", dim=3), np.zeros(3), 0.5 + 0.2j)
 
 
-def test_membership_undecided_is_reported():
-    # ratio alternates around the tolerance across radii by construction
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        safe = np.where(r > 0, r, 1.0)
-        k = np.floor(np.log2(1.0 / np.maximum(safe, 1e-300)))
-        fac = np.where(k % 2 == 0, 5e-4, 5e-3)
-        return np.where(r > 0, fac * x, 0.0 * x)
-
-    f = black_box(2, ev, name="alternating")
-    res = sigma_membership(f, np.zeros(2), 0j, tol=1e-3)
-    assert res.verdict == Verdict.UNDECIDED
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_membership_takes_the_scan_verdicts(homogeneous):
+    # sigma_min(lam I - M) = 1.5e-3 at lam = 1: undecided in [tol, 2 tol), as a scan reads it
+    M = np.array([[1.0015, 0.0], [0.0, 3.0]])
+    f = black_box(2, lambda x: np.asarray(x) @ M.T, homogeneous=homogeneous)
+    verdicts = {tol: sigma_membership(f, np.zeros(2), 1.0, tol=tol) for tol in (1e-3, 2e-3, 7e-4)}
+    assert verdicts[1e-3].verdict == Verdict.UNDECIDED
+    assert verdicts[2e-3].verdict == Verdict.MEMBER
+    assert verdicts[7e-4].verdict == Verdict.NON_MEMBER
+    assert all(abs(res.margin - 1.5e-3) <= 1e-12 for res in verdicts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,7 @@ def test_c1_requires_jacobian():
 
 def test_local_curve_close_to_homogeneous_part():
     g = builtin("norm_plus_i_im_pow", n=2)
-    local = local_sigma_curve(g, np.zeros(2), radius=1e-3)
+    local = sigma_curve(g, samples=2048, radius=1e-3)
     assert np.max(np.abs(np.abs(local.values) - 1.0)) < 2e-3
 
 
@@ -236,6 +233,26 @@ def test_scan_pow_map_circle():
     for c in scan.candidates:
         assert abs(abs(c) - 1.0) < 0.06
     assert scan.contained_in_sigma
+
+
+def test_scan_traces_one_coarse_curve_at_its_radius(monkeypatch):
+    # the containment reach of this scan is 2 tol = 1000: a trace to the
+    # fixed chord 1e-3 ran into the 2^20-sample cap
+    from specpoint import homog2d
+
+    curves, trace = [], homog2d.sigma_curve
+
+    def recorded(*args, **kwargs):
+        curves.append((kwargs, trace(*args, **kwargs)))
+        return curves[-1][1]
+
+    monkeypatch.setattr(homog2d, "sigma_curve", recorded)
+    f = builtin("real_linear", s=1e4, t=0.0, u=0.0, v=-1e4)
+    scan = bifurcation_scan(f, _grid(-2e4, 2e4, -2e4, 2e4, 64, 64), tol=500.0)
+    assert len(scan.candidates) == 156 and scan.contained_in_sigma
+    [(kwargs, curve)] = curves
+    assert kwargs["radius"] == scan.radii[-1] and kwargs["chord_bound"] == 1000.0
+    assert curve.values.size <= 4096 and curve.chord_met
 
 
 def test_scan_real_linear_circle_oracle():
@@ -475,29 +492,16 @@ def test_planar_scan_matches_sigma_min_of_real_linear(s, t, u, v):
     assert np.max(exact[-37:]) <= 1e-12
 
 
-def test_planar_scan_seed_rotates_the_angles_only():
-    # --seed rotates the plane's direction grid, which moves some residuals
-    # by rounding; the golden polish lands on the same minima at any rotation
-    f = builtin("norm_plus_i_im_pow", n=2)
-    lams = np.array(_grid(-1.5, 1.5, -1.5, 1.5, 24, 30))
-    scans = [bifurcation_scan(f, lams, seed=seed) for seed in range(4)]
-    for scan in scans[1:]:
-        assert scan.verdicts == scans[0].verdicts
-        assert np.max(np.abs(scan.residuals - scans[0].residuals)) <= 1e-12
-        assert not np.array_equal(scan.residuals, scans[0].residuals)
-
-
 # ---------------------------------------------------------------------------
 # general-dimension scans against exact minima and the per-lambda search
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_scan_conj_pair_matches_exact_sigma_min(seed):
+def test_scan_conj_pair_matches_exact_sigma_min():
     # conj_pair is R-linear, so min over |u| = 1 of |lam u - f(u)| = sigma_min(R(lam) - M)
     f = builtin("conj_pair")
     M = evaluate(f, np.eye(4)).T
     lams = _grid(-1.5, 1.5, -1.5, 1.5, 8, 8)
-    scan = bifurcation_scan(f, lams, seed=seed)
+    scan = bifurcation_scan(f, lams)
     exact = np.array([np.linalg.svd(_complex_scaling(l, 4) - M, compute_uv=False)[-1] for l in lams])
     assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
     assert scan.residuals.shape == (len(lams), 1)  # the smallest radius alone
@@ -512,13 +516,13 @@ def test_scan_linear_black_box_matches_sigma_min(dim):
     exact = np.array([np.linalg.svd(l * np.eye(dim) - M, compute_uv=False)[-1] for l in lams])
     for homogeneous in (True, False):
         f = black_box(dim, lambda x, _M=M: np.asarray(x) @ _M.T, homogeneous=homogeneous)
-        scan = bifurcation_scan(f, lams, seed=1)
+        scan = bifurcation_scan(f, lams)
         assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
 
 
-def _scalar_general_scan_residuals(g, lams, radii, samples, seed):
+def _scalar_general_scan_residuals(g, lams, radii, samples):
     """Reference: one scalar scipy Nelder-Mead search per (lam, radius)."""
-    dirs = sphere_directions(g.dim, samples, seed)
+    dirs = sphere_directions(g.dim, samples)
     res = np.empty((lams.size, len(radii)))
     for j, r in enumerate(radii):
         vals = evaluate(g, r * dirs) / r
@@ -541,7 +545,7 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0j, -1.0 + 0j])
     radii = (1e-1, 1e-2, 1e-3)
     new = sphere_extrema(g, lams, radii, 512)
-    ref = _scalar_general_scan_residuals(g, lams, radii, 512, 0)
+    ref = _scalar_general_scan_residuals(g, lams, radii, 512)
     assert np.all(new <= ref + 1e-12)
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(ref, 0.02)[1]
     assert set(scan_verdicts(new, 0.02)[1]) == {"candidate", "undecided", "rejected"}
@@ -564,7 +568,7 @@ def test_rates_of_a_homogeneous_map_repeat_one_radius():
     assert len(set(rates.per_radius_min)) == len(set(rates.per_radius_max)) == 1
     assert abs(rates.d_p - 1.0) < 1e-12 and abs(rates.q_p - 1.0) < 1e-12
     member = sigma_membership(f, np.zeros(4), 0.5 + 0.5j)
-    assert len(set(member.per_radius_min)) == 1 and member.verdict == Verdict.NON_MEMBER
+    assert member.verdict == Verdict.NON_MEMBER
 
 
 def _frozen_scaled(g, lams, U):
@@ -575,10 +579,10 @@ def _frozen_scaled(g, lams, U):
     return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (g.dim,))
 
 
-def _frozen_general_scan_residuals(g, lams, radii, samples, seed):
+def _frozen_general_scan_residuals(g, lams, radii, samples):
     """The general scan as it was before it shared the sphere-minimum kernel:
     one sphere_polish batch per radius."""
-    dirs = sphere_directions(g.dim, samples, seed)
+    dirs = sphere_directions(g.dim, samples)
     cols = radii[:1] if g.homogeneous else radii
     res = np.empty((lams.size, len(cols)))
     step = max(1, (1 << 20) // dirs.size)
@@ -599,20 +603,19 @@ def _frozen_general_scan_residuals(g, lams, radii, samples, seed):
 
 
 @pytest.mark.parametrize(
-    "name, params, seed, grid",
+    "name, params, grid",
     [
-        ("norm_times_x", {"dim": 3}, 0, (-1.5, 1.5, 0.0, 0.0, 63, 1)),  # a real map takes real lams
-        ("conj_pair", {}, 0, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
-        ("conj_pair", {}, 3, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
+        ("norm_times_x", {"dim": 3}, (-1.5, 1.5, 0.0, 0.0, 63, 1)),  # a real map takes real lams
+        ("conj_pair", {}, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
     ],
-    ids=["norm_times_x3", "conj_pair-seed0", "conj_pair-seed3"],
+    ids=["norm_times_x3", "conj_pair"],
 )
-def test_scan_residuals_match_the_per_radius_batches(name, params, seed, grid):
+def test_scan_residuals_match_the_per_radius_batches(name, params, grid):
     # the scan solves the smallest radius alone, with the bits of its own polish batch;
     # without their sphere matrices both maps are sampled and polished, not solved exactly
     f = replace(builtin(name, **params), sphere_matrix=None)
     lams = np.array(_grid(*grid))
     radii = (1e-1, 1e-2, 1e-3)
-    scan = bifurcation_scan(f, lams, radii=radii, seed=seed)
-    ref = _frozen_general_scan_residuals(translate_to_origin(f, np.zeros(f.dim)), lams, radii[-1:], 512, seed)
+    scan = bifurcation_scan(f, lams, radii=radii)
+    ref = _frozen_general_scan_residuals(translate_to_origin(f, np.zeros(f.dim)), lams, radii[-1:], 512)
     assert np.array_equal(scan.residuals, ref)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 
 from specpoint import homog2d, planar
-from specpoint.core import PreconditionError
+from specpoint.core import NumericError, PreconditionError
 from specpoint.homog2d import (
     CURVE_SAMPLES,
     MARGIN_TOL,
@@ -103,11 +103,18 @@ def test_curve_chord_contract():
     assert 0.0 <= c.thetas[0] < c.thetas[-1] < 2 * math.pi
 
 
-def test_curve_requires_homogeneous():
-    with pytest.raises(PreconditionError):
-        sigma_curve(builtin("norm_plus_i_im_pow", n=2))
+def test_curve_requires_planar_and_classify_homogeneous():
     with pytest.raises(PreconditionError):
         sigma_curve(builtin("sqrt_abs"))
+    with pytest.raises(PreconditionError):
+        classify_plane(builtin("norm_plus_i_im_pow", n=2), resolution=8)
+
+
+def test_curve_at_a_subnormal_radius_is_a_numeric_error():
+    # numpy's complex division by a subnormal r forms 1/r = inf
+    for f in (builtin("norm_plus_i_im_pow", n=2), builtin("norm_plus_i_im")):
+        with pytest.raises(NumericError, match="at radius 5e-324 is not finite"):
+            sigma_curve(f, radius=5e-324)
 
 
 def test_scaling_equivariance_of_curves():
@@ -204,7 +211,7 @@ def _angle_sum_winding(f, lam, radius=1.0, samples=256):
 def node_turns(f, lam, samples=256, radius=1.0):
     """Degree 1 + wind(sigma_r, lam) at one node: `scanline_turns` on the curve at `samples` uniform angles."""
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    curve = SigmaCurve(thetas, homog2d._curve_values(f, thetas, radius), math.nan, True, "uniform")
+    curve = SigmaCurve(thetas, homog2d._curve_values(f, thetas, radius), math.nan, True)
     return int(scanline_turns(curve, np.array([lam.real]), np.array([lam.imag]))[0, 0])
 
 
@@ -762,7 +769,6 @@ def test_bifurcation_set_examples():
     # the bifurcation set of a homogeneous planar map is its eigenvalue curve
     ident = sigma_curve(identity_map(2))
     assert ident.is_point(1e-12) and abs(ident.values[0] - 1.0) < 1e-12
-    assert ident.label == "point-spectrum"
     circle = sigma_curve(builtin("abs_re_plus_i_im"))
     assert np.max(np.abs(np.abs(circle.values) - 1.0)) < 1e-12
     base = sigma_curve(builtin("norm_only"))
