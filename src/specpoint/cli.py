@@ -62,11 +62,9 @@ from pathlib import Path
 # and `bifurcate --shift` need no numpy, and the shift model none of the
 # planar and sampling engines.
 from .core import (
-    MAX_DIM,
     EvaluationError,
     NumericError,
     PreconditionError,
-    SolverError,
     SpecpointError,
     UnsupportedError,
     UsageError,
@@ -187,7 +185,10 @@ def _resolve(args, config: dict) -> None:
 
 
 def _fn_params(args) -> dict:
-    """The keyword parameters of the --fn builtin, read from --params; a wrong count or kind exits 2."""
+    """The keyword parameters of the --fn builtin, read from --params; a wrong count or kind exits 2.
+
+    An integer parameter goes on as given: its factory checks its range.
+    """
     name, params = args.fn, args.params
     if not name:
         raise UsageError("--fn NAME is required")
@@ -200,13 +201,7 @@ def _fn_params(args) -> dict:
             raise UsageError(f"{name} takes at most one parameter, got {len(params)}")
         if params and not params[0].is_integer():
             raise UsageError(f"{name} takes an integer parameter, got {params[0]!r}")
-        from .planar import MAX_POW
-
-        key, lo, hi = ("n", 2, MAX_POW) if name == "norm_plus_i_im_pow" else ("dim", 1, MAX_DIM)
-        n = params[0] if params else 2
-        if not lo <= n <= hi:  # on the float, as given: int(1e300) prints 301 digits
-            raise PreconditionError(f"{name} needs {lo} <= {key} <= {hi}, got {n:.16g}")
-        return {key: int(n)}
+        return {"n" if name == "norm_plus_i_im_pow" else "dim": params[0]} if params else {}
     if params:
         raise UsageError(f"builtin {name} takes no parameters")
     return {}
@@ -521,7 +516,9 @@ def _cmd_bifurcate(args) -> int:
 # (repeatable), switch (a|b: mutually exclusive), or the names a str may
 # take.  check: finite, positive (and finite, at least one), grid (see
 # `_check`), an integer range (lo, hi), or None where the library checks the
-# value.  mode: the bifurcate mode that alone reads the flag, shift or fn.
+# value: the --params of norm_times_x and norm_plus_i_im_pow are in range
+# when their factories in `maps` and `planar` build the map.  mode: the
+# bifurcate mode that alone reads the flag, shift or fn.
 COMMANDS = {
     "spec1d": ("derivative quadruple and spectral intervals of a 1-D builtin", _cmd_spec1d, (
         # flag, kind, default, check, mode, help
@@ -617,7 +614,7 @@ def main(argv=None) -> int:
     except (PreconditionError,) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (SolverError, NumericError, EvaluationError) as exc:
+    except (NumericError, EvaluationError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SpecpointError as exc:

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 POS_INF = math.inf
 NEG_INF = -math.inf
-MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim matrix per lambda
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +98,6 @@ class UnsupportedError(SpecpointError):
 
 class PreconditionError(SpecpointError):
     """A documented precondition of an operation does not hold."""
-
-
-class SolverError(SpecpointError):
-    """An iterative solver stagnated; the message carries the best residual."""
 
 
 class NumericError(SpecpointError):

@@ -1,21 +1,19 @@
 """Finite dimensional numerical estimators.
 
-Growth rates d_p and q_p from sphere minima and maxima over a shrinking
-radius schedule, point-spectrum membership tests with first-class Undecided
-verdicts, the smooth-map reduction to Jacobian eigenvalues, and a
-bifurcation candidate scanner for maps vanishing at the origin.  Every
-sphere extremum comes from `numerics.sphere_extrema`: exact for a map that
-declares its sphere matrix, else sampled and polished (membership's and
-the scan's at the smallest radius alone); the planar engine `homog2d` is
-loaded only where a scan with candidates traces its containment curve.
+Growth rates d_p and q_p from sphere minima and maxima at the six radii
+0.1 * 2^-11 .. 0.1 * 2^-16 of RADII, point-spectrum membership tests, the
+smooth-map reduction to Jacobian eigenvalues, and a bifurcation candidate
+scanner for maps vanishing at the origin.  Every sphere extremum comes
+from `numerics.sphere_extrema`: exact for a map that declares its sphere
+matrix, else sampled and polished (membership's and the scan's at the
+smallest radius alone); the planar engine `homog2d` is loaded only where a
+scan with candidates traces its containment curve.
 
 Sampling cannot certify that an infimum is zero, so membership and the
-scans share one rule, `core.scan_verdicts`: a minimum in [tol, 2 tol) is
-Undecided, not rejected.
+scans share one rule and its verdicts, `core.scan_verdicts`: "candidate",
+"undecided" for a minimum in [tol, 2 tol), and "rejected".
 """
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -31,8 +29,7 @@ from .maps import MapSpec, evaluate, translate_to_origin
 from .numerics import directed_distance, sphere_extrema
 from .planar import SPHERE_DIRECTIONS
 
-RADII = 0.1 * 0.5 ** np.arange(17)  # the sphere radii of the growth rates and membership tests
-TAIL = 6  # d_p and q_p read the last TAIL radii
+RADII = 0.1 * 0.5 ** np.arange(11, 17)  # the sphere radii of the growth rates; membership reads the last
 DIVERGENCE_THRESHOLD = 1e6  # a rate above it is flagged and reported as inf
 
 
@@ -40,9 +37,8 @@ class LocalRates(Record):
     """Lower/upper local growth rates of f at p (0 <= d_p <= q_p).
 
     per_radius_min and per_radius_max hold the sphere minimum and maximum
-    of |f(p + x) - f(p)| / r at every radius r, each sampled and then
-    polished from its best sample; d_p and q_p are their extremes over the
-    tail radii.
+    of |f(p + x) - f(p)| / r at every radius r of RADII, each sampled and
+    then polished from its best sample; d_p and q_p are their extremes.
     """
 
     d_p: float
@@ -59,19 +55,19 @@ class LocalRates(Record):
 
 
 def estimate_rates(f: MapSpec, p) -> LocalRates:
-    """Estimate d_p and q_p from the sphere minima and maxima over a geometric radius schedule.
+    """Estimate d_p and q_p from the sphere minima and maxima at the radii RADII.
 
     Every radius's minimum and maximum of |f(p + x) - f(p)| / r over the
     sphere |x| = r is sampled at SPHERE_DIRECTIONS directions and polished;
-    d_p and q_p are the smallest minimum and the largest maximum of the last
-    TAIL radii, each flagged and reported as inf above DIVERGENCE_THRESHOLD.
+    d_p and q_p are the smallest minimum and the largest maximum, each
+    flagged and reported as inf above DIVERGENCE_THRESHOLD.
     """
     g = translate_to_origin(f, p)
     zero = np.zeros(1, dtype=complex)
     mins = sphere_extrema(g, zero, RADII, SPHERE_DIRECTIONS, sign=1.0)[0]
     maxs = sphere_extrema(g, zero, RADII, SPHERE_DIRECTIONS, sign=-1.0)[0]
-    d = float(mins[-TAIL:].min())
-    q = float(maxs[-TAIL:].max())
+    d = float(mins.min())
+    q = float(maxs.max())
 
     d_flagged = d > DIVERGENCE_THRESHOLD
     q_flagged = q > DIVERGENCE_THRESHOLD
@@ -86,18 +82,9 @@ def estimate_rates(f: MapSpec, p) -> LocalRates:
     )
 
 
-class Verdict(Enum):
-    MEMBER = "member"
-    NON_MEMBER = "non_member"
-    UNDECIDED = "undecided"
-
-
 class MembershipResult(Record):
-    verdict: Verdict
+    verdict: str  # the `core.scan_verdicts` verdict of margin: candidate, undecided or rejected
     margin: float  # the sphere minimum the verdict reads
-
-
-_MEMBERSHIP = {"candidate": Verdict.MEMBER, "undecided": Verdict.UNDECIDED, "rejected": Verdict.NON_MEMBER}
 
 
 def sigma_membership(f: MapSpec, p, lam, tol: float = 1e-3) -> MembershipResult:
@@ -105,13 +92,11 @@ def sigma_membership(f: MapSpec, p, lam, tol: float = 1e-3) -> MembershipResult:
 
     The sphere minimum of |lam x - (f(p + x) - f(p))| / r at the smallest
     radius r of RADII, sampled and polished, gets its `core.scan_verdicts`
-    verdict: a candidate is a Member, an undecided lam is Undecided and a
-    rejected one a NonMember.
+    verdict.
     """
     g = translate_to_origin(f, p)
     res = sphere_extrema(g, np.array([as_complex(lam)]), RADII[-1:], SPHERE_DIRECTIONS)
-    verdict = scan_verdicts(res.tolist(), tol)[1][0]
-    return MembershipResult(verdict=_MEMBERSHIP[verdict], margin=float(res[0, 0]))
+    return MembershipResult(verdict=scan_verdicts(res.tolist(), tol)[1][0], margin=float(res[0, 0]))
 
 
 def c1_spectrum(f: MapSpec, p) -> np.ndarray:

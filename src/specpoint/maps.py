@@ -16,22 +16,24 @@ Builtin catalogue (addressable by name from tests and the CLI):
     R^4                 conj_pair
     general dimension   norm_times_x(dim), 1 <= dim <= MAX_DIM
 
+A user map is a MapSpec built directly, with the fields it declares.
 Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
 higher dimensional maps take arrays of shape (..., dim) and act on the last
-axis, and so does the user evaluator that `black_box` wraps.  A one
-dimensional evaluator also takes a bare float, the convention of `dini`,
-which evaluates one float at a time: the one dimensional builtins are
-scalar functions of `dini`, vectorized here, and `norm_times_x(1)` is
-x |x|, elementwise.  The planar builtins are formulas of `planar`,
-evaluated here on arrays of points.  The linear builtins, real_linear
-and conj_pair, declare their matrices as their Jacobians and as their
-sphere matrices; norm_times_x(dim) declares A(r) = r I, and the identity
-I.  `numerics.sphere_extrema` reads the sphere matrix alone.
+axis, a user evaluator included.  A one dimensional evaluator also takes a
+bare float, the convention of `dini`, which evaluates one float at a time:
+the one dimensional builtins are scalar functions of `dini`, vectorized
+here, and `norm_times_x(1)` is x |x|, elementwise.  The planar builtins are
+formulas of `planar`, evaluated here on arrays of points.  The linear
+builtins, real_linear and conj_pair, declare their matrices as their
+Jacobians and as their sphere matrices; norm_times_x(dim) declares A(r) =
+r I, and the identity I.  The factories of norm_times_x and
+norm_plus_i_im_pow check their integer parameter's range on the value as
+given.  `numerics.sphere_extrema` reads the sphere matrix alone.
 """
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from . import planar
 from .core import (
     DiniQuad,
     DomainError,
-    MAX_DIM,
     EvaluationError,
     MapSpec,
     PreconditionError,
@@ -47,6 +48,8 @@ from .core import (
     as_complex,
     replace,
 )
+
+MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim matrix per lambda
 
 
 def evaluate(f: MapSpec, x) -> np.ndarray:
@@ -156,45 +159,19 @@ def lambda_minus(lam, f: MapSpec) -> MapSpec:
     return _affine(lam, -1.0, f, f"({lam}*id-{f.name})")
 
 
-# ---------------------------------------------------------------------------
-# black boxes
-
-
-def black_box(
-    dim: int,
-    evaluator: Callable,
-    *,
-    name: str = "black_box",
-    dini_exact: Optional[Callable] = None,
-    jacobian: Optional[Callable] = None,
-    complex_pairs: bool = False,
-    homogeneous: bool = False,
-) -> MapSpec:
-    """Wrap a user evaluator, vectorized as every evaluator is."""
-    return MapSpec(
-        name=name,
-        dim=dim,
-        evaluator=evaluator,
-        homogeneous=homogeneous,
-        complex_pairs=complex_pairs,
-        dini_exact=dini_exact,
-        jacobian=jacobian,
-    )
-
-
 def identity_map(dim: int) -> MapSpec:
     if dim == 2:
         return builtin("real_linear", s=1.0, t=0.0, u=0.0, v=1.0)
     eye = np.eye(dim)
-    f = black_box(
-        dim,
-        lambda x: np.asarray(x, dtype=float),
+    return MapSpec(
         name="identity",
+        dim=dim,
+        evaluator=lambda x: np.asarray(x, dtype=float),
+        homogeneous=True,
         dini_exact=(lambda p: DiniQuad(1.0, 1.0, 1.0, 1.0)) if dim == 1 else None,
         jacobian=lambda q: eye,
-        homogeneous=True,
+        sphere_matrix=lambda r: eye,
     )
-    return replace(f, sphere_matrix=lambda r: eye)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +218,9 @@ def _builtin_plane(name, **params):
 
 def _norm_times_x(dim=2):
     """x -> |x| x: on the sphere of radius r it is x -> r x, so A(r) = r I."""
+    if not 1 <= dim <= MAX_DIM:  # on the value as given: int(1e300) prints 301 digits
+        raise PreconditionError(f"norm_times_x needs 1 <= dim <= {MAX_DIM}, got {dim:.16g}")
     dim = int(dim)
-    if not 1 <= dim <= MAX_DIM:
-        raise PreconditionError(f"norm_times_x needs 1 <= dim <= {MAX_DIM}, got {dim}")
 
     def ev(x):
         if dim == 1:  # no coordinate axis: a bare float or an array of points

@@ -132,14 +132,14 @@ def _lockstep_nelder_mead(fn, U0, live):
 
 
 def sphere_polish(fn, U0):
-    """Minimize B objectives over unit vectors, each near its row of U0.
+    """Minimize B objectives over unit vectors, each near its row of U0, in dim >= 2.
 
     fn maps a (B, m, dim) array of unit vectors to their (B, m) values, row
-    b under objective b.  Every element runs the Nelder-Mead method
-    (Comput. J. 7, 1965) with scipy's coefficients on the offsets t of its
-    tangent frame T, at the point (u0 + T t) / |u0 + T t|: the normalization
-    is constant along rays, which would stall a simplex in ambient
-    coordinates.  The elements advance in lockstep: one fn call per
+    b under objective b; `sphere_extrema` calls it from dim 3.  Every
+    element runs the Nelder-Mead method (Comput. J. 7, 1965) with scipy's
+    coefficients on the offsets t of its tangent frame T, at the point
+    (u0 + T t) / |u0 + T t|: the normalization is constant along rays,
+    which would stall a simplex in ambient coordinates.  The elements advance in lockstep: one fn call per
     iteration evaluates every element's reflection, expansion and both
     contractions, and one more runs only when some element shrinks.  An
     element stops once its simplex is within 1e-12 and its values within
@@ -151,8 +151,6 @@ def sphere_polish(fn, U0):
     """
     U = np.asarray(U0, dtype=float)
     U = U / np.linalg.norm(U, axis=-1, keepdims=True)
-    if U.shape[1] == 1:
-        return fn(U[:, None, :])[:, 0], U
     values = np.full(U.shape[0], np.inf)
     live = np.ones(U.shape[0], dtype=bool)
     for _ in range(_NM_RESTARTS + 1):

@@ -11,7 +11,6 @@ import pytest
 from specpoint.core import RealIntervalSet
 from specpoint.dini import dini_estimate, dini_exact, point_spectrum_1d, spectrum_1d
 from specpoint.estimators import (
-    Verdict,
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
@@ -26,7 +25,7 @@ from specpoint.homog2d import (
     scanline_turns,
     sigma_curve,
 )
-from specpoint.maps import add_identity, black_box, builtin, scale_map
+from specpoint.maps import MapSpec, add_identity, builtin, scale_map
 from specpoint.planar import builtin as planar_builtin, circle_extrema, moduli_at
 from specpoint.rates import Interval, mnc_bounds
 from specpoint.structured import (
@@ -279,7 +278,7 @@ def test_acceptance_09_property_suites():
     assert scan.candidates and scan.contained_in_sigma
     for cand in scan.candidates[:6]:
         res = sigma_membership(g, np.zeros(2), cand, tol=0.06)
-        assert res.verdict in (Verdict.MEMBER, Verdict.UNDECIDED)
+        assert res.verdict in ("candidate", "undecided")
 
     # winding numbers are stable under sample doubling
     card = builtin("norm_plus_i_im")
@@ -301,7 +300,7 @@ def test_acceptance_09_property_suites():
         def ev(x, _M=M):
             return np.asarray(x, dtype=float) @ _M.T
 
-        r = estimate_rates(black_box(n, ev, name="lin"), np.zeros(n))
+        r = estimate_rates(MapSpec(name="lin", dim=n, evaluator=ev), np.zeros(n))
         sv = np.linalg.svd(M, compute_uv=False)
         worst = max(worst, abs(r.d_p - sv[-1]), abs(r.q_p - sv[0]))
     assert worst < 1e-4
@@ -331,7 +330,7 @@ def test_acceptance_10_empty_spectrum_witness():
         for a in angles:
             lam = r * complex(math.cos(a), math.sin(a))
             res = sigma_membership(f, np.zeros(4), lam, tol=1e-3)
-            assert res.verdict == Verdict.NON_MEMBER, lam
+            assert res.verdict == "rejected", lam
             assert res.margin > 0.0
             margins.append(res.margin)
     assert len(margins) == 100

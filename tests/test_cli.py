@@ -746,10 +746,10 @@ def test_classify_band_cap_exits_before_allocating(capsys):
 
 def test_exit_code_numeric_failure_mapping(capsys, monkeypatch):
     from specpoint import structured
-    from specpoint.core import SolverError
+    from specpoint.core import NumericError
 
     def boom(*a, **k):
-        raise SolverError("stagnated")
+        raise NumericError("stagnated")
 
     monkeypatch.setattr(structured, "truncated_shift_min", boom)
     rc, _ = run_cli(capsys, ["shift", "--truncate", "8"])

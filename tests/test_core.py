@@ -24,7 +24,7 @@ from specpoint.core import (
     scan_verdicts,
 )
 from specpoint.homog2d import PlaneSpectrum
-from specpoint.maps import black_box, lambda_minus, scalar_action
+from specpoint.maps import lambda_minus, scalar_action
 from specpoint.rates import Interval
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -124,7 +124,8 @@ def test_quad_scale_zero():
 
 def test_quad_reflect_matches_pointwise():
     q = DiniQuad(-2.0, -1.0, 3.0, 5.0)
-    f = black_box(1, lambda x: np.asarray(x, dtype=float), dini_exact=lambda p: q)
+    f = MapSpec(name="black_box", dim=1, evaluator=lambda x: np.asarray(x, dtype=float),
+                dini_exact=lambda p: q)
     r = lambda_minus(1.0, f).dini_exact(0.0)
     assert r.as_tuple() == (1.0 - (-1.0), 1.0 - (-2.0), 1.0 - 5.0, 1.0 - 3.0)
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from specpoint.core import (
     DiniQuad,
     EvaluationError,
+    MapSpec,
     NEG_INF,
     POS_INF,
     PreconditionError,
@@ -24,16 +25,16 @@ from specpoint.dini import (
     point_spectrum_1d,
     spectrum_1d,
 )
-from specpoint.maps import black_box, builtin, evaluate, translate_to_origin
+from specpoint.maps import builtin, evaluate, translate_to_origin
 
 INF = POS_INF
 
 
 def abs_map():
-    return black_box(
-        1,
-        lambda x: np.abs(np.asarray(x, dtype=float)),
+    return MapSpec(
         name="abs",
+        dim=1,
+        evaluator=lambda x: np.abs(np.asarray(x, dtype=float)),
         dini_exact=lambda p: DiniQuad(-1.0, -1.0, 1.0, 1.0)
         if p == 0
         else DiniQuad(*(math.copysign(1.0, p),) * 4),
@@ -61,7 +62,7 @@ def test_exact_abs_quad():
 
 
 def test_exact_requires_provider():
-    bare = black_box(1, lambda x: np.asarray(x, dtype=float), name="bare")
+    bare = MapSpec(name="bare", dim=1, evaluator=lambda x: np.asarray(x, dtype=float))
     with pytest.raises(UnsupportedError):
         dini_exact(bare, 0.0)
 
@@ -94,7 +95,7 @@ def test_estimate_xsq_sin_inv_bounded():
 def test_estimate_linear_slope():
     # quotients are exactly 3 in real arithmetic; in floats the subtraction
     # f(p+h) - f(p) loses eps*|f(p)|/h, so the grid must not go below ~1e-5
-    f = black_box(1, lambda x: 3.0 * np.asarray(x, dtype=float), name="3x")
+    f = MapSpec(name="3x", dim=1, evaluator=lambda x: 3.0 * np.asarray(x, dtype=float))
     est = dini_estimate(f, 5.0, h0=0.1, ratio=0.5, steps=12)
     assert all(abs(v - 3.0) <= 1e-10 for v in est.quad.as_tuple())
     est_deep = dini_estimate(f, 5.0)
@@ -155,7 +156,7 @@ def test_estimate_reports_the_failing_step():
         x = np.asarray(x, dtype=float)
         return np.where(x < -0.02, np.nan, x)
 
-    f = black_box(1, ev, name="holey")
+    f = MapSpec(name="holey", dim=1, evaluator=ev)
     # the tail is 0.5 * 0.5^k for k = 4..7, and -0.03125 is the first step that fails
     with pytest.raises(EvaluationError, match=r"^evaluation failed at h=-0\.03125: non-finite value from holey$"):
         dini_estimate(f, 0.0, h0=0.5, ratio=0.5, steps=8)
@@ -168,7 +169,7 @@ def test_estimate_reports_the_failing_step():
 
 def test_estimate_threshold_configurable():
     # a steep but finite slope must not be flagged with a higher threshold
-    f = black_box(1, lambda x: 1e7 * np.asarray(x, dtype=float), name="steep")
+    f = MapSpec(name="steep", dim=1, evaluator=lambda x: 1e7 * np.asarray(x, dtype=float))
     est = dini_estimate(f, 0.0, divergence_threshold=1e6)
     assert est.quad.d_plus_high == INF
     est2 = dini_estimate(f, 0.0, divergence_threshold=1e9)
@@ -365,7 +366,7 @@ def test_estimate_matches_the_frozen_numpy_estimator():
         simd = ratio ** np.arange(steps)
         assert np.all(np.abs(simd - libm) <= np.spacing(libm)), (ratio, steps)
         for name in BUILTINS_1D:
-            frozen = black_box(1, FROZEN_EVALUATORS[name], name=name)
+            frozen = MapSpec(name=name, dim=1, evaluator=FROZEN_EVALUATORS[name])
             frozen = replace(frozen, inv_oscillation_hint=BUILTINS_1D[name][2])
             for p in POINTS:
                 want = _frozen_dini_estimate(frozen, p, h0, ratio, steps, libm)

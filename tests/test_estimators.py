@@ -8,8 +8,6 @@ from specpoint.core import PreconditionError, replace
 from specpoint.estimators import (
     DIVERGENCE_THRESHOLD,
     RADII,
-    TAIL,
-    Verdict,
     bifurcation_scan,
     c1_spectrum,
     estimate_rates,
@@ -19,7 +17,7 @@ from specpoint.estimators import (
 )
 from specpoint.homog2d import sigma_curve
 from specpoint.maps import (
-    black_box,
+    MapSpec,
     builtin,
     evaluate,
     identity_map,
@@ -38,7 +36,7 @@ def linear_map(M):
     def ev(x, _M=M):
         return np.asarray(x, dtype=float) @ _M.T
 
-    return black_box(M.shape[0], ev, name="linear", jacobian=lambda q, _M=M: _M)
+    return MapSpec(name="linear", dim=M.shape[0], evaluator=ev, jacobian=lambda q, _M=M: _M)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +59,8 @@ def test_rates_difference_of_pow_map():
     # the difference map is i*y^2; analytic bound: its ratio at radius r is <= r
     g = builtin("norm_plus_i_im_pow", n=2)
     f = builtin("norm_only")
-    diff = black_box(2, lambda x: g.evaluator(x) - f.evaluator(x), complex_pairs=True)
+    diff = MapSpec(name="black_box", dim=2, evaluator=lambda x: g.evaluator(x) - f.evaluator(x),
+                   complex_pairs=True)
     r = estimate_rates(diff, np.zeros(2))
     assert r.d_p <= r.q_p <= max(r.radii_used[-6:]) * (1.0 + 1e-12)
     assert r.q_p < 1e-3
@@ -103,10 +102,10 @@ def test_rates_divergence_flag():
         r = np.linalg.norm(x, axis=-1, keepdims=True)
         return np.where(r > 0, x * np.where(r > 0, r, 1.0) ** -1.2, 0.0 * x)
 
-    f = black_box(2, ev, name="inv_pow_growth")
+    f = MapSpec(name="inv_pow_growth", dim=2, evaluator=ev)
     # the tail radii 0.1 * 2^-11 .. 0.1 * 2^-16 read about 1.5e5 .. 9.5e6, so
     # DIVERGENCE_THRESHOLD = 1e6 flags the largest ratio and not the smallest
-    tail = RADII[-TAIL:] ** -1.2
+    tail = RADII ** -1.2
     assert tail.max() > DIVERGENCE_THRESHOLD > tail.min()
     r = estimate_rates(f, np.zeros(2))
     assert r.q_flagged and math.isinf(r.q_p)
@@ -119,14 +118,78 @@ def test_rates_and_membership_polish_to_singular_values(homogeneous):
     rng = np.random.default_rng(17)
     for n in (3, 4, 6):
         M = rng.normal(size=(n, n))
-        f = black_box(n, lambda x, _M=M: np.asarray(x) @ _M.T, homogeneous=homogeneous)
+        f = MapSpec(name="black_box", dim=n, evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
+                    homogeneous=homogeneous)
         r = estimate_rates(f, np.zeros(n))
         sv = np.linalg.svd(M, compute_uv=False)
         assert abs(r.d_p - sv[-1]) <= 1e-12 and abs(r.q_p - sv[0]) <= 1e-12
         gap = np.linalg.svd(0.7 * np.eye(n) - M, compute_uv=False)[-1]
         res = sigma_membership(f, np.zeros(n), 0.7, tol=gap * (1.0 + 1e-9))
         assert abs(res.margin - gap) <= 1e-12
-        assert res.verdict == Verdict.MEMBER
+        assert res.verdict == "candidate"
+
+
+def _pinned_rate_maps():
+    """(key, map, p): seeded linear maps of dimension 2 to 5, plain and homogeneous, and six more."""
+    rng = np.random.default_rng(29)
+    for dim in (2, 3, 4, 5):
+        for k in range(3):
+            M = rng.normal(size=(dim, dim))
+            for homogeneous in (False, True):
+                f = MapSpec(name="linear", dim=dim, evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
+                            homogeneous=homogeneous)
+                yield f"linear{dim}_{k}" + ("_hom" if homogeneous else ""), f, np.zeros(dim)
+    A = rng.normal(size=(3, 3))
+    yield "nonlinear3", MapSpec(name="nonlinear", dim=3,
+                                evaluator=lambda x: np.tanh(np.asarray(x) @ A.T) + np.asarray(x) ** 2), np.zeros(3)
+    # away from the origin neither map keeps its sphere matrix: sampled and polished by Nelder-Mead
+    yield "conj_pair@p", builtin("conj_pair"), np.array([0.3, -0.2, 0.5, 0.1])
+    yield "norm_times_x3@p", builtin("norm_times_x", dim=3), np.array([0.5, -1.0, 2.0])
+    yield "norm_plus_i_im", builtin("norm_plus_i_im"), np.zeros(2)
+    yield "half_abs_re_plus_i_im", builtin("half_abs_re_plus_i_im"), np.zeros(2)
+
+
+# (d_p, q_p) of each map, the bits the rates had when they sampled all 17 radii 0.1 * 2^-k, k = 0..16
+PINNED_RATES = {
+    "linear2_0": (0.17395667614288926, 0.4257870373696075),
+    "linear2_0_hom": (0.17395667614288926, 0.4257870373696075),
+    "linear2_1": (0.1952531894261557, 0.32756079897484774),
+    "linear2_1_hom": (0.1952531894261557, 0.32756079897484774),
+    "linear2_2": (0.6685685441071978, 1.0818337798953523),
+    "linear2_2_hom": (0.6685685441071978, 1.0818337798953523),
+    "linear3_0": (0.16178830645795778, 3.097528339418729),
+    "linear3_0_hom": (0.16178830645795778, 3.097528339418729),
+    "linear3_1": (0.6842964274671486, 5.129067667235677),
+    "linear3_1_hom": (0.6842964274671486, 5.129067667235677),
+    "linear3_2": (0.16884119852557666, 2.8801111003316717),
+    "linear3_2_hom": (0.16884119852557666, 2.8801111003316717),
+    "linear4_0": (0.2205534933940927, 2.6789818484584154),
+    "linear4_0_hom": (0.2205534933940927, 2.6789818484584154),
+    "linear4_1": (0.322219920168603, 3.3779393174792345),
+    "linear4_1_hom": (0.322219920168603, 3.3779393174792345),
+    "linear4_2": (0.38068839510129254, 3.881382455260479),
+    "linear4_2_hom": (0.38068839510129254, 3.881382455260479),
+    "linear5_0": (0.16041103194027237, 3.7600660281332337),
+    "linear5_0_hom": (0.16041103194027237, 3.7600660281332337),
+    "linear5_1": (0.20181553398160468, 3.775752924060058),
+    "linear5_1_hom": (0.20181553398160468, 3.775752924060058),
+    "linear5_2": (0.26990138169907, 4.043905892637349),
+    "linear5_2_hom": (0.26990138169907, 4.043905892637349),
+    "nonlinear3": (1.1330763348537494, 2.7234686646775716),
+    "conj_pair@p": (0.9999999999594675, 1.0000000000366867),
+    "norm_times_x3@p": (2.2912878471392486, 4.582574169642811),
+    "norm_plus_i_im": (1.0, 1.4142135623730951),
+    "half_abs_re_plus_i_im": (0.5, 1.0),
+}
+
+
+def test_rates_keep_their_bits():
+    # a sampled and polished entry does not depend on the other radii of its batch
+    got = {}
+    for key, f, p in _pinned_rate_maps():
+        r = estimate_rates(f, p)
+        got[key] = (r.d_p, r.q_p)
+    assert got == PINNED_RATES
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +198,15 @@ def test_rates_and_membership_polish_to_singular_values(homogeneous):
 
 def test_membership_abs_re():
     f = builtin("abs_re_plus_i_im")
-    assert sigma_membership(f, np.zeros(2), 1 + 0j).verdict == Verdict.MEMBER
+    assert sigma_membership(f, np.zeros(2), 1 + 0j).verdict == "candidate"
     res = sigma_membership(f, np.zeros(2), 0j)
-    assert res.verdict == Verdict.NON_MEMBER
+    assert res.verdict == "rejected"
     assert abs(res.margin - 1.0) < 2e-3
 
 
 def test_membership_identity_1d():
     res = sigma_membership(identity_map(1), 0.0, 1.0)
-    assert res.verdict == Verdict.MEMBER
+    assert res.verdict == "candidate"
 
 
 def test_membership_annulus_bound():
@@ -152,7 +215,7 @@ def test_membership_annulus_bound():
     d, q = 0.5, 1.0
     for lam in (0.5 + 0j, 1j * 0.99, -0.49 + 0.0j, 1.0 + 0j):
         res = sigma_membership(f, np.zeros(2), lam, tol=tol)
-        if res.verdict == Verdict.MEMBER:
+        if res.verdict == "candidate":
             assert d - tol <= abs(lam) <= q + tol
 
 
@@ -165,11 +228,12 @@ def test_membership_rejects_complex_lambda_without_complex_structure():
 def test_membership_takes_the_scan_verdicts(homogeneous):
     # sigma_min(lam I - M) = 1.5e-3 at lam = 1: undecided in [tol, 2 tol), as a scan reads it
     M = np.array([[1.0015, 0.0], [0.0, 3.0]])
-    f = black_box(2, lambda x: np.asarray(x) @ M.T, homogeneous=homogeneous)
+    f = MapSpec(name="black_box", dim=2, evaluator=lambda x: np.asarray(x) @ M.T,
+                homogeneous=homogeneous)
     verdicts = {tol: sigma_membership(f, np.zeros(2), 1.0, tol=tol) for tol in (1e-3, 2e-3, 7e-4)}
-    assert verdicts[1e-3].verdict == Verdict.UNDECIDED
-    assert verdicts[2e-3].verdict == Verdict.MEMBER
-    assert verdicts[7e-4].verdict == Verdict.NON_MEMBER
+    assert verdicts[1e-3].verdict == "undecided"
+    assert verdicts[2e-3].verdict == "candidate"
+    assert verdicts[7e-4].verdict == "rejected"
     assert all(abs(res.margin - 1.5e-3) <= 1e-12 for res in verdicts.values())
 
 
@@ -276,7 +340,7 @@ def test_scan_candidates_subset_of_members():
     scan = bifurcation_scan(g, lams, tol=0.05)
     for c in scan.candidates:
         res = sigma_membership(g, np.zeros(2), c, tol=0.06)
-        assert res.verdict in (Verdict.MEMBER, Verdict.UNDECIDED)
+        assert res.verdict in ("candidate", "undecided")
 
 
 @pytest.mark.parametrize(
@@ -284,7 +348,8 @@ def test_scan_candidates_subset_of_members():
     [
         builtin("norm_times_x", dim=3),
         builtin("sqrt_abs"),
-        black_box(2, lambda x: np.asarray(x, dtype=float) @ np.array([[1.0, 2.0], [0.0, 3.0]]).T),
+        MapSpec(name="black_box", dim=2,
+                evaluator=lambda x: np.asarray(x, dtype=float) @ np.array([[1.0, 2.0], [0.0, 3.0]]).T),
     ],
     ids=["norm_times_x3", "sqrt_abs", "planar_black_box"],
 )
@@ -294,7 +359,7 @@ def test_scan_rejects_complex_lambda_without_complex_structure(f):
 
 
 def test_scan_requires_zero_at_origin():
-    shifted = black_box(2, lambda x: np.asarray(x, dtype=float) + 1.0, name="affine")
+    shifted = MapSpec(name="affine", dim=2, evaluator=lambda x: np.asarray(x, dtype=float) + 1.0)
     with pytest.raises(PreconditionError):
         bifurcation_scan(shifted, [0j])
 
@@ -515,7 +580,8 @@ def test_scan_linear_black_box_matches_sigma_min(dim):
     lams = np.concatenate([np.linalg.eigvals(M).real, rng.uniform(-3.0, 3.0, size=6)])
     exact = np.array([np.linalg.svd(l * np.eye(dim) - M, compute_uv=False)[-1] for l in lams])
     for homogeneous in (True, False):
-        f = black_box(dim, lambda x, _M=M: np.asarray(x) @ _M.T, homogeneous=homogeneous)
+        f = MapSpec(name="black_box", dim=dim, evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
+                    homogeneous=homogeneous)
         scan = bifurcation_scan(f, lams)
         assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
 
@@ -568,7 +634,7 @@ def test_rates_of_a_homogeneous_map_repeat_one_radius():
     assert len(set(rates.per_radius_min)) == len(set(rates.per_radius_max)) == 1
     assert abs(rates.d_p - 1.0) < 1e-12 and abs(rates.q_p - 1.0) < 1e-12
     member = sigma_membership(f, np.zeros(4), 0.5 + 0.5j)
-    assert member.verdict == Verdict.NON_MEMBER
+    assert member.verdict == "rejected"
 
 
 def _frozen_scaled(g, lams, U):

@@ -1,5 +1,6 @@
 """The classify grid's CSV and SVG, written from label runs, against the former per-cell writers."""
 import csv
+import hashlib
 import io
 import itertools
 from unittest import mock
@@ -187,3 +188,29 @@ def test_classified_grid_outputs_match_references_across_row_blocks():
         assert len(list(ps.label_runs())) == 2
         assert _written_csv(ps) == _list_grid_csv(ps)
         assert svgfig.classify_svg(ps, title=name) == _reference_classify_svg(ps, title=name)
+
+
+# The SHA-256 of every file the README's classify line and the figure script's
+# figure-2 job write.  With homog2d.CURVE_SAMPLES 1024 in place of 2048 the
+# cardioid SVG changes while its JSON and CSV keep their bytes.
+CLASSIFY_FILES = {
+    "cardioid.csv": "5b4a92eef4c9796dea2e72eb4481ddb17cc8dc45533beb3f722dc38ff4e01e19",
+    "cardioid.json": "ba3f4581da29a67e7c84e1da313b4705272240b4254578c94fc9796785f9a9d8",
+    "cardioid.svg": "55e35b056e32982aa934b0afa7928298e4687196a36b073adbe68438f82fcd24",
+    "fig2_two_circles.csv": "8b1c9b2f6f8b66ab75485c07433b504a66f7e2bd805ce3be388a307e97c379fe",
+    "fig2_two_circles.json": "cdda5d06c2025b76e1c1fbc99d427fd375376b57c644ac2a736600c9d01f8f09",
+    "fig2_two_circles.svg": "340d5910102b50df20703dde7123c5bfc5b4860313915f1875b3f8c679c73fd6",
+}
+
+
+def test_classify_files_keep_their_bits(tmp_path):
+    runs = {
+        "cardioid": ["--fn", "norm_plus_i_im", "--xmin", "-2", "--xmax", "2", "--ymin", "-2", "--ymax", "2",
+                     "--res", "200", "--band", "0.05"],
+        "fig2_two_circles": ["--fn", "half_abs_re_plus_i_im", "--xmin", "-1.5", "--xmax", "2",
+                             "--ymin", "-1.5", "--ymax", "1.5", "--res", "220"],
+    }
+    for name, argv in runs.items():
+        assert cli.main(["classify", *argv, "--out", str(tmp_path / f"{name}.json")]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+    assert got == CLASSIFY_FILES

@@ -24,8 +24,8 @@ from specpoint.homog2d import (
     sigma_curve,
 )
 from specpoint.maps import (
+    MapSpec,
     add_identity,
-    black_box,
     builtin,
     evaluate,
     identity_map,
@@ -319,7 +319,7 @@ def conj_mix(alpha, beta, gamma):
         w = _a * z + _b * np.conj(z) + _g * np.abs(z)
         return np.stack([w.real, w.imag], axis=-1)
 
-    return black_box(2, ev, name="conj_mix", homogeneous=True)
+    return MapSpec(name="conj_mix", dim=2, evaluator=ev, homogeneous=True)
 
 
 coef = st.floats(-3.0, 3.0, allow_nan=False)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from specpoint.core import DiniQuad, DomainError, EvaluationError, PreconditionError, UnsupportedError
+from specpoint.core import DiniQuad, DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError
 from specpoint.maps import (
     BUILTIN_NAMES,
     MAX_DIM,
     add_identity,
-    black_box,
     builtin,
     evaluate,
     identity_map,
@@ -47,7 +46,7 @@ def test_unknown_builtin():
 
 
 def test_translate_quadratic():
-    f = black_box(1, lambda x: np.asarray(x, dtype=float) ** 2, name="square")
+    f = MapSpec(name="square", dim=1, evaluator=lambda x: np.asarray(x, dtype=float) ** 2)
     g = translate_to_origin(f, 1.0)
     xs = np.linspace(-0.5, 0.5, 21)
     assert np.allclose(evaluate(g, xs), 2 * xs + xs**2, atol=1e-14)
@@ -71,7 +70,7 @@ def test_translate_at_zero_keeps_map():
 
 
 def test_translate_round_trip():
-    f = black_box(1, lambda x: np.sin(np.asarray(x, dtype=float)), name="sine")
+    f = MapSpec(name="sine", dim=1, evaluator=lambda x: np.sin(np.asarray(x, dtype=float)))
     p = 0.4
     g = translate_to_origin(f, p)
     xs = np.linspace(-1, 1, 31)
@@ -98,7 +97,7 @@ def test_non_homogeneous_not_flagged():
 
 
 def test_nonfinite_output_is_error():
-    f = black_box(1, lambda x: np.where(np.asarray(x) > 0, np.inf, 0.0), name="bad")
+    f = MapSpec(name="bad", dim=1, evaluator=lambda x: np.where(np.asarray(x) > 0, np.inf, 0.0))
     with pytest.raises(EvaluationError):
         evaluate(f, 1.0)
 
@@ -154,7 +153,8 @@ CUSP = DiniQuad(-INF, -INF, INF, INF)  # sqrt|x| at 0
          "cusp_scale_negative", "cusp_scale_zero", "cusp_add_identity", "cusp_lambda_minus"],
 )
 def test_map_algebra_carries_the_exact_quadruple(quad, combine, want):
-    f = black_box(1, lambda x: np.asarray(x, dtype=float), dini_exact=lambda p: quad)
+    f = MapSpec(name="black_box", dim=1, evaluator=lambda x: np.asarray(x, dtype=float),
+                dini_exact=lambda p: quad)
     assert combine(f).dini_exact(0.3).as_tuple() == want
 
 

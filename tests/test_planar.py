@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from specpoint import homog2d, numerics, planar
-from specpoint.core import NumericError, replace
-from specpoint.maps import black_box, builtin, evaluate
+from specpoint.core import NumericError
+from specpoint.maps import MapSpec, builtin, evaluate
 from specpoint.numerics import golden_min
 
 LINEAR_PARAMS = [
@@ -158,7 +158,8 @@ def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
     def never(x):
         raise AssertionError("the exact path evaluated the map")
 
-    f = replace(black_box(4, never, homogeneous=True, complex_pairs=True), sphere_matrix=lambda r, _M=M: _M)
+    f = MapSpec(name="black_box", dim=4, evaluator=never, homogeneous=True, complex_pairs=True,
+                sphere_matrix=lambda r, _M=M: _M)
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j])
     res = numerics.sphere_extrema(f, lams, (0.1, 0.01), 512)
     top = numerics.sphere_extrema(f, lams, (0.1,), 512, sign=-1.0)
@@ -170,10 +171,10 @@ def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
 
 def test_non_finite_sphere_extremum_is_a_numeric_error():
     # |f(r u)|^2 / r^2 overflows: an error naming the map, not an inf residual
-    f = black_box(2, lambda x: np.asarray(x) * 1e200, name="huge")
+    f = MapSpec(name="huge", dim=2, evaluator=lambda x: np.asarray(x) * 1e200)
     with pytest.raises(NumericError, match="huge"):
         numerics.sphere_extrema(f, np.array([0.5 + 0j]), (0.1,), 64)
-    g = replace(black_box(2, lambda x: np.asarray(x), name="inf_matrix", homogeneous=True),
+    g = MapSpec(name="inf_matrix", dim=2, evaluator=lambda x: np.asarray(x), homogeneous=True,
                 sphere_matrix=lambda r: np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericError, match="inf_matrix"):
         numerics.sphere_extrema(g, np.array([0.5 + 0j]), (0.1,), 64)
