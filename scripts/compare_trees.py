@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Run one argv corpus in two source trees and compare what each run leaves behind.
+"""Run one argv corpus in a BASE tree and in this checkout, and compare what each run leaves behind.
 
-    python scripts/compare_trees.py BASE [TREE]
+    python scripts/compare_trees.py BASE
 
-TREE defaults to the checkout this script is in, and the argv come from it:
-the CLI block of its README, the three jobs of its figure script, every call
-of its bench/workloads.py at seeds 7 and 8, and its scripts/corpus.txt.  Each
-argv runs as `python -m specpoint.cli` with PYTHONPATH set to the tree's
-src/, in a fresh directory for each tree, the two trees alternating.
-The exit code, stdout, stderr (with the tree's path and the run's directory
-replaced) and the SHA-256 of every file written must match.  Each
-difference is printed, and the exit status is 1 if there is any.  Running
-with BASE = TREE checks that every argv gives the same bytes twice.
+The argv come from this checkout: the CLI block of its README, the three
+jobs of its figure script, every call of its bench/workloads.py at seeds 7
+and 8, and its scripts/corpus.txt.  Each argv runs as `python -m
+specpoint.cli` with PYTHONPATH set to the tree's src/, in a fresh directory
+for each tree, BASE and this checkout alternating.  The exit code, stdout,
+stderr (with the tree's path and the run's directory replaced) and the
+SHA-256 of every file written must match.  Each difference is printed, and
+the exit status is 1 if there is any.  `compare_trees.py .` checks that
+every argv gives the same bytes twice.
 """
-import ast
 import hashlib
+import importlib.util
 import os
 import re
 import shlex
@@ -37,16 +37,10 @@ def readme_argv(tree: Path) -> list:
 
 def figure_argv(tree: Path) -> list:
     """The figure script's jobs at its default --res, each with --out figures/NAME.json."""
-    source = (tree / "scripts" / "reproduce_figures.py").read_text()
-    res = re.search(r'"--res", type=int, default=(\d+)', source).group(1)
-
-    class Res(ast.NodeTransformer):
-        def visit_Name(self, node):
-            return ast.Constant(res) if node.id == "res" else node
-
-    jobs = next(node.value for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "jobs")
-    return [argv + ["--out", f"figures/{name}.json"] for name, argv in ast.literal_eval(Res().visit(jobs))]
+    spec = importlib.util.spec_from_file_location("reproduce_figures", tree / "scripts" / "reproduce_figures.py")
+    figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(figures)
+    return [argv + ["--out", f"figures/{name}.json"] for name, argv in figures.jobs(figures.RES)]
 
 
 def workload_argv(tree: Path) -> list:
@@ -100,23 +94,22 @@ def differences(a: tuple, b: tuple) -> list:
 
 
 def main() -> int:
-    if not 2 <= len(sys.argv) <= 3:
+    if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    base = Path(sys.argv[1]).resolve()
-    tree = Path(sys.argv[2] if len(sys.argv) == 3 else Path(__file__).resolve().parents[1]).resolve()
+    base, tree = Path(sys.argv[1]).resolve(), Path(__file__).resolve().parents[1]
     corpus = readme_argv(tree) + figure_argv(tree) + workload_argv(tree) + corpus_argv(tree)
     start, failed = time.perf_counter(), 0
     with tempfile.TemporaryDirectory() as scratch:
         for i, argv in enumerate(corpus):
-            runs = [None, None]  # BASE's and TREE's, which may be the same tree
+            runs = [None, None]  # BASE's and this checkout's, which may be the same tree
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
                 runs[k] = run((base, tree)[k], argv, Path(scratch))
             found = differences(*runs)
             failed += bool(found)
             for line in found:
                 print(f"[{i}] {shlex.join(argv)}: {line}", flush=True)
-    print(f"{len(corpus)} argv in BASE {base} and TREE {tree}: {failed} with differences, "
+    print(f"{len(corpus)} argv in {base} and {tree}: {failed} with differences, "
           f"{time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 

@@ -16,16 +16,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from specpoint import cli  # noqa: E402
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--outdir", default="out/figures")
-    ap.add_argument("--res", type=int, default=220)
-    args = ap.parse_args()
-    out = pathlib.Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    res = str(args.res)
+RES = 220  # the default --res
 
-    jobs = [
+
+def jobs(res: int) -> list:
+    """(name, CLI argv) of each figure at grid resolution res."""
+    res = str(res)
+    return [
         (
             "fig1_cardioid",
             ["classify", "--fn", "norm_plus_i_im", "--xmin", "-2", "--xmax", "2",
@@ -38,7 +35,16 @@ def main() -> int:
         ),
         ("fig3_shift_model", ["shift", "--truncate", "60"]),
     ]
-    for name, argv in jobs:
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--outdir", default="out/figures")
+    ap.add_argument("--res", type=int, default=RES)
+    args = ap.parse_args()
+    out = pathlib.Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, argv in jobs(args.res):
         target = out / f"{name}.json"
         rc = cli.main(argv + ["--out", str(target)])
         if rc != 0:

@@ -288,7 +288,7 @@ def scan_verdicts(normalized, tol: float):
 # map descriptions
 
 
-class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for spec1d
+class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for spec1d, and directly for a user map
     """A map based at the origin, with what it declares of itself.
 
     jacobian is p -> f'(p), the derivative of a C^1 map.  sphere_matrix is

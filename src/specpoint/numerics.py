@@ -139,15 +139,16 @@ def sphere_polish(fn, U0):
     element runs the Nelder-Mead method (Comput. J. 7, 1965) with scipy's
     coefficients on the offsets t of its tangent frame T, at the point
     (u0 + T t) / |u0 + T t|: the normalization is constant along rays,
-    which would stall a simplex in ambient coordinates.  The elements advance in lockstep: one fn call per
-    iteration evaluates every element's reflection, expansion and both
-    contractions, and one more runs only when some element shrinks.  An
-    element stops once its simplex is within 1e-12 and its values within
-    1e-14 of its best vertex, or after 200 * dim iterations.  A simplex can
-    collapse before it reaches a minimum, so every element then restarts
-    from its best point on a fresh frame, and again while a restart gains
-    more than 1e-14, at most _NM_RESTARTS times.  Returns the (B,) best
-    values and their (B, dim) unit vectors.
+    which would stall a simplex in ambient coordinates.  The elements
+    advance in lockstep: one fn call per iteration evaluates every
+    element's reflection, expansion and both contractions, and one more
+    runs only when some element shrinks.  An element stops once its
+    simplex is within 1e-12 and its values within 1e-14 of its best
+    vertex, or after 200 * dim iterations.  A simplex can collapse before
+    it reaches a minimum, so every element then restarts from its best
+    point on a fresh frame, and again while a restart gains more than
+    1e-14, at most _NM_RESTARTS times.  Returns the (B,) best values and
+    their (B, dim) unit vectors.
     """
     U = np.asarray(U0, dtype=float)
     U = U / np.linalg.norm(U, axis=-1, keepdims=True)

@@ -162,20 +162,26 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
 
     values_at maps a list of angles to their curve values.  The curve starts
     at max(16, samples rounded up to a multiple of 4) equally spaced angles,
-    i * 2pi / n, which are np.linspace's.  Every round tests the chords of
-    all arcs in one pass, bisects each arc whose chord exceeds chord_bound,
-    in angle order, and evaluates only the new midpoints.  Past max_samples
-    the first arcs are bisected, and the curve is returned with chord_met
-    False.
+    i * 2pi / n, which are np.linspace's.  Every round bisects each arc whose
+    chord exceeds chord_bound, in angle order, and evaluates only the new
+    midpoints; an arc not bisected keeps its chord, so only the new halves
+    are tested again.  Past max_samples the first arcs are bisected, and the
+    curve is returned with chord_met False.
     """
     if not 1 <= samples <= max_samples:
         raise PreconditionError(f"curve samples must lie in [1, {max_samples}], got {samples}")
     n = max(16, 4 * math.ceil(samples / 4))
     thetas = list(map((TWO_PI / n).__mul__, range(n)))
     values = values_at(thetas)
-    while True:  # arc i ends at sample i + 1, or 0
-        gaps = map(abs, map(sub, values[1:] + values[:1], values))
-        bad = list(compress(range(len(values)), map(lt, repeat(chord_bound), gaps)))
+    check = None  # the arcs whose chords are untested, None for all; arc i ends at sample i + 1, or 0
+    while True:
+        if check is None:
+            gaps = map(abs, map(sub, values[1:] + values[:1], values))
+            bad = list(compress(range(len(values)), map(lt, repeat(chord_bound), gaps)))
+        else:
+            values.append(values[0])
+            bad = [i for i in check if abs(values[i + 1] - values[i]) > chord_bound]
+            values.pop()
         room = max_samples - len(thetas)
         met = not bad
         if met or room <= 0:
@@ -186,13 +192,15 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
         mid_values = values_at(mids)
         if len(mids) == len(thetas):  # every arc is bisected: interleave
             thetas, values = _interleave(thetas, mids), _interleave(values, mid_values)
+            check = None
             continue
-        new_t, new_v, lo = [], [], 0
+        new_t, new_v, check, lo = [], [], [], 0
         for i, t, v in zip(bad, mids, mid_values):
             new_t += thetas[lo:i + 1]
             new_v += values[lo:i + 1]
             new_t.append(t)
             new_v.append(v)
+            check += (len(new_t) - 2, len(new_t) - 1)
             lo = i + 1
         thetas, values = new_t + thetas[lo:], new_v + values[lo:]
         if len(bad) > room:  # the rest of the arcs stay over the bound
