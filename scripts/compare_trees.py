@@ -57,6 +57,11 @@ def corpus_argv(tree: Path) -> list:
     return [argv for line in lines if (argv := shlex.split(line, comments=True))]
 
 
+def corpus(tree: Path) -> list:
+    """Every argv of the corpus, in the order they run."""
+    return readme_argv(tree) + figure_argv(tree) + workload_argv(tree) + corpus_argv(tree)
+
+
 def run(tree: Path, argv: list, scratch: Path) -> tuple:
     """(exit code, stdout, stderr, {file: SHA-256}) of one run in a fresh directory, which is then removed."""
     where = Path(tempfile.mkdtemp(dir=scratch))
@@ -98,10 +103,10 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     base, tree = Path(sys.argv[1]).resolve(), Path(__file__).resolve().parents[1]
-    corpus = readme_argv(tree) + figure_argv(tree) + workload_argv(tree) + corpus_argv(tree)
+    argvs = corpus(tree)
     start, failed = time.perf_counter(), 0
     with tempfile.TemporaryDirectory() as scratch:
-        for i, argv in enumerate(corpus):
+        for i, argv in enumerate(argvs):
             runs = [None, None]  # BASE's and this checkout's, which may be the same tree
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
                 runs[k] = run((base, tree)[k], argv, Path(scratch))
@@ -109,7 +114,7 @@ def main() -> int:
             failed += bool(found)
             for line in found:
                 print(f"[{i}] {shlex.join(argv)}: {line}", flush=True)
-    print(f"{len(corpus)} argv in {base} and {tree}: {failed} with differences, "
+    print(f"{len(argvs)} argv in {base} and {tree}: {failed} with differences, "
           f"{time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 

@@ -217,25 +217,6 @@ class DiniQuad(Record):
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.d_minus_low, self.d_minus_high, self.d_plus_low, self.d_plus_high)
 
-    def scaled(self, c: float) -> "DiniQuad":
-        """Quadruple of c*f: components scale, and swap within each side for c < 0."""
-        c = float(c)
-        if c == 0.0:
-            return DiniQuad(0.0, 0.0, 0.0, 0.0)
-        if c > 0:
-            a, b, e, d = (c * v for v in self.as_tuple())
-        else:
-            a = c * self.d_minus_high
-            b = c * self.d_minus_low
-            e = c * self.d_plus_high
-            d = c * self.d_plus_low
-        return DiniQuad(a, b, e, d)
-
-    def plus_const(self, c: float) -> "DiniQuad":
-        """Quadruple of (c*id + f): every quotient shifts by c."""
-        c = float(c)
-        return DiniQuad(*(c + v for v in self.as_tuple()))
-
     def to_json(self) -> dict:
         return {
             "d_minus_low": ext_to_json(self.d_minus_low),

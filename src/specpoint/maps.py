@@ -1,4 +1,4 @@
-"""Map descriptions, the builtin catalogue, evaluation, and map algebra.
+"""Map descriptions, the builtin catalogue, evaluation, translation, and the scalar action.
 
 A MapSpec (defined in `core`) bundles a deterministic evaluator, based at
 the origin, with the metadata the engines need: dimension, a
@@ -26,9 +26,9 @@ here, and `norm_times_x(1)` is x |x|, elementwise.  The planar builtins are
 formulas of `planar`, evaluated here on arrays of points.  The linear
 builtins, real_linear and conj_pair, declare their matrices as their
 Jacobians and as their sphere matrices; norm_times_x(dim) declares A(r) =
-r I, and the identity I.  The factories of norm_times_x and
-norm_plus_i_im_pow check their integer parameter's range on the value as
-given.  `numerics.sphere_extrema` reads the sphere matrix alone.
+r I.  The factories of norm_times_x and norm_plus_i_im_pow check their
+integer parameter's range on the value as given.  `numerics.sphere_extrema`
+reads the sphere matrix alone.
 """
 from __future__ import annotations
 
@@ -39,13 +39,11 @@ import numpy as np
 
 from . import planar
 from .core import (
-    DiniQuad,
     DomainError,
     EvaluationError,
     MapSpec,
     PreconditionError,
     UnsupportedError,
-    as_complex,
     replace,
 )
 
@@ -93,7 +91,7 @@ def translate_to_origin(f: MapSpec, p) -> MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# scalar algebra on maps
+# the scalar action
 
 
 def scalar_action(lam, x, complex_pairs: bool) -> np.ndarray:
@@ -119,59 +117,6 @@ def scalar_action(lam, x, complex_pairs: bool) -> np.ndarray:
             raise PreconditionError("complex scalar acting on a map without complex structure")
         lam = lam.real
     return (lam[..., None] if lam.ndim else lam) * x
-
-
-def _affine(a, c, f: MapSpec, name: str) -> MapSpec:
-    """The map x -> a*x + c*f(x), the scalars acting on the space of f."""
-    a, c = as_complex(a), as_complex(c)
-    cp, ev = f.complex_pairs, f.evaluator
-
-    def combined(x):
-        y = scalar_action(c, ev(x), cp)
-        return y if a == 0 else scalar_action(a, x, cp) + y  # scale_map has no a*x term
-
-    dini = None
-    if f.dini_exact is not None and a.imag == c.imag == 0.0:
-        dini = lambda p, _d=f.dini_exact: _d(p).scaled(c.real).plus_const(a.real)
-    jac = sphere = None
-    if cp or a.imag == c.imag == 0.0:  # both matrices compose as the map does
-        eye = np.eye(max(f.dim, 1))
-        m_a, m_c = scalar_action(a, eye, cp).T, scalar_action(c, eye, cp).T
-        if f.jacobian is not None:
-            jac = lambda q, _j=f.jacobian: m_a + m_c @ _j(q)
-        if f.sphere_matrix is not None:
-            sphere = lambda r, _s=f.sphere_matrix: m_a + m_c @ _s(r)
-    return replace(f, name=name, evaluator=combined, dini_exact=dini, jacobian=jac, sphere_matrix=sphere)
-
-
-def scale_map(c, f: MapSpec) -> MapSpec:
-    """The map x -> c * f(x), with the complex action when available."""
-    return _affine(0.0, c, f, f"scale({c})*{f.name}")
-
-
-def add_identity(c, f: MapSpec) -> MapSpec:
-    """The map x -> c*x + f(x) (c acts as the scalar of the space)."""
-    return _affine(c, 1.0, f, f"({c}*id+{f.name})")
-
-
-def lambda_minus(lam, f: MapSpec) -> MapSpec:
-    """The map x -> lam*x - f(x) whose regularity decides membership of lam."""
-    return _affine(lam, -1.0, f, f"({lam}*id-{f.name})")
-
-
-def identity_map(dim: int) -> MapSpec:
-    if dim == 2:
-        return builtin("real_linear", s=1.0, t=0.0, u=0.0, v=1.0)
-    eye = np.eye(dim)
-    return MapSpec(
-        name="identity",
-        dim=dim,
-        evaluator=lambda x: np.asarray(x, dtype=float),
-        homogeneous=True,
-        dini_exact=(lambda p: DiniQuad(1.0, 1.0, 1.0, 1.0)) if dim == 1 else None,
-        jacobian=lambda q: eye,
-        sphere_matrix=lambda r: eye,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from specpoint.homog2d import (
     scanline_turns,
     sigma_curve,
 )
-from specpoint.maps import MapSpec, add_identity, builtin, scale_map
+from specpoint.maps import MapSpec, builtin
 from specpoint.planar import builtin as planar_builtin, circle_extrema, moduli_at
 from specpoint.rates import Interval, mnc_bounds
 from specpoint.structured import (
@@ -35,6 +35,7 @@ from specpoint.structured import (
     truncated_shift_min,
     xi_equation_solvable,
 )
+from test_homog2d import affine_map
 
 RNG = np.random.default_rng(20240817)
 INF = math.inf
@@ -253,10 +254,10 @@ def test_acceptance_09_property_suites():
     f = builtin("half_abs_re_plus_i_im")
     base = sigma_curve(f, samples=512, chord_bound=100.0)
     for c in (-2.0, 0.5, 3.0):
-        scaled = sigma_curve(scale_map(c, f), samples=512, chord_bound=100.0)
+        scaled = sigma_curve(affine_map(0.0, c, f), samples=512, chord_bound=100.0)
         assert np.max(np.abs(scaled.values - c * base.values)) < 1e-12
     shift = 0.3 - 0.2j
-    moved = sigma_curve(add_identity(shift, f), samples=512, chord_bound=100.0)
+    moved = sigma_curve(affine_map(shift, 1.0, f), samples=512, chord_bound=100.0)
     assert np.max(np.abs(moved.values - (shift + base.values))) < 1e-12
 
     # curve contained in the [d, q] annulus on every homogeneous builtin

@@ -15,6 +15,7 @@ from specpoint.core import (
     MapSpec,
     NEG_INF,
     POS_INF,
+    PreconditionError,
     Record,
     RealIntervalSet,
     as_complex,
@@ -24,7 +25,7 @@ from specpoint.core import (
     scan_verdicts,
 )
 from specpoint.homog2d import PlaneSpectrum
-from specpoint.maps import lambda_minus, scalar_action
+from specpoint.maps import scalar_action
 from specpoint.rates import Interval
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -108,33 +109,13 @@ def test_quad_validation():
     assert q.as_tuple() == (-1.0, -1.0, 1.0, 1.0)
 
 
-@given(finite, finite, finite, finite, st.sampled_from([-3.0, -0.5, 0.5, 2.0]))
-def test_quad_scaling_round_trip(a, b, c, d, s):
-    lo_m, hi_m = min(a, b), max(a, b)
-    lo_p, hi_p = min(c, d), max(c, d)
-    q = DiniQuad(lo_m, hi_m, lo_p, hi_p)
-    back = q.scaled(s).scaled(1.0 / s)
-    assert np.allclose(back.as_tuple(), q.as_tuple(), rtol=1e-12, atol=1e-12)
-
-
-def test_quad_scale_zero():
-    q = DiniQuad(NEG_INF, -1.0, 1.0, POS_INF)
-    assert q.scaled(0.0).as_tuple() == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_quad_reflect_matches_pointwise():
-    q = DiniQuad(-2.0, -1.0, 3.0, 5.0)
-    f = MapSpec(name="black_box", dim=1, evaluator=lambda x: np.asarray(x, dtype=float),
-                dini_exact=lambda p: q)
-    r = lambda_minus(1.0, f).dini_exact(0.0)
-    assert r.as_tuple() == (1.0 - (-1.0), 1.0 - (-2.0), 1.0 - 5.0, 1.0 - 3.0)
-
-
 def test_complex_scale_on_two_pairs():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     out = scalar_action(1j, x, True)
     # i*(1+2i) = -2+i ; i*(3+4i) = -4+3i
     assert np.allclose(out, [-2.0, 1.0, -4.0, 3.0])
+    with pytest.raises(PreconditionError):  # no complex action on a real space
+        scalar_action(1j, np.ones(3), False)
 
 
 def test_complex_scale_does_not_depend_on_the_batch():

@@ -246,18 +246,6 @@ def test_spectrum_is_hull_of_point_spectrum_when_nonempty(q):
         assert sig == RealIntervalSet(((pts.intervals[0][0], pts.intervals[-1][1]),))  # the hull of pts
 
 
-@given(quads(), st.sampled_from([-2.0, -1.0, 0.5, 3.0]))
-def test_scaling_equivariance(q, c):
-    scaled = spectrum_1d(q.scaled(c))
-    want = [(min(c * lo, c * hi), max(c * lo, c * hi)) for lo, hi in spectrum_1d(q).intervals]
-    want = [
-        (lo, hi)
-        for lo, hi in want
-        if not (lo == hi and math.isinf(lo))
-    ]
-    assert scaled == RealIntervalSet.from_pairs(want)
-
-
 # ---------------------------------------------------------------------------
 # differential check against the numpy engine that the scalar one replaced
 
@@ -410,12 +398,11 @@ def test_builtin_evaluators_have_the_frozen_bits():
 def test_dini_estimate_runs_on_every_one_dimensional_map_of_maps():
     # every 1-D MapSpec that maps builds takes a bare float, the convention of
     # the estimator, and gives the value its array evaluation gives
-    from specpoint.maps import BUILTIN_NAMES, add_identity, identity_map, lambda_minus, scale_map
+    from specpoint.maps import BUILTIN_NAMES
 
     specs = [f for f in (builtin(name) for name in BUILTIN_NAMES) if f.dim == 1]
-    specs += [builtin("norm_times_x", dim=1), identity_map(1)]
     cube = builtin("norm_times_x", dim=1)
-    specs += [scale_map(2.0, cube), add_identity(0.5, cube), lambda_minus(1.5, cube), translate_to_origin(cube, 0.1)]
+    specs += [cube, translate_to_origin(cube, 0.1)]
     xs = np.array([-0.7, 0.0, 0.3, 2.0])
     for f in specs:
         assert list(evaluate(f, xs)) == [float(f.evaluator(float(x))) for x in xs], f

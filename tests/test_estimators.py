@@ -16,14 +16,7 @@ from specpoint.estimators import (
     spectrum_set,
 )
 from specpoint.homog2d import sigma_curve
-from specpoint.maps import (
-    MapSpec,
-    builtin,
-    evaluate,
-    identity_map,
-    scale_map,
-    translate_to_origin,
-)
+from specpoint.maps import MapSpec, builtin, evaluate, translate_to_origin
 from specpoint.numerics import row_norm, sphere_directions, sphere_extrema, sphere_polish, unit_points
 from test_numerics import scalar_sphere_polish
 
@@ -37,6 +30,10 @@ def linear_map(M):
         return np.asarray(x, dtype=float) @ _M.T
 
     return MapSpec(name="linear", dim=M.shape[0], evaluator=ev, jacobian=lambda q, _M=M: _M)
+
+
+# the identity of R with no sphere matrix: the sampled path, whose sphere is the two points +-1
+IDENTITY_1D = MapSpec(name="identity", dim=1, evaluator=lambda x: np.asarray(x, dtype=float), homogeneous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,7 @@ def test_membership_abs_re():
 
 
 def test_membership_identity_1d():
-    res = sigma_membership(identity_map(1), 0.0, 1.0)
+    res = sigma_membership(IDENTITY_1D, 0.0, 1.0)
     assert res.verdict == "candidate"
 
 
@@ -258,14 +255,6 @@ def test_c1_norm_times_x_r2_oracle():
     assert eigs == pytest.approx((5.0, 10.0), abs=1e-10)
 
 
-def test_c1_scaling():
-    f = builtin("norm_times_x", dim=3)
-    p = np.array([0.5, -1.0, 2.0])
-    base = c1_spectrum(f, p)
-    scaled = c1_spectrum(scale_map(3.0, f), p)
-    assert np.allclose(sorted(scaled.real), sorted(3.0 * base.real), atol=1e-10)
-
-
 def test_c1_requires_jacobian():
     with pytest.raises(PreconditionError):
         c1_spectrum(builtin("abs_re_plus_i_im"), np.zeros(2))
@@ -283,7 +272,7 @@ def test_local_curve_close_to_homogeneous_part():
 
 def test_scan_identity():
     lams = [complex(x, 0.0) for x in np.linspace(-2, 2, 41)]
-    scan = bifurcation_scan(identity_map(2), lams, tol=0.02)
+    scan = bifurcation_scan(builtin("real_linear"), lams, tol=0.02)
     assert scan.candidates == (1 + 0j,)
     assert scan.contained_in_sigma
 
@@ -365,8 +354,10 @@ def test_scan_requires_zero_at_origin():
 
 
 def test_scan_one_dimensional_path():
-    scan = bifurcation_scan(identity_map(1), [0.0, 0.5, 1.0, 1.7], tol=0.02)
+    lams = [0.0, 0.5, 1.0, 1.7]
+    scan = bifurcation_scan(IDENTITY_1D, lams, tol=0.02)
     assert scan.verdicts == ("rejected", "rejected", "candidate", "rejected")
+    assert np.array_equal(scan.residuals[:, 0], np.abs(np.array(lams) - 1.0))  # |lam u - u| at u = +-1
 
 
 def test_scan_three_dimensional_path():
@@ -383,7 +374,7 @@ def test_scan_gray_zone_is_undecided():
     # point 1.5*tol from the eigenvalue cannot be certified either way
     tol = 0.02
     scan = bifurcation_scan(
-        identity_map(2), [1 + 0j, complex(1.0 + 1.5 * tol, 0.0), 2 + 0j], tol=tol
+        builtin("real_linear"), [1 + 0j, complex(1.0 + 1.5 * tol, 0.0), 2 + 0j], tol=tol
     )
     assert scan.verdicts == ("candidate", "undecided", "rejected")
     assert scan.candidates == (1 + 0j,)

@@ -23,16 +23,18 @@ from specpoint.homog2d import (
     scanline_turns,
     sigma_curve,
 )
-from specpoint.maps import (
-    MapSpec,
-    add_identity,
-    builtin,
-    evaluate,
-    identity_map,
-    scale_map,
-)
+from specpoint.maps import MapSpec, builtin, evaluate, scalar_action
 
 RNG = np.random.default_rng(2024)
+
+
+def affine_map(a, c, f: MapSpec) -> MapSpec:
+    """x -> a x + c f(x) for a homogeneous f, the scalars acting through scalar_action."""
+    def ev(x):
+        return scalar_action(a, x, f.complex_pairs) + scalar_action(c, f.evaluator(x), f.complex_pairs)
+
+    return MapSpec(name=f"{a}*id+{c}*{f.name}", dim=f.dim, evaluator=ev, homogeneous=True,
+                   complex_pairs=f.complex_pairs)
 
 
 def circle_params(s, t, u, v):
@@ -46,7 +48,7 @@ def circle_params(s, t, u, v):
 
 
 def test_identity_curve_is_constant_one():
-    c = sigma_curve(identity_map(2), samples=256)
+    c = sigma_curve(builtin("real_linear"), samples=256)
     assert np.max(np.abs(c.values - 1.0)) < 1e-12
     assert c.is_point(1e-12)
 
@@ -123,7 +125,7 @@ def test_scaling_equivariance_of_curves():
     f = builtin("half_abs_re_plus_i_im")
     base = sigma_curve(f, samples=512, chord_bound=100.0)
     for c in (-2.0, 0.5, 3.0):
-        scaled = sigma_curve(scale_map(c, f), samples=512, chord_bound=100.0)
+        scaled = sigma_curve(affine_map(0.0, c, f), samples=512, chord_bound=100.0)
         assert np.array_equal(scaled.thetas, base.thetas)
         assert np.max(np.abs(scaled.values - c * base.values)) < 1e-12
 
@@ -132,7 +134,7 @@ def test_translation_equivariance_of_curves():
     f = builtin("abs_re_plus_i_im")
     c = 0.3 - 0.2j
     base = sigma_curve(f, samples=512, chord_bound=100.0)
-    shifted = sigma_curve(add_identity(c, f), samples=512, chord_bound=100.0)
+    shifted = sigma_curve(affine_map(c, 1.0, f), samples=512, chord_bound=100.0)
     assert np.array_equal(shifted.thetas, base.thetas)
     assert np.max(np.abs(shifted.values - (c + base.values))) < 1e-12
 
@@ -767,7 +769,7 @@ def test_classify_row_blocks_match_one_block(rows):
 
 def test_bifurcation_set_examples():
     # the bifurcation set of a homogeneous planar map is its eigenvalue curve
-    ident = sigma_curve(identity_map(2))
+    ident = sigma_curve(builtin("real_linear"))
     assert ident.is_point(1e-12) and abs(ident.values[0] - 1.0) < 1e-12
     circle = sigma_curve(builtin("abs_re_plus_i_im"))
     assert np.max(np.abs(np.abs(circle.values) - 1.0)) < 1e-12

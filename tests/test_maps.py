@@ -1,19 +1,8 @@
 import numpy as np
 import pytest
 
-from specpoint.core import DiniQuad, DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError
-from specpoint.maps import (
-    BUILTIN_NAMES,
-    MAX_DIM,
-    add_identity,
-    builtin,
-    evaluate,
-    identity_map,
-    lambda_minus,
-    scale_map,
-    translate_to_origin,
-)
-from specpoint.numerics import sphere_extrema
+from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError
+from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, translate_to_origin
 
 HOMOGENEOUS_PLANAR = [
     builtin("abs_re_plus_i_im"),
@@ -114,125 +103,8 @@ def test_dimension_mismatch():
         evaluate(builtin("abs_re_plus_i_im"), np.zeros(3))
 
 
-def test_lambda_minus_planar_complex():
-    f = builtin("abs_re_plus_i_im")
-    g = lambda_minus(1 + 2j, f)
-    z = np.array([0.3, -0.7])
-    want = np.array(
-        [1 * 0.3 - 2 * (-0.7) - abs(0.3), 1 * (-0.7) + 2 * 0.3 - (-0.7)]
-    )
-    assert np.allclose(evaluate(g, z), want)
-
-
-def test_lambda_minus_real_structure_rejects_complex():
-    f = builtin("norm_times_x", dim=3)
-    g = lambda_minus(1j, f)
-    with pytest.raises(PreconditionError):
-        evaluate(g, np.ones(3))
-
-
-INF = float("inf")
-QUAD = DiniQuad(-2.0, -1.0, 3.0, 5.0)
-CUSP = DiniQuad(-INF, -INF, INF, INF)  # sqrt|x| at 0
-
-
-@pytest.mark.parametrize(
-    "quad, combine, want",
-    [
-        (QUAD, lambda f: scale_map(2.5, f), (-5.0, -2.5, 7.5, 12.5)),
-        (QUAD, lambda f: scale_map(-1.5, f), (1.5, 3.0, -7.5, -4.5)),  # c < 0 swaps within each side
-        (QUAD, lambda f: scale_map(0.0, f), (0.0, 0.0, 0.0, 0.0)),
-        (QUAD, lambda f: add_identity(0.5, f), (-1.5, -0.5, 3.5, 5.5)),
-        (QUAD, lambda f: lambda_minus(1.0, f), (2.0, 3.0, -4.0, -2.0)),
-        (CUSP, lambda f: scale_map(-2.0, f), (INF, INF, -INF, -INF)),
-        (CUSP, lambda f: scale_map(0.0, f), (0.0, 0.0, 0.0, 0.0)),
-        (CUSP, lambda f: add_identity(1.0, f), (-INF, -INF, INF, INF)),
-        (CUSP, lambda f: lambda_minus(1.0, f), (INF, INF, -INF, -INF)),
-    ],
-    ids=["scale_positive", "scale_negative", "scale_zero", "add_identity", "lambda_minus",
-         "cusp_scale_negative", "cusp_scale_zero", "cusp_add_identity", "cusp_lambda_minus"],
-)
-def test_map_algebra_carries_the_exact_quadruple(quad, combine, want):
-    f = MapSpec(name="black_box", dim=1, evaluator=lambda x: np.asarray(x, dtype=float),
-                dini_exact=lambda p: quad)
-    assert combine(f).dini_exact(0.3).as_tuple() == want
-
-
-def _rotation(c):
-    return np.array([[c.real, -c.imag], [c.imag, c.real]])
-
-
-def _central_jacobian(f, p, h=1e-6):
-    cols = [(evaluate(f, p + h * e) - evaluate(f, p - h * e)) / (2.0 * h) for e in np.eye(f.dim)]
-    return np.stack(cols, axis=-1)
-
-
-def test_map_algebra_jacobians():
-    f = builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0)
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    q = np.array([0.3, -0.7])
-    lam, c = 1.5 - 0.5j, -0.4 + 2.0j
-    g = lambda_minus(lam, f)
-    assert np.allclose(g.jacobian(q), _rotation(lam) - M, rtol=0, atol=1e-15)
-    assert np.allclose(g.jacobian(q), _central_jacobian(g, q), atol=1e-8)
-    g = scale_map(c, f)
-    assert np.allclose(g.jacobian(q), _rotation(c) @ M, rtol=0, atol=1e-15)
-    assert np.allclose(g.jacobian(q), _central_jacobian(g, q), atol=1e-8)
-
-    f = builtin("norm_times_x", dim=3)
-    p = np.array([0.5, -1.0, 2.0])
-    r = np.linalg.norm(p)
-    g = add_identity(-0.75, f)
-    assert np.allclose(g.jacobian(p), -0.75 * np.eye(3) + r * np.eye(3) + np.outer(p, p) / r, rtol=0, atol=1e-15)
-    assert np.allclose(g.jacobian(p), _central_jacobian(g, p), atol=1e-6)
-    g = scale_map(1j, f)  # no complex action on R^3: no derivative either
-    assert g.jacobian is None
-    assert scale_map(1j, builtin("sqrt_abs")).dini_exact is None
-
-
-def _exact_minima(g, lams, M):
-    """sigma_min(R(lam) - M) for each lam, R(lam) the matrix of the scalar action on g's space."""
-    out = []
-    for lam in lams:
-        R = np.kron(np.eye(g.dim // 2), _rotation(lam)) if g.complex_pairs else lam.real * np.eye(g.dim)
-        out.append(np.linalg.svd(R - M, compute_uv=False)[-1])
-    return np.array(out)
-
-
-@pytest.mark.parametrize(
-    "f",
-    [builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4)))), builtin("conj_pair")],
-    ids=["real_linear", "conj_pair"],
-)
-@pytest.mark.parametrize(
-    "combine",
-    [lambda f: scale_map(-0.4 + 2.0j, f), lambda f: add_identity(0.3 - 1.1j, f), lambda f: lambda_minus(1.5 - 0.5j, f)],
-    ids=["scale_map", "add_identity", "lambda_minus"],
-)
-def test_map_algebra_composes_the_sphere_matrix(f, combine):
-    # a*x + c*f(x) has the sphere matrix m_a + m_c A(r): its sphere minima are
-    # the singular values of the composed matrix, read off the evaluated map
-    g = combine(f)
-    M = evaluate(g, np.eye(g.dim)).T
-    assert g.sphere_matrix is not None and g.homogeneous
-    assert np.allclose(g.sphere_matrix(0.01), M, rtol=0, atol=1e-15)
-    lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
-    res = sphere_extrema(g, lams, (0.1, 0.01), 512)
-    assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
-
-
-def test_map_algebra_composes_a_sphere_matrix_that_varies_with_the_radius():
-    # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: minima |lam - 0.5 - r|
-    g = add_identity(0.5, builtin("norm_times_x", dim=3))
-    lams = np.linspace(-1.5, 1.5, 13).astype(complex)
-    radii = (0.1, 0.01)
-    res = sphere_extrema(g, lams, radii, 512)
-    assert np.allclose(res, np.abs(lams.real[:, None] - 0.5 - np.array(radii)), rtol=0, atol=1e-15)
-    assert scale_map(1j, builtin("norm_times_x", dim=3)).sphere_matrix is None  # no complex action on R^3
-
-
 def test_translate_to_origin_keeps_the_sphere_matrix_at_the_origin_only():
-    for f in (builtin("conj_pair"), builtin("norm_times_x", dim=3), identity_map(5)):
+    for f in (builtin("conj_pair"), builtin("norm_times_x", dim=3)):
         assert translate_to_origin(f, np.zeros(f.dim)).sphere_matrix is f.sphere_matrix
         p = np.linspace(0.1, 0.5, f.dim)
         assert translate_to_origin(f, p).sphere_matrix is None
@@ -242,8 +114,8 @@ def test_sphere_matrices_of_the_builtins_and_the_identity():
     # f(r u) = r A(r) u for unit u, checked on evaluations
     u = np.random.default_rng(8).normal(size=(6, 16))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    maps = [builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), builtin("conj_pair"), identity_map(1),
-            identity_map(2), identity_map(5)] + [builtin("norm_times_x", dim=d) for d in (1, 2, 3, 16)]
+    maps = [builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), builtin("conj_pair"), builtin("real_linear")] + [
+        builtin("norm_times_x", dim=d) for d in (1, 2, 3, 16)]
     for f in maps:
         for r in (1e-3, 0.1, 2.0):
             x = r * u[:, :f.dim] / np.linalg.norm(u[:, :f.dim], axis=-1, keepdims=True)
@@ -254,26 +126,12 @@ def test_sphere_matrices_of_the_builtins_and_the_identity():
     assert all(builtin(name).sphere_matrix is None for name in nonlinear)
 
 
-def test_scale_map_values():
-    f = builtin("norm_plus_i_im")
-    g = scale_map(-2.0, f)
-    z = np.array([3.0, 4.0])
-    assert np.allclose(evaluate(g, z), -2.0 * evaluate(f, z))
-
-
 def test_conj_pair_is_isometry():
     f = builtin("conj_pair")
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(100, 4))
     out = evaluate(f, pts)
     assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(pts, axis=1))
-
-
-def test_identity_map_dims():
-    for d in (1, 2, 5):
-        ident = identity_map(d)
-        x = np.linspace(1, d, d) if d > 1 else 0.7
-        assert np.allclose(evaluate(ident, x), x)
 
 
 def test_catalogue_names_fixed():
