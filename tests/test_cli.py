@@ -392,6 +392,24 @@ def test_exit_codes(capsys):
     assert rc == 2
 
 
+# the error-path argv of scripts/corpus.txt: usage errors exit 2,
+# preconditions 3, numeric errors 4, each with nothing on stdout
+@pytest.mark.parametrize("code, argv", [
+    (2, 'spec1d --fn sqrt_abs --exact --numeric'),
+    (2, 'spec1d --fn norm_times_x --params 1 --point 0.3 --exact'),
+    (2, 'mnc --expr KnownRates(alpha=-1)'),
+    (2, 'spec2d --fn nope'),
+    (3, 'spec1d --fn sqrt_abs --steps 4097'),
+    (3, 'classify --fn norm_plus_i_im --res 4097'),
+    (3, 'shift --lambda 1e200,0'),
+    (3, 'bifurcate --fn sqrt_abs --grid=-1,1,-1,1,3,3'),
+    (4, 'classify --fn real_linear --params 1e200,0,0,1e200'),
+    (4, 'bifurcate --fn norm_plus_i_im_pow --params 2 --grid=-1,1,-1,1,3,3 --radii=5e-324'),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_corpus_error_paths_exit_with_their_code(capsys, code, argv):
+    assert run_cli(capsys, argv.split()) == (code, "")
+
+
 def test_bifurcate_real_map_rejects_its_default_complex_grid(capsys):
     argv = ["bifurcate", "--fn", "norm_times_x", "--params", "3", "--grid=-1.5,1.5,-1.5,1.5,24,30"]
     assert cli.main(argv) == 3

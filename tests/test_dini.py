@@ -115,6 +115,18 @@ def test_estimate_matches_exact_on_catalogue():
                 assert abs(a - e) <= 1e-6, name
 
 
+@pytest.mark.parametrize("name", ["sqrt_abs", "signed_sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv"])
+def test_estimate_matches_exact_off_the_origin(name):
+    # off 0 each builtin is smooth: its exact quadruple is f'(p) four times,
+    # and a grid of h in [5e-10, 1e-3] keeps truncation and rounding below 1e-5
+    f = builtin(name)
+    for p in (0.3, -0.45):
+        exact = dini_exact(f, p).as_tuple()
+        assert len(set(exact)) == 1, (name, p)
+        est = dini_estimate(f, p, h0=1e-3, ratio=0.5, steps=24).quad.as_tuple()
+        assert all(abs(a - e) <= 1e-5 for a, e in zip(est, exact)), (name, p, est, exact)
+
+
 def test_estimate_abs_exact_quotients():
     est = dini_estimate(abs_map(), 0.0)
     assert est.quad.as_tuple() == (-1.0, -1.0, 1.0, 1.0)
@@ -244,6 +256,61 @@ def test_spectrum_is_hull_of_point_spectrum_when_nonempty(q):
     pts = point_spectrum_1d(q)
     if pts != RealIntervalSet() and sides_real:
         assert sig == RealIntervalSet(((pts.intervals[0][0], pts.intervals[-1][1]),))  # the hull of pts
+
+
+def affine_quad(a, c, q):
+    """The quadruple of x -> a x + c f(x) from f's quadruple q: a + c q, each side's ends swapped for c < 0."""
+    if c == 0:
+        return (a,) * 4
+    lo_m, hi_m, lo_p, hi_p = (a + c * v for v in q)
+    return (lo_m, hi_m, lo_p, hi_p) if c > 0 else (hi_m, lo_m, hi_p, lo_p)
+
+
+@given(quads(), st.sampled_from([-2.0, -1.0, 0.5, 3.0]))
+def test_scaling_equivariance(q, c):
+    scaled = spectrum_1d(DiniQuad(*affine_quad(0.0, c, q.as_tuple())))
+    want = [(min(c * lo, c * hi), max(c * lo, c * hi)) for lo, hi in spectrum_1d(q).intervals]
+    want = [
+        (lo, hi)
+        for lo, hi in want
+        if not (lo == hi and math.isinf(lo))
+    ]
+    assert scaled == RealIntervalSet.from_pairs(want)
+
+
+def wobble(x):
+    """x (4 + sin log x) right of 0 and x (-1.5 + 0.5 sin log|x|) left of it: quadruple (-2, -1, 3, 5) at 0."""
+    if x > 0:
+        return x * (4.0 + math.sin(math.log(x)))
+    if x < 0:
+        return x * (-1.5 + 0.5 * math.sin(math.log(-x)))
+    return 0.0
+
+
+@pytest.mark.parametrize(
+    "base, a, c",
+    [
+        ("wobble", 0.0, 2.5),
+        ("wobble", 0.0, -1.5),  # c < 0 swaps within each side
+        ("wobble", 0.0, 0.0),
+        ("wobble", 0.5, 1.0),
+        ("wobble", 1.0, -1.0),
+        ("sqrt_abs", 0.0, -2.0),
+        ("sqrt_abs", 0.0, 0.0),
+        ("sqrt_abs", 1.0, 1.0),
+        ("sqrt_abs", 1.0, -1.0),
+    ],
+    ids=["scale_positive", "scale_negative", "scale_zero", "add_identity", "lambda_minus",
+         "cusp_scale_negative", "cusp_scale_zero", "cusp_add_identity", "cusp_lambda_minus"],
+)
+def test_dini_estimate_of_an_affine_combination_follows_the_quadruple(base, a, c):
+    # the quotients of a x + c f(x) are a + c times f's, up to rounding, and
+    # the divergence flags follow: sqrt|x|'s infinite quadruple stays infinite
+    ev = wobble if base == "wobble" else builtin_1d(base).evaluator
+    f = MapSpec(name=base, dim=1, evaluator=ev)
+    g = MapSpec(name=f"{a}*id+{c}*{base}", dim=1, evaluator=lambda x: a * x + c * ev(x))
+    want = affine_quad(a, c, dini_estimate(f, 0.0).quad.as_tuple())
+    assert dini_estimate(g, 0.0).quad.as_tuple() == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError
-from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, translate_to_origin
+from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, scalar_action, translate_to_origin
+from specpoint.numerics import sphere_extrema
+from test_homog2d import affine_map
 
 HOMOGENEOUS_PLANAR = [
     builtin("abs_re_plus_i_im"),
@@ -101,6 +103,80 @@ def test_norm_times_x_dimension_cap():
 def test_dimension_mismatch():
     with pytest.raises(DomainError):
         evaluate(builtin("abs_re_plus_i_im"), np.zeros(3))
+
+
+def test_scalar_action_minus_a_planar_map():
+    # lam z - f(z) with lam = 1 + 2i acting on the plane as a complex number
+    f = builtin("abs_re_plus_i_im")
+    z = np.array([0.3, -0.7])
+    want = np.array(
+        [1 * 0.3 - 2 * (-0.7) - abs(0.3), 1 * (-0.7) + 2 * 0.3 - (-0.7)]
+    )
+    assert np.allclose(scalar_action(1 + 2j, z, f.complex_pairs) - evaluate(f, z), want)
+
+
+def _rotation(c):
+    return np.array([[c.real, -c.imag], [c.imag, c.real]])
+
+
+def _central_jacobian(f, p, h=1e-6):
+    cols = [(evaluate(f, p + h * e) - evaluate(f, p - h * e)) / (2.0 * h) for e in np.eye(f.dim)]
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "f, p",
+    [
+        (builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), np.array([0.3, -0.7])),
+        (builtin("conj_pair"), np.array([0.3, -0.7, 1.1, 0.2])),
+        (builtin("norm_times_x", dim=1), np.array([-0.6])),
+        (builtin("norm_times_x", dim=2), np.array([0.3, -0.7])),
+        (builtin("norm_times_x", dim=3), np.array([0.5, -1.0, 2.0])),
+    ],
+    ids=["real_linear", "conj_pair", "norm_times_x(1)", "norm_times_x(2)", "norm_times_x(3)"],
+)
+def test_builtin_jacobians_match_central_differences(f, p):
+    assert np.allclose(f.jacobian(p), _central_jacobian(f, p), atol=1e-6)
+
+
+def _exact_minima(g, lams, M):
+    """sigma_min(R(lam) - M) for each lam, R(lam) the matrix of the scalar action on g's space."""
+    out = []
+    for lam in lams:
+        R = np.kron(np.eye(g.dim // 2), _rotation(lam)) if g.complex_pairs else lam.real * np.eye(g.dim)
+        out.append(np.linalg.svd(R - M, compute_uv=False)[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4)))), builtin("conj_pair")],
+    ids=["real_linear", "conj_pair"],
+)
+@pytest.mark.parametrize(
+    "a, c",
+    [(0.0, -0.4 + 2.0j), (0.3 - 1.1j, 1.0), (1.5 - 0.5j, -1.0)],
+    ids=["scale_map", "add_identity", "lambda_minus"],
+)
+def test_sampled_sphere_minima_of_an_affine_combination_are_its_singular_values(f, a, c):
+    # a x + c f(x) declares no sphere matrix, so its minima are sampled and
+    # polished; they are the singular values of the matrix read off the map
+    g = affine_map(a, c, f)
+    assert g.sphere_matrix is None
+    M = evaluate(g, np.eye(g.dim)).T
+    lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
+    res = sphere_extrema(g, lams, (0.1, 0.01), 512)
+    assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
+
+
+def test_sampled_sphere_minima_that_vary_with_the_radius():
+    # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: minima |lam - 0.5 - r|
+    f = builtin("norm_times_x", dim=3)
+    g = MapSpec(name="0.5*id+norm_times_x(3)", dim=3, evaluator=lambda x: 0.5 * np.asarray(x) + f.evaluator(x))
+    lams = np.linspace(-1.5, 1.5, 13).astype(complex)
+    radii = (0.1, 0.01)
+    res = sphere_extrema(g, lams, radii, 512)
+    assert np.allclose(res, np.abs(lams.real[:, None] - 0.5 - np.array(radii)), rtol=0, atol=1e-15)
 
 
 def test_translate_to_origin_keeps_the_sphere_matrix_at_the_origin_only():
