@@ -11,6 +11,11 @@ that records every function called.  Each function defined in
 src/specpoint that no argv calls is printed as `module:line name (n
 lines)`, then their count.  An argv that ends in an uncaught exception is
 printed with its traceback, and the exit status is then 1.
+
+scripts/unreached.txt lists the functions expected here, one `module
+qualname` a line, without line numbers.  Each unreached function it does
+not list is printed as added, each function it lists that is reached or
+gone as removed, and the exit status is then 1 as well.
 """
 import ast
 import contextlib
@@ -26,18 +31,20 @@ from pathlib import Path
 
 TREE = Path(__file__).resolve().parents[1]
 PACKAGE = TREE / "src" / "specpoint"
+EXPECTED = TREE / "scripts" / "unreached.txt"
 
 
 def functions() -> dict:
-    """{(file, first line of its code object): label} for every def in the package, nested ones too."""
+    """{(file, first line of its code object): (module, qualname, label)} for every def in the package, nested ones too."""
     found = {}
 
     def walk(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), first)] = (f"{path.stem}:{child.lineno} {prefix}{child.name} "
-                                             f"({child.end_lineno - first + 1} lines)")
+                name = f"{prefix}{child.name}"
+                found[(str(path), first)] = (path.stem, name, f"{path.stem}:{child.lineno} {name} "
+                                                              f"({child.end_lineno - first + 1} lines)")
                 walk(child, path, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, f"{prefix}{child.name}.")
@@ -81,12 +88,18 @@ def main() -> int:
             finally:
                 os.chdir(home)
     defined = functions()
-    unreached = [label for key, label in sorted(defined.items()) if key not in called]
-    for label in unreached:
+    unreached = [entry for key, entry in sorted(defined.items()) if key not in called]
+    for _, _, label in unreached:
         print(label)
     print(f"{len(argvs)} argv in {time.perf_counter() - start:.0f} s: {len(unreached)} of the {len(defined)} "
           f"functions of src/specpoint never called, {failed} argv with an uncaught exception")
-    return 1 if failed else 0
+    found = {f"{module} {name}" for module, name, _ in unreached}
+    expected = set(EXPECTED.read_text().splitlines()) - {""}
+    for name in sorted(found - expected):
+        print(f"added: {name} is unreached and not in {EXPECTED.name}")
+    for name in sorted(expected - found):
+        print(f"removed: {name} is in {EXPECTED.name} but reached or gone")
+    return 1 if failed or found != expected else 0
 
 
 if __name__ == "__main__":

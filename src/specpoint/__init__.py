@@ -2,7 +2,7 @@
 
 Engines: one dimensional derivative-quadruple intervals (`dini`), eigenvalue
 curves and winding-number classification for positively homogeneous planar
-maps (`homog2d`), sampling-based growth-rate and membership estimators
+maps (`homog2d`), the bifurcation scan and the Jacobian reduction
 (`estimators`), a symbolic compactness-rate calculus (`rates`), the
 sequence-space shift model (`structured`), and a deterministic CLI (`cli`).
 Import each from its module: the package itself loads none of them, so a

@@ -20,7 +20,7 @@ winding kernel.  `sigma_curve` traces the curve by the pure-Python loop of
 any planar map at a radius r, the curve sigma_r that a bifurcation scan
 checks its candidates against, one curve for every r when the map is
 positively homogeneous.  The growth rates d and q of a planar builtin are
-`planar.circle_extrema`; sphere extrema of any other map or point come from
+`planar.circle_extrema`; the sphere minima of a bifurcation scan come from
 `numerics.sphere_extrema`.
 
 The forward direction is sound (a nonzero degree certifies solvability of

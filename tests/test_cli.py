@@ -428,7 +428,7 @@ def test_bifurcate_real_map_defaults_to_a_real_grid(capsys):
 @pytest.mark.parametrize("argv", [
     ["--fn", "norm_plus_i_im_pow", "--params", "2"],  # golden-section polish
     ["--fn", "abs_re_plus_i_im"],  # homogeneous: one radius, sampled and polished
-    ["--fn", "norm_times_x", "--params", "3", "--grid=-1.5,1.5,0,0,24,1"],  # Nelder-Mead polish
+    ["--fn", "norm_times_x", "--params", "3", "--grid=-1.5,1.5,0,0,24,1"],  # A(r) = r I: exact, per radius
     ["--fn", "conj_pair"],  # linear: exact singular values
 ], ids=["norm_plus_i_im_pow2", "abs_re_plus_i_im", "norm_times_x3", "conj_pair"])
 def test_bifurcate_fn_reads_only_the_smallest_radius(capsys, argv):
@@ -674,15 +674,19 @@ def test_planar_command_loads_no_dini():
     ["bifurcate", "--fn", "conj_pair", "--grid=-1.5,1.5,-1.5,1.5,128,128"],
     ["bifurcate", "--fn", "norm_times_x", "--params", "16", "--grid=-1.5,1.5,0,0,128,1"],
 ], ids=lambda argv: " ".join(argv[2:]))
-def test_no_command_reaches_nelder_mead(capsys, monkeypatch, argv):
-    # every builtin of dimension 3 or more declares its sphere matrix, so its scan is exact
-    from specpoint import numerics
-
-    def polish(*args, **kwargs):
-        raise AssertionError("a command reached the Nelder-Mead polish")
-
-    monkeypatch.setattr(numerics, "sphere_polish", polish)
+def test_bifurcate_fn_scans_exit_0(capsys, argv):
     assert run_cli(capsys, argv)[0] == 0
+
+
+def test_builtins_from_dimension_3_declare_their_sphere_matrix():
+    # sphere extrema from dimension 3 need the map's sphere matrix, so no argv
+    # reaches numerics' UnsupportedError: only these builtins have such dimensions
+    from specpoint.maps import MAX_DIM, builtin
+
+    maps = [builtin("conj_pair")] + [builtin("norm_times_x", dim=dim) for dim in range(3, MAX_DIM + 1)]
+    assert all(f.dim >= 3 and f.sphere_matrix is not None for f in maps)
+    others = [builtin(name) for name in BUILTIN_NAMES if name not in ("conj_pair", "norm_times_x")]
+    assert all(f.dim <= 2 for f in others)
 
 
 def test_bifurcate_fn_loads_the_planar_engine_only_for_candidates():

@@ -176,15 +176,15 @@ def test_circle_extrema_are_the_singular_values_of_a_linear_map(m):
 
 def test_radius_bound_values():
     # every lam with |lam| > q is regular: the circle's q for a planar builtin,
-    # the local quasinorm q_p of the rate estimator for any other map or point
-    from specpoint.estimators import estimate_rates
+    # the local quasinorm q_p of the sphere maxima for any other map or point
+    from test_estimators import rates
 
     assert abs(circle_rates("abs_re_plus_i_im")[1] - 1.0) < 1e-9
     assert abs(circle_rates("half_abs_re_plus_i_im")[1] - 1.0) < 1e-9
     f = builtin("conj_pair")
-    assert abs(estimate_rates(f, np.zeros(4)).q_p - 1.0) < 1e-9
+    assert abs(rates(f, np.zeros(4))[1] - 1.0) < 1e-9
     assert circle_rates("norm_plus_i_im")[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    off_base = estimate_rates(builtin("norm_plus_i_im"), np.array([1.0, 0.0])).q_p
+    off_base = rates(builtin("norm_plus_i_im"), np.array([1.0, 0.0]))[1]
     assert off_base == pytest.approx(1.0, abs=1e-4)
 
 

@@ -150,8 +150,8 @@ def _exact_minima(g, lams, M):
 
 @pytest.mark.parametrize(
     "f",
-    [builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4)))), builtin("conj_pair")],
-    ids=["real_linear", "conj_pair"],
+    [builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4))))],
+    ids=["real_linear"],
 )
 @pytest.mark.parametrize(
     "a, c",
@@ -171,8 +171,8 @@ def test_sampled_sphere_minima_of_an_affine_combination_are_its_singular_values(
 
 def test_sampled_sphere_minima_that_vary_with_the_radius():
     # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: minima |lam - 0.5 - r|
-    f = builtin("norm_times_x", dim=3)
-    g = MapSpec(name="0.5*id+norm_times_x(3)", dim=3, evaluator=lambda x: 0.5 * np.asarray(x) + f.evaluator(x))
+    f = builtin("norm_times_x", dim=2)
+    g = MapSpec(name="0.5*id+norm_times_x(2)", dim=2, evaluator=lambda x: 0.5 * np.asarray(x) + f.evaluator(x))
     lams = np.linspace(-1.5, 1.5, 13).astype(complex)
     radii = (0.1, 0.01)
     res = sphere_extrema(g, lams, radii, 512)
