@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from specpoint import cli
 from specpoint.dini import MAX_STEPS
 from specpoint.homog2d import MAX_RESOLUTION
-from specpoint.maps import BUILTIN_NAMES
+from specpoint.maps import BUILTIN_NAMES, MAX_DIM
 from specpoint.structured import MAX_TRUNCATION, SQRT2
 
 from oracles import sphere_least_squares
@@ -678,13 +678,27 @@ def test_bifurcate_fn_scans_exit_0(capsys, argv):
     assert run_cli(capsys, argv)[0] == 0
 
 
-def test_builtins_from_dimension_3_declare_their_sphere_matrix():
-    # sphere extrema from dimension 3 need the map's sphere matrix, so no argv
-    # reaches numerics' UnsupportedError: only these builtins have such dimensions
-    from specpoint.maps import MAX_DIM, builtin
+@pytest.mark.parametrize(
+    "name, params",
+    [("conj_pair", {})] + [("norm_times_x", {"dim": dim}) for dim in range(3, MAX_DIM + 1)],
+    ids=["conj_pair"] + [f"norm_times_x{dim}" for dim in range(3, MAX_DIM + 1)],
+)
+def test_builtins_from_dimension_3_declare_their_sphere_matrix(name, params):
+    # sphere extrema from dimension 3 need the map's sphere matrix, so no argv reaches
+    # numerics' UnsupportedError; the matrix is the map's own: f(r u) = r A(r) u
+    from specpoint.maps import builtin, evaluate
 
-    maps = [builtin("conj_pair")] + [builtin("norm_times_x", dim=dim) for dim in range(3, MAX_DIM + 1)]
-    assert all(f.dim >= 3 and f.sphere_matrix is not None for f in maps)
+    f = builtin(name, **params)
+    assert f.dim >= 3 and f.sphere_matrix is not None
+    u = np.random.default_rng(f.dim).normal(size=(6, f.dim))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    for r in (1e-3, 0.1, 2.0):
+        assert np.allclose(evaluate(f, r * u), r * u @ np.asarray(f.sphere_matrix(r)).T, rtol=1e-15, atol=0)
+
+
+def test_only_conj_pair_and_norm_times_x_reach_dimension_3():
+    from specpoint.maps import builtin
+
     others = [builtin(name) for name in BUILTIN_NAMES if name not in ("conj_pair", "norm_times_x")]
     assert all(f.dim <= 2 for f in others)
 

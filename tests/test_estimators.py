@@ -49,6 +49,13 @@ def linear_map(M):
     return MapSpec(name="linear", dim=M.shape[0], evaluator=ev, jacobian=lambda q, _M=M: _M)
 
 
+def linear_black_box(M, homogeneous=False):
+    """u -> M u, declaring its sphere matrix M from dimension 3, where sphere extrema need it."""
+    dim = M.shape[0]
+    return MapSpec(name="black_box", dim=dim, evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
+                   homogeneous=homogeneous, sphere_matrix=None if dim <= 2 else (lambda r, _M=M: _M))
+
+
 # the identity of R with no sphere matrix: the sampled path, whose sphere is the two points +-1
 IDENTITY_1D = MapSpec(name="identity", dim=1, evaluator=lambda x: np.asarray(x, dtype=float), homogeneous=True)
 
@@ -98,6 +105,23 @@ def test_every_radius_of_a_linear_black_box_polishes_to_singular_values():
     assert mins.shape == maxs.shape == RATE_RADII.shape
     assert np.max(np.abs(mins - sv[-1])) <= 1e-12
     assert np.max(np.abs(maxs - sv[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_rates_and_membership_polish_to_singular_values(homogeneous):
+    # every radius, min and max: black boxes of the plane are sampled and polished,
+    # and those of dimensions 3, 4 and 6 solved from their declared matrices
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 6):
+        M = rng.normal(size=(n, n))
+        f = linear_black_box(M, homogeneous)
+        d, q = rates(f, np.zeros(n))
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert abs(d - sv[-1]) <= 1e-12 and abs(q - sv[0]) <= 1e-12
+        gap = np.linalg.svd(0.7 * np.eye(n) - M, compute_uv=False)[-1]
+        verdict, margin = membership(f, 0.7, tol=gap * (1.0 + 1e-9))
+        assert abs(margin - gap) <= 1e-12
+        assert verdict == "candidate"
 
 
 def test_rates_order_invariant():
@@ -508,17 +532,34 @@ def test_scan_conj_pair_matches_exact_sigma_min():
     assert scan.residuals.shape == (len(lams), 1)  # the smallest radius alone
 
 
-def test_scan_linear_black_box_matches_sigma_min():
-    # no complex_pairs: lam acts by real multiplication, and the golden polish finds the minimum
-    rng = np.random.default_rng(42)
-    M = rng.normal(size=(2, 2))
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_scan_linear_black_box_matches_sigma_min(dim):
+    # no complex_pairs: lam acts by real multiplication; dim 2 takes the golden polish,
+    # and from dim 3 the scan solves the declared matrix
+    rng = np.random.default_rng(40 + dim)
+    M = rng.normal(size=(dim, dim))
     lams = np.concatenate([np.linalg.eigvals(M).real, rng.uniform(-3.0, 3.0, size=6)])
-    exact = np.array([np.linalg.svd(l * np.eye(2) - M, compute_uv=False)[-1] for l in lams])
+    exact = np.array([np.linalg.svd(l * np.eye(dim) - M, compute_uv=False)[-1] for l in lams])
     for homogeneous in (True, False):
-        f = MapSpec(name="black_box", dim=2, evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
-                    homogeneous=homogeneous)
-        scan = bifurcation_scan(f, lams)
+        scan = bifurcation_scan(linear_black_box(M, homogeneous), lams)
         assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sphere_extrema_of_a_shifted_linear_map_are_its_extreme_singular_values(dim):
+    # min (sign 1) and max (sign -1) over unit u of |lam u - M u| at every radius: sampled at
+    # the two points of the line, sampled and polished in the plane, solved from dimension 3
+    rng = np.random.default_rng(100 + dim)
+    M = rng.normal(size=(dim, dim))
+    lams = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=5)]).astype(complex)
+    radii = (0.1, 0.01)
+    sv = np.array([np.linalg.svd(l.real * np.eye(dim) - M, compute_uv=False) for l in lams])
+    f = linear_black_box(M)
+    mins = sphere_extrema(f, lams, radii, 512)
+    maxs = sphere_extrema(f, lams, radii, 512, sign=-1.0)
+    assert mins.shape == maxs.shape == (lams.size, len(radii))
+    assert np.max(np.abs(mins - sv[:, -1:])) <= 1e-12
+    assert np.max(np.abs(maxs - sv[:, :1])) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -532,6 +573,29 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     assert np.max(np.abs(new - exact)) <= 1e-12
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(exact, 0.02)[1]
     assert set(scan_verdicts(new, 0.02)[1]) == {"candidate", "undecided", "rejected"}
+
+
+@pytest.mark.parametrize(
+    "name, params, grid",
+    [
+        ("norm_times_x", {"dim": 3}, (-1.5, 1.5, 0.0, 0.0, 63, 1)),  # a real map takes real lams
+        ("conj_pair", {}, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
+        ("norm_plus_i_im_pow", {"n": 2}, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
+        ("norm_plus_i_im_pow", {"n": 3}, (-1.5, 1.5, -1.5, 1.5, 9, 7)),
+    ],
+    ids=["norm_times_x3", "conj_pair", "norm_plus_i_im_pow2", "norm_plus_i_im_pow3"],
+)
+def test_scan_residuals_match_the_per_radius_batches(name, params, grid):
+    # the scan solves the smallest radius alone, with the bits of that radius's column in a
+    # batch of every radius: no entry of sphere_extrema depends on the others of its batch
+    f = builtin(name, **params)
+    # so the batch computes every radius, not the first one repeated
+    assert not f.homogeneous or f.sphere_matrix is not None
+    lams = np.array(_grid(*grid))
+    radii = (1e-1, 1e-2, 1e-3)
+    scan = bifurcation_scan(f, lams, radii=radii)
+    batch = sphere_extrema(translate_to_origin(f, np.zeros(f.dim)), lams, radii, 512)
+    assert np.array_equal(scan.residuals, batch[:, -1:])
 
 
 def test_norm_times_x_sphere_minima_are_exact_in_every_dimension():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError
+from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError, replace
 from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, scalar_action, translate_to_origin
 from specpoint.numerics import sphere_extrema
 from test_homog2d import affine_map
@@ -163,6 +163,23 @@ def test_sampled_sphere_minima_of_an_affine_combination_are_its_singular_values(
     # polished; they are the singular values of the matrix read off the map
     g = affine_map(a, c, f)
     assert g.sphere_matrix is None
+    M = evaluate(g, np.eye(g.dim)).T
+    lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
+    res = sphere_extrema(g, lams, (0.1, 0.01), 512)
+    assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, c",
+    [(0.0, -0.4 + 2.0j), (0.3 - 1.1j, 1.0), (1.5 - 0.5j, -1.0)],
+    ids=["scale_map", "add_identity", "lambda_minus"],
+)
+def test_declared_sphere_minima_of_an_affine_combination_of_conj_pair_are_its_singular_values(a, c):
+    # on R^4 sphere extrema need a sphere matrix: a x + c f(x) declares R(a) + R(c) A(r),
+    # composed from f's, and its minima are the singular values of the matrix read off the map
+    f = builtin("conj_pair")
+    Ra, Rc = (scalar_action(s, np.eye(f.dim), f.complex_pairs).T for s in (a, c))
+    g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
     M = evaluate(g, np.eye(g.dim)).T
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
     res = sphere_extrema(g, lams, (0.1, 0.01), 512)

@@ -2,10 +2,11 @@ import math
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given
 
 from specpoint import planar
-from specpoint.numerics import directed_distance, golden_min
+from specpoint.numerics import directed_distance, golden_min, sphere_directions
 
 G = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -81,6 +82,31 @@ def test_golden_min_evaluates_once_per_iteration():
     x, _ = planar.golden_min(scalar_fn, 0.0, 1.0)
     assert kinds == [float] * 62 and type(x) is float
     assert abs(x - 0.3) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# directions
+
+
+def test_line_directions_are_its_two_unit_points():
+    for n in (1, 2, 512):
+        assert sphere_directions(1, n).tolist() == [[1.0], [-1.0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 1024])
+def test_planar_directions_are_the_uniform_angle_grid(n):
+    # the golden polish brackets each sampled angle by one spacing 2 pi / n on either
+    # side, so consecutive directions, the last and the first too, are that far apart
+    dirs = sphere_directions(2, n)
+    assert dirs.shape == (n, 2)
+    assert np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, rtol=0, atol=1e-15)
+    nxt = np.roll(dirs, -1, axis=0)
+    cos = np.sum(dirs * nxt, axis=-1)
+    sin = dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0]  # counterclockwise
+    assert np.allclose(cos, math.cos(2.0 * math.pi / n), rtol=0, atol=1e-12)
+    assert np.allclose(sin, math.sin(2.0 * math.pi / n), rtol=0, atol=1e-12)
+    assert abs(math.atan2(dirs[0, 1], dirs[0, 0]) - math.pi / n) <= 1e-15  # half a spacing from angle 0
+    assert np.array_equal(dirs, sphere_directions(2, n))  # the same on every call
 
 
 # ---------------------------------------------------------------------------
