@@ -95,7 +95,7 @@ def bifurcation_scan(
         reach = max(2.0 * tol, 10.0 * r)
         curve = sigma_curve(f, samples=2048, chord_bound=max(reach, CHORD_BOUND), radius=r)
         pts = np.array([[c.real, c.imag] for c in candidates])
-        contained = directed_distance(pts, curve.pairs()) <= reach
+        contained = directed_distance(pts, np.stack([curve.values.real, curve.values.imag], axis=-1)) <= reach
 
     return BifurcationScan(
         radii=radii,

@@ -15,10 +15,10 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
 
 and a grid is labelled by a point-in-polygon winding query on the traced
 curve, with no further map evaluations: `scanline_turns` is that one
-winding kernel.  `sigma_curve` traces the curve by the pure-Python loop of
-`planar`, which evaluates the map here on numpy arrays of angles; it takes
-any planar map at a radius r, the curve sigma_r that a bifurcation scan
-checks its candidates against, one curve for every r when the map is
+winding kernel.  `sigma_curve` traces the curve in numpy arrays by the
+rule of `planar.trace_curve`, which traces it in lists for `spec2d`; it
+takes any planar map at a radius r, the curve sigma_r that a bifurcation
+scan checks its candidates against, one curve for every r when the map is
 positively homogeneous.  The growth rates d and q of a planar builtin are
 `planar.circle_extrema`; the sphere minima of a bifurcation scan come from
 `numerics.sphere_extrema`.
@@ -40,7 +40,7 @@ import numpy as np
 from .core import NumericError, PreconditionError, Record
 from .maps import MapSpec, evaluate
 from .numerics import CHUNK, unit_points
-from .planar import SigmaCurve, require_planar_homogeneous, trace_curve
+from .planar import TWO_PI, SigmaCurve, require_planar_homogeneous, start_samples
 
 CURVE_SAMPLES = 2048  # initial samples of the curve traced by classify_plane
 CHORD_BOUND = 1e-3  # its chord bound, or 1/64 of the grid spacing where that is larger
@@ -148,29 +148,45 @@ def _curve_values(f: MapSpec, thetas: np.ndarray, radius: float = 1.0) -> np.nda
 
 def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
                 max_samples: int = 1 << 20, radius: float = 1.0) -> SigmaCurve:
-    """The eigenvalue curve sigma_r of a planar map at radius r, traced by `planar.trace_curve`.
+    """The eigenvalue curve sigma_r of a planar map at radius r, in numpy arrays.
 
     sigma_r(theta) = f(r e^{i theta}) e^{-i theta} / r is one curve for
     every r when f is positively homogeneous; for a map that is homogeneous
     plus a higher-order remainder it converges to the curve of the
-    homogeneous part as r shrinks.  f is evaluated on numpy arrays, and
-    each round evaluates the new midpoints only, which gives every angle
-    the bits of evaluating all angles at once.  A sample that is not finite
-    is a NumericError.
+    homogeneous part as r shrinks.  It is traced by the rule of
+    `planar.trace_curve`: each round sweeps every chord, bisects the arcs
+    over the bound, the first ones in angle order as far as max_samples
+    allows, and evaluates the new midpoints only, CHUNK angles at a time,
+    which gives every angle the bits of evaluating all angles at once.  A
+    sample that is not finite is a NumericError.
     """
     if f.dim != 2:
         raise PreconditionError(f"map {f.name} is not planar")
 
     def values_at(ts):
+        vals = np.empty(ts.size, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # numpy's complex division by a subnormal r forms 1/r = inf
-            vals = _curve_values(f, np.array(ts), radius)
+            for lo in range(0, ts.size, CHUNK):
+                vals[lo:lo + CHUNK] = _curve_values(f, ts[lo:lo + CHUNK], radius)
         if not np.isfinite(vals).all():
             raise NumericError(f"the local curve of {f.name} at radius {radius!r} is not finite")
-        return vals.tolist()
+        return vals
 
-    curve = trace_curve(values_at, samples, chord_bound, max_samples)
-    return SigmaCurve(np.array(curve.thetas), np.array(curve.values, dtype=complex),
-                      chord_bound, curve.chord_met)
+    n = start_samples(samples, max_samples)
+    thetas = np.arange(n) * (TWO_PI / n)
+    values = values_at(thetas)
+    while True:  # arc i ends at sample i + 1, the last at sample 0 and angle 2pi
+        gap = np.roll(values, -1)
+        gap -= values
+        over = np.hypot(gap.real, gap.imag) > chord_bound  # the bits of Python's abs
+        room = max_samples - thetas.size
+        if room <= 0 or not over.any():
+            break
+        take = np.flatnonzero(over)[:room]
+        mids = 0.5 * (thetas[take] + np.append(thetas, TWO_PI)[take + 1])
+        thetas = np.insert(thetas, take + 1, mids)
+        values = np.insert(values, take + 1, values_at(mids))
+    return SigmaCurve(thetas, values, chord_bound, not over.any())
 
 
 def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -192,14 +208,14 @@ def _crossings(a: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     The list is sparse, one entry per (edge, row) pair an edge covers, in
     ascending row order; col is the first column at or right of the crossing.
     """
-    b = np.roll(a, -1)
-    lo = np.minimum(a.imag, b.imag)
-    hi = np.maximum(a.imag, b.imag)
-    first = np.searchsorted(ys, lo, side="left")
-    counts = np.searchsorted(ys, hi, side="left") - first
-    edge = np.repeat(np.arange(a.size), counts)
+    ay, by = a.imag, np.roll(a.imag, -1)  # edge k runs from a[k] to a[k + 1], the last to a[0]
+    first = np.searchsorted(ys, np.minimum(ay, by), side="left")
+    counts = np.searchsorted(ys, np.maximum(ay, by), side="left") - first
+    meets = np.flatnonzero(counts)  # the edges whose y-span meets a row
+    counts = counts[meets]
+    edge = np.repeat(meets, counts)
     row = first[edge] + np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    ea, eb = a[edge], b[edge]
+    ea, eb = a[edge], a[(edge + 1) % a.size]
     x_cross = ea.real + (ys[row] - ea.imag) * (eb.real - ea.real) / (eb.imag - ea.imag)
     sign = np.where(eb.imag > ea.imag, np.int32(1), np.int32(-1))
     col = np.searchsorted(xs, x_cross, side="left")  # cells 0..col-1 lie left of it
@@ -281,8 +297,7 @@ def _max_chord(values) -> float:
     np.hypot, not np.abs: it is C's hypot, the bits of Python's abs of each
     complex chord.
     """
-    v = np.asarray(values, dtype=complex)
-    d = np.roll(v, -1) - v
+    d = np.roll(values, -1) - values
     return float(np.hypot(d.real, d.imag).max())
 
 

@@ -9,9 +9,9 @@ of angles once and polishes its least and its largest sample by
 `golden_min`, the package's one golden-section iteration: each update is a
 `where`, on floats here and np.where when `numerics` searches arrays of
 brackets.  Each reads its function through a batch evaluator, from a list
-of angles to a list of values: `spec2d` and `classify` hand
-`circle_extrema` the builtins below on floats, and `homog2d` hands
-`trace_curve` any map on numpy arrays.
+of angles to a list of values, and `spec2d` and `classify` hand them the
+builtins below on floats.  `homog2d.sigma_curve` traces any map by the same
+rule in numpy arrays, so neither side converts between lists and arrays.
 
 Each planar builtin is one formula (x, y, hypot) -> (u, v), with f(x + iy)
 = u + iv.  Its operators act alike on floats and on numpy arrays, and its
@@ -26,7 +26,7 @@ The module imports no numpy, so `spec2d` runs on bare Python.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import cos, sin
 from operator import lt, sub
 
@@ -133,8 +133,7 @@ def moduli_at(f: MapSpec):
 class SigmaCurve(Record):
     """Sampled eigenvalue curve: thetas strictly increasing in [0, 2pi), values the complex samples.
 
-    `trace_curve` holds them in lists and `homog2d.sigma_curve` in numpy
-    arrays; `pairs` gives the (n, 2) array the array engines read.
+    Lists from `trace_curve`, numpy arrays from `homog2d.sigma_curve`.
     """
 
     thetas: object
@@ -142,18 +141,16 @@ class SigmaCurve(Record):
     chord_bound: float
     chord_met: bool
 
-    def pairs(self):
-        import numpy as np  # for the array engines; spec2d never asks
-
-        v = np.asarray(self.values, dtype=complex)
-        return np.stack([v.real, v.imag], axis=-1)
-
-    def _samples(self) -> list:
-        return self.values if isinstance(self.values, list) else self.values.tolist()
-
     def is_point(self, tol: float = 1e-9) -> bool:
-        v = self._samples()
+        v = self.values
         return all(abs(x - v[0]) <= tol for x in v)
+
+
+def start_samples(samples: int, max_samples: int) -> int:
+    """The n angles i * 2pi / n a trace starts at: max(16, samples rounded up to a multiple of 4)."""
+    if not 1 <= samples <= max_samples:
+        raise PreconditionError(f"curve samples must lie in [1, {max_samples}], got {samples}")
+    return max(16, 4 * math.ceil(samples / 4))
 
 
 def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
@@ -161,51 +158,38 @@ def trace_curve(values_at, samples: int = 1024, chord_bound: float = 1e-3,
     """Trace the eigenvalue curve, bisecting arcs until the chord bound holds.
 
     values_at maps a list of angles to their curve values.  The curve starts
-    at max(16, samples rounded up to a multiple of 4) equally spaced angles,
-    i * 2pi / n, which are np.linspace's.  Every round bisects each arc whose
-    chord exceeds chord_bound, in angle order, and evaluates only the new
-    midpoints; an arc not bisected keeps its chord, so only the new halves
-    are tested again.  Past max_samples the first arcs are bisected, and the
-    curve is returned with chord_met False.
+    at the `start_samples` angles i * 2pi / n, which are np.linspace's.
+    Every round sweeps every chord, bisects each arc whose chord exceeds
+    chord_bound, in angle order, and evaluates only the new midpoints.  Past
+    max_samples the first arcs are bisected, and the curve is returned with
+    chord_met False.
     """
-    if not 1 <= samples <= max_samples:
-        raise PreconditionError(f"curve samples must lie in [1, {max_samples}], got {samples}")
-    n = max(16, 4 * math.ceil(samples / 4))
+    n = start_samples(samples, max_samples)
     thetas = list(map((TWO_PI / n).__mul__, range(n)))
     values = values_at(thetas)
-    check = None  # the arcs whose chords are untested, None for all; arc i ends at sample i + 1, or 0
-    while True:
-        if check is None:
-            gaps = map(abs, map(sub, values[1:] + values[:1], values))
-            bad = list(compress(range(len(values)), map(lt, repeat(chord_bound), gaps)))
-        else:
-            values.append(values[0])
-            bad = [i for i in check if abs(values[i + 1] - values[i]) > chord_bound]
-            values.pop()
+    while True:  # arc i ends at sample i + 1, the last at sample 0
+        gaps = map(abs, map(sub, chain(islice(values, 1, None), values[:1]), values))
+        over = map(lt, repeat(chord_bound), gaps)
         room = max_samples - len(thetas)
-        met = not bad
-        if met or room <= 0:
+        bad = list(islice(compress(range(len(values)), over), max(room, 0)))
+        if not bad:  # no chord over the bound, or no room: then `over` is unread
             break
         thetas.append(TWO_PI)
-        mids = [0.5 * (thetas[i] + thetas[i + 1]) for i in bad[:room]]
+        mids = [0.5 * (thetas[i] + thetas[i + 1]) for i in bad]
         thetas.pop()
         mid_values = values_at(mids)
         if len(mids) == len(thetas):  # every arc is bisected: interleave
             thetas, values = _interleave(thetas, mids), _interleave(values, mid_values)
-            check = None
             continue
-        new_t, new_v, check, lo = [], [], [], 0
+        new_t, new_v, lo = [], [], 0
         for i, t, v in zip(bad, mids, mid_values):
             new_t += thetas[lo:i + 1]
             new_v += values[lo:i + 1]
             new_t.append(t)
             new_v.append(v)
-            check += (len(new_t) - 2, len(new_t) - 1)
             lo = i + 1
         thetas, values = new_t + thetas[lo:], new_v + values[lo:]
-        if len(bad) > room:  # the rest of the arcs stay over the bound
-            break
-    return SigmaCurve(thetas, values, chord_bound, met)
+    return SigmaCurve(thetas, values, chord_bound, not any(over))
 
 
 def _interleave(a: list, b: list) -> list:

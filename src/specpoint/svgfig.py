@@ -85,10 +85,10 @@ def classify_svg(spectrum: PlaneSpectrum, title: str = "") -> str:
         float(spectrum.ys[-1]),
     )
     canvas = _Canvas(bounds)
-    pts = spectrum.curve.pairs()
-    closed = np.concatenate([pts, pts[:1]])
-    poly = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(canvas.px(closed[:, 0]).tolist(),
-                                                        canvas.py(closed[:, 1]).tolist()))
+    v = spectrum.curve.values
+    closed = np.append(v, v[:1])
+    poly = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(canvas.px(closed.real).tolist(),
+                                                        canvas.py(closed.imag).tolist()))
     parts = [
         _HEADER,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '

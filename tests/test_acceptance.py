@@ -124,7 +124,7 @@ def test_acceptance_04_two_circles():
     from specpoint.numerics import directed_distance
 
     cover = directed_distance(
-        np.stack([union.real, union.imag], -1), curve.pairs()
+        np.stack([union.real, union.imag], -1), np.stack([curve.values.real, curve.values.imag], -1)
     )
     assert cover < 2e-3
 

@@ -955,25 +955,31 @@ def test_curve_csv_matches_csv_writer():
 
 
 def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
-    # one tracer serves both commands: spec2d calls it on bare Python, classify through homog2d
+    # each side of the numpy boundary has its own tracer: spec2d traces once in
+    # lists through planar.trace_curve, classify once in arrays through
+    # homog2d.sigma_curve, and neither calls the other's loop
     from specpoint import homog2d, planar
 
     calls = []
-    trace = planar.trace_curve
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return trace(*args, **kwargs)
+    def counted(module, name):
+        loop = getattr(module, name)
 
-    monkeypatch.setattr(planar, "trace_curve", counted)
-    monkeypatch.setattr(homog2d, "trace_curve", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(planar, "trace_curve")
+    counted(homog2d, "sigma_curve")
     d = run_json(capsys, ["spec2d", "--fn", "norm_plus_i_im", "--samples", "512"])
-    assert len(calls) == 1
+    assert calls == ["trace_curve"]
     assert d["radius_bound"] == d["q"]
     calls.clear()
     rc, _ = run_cli(capsys, ["classify", "--fn", "norm_plus_i_im", "--res", "40",
                              "--out", str(tmp_path / "c.json")])
-    assert rc == 0 and len(calls) == 1
+    assert rc == 0 and calls == ["sigma_curve"]
     assert json.loads((tmp_path / "c.json").read_text())["radius_bound"] == d["q"]
 
 

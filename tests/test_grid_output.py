@@ -72,7 +72,8 @@ def _reference_classify_svg(spectrum, size=640, title=""):
     f = svgfig._f
     bounds = (float(spectrum.xs[0]), float(spectrum.xs[-1]), float(spectrum.ys[0]), float(spectrum.ys[-1]))
     canvas = svgfig._Canvas(bounds)  # the canvas of the size-640 figure
-    pts = spectrum.curve.pairs()
+    v = spectrum.curve.values
+    pts = np.stack([v.real, v.imag], -1)
     closed = np.concatenate([pts, pts[:1]])
     poly = " ".join(f"{f(canvas.px(x))},{f(canvas.py(y))}" for x, y in closed)
     parts = [

@@ -105,6 +105,20 @@ def test_curve_chord_contract():
     assert 0.0 <= c.thetas[0] < c.thetas[-1] < 2 * math.pi
 
 
+def test_curve_at_the_sample_cap_stays_in_arrays():
+    # a curve twice round a circle of radius 1e3 stops at the 2^20-sample cap;
+    # its arrays hold 24 MB, and one chord sweep at a time comes on top
+    f = builtin("real_linear", s=1e3, t=0.0, u=0.0, v=-1e3)
+    tracemalloc.start()
+    try:
+        curve = sigma_curve(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.values.size == 1 << 20 and not curve.chord_met
+    assert peak < 100e6, peak
+
+
 def test_curve_requires_planar_and_classify_homogeneous():
     with pytest.raises(PreconditionError):
         sigma_curve(builtin("sqrt_abs"))

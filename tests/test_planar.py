@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,14 +38,20 @@ def test_planar_builtins_have_the_bits_of_maps(name):
         assert np.array_equal(f.sphere_matrix(0.1), np.array(bare.sphere_matrix(1.0)))
 
 
-@pytest.mark.parametrize("samples", [16, 4096, 1 << 16])
+# (samples, max_samples): free traces, and the capped ones of test_tracer_matches_the_former_array_loop
+TRACES = [(16, 1 << 20), (4096, 1 << 20), (1 << 16, 1 << 20), (16, 16), (16, 40), (16, 100), (16, 11000)]
+
+
+@pytest.mark.parametrize("samples, max_samples", TRACES,
+                         ids=["16", "4096", "65536", "cap16", "cap40", "cap100", "cap11000"])
 @pytest.mark.parametrize("name, params", HOMOGENEOUS, ids=IDS)
-def test_tracer_matches_curve_values(name, params, samples):
-    # the bare tracer takes the angles of the array one, and its values are
-    # sigma within 4 ulps of |sigma|: the complex product rounds apart
-    bare = planar.trace_curve(planar.curve_at(planar.builtin(name, **params)), samples=samples)
+def test_tracer_matches_curve_values(name, params, samples, max_samples):
+    # the list tracer takes the angles, the chord flag and the size of the
+    # array one, and its values are sigma within 4 ulps of |sigma|: the
+    # complex product rounds apart
+    bare = planar.trace_curve(planar.curve_at(planar.builtin(name, **params)), samples, max_samples=max_samples)
     f = builtin(name, **params)
-    ref = homog2d.sigma_curve(f, samples=samples)
+    ref = homog2d.sigma_curve(f, samples=samples, max_samples=max_samples)
     assert len(bare.thetas) == len(bare.values) == ref.thetas.size
     assert bare.thetas == ref.thetas.tolist()
     assert bare.chord_met == ref.chord_met and bare.is_point() == ref.is_point()
@@ -52,6 +59,35 @@ def test_tracer_matches_curve_values(name, params, samples):
     got = np.array(bare.values)
     ulps = np.array([math.ulp(m) for m in np.abs(expect).tolist()])
     assert np.all(np.abs(got - expect) <= 4.0 * ulps)
+
+
+def test_a_chord_equal_to_the_bound_meets_it():
+    # a chord is over the bound only when it exceeds it: both tracers keep the
+    # 16 start samples when the bound is their longest chord, and bisect it
+    # when the bound is one ulp shorter
+    bare = planar.builtin("norm_plus_i_im")
+    f = builtin("norm_plus_i_im")
+    for trace in (lambda **kw: planar.trace_curve(planar.curve_at(bare), **kw),
+                  lambda **kw: homog2d.sigma_curve(f, **kw)):
+        v = list(map(complex, trace(samples=16, max_samples=16).values))
+        longest = max(abs(b - a) for a, b in zip(v, v[1:] + v[:1]))
+        met = trace(samples=16, chord_bound=longest)
+        assert met.chord_met and len(met.values) == 16
+        assert len(trace(samples=16, chord_bound=math.nextafter(longest, 0.0)).values) > 16
+
+
+def test_tracer_started_full_holds_only_its_curve():
+    # with no room from the start the tracer only asks whether a chord is over
+    # the bound: no index list and no shifted copy of the values
+    f = planar.builtin("real_linear", s=1e3, t=0.0, u=0.0, v=-1e3)
+    tracemalloc.start()
+    try:
+        curve = planar.trace_curve(planar.curve_at(f), samples=1 << 16, max_samples=1 << 16)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(curve.values) == 1 << 16 and not curve.chord_met
+    assert peak <= 1.1 * kept, (peak, kept)
 
 
 def _array_moduli(f, radius):
