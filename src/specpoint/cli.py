@@ -75,7 +75,7 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_UNDECIDED = 5
-MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against 512 sphere directions
+MAX_GRID = 128  # bifurcate --grid: lambdas a side, each scanned against the samples of its strip
 CURVE_CSV_ROWS = 1 << 12  # lines of a spec2d curve CSV joined per write
 ARTIFACTS = {"spec2d": (".csv",), "classify": (".csv", ".svg"), "shift": (".svg",)}  # written next to --out
 

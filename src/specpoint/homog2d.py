@@ -14,14 +14,14 @@ On the unit circle lam z - f(z) = z (lam - sigma(theta)), so the degree is
     deg(lam*id - f) = 1 + wind(sigma, lam),
 
 and a grid is labelled by a point-in-polygon winding query on the traced
-curve, with no further map evaluations: `scanline_turns` is that one
-winding kernel.  `sigma_curve` traces the curve in numpy arrays by the
-rule of `planar.trace_curve`, which traces it in lists for `spec2d`; it
-takes any planar map at a radius r, the curve sigma_r that a bifurcation
-scan checks its candidates against, one curve for every r when the map is
+curve, with no further map evaluations: `_crossings` lists where the
+polygon crosses the grid rows and `_turns` bins them, the one winding
+kernel.  `sigma_curve` traces the curve in numpy arrays by the rule of
+`planar.trace_curve`, which traces it in lists for `spec2d`; it takes any
+planar map at a radius r, the curve sigma_r whose nearest samples are the
+residuals of a bifurcation scan, one curve for every r when the map is
 positively homogeneous.  The growth rates d and q of a planar builtin are
-`planar.circle_extrema`; the sphere minima of a bifurcation scan come from
-`numerics.sphere_extrema`.
+`planar.circle_extrema`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is
@@ -156,18 +156,22 @@ def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
     homogeneous part as r shrinks.  It is traced by the rule of
     `planar.trace_curve`: each round sweeps every chord, bisects the arcs
     over the bound, the first ones in angle order as far as max_samples
-    allows, and evaluates the new midpoints only, CHUNK angles at a time,
-    which gives every angle the bits of evaluating all angles at once.  A
-    sample that is not finite is a NumericError.
+    allows, and evaluates the new midpoints only.  Chords are swept, and
+    midpoints inserted, CHUNK arcs at a time, into arrays grown in place,
+    and evaluated CHUNK // 2 angles at a time, which gives every angle the
+    bits of evaluating all angles at once; so a trace holds little more
+    than the curve it returns.  A sample that is not finite is a
+    NumericError.
     """
     if f.dim != 2:
         raise PreconditionError(f"map {f.name} is not planar")
 
     def values_at(ts):
         vals = np.empty(ts.size, dtype=complex)
+        step = CHUNK // 2  # angles per evaluation: CHUNK coordinates of points
         with np.errstate(over="ignore", invalid="ignore"):  # numpy's complex division by a subnormal r forms 1/r = inf
-            for lo in range(0, ts.size, CHUNK):
-                vals[lo:lo + CHUNK] = _curve_values(f, ts[lo:lo + CHUNK], radius)
+            for lo in range(0, ts.size, step):
+                vals[lo:lo + step] = _curve_values(f, ts[lo:lo + step], radius)
         if not np.isfinite(vals).all():
             raise NumericError(f"the local curve of {f.name} at radius {radius!r} is not finite")
         return vals
@@ -176,37 +180,63 @@ def sigma_curve(f: MapSpec, samples: int = 1024, chord_bound: float = 1e-3,
     thetas = np.arange(n) * (TWO_PI / n)
     values = values_at(thetas)
     while True:  # arc i ends at sample i + 1, the last at sample 0 and angle 2pi
-        gap = np.roll(values, -1)
-        gap -= values
-        over = np.hypot(gap.real, gap.imag) > chord_bound  # the bits of Python's abs
-        room = max_samples - thetas.size
+        over = np.concatenate([chords > chord_bound for chords in _chords(values)])
+        room = max_samples - n
         if room <= 0 or not over.any():
             break
-        take = np.flatnonzero(over)[:room]
-        mids = 0.5 * (thetas[take] + np.append(thetas, TWO_PI)[take + 1])
-        thetas = np.insert(thetas, take + 1, mids)
-        values = np.insert(values, take + 1, values_at(mids))
+        if np.count_nonzero(over) > room:
+            over[np.flatnonzero(over)[room]:] = False
+        k = int(np.count_nonzero(over))
+        # Grown in place: from the last slice of arcs back, every sample moves
+        # up by the number of arcs bisected before it and each midpoint
+        # follows its arc's start, so no sample below the slice has moved yet.
+        thetas.resize(n + k, refcheck=False)
+        values.resize(n + k, refcheck=False)
+        end = TWO_PI
+        for lo in range(CHUNK * ((n - 1) // CHUNK), -1, -CHUNK):
+            hi = min(lo + CHUNK, n)
+            split = over[lo:hi]
+            at = np.flatnonzero(split)
+            k -= at.size
+            ts = np.append(thetas[lo:hi], end)
+            end = ts[0]
+            mids = 0.5 * (ts[at] + ts[at + 1])
+            to = np.cumsum(split)
+            to += np.arange(lo + k, hi + k)
+            to -= split  # the new index of each sample of the slice
+            values[to] = values[lo:hi]
+            thetas[to] = ts[:-1]
+            to = to[at] + 1
+            del ts, at  # before the evaluation, the peak of the round
+            thetas[to] = mids
+            values[to] = values_at(mids)
+        n = thetas.size
     return SigmaCurve(thetas, values, chord_bound, not over.any())
 
 
-def scanline_turns(curve: SigmaCurve, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Degree 1 + wind(sigma, lam) for every lam = x + iy of an ascending grid.
+def _chords(values):
+    """The chord lengths of the closed polygon through the samples, CHUNK chords at a time.
 
-    The sampled curve is read as a closed polygon.  Each edge crosses the rows
-    y with ay <= y < by (upward, +1) or by <= y < ay (downward, -1), so
-    horizontal edges cross nothing and a vertex is counted once.  The winding
-    around a cell is the signed count of its row's crossings strictly to its
-    right: crossings are binned by the first column at or right of them and
-    summed from the right (Hormann & Agathos, Comput. Geom. 20, 2001).
+    Chord i runs from sample i to sample i + 1, the last back to sample 0.
+    np.hypot, not np.abs: it is C's hypot, the bits of Python's abs of each
+    complex chord.
     """
-    return _turns(*_crossings(curve.values, xs, ys), ys.size, xs.size)
+    for lo in range(0, values.size, CHUNK):
+        nxt = values[lo + 1:lo + CHUNK + 1]
+        if lo + CHUNK >= values.size:
+            nxt = np.append(nxt, values[:1])
+        gap = nxt - values[lo:lo + CHUNK]
+        yield np.hypot(gap.real, gap.imag)
 
 
 def _crossings(a: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """(row, col, sign) of every crossing of the closed polygon of complex points a with the rows ys.
 
-    The list is sparse, one entry per (edge, row) pair an edge covers, in
-    ascending row order; col is the first column at or right of the crossing.
+    Each edge crosses the rows y with ay <= y < by (upward, +1) or
+    by <= y < ay (downward, -1), so horizontal edges cross nothing and a
+    vertex is counted once.  The list is sparse, one entry per (edge, row)
+    pair an edge covers, in ascending row order; col is the first column at
+    or right of the crossing.
     """
     ay, by = a.imag, np.roll(a.imag, -1)  # edge k runs from a[k] to a[k + 1], the last to a[0]
     first = np.searchsorted(ys, np.minimum(ay, by), side="left")
@@ -224,10 +254,13 @@ def _crossings(a: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
 
 def _turns(row: np.ndarray, col: np.ndarray, sign: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    """(ny, nx) int32 degrees from the crossings of rows 0..ny-1.
+    """(ny, nx) int32 degrees 1 + wind(sigma, lam) from the crossings of rows 0..ny-1.
 
-    The bins and their sums are int32, so the grid is held twice at 4 bytes
-    a cell.
+    The winding around a cell is the signed count of its row's crossings
+    strictly to its right: crossings are binned by the first column at or
+    right of them and summed from the right (Hormann & Agathos, Comput.
+    Geom. 20, 2001).  The bins and their sums are int32, so the grid is held
+    twice at 4 bytes a cell.
     """
     binned = np.zeros((ny, nx + 1), dtype=np.int32)
     np.add.at(binned, (row, col), sign)
@@ -292,13 +325,8 @@ def _band_codes(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float
 
 
 def _max_chord(values) -> float:
-    """The longest chord of the closed polygon through the curve samples.
-
-    np.hypot, not np.abs: it is C's hypot, the bits of Python's abs of each
-    complex chord.
-    """
-    d = np.roll(values, -1) - values
-    return float(np.hypot(d.real, d.imag).max())
+    """The longest chord of the closed polygon through the curve samples."""
+    return max(float(chords.max()) for chords in _chords(values))
 
 
 def classify_plane(
@@ -314,7 +342,8 @@ def classify_plane(
     cell closer than MARGIN_TOL to a sample is a "margin" violation; when the
     curve missed its chord bound, one within the largest chord is a "chord"
     violation.  Violations are Band too.  Every other cell is labelled by
-    the degree 1 + wind(sigma, lam) of `scanline_turns`.  The widest of
+    the degree 1 + wind(sigma, lam), binned by `_turns` from the crossings
+    of `_crossings`.  The widest of
     these distances may span at most MAX_BAND_CELLS node spacings.  Unless a
     curve is given, it is traced from CURVE_SAMPLES samples to the chord
     bound max(CHORD_BOUND, spacing / 64), spacing the smaller node spacing

@@ -28,7 +28,8 @@ builtins, real_linear and conj_pair, declare their matrices as their
 Jacobians and as their sphere matrices; norm_times_x(dim) declares A(r) =
 r I.  The factories of norm_times_x and norm_plus_i_im_pow check their
 integer parameter's range on the value as given.  `numerics.sphere_extrema`
-reads the sphere matrix alone, and needs it from dimension 3.
+reads the sphere matrix alone; a map without one is scanned on its curve,
+which needs dimension 1 or 2.
 """
 from __future__ import annotations
 

@@ -6,12 +6,11 @@ and q are the minimum and maximum of |f| on the unit circle, which is
 |sigma(theta)| there.  Both are loops over angles.  `trace_curve` bisects
 arcs until every chord meets a bound, and `circle_extrema` samples a grid
 of angles once and polishes its least and its largest sample by
-`golden_min`, the package's one golden-section iteration: each update is a
-`where`, on floats here and np.where when `numerics` searches arrays of
-brackets.  Each reads its function through a batch evaluator, from a list
-of angles to a list of values, and `spec2d` and `classify` hand them the
-builtins below on floats.  `homog2d.sigma_curve` traces any map by the same
-rule in numpy arrays, so neither side converts between lists and arrays.
+`golden_min`, the package's one golden-section search.  Each reads its
+function through a batch evaluator, from a list of angles to a list of
+values, and `spec2d` and `classify` hand them the builtins below on
+floats.  `homog2d.sigma_curve` traces any map by the same rule in numpy
+arrays, so neither side converts between lists and arrays.
 
 Each planar builtin is one formula (x, y, hypot) -> (u, v), with f(x + iy)
 = u + iv.  Its operators act alike on floats and on numpy arrays, and its
@@ -113,7 +112,7 @@ def curve_at(f: MapSpec):
 
 
 def moduli_at(f: MapSpec):
-    """angles -> |f(e^{i theta})| of a builtin, the squares summed as `numerics.row_norm` sums them."""
+    """angles -> |f(e^{i theta})| = sqrt(u^2 + v^2) of a builtin, the bits of np.linalg.norm on the plane."""
     formula = f.evaluator
 
     def moduli(thetas):
@@ -202,35 +201,34 @@ def _interleave(a: list, b: list) -> list:
 # extrema on the circle
 
 
-def golden_min(fn, a, b, where=lambda left, x, y: x if left else y):
+def golden_min(fn, a: float, b: float) -> tuple[float, float]:
     """Golden-section search for a minimum of fn on [a, b], 60 steps; returns (x, fn(x)).
 
-    The package's one golden-section iteration, on floats and on arrays:
-    every update is where(left, x, y), x if left else y on floats, and
-    np.where when `numerics.golden_min` searches every element of an array
-    of brackets in lockstep, one fn call per step on the whole array.
+    One fn call per step, on floats.
     """
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(60):
-        left = fc <= fd  # keep [a, d]: d <- c and c is new; else keep [c, b]: c <- d and d is new
-        a, b = where(left, a, c), where(left, d, b)
-        x = where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fx = fn(x)
-        c, d, fc, fd = where(left, x, d), where(left, c, x), where(left, fx, fd), where(left, fc, fx)
-    left = fc <= fd
-    return where(left, c, d), where(left, fc, fd)
+        if fc <= fd:  # keep [a, d]: d <- c and c is new
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+        else:  # keep [c, b]: c <- d and d is new
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def circle_extrema(moduli, name: str) -> tuple[float, float]:
     """(min, max) over the angles of the function moduli evaluates.
 
     moduli maps a list of angles to their values.  They are sampled once, at
-    the n = SPHERE_DIRECTIONS angles 2pi (k + 1/2) / n, the directions of
-    `numerics.sphere_directions(2, n)`, and each extremum polishes its best
-    sample by `golden_min` over its angle plus or minus one spacing, the
-    maximum as the minimum of -moduli.  A sample or an extremum that is not
-    finite (|f|^2 overflows) is a NumericError that names the map.
+    the n = SPHERE_DIRECTIONS angles 2pi (k + 1/2) / n, and each extremum
+    polishes its best sample by `golden_min` over its angle plus or minus
+    one spacing, the maximum as the minimum of -moduli.  A sample or an
+    extremum that is not finite (|f|^2 overflows) is a NumericError that
+    names the map.
     """
     n = SPHERE_DIRECTIONS
     dt = TWO_PI / n

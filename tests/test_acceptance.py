@@ -16,7 +16,6 @@ from specpoint.homog2d import (
     SigmaCurve,
     _curve_values,
     classify_plane,
-    scanline_turns,
     sigma_curve,
 )
 from specpoint.maps import MapSpec, builtin
@@ -30,7 +29,7 @@ from specpoint.structured import (
     xi_equation_solvable,
 )
 from test_estimators import membership, rates
-from test_homog2d import affine_map
+from test_homog2d import affine_map, scanline_turns
 
 RNG = np.random.default_rng(20240817)
 INF = math.inf
@@ -121,11 +120,9 @@ def test_acceptance_04_two_circles():
     union = np.concatenate(
         [0.25 + 0.75 * np.exp(1j * angles), 0.75 + 0.25 * np.exp(1j * angles)]
     )
-    from specpoint.numerics import directed_distance
+    from specpoint.numerics import nearest_sample
 
-    cover = directed_distance(
-        np.stack([union.real, union.imag], -1), np.stack([curve.values.real, curve.values.imag], -1)
-    )
+    cover = nearest_sample(union, curve.values, 2e-3).max()  # inf past the reach 2e-3
     assert cover < 2e-3
 
     d, q = circle_extrema(moduli_at(planar_builtin("half_abs_re_plus_i_im")), f.name)

@@ -426,8 +426,8 @@ def test_bifurcate_real_map_defaults_to_a_real_grid(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--fn", "norm_plus_i_im_pow", "--params", "2"],  # golden-section polish
-    ["--fn", "abs_re_plus_i_im"],  # homogeneous: one radius, sampled and polished
+    ["--fn", "norm_plus_i_im_pow", "--params", "2"],  # sigma_r traced at the smallest radius
+    ["--fn", "abs_re_plus_i_im"],  # homogeneous: one curve for every radius
     ["--fn", "norm_times_x", "--params", "3", "--grid=-1.5,1.5,0,0,24,1"],  # A(r) = r I: exact, per radius
     ["--fn", "conj_pair"],  # linear: exact singular values
 ], ids=["norm_plus_i_im_pow2", "abs_re_plus_i_im", "norm_times_x3", "conj_pair"])
@@ -704,8 +704,9 @@ def test_only_conj_pair_and_norm_times_x_reach_dimension_3():
 
 
 def test_bifurcate_fn_loads_the_planar_engine_only_for_candidates():
-    # the sphere-extremum kernel lives in numerics: a scan without candidates draws no
-    # curve and loads no homog2d; a planar scan with candidates checks them against its curve
+    # the exact sphere minima live in numerics: a scan of a declared sphere matrix draws
+    # no curve and loads no homog2d unless a planar candidate is checked against sigma_r;
+    # a planar map without one is scanned on its curve
     def specpoint_modules(argv):  # numpy brings inspect along
         return {m for m in probe_modules(["bifurcate", "--fn", *argv]) if m.startswith("specpoint")}
 
@@ -844,7 +845,8 @@ def test_seeded_bifurcate_deterministic(capsys, tmp_path):
 # the full stdout of bifurcate --fn calls, by SHA-256: the README line, the other
 # --fn call of the paper-mix workload, each planar builtin on its default grid, the
 # exact scans, a real map, a wide linear scan whose containment curve is coarse and
-# a fine grid whose undecided count once moved with the sphere directions
+# a fine grid whose undecided count once moved with the sphere directions, and whose
+# two lambdas at a corner of sigma read undecided since the scan reads the curve
 BIFURCATE_FN_CORPUS = {
     "--fn norm_plus_i_im_pow --params 2 --grid=-1.5,1.5,-1.5,1.5,24,30 --tol 0.02":
         "2bd5e47c2c32f86ce54ef314676c77fb7634911b37d0a21a742bc3992510aa5e",
@@ -861,7 +863,7 @@ BIFURCATE_FN_CORPUS = {
     "--fn real_linear --params 1e4,0,0,-1e4 --grid=-2e4,2e4,-2e4,2e4,64,64 --tol 500":
         "6cf50223a96c93b13222c1dba26e4ae67201733aed5822de9b03d78eba56a310",
     "--fn half_abs_re_plus_i_im --grid=-1.5,2,-1.5,1.5,128,128 --tol 0.005":
-        "71102320c0b49802e378abe7bd83f14be1b5a5cedcac0b0446de3bbe223ca5c2",
+        "ad24073613e94ba4d0b2b0316bb7b97179b31c6b5e8cff83bce058ff82bc2cb4",
 }
 
 

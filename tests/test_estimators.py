@@ -12,20 +12,34 @@ from specpoint.estimators import (
     scan_verdicts,
     spectrum_set,
 )
-from specpoint.homog2d import sigma_curve
+from specpoint.homog2d import _max_chord, _curve_values, sigma_curve
 from specpoint.maps import MapSpec, builtin, evaluate, translate_to_origin
-from specpoint.numerics import row_norm, sphere_extrema, unit_points
-from specpoint.planar import SPHERE_DIRECTIONS
+from specpoint.numerics import sphere_extrema, unit_points
+from specpoint.planar import circle_extrema
 
 RNG = np.random.default_rng(11)
 RATE_RADII = 0.1 * 0.5 ** np.arange(11, 17)  # six radii of the growth rates; membership reads the last
 
 
+def array_moduli(g, radius):
+    """angles -> |g(r e^{i theta})| / r of a planar map evaluated on numpy arrays, as a list."""
+    def moduli(thetas):
+        return np.linalg.norm(evaluate(g, radius * unit_points(np.array(thetas))) / radius, axis=-1).tolist()
+
+    return moduli
+
+
 def rate_extrema(g):
-    """The sphere minima and maxima of |g(x)| / r at each of RATE_RADII."""
-    zero = np.zeros(1, dtype=complex)
-    return (sphere_extrema(g, zero, RATE_RADII, SPHERE_DIRECTIONS)[0],
-            sphere_extrema(g, zero, RATE_RADII, SPHERE_DIRECTIONS, sign=-1.0)[0])
+    """The sphere minima and maxima of |g(x)| / r at each of RATE_RADII.
+
+    In the plane they are `planar.circle_extrema` through a numpy moduli
+    callback; from dimension 3, the extreme singular values of the declared
+    sphere matrix, the minima by `sphere_extrema` at lam = 0.
+    """
+    if g.dim == 2:
+        return np.array([circle_extrema(array_moduli(g, r), g.name) for r in RATE_RADII]).T
+    mins = sphere_extrema(g, np.zeros(1, dtype=complex), RATE_RADII)[0]
+    return mins, np.array([np.linalg.svd(g.sphere_matrix(r), compute_uv=False)[0] for r in RATE_RADII])
 
 
 def rates(f, p):
@@ -35,9 +49,9 @@ def rates(f, p):
 
 
 def membership(f, lam, tol=1e-3):
-    """(verdict, margin): the scans' verdict on the sphere minimum of |lam x - f(x)| / r at the last rate radius."""
-    res = sphere_extrema(f, np.array([complex(lam)]), RATE_RADII[-1:], SPHERE_DIRECTIONS)
-    return scan_verdicts(res.tolist(), tol)[1][0], float(res[0, 0])
+    """(verdict, residual): the scan's verdict on lam at the last rate radius, and its residual there."""
+    scan = bifurcation_scan(f, [lam], radii=RATE_RADII[-1:], tol=tol)
+    return scan.verdicts[0], float(scan.residuals[0, 0])
 
 
 def linear_map(M):
@@ -50,13 +64,12 @@ def linear_map(M):
 
 
 def linear_black_box(M, homogeneous=False):
-    """u -> M u, declaring its sphere matrix M from dimension 3, where sphere extrema need it."""
-    dim = M.shape[0]
-    return MapSpec(name="black_box", dim=dim, evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
-                   homogeneous=homogeneous, sphere_matrix=None if dim <= 2 else (lambda r, _M=M: _M))
+    """u -> M u, declaring its sphere matrix M, which exact sphere minima need."""
+    return MapSpec(name="black_box", dim=M.shape[0], evaluator=lambda x, _M=M: np.asarray(x) @ _M.T,
+                   homogeneous=homogeneous, sphere_matrix=lambda r, _M=M: _M)
 
 
-# the identity of R with no sphere matrix: the sampled path, whose sphere is the two points +-1
+# the identity of R with no sphere matrix: the curve route, whose sigma_r is the two points f(+-r) / (+-r)
 IDENTITY_1D = MapSpec(name="identity", dim=1, evaluator=lambda x: np.asarray(x, dtype=float), homogeneous=True)
 
 
@@ -109,8 +122,9 @@ def test_every_radius_of_a_linear_black_box_polishes_to_singular_values():
 
 @pytest.mark.parametrize("homogeneous", [False, True])
 def test_rates_and_membership_polish_to_singular_values(homogeneous):
-    # every radius, min and max: black boxes of the plane are sampled and polished,
-    # and those of dimensions 3, 4 and 6 solved from their declared matrices
+    # every radius, min and max: the rates of black boxes of the plane are sampled and
+    # polished by circle_extrema; membership, and the rates from dimension 3, are solved
+    # from the declared matrices
     rng = np.random.default_rng(17)
     for n in (2, 3, 4, 6):
         M = rng.normal(size=(n, n))
@@ -157,7 +171,8 @@ PINNED_RATES = {
 
 
 def test_rates_keep_their_bits():
-    # a sampled and polished entry does not depend on the other radii of its batch
+    # the circle extrema of each radius, sampled and polished, keep the bits of the
+    # sphere kernel's sampled path, which computed all radii in one batch
     assert {key: rates(f, p) for key, f, p in _pinned_rate_maps()} == PINNED_RATES
 
 
@@ -166,11 +181,12 @@ def test_rates_keep_their_bits():
 
 
 def test_membership_abs_re():
+    # 0 lies 1 from the unit circle: rejected, its residual beyond reach 2 tol reads inf
     f = builtin("abs_re_plus_i_im")
     assert membership(f, 1 + 0j)[0] == "candidate"
-    verdict, margin = membership(f, 0j)
-    assert verdict == "rejected"
-    assert abs(margin - 1.0) < 2e-3
+    assert membership(f, 0j) == ("rejected", math.inf)
+    assert membership(f, 0j, tol=0.6)[0] == "undecided"
+    assert abs(membership(f, 0j, tol=0.6)[1] - 1.0) < 2e-3
 
 
 def test_membership_identity_1d():
@@ -195,8 +211,7 @@ def test_membership_rejects_complex_lambda_without_complex_structure():
 def test_membership_takes_the_scan_verdicts(homogeneous):
     # sigma_min(lam I - M) = 1.5e-3 at lam = 1: undecided in [tol, 2 tol), as a scan reads it
     M = np.array([[1.0015, 0.0], [0.0, 3.0]])
-    f = MapSpec(name="black_box", dim=2, evaluator=lambda x: np.asarray(x) @ M.T,
-                homogeneous=homogeneous)
+    f = linear_black_box(M, homogeneous)
     verdicts = {tol: membership(f, 1.0, tol=tol) for tol in (1e-3, 2e-3, 7e-4)}
     assert verdicts[1e-3][0] == "undecided"
     assert verdicts[2e-3][0] == "candidate"
@@ -326,7 +341,9 @@ def test_scan_one_dimensional_path():
     lams = [0.0, 0.5, 1.0, 1.7]
     scan = bifurcation_scan(IDENTITY_1D, lams, tol=0.02)
     assert scan.verdicts == ("rejected", "rejected", "candidate", "rejected")
-    assert np.array_equal(scan.residuals[:, 0], np.abs(np.array(lams) - 1.0))  # |lam u - u| at u = +-1
+    assert np.array_equal(scan.residuals[:, 0], [math.inf, math.inf, 0.0, math.inf])  # beyond reach 2 tol
+    wide = bifurcation_scan(IDENTITY_1D, lams, tol=1.0)  # reach 2 holds every lam
+    assert np.array_equal(wide.residuals[:, 0], np.abs(np.array(lams) - 1.0))  # |lam u - u| at u = +-1
 
 
 def test_scan_three_dimensional_path():
@@ -358,108 +375,36 @@ def _grid(x0, x1, y0, y1, nx, ny):
     return [complex(x, y) for y in np.linspace(y0, y1, ny) for x in np.linspace(x0, x1, nx)]
 
 
-@pytest.mark.parametrize("dim", range(1, 8))
-def test_row_norm_has_the_bits_of_np_linalg_norm(dim):
-    # the scan kernel's residuals keep np.linalg.norm's bits, which the
-    # frozen references of the scans below take
-    rng = np.random.default_rng(dim)
-    x = rng.normal(size=(3000, 5, dim)) * np.exp(rng.uniform(-20.0, 20.0, size=(3000, 5, 1)))
-    assert np.array_equal(row_norm(x), np.linalg.norm(x, axis=-1))
+def dense_tree(g, radius, n=1 << 18):
+    """A k-d tree on sigma_r at n uniform angles."""
+    from scipy.spatial import cKDTree
+
+    dense = _curve_values(g, np.arange(n) * (2.0 * math.pi / n), radius)
+    return cKDTree(np.stack([dense.real, dense.imag], -1))
 
 
-def _inline_planar_scan_residuals(g, lams, radii, theta_samples):
-    """The scan as it was before it shared numerics.golden_min: both points per step."""
-    two_pi = 2.0 * math.pi
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    res = np.empty((lams.size, len(radii)))
-    for j, r in enumerate(radii):
-        thetas = np.linspace(0.0, two_pi, theta_samples, endpoint=False)
-        w = evaluate(g, r * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
-        wn = (w[..., 0] + 1j * w[..., 1]) / r
-        gap = np.abs(lams[:, None] * np.exp(1j * thetas)[None, :] - wn[None, :])
-        dt = two_pi / theta_samples
-        t_best = thetas[gap.argmin(axis=1)]
-
-        def eval_at(ts):
-            w2 = evaluate(g, r * np.stack([np.cos(ts), np.sin(ts)], axis=-1))
-            return np.abs(lams * np.exp(1j * ts) - (w2[..., 0] + 1j * w2[..., 1]) / r)
-
-        a, b = t_best - dt, t_best + dt
-        c, d_ = b - golden * (b - a), a + golden * (b - a)
-        fc, fd = eval_at(c), eval_at(d_)
-        for _ in range(40):
-            take_c = fc <= fd
-            b = np.where(take_c, d_, b)
-            a = np.where(take_c, a, c)
-            c, d_ = b - golden * (b - a), a + golden * (b - a)
-            fc, fd = eval_at(c), eval_at(d_)
-        res[:, j] = np.minimum(gap.min(axis=1), np.minimum(fc, fd))
-    return res
+def dense_distances(tree, lams, bound=np.inf):
+    """min over the tree's angles of |lam - sigma_r(theta)| where it is below bound, else inf."""
+    lams = np.asarray(lams, dtype=complex)
+    return tree.query(np.stack([lams.real, lams.imag], -1), distance_upper_bound=bound)[0]
 
 
-@pytest.mark.parametrize(
-    "f, M",
-    [
-        (builtin("norm_plus_i_im_pow", n=2), None),
-        (builtin("real_linear", s=0.5, t=-1.0, u=0.8, v=1.2), np.array([[0.5, -1.0], [0.8, 1.2]])),
-    ],
-    ids=["norm_plus_i_im_pow2", "real_linear"],
-)
-def test_planar_scan_matches_inline_golden_loop(f, M):
-    xs = np.linspace(-1.5, 1.5, 13)
-    lams = np.array([complex(x, y) for y in xs for x in xs])
-    radii = (1e-1, 1e-2, 1e-3)
-    new = sphere_extrema(f, lams, radii, 512)
-    old = _inline_planar_scan_residuals(f, lams, radii, 1024)
-    # the kernel takes 60 golden steps to the reference's 40; where the
-    # reference stops more than 1e-12 short of a real-linear map's exact
-    # minimum sigma_min(R(lam) - M) (lam = 0.5 + 1j, on its eigenvalue
-    # circle, reads 2.75e-12 against 0), the kernel is held to the exact value
-    short = np.zeros(old.shape, dtype=bool)
-    if M is not None:
-        exact = np.array([np.linalg.svd(_complex_scaling(l, 2) - M, compute_uv=False)[-1] for l in lams])
-        short = old - exact[:, None] > 1e-12
-        assert np.max(np.abs(new - exact[:, None])[short], initial=0.0) <= 1e-12
-    assert np.max(np.abs(new - old)[~short]) <= 1e-12
-    assert scan_verdicts(new, 0.02)[1] == scan_verdicts(old, 0.02)[1]
-    assert "candidate" in scan_verdicts(new, 0.02)[1]
+def assert_residuals_within_half_a_chord(f, lams, tol, radius, tree=None):
+    """Each residual of the scan lies between the dense minimum and that minimum plus half the longest chord.
 
-
-def _golden_min_40(fn, lo, hi):
-    """numerics.golden_min as it was when the angle scan called it with 40 steps."""
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(40):
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - golden * (b - a), a + golden * (b - a))
-        fx = fn(x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
-    left = fc <= fd
-    return np.where(left, c, d)[()], np.where(left, fc, fd)[()]
-
-
-def _unchunked_planar_scan_residuals(g, lams, radii, theta_samples):
-    """The scan as it was before it went in chunks of lams: one (lams, thetas) array per radius."""
-    TWO_PI = 2.0 * math.pi
-    thetas = np.linspace(0.0, TWO_PI, theta_samples, endpoint=False)
-    dt = TWO_PI / theta_samples
-    res = np.empty((lams.size, len(radii)))
-    for j, r in enumerate(radii):
-
-        def gap(ts, lam=lams):  # |lam e^{it} - g(r e^{it}) / r|
-            w = evaluate(g, r * unit_points(ts))
-            return np.abs(lam * np.exp(1j * ts) - (w[..., 0] + 1j * w[..., 1]) / r)
-
-        sampled = gap(thetas, lams[:, None])
-        # golden-polish the angular minimum of every lam around its best sample
-        t_best = thetas[sampled.argmin(axis=1)]
-        _, refined = _golden_min_40(gap, t_best - dt, t_best + dt)
-        res[:, j] = np.minimum(sampled.min(axis=1), refined)
-    return res
+    A residual beyond reach 2 tol reads inf; then the dense minimum plus half the chord lies beyond 2 tol too.
+    """
+    scan = bifurcation_scan(f, lams, radii=(radius,), tol=tol)
+    half = 0.5 * _max_chord(sigma_curve(f, samples=2048, chord_bound=tol / 16.0, radius=radius).values)
+    tree = tree or dense_tree(translate_to_origin(f, np.zeros(2)), radius)
+    dense = dense_distances(tree, lams, bound=4.0 * tol)
+    res = scan.residuals[:, 0]
+    near = np.isfinite(res)
+    assert np.all(res[near] >= dense[near] - 1e-12), np.max(dense[near] - res[near])
+    assert np.all(res[near] <= dense[near] + half)
+    assert np.all(res[near] <= 2.0 * tol)
+    assert np.all(dense[~near] + half > 2.0 * tol)
+    return scan
 
 
 @pytest.mark.parametrize("nx, ny", [(24, 30), (128, 128)], ids=["default-grid", "grid-cap"])
@@ -475,12 +420,9 @@ def test_planar_scan_memory_and_residuals_match_the_unchunked_scan(nx, ny):
     finally:
         tracemalloc.stop()
     assert peak < 32e6, peak
-    # the reference is the angle scan the sphere kernel replaced: 1024
-    # angles and a 40-step golden polish against 512 directions and 60 steps
-    g = translate_to_origin(f, np.zeros(2))
-    expect = _unchunked_planar_scan_residuals(g, np.array(lams), scan.radii, 1024)
-    assert np.max(np.abs(scan.residuals - expect[:, -1:])) <= 1e-12
-    assert scan.verdicts == scan_verdicts(expect, 0.02)[1]
+    # the reference is the minimum over 2^18 angles, which no chunk of lams splits
+    again = assert_residuals_within_half_a_chord(f, lams, 0.02, scan.radii[-1])
+    assert np.array_equal(again.residuals, scan.residuals) and again.verdicts == scan.verdicts
 
 
 @pytest.mark.parametrize(
@@ -534,8 +476,7 @@ def test_scan_conj_pair_matches_exact_sigma_min():
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_scan_linear_black_box_matches_sigma_min(dim):
-    # no complex_pairs: lam acts by real multiplication; dim 2 takes the golden polish,
-    # and from dim 3 the scan solves the declared matrix
+    # no complex_pairs: lam acts by real multiplication; the scan solves the declared matrix
     rng = np.random.default_rng(40 + dim)
     M = rng.normal(size=(dim, dim))
     lams = np.concatenate([np.linalg.eigvals(M).real, rng.uniform(-3.0, 3.0, size=6)])
@@ -547,19 +488,16 @@ def test_scan_linear_black_box_matches_sigma_min(dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_sphere_extrema_of_a_shifted_linear_map_are_its_extreme_singular_values(dim):
-    # min (sign 1) and max (sign -1) over unit u of |lam u - M u| at every radius: sampled at
-    # the two points of the line, sampled and polished in the plane, solved from dimension 3
+    # min over unit u of |lam u - M u| at every radius, solved from the declared matrix in
+    # every dimension
     rng = np.random.default_rng(100 + dim)
     M = rng.normal(size=(dim, dim))
     lams = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=5)]).astype(complex)
     radii = (0.1, 0.01)
     sv = np.array([np.linalg.svd(l.real * np.eye(dim) - M, compute_uv=False) for l in lams])
-    f = linear_black_box(M)
-    mins = sphere_extrema(f, lams, radii, 512)
-    maxs = sphere_extrema(f, lams, radii, 512, sign=-1.0)
-    assert mins.shape == maxs.shape == (lams.size, len(radii))
+    mins = sphere_extrema(linear_black_box(M), lams, radii)
+    assert mins.shape == (lams.size, len(radii))
     assert np.max(np.abs(mins - sv[:, -1:])) <= 1e-12
-    assert np.max(np.abs(maxs - sv[:, :1])) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -568,7 +506,7 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     g = builtin("norm_times_x", dim=dim)
     lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0j, -1.0 + 0j])
     radii = (1e-1, 1e-2, 1e-3)
-    new = sphere_extrema(g, lams, radii, 512)
+    new = sphere_extrema(g, lams, radii)
     exact = np.abs(lams.real[:, None] - np.array(radii))
     assert np.max(np.abs(new - exact)) <= 1e-12
     assert scan_verdicts(new, 0.02)[1] == scan_verdicts(exact, 0.02)[1]
@@ -586,16 +524,18 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     ids=["norm_times_x3", "conj_pair", "norm_plus_i_im_pow2", "norm_plus_i_im_pow3"],
 )
 def test_scan_residuals_match_the_per_radius_batches(name, params, grid):
-    # the scan solves the smallest radius alone, with the bits of that radius's column in a
-    # batch of every radius: no entry of sphere_extrema depends on the others of its batch
+    # the scan solves the smallest radius alone: it has the bits of a scan of that radius
+    # only, and a declared matrix those of that radius's column in a batch of every radius,
+    # in which no entry of sphere_extrema depends on the others
     f = builtin(name, **params)
-    # so the batch computes every radius, not the first one repeated
-    assert not f.homogeneous or f.sphere_matrix is not None
     lams = np.array(_grid(*grid))
     radii = (1e-1, 1e-2, 1e-3)
     scan = bifurcation_scan(f, lams, radii=radii)
-    batch = sphere_extrema(translate_to_origin(f, np.zeros(f.dim)), lams, radii, 512)
-    assert np.array_equal(scan.residuals, batch[:, -1:])
+    alone = bifurcation_scan(f, lams, radii=radii[-1:])
+    assert np.array_equal(scan.residuals, alone.residuals) and scan.verdicts == alone.verdicts
+    if f.sphere_matrix is not None:
+        batch = sphere_extrema(translate_to_origin(f, np.zeros(f.dim)), lams, radii)
+        assert np.array_equal(scan.residuals, batch[:, -1:])
 
 
 def test_norm_times_x_sphere_minima_are_exact_in_every_dimension():
@@ -605,7 +545,7 @@ def test_norm_times_x_sphere_minima_are_exact_in_every_dimension():
     radii = (1e-1, 1e-2, 1e-3)
     exact = np.abs(lams.real[:, None] - np.array(radii))
     for dim in range(1, 17):
-        assert np.array_equal(sphere_extrema(builtin("norm_times_x", dim=dim), lams, radii, 512), exact), dim
+        assert np.array_equal(sphere_extrema(builtin("norm_times_x", dim=dim), lams, radii), exact), dim
 
 
 def test_rates_of_a_homogeneous_map_repeat_one_radius():
@@ -627,10 +567,93 @@ def test_rates_of_a_homogeneous_map_repeat_one_radius():
     ids=["norm_times_x3", "conj_pair", "conj_pair@p", "linear5"],
 )
 def test_sphere_extrema_need_a_sphere_matrix_from_dimension_3(f):
-    # sampled sphere extrema stop at the plane; no builtin of dimension 3 or more lacks its matrix
+    # the curve route stops at the plane; no builtin of dimension 3 or more lacks its matrix
     assert f.dim >= 3 and f.sphere_matrix is None
     lams = np.array([0.0, 0.5])
     with pytest.raises(UnsupportedError, match=re.escape(f.name)):
-        sphere_extrema(f, lams, (1e-3,), 512)
+        sphere_extrema(f, lams, (1e-3,))
     with pytest.raises(UnsupportedError, match=re.escape(f.name)):
         bifurcation_scan(f, lams)
+
+
+# ---------------------------------------------------------------------------
+# the curve route: residuals are distances to the nearest sample of sigma_r
+
+
+SAMPLED_PLANAR = ["abs_re_plus_i_im", "half_abs_re_plus_i_im", "norm_plus_i_im", "cardioid_map",
+                  "norm_plus_i_im_pow", "norm_only"]
+
+
+def test_sampled_planar_builtins_are_the_ones_without_a_sphere_matrix():
+    from specpoint import planar
+
+    assert sorted(SAMPLED_PLANAR) == sorted(n for n in planar.BUILTINS if builtin(n).sphere_matrix is None)
+
+
+@pytest.mark.parametrize("name", SAMPLED_PLANAR)
+def test_curve_residuals_lie_within_half_a_chord_of_the_dense_minimum(name):
+    # the default grid of `bifurcate --fn` and the 128 x 128 grid of the corpus, at
+    # several tol, at the smallest default radius and at a coarse one
+    f = builtin(name)
+    default, fine = _grid(-1.5, 1.5, -1.5, 1.5, 24, 30), _grid(-1.5, 2.0, -1.5, 1.5, 128, 128)
+    for radius in (1e-3, 0.5):
+        tree = dense_tree(translate_to_origin(f, np.zeros(2)), radius)
+        for lams, tol in ((default, 0.02), (default, 0.1), (fine, 0.005), (fine, 0.02)):
+            scan = assert_residuals_within_half_a_chord(f, lams, tol, radius, tree)
+            assert scan.contained_in_sigma is (True if scan.candidates else None)
+
+
+def test_found_corner_minima_of_half_abs_re_are_undecided():
+    # the golden polish stopped at 0.010297 near a corner of sigma and rejected
+    # these two lambdas of the 128 x 128 corpus grid; their distance to the curve is
+    # 0.0087019 over 2^18 angles, in [tol, 2 tol)
+    xs, ys = np.linspace(-1.5, 2.0, 128), np.linspace(-1.5, 1.5, 128)
+    lams = [complex(xs[91], ys[62]), complex(xs[91], ys[65])]
+    assert all(abs(l - (1.0079 + 0.0354j * s)) < 1e-4 for l, s in zip(lams, (-1, 1)))
+    f = builtin("half_abs_re_plus_i_im")
+    scan = bifurcation_scan(f, lams, tol=0.005)
+    assert scan.verdicts == ("undecided", "undecided")
+    dense = dense_distances(dense_tree(f, scan.radii[-1]), lams)
+    assert np.all(np.abs(scan.residuals[:, 0] - 0.008702) < 5e-7)
+    assert np.all(np.abs(dense - 0.0087019) < 5e-8)
+
+
+ONE_D = ["sqrt_abs", "signed_sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv"]
+
+
+@pytest.mark.parametrize("name", ONE_D)
+def test_one_dimensional_residuals_keep_their_bits(name):
+    # sigma_r is the two points f(r) / r and f(-r) / (-r): the residuals have the bits of
+    # sqrt((lam u - f(r u) / r)^2) minimized over u = +-1, as the sampled sphere kernel had
+    f = builtin(name)
+    lams = np.linspace(-1.5, 1.5, 97)
+    u = np.array([1.0, -1.0])
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        vals = evaluate(f, r * u) / r
+        old = np.sqrt((lams[:, None] * u - vals) ** 2).min(axis=1)
+        wide = bifurcation_scan(f, lams, radii=(r,), tol=1e3)  # reach 2e3 holds every lam
+        assert np.array_equal(wide.residuals[:, 0], old), (name, r)
+        scan = bifurcation_scan(f, lams, radii=(r,), tol=0.02)
+        assert np.array_equal(scan.residuals[:, 0], np.where(old <= 0.04, old, np.inf)), (name, r)
+        assert scan.verdicts == scan_verdicts(old[:, None], 0.02)[1]
+
+
+def test_a_trace_at_the_sample_cap_leaves_lambdas_within_its_chord_undecided():
+    # tol 1e-9 asks for chords of 6.25e-11: sigma stops at 2^20 samples, and a lam
+    # beyond 2 tol of every sample but within the longest chord cannot be rejected
+    f = builtin("norm_plus_i_im")
+    tol, r = 1e-9, 1e-3
+    curve = sigma_curve(f, samples=2048, chord_bound=tol / 16.0, radius=r)
+    assert curve.values.size == 1 << 20 and not curve.chord_met
+    chord = _max_chord(curve.values)
+    assert 1e-6 < chord < 1e-4
+    # 16 samples away from the cusp at theta = 0, each moved along its normal
+    k = np.arange(1 << 15, 1 << 20, 1 << 16)
+    picks, tangent = curve.values[k], curve.values[k + 1] - curve.values[k - 1]
+    normal = 1j * tangent / np.abs(tangent)
+    near, far = picks + 0.1 * chord * normal, picks + 1.5 * chord * normal
+    scan = bifurcation_scan(f, np.concatenate([near, far, picks]), radii=(r,), tol=tol)
+    res, n = scan.residuals[:, 0], picks.size
+    assert np.all((res[:n] > 2.0 * tol) & (res[:n] <= chord))
+    assert scan.verdicts == ("undecided",) * n + ("rejected",) * n + ("candidate",) * n
+    assert np.all(np.isinf(res[n:2 * n])) and np.all(res[2 * n:] == 0.0)

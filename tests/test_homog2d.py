@@ -18,14 +18,20 @@ from specpoint.homog2d import (
     SigmaCurve,
     _band_codes,
     _components_consistent,
+    _crossings,
     _max_chord,
+    _turns,
     classify_plane,
-    scanline_turns,
     sigma_curve,
 )
 from specpoint.maps import MapSpec, builtin, evaluate, scalar_action
 
 RNG = np.random.default_rng(2024)
+
+
+def scanline_turns(curve, xs, ys):
+    """Degree 1 + wind(sigma, lam) for every lam = x + iy of an ascending grid, as `classify_plane` bins it."""
+    return _turns(*_crossings(curve.values, xs, ys), ys.size, xs.size)
 
 
 def affine_map(a, c, f: MapSpec) -> MapSpec:
@@ -117,6 +123,22 @@ def test_curve_at_the_sample_cap_stays_in_arrays():
         tracemalloc.stop()
     assert curve.values.size == 1 << 20 and not curve.chord_met
     assert peak < 100e6, peak
+
+
+def test_curve_at_the_sample_cap_peaks_below_twice_what_it_returns():
+    # the last round grows the arrays in place and sweeps, bisects and evaluates
+    # CHUNK arcs at a time: the whole complex chord array, the np.insert copies and
+    # the 2 pi sentinel copy had the trace peak at 2.9 times its curve
+    f = builtin("real_linear", s=1e3, t=0.0, u=0.0, v=-1e3)
+    tracemalloc.start()
+    try:
+        curve = sigma_curve(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = curve.thetas.nbytes + curve.values.nbytes
+    assert curve.values.size == 1 << 20 and not curve.chord_met
+    assert peak < 2 * kept, (peak, kept)
 
 
 def test_curve_requires_planar_and_classify_homogeneous():

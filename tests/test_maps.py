@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError, replace
+from specpoint.estimators import bifurcation_scan
 from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, scalar_action, translate_to_origin
 from specpoint.numerics import sphere_extrema
 from test_homog2d import affine_map
@@ -158,14 +159,14 @@ def _exact_minima(g, lams, M):
     [(0.0, -0.4 + 2.0j), (0.3 - 1.1j, 1.0), (1.5 - 0.5j, -1.0)],
     ids=["scale_map", "add_identity", "lambda_minus"],
 )
-def test_sampled_sphere_minima_of_an_affine_combination_are_its_singular_values(f, a, c):
-    # a x + c f(x) declares no sphere matrix, so its minima are sampled and
-    # polished; they are the singular values of the matrix read off the map
-    g = affine_map(a, c, f)
-    assert g.sphere_matrix is None
+def test_declared_sphere_minima_of_an_affine_combination_of_real_linear_are_its_singular_values(f, a, c):
+    # a x + c f(x) declares R(a) + R(c) A(r), composed from f's, and its minima
+    # are the singular values of the matrix read off the map
+    Ra, Rc = (scalar_action(s, np.eye(f.dim), f.complex_pairs).T for s in (a, c))
+    g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
     M = evaluate(g, np.eye(g.dim)).T
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
-    res = sphere_extrema(g, lams, (0.1, 0.01), 512)
+    res = sphere_extrema(g, lams, (0.1, 0.01))
     assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
 
 
@@ -182,18 +183,19 @@ def test_declared_sphere_minima_of_an_affine_combination_of_conj_pair_are_its_si
     g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
     M = evaluate(g, np.eye(g.dim)).T
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
-    res = sphere_extrema(g, lams, (0.1, 0.01), 512)
+    res = sphere_extrema(g, lams, (0.1, 0.01))
     assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
 
 
 def test_sampled_sphere_minima_that_vary_with_the_radius():
-    # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: minima |lam - 0.5 - r|
+    # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: its sigma_r is the point
+    # 0.5 + r, and the scan's residuals are |lam - 0.5 - r| at every radius (tol 2: reach 4)
     f = builtin("norm_times_x", dim=2)
     g = MapSpec(name="0.5*id+norm_times_x(2)", dim=2, evaluator=lambda x: 0.5 * np.asarray(x) + f.evaluator(x))
     lams = np.linspace(-1.5, 1.5, 13).astype(complex)
-    radii = (0.1, 0.01)
-    res = sphere_extrema(g, lams, radii, 512)
-    assert np.allclose(res, np.abs(lams.real[:, None] - 0.5 - np.array(radii)), rtol=0, atol=1e-15)
+    for r in (0.1, 0.01):
+        res = bifurcation_scan(g, lams, radii=(r,), tol=2.0).residuals[:, 0]
+        assert np.allclose(res, np.abs(lams.real - 0.5 - r), rtol=0, atol=1e-15)
 
 
 def test_translate_to_origin_keeps_the_sphere_matrix_at_the_origin_only():

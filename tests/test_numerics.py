@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from specpoint import planar
-from specpoint.numerics import directed_distance, golden_min, sphere_directions
+from specpoint.numerics import CHUNK, nearest_sample
+from specpoint.planar import golden_min
 
 G = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def scalar_golden_reference(fn, lo, hi, iters=60):
-    """The scalar golden-section loop that golden_min generalizes."""
+    """The scalar golden-section loop, as written before golden_min shared its steps with an array search."""
     a, b = float(lo), float(hi)
     c = b - G * (b - a)
     d = a + G * (b - a)
@@ -47,89 +47,76 @@ def test_golden_min_scalar_matches_reference_loop(br, params):
     fn = lambda x: smooth(x, *params)
     x, fx = golden_min(fn, *br)
     rx, rfx = scalar_golden_reference(fn, *br)
-    assert np.shape(x) == np.shape(fx) == ()
-    assert float(x) == rx and float(fx) == rfx
-
-
-@given(st.lists(st.tuples(bracket, shape), min_size=1, max_size=8))
-def test_golden_min_array_matches_per_element_calls(items):
-    lo = np.array([br[0] for br, _ in items])
-    hi = np.array([br[1] for br, _ in items])
-    params = np.array([p for _, p in items]).T
-    x, fx = golden_min(lambda t: smooth(t, *params), lo, hi)
-    for i, (br, p) in enumerate(items):
-        rx, rfx = scalar_golden_reference(lambda t: smooth(t, *p), *br)
-        assert x[i] == rx and fx[i] == rfx
+    assert (x, fx) == (rx, rfx)
 
 
 def test_golden_min_evaluates_once_per_iteration():
-    calls = []
-
-    def fn(x):
-        calls.append(np.shape(x))
-        return (x - 0.3) ** 2
-
-    x, _ = golden_min(fn, np.zeros(5), np.ones(5))
-    assert len(calls) == 62 and set(calls) == {(5,)}
-    assert np.allclose(x, 0.3, atol=1e-8)
-    # the same iteration on floats, through planar: one float per call
     kinds = []
 
     def scalar_fn(x):
         kinds.append(type(x))
         return (x - 0.3) ** 2
 
-    x, _ = planar.golden_min(scalar_fn, 0.0, 1.0)
+    x, _ = golden_min(scalar_fn, 0.0, 1.0)
     assert kinds == [float] * 62 and type(x) is float
     assert abs(x - 0.3) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# directions
-
-
-def test_line_directions_are_its_two_unit_points():
-    for n in (1, 2, 512):
-        assert sphere_directions(1, n).tolist() == [[1.0], [-1.0]]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 1024])
-def test_planar_directions_are_the_uniform_angle_grid(n):
-    # the golden polish brackets each sampled angle by one spacing 2 pi / n on either
-    # side, so consecutive directions, the last and the first too, are that far apart
-    dirs = sphere_directions(2, n)
-    assert dirs.shape == (n, 2)
-    assert np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, rtol=0, atol=1e-15)
-    nxt = np.roll(dirs, -1, axis=0)
-    cos = np.sum(dirs * nxt, axis=-1)
-    sin = dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0]  # counterclockwise
-    assert np.allclose(cos, math.cos(2.0 * math.pi / n), rtol=0, atol=1e-12)
-    assert np.allclose(sin, math.sin(2.0 * math.pi / n), rtol=0, atol=1e-12)
-    assert abs(math.atan2(dirs[0, 1], dirs[0, 0]) - math.pi / n) <= 1e-15  # half a spacing from angle 0
-    assert np.array_equal(dirs, sphere_directions(2, n))  # the same on every call
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 
-def _kdtree_directed_distance(a, b):
-    """Reference: the k-d tree query that directed_distance replaced."""
+def _kdtree_distances(a, b):
+    """Reference: the k-d tree query that the nearest-sample kernel replaced."""
     from scipy.spatial import cKDTree
 
-    d, _ = cKDTree(np.asarray(b, dtype=float)).query(np.asarray(a, dtype=float))
-    return float(np.max(d))
+    return cKDTree(np.stack([b.real, b.imag], -1)).query(np.stack([a.real, a.imag], -1))[0]
 
 
 @given(st.integers(1, 300), st.integers(1, 5000), st.floats(-12.0, 12.0), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_directed_distance_matches_kdtree(na, nb, log_scale, seed, near):
-    """Bit-identical to the k-d tree; chunks split rows when na * nb > 2^20."""
+       st.booleans(), st.floats(-3.0, 1.0))
+def test_nearest_sample_matches_kdtree(na, nb, log_scale, seed, near, log_reach):
+    """Bit-identical to the k-d tree within reach, inf beyond; chunks split lams when the pairs pass CHUNK."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
-    b = rng.normal(size=(nb, 2)) * scale + rng.normal() * scale
-    if near:  # rows a rounding step away from points of b
-        a = b[rng.integers(0, nb, size=na)] * (1.0 + rng.normal(size=(na, 1)) * 1e-15)
+    b = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) * scale + rng.normal() * scale
+    if near:  # lams a rounding step away from samples
+        a = b[rng.integers(0, nb, size=na)] * (1.0 + rng.normal(size=na) * 1e-15)
     else:
-        a = rng.normal(size=(na, 2)) * scale
-    assert directed_distance(a, b) == _kdtree_directed_distance(a, b)
+        a = (rng.normal(size=na) + 1j * rng.normal(size=na)) * scale
+    expect = _kdtree_distances(a, b)
+    assert np.array_equal(nearest_sample(a, b, np.inf), expect)
+    reach = scale * 10.0 ** log_reach
+    assert np.array_equal(nearest_sample(a, b, reach), np.where(expect <= reach, expect, np.inf))
+
+
+def test_nearest_sample_bits_do_not_depend_on_the_batch():
+    # every lam paired with all 5000 samples: 2^18 pairs are about 52 lams, so the
+    # chunks split lams and the whole batch runs in several of them
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+    a = rng.normal(size=300) + 1j * rng.normal(size=300)
+    assert a.size * b.size > 4 * CHUNK
+    whole = nearest_sample(a, b, np.inf)
+    assert np.array_equal(whole, np.concatenate([nearest_sample(a[k:k + 1], b, np.inf) for k in range(a.size)]))
+    assert np.array_equal(whole, _kdtree_distances(a, b))
+
+
+@pytest.mark.parametrize("reach", [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308, np.inf])
+def test_nearest_sample_reach_from_the_least_to_the_largest(reach):
+    # lam.real -/+ reach overflows at the largest finite reach; the strip is then every sample
+    b = np.array([0.0, 1.0, 1j, 2.0 + 2j])
+    a = np.array([0.0, 5e-324, 0.5, 3.0 + 3j])
+    expect = _kdtree_distances(a, b)
+    with np.errstate(over="raise", invalid="raise"):
+        got = nearest_sample(a, b, reach)
+    assert np.array_equal(got, np.where(expect <= reach, expect, np.inf))
+    assert nearest_sample(np.zeros(0, dtype=complex), b, reach).shape == (0,)
+
+
+def test_a_sample_at_the_reach_lies_within_it():
+    # a distance equal to reach is kept, by the strip (dx = reach) and by the bound (d = reach)
+    b = np.array([0.0, 10j])
+    lams = np.array([5.0 + 0j, -5.0 + 0j, 3.0 + 4.0j])
+    assert nearest_sample(lams, b, 5.0).tolist() == [5.0, 5.0, 5.0]
+    assert nearest_sample(lams, b, np.nextafter(5.0, 0.0)).tolist() == [np.inf] * 3

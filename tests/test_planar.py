@@ -7,7 +7,6 @@ import pytest
 from specpoint import homog2d, numerics, planar
 from specpoint.core import NumericError
 from specpoint.maps import MapSpec, builtin, evaluate
-from specpoint.numerics import golden_min
 
 LINEAR_PARAMS = [
     {"s": 1.0, "t": -2.0, "u": 2.0, "v": 1.0},  # a point curve
@@ -93,22 +92,30 @@ def test_tracer_started_full_holds_only_its_curve():
 def _array_moduli(f, radius):
     """angles -> |f(r e^{i theta})| / r of a map evaluated on numpy arrays, as a list."""
     def moduli(thetas):
-        return numerics.row_norm(evaluate(f, radius * numerics.unit_points(np.array(thetas))) / radius).tolist()
+        return np.linalg.norm(evaluate(f, radius * numerics.unit_points(np.array(thetas))) / radius, axis=-1).tolist()
 
     return moduli
 
 
 @pytest.mark.parametrize("name, params", HOMOGENEOUS, ids=IDS)
 def test_circle_extrema_match_sphere_extrema(name, params):
-    # the pure-Python extrema against the sphere kernel at lam = 0, which
-    # answers real_linear exactly by its singular values
+    # the extrema against the singular values of real_linear's matrix, the minimum
+    # by the sphere kernel at lam = 0, and against the extremes of 2^16 angles
     f = builtin(name, **params)
     zero = np.zeros(1, dtype=complex)
+    dense = np.arange(1 << 16) * (2.0 * math.pi / (1 << 16))
     for radius in (1.0, 0.3):
         got = planar.circle_extrema(_array_moduli(f, radius), f.name)
-        for sign, extremum in zip((1.0, -1.0), got):
-            expect = float(numerics.sphere_extrema(f, zero, (radius,), planar.SPHERE_DIRECTIONS, sign=sign)[0, 0])
-            assert abs(extremum - expect) <= 1e-15 * abs(expect), (radius, sign, extremum, expect)
+        if f.sphere_matrix is not None:
+            sv = np.linalg.svd(f.sphere_matrix(radius), compute_uv=False)
+            expect = (float(numerics.sphere_extrema(f, zero, (radius,))[0, 0]), sv[0])
+            assert expect[0] == sv[-1]
+            for extremum, e in zip(got, expect):
+                assert abs(extremum - e) <= 1e-15 * abs(e), (radius, extremum, e)
+        moduli = _array_moduli(f, radius)(dense)
+        # the polish is no worse than the dense samples, and beats them by their spacing at most
+        assert min(moduli) - 1e-8 <= got[0] <= min(moduli) + 1e-14
+        assert max(moduli) - 1e-14 <= got[1] <= max(moduli) + 1e-8
     # spec2d's and classify's d and q, on floats, are those of the map on arrays bit for bit
     bare = planar.moduli_at(planar.builtin(name, **params))
     assert planar.circle_extrema(bare, f.name) == planar.circle_extrema(_array_moduli(f, 1.0), f.name)
@@ -132,21 +139,6 @@ def test_circle_extrema_keep_their_bits():
     maps = [planar.builtin(name) for name in planar.BUILTINS] + [planar.builtin("real_linear", s=1, t=-2, u=2, v=1)]
     got = {f.name: planar.circle_extrema(planar.moduli_at(f), f.name) for f in maps}
     assert got == CIRCLE_EXTREMA
-
-
-def test_golden_min_is_the_iteration_of_the_array_search():
-    rng = np.random.default_rng(5)
-    lo = rng.uniform(-3.0, 3.0, size=64)
-    hi = lo + rng.uniform(1e-6, 2.0, size=64)
-    shift = rng.uniform(-3.0, 3.0, size=64)
-
-    def fn(x, _s=shift):
-        return np.abs(np.sin(x - _s)) + 0.1 * (x - _s) ** 2
-
-    xs, fs = golden_min(fn, lo, hi)
-    for i in range(lo.size):
-        x, fx = planar.golden_min(lambda t, _i=i: float(fn(np.array([t]), shift[_i:_i + 1])[0]), lo[i], hi[i])
-        assert (x, fx) == (xs[i], fs[i])
 
 
 def _former_array_tracer(f, samples, max_samples, chord_bound=1e-3):
@@ -186,6 +178,19 @@ def test_tracer_matches_the_former_array_loop(name, params, samples, max_samples
     assert curve.chord_met == met and (met or curve.values.size == max_samples)
 
 
+@pytest.mark.parametrize("max_samples", [1 << 20, (1 << 19) + 12345], ids=["free", "cap"])
+def test_tracer_over_several_chunks_matches_the_former_array_loop(max_samples):
+    # from just over CHUNK samples, with a bound that only some chords exceed, the
+    # chords are swept and the midpoints inserted slice by slice, back from the last
+    f = builtin("half_abs_re_plus_i_im")
+    samples = numerics.CHUNK + 4
+    curve = homog2d.sigma_curve(f, samples=samples, chord_bound=1.5e-5, max_samples=max_samples)
+    thetas, vals, met = _former_array_tracer(f, samples, max_samples, chord_bound=1.5e-5)
+    assert np.array_equal(curve.thetas, thetas) and np.array_equal(curve.values, vals)
+    assert curve.chord_met == met and (met or curve.values.size == max_samples)
+    assert curve.values.size > samples
+
+
 def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
     # a map that declares its sphere matrix is solved by one batched SVD per radius, with no evaluation
     rng = np.random.default_rng(9)
@@ -197,20 +202,16 @@ def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
     f = MapSpec(name="black_box", dim=4, evaluator=never, homogeneous=True, complex_pairs=True,
                 sphere_matrix=lambda r, _M=M: _M)
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j])
-    res = numerics.sphere_extrema(f, lams, (0.1, 0.01), 512)
-    top = numerics.sphere_extrema(f, lams, (0.1,), 512, sign=-1.0)
+    res = numerics.sphere_extrema(f, lams, (0.1, 0.01))
     for i, lam in enumerate(lams):
         scale = np.kron(np.eye(2), [[lam.real, -lam.imag], [lam.imag, lam.real]])
         sv = np.linalg.svd(scale - M, compute_uv=False)
-        assert res[i].tolist() == [sv[-1], sv[-1]] and top[i, 0] == sv[0]
+        assert res[i].tolist() == [sv[-1], sv[-1]]
 
 
 def test_non_finite_sphere_extremum_is_a_numeric_error():
-    # |f(r u)|^2 / r^2 overflows: an error naming the map, not an inf residual
-    f = MapSpec(name="huge", dim=2, evaluator=lambda x: np.asarray(x) * 1e200)
-    with pytest.raises(NumericError, match="huge"):
-        numerics.sphere_extrema(f, np.array([0.5 + 0j]), (0.1,), 64)
+    # a non-finite entry of the declared matrix: an error naming the map, not an inf residual
     g = MapSpec(name="inf_matrix", dim=2, evaluator=lambda x: np.asarray(x), homogeneous=True,
                 sphere_matrix=lambda r: np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericError, match="inf_matrix"):
-        numerics.sphere_extrema(g, np.array([0.5 + 0j]), (0.1,), 64)
+        numerics.sphere_extrema(g, np.array([0.5 + 0j]), (0.1,))
