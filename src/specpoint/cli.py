@@ -337,9 +337,10 @@ def _cmd_spec2d(args) -> int:
     # homogeneous map, errs as in the catalogue
     f = planar.builtin(args.fn, **_fn_params(args)) if args.fn in planar.BUILTINS else _build_map(args)
     planar.require_planar_homogeneous(f)
-    # d and q first: a map whose |f| overflows exits 4 before its curve is traced
-    d, q = planar.circle_extrema(planar.moduli_at(f), f.name)
+    # a declared matrix gives d and q first: a map whose |f|^2 overflows exits 4 before its curve is traced
+    rates = planar.growth_rates(f) if f.sphere_matrix is not None else None
     curve = planar.trace_curve(planar.curve_at(f), samples=args.samples)
+    d, q = rates or planar.growth_rates(f, curve)
     payload = {
         "command": "spec2d",
         "fn": f.name,
@@ -360,11 +361,13 @@ def _cmd_classify(args) -> int:
 
     f = _build_map(args)
     planar.require_planar_homogeneous(f)
-    # every planar homogeneous map is a planar builtin: q as spec2d takes it, on floats, and
-    # before the grid, so a map whose |f| overflows exits 4 before any cell is labelled
-    _, q = planar.circle_extrema(planar.moduli_at(planar.builtin(args.fn, **_fn_params(args))), f.name)
+    # every planar homogeneous map is a planar builtin: q as spec2d takes it, on floats; a declared
+    # matrix gives it before the grid, so a map whose |f|^2 overflows exits 4 before any cell is labelled
+    g = planar.builtin(args.fn, **_fn_params(args))
+    rates = planar.growth_rates(g) if g.sphere_matrix is not None else None
     bounds = [args.xmin, args.xmax, args.ymin, args.ymax]
     spectrum = homog2d.classify_plane(f, bounds=bounds, resolution=args.res, band_radius=args.band)
+    _, q = rates or planar.growth_rates(g, spectrum.curve)
     payload = {
         "command": "classify",
         "fn": f.name,

@@ -20,8 +20,8 @@ kernel.  `sigma_curve` traces the curve in numpy arrays by the rule of
 `planar.trace_curve`, which traces it in lists for `spec2d`; it takes any
 planar map at a radius r, the curve sigma_r whose nearest samples are the
 residuals of a bifurcation scan, one curve for every r when the map is
-positively homogeneous.  The growth rates d and q of a planar builtin are
-`planar.circle_extrema`.
+positively homogeneous.  `classify` reads the growth rates d and q of a
+planar builtin off the curve it traces here, by `planar.growth_rates`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is

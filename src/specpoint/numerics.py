@@ -5,9 +5,10 @@ map that declares its sphere matrix, in any dimension.  A map of dimension
 1 or 2 that declares none is scanned on its eigenvalue curve sigma_r
 instead, and `nearest_sample` is the one distance kernel the scan reads:
 from each lam to the nearest sample of sigma_r, within a reach.  The
-circle extrema of a planar builtin are `planar.circle_extrema`, on floats.
-The verdicts of bifurcation scans are in `core`, so the shift scan loads
-none of this module.
+growth rates d and q of a planar builtin need neither kernel:
+`planar.growth_rates` reads them off the traced curve or the declared
+matrix.  The verdicts of bifurcation scans are in `core`, so the shift
+scan loads none of this module.
 """
 from __future__ import annotations
 
@@ -53,21 +54,29 @@ def nearest_sample(lams, samples: np.ndarray, reach: float) -> np.ndarray:
     """Distance from each lam to the nearest of the complex samples where it is at most reach, else inf.
 
     The samples are sorted by real part once, and each lam is paired only
-    with the strip of samples whose real part lies within reach of its own:
-    a sample outside the strip lies farther than reach.  The squared
-    distances are summed over the coordinates in order and the least is
-    square-rooted: the arithmetic of a k-d tree query, bit for bit.  Pairs
-    go CHUNK at a time in lam order, so memory stays bounded for every
-    reach, inf included, and each lam gets the bits it gets alone.  A
-    difference or square that overflows is a distance beyond 1e154, which
-    reads as inf.
+    with the strip of samples whose real part lies within w of its own, w
+    the least of reach and the distance to its two neighbours in that order:
+    a sample outside the strip lies farther than reach, or than a
+    neighbour.  w is padded by 16 ulps and by 1e-160, so that no sample
+    whose rounded distance can tie or beat a neighbour's falls outside it,
+    even where the squares are subnormal.  So the cost follows the curve
+    near each lam, not the reach.  The squared distances are summed over
+    the coordinates in order and the least is square-rooted: the arithmetic
+    of a k-d tree query, bit for bit.  Pairs go CHUNK at a time in lam
+    order, so memory stays bounded for every reach, inf included, and each
+    lam gets the bits it gets alone.  A difference or square that overflows
+    is a distance beyond 1e154, which reads as inf.
     """
     lams = np.asarray(lams, dtype=complex)
     order = np.argsort(samples.real, kind="stable")
     sx, sy = samples.real[order], samples.imag[order]
-    with np.errstate(over="ignore"):
-        first = np.searchsorted(sx, lams.real - reach, side="left")
-        counts = np.searchsorted(sx, lams.real + reach, side="right") - first
+    at = np.searchsorted(sx, lams.real)  # the neighbours are samples at - 1 and at
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.fmin(*(np.hypot(sx[k] - lams.real, sy[k] - lams.imag)
+                      for k in (np.maximum(at - 1, 0), np.minimum(at, sx.size - 1))))
+        w = np.fmin(reach, w + 16.0 * np.spacing(w) + 1e-160)  # an infinite w reads as reach
+        first = np.searchsorted(sx, lams.real - w, side="left")
+        counts = np.searchsorted(sx, lams.real + w, side="right") - first
     ends = np.cumsum(counts)
     shift = first - (ends - counts)  # pair p of lam k is sample p + shift[k]
     best = np.full(lams.size, np.inf)

@@ -1,16 +1,15 @@
-"""Planar builtins, the eigenvalue curve tracer and the circle extrema, pure Python.
+"""Planar builtins, the eigenvalue curve tracer and the growth rates, pure Python.
 
 For a positively homogeneous map f of the plane, the eigenvalue curve is
 theta -> sigma(theta) = f(e^{i theta}) e^{-i theta}, and the growth rates d
 and q are the minimum and maximum of |f| on the unit circle, which is
-|sigma(theta)| there.  Both are loops over angles.  `trace_curve` bisects
-arcs until every chord meets a bound, and `circle_extrema` samples a grid
-of angles once and polishes its least and its largest sample by
-`golden_min`, the package's one golden-section search.  Each reads its
-function through a batch evaluator, from a list of angles to a list of
-values, and `spec2d` and `classify` hand them the builtins below on
-floats.  `homog2d.sigma_curve` traces any map by the same rule in numpy
-arrays, so neither side converts between lists and arrays.
+|sigma(theta)| there.  `trace_curve` bisects arcs until every chord meets a
+bound, reading its function through a batch evaluator, from a list of
+angles to a list of values; `spec2d` hands it the builtins below on floats.
+`homog2d.sigma_curve` traces any map by the same rule in numpy arrays, so
+neither side converts between lists and arrays.  `growth_rates` reads d and
+q off the curve that either tracer returns, at its extremal samples, or
+from the matrix a map declares: one sampling of the circle per command.
 
 Each planar builtin is one formula (x, y, hypot) -> (u, v), with f(x + iy)
 = u + iv.  Its operators act alike on floats and on numpy arrays, and its
@@ -32,8 +31,6 @@ from operator import lt, sub
 from .core import MapSpec, NumericError, PreconditionError, Record
 
 TWO_PI = 2.0 * math.pi
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-SPHERE_DIRECTIONS = 1024  # sampled unit vectors of the growth rates d and q
 MAX_POW = 64  # the largest norm_plus_i_im_pow exponent
 
 
@@ -111,20 +108,6 @@ def curve_at(f: MapSpec):
     return values
 
 
-def moduli_at(f: MapSpec):
-    """angles -> |f(e^{i theta})| = sqrt(u^2 + v^2) of a builtin, the bits of np.linalg.norm on the plane."""
-    formula = f.evaluator
-
-    def moduli(thetas):
-        out = []
-        for t in thetas:
-            u, v = formula(cos(t), sin(t), _hypot)
-            out.append(math.sqrt(u * u + v * v))  # u ** 2 raises OverflowError where numpy reads inf
-        return out
-
-    return moduli
-
-
 # ---------------------------------------------------------------------------
 # the eigenvalue curve
 
@@ -198,48 +181,34 @@ def _interleave(a: list, b: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# extrema on the circle
+# the growth rates
 
 
-def golden_min(fn, a: float, b: float) -> tuple[float, float]:
-    """Golden-section search for a minimum of fn on [a, b], 60 steps; returns (x, fn(x)).
+def growth_rates(f: MapSpec, curve: SigmaCurve | None = None) -> tuple[float, float]:
+    """(d, q): the minimum and the maximum of |f| on the unit circle, of a builtin.
 
-    One fn call per step, on floats.
+    A map that declares its sphere matrix [[s, t], [u, v]] has them as the
+    extreme singular values of the matrix, in closed form: q = (|(s + v, u -
+    t)| + |(s - v, t + u)|) / 2 and d = |sv - tu| / q, taken on the matrix
+    scaled by its largest |entry| and scaled back, so that no product
+    underflows or overflows (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 8.6).  Any other map needs its traced curve, in lists or in numpy
+    arrays: |f| is evaluated again on floats, by its formula and `_hypot`,
+    at the angles of the least and the largest |sigma| sample.  The two
+    tracers round their samples apart but share their angles, so both give
+    the same bits.  A q whose square is not finite (|f|^2 overflows on the
+    circle) is a NumericError that names the map.
     """
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(60):
-        if fc <= fd:  # keep [a, d]: d <- c and c is new
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:  # keep [c, b]: c <- d and d is new
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def circle_extrema(moduli, name: str) -> tuple[float, float]:
-    """(min, max) over the angles of the function moduli evaluates.
-
-    moduli maps a list of angles to their values.  They are sampled once, at
-    the n = SPHERE_DIRECTIONS angles 2pi (k + 1/2) / n, and each extremum
-    polishes its best sample by `golden_min` over its angle plus or minus
-    one spacing, the maximum as the minimum of -moduli.  A sample or an
-    extremum that is not finite (|f|^2 overflows) is a NumericError that
-    names the map.
-    """
-    n = SPHERE_DIRECTIONS
-    dt = TWO_PI / n
-    thetas = [TWO_PI * ((k + 0.5) / n) for k in range(n)]
-    sampled = moduli(thetas)
-    extrema = []
-    for sign in (1.0, -1.0):
-        signed = [sign * m for m in sampled]
-        k = min(range(n), key=signed.__getitem__)
-        _, polished = golden_min(lambda t: sign * moduli([t])[0], thetas[k] - dt, thetas[k] + dt)
-        extrema.append(sign * min(signed[k], polished))
-    if not all(map(math.isfinite, extrema + sampled)):
-        raise NumericError(f"|f| of {name} is not finite on the circle")
-    return tuple(extrema)
+    if f.sphere_matrix is not None:
+        (s, t), (u, v) = f.sphere_matrix(1.0)
+        scale = max(abs(s), abs(t), abs(u), abs(v)) or 1.0
+        s, t, u, v = s / scale, t / scale, u / scale, v / scale
+        q = 0.5 * (_hypot(s + v, u - t) + _hypot(s - v, t + u))
+        d, q = (abs(s * v - t * u) / q if q else 0.0) * scale, q * scale
+    else:
+        moduli = list(map(abs, curve.values))
+        angles = (curve.thetas[moduli.index(m)] for m in (min(moduli), max(moduli)))
+        d, q = (_hypot(*f.evaluator(cos(a), sin(a), _hypot)) for a in angles)
+    if not (math.isfinite(d) and math.isfinite(q * q)):
+        raise NumericError(f"|f| of {f.name} is not finite on the circle")
+    return d, q

@@ -19,7 +19,7 @@ from specpoint.homog2d import (
     sigma_curve,
 )
 from specpoint.maps import MapSpec, builtin
-from specpoint.planar import builtin as planar_builtin, circle_extrema, moduli_at
+from specpoint.planar import builtin as planar_builtin, curve_at, growth_rates, trace_curve
 from specpoint.rates import Interval, mnc_bounds
 from specpoint.structured import (
     SQRT2,
@@ -125,7 +125,7 @@ def test_acceptance_04_two_circles():
     cover = nearest_sample(union, curve.values, 2e-3).max()  # inf past the reach 2e-3
     assert cover < 2e-3
 
-    d, q = circle_extrema(moduli_at(planar_builtin("half_abs_re_plus_i_im")), f.name)
+    d, q = growth_rates(planar_builtin("half_abs_re_plus_i_im"), curve)
     assert abs(d - 0.5) < 1e-9 and abs(q - 1.0) < 1e-9
 
     ps = classify_plane(f, bounds=(-2, 2, -2, 2), resolution=200, band_radius=0.05)
@@ -255,7 +255,8 @@ def test_acceptance_09_property_suites():
     # curve contained in the [d, q] annulus on every homogeneous builtin
     for name in ("abs_re_plus_i_im", "half_abs_re_plus_i_im", "norm_plus_i_im", "norm_only"):
         h = builtin(name)
-        d, q = circle_extrema(moduli_at(planar_builtin(name)), name)
+        bare = planar_builtin(name)
+        d, q = growth_rates(bare, trace_curve(curve_at(bare)))  # as spec2d takes them
         mods = np.abs(sigma_curve(h, samples=1024).values)
         assert mods.min() >= d - 1e-9 and mods.max() <= q + 1e-9
 

@@ -985,35 +985,64 @@ def test_planar_commands_trace_sigma_once(capsys, monkeypatch, tmp_path):
     assert json.loads((tmp_path / "c.json").read_text())["radius_bound"] == d["q"]
 
 
-def test_planar_commands_sample_the_circle_once(capsys, monkeypatch):
-    # d and q come from one sampling of the circle and two golden polishes of
-    # 62 evaluations each, and classify's radius bound is spec2d's q
-    from specpoint import planar
+def test_planar_commands_evaluate_the_map_in_one_trace(capsys, monkeypatch):
+    # spec2d and classify evaluate the map inside their one trace only, plus once on
+    # floats at each of the two extremal samples, and a declared matrix gives d and
+    # q with no evaluation; classify's radius bound is spec2d's q bit for bit, and
+    # neither --samples nor --res moves it
+    from specpoint import homog2d, planar
+    from specpoint.core import replace
 
-    sizes = []
-    moduli_at = planar.moduli_at
+    points = {float: 0, np.ndarray: 0}
+    traced = []
+    builtin, sigma_curve = planar.builtin, homog2d.sigma_curve
 
-    def counted(f):
-        moduli = moduli_at(f)
+    def counted(name, **params):
+        f = builtin(name, **params)
 
-        def sampled(thetas):
-            sizes.append(len(thetas))
-            return moduli(thetas)
+        def formula(x, y, hypot, _formula=f.evaluator):
+            points[type(x)] += np.size(x)
+            return _formula(x, y, hypot)
 
-        return sampled
+        return replace(f, evaluator=formula)
 
-    monkeypatch.setattr(planar, "moduli_at", counted)
+    def traced_curve(*args, **kwargs):
+        curve = sigma_curve(*args, **kwargs)
+        traced.append(curve.values.size)
+        return curve
+
+    monkeypatch.setattr(planar, "builtin", counted)
+    monkeypatch.setattr(homog2d, "sigma_curve", traced_curve)
     rng = np.random.default_rng(30)
     linear = [",".join(map(repr, rng.uniform(-3.0, 3.0, 4).tolist())) for _ in range(3)]
-    maps = [("half_abs_re_plus_i_im", [])] + [("real_linear", [f"--params={p}"]) for p in linear]
+    maps = [(name, []) for name in planar.BUILTINS if name != "real_linear" and builtin(name).homogeneous]
+    maps += [("real_linear", [f"--params={p}"]) for p in ["1,-2,2,1", *linear]]
+    assert len(maps) == 9
     for name, params in maps:
-        sizes.clear()
-        q = run_json(capsys, ["spec2d", "--fn", name, *params, "--samples", "64"])["q"]
-        assert sizes == [planar.SPHERE_DIRECTIONS] + [1] * 124
-        sizes.clear()
-        d = run_json(capsys, ["classify", "--fn", name, *params, "--res", "20"])
-        assert sizes == [planar.SPHERE_DIRECTIONS] + [1] * 124
-        assert d["radius_bound"] == q
+        extrema = 0 if name == "real_linear" else 2
+        qs = set()
+        for samples in ("1", "64", "1000"):
+            points.update({float: 0, np.ndarray: 0})
+            d = run_json(capsys, ["spec2d", "--fn", name, *params, "--samples", samples])
+            assert points == {float: d["curve"]["samples"] + extrema, np.ndarray: 0}, (name, samples)
+            qs.add(d["q"])
+        for res in ("20", "200"):
+            points.update({float: 0, np.ndarray: 0})
+            traced.clear()
+            d = run_json(capsys, ["classify", "--fn", name, *params, "--res", res])
+            assert len(traced) == 1 and points == {float: extrema, np.ndarray: traced[0]}, (name, res)
+            qs.add(d["radius_bound"])
+        assert len(qs) == 1, (name, qs)
+
+
+@pytest.mark.parametrize("scale", ["1e-200", "1e-160"])
+def test_tiny_linear_maps_keep_their_growth_rates(capsys, scale):
+    # the squares of |f| underflowed below 1.5e-154: spec2d and classify read d = q = 0
+    # at 1e-200, and relative errors of 5.6e-6 and 2.4e-4 at 1e-160
+    params = f"--params={scale},0,0,{scale}"
+    d = run_json(capsys, ["spec2d", "--fn", "real_linear", params, "--samples", "16"])
+    assert d["d"] == d["q"] == d["radius_bound"] == float(scale)
+    assert run_json(capsys, ["classify", "--fn", "real_linear", params, "--res", "20"])["radius_bound"] == float(scale)
 
 
 def test_size_and_count_guards_exit_cleanly(capsys):

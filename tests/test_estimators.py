@@ -12,32 +12,49 @@ from specpoint.estimators import (
     scan_verdicts,
     spectrum_set,
 )
-from specpoint.homog2d import _max_chord, _curve_values, sigma_curve
+from specpoint.homog2d import SigmaCurve, _max_chord, _curve_values, sigma_curve
 from specpoint.maps import MapSpec, builtin, evaluate, translate_to_origin
 from specpoint.numerics import sphere_extrema, unit_points
-from specpoint.planar import circle_extrema
+from specpoint.planar import growth_rates
 
 RNG = np.random.default_rng(11)
 RATE_RADII = 0.1 * 0.5 ** np.arange(11, 17)  # six radii of the growth rates; membership reads the last
 
 
-def array_moduli(g, radius):
-    """angles -> |g(r e^{i theta})| / r of a planar map evaluated on numpy arrays, as a list."""
-    def moduli(thetas):
-        return np.linalg.norm(evaluate(g, radius * unit_points(np.array(thetas))) / radius, axis=-1).tolist()
+def circle_rates(g, r):
+    """(d, q) of a planar map at radius r by `planar.growth_rates`, the route of spec2d and classify.
 
-    return moduli
+    A declared sphere matrix A(r) gives them in closed form.  Any other map
+    is traced as sigma_r, and |g(r u)| / r is evaluated again at its
+    extremal samples, by a formula on floats.  A black box has no sampled
+    angle at its extrema, so the two arcs next to each extremal sample are
+    traced again at 257 angles, twice, each round 128 times finer.
+    """
+    at_r = MapSpec(name=g.name, dim=2, evaluator=lambda x, y, hypot: tuple(evaluate(g, [r * x, r * y]).tolist()),
+                   sphere_matrix=None if g.sphere_matrix is None else (lambda _: g.sphere_matrix(r)))
+    if at_r.sphere_matrix is not None:
+        return growth_rates(at_r)
+    curve = sigma_curve(g, radius=r)
+    rates = []
+    for pick in (np.argmin, np.argmax):
+        arc, width = curve, np.diff(curve.thetas, append=2.0 * math.pi).max()  # the widest arc
+        for _ in range(2):
+            thetas = arc.thetas[pick(np.abs(arc.values))] + np.linspace(-width, width, 257)
+            arc = SigmaCurve(thetas, _curve_values(g, thetas, r), math.nan, True)
+            width /= 128.0
+        rates.append(growth_rates(at_r, arc)[pick is np.argmax] / r)
+    return tuple(rates)
 
 
 def rate_extrema(g):
     """The sphere minima and maxima of |g(x)| / r at each of RATE_RADII.
 
-    In the plane they are `planar.circle_extrema` through a numpy moduli
-    callback; from dimension 3, the extreme singular values of the declared
-    sphere matrix, the minima by `sphere_extrema` at lam = 0.
+    In the plane they are `circle_rates`; from dimension 3, the extreme
+    singular values of the declared sphere matrix, the minima by
+    `sphere_extrema` at lam = 0.
     """
     if g.dim == 2:
-        return np.array([circle_extrema(array_moduli(g, r), g.name) for r in RATE_RADII]).T
+        return np.array([circle_rates(g, r) for r in RATE_RADII]).T
     mins = sphere_extrema(g, np.zeros(1, dtype=complex), RATE_RADII)[0]
     return mins, np.array([np.linalg.svd(g.sphere_matrix(r), compute_uv=False)[0] for r in RATE_RADII])
 
@@ -111,7 +128,7 @@ def test_rates_match_singular_values():
 
 
 def test_every_radius_of_a_linear_black_box_polishes_to_singular_values():
-    # per-radius minima and maxima are polished at every radius
+    # per-radius minima and maxima are read, and refined, at every radius
     M = np.random.default_rng(23).normal(size=(2, 2))
     sv = np.linalg.svd(M, compute_uv=False)
     mins, maxs = rate_extrema(linear_map(M))
@@ -122,9 +139,9 @@ def test_every_radius_of_a_linear_black_box_polishes_to_singular_values():
 
 @pytest.mark.parametrize("homogeneous", [False, True])
 def test_rates_and_membership_polish_to_singular_values(homogeneous):
-    # every radius, min and max: the rates of black boxes of the plane are sampled and
-    # polished by circle_extrema; membership, and the rates from dimension 3, are solved
-    # from the declared matrices
+    # every radius, min and max: the rates of black boxes of the plane are the closed
+    # form of their declared matrix, as spec2d's; membership, and the rates from
+    # dimension 3, are solved from the declared matrices too
     rng = np.random.default_rng(17)
     for n in (2, 3, 4, 6):
         M = rng.normal(size=(n, n))
@@ -157,22 +174,22 @@ def _pinned_rate_maps():
     yield "half_abs_re_plus_i_im", builtin("half_abs_re_plus_i_im"), np.zeros(2)
 
 
-# (d_p, q_p) of each map, the bits the rates had when they sampled all 17 radii 0.1 * 2^-k, k = 0..16
+# (d_p, q_p) of each map, the bits of `circle_rates` at the six radii, each read at the
+# extremal samples of its trace and refined twice
 PINNED_RATES = {
-    "linear2_0": (0.17395667614288926, 0.4257870373696075),
-    "linear2_0_hom": (0.17395667614288926, 0.4257870373696075),
-    "linear2_1": (0.1952531894261557, 0.32756079897484774),
-    "linear2_1_hom": (0.1952531894261557, 0.32756079897484774),
+    "linear2_0": (0.17395667614288934, 0.4257870373696075),
+    "linear2_0_hom": (0.17395667614288934, 0.4257870373696075),
+    "linear2_1": (0.19525318942615874, 0.3275607989748459),
+    "linear2_1_hom": (0.19525318942615874, 0.3275607989748459),
     "linear2_2": (0.6685685441071978, 1.0818337798953523),
     "linear2_2_hom": (0.6685685441071978, 1.0818337798953523),
-    "norm_plus_i_im": (1.0, 1.4142135623730951),
+    "norm_plus_i_im": (1.0, 1.414213562373095),
     "half_abs_re_plus_i_im": (0.5, 1.0),
 }
 
 
 def test_rates_keep_their_bits():
-    # the circle extrema of each radius, sampled and polished, keep the bits of the
-    # sphere kernel's sampled path, which computed all radii in one batch
+    # the rates of each radius keep their bits, plain and homogeneous alike
     assert {key: rates(f, p) for key, f, p in _pinned_rate_maps()} == PINNED_RATES
 
 

@@ -177,7 +177,8 @@ def test_translation_equivariance_of_curves():
 
 def circle_rates(name, **params):
     """d and q of a planar builtin as spec2d takes them."""
-    return planar.circle_extrema(planar.moduli_at(planar.builtin(name, **params)), name)
+    f = planar.builtin(name, **params)
+    return planar.growth_rates(f, planar.trace_curve(planar.curve_at(f)))
 
 
 def test_curve_inside_rate_annulus():
@@ -205,7 +206,7 @@ def test_circle_extrema_values():
 
 @given(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
 def test_circle_extrema_are_the_singular_values_of_a_linear_map(m):
-    # the extrema lie between the sampled angles; the golden polish must find them
+    # the extrema lie between the sampled angles: the closed form of the matrix has them
     sv = np.linalg.svd(np.array(m).reshape(2, 2), compute_uv=False)
     assert circle_rates("real_linear", s=m[0], t=m[1], u=m[2], v=m[3]) == pytest.approx((sv[1], sv[0]), abs=1e-9)
 

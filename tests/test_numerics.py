@@ -6,60 +6,6 @@ import pytest
 from hypothesis import given
 
 from specpoint.numerics import CHUNK, nearest_sample
-from specpoint.planar import golden_min
-
-G = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def scalar_golden_reference(fn, lo, hi, iters=60):
-    """The scalar golden-section loop, as written before golden_min shared its steps with an array search."""
-    a, b = float(lo), float(hi)
-    c = b - G * (b - a)
-    d = a + G * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - G * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + G * (b - a)
-            fd = fn(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
-
-
-def smooth(x, centre, quartic, slope):
-    # + and * only: IEEE rounding is the same for scalars and arrays
-    v = (x - centre) * (x - centre)
-    return v + quartic * v * v + slope * x
-
-
-finite = st.floats(-10.0, 10.0, allow_nan=False)
-shape = st.tuples(finite, st.floats(0.0, 3.0), st.floats(-1.0, 1.0))
-bracket = st.tuples(finite, st.floats(1e-6, 5.0)).map(lambda t: (t[0], t[0] + t[1]))
-
-
-@given(bracket, shape)
-def test_golden_min_scalar_matches_reference_loop(br, params):
-    fn = lambda x: smooth(x, *params)
-    x, fx = golden_min(fn, *br)
-    rx, rfx = scalar_golden_reference(fn, *br)
-    assert (x, fx) == (rx, rfx)
-
-
-def test_golden_min_evaluates_once_per_iteration():
-    kinds = []
-
-    def scalar_fn(x):
-        kinds.append(type(x))
-        return (x - 0.3) ** 2
-
-    x, _ = golden_min(scalar_fn, 0.0, 1.0)
-    assert kinds == [float] * 62 and type(x) is float
-    assert abs(x - 0.3) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +19,32 @@ def _kdtree_distances(a, b):
     return cKDTree(np.stack([b.real, b.imag], -1)).query(np.stack([a.real, a.imag], -1))[0]
 
 
+# where the lams lie: a cloud like the samples', a rounding step from samples, exactly on
+# samples, left and right of every sample, and on samples that tie in real part
+PLACES = ["cloud", "near", "on", "outside", "ties"]
+
+
 @given(st.integers(1, 300), st.integers(1, 5000), st.floats(-12.0, 12.0), st.integers(0, 2**32 - 1),
-       st.booleans(), st.floats(-3.0, 1.0))
-def test_nearest_sample_matches_kdtree(na, nb, log_scale, seed, near, log_reach):
-    """Bit-identical to the k-d tree within reach, inf beyond; chunks split lams when the pairs pass CHUNK."""
+       st.sampled_from(PLACES), st.floats(-3.0, 1.0))
+def test_nearest_sample_matches_kdtree(na, nb, log_scale, seed, place, log_reach):
+    """Bit-identical to the k-d tree within reach, inf beyond, wherever the lams lie."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     b = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) * scale + rng.normal() * scale
-    if near:  # lams a rounding step away from samples
-        a = b[rng.integers(0, nb, size=na)] * (1.0 + rng.normal(size=na) * 1e-15)
+    if place == "ties":  # few real parts, each shared by many samples
+        b = np.round(b.real / scale * 4.0) * (scale / 4.0) + 1j * b.imag
+    pick = b[rng.integers(0, nb, size=na)]
+    if place == "near":  # lams a rounding step away from samples
+        a = pick * (1.0 + rng.normal(size=na) * 1e-15)
+    elif place == "on":
+        a = pick
+    elif place == "ties":  # half of them on samples, half sharing a sample's real part only
+        a = pick + 1j * rng.normal(size=na) * scale * (np.arange(na) % 2)
+    elif place == "outside":
+        lo, hi = b.real.min(), b.real.max()
+        span = (hi - lo) + scale
+        side = np.where(rng.random(na) < 0.5, lo - span * rng.random(na), hi + span * rng.random(na))
+        a = side + 1j * (rng.normal(size=na) * scale)
     else:
         a = (rng.normal(size=na) + 1j * rng.normal(size=na)) * scale
     expect = _kdtree_distances(a, b)
@@ -91,11 +54,12 @@ def test_nearest_sample_matches_kdtree(na, nb, log_scale, seed, near, log_reach)
 
 
 def test_nearest_sample_bits_do_not_depend_on_the_batch():
-    # every lam paired with all 5000 samples: 2^18 pairs are about 52 lams, so the
-    # chunks split lams and the whole batch runs in several of them
+    # lams far above the samples: their neighbours in real-part order lie farther than
+    # the whole cloud, so every lam is paired with all 5000 samples; 2^18 pairs are
+    # about 52 lams, so the chunks split lams and the whole batch runs in several of them
     rng = np.random.default_rng(4)
     b = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-    a = rng.normal(size=300) + 1j * rng.normal(size=300)
+    a = rng.normal(size=300) + 1j * (100.0 + rng.normal(size=300))
     assert a.size * b.size > 4 * CHUNK
     whole = nearest_sample(a, b, np.inf)
     assert np.array_equal(whole, np.concatenate([nearest_sample(a[k:k + 1], b, np.inf) for k in range(a.size)]))
@@ -120,3 +84,40 @@ def test_a_sample_at_the_reach_lies_within_it():
     lams = np.array([5.0 + 0j, -5.0 + 0j, 3.0 + 4.0j])
     assert nearest_sample(lams, b, 5.0).tolist() == [5.0, 5.0, 5.0]
     assert nearest_sample(lams, b, np.nextafter(5.0, 0.0)).tolist() == [np.inf] * 3
+
+
+def test_a_sample_past_the_neighbours_whose_squares_round_lower_is_kept():
+    # lam = 0 and its neighbours in real-part order at -1e-163 + 1j and b = (1.72 +
+    # 1.72j)e-162, |b| = 2.43e-162; a = -2.53e-162 lies farther, but the squares are
+    # subnormal and round to one unit each, so a's rounded distance beats b's
+    a, b = complex(-2.53e-162, 0.0), complex(1.72e-162, 1.72e-162)
+    samples = np.array([a, complex(-1e-163, 1.0), b])
+    assert abs(a) > abs(b) and a.real ** 2 == b.real ** 2 == 5e-324
+    got = nearest_sample(np.zeros(1, dtype=complex), samples, np.inf)
+    assert got.tolist() == _kdtree_distances(np.zeros(1, dtype=complex), samples).tolist() == [math.sqrt(5e-324)]
+
+
+def test_nearest_sample_pairs_follow_the_curve_not_the_reach(monkeypatch):
+    # samples every 1e-3 on [-1, 1]: a lam 1e-4 off the line pairs with one or two
+    # of them, at reach inf too, and a lam 1 above it with at most the three whose
+    # real part lies within the reach 1e-3, not with the thousand its neighbours span
+    from specpoint import numerics
+
+    pairs = []
+
+    class CountingNumpy:  # numpy, with the pair indices of each chunk counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args):
+            pairs.append(np.arange(*args).size)
+            return np.arange(*args)
+
+    monkeypatch.setattr(numerics, "np", CountingNumpy())
+    b = np.linspace(-1.0, 1.0, 2001) + 0j
+    near = np.linspace(-0.9, 0.9, 50) + 1e-4j
+    assert np.array_equal(nearest_sample(near, b, np.inf), _kdtree_distances(near, b))
+    assert sum(pairs) <= 2 * near.size
+    pairs.clear()
+    assert nearest_sample(near + 1j, b, 1e-3).tolist() == [np.inf] * near.size
+    assert sum(pairs) <= 3 * near.size

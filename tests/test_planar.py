@@ -89,56 +89,74 @@ def test_tracer_started_full_holds_only_its_curve():
     assert peak <= 1.1 * kept, (peak, kept)
 
 
-def _array_moduli(f, radius):
-    """angles -> |f(r e^{i theta})| / r of a map evaluated on numpy arrays, as a list."""
-    def moduli(thetas):
-        return np.linalg.norm(evaluate(f, radius * numerics.unit_points(np.array(thetas))) / radius, axis=-1).tolist()
-
-    return moduli
+def _dense_moduli(f):
+    """|f| at 2^16 angles of the unit circle, of a map evaluated on numpy arrays."""
+    dense = np.arange(1 << 16) * (2.0 * math.pi / (1 << 16))
+    return np.linalg.norm(evaluate(f, numerics.unit_points(dense)), axis=-1)
 
 
 @pytest.mark.parametrize("name, params", HOMOGENEOUS, ids=IDS)
-def test_circle_extrema_match_sphere_extrema(name, params):
-    # the extrema against the singular values of real_linear's matrix, the minimum
+def test_growth_rates_match_sphere_extrema(name, params):
+    # the rates against the singular values of real_linear's matrix, the minimum
     # by the sphere kernel at lam = 0, and against the extremes of 2^16 angles
-    f = builtin(name, **params)
-    zero = np.zeros(1, dtype=complex)
-    dense = np.arange(1 << 16) * (2.0 * math.pi / (1 << 16))
-    for radius in (1.0, 0.3):
-        got = planar.circle_extrema(_array_moduli(f, radius), f.name)
-        if f.sphere_matrix is not None:
-            sv = np.linalg.svd(f.sphere_matrix(radius), compute_uv=False)
-            expect = (float(numerics.sphere_extrema(f, zero, (radius,))[0, 0]), sv[0])
-            assert expect[0] == sv[-1]
-            for extremum, e in zip(got, expect):
-                assert abs(extremum - e) <= 1e-15 * abs(e), (radius, extremum, e)
-        moduli = _array_moduli(f, radius)(dense)
-        # the polish is no worse than the dense samples, and beats them by their spacing at most
-        assert min(moduli) - 1e-8 <= got[0] <= min(moduli) + 1e-14
-        assert max(moduli) - 1e-14 <= got[1] <= max(moduli) + 1e-8
-    # spec2d's and classify's d and q, on floats, are those of the map on arrays bit for bit
-    bare = planar.moduli_at(planar.builtin(name, **params))
-    assert planar.circle_extrema(bare, f.name) == planar.circle_extrema(_array_moduli(f, 1.0), f.name)
+    bare, f = planar.builtin(name, **params), builtin(name, **params)
+    listed = planar.trace_curve(planar.curve_at(bare))
+    got = planar.growth_rates(bare, listed)
+    if f.sphere_matrix is not None:
+        zero = np.zeros(1, dtype=complex)
+        sv = np.linalg.svd(f.sphere_matrix(1.0), compute_uv=False)
+        expect = (float(numerics.sphere_extrema(f, zero, (1.0,))[0, 0]), sv[0])
+        assert expect[0] == sv[-1]
+        for extremum, e in zip(got, expect):
+            assert abs(extremum - e) <= 1e-15 * abs(e), (extremum, e)
+    moduli = _dense_moduli(f)
+    # no worse than the dense samples, and better than them by their spacing at most
+    assert moduli.min() - 1e-8 <= got[0] <= moduli.min() + 1e-14
+    assert moduli.max() - 1e-14 <= got[1] <= moduli.max() + 1e-8
+    # spec2d's list trace and classify's array trace give the same bits
+    assert got == planar.growth_rates(bare, homog2d.sigma_curve(f, samples=2048))
 
 
-# (d, q) of every planar builtin at its default parameters and of one point-curve linear map,
-# as circle_extrema gave them when the float search had its own branching loop
-CIRCLE_EXTREMA = {
-    "abs_re_plus_i_im": (0.9999999999999999, 1.0),
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e150, 5e153])
+def test_growth_rates_of_tiny_and_huge_matrices_keep_their_relative_accuracy(scale):
+    # the closed form is scaled by the largest |entry|: no square underflows or overflows
+    for p in LINEAR_PARAMS:
+        m = np.array(list(p.values())).reshape(2, 2) * scale
+        f = planar.builtin("real_linear", **dict(zip("stuv", m.ravel().tolist())))
+        sv = np.linalg.svd(m / scale, compute_uv=False) * scale
+        d, q = planar.growth_rates(f)
+        assert abs(d - sv[-1]) <= 1e-15 * sv[-1] and abs(q - sv[0]) <= 1e-15 * sv[0], (p, d, q, sv)
+
+
+def test_growth_rates_past_the_square_are_a_numeric_error():
+    # q^2 overflows: the message of every non-finite |f| on the circle
+    for p in ((1e200, 0.0, 0.0, 1e200), (1e308, 1e308, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0)):
+        f = planar.builtin("real_linear", **dict(zip("stuv", p)))
+        with pytest.raises(NumericError, match=r"\|f\| of real_linear\(.*\) is not finite on the circle"):
+            planar.growth_rates(f)
+    assert planar.growth_rates(planar.builtin("real_linear", s=0.0, t=0.0, u=0.0, v=0.0)) == (0.0, 0.0)
+
+
+# (d, q) of every planar builtin at its default parameters and of one point-curve linear
+# map; the maps without a matrix read them at the extremal samples of their trace
+GROWTH_RATES = {
+    "abs_re_plus_i_im": (1.0, 1.0),
     "cardioid_map": (1.0, 1.4142135623730951),
     "half_abs_re_plus_i_im": (0.5, 1.0),
     "norm_only": (0.9999999999999999, 1.0),
     "norm_plus_i_im": (1.0, 1.4142135623730951),
     "norm_plus_i_im_pow(2)": (1.0, 1.4142135623730951),
-    "real_linear(1.0,0.0,0.0,1.0)": (0.9999999999999999, 1.0),
-    "real_linear(1,-2,2,1)": (2.2360679774997894, 2.2360679774997902),
+    "real_linear(1.0,0.0,0.0,1.0)": (1.0, 1.0),
+    "real_linear(1,-2,2,1)": (2.23606797749979, 2.23606797749979),
 }
 
 
-def test_circle_extrema_keep_their_bits():
+@pytest.mark.parametrize("samples", [1, 5, 64, 1000, 1023, 4096])
+def test_growth_rates_keep_their_bits(samples):
+    # whatever the trace's start samples
     maps = [planar.builtin(name) for name in planar.BUILTINS] + [planar.builtin("real_linear", s=1, t=-2, u=2, v=1)]
-    got = {f.name: planar.circle_extrema(planar.moduli_at(f), f.name) for f in maps}
-    assert got == CIRCLE_EXTREMA
+    got = {f.name: planar.growth_rates(f, planar.trace_curve(planar.curve_at(f), samples)) for f in maps}
+    assert got == GROWTH_RATES
 
 
 def _former_array_tracer(f, samples, max_samples, chord_bound=1e-3):
