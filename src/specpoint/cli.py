@@ -14,7 +14,8 @@ key of the other mode exits 2.  A sampled result depends on the map, the
 grid, the radii and --tol alone.  The --fn scan covers
 --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24 real lambdas of
 --grid=-1.5,1.5,0,0,24,1 for a map without complex structure, which takes
-real lambda only.
+real lambda only.  A one dimensional builtin reads its exact spec1d Sigma
+at 0, the limit r -> 0, without numpy, and --radii is only echoed.
 
 A value that is no number, an empty field of a list (an empty --params is no
 parameters), an empty --radii and a non-integer --grid count exit 2.  A
@@ -58,16 +59,18 @@ from itertools import islice
 from pathlib import Path
 
 # Each command imports the engine modules it computes with, numpy included:
-# every call loads the modules it imports.  `mnc`, `spec1d`, `spec2d`, `shift`
-# and `bifurcate --shift` need no numpy, and the shift model none of the
-# planar and sampling engines.
+# every call loads the modules it imports.  `mnc`, `spec1d`, `spec2d`, `shift`,
+# `bifurcate --shift` and `bifurcate --fn` on a one dimensional builtin need
+# no numpy, and the shift model none of the planar and sampling engines.
 from .core import (
+    NAMES_1D,
     EvaluationError,
     NumericError,
     PreconditionError,
     SpecpointError,
     UnsupportedError,
     UsageError,
+    scan_verdicts,
 )
 
 EXIT_OK = 0
@@ -208,13 +211,26 @@ def _fn_params(args) -> dict:
 
 
 def _build_map(args):
+    """The --fn builtin: a one dimensional one from `dini`, on bare Python, any other from `maps`, with numpy."""
+    params = _fn_params(args)
+    if args.fn in NAMES_1D:
+        from .dini import builtin_1d
+
+        return builtin_1d(args.fn)
     from .maps import builtin
 
-    params = _fn_params(args)
     try:
         return builtin(args.fn, **params)
     except UnsupportedError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _linspace(start: float, stop: float, num: int) -> list:
+    """The bits of np.linspace(start, stop, num), num >= 1 and stop - start finite, by numpy's steps."""
+    delta, div = stop - start, max(num - 1, 1)
+    step = delta / div
+    ys = [(i * step if step else i / div * delta) + start for i in range(num)]
+    return ys[:-1] + [stop] if num > 1 else ys  # stop replaces the one point that can overflow
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -300,9 +316,7 @@ def _curve_json(curve, limit: int) -> dict:
 def _cmd_spec1d(args) -> int:
     from . import dini as dini_mod
 
-    # a 1-D builtin runs on bare Python; any other name errs as in the catalogue
-    plain = args.fn in dini_mod.BUILTINS_1D and not args.params
-    f = dini_mod.builtin_1d(args.fn) if plain else _build_map(args)
+    f = _build_map(args)
     if f.dim != 1:
         raise PreconditionError(f"{f.name} is not one dimensional")
     dini_mod.check_estimator(args.point, args.h0, args.ratio, args.steps, args.threshold)  # in every mode
@@ -473,39 +487,41 @@ def _cmd_bifurcate(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK
 
-    import numpy as np
-
-    from . import estimators
-
     f = _build_map(args)
     # a map without complex structure takes real lambda only
     default_grid = (-1.5, 1.5, -1.5, 1.5, 24, 30) if f.complex_pairs else (-1.5, 1.5, 0.0, 0.0, 24, 1)
     x0, x1, y0, y1, nx, ny = args.grid or default_grid
-    if not f.complex_pairs and (y0 or (ny > 1 and y1)):  # before numpy spans the grid
+    if not f.complex_pairs and (y0 or (ny > 1 and y1)):
         raise PreconditionError("complex scalar acting on a map without complex structure")
-    with np.errstate(over="ignore"):  # only a last point can overflow, and linspace sets it to the stop
-        xs = np.linspace(x0, x1, int(nx))
-        ys = np.linspace(y0, y1, int(ny))
-    lams = [complex(x, y) for y in ys for x in xs]
-    scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol)
-    undecided = [v for v in scan.verdicts if v == "undecided"]
+    lams = [complex(x, y) for y in _linspace(y0, y1, int(ny)) for x in _linspace(x0, x1, int(nx))]
+    if f.dini_exact is not None:  # a 1-D builtin: its bifurcation set, the limit r -> 0, on bare Python
+        from .dini import sigma_distances
+
+        _, verdicts = scan_verdicts([[d] for d in sigma_distances(f, [l.real for l in lams])], args.tol)
+        candidates, contained = [l for l, v in zip(lams, verdicts) if v == "candidate"], None
+    else:
+        from . import estimators
+
+        scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol)
+        verdicts, candidates, contained = scan.verdicts, scan.candidates, scan.contained_in_sigma
+    undecided = verdicts.count("undecided")
     payload = {
         "command": "bifurcate",
         "fn": f.name,
         "grid": [x0, x1, y0, y1, int(nx), int(ny)],
         "tol": args.tol,
-        "radii": list(scan.radii),
-        "candidates": [[c.real, c.imag] for c in scan.candidates],
-        "n_candidates": len(scan.candidates),
-        "contained_in_sigma": scan.contained_in_sigma,
+        "radii": sorted(args.radii, reverse=True),
+        "candidates": [[c.real, c.imag] for c in candidates],
+        "n_candidates": len(candidates),
+        "contained_in_sigma": contained,
         "verdicts_summary": {
-            "candidate": sum(1 for v in scan.verdicts if v == "candidate"),
-            "rejected": sum(1 for v in scan.verdicts if v == "rejected"),
-            "undecided": len(undecided),
+            "candidate": len(candidates),
+            "rejected": verdicts.count("rejected"),
+            "undecided": undecided,
         },
     }
     _emit(payload, args.out)
-    if len(undecided) > len(scan.verdicts) / 2:
+    if undecided > len(verdicts) / 2:
         return EXIT_UNDECIDED
     return EXIT_OK
 

@@ -4,9 +4,9 @@ The `Record` base of every frozen value type, extended reals (floats with
 +-inf, never NaN) and their JSON form, normalized sets of closed
 real intervals, the four-derivative quadruple used by the one dimensional
 engine, complex scalar parsing, the verdicts of bifurcation scans, the
-`MapSpec` map description, and the exception taxonomy shared by every
-engine.  Pure Python: the scalar action on (re, im) coordinate pairs lives
-in `maps.scalar_action`.
+`MapSpec` map description with the names of the one dimensional builtins,
+and the exception taxonomy shared by every engine.  Pure Python: the
+scalar action on (re, im) coordinate pairs lives in `maps.scalar_action`.
 """
 from __future__ import annotations
 
@@ -268,8 +268,11 @@ def scan_verdicts(normalized, tol: float):
 # ---------------------------------------------------------------------------
 # map descriptions
 
+# the one dimensional builtins of `dini`, named here so that `cli` and `maps` import dini only to build one
+NAMES_1D = ("signed_sqrt_abs", "sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv")
 
-class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for spec1d, and directly for a user map
+
+class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for the 1-D builtins, and for a user map
     """A map based at the origin, with what it declares of itself.
 
     jacobian is p -> f'(p), the derivative of a C^1 map.  sphere_matrix is

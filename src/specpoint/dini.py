@@ -1,4 +1,4 @@
-"""One dimensional engine: derivative quadruples and spectral intervals.
+"""One dimensional engine: derivative quadruples, spectral intervals and the bifurcation set at 0.
 
 For a real function the local spectrum at a point is read off the four
 one-sided limit extremes of difference quotients:
@@ -24,9 +24,9 @@ tail quotient beyond the configurable threshold flags the corresponding
 extreme as infinite, and a side whose quotients all share one sign while
 its extreme diverges has both components flagged (monotone blow-up).
 
-Pure Python: maps are evaluated one float at a time.  The one dimensional
-builtins are here as scalar `math` functions next to their exact
-quadruples; `maps` vectorizes them for the array engines.
+Pure Python: maps are evaluated one float at a time, and the one
+dimensional builtins are scalar `math` functions next to their exact
+quadruples.
 """
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ BUILTINS_1D = {
 
 
 def builtin_1d(name: str) -> MapSpec:
-    """A one dimensional builtin with its scalar evaluator (no numpy)."""
+    """A one dimensional builtin with its scalar evaluator (no numpy); its name is one of `core.NAMES_1D`."""
     ev, quad, hint = BUILTINS_1D[name]
     return MapSpec(name=name, dim=1, evaluator=ev, dini_exact=quad, inv_oscillation_hint=hint)
 
@@ -240,3 +240,17 @@ def point_spectrum_1d(q: DiniQuad) -> RealIntervalSet:
     return RealIntervalSet.from_pairs(
         [(q.d_minus_low, q.d_minus_high), (q.d_plus_low, q.d_plus_high)]
     )
+
+
+def sigma_distances(f: MapSpec, lams) -> list[float]:
+    """dist(lam, Sigma) for each real lam, Sigma the point-spectrum part of f's exact quadruple at 0.
+
+    For f(0) = 0, Sigma is the bifurcation set of lam x = f(x): the limits of f(x) / x as x -> 0
+    from one side fill the interval between that side's extremes (intermediate value theorem).
+    So each distance is the liminf as r -> 0 of min(|lam - f(r) / r|, |lam - f(-r) / (-r)|),
+    and inf where Sigma is empty.
+    """
+    if abs(f.evaluator(0.0)) > 1e-12:  # the tolerance of `estimators.bifurcation_scan`
+        raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
+    sigma = point_spectrum_1d(dini_exact(f, 0.0)).intervals
+    return [min((max(lo - lam, lam - hi, 0.0) for lo, hi in sigma), default=math.inf) for lam in lams]

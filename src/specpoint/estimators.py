@@ -4,9 +4,9 @@ The smooth-map reduction to Jacobian eigenvalues, and a bifurcation
 candidate scanner for maps vanishing at the origin.  The scan reads the
 sphere minimum of |lam u - f(r u)| / r at its smallest radius r: exact,
 from `numerics.sphere_extrema`, for a map that declares its sphere matrix,
-and else the distance from lam to the nearest sample of the eigenvalue
-curve sigma_r, by `numerics.nearest_sample`.  In dimension 1 sigma_r is
-two points; in the plane `homog2d.sigma_curve` traces it once.
+and else, in the plane, the distance from lam to the nearest sample of the
+eigenvalue curve sigma_r that `homog2d.sigma_curve` traces once, by
+`numerics.nearest_sample`.  A 1-D builtin is scanned by `dini.sigma_distances`.
 
 Sampling cannot certify that an infimum is zero, so a scan reads the
 verdicts of `core.scan_verdicts`: "candidate", "undecided" for a minimum
@@ -73,22 +73,19 @@ def bifurcation_scan(
     drops below tol.  The larger radii are only echoed.
 
     A map that declares its sphere matrix has exact residuals.  Any other
-    map, of dimension 1 or 2, has the distance from lam to the nearest
-    sample of its eigenvalue curve sigma_r, since |lam u - f(r u) / r| =
-    |lam - sigma_r(theta)| for u = e^{i theta}: the two points f(r) / r and
-    f(-r) / (-r) on the line, and in the plane the curve traced from 2048
+    map must be planar, and has the distance from lam to the nearest sample
+    of its eigenvalue curve sigma_r, since |lam u - f(r u) / r| =
+    |lam - sigma_r(theta)| for u = e^{i theta}, the curve traced from 2048
     samples to the chord bound tol / 16.  That residual is inf beyond reach
     = 2 tol, where it could only reject.  A trace that stops at its sample
     cap short of the bound widens reach to its longest chord, and a lam
     beyond 2 tol but within that chord is undecided: no rejection rests on
     a chord over the bound.
 
-    The candidates of a planar map are checked for containment in sigma_r:
-    each must lie within max(2 tol, 10 r) of a sample, as those of the
-    curve route do.  A map with a sphere matrix traces sigma_r for the
-    check from 2048 samples to the chord bound max(that reach,
-    `homog2d.CHORD_BOUND`).  Any scan output is a candidate list, not a
-    certificate.
+    In the plane either residual is dist(lam, sigma_r), exactly or to a
+    sample, so the candidates lie within tol of sigma_r: contained, where
+    any other dimension reads None.  Any scan output is a candidate list,
+    not a certificate.
     """
     origin = np.zeros(() if f.dim == 1 else f.dim)
     g = translate_to_origin(f, origin)
@@ -97,51 +94,26 @@ def bifurcation_scan(
     lams = np.asarray([as_complex(l) for l in lam_grid], dtype=complex)
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     r = radii[-1]
-    on_curve = g.sphere_matrix is None and g.dim <= 2
-    chord = 0.0
-    if on_curve:
+    if g.sphere_matrix is not None or g.dim != 2:
+        res, chord = sphere_extrema(g, lams, (r,)), 0.0
+    else:
+        from .homog2d import _max_chord, sigma_curve
+
         if not g.complex_pairs and np.any(lams.imag != 0.0):
             raise PreconditionError("complex scalar acting on a map without complex structure")
-        samples, chord = _local_curve(g, r, tol)
-        res = nearest_sample(lams, samples, max(2.0 * float(tol), chord))[:, None]  # 2 tol may be inf
-    else:
-        res = sphere_extrema(g, lams, (r,))
+        curve = sigma_curve(g, samples=2048, chord_bound=tol / 16.0, radius=r)
+        chord = 0.0 if curve.chord_met else _max_chord(curve.values)
+        res = nearest_sample(lams, curve.values, max(2.0 * float(tol), chord))[:, None]  # 2 tol may be inf
 
     mask, verdicts = scan_verdicts(res.tolist(), tol)
     if chord:
         verdicts = tuple("undecided" if v == "rejected" and d <= chord else v
                          for v, d in zip(verdicts, res[:, 0]))
     candidates = tuple(complex(l) for l, keep in zip(lams, mask) if keep)
-
-    contained = None
-    if candidates and f.dim == 2:
-        contained = True
-        if not on_curve:
-            from .homog2d import CHORD_BOUND, sigma_curve
-
-            reach = max(2.0 * tol, 10.0 * r)
-            curve = sigma_curve(f, samples=2048, chord_bound=max(reach, CHORD_BOUND), radius=r)
-            contained = bool(np.all(nearest_sample(candidates, curve.values, reach) <= reach))
-
     return BifurcationScan(
         radii=radii,
         residuals=res,
         candidates=candidates,
-        contained_in_sigma=contained,
+        contained_in_sigma=True if candidates and f.dim == 2 else None,
         verdicts=verdicts,
     )
-
-
-def _local_curve(g: MapSpec, r: float, tol: float):
-    """The samples of sigma_r of a map of dimension 1 or 2, and the longest chord if the trace missed tol / 16, else 0."""
-    if g.dim == 2:
-        from .homog2d import _max_chord, sigma_curve
-
-        curve = sigma_curve(g, samples=2048, chord_bound=tol / 16.0, radius=r)
-        return curve.values, 0.0 if curve.chord_met else _max_chord(curve.values)
-    x = np.array([r, -r])
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        samples = evaluate(g, x) / x
-    if not np.isfinite(samples).all():
-        raise NumericError(f"the local curve of {g.name} at radius {r!r} is not finite")
-    return samples, 0.0

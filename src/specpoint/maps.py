@@ -17,19 +17,19 @@ Builtin catalogue (addressable by name from tests and the CLI):
     general dimension   norm_times_x(dim), 1 <= dim <= MAX_DIM
 
 A user map is a MapSpec built directly, with the fields it declares.
-Evaluators are vectorized: one dimensional maps take arrays of shape (...,),
-higher dimensional maps take arrays of shape (..., dim) and act on the last
-axis, a user evaluator included.  A one dimensional evaluator also takes a
-bare float, the convention of `dini`, which evaluates one float at a time:
-the one dimensional builtins are scalar functions of `dini`, vectorized
-here, and `norm_times_x(1)` is x |x|, elementwise.  The planar builtins are
-formulas of `planar`, evaluated here on arrays of points.  The linear
+Evaluators from dimension 2 take arrays of shape (..., dim) and act on
+the last axis, a user evaluator included.  A one dimensional evaluator
+takes a bare float, as `dini` evaluates one float at a time: the one
+dimensional builtins are the scalar functions of `dini`, built there, and
+`norm_times_x(1)` is x |x|, which takes arrays too.  The planar builtins
+are formulas of `planar`, evaluated here on arrays of points.  The linear
 builtins, real_linear and conj_pair, declare their matrices as their
 Jacobians and as their sphere matrices; norm_times_x(dim) declares A(r) =
 r I.  The factories of norm_times_x and norm_plus_i_im_pow check their
 integer parameter's range on the value as given.  `numerics.sphere_extrema`
 reads the sphere matrix alone; a map without one is scanned on its curve,
-which needs dimension 1 or 2.
+which needs the plane, and a one dimensional builtin by
+`dini.sigma_distances`.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .core import (
     DomainError,
     EvaluationError,
     MapSpec,
+    NAMES_1D,
     PreconditionError,
     UnsupportedError,
     replace,
@@ -138,13 +139,6 @@ def _f_conj_pair(x):
     return out
 
 
-def _builtin_1d(name):
-    from .dini import builtin_1d  # here, so that the planar commands load no dini
-
-    f = builtin_1d(name)  # the scalar evaluator, vectorized for the array engines
-    return replace(f, evaluator=np.vectorize(f.evaluator, otypes=[float]))
-
-
 def _builtin_plane(name, **params):
     """A planar builtin of `planar`, its formula evaluated on arrays of points with np.hypot."""
     f = planar.builtin(name, **params)
@@ -186,10 +180,6 @@ def _norm_times_x(dim=2):
 
 
 _FACTORIES: dict[str, Callable[..., MapSpec]] = {
-    "sqrt_abs": lambda: _builtin_1d("sqrt_abs"),
-    "signed_sqrt_abs": lambda: _builtin_1d("signed_sqrt_abs"),
-    "sqrt_abs_sin_inv": lambda: _builtin_1d("sqrt_abs_sin_inv"),
-    "xsq_sin_inv": lambda: _builtin_1d("xsq_sin_inv"),
     **{name: partial(_builtin_plane, name) for name in planar.BUILTINS},
     "conj_pair": lambda: MapSpec(
         name="conj_pair",
@@ -203,11 +193,15 @@ _FACTORIES: dict[str, Callable[..., MapSpec]] = {
     "norm_times_x": _norm_times_x,
 }
 
-BUILTIN_NAMES = tuple(sorted(_FACTORIES))
+BUILTIN_NAMES = tuple(sorted([*_FACTORIES, *NAMES_1D]))
 
 
 def builtin(name: str, **params) -> MapSpec:
-    """Construct a catalogue map by name (parameters by keyword)."""
+    """Construct a catalogue map by name (parameters by keyword); the one dimensional builtins are `dini`'s."""
+    if name in NAMES_1D:
+        from .dini import builtin_1d  # here, so that the planar commands load no dini
+
+        return builtin_1d(name, **params)
     try:
         factory = _FACTORIES[name]
     except KeyError:

@@ -1,14 +1,14 @@
 """The sphere-minimum kernel and the nearest-sample distance of the bifurcation scan.
 
 `sphere_extrema` gives the exact sphere minima of |lam u - f(r u) / r| of a
-map that declares its sphere matrix, in any dimension.  A map of dimension
-1 or 2 that declares none is scanned on its eigenvalue curve sigma_r
-instead, and `nearest_sample` is the one distance kernel the scan reads:
-from each lam to the nearest sample of sigma_r, within a reach.  The
-growth rates d and q of a planar builtin need neither kernel:
-`planar.growth_rates` reads them off the traced curve or the declared
-matrix.  The verdicts of bifurcation scans are in `core`, so the shift
-scan loads none of this module.
+map that declares its sphere matrix, in any dimension.  A planar map that
+declares none is scanned on its eigenvalue curve sigma_r instead, and
+`nearest_sample` is the one distance kernel the scan reads: from each lam
+to the nearest sample of sigma_r, within a reach.  The growth rates d and
+q of a planar builtin need neither kernel: `planar.growth_rates` reads
+them off the traced curve or the declared matrix.  The verdicts of
+bifurcation scans are in `core`, so the shift scan loads none of this
+module.
 """
 from __future__ import annotations
 

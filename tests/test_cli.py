@@ -655,9 +655,9 @@ def test_spec1d_runs_on_every_one_dimensional_map_of_maps(capsys):
 
 
 def test_planar_command_loads_no_dini():
-    # maps imports the 1-D builtins from dini only when one is built; spec2d loads
-    # neither numpy nor maps, numerics and homog2d, and classify's circle kernel
-    # lives in homog2d
+    # cli and maps import dini only to build a 1-D builtin; spec2d loads neither
+    # numpy nor maps, numerics and homog2d, and classify's circle kernel lives in
+    # homog2d
     mods = probe_modules(["spec2d", "--fn", "real_linear", "--params", "1,-2,2,1"], block_numpy=True)
     assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.planar"}, mods
     mods = probe_modules(["classify", "--fn", "norm_plus_i_im", "--res", "20"])
@@ -703,18 +703,83 @@ def test_only_conj_pair_and_norm_times_x_reach_dimension_3():
     assert all(f.dim <= 2 for f in others)
 
 
-def test_bifurcate_fn_loads_the_planar_engine_only_for_candidates():
+def test_bifurcate_fn_loads_the_planar_engine_only_on_the_curve_route():
     # the exact sphere minima live in numerics: a scan of a declared sphere matrix draws
-    # no curve and loads no homog2d unless a planar candidate is checked against sigma_r;
-    # a planar map without one is scanned on its curve
+    # no curve and loads no homog2d, with planar candidates too (their containment in
+    # sigma_r follows from the residual); a planar map without one is scanned on its curve
     def specpoint_modules(argv):  # numpy brings inspect along
         return {m for m in probe_modules(["bifurcate", "--fn", *argv]) if m.startswith("specpoint")}
 
     scan = {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.estimators",
             "specpoint.maps", "specpoint.numerics", "specpoint.planar"}
     assert specpoint_modules(["conj_pair", "--grid=-1.5,1.5,-1.5,1.5,8,8"]) == scan
+    assert specpoint_modules(CIRCLE_SCAN.split()) == scan
     mods = specpoint_modules(["norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,24,30", "--tol", "0.02"])
     assert mods == scan | {"specpoint.homog2d"}
+
+
+ONE_D_SETS = {  # the distance to Sigma at 0 of each 1-D builtin: Sigma is every real, {0}, and empty twice
+    "sqrt_abs_sin_inv": lambda lam: 0.0,
+    "xsq_sin_inv": abs,
+    "sqrt_abs": lambda lam: math.inf,
+    "signed_sqrt_abs": lambda lam: math.inf,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D_SETS))
+def test_bifurcate_fn_reads_the_exact_one_dimensional_sets(capsys, name):
+    # on grids through 0 and +-1, and near 0 within tol and 2 tol: a candidate within tol of
+    # Sigma, undecided within 2 tol, and rejected beyond, whatever --radii reads
+    for grid, tol in (("-1,1,0,0,9,1", 0.02), ("-1.5,1.5,0,0,24,1", 0.02), ("-0.035,0.035,0,0,8,1", 0.02),
+                      ("-1,1,0,0,3,1", 1e-300)):
+        x0, x1, _, _, nx, _ = map(float, grid.split(","))
+        lams = np.linspace(x0, x1, int(nx)).tolist()
+        dist = [ONE_D_SETS[name](lam) for lam in lams]
+        want = [[lam, 0.0] for lam, d in zip(lams, dist) if d < tol]
+        undecided = sum(tol <= d < 2.0 * tol for d in dist)
+        for radii in ("0.1,0.01,0.001", "1e-300"):
+            d = run_json(capsys, ["bifurcate", "--fn", name, f"--grid={grid}", "--tol", repr(tol), "--radii", radii])
+            assert d["candidates"] == want and d["contained_in_sigma"] is None, (grid, tol, radii)
+            assert d["verdicts_summary"] == {"candidate": len(want), "undecided": undecided,
+                                             "rejected": len(lams) - len(want) - undecided}, (grid, tol)
+    if name == "xsq_sin_inv":
+        assert len(want) == 1 and undecided == 0  # only lambda = 0 at tol 1e-300
+
+
+def test_one_dimensional_candidates_lie_in_the_spec1d_sigma(capsys):
+    # the inclusion across engines: every candidate at distance 0 from Sigma lies in
+    # the sigma that spec1d prints at 0
+    for name in sorted(ONE_D_SETS):
+        sigma = run_json(capsys, ["spec1d", "--fn", name, "--point", "0"])["sigma"]["intervals"]
+        bounds = [tuple(float(v) for v in pair) for pair in sigma]  # an infinite end reads "inf" or "-inf"
+        d = run_json(capsys, ["bifurcate", "--fn", name, "--grid=-1.5,1.5,0,0,25,1", "--tol", "1e-300"])
+        for re, _ in d["candidates"]:
+            assert any(lo <= re <= hi for lo, hi in bounds), (name, re, sigma)
+        assert d["n_candidates"] == {"sqrt_abs_sin_inv": 25, "xsq_sin_inv": 1}.get(name, 0)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D_SETS))
+def test_bifurcate_fn_runs_without_numpy_on_one_dimensional_builtins(name):
+    # the scan of a 1-D builtin reads dini's Sigma: it loads no numpy, nor dataclasses and inspect
+    mods = probe_modules(["bifurcate", "--fn", name], block_numpy=True)
+    assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.dini"}
+
+
+def test_grid_is_linspace_bit_for_bit():
+    # cli._linspace spans --grid without numpy: the bits of np.linspace, -0.0 and overflow included
+    rng = np.random.default_rng(42)
+    ends = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 1.0), (-1.5, 1.5), (5e-324, 1e-323),
+            (0.0, 5e-324), (1e-310, -1e-310), (-1e308, 1e308 * 0.79), (1.7e308, -1.7e308 * 0.05), (3.0, -2.0)]
+    for _ in range(2000):
+        mag = 10.0 ** rng.uniform(-300, 300)
+        ends.append(tuple(float(v) for v in rng.uniform(-mag, mag, 2)))
+    for a, b in ends:
+        for n in (1, 2, 3, 7, 24, 30, 97, 128):
+            with np.errstate(over="ignore"):
+                want = np.linspace(a, b, n)
+            got = cli._linspace(a, b, n)
+            assert got == want.tolist() and [math.copysign(1.0, v) for v in got] == np.copysign(1.0, want).tolist(), \
+                (a, b, n)
 
 
 def test_spec2d_runs_without_numpy(tmp_path):
@@ -842,11 +907,19 @@ def test_seeded_bifurcate_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# real_linear(1, 0, 0, -1) is z -> conj z, whose sigma is the unit circle; lambda = e^{i phi}
+# at phi = 0.3 + pi / 2048 lies on it, and the containment check that traced sigma_r again
+# to chords of 1e-3 read contained_in_sigma false there
+CIRCLE_SCAN = ("real_linear --params 1,0,0,-1 --grid=0.9548820429844204,0.9548820429844204,"
+               "0.29698532621309687,0.29698532621309687,1,1 --radii 1e-6 --tol 1e-6")
+
+
 # the full stdout of bifurcate --fn calls, by SHA-256: the README line, the other
 # --fn call of the paper-mix workload, each planar builtin on its default grid, the
-# exact scans, a real map, a wide linear scan whose containment curve is coarse and
-# a fine grid whose undecided count once moved with the sphere directions, and whose
-# two lambdas at a corner of sigma read undecided since the scan reads the curve
+# exact scans, an exact candidate on sigma, a 1-D builtin whose Sigma at 0 is empty and
+# one whose Sigma is every real, a wide linear scan and a fine grid whose undecided count once moved with the
+# sphere directions, and whose two lambdas at a corner of sigma read undecided since
+# the scan reads the curve
 BIFURCATE_FN_CORPUS = {
     "--fn norm_plus_i_im_pow --params 2 --grid=-1.5,1.5,-1.5,1.5,24,30 --tol 0.02":
         "2bd5e47c2c32f86ce54ef314676c77fb7634911b37d0a21a742bc3992510aa5e",
@@ -860,6 +933,8 @@ BIFURCATE_FN_CORPUS = {
     "--fn conj_pair": "8780bcf72578e6ad438c0f790e74b5cc06a6592d90b5963ef8bbfc19ed587852",
     "--fn norm_times_x --params 3": "3f47ff329ec0d7f9f82ed89acb9b57ea43be7e1127de7ee5f8163970a714b9ce",
     "--fn sqrt_abs": "da59f31e35bf4d3e89048ea72bd468c441cd509cbd0d1cd0775ef016047bc9a1",
+    "--fn sqrt_abs_sin_inv": "1ba86e455520f5974e825ad8fec4ea4a6e3870488587cab3e5ced20655a75551",
+    "--fn " + CIRCLE_SCAN: "10c2fffc310dfefbe424de23dffd191e4a05447ad807cf21111a978284d93337",
     "--fn real_linear --params 1e4,0,0,-1e4 --grid=-2e4,2e4,-2e4,2e4,64,64 --tol 500":
         "6cf50223a96c93b13222c1dba26e4ae67201733aed5822de9b03d78eba56a310",
     "--fn half_abs_re_plus_i_im --grid=-1.5,2,-1.5,1.5,128,128 --tol 0.005":

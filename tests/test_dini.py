@@ -23,6 +23,7 @@ from specpoint.dini import (
     dini_estimate,
     dini_exact,
     point_spectrum_1d,
+    sigma_distances,
     spectrum_1d,
 )
 from specpoint.maps import builtin, evaluate, translate_to_origin
@@ -314,6 +315,72 @@ def test_dini_estimate_of_an_affine_combination_follows_the_quadruple(base, a, c
 
 
 # ---------------------------------------------------------------------------
+# the bifurcation set at 0: Sigma's distances
+
+
+LAMS_1D = [-1.5, -1.0, -0.5, -0.03, -0.02, -0.01, -0.0, 0.0, 0.01, 0.02, 0.03, 0.5, 1.0, 1.5]
+
+
+def test_sigma_distances_of_the_builtins_are_exact():
+    # Sigma at 0: all of R, {0}, and empty twice
+    want = {
+        "sqrt_abs_sin_inv": [0.0] * len(LAMS_1D),
+        "xsq_sin_inv": [abs(lam) for lam in LAMS_1D],
+        "sqrt_abs": [INF] * len(LAMS_1D),
+        "signed_sqrt_abs": [INF] * len(LAMS_1D),
+    }
+    for name, dists in want.items():
+        got = sigma_distances(builtin_1d(name), LAMS_1D)
+        assert got == dists and all(math.copysign(1.0, d) == 1.0 for d in got), name
+
+
+def test_sigma_distances_of_an_interval_and_a_half_line():
+    # Sigma = [-1, 2] u [3, inf): inside reads 0.0, outside the distance to the nearer end
+    f = MapSpec(name="sides", dim=1, evaluator=lambda x: 0.0,
+                dini_exact=lambda p: DiniQuad(-1.0, 2.0, 3.0, INF))
+    lams = [-4.0, -1.0, 0.5, 2.0, 2.25, 2.75, 3.0, 1e300]
+    assert sigma_distances(f, lams) == [3.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0]
+
+
+def test_sigma_distances_need_a_zero_at_the_origin():
+    f = MapSpec(name="shifted", dim=1, evaluator=lambda x: x + 1.0, dini_exact=lambda p: DiniQuad(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(PreconditionError, match="f\\(0\\) = 0"):
+        sigma_distances(f, [1.0])
+    with pytest.raises(UnsupportedError):
+        sigma_distances(MapSpec(name="plain", dim=1, evaluator=lambda x: x), [1.0])
+
+
+def _brackets(g, lo, hi):
+    """(a, b) for each sign change of g between 4097 even nodes on [lo, hi], bisected until b follows a."""
+    xs = np.linspace(lo, hi, 4097).tolist()
+    out = []
+    for a, b in zip(xs, xs[1:]):
+        if (g(a) < 0.0) == (g(b) < 0.0):
+            continue
+        while (mid := 0.5 * (a + b)) not in (a, b):
+            a, b = (mid, b) if (g(mid) < 0.0) == (g(a) < 0.0) else (a, mid)
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 0.0, 0.5])
+def test_every_lambda_bifurcates_from_zero_for_sqrt_abs_sin_inv(lam):
+    # lam x = sqrt|x| sin(1/x) changes sign between adjacent floats at x ~ 3.18e-4, 3.17e-4,
+    # ..., twice in each period of sin(1/x), and so on at every scale down to 0
+    f = builtin_1d("sqrt_abs_sin_inv").evaluator
+    assert sigma_distances(builtin_1d("sqrt_abs_sin_inv"), [lam]) == [0.0]
+    for t in (1e3 * math.pi, 1e5 * math.pi, 1e7 * math.pi):  # 1 / x from t to t + 50
+        brackets = _brackets(lambda x: lam * x - f(x), 1.0 / (t + 50.0), 1.0 / t)
+        assert len(brackets) in (15, 16, 17), (lam, t)
+        assert all(b == math.nextafter(a, 1.0) for a, b in brackets), (lam, t)
+        if t == 1e3 * math.pi:  # each with a relative residual below 1e-10
+            roots = [a for a, _ in brackets]
+            assert all(abs(lam * x - f(x)) <= 1e-10 * x for x in roots), lam
+            if lam == 1.0:
+                assert [round(x, 8) for x in roots[-3:]] == [3.1767e-4, 3.1799e-4, 3.1831e-4]
+
+
+# ---------------------------------------------------------------------------
 # differential check against the numpy engine that the scalar one replaced
 
 
@@ -453,27 +520,32 @@ def test_builtin_evaluators_have_the_frozen_bits():
     for name, frozen in FROZEN_EVALUATORS.items():
         with np.errstate(all="ignore"):  # x * x overflows at 1e300 in both
             want = frozen(xs)
-            got = builtin(name).evaluator(xs)
+        scalar = builtin(name).evaluator
+        assert scalar is BUILTINS_1D[name][0], name  # maps builds dini's builtin
+        got = np.array([scalar(x) for x in xs.tolist()])
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=True), name
         finite = ~np.isnan(want)
         assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite])), name
-        scalar = np.array([BUILTINS_1D[name][0](x) for x in xs.tolist()])
-        assert np.array_equal(scalar, got, equal_nan=True), name
 
 
 def test_dini_estimate_runs_on_every_one_dimensional_map_of_maps():
-    # every 1-D MapSpec that maps builds takes a bare float, the convention of
-    # the estimator, and gives the value its array evaluation gives
+    # every 1-D MapSpec that maps builds takes a bare float, the convention of the
+    # estimator: the 1-D builtins are dini's own, and norm_times_x(1) gives on floats
+    # what it gives on arrays
+    from specpoint.core import NAMES_1D
     from specpoint.maps import BUILTIN_NAMES
 
     specs = [f for f in (builtin(name) for name in BUILTIN_NAMES) if f.dim == 1]
+    assert [f.name for f in specs] == list(NAMES_1D) == sorted(BUILTINS_1D)
     cube = builtin("norm_times_x", dim=1)
     specs += [cube, translate_to_origin(cube, 0.1)]
     xs = np.array([-0.7, 0.0, 0.3, 2.0])
     for f in specs:
-        assert list(evaluate(f, xs)) == [float(f.evaluator(float(x))) for x in xs], f
+        assert [float(evaluate(f, x)) for x in xs] == [float(f.evaluator(float(x))) for x in xs], f
         est = dini_estimate(f, 0.3)
         assert all(math.isfinite(v) for v in est.quad.as_tuple()), f
+    for f in specs[-2:]:
+        assert list(evaluate(f, xs)) == [float(f.evaluator(float(x))) for x in xs], f
     est = dini_estimate(cube, 0.3)
     assert all(abs(v - 0.6) < 1e-2 for v in est.quad.as_tuple())  # d/dx x|x| = 2|x|

@@ -86,10 +86,6 @@ def linear_black_box(M, homogeneous=False):
                    homogeneous=homogeneous, sphere_matrix=lambda r, _M=M: _M)
 
 
-# the identity of R with no sphere matrix: the curve route, whose sigma_r is the two points f(+-r) / (+-r)
-IDENTITY_1D = MapSpec(name="identity", dim=1, evaluator=lambda x: np.asarray(x, dtype=float), homogeneous=True)
-
-
 # ---------------------------------------------------------------------------
 # growth rates
 
@@ -206,10 +202,6 @@ def test_membership_abs_re():
     assert abs(membership(f, 0j, tol=0.6)[1] - 1.0) < 2e-3
 
 
-def test_membership_identity_1d():
-    assert membership(IDENTITY_1D, 1.0)[0] == "candidate"
-
-
 def test_membership_annulus_bound():
     f = builtin("half_abs_re_plus_i_im")
     tol = 1e-3
@@ -290,24 +282,16 @@ def test_scan_pow_map_circle():
     assert scan.contained_in_sigma
 
 
-def test_scan_traces_one_coarse_curve_at_its_radius(monkeypatch):
-    # the containment reach of this scan is 2 tol = 1000: a trace to the
-    # fixed chord 1e-3 ran into the 2^20-sample cap
-    from specpoint import homog2d
-
-    curves, trace = [], homog2d.sigma_curve
-
-    def recorded(*args, **kwargs):
-        curves.append((kwargs, trace(*args, **kwargs)))
-        return curves[-1][1]
-
-    monkeypatch.setattr(homog2d, "sigma_curve", recorded)
-    f = builtin("real_linear", s=1e4, t=0.0, u=0.0, v=-1e4)
-    scan = bifurcation_scan(f, _grid(-2e4, 2e4, -2e4, 2e4, 64, 64), tol=500.0)
-    assert len(scan.candidates) == 156 and scan.contained_in_sigma
-    [(kwargs, curve)] = curves
-    assert kwargs["radius"] == scan.radii[-1] and kwargs["chord_bound"] == 1000.0
-    assert curve.values.size <= 4096 and curve.chord_met
+def test_exact_planar_candidates_are_contained_in_sigma():
+    # R(lam) - A(r)'s least singular value is dist(lam, sigma_r), so a candidate lies within
+    # tol of sigma_r.  This lam lies on sigma, the unit circle of z -> conj z: the containment
+    # check traced sigma_r again to chords of 1e-3 and missed it by more than its reach 2e-6
+    f = builtin("real_linear", s=1.0, t=0.0, u=0.0, v=-1.0)
+    phi = 0.3 + math.pi / 2048
+    lam = complex(math.cos(phi), math.sin(phi))
+    scan = bifurcation_scan(f, [lam], radii=(1e-6,), tol=1e-6)
+    assert scan.candidates == (lam,) and scan.residuals[0, 0] < 1e-15
+    assert scan.contained_in_sigma is True
 
 
 def test_scan_real_linear_circle_oracle():
@@ -337,11 +321,10 @@ def test_scan_candidates_subset_of_members():
     "f",
     [
         builtin("norm_times_x", dim=3),
-        builtin("sqrt_abs"),
         MapSpec(name="black_box", dim=2,
                 evaluator=lambda x: np.asarray(x, dtype=float) @ np.array([[1.0, 2.0], [0.0, 3.0]]).T),
     ],
-    ids=["norm_times_x3", "sqrt_abs", "planar_black_box"],
+    ids=["norm_times_x3", "planar_black_box"],
 )
 def test_scan_rejects_complex_lambda_without_complex_structure(f):
     with pytest.raises(PreconditionError, match="without complex structure"):
@@ -352,15 +335,6 @@ def test_scan_requires_zero_at_origin():
     shifted = MapSpec(name="affine", dim=2, evaluator=lambda x: np.asarray(x, dtype=float) + 1.0)
     with pytest.raises(PreconditionError):
         bifurcation_scan(shifted, [0j])
-
-
-def test_scan_one_dimensional_path():
-    lams = [0.0, 0.5, 1.0, 1.7]
-    scan = bifurcation_scan(IDENTITY_1D, lams, tol=0.02)
-    assert scan.verdicts == ("rejected", "rejected", "candidate", "rejected")
-    assert np.array_equal(scan.residuals[:, 0], [math.inf, math.inf, 0.0, math.inf])  # beyond reach 2 tol
-    wide = bifurcation_scan(IDENTITY_1D, lams, tol=1.0)  # reach 2 holds every lam
-    assert np.array_equal(wide.residuals[:, 0], np.abs(np.array(lams) - 1.0))  # |lam u - u| at u = +-1
 
 
 def test_scan_three_dimensional_path():
@@ -635,24 +609,12 @@ def test_found_corner_minima_of_half_abs_re_are_undecided():
     assert np.all(np.abs(dense - 0.0087019) < 5e-8)
 
 
-ONE_D = ["sqrt_abs", "signed_sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv"]
-
-
-@pytest.mark.parametrize("name", ONE_D)
-def test_one_dimensional_residuals_keep_their_bits(name):
-    # sigma_r is the two points f(r) / r and f(-r) / (-r): the residuals have the bits of
-    # sqrt((lam u - f(r u) / r)^2) minimized over u = +-1, as the sampled sphere kernel had
-    f = builtin(name)
-    lams = np.linspace(-1.5, 1.5, 97)
-    u = np.array([1.0, -1.0])
-    for r in (1e-1, 1e-2, 1e-3, 1e-4):
-        vals = evaluate(f, r * u) / r
-        old = np.sqrt((lams[:, None] * u - vals) ** 2).min(axis=1)
-        wide = bifurcation_scan(f, lams, radii=(r,), tol=1e3)  # reach 2e3 holds every lam
-        assert np.array_equal(wide.residuals[:, 0], old), (name, r)
-        scan = bifurcation_scan(f, lams, radii=(r,), tol=0.02)
-        assert np.array_equal(scan.residuals[:, 0], np.where(old <= 0.04, old, np.inf)), (name, r)
-        assert scan.verdicts == scan_verdicts(old[:, None], 0.02)[1]
+@pytest.mark.parametrize("name", ["sqrt_abs", "signed_sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv"])
+def test_one_dimensional_builtins_need_dini(name):
+    # a 1-D map without a sphere matrix has no sigma_r curve to scan; its bifurcation set is
+    # dini.sigma_distances'
+    with pytest.raises(UnsupportedError, match="declares no sphere matrix"):
+        bifurcation_scan(builtin(name), [0.0, 1.0])
 
 
 def test_a_trace_at_the_sample_cap_leaves_lambdas_within_its_chord_undecided():
