@@ -404,14 +404,14 @@ def _cmd_shift(args) -> int:
     from . import structured
 
     n, eps, lam = args.truncate, args.xi_eps, getattr(args, "lambda")
-    report = structured.shift_model_report()
+    report = structured.SHIFT_REPORT
     payload = {
         "command": "shift",
-        "report": report.to_json(),
+        "report": report,
         "truncate": n,
         "eigvec_norm_sq_example": {
             "abs_lambda": math.sqrt(3.0),
-            "value": report.eigvec_norm_sq(math.sqrt(3.0)),
+            "value": structured.eigvec_norm_sq(math.sqrt(3.0)),
         },
         "truncation_residuals": {
             "sqrt2": structured.truncated_shift_min(structured.SQRT2, n),
@@ -424,10 +424,10 @@ def _cmd_shift(args) -> int:
         entry = {
             "lambda": [lam.real, lam.imag],
             "truncated_min": structured.truncated_shift_min(lam, n),
-            "index": report.index(lam),
+            "index": structured.fredholm_index(lam),
         }
         if abs(lam) > 1.0:
-            entry["eigvec_norm_sq"] = report.eigvec_norm_sq(lam)
+            entry["eigvec_norm_sq"] = structured.eigvec_norm_sq(lam)
             solvable, witness = structured.xi_equation_solvable(lam, eps)
             entry["xi_eps"] = eps
             entry["xi_solvable"] = solvable
@@ -438,8 +438,8 @@ def _cmd_shift(args) -> int:
         from . import svgfig
 
         fig = svgfig.annuli_svg(
-            disk_radius=report.spectrum_radius,
-            circle_radii=(report.omega_part_radius, report.point_spectrum_radius),
+            disk_radius=report["spectrum_radius"],
+            circle_radii=(report["omega_part_radius"], report["point_spectrum_radius"]),
             title="shift model spectrum",
         )
         _write_text(Path(args.out).with_suffix(".svg"), fig)
@@ -458,72 +458,57 @@ def _cmd_mnc(args) -> int:
 
 
 def _cmd_bifurcate(args) -> int:
+    """Residual rows from the engine of the mode or map, read by one `scan_verdicts` call."""
+    radii = sorted(args.radii, reverse=True)
+    payload = {"command": "bifurcate", "tol": args.tol, "radii": radii}
+    chord = 0.0
     if args.shift:
         from . import structured
 
-        n = args.truncate
         # the bits of np.linspace(0, 2 pi, angles, endpoint=False)
         thetas = [i * (2.0 * math.pi / args.angles) for i in range(args.angles)]
         # one orbit for the circle, whose modulus is SQRT2 as built, and one
         # for each extra lambda: the scan solves once per orbit
         circle = [structured.SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
-        extras = [(lam, [lam]) for lam in args.extra_lambda]
-        lams = structured.LambdaOrbits([(structured.SQRT2, circle)] + extras)
-        scan = structured.shift_bifurcation_scan(
-            lams, N=n, radii=args.radii, tol=args.tol, normsq_e1=args.perturb == "normsq_e1"
-        )
-        payload = {
-            "command": "bifurcate",
-            "model": "shift",
-            "truncate": n,
-            "perturb": args.perturb,
-            "tol": args.tol,
-            "radii": list(scan.radii),
-            "lambdas": [[l.real, l.imag] for l in scan.lams],
-            "normalized_residuals": [[float(v) for v in row] for row in scan.normalized],
-            "candidates": [[c.real, c.imag] for c in scan.candidates],
-            "verdicts": list(scan.verdicts),
-        }
+        orbits = [(structured.SQRT2, circle)] + [(lam, [lam]) for lam in args.extra_lambda]
+        lams = [lam for _, members in orbits for lam in members]
+        rows = structured.shift_bifurcation_scan(orbits, N=args.truncate, radii=radii,
+                                                 normsq_e1=args.perturb == "normsq_e1")
+        payload.update(model="shift", truncate=args.truncate, perturb=args.perturb,
+                       lambdas=[[l.real, l.imag] for l in lams], normalized_residuals=[list(row) for row in rows])
+    else:
+        f = _build_map(args)
+        # a map without complex structure takes real lambda only
+        default_grid = (-1.5, 1.5, -1.5, 1.5, 24, 30) if f.complex_pairs else (-1.5, 1.5, 0.0, 0.0, 24, 1)
+        x0, x1, y0, y1, nx, ny = args.grid or default_grid
+        if not f.complex_pairs and (y0 or (ny > 1 and y1)):
+            raise PreconditionError("complex scalar acting on a map without complex structure")
+        lams = [complex(x, y) for y in _linspace(y0, y1, int(ny)) for x in _linspace(x0, x1, int(nx))]
+        if f.dini_exact is not None:  # a 1-D builtin: its bifurcation set, the limit r -> 0, on bare Python
+            from .dini import sigma_distances
+
+            rows = [[d] for d in sigma_distances(f, [l.real for l in lams])]
+        else:
+            from . import estimators
+
+            res, chord = estimators.bifurcation_scan(f, lams, radius=radii[-1], tol=args.tol)
+            rows = res.tolist()
+        payload.update(fn=f.name, grid=[x0, x1, y0, y1, int(nx), int(ny)])
+
+    verdicts = scan_verdicts(rows, args.tol, chord)
+    candidates = [[l.real, l.imag] for l, v in zip(lams, verdicts) if v == "candidate"]
+    payload["candidates"] = candidates
+    if args.shift:  # no exit 5: the shift verdicts are listed
+        payload["verdicts"] = list(verdicts)
         _emit(payload, args.out)
         return EXIT_OK
-
-    f = _build_map(args)
-    # a map without complex structure takes real lambda only
-    default_grid = (-1.5, 1.5, -1.5, 1.5, 24, 30) if f.complex_pairs else (-1.5, 1.5, 0.0, 0.0, 24, 1)
-    x0, x1, y0, y1, nx, ny = args.grid or default_grid
-    if not f.complex_pairs and (y0 or (ny > 1 and y1)):
-        raise PreconditionError("complex scalar acting on a map without complex structure")
-    lams = [complex(x, y) for y in _linspace(y0, y1, int(ny)) for x in _linspace(x0, x1, int(nx))]
-    if f.dini_exact is not None:  # a 1-D builtin: its bifurcation set, the limit r -> 0, on bare Python
-        from .dini import sigma_distances
-
-        _, verdicts = scan_verdicts([[d] for d in sigma_distances(f, [l.real for l in lams])], args.tol)
-        candidates, contained = [l for l, v in zip(lams, verdicts) if v == "candidate"], None
-    else:
-        from . import estimators
-
-        scan = estimators.bifurcation_scan(f, lams, radii=args.radii, tol=args.tol)
-        verdicts, candidates, contained = scan.verdicts, scan.candidates, scan.contained_in_sigma
     undecided = verdicts.count("undecided")
-    payload = {
-        "command": "bifurcate",
-        "fn": f.name,
-        "grid": [x0, x1, y0, y1, int(nx), int(ny)],
-        "tol": args.tol,
-        "radii": sorted(args.radii, reverse=True),
-        "candidates": [[c.real, c.imag] for c in candidates],
-        "n_candidates": len(candidates),
-        "contained_in_sigma": contained,
-        "verdicts_summary": {
-            "candidate": len(candidates),
-            "rejected": verdicts.count("rejected"),
-            "undecided": undecided,
-        },
-    }
+    # in the plane a residual is dist(lam, sigma_r), exactly or to a sample: a candidate lies within tol of sigma_r
+    payload.update(n_candidates=len(candidates), contained_in_sigma=True if candidates and f.dim == 2 else None,
+                   verdicts_summary={"candidate": len(candidates), "rejected": verdicts.count("rejected"),
+                                     "undecided": undecided})
     _emit(payload, args.out)
-    if undecided > len(verdicts) / 2:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    return EXIT_UNDECIDED if undecided > len(verdicts) / 2 else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -246,23 +246,23 @@ def as_complex(lam) -> complex:
 UNDECIDED_FACTOR = 2.0  # scan residuals in [tol, UNDECIDED_FACTOR * tol) are undecided
 
 
-def scan_verdicts(normalized, tol: float):
-    """candidate / undecided / rejected from normalized residual profiles, one row per lambda.
+def scan_verdicts(rows, tol: float, chord: float = 0.0) -> tuple:
+    """candidate / undecided / rejected from normalized residual rows, one row per lambda.
 
     The verdict reads the smallest-radius residual alone (the last of its
     row): below tol it is a candidate, whatever the larger radii read.
-    Residuals landing in the gray zone [tol, UNDECIDED_FACTOR * tol) are
-    undecided: sampled minimization only certifies upper bounds, so
-    near-threshold values cannot be rejected.  Returns the candidate mask
-    and the verdicts, as tuples.
+    Residuals in the gray zone [tol, UNDECIDED_FACTOR * tol) are undecided:
+    sampled minimization only certifies upper bounds, so near-threshold
+    values cannot be rejected.  So is a residual of at most chord, the
+    longest chord of a curve traced short of its chord bound: no rejection
+    rests on a chord over the bound.  Any other residual is rejected.
     """
-    mask, verdicts = [], []
-    for row in normalized:
+    verdicts = []
+    for row in rows:
         last = row[-1]
-        keep = bool(last < tol)
-        mask.append(keep)
-        verdicts.append("candidate" if keep else "undecided" if last < UNDECIDED_FACTOR * tol else "rejected")
-    return tuple(mask), tuple(verdicts)
+        gray = last < UNDECIDED_FACTOR * tol or last <= chord
+        verdicts.append("candidate" if last < tol else "undecided" if gray else "rejected")
+    return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,16 @@ A user map is a MapSpec built directly, with the fields it declares.
 Evaluators from dimension 2 take arrays of shape (..., dim) and act on
 the last axis, a user evaluator included.  A one dimensional evaluator
 takes a bare float, as `dini` evaluates one float at a time: the one
-dimensional builtins are the scalar functions of `dini`, built there, and
-`norm_times_x(1)` is x |x|, which takes arrays too.  The planar builtins
-are formulas of `planar`, evaluated here on arrays of points.  The linear
-builtins, real_linear and conj_pair, declare their matrices as their
-Jacobians and as their sphere matrices; norm_times_x(dim) declares A(r) =
-r I.  The factories of norm_times_x and norm_plus_i_im_pow check their
-integer parameter's range on the value as given.  `numerics.sphere_extrema`
-reads the sphere matrix alone; a map without one is scanned on its curve,
-which needs the plane, and a one dimensional builtin by
-`dini.sigma_distances`.
+dimensional builtins are the scalar functions of `dini`, built there, whose
+batch `evaluate` refuses, and `norm_times_x(1)` is x |x|, which takes
+arrays too.  The planar builtins are formulas of `planar`, evaluated here
+on arrays of points.  The linear builtins, real_linear and conj_pair,
+declare their matrices as their Jacobians and as their sphere matrices;
+norm_times_x(dim) declares A(r) = r I.  The factories of norm_times_x and
+norm_plus_i_im_pow check their integer parameter's range on the value as
+given.  `numerics.sphere_extrema` reads the sphere matrix alone; a map
+without one is scanned on its curve, which needs the plane, and a one
+dimensional builtin by `dini.sigma_distances`.
 """
 from __future__ import annotations
 
@@ -53,10 +53,16 @@ MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim mat
 
 
 def evaluate(f: MapSpec, x) -> np.ndarray:
-    """Evaluate f at x (scalar/point or batch).  Non finite output is an error."""
+    """Evaluate f at x (scalar/point or batch).  A wrong shape or non finite output is an error.
+
+    A 1-D builtin of `dini`, or one translated, declares its exact
+    derivative quadruple and takes one float: a batch is a wrong shape.
+    """
     arr = np.asarray(x, dtype=float)
     if f.dim >= 2 and (arr.ndim == 0 or arr.shape[-1] != f.dim):
         raise DomainError(f"map {f.name} expects points with {f.dim} coordinates")
+    if f.dini_exact is not None and arr.ndim:
+        raise DomainError(f"map {f.name} expects one float, got an array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"non-finite input to {f.name}")
     out = np.asarray(f.evaluator(arr), dtype=float)

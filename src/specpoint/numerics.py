@@ -24,30 +24,27 @@ def unit_points(thetas: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
 
-def sphere_extrema(g: MapSpec, lams: np.ndarray, radii) -> np.ndarray:
-    """min over unit u of |lam u - g(r u) / r| for every lam and radius, from g's sphere matrix.
+def sphere_extrema(g: MapSpec, lams: np.ndarray, radius: float) -> np.ndarray:
+    """min over unit u of |lam u - g(r u) / r| for every lam at the radius r, from g's sphere matrix.
 
-    Returns a (len(lams), len(radii)) array.  g declares its sphere matrix,
+    Returns an array of len(lams).  g declares its sphere matrix,
     g(r u) = r A(r) u, and each entry is exact: the smallest singular value
     of R(lam) - A(r), where R(lam) is the matrix of u -> lam u (Golub & Van
     Loan, Matrix Computations, 4th ed., sec. 8.6), one batched SVD for every
-    lam per radius.  A g that declares none is an UnsupportedError naming
-    g.  lam acts through `scalar_action`, so a complex lam on a g without
-    complex structure raises PreconditionError.  An entry of R(lam) - A(r)
-    that is not finite is a NumericError naming g.
+    lam.  A g that declares none is an UnsupportedError naming g.  lam acts
+    through `scalar_action`, so a complex lam on a g without complex
+    structure raises PreconditionError.  An entry of R(lam) - A(r) that is
+    not finite is a NumericError naming g.
     """
     if g.sphere_matrix is None:
         raise UnsupportedError(f"map {g.name} of dimension {g.dim} declares no sphere matrix, "
                                "which sphere extrema need")
     rows = scalar_action(lams[:, None], np.eye(g.dim)[None], g.complex_pairs)  # row i is lam e_i
-    res = np.empty((lams.size, len(radii)))
-    for j, r in enumerate(radii):
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            shifted = np.swapaxes(rows, 1, 2) - np.asarray(g.sphere_matrix(r), dtype=float)
-        if not np.isfinite(shifted).all():
-            raise NumericError(f"lam*id - f of {g.name} has a non-finite matrix entry")
-        res[:, j] = np.linalg.svd(shifted, compute_uv=False)[:, -1]  # descending
-    return res
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        shifted = np.swapaxes(rows, 1, 2) - np.asarray(g.sphere_matrix(radius), dtype=float)
+    if not np.isfinite(shifted).all():
+        raise NumericError(f"lam*id - f of {g.name} has a non-finite matrix entry")
+    return np.linalg.svd(shifted, compute_uv=False)[:, -1]  # descending
 
 
 def nearest_sample(lams, samples: np.ndarray, reach: float) -> np.ndarray:

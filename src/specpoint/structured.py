@@ -2,7 +2,7 @@
 
 The model is the map z -> (|z|, z_1, z_2, ...) on the sequence space, the sum
 of an isometry onto a codimension-one subspace and a rank-one nonlinear
-part.  Its exact local data is emitted analytically; a truncated version on
+part.  Its exact local data is `SHIFT_REPORT`; a truncated version on
 C^N supports numerical verification of the eigenvalue circle, via exact
 sphere-constrained least squares (the objective is affine on each sphere).
 For A = lam I - L_N and m = |lam|, a diagonal phase change turns A^H A into
@@ -23,10 +23,11 @@ the orbit solves of `shift_bifurcation_scan`, whose one perturbation,
 |z|^2 e_1, is along e_1 too.  So there is one solver,
 `_e1_sphere_least_squares`, in `math` alone, and the module imports no
 numpy.  A scan's minimum is then the same at every lambda of one modulus,
-so it solves once per orbit: the lambdas are grouped as they were built
-(`LambdaOrbits`: a circle is one orbit, any other lambda its own), never by
-comparing computed moduli.  Without the perturbation the normalized minimum
-does not depend on the radius either.
+so it solves once per orbit: the lambdas come grouped as they were built,
+in (lam0, members) pairs (a circle is one orbit, any other lambda its own),
+never by comparing computed moduli.  Without the perturbation the
+normalized minimum does not depend on the radius either.  The scan returns
+residual rows; `cli` reads them with `core.scan_verdicts`.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import sys
 from itertools import islice, repeat
 from typing import Callable, Optional
 
-from .core import NumericError, PreconditionError, Record, UsageError, as_complex, scan_verdicts
+from .core import NumericError, PreconditionError, as_complex
 
 SQRT2 = math.sqrt(2.0)
 MAX_TRUNCATION = 100_000  # each sphere minimum is an O(N) tridiagonal secular solve
@@ -48,57 +49,41 @@ _EPS = sys.float_info.epsilon
 # the shift model
 
 
-class ShiftModelReport(Record):
-    """Exact local data of z -> (|z|, z_1, z_2, ...) on the sequence space.
-
-    All values are analytic facts: the lower growth rate and quasinorm are
-    both sqrt(2); the point-spectrum part is the circle of radius sqrt(2);
-    the compactness-defect part is the unit circle (emitted analytically,
-    since no finite truncation can witness a vanishing omega); the full
-    spectrum is the closed disk of radius sqrt(2).
-    """
-
-    lower_growth: float = SQRT2
-    quasinorm: float = SQRT2
-    alpha_rate: float = 1.0
-    omega_rate: float = 1.0
-    point_spectrum_radius: float = SQRT2
-    omega_part_radius: float = 1.0
-    spectrum_radius: float = SQRT2
-    bifurcation_radius: float = SQRT2
-
-    def index(self, lam) -> Optional[int]:
-        """Fredholm index of lam - shift: -1 inside the unit circle, 0 outside."""
-        m = abs(as_complex(lam))
-        if m < 1.0:
-            return -1
-        if m > 1.0:
-            return 0
-        return None
-
-    def eigvec_norm_sq(self, lam) -> float:
-        """Squared norm of the resolvent direction (lam - shift)^{-1} e1, |lam| > 1."""
-        m = abs(as_complex(lam))
-        if m <= 1.0:
-            raise PreconditionError("the resolvent direction needs |lam| > 1")
-        return 1.0 / (m * m - 1.0)
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.lower_growth,
-            "q": self.quasinorm,
-            "alpha": self.alpha_rate,
-            "omega": self.omega_rate,
-            "point_spectrum_radius": self.point_spectrum_radius,
-            "omega_part_radius": self.omega_part_radius,
-            "spectrum_radius": self.spectrum_radius,
-            "bifurcation_radius": self.bifurcation_radius,
-            "provenance": "analytic",
-        }
+# Exact local data of z -> (|z|, z_1, z_2, ...) on the sequence space: the
+# JSON `report` of `shift`.  All values are analytic facts: the lower growth
+# rate d and the quasinorm q are both sqrt(2); the point-spectrum part is the
+# circle of radius sqrt(2); the compactness-defect part is the unit circle
+# (emitted analytically, since no finite truncation can witness a vanishing
+# omega); the full spectrum is the closed disk of radius sqrt(2).
+SHIFT_REPORT = {
+    "d": SQRT2,
+    "q": SQRT2,
+    "alpha": 1.0,
+    "omega": 1.0,
+    "point_spectrum_radius": SQRT2,
+    "omega_part_radius": 1.0,
+    "spectrum_radius": SQRT2,
+    "bifurcation_radius": SQRT2,
+    "provenance": "analytic",
+}
 
 
-def shift_model_report() -> ShiftModelReport:
-    return ShiftModelReport()
+def fredholm_index(lam) -> Optional[int]:
+    """Fredholm index of lam - shift: -1 inside the unit circle, 0 outside, None on it."""
+    m = abs(as_complex(lam))
+    if m < 1.0:
+        return -1
+    if m > 1.0:
+        return 0
+    return None
+
+
+def eigvec_norm_sq(lam) -> float:
+    """Squared norm of the resolvent direction (lam - shift)^{-1} e1, |lam| > 1."""
+    m = abs(as_complex(lam))
+    if m <= 1.0:
+        raise PreconditionError("the resolvent direction needs |lam| > 1")
+    return 1.0 / (m * m - 1.0)
 
 
 def xi_equation_solvable(lam, eps: float):
@@ -380,85 +365,23 @@ def truncated_shift_min(lam, N: int) -> float:
     return _e1_sphere_least_squares(lam, N)[2]
 
 
-class LambdaOrbits(tuple):
-    """The lambdas of a shift scan, listed orbit by orbit.
+def shift_bifurcation_scan(orbits, N: int = 40, radii=(1e-1, 1e-2, 1e-3), normsq_e1: bool = False) -> list:
+    """Normalized residual rows of lam z = f_N(z), or f_N(z) + |z|^2 e_1 with normsq_e1.
 
-    Built from (lam0, members) pairs: every member has the modulus of lam0
-    as it was built (a circle of radius r has lam0 = r), so for b
-    proportional to e_1 each member has the sphere minimum of lam0.  The
-    tuple holds the members in order; `spans` holds (start, stop, lam0).
-    """
-
-    def __new__(cls, orbits):
-        spans, flat = [], []
-        for lam0, members in orbits:
-            lam0 = as_complex(lam0)
-            members = [as_complex(l) for l in members]
-            if any(abs(abs(l) - abs(lam0)) > 1e-12 * abs(lam0) for l in members):
-                raise UsageError(f"an orbit of modulus {abs(lam0)!r} holds a lambda of another modulus")
-            spans.append((len(flat), len(flat) + len(members), lam0))
-            flat.extend(members)
-        self = super().__new__(cls, flat)
-        self.spans = tuple(spans)
-        return self
-
-
-class ShiftScanResult(Record):
-    lams: tuple
-    radii: tuple
-    residuals: tuple            # raw residuals, one row of n_radii per lambda
-    normalized: tuple           # residual / radius
-    candidates: tuple
-    verdicts: tuple
-
-
-def shift_bifurcation_scan(
-    lam_grid,
-    N: int = 40,
-    radii=(1e-1, 1e-2, 1e-3),
-    tol: float = 0.02,
-    normsq_e1: bool = False,
-) -> ShiftScanResult:
-    """Small-radius nontrivial-solution scan for lam z = f_N(z), or f_N(z) + |z|^2 e_1 with normsq_e1.
-
-    The perturbation |z|^2 e_1 is r^2 e_1 on the sphere |z| = r, so the
+    orbits are (lam0, members) pairs, each member of the modulus of lam0 as
+    it was built, so of its sphere minimum: one solve per orbit and radius,
+    and one per orbit for all radii without the perturbation.  The
+    perturbation |z|^2 e_1 is r^2 e_1 on the sphere |z| = r, so the
     per-sphere problem has the right-hand side (r + r^2) e_1 and is solved
-    exactly, with `math` alone.  Each orbit of a `LambdaOrbits` grid takes
-    one solve per radius, and one for all radii when there is no
-    perturbation; any other iterable is one orbit per lambda.
+    exactly, with `math` alone.  Returns one row per member, in order: the
+    residual / radius at each radius, largest first.
     """
     _check_truncation(N)
-    radii = tuple(sorted((float(r) for r in radii), reverse=True))
-    lams = [as_complex(l) for l in lam_grid]
-
-    res = [[0.0] * len(radii) for _ in lams]
-    # b = beta e_1 gives c = conj(lam) beta e_1, so the minimum at m e^{i theta}
-    # is the minimum at m turned by e^{i theta}: one solve per orbit.  Without
-    # a perturbation the problem at radius r is r times the one on the unit
-    # sphere, whose value is the normalized residual at every radius.
-    spans = lam_grid.spans if isinstance(lam_grid, LambdaOrbits) else [(i, i + 1, l) for i, l in enumerate(lams)]
-    spans = [span for span in spans if span[0] < span[1]]
-    if not normsq_e1:
-        normalized = [()] * len(lams)
-        for start, stop, lam0 in spans:
-            value = _e1_sphere_least_squares(lam0, N)[2]
-            for i in range(start, stop):
-                res[i] = [value * r for r in radii]
-                normalized[i] = (value,) * len(radii)
+    radii = sorted((float(r) for r in radii), reverse=True)
+    orbits = [(lam0, len(members)) for lam0, members in orbits if members]
+    if normsq_e1:
+        columns = [[_e1_sphere_least_squares(lam0, N, r + r * r, r)[2] / r for lam0, _ in orbits] for r in radii]
+        values = list(zip(*columns))  # one row per orbit
     else:
-        for j, r in enumerate(radii):
-            for start, stop, lam0 in spans:
-                value = _e1_sphere_least_squares(lam0, N, r + r * r, r)[2]
-                for i in range(start, stop):
-                    res[i][j] = value
-        normalized = [tuple(v / r for v, r in zip(row, radii)) for row in res]
-
-    mask, verdicts = scan_verdicts(normalized, tol)
-    return ShiftScanResult(
-        lams=tuple(lams),
-        radii=radii,
-        residuals=tuple(tuple(row) for row in res),
-        normalized=tuple(normalized),
-        candidates=tuple(l for l, keep in zip(lams, mask) if keep),
-        verdicts=verdicts,
-    )
+        values = [(_e1_sphere_least_squares(lam0, N)[2],) * len(radii) for lam0, _ in orbits]
+    return [row for row, (_, size) in zip(values, orbits) for _ in range(size)]

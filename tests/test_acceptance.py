@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from specpoint.core import RealIntervalSet
+from specpoint.core import RealIntervalSet, scan_verdicts
 from specpoint.dini import dini_estimate, dini_exact, point_spectrum_1d, spectrum_1d
-from specpoint.estimators import bifurcation_scan, c1_spectrum, spectrum_set
+from specpoint.estimators import c1_spectrum, spectrum_set
 from specpoint.homog2d import (
     CellLabel,
     SigmaCurve,
@@ -22,13 +22,14 @@ from specpoint.maps import MapSpec, builtin
 from specpoint.planar import builtin as planar_builtin, curve_at, growth_rates, trace_curve
 from specpoint.rates import Interval, mnc_bounds
 from specpoint.structured import (
+    SHIFT_REPORT,
     SQRT2,
+    eigvec_norm_sq,
     shift_bifurcation_scan,
-    shift_model_report,
     truncated_shift_min,
     xi_equation_solvable,
 )
-from test_estimators import membership, rates
+from test_estimators import membership, rates, scan
 from test_homog2d import affine_map, scanline_turns
 
 RNG = np.random.default_rng(20240817)
@@ -188,15 +189,15 @@ def test_acceptance_06_c1_reduction():
 
 
 def test_acceptance_07_shift_model():
-    rep = shift_model_report()
-    assert rep.lower_growth == pytest.approx(SQRT2, abs=1e-15)
-    assert rep.quasinorm == pytest.approx(SQRT2, abs=1e-15)
-    assert rep.point_spectrum_radius == pytest.approx(SQRT2, abs=1e-15)
-    assert rep.omega_part_radius == 1.0
-    assert rep.spectrum_radius == pytest.approx(SQRT2, abs=1e-15)
+    rep = SHIFT_REPORT
+    assert rep["d"] == pytest.approx(SQRT2, abs=1e-15)
+    assert rep["q"] == pytest.approx(SQRT2, abs=1e-15)
+    assert rep["point_spectrum_radius"] == pytest.approx(SQRT2, abs=1e-15)
+    assert rep["omega_part_radius"] == 1.0
+    assert rep["spectrum_radius"] == pytest.approx(SQRT2, abs=1e-15)
     for _ in range(20):
         m = RNG.uniform(1.05, 3.0)
-        assert rep.eigvec_norm_sq(m) == pytest.approx(1.0 / (m * m - 1.0), rel=1e-12)
+        assert eigvec_norm_sq(m) == pytest.approx(1.0 / (m * m - 1.0), rel=1e-12)
 
     for _ in range(50):
         m = RNG.uniform(1.0 + 1e-6, SQRT2 - 1e-6)
@@ -226,19 +227,19 @@ def test_acceptance_08_bifurcation():
     lams = [complex(x, y) for y in ys for x in xs]
     assert len(lams) == 720
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
-    scan = bifurcation_scan(g, lams, tol=0.02)
-    assert scan.candidates
-    for c in scan.candidates:
+    candidates = scan(g, lams, tol=0.02)[2]
+    assert candidates
+    # and nowhere else: everything flagged lies in that collar
+    for c in candidates:
         assert abs(abs(c) - 1.0) <= 2.0 * cell
-    # and nowhere else: everything flagged lies in that collar by the check above
-    assert scan.contained_in_sigma
 
     angles = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     circle = [SQRT2 * complex(math.cos(a), math.sin(a)) for a in angles]
-    shift_scan = shift_bifurcation_scan(circle + [1.2], N=40, tol=0.02, normsq_e1=True)
-    assert shift_scan.verdicts[:-1] == ("candidate",) * len(circle)
-    assert shift_scan.verdicts[-1] == "rejected"
-    _ok(8, f"{len(scan.candidates)} planar candidates hug the unit circle; shift scan flags the sqrt(2) circle only")
+    rows = shift_bifurcation_scan([(SQRT2, circle), (1.2, [1.2])], N=40, normsq_e1=True)
+    verdicts = scan_verdicts(rows, 0.02)
+    assert verdicts[:-1] == ("candidate",) * len(circle)
+    assert verdicts[-1] == "rejected"
+    _ok(8, f"{len(candidates)} planar candidates hug the unit circle; shift scan flags the sqrt(2) circle only")
 
 
 def test_acceptance_09_property_suites():
@@ -268,9 +269,9 @@ def test_acceptance_09_property_suites():
         for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)
     ]
     far = [0j, 0.5 + 0j, 1.4j, -1.5 + 0j]
-    scan = bifurcation_scan(g, near + far, tol=0.05)
-    assert scan.candidates and scan.contained_in_sigma
-    for cand in scan.candidates[:6]:
+    candidates = scan(g, near + far, tol=0.05)[2]
+    assert candidates
+    for cand in candidates[:6]:
         assert membership(g, cand, tol=0.06)[0] in ("candidate", "undecided")
 
     # winding numbers are stable under sample doubling

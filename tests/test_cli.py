@@ -472,27 +472,26 @@ def test_exit_code_5_rule_for_bifurcate(capsys, monkeypatch):
     # undecided; bifurcate --shift never does
     from specpoint import estimators, structured
 
-    def scan_with(verdicts):
-        def scan(f, lams, radii, tol):
-            return SimpleNamespace(radii=tuple(radii), candidates=(), contained_in_sigma=True,
-                                   verdicts=tuple(verdicts))
+    # residuals of the default tol 0.02: 0.03 is undecided, 1.0 rejected
+    def scan_with(residuals):
+        def scan(f, lams, radius, tol):
+            return np.array(residuals)[:, None], 0.0
         return scan
 
     argv = ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,1,2,2"]
     for n_undecided, code in ((0, 0), (2, 0), (3, 5), (4, 5)):
-        verdicts = ["undecided"] * n_undecided + ["rejected"] * (4 - n_undecided)
-        monkeypatch.setattr(estimators, "bifurcation_scan", scan_with(verdicts))
+        residuals = [0.03] * n_undecided + [1.0] * (4 - n_undecided)
+        monkeypatch.setattr(estimators, "bifurcation_scan", scan_with(residuals))
         rc, out = run_cli(capsys, argv)
         assert rc == code, n_undecided
         assert json.loads(out)["verdicts_summary"]["undecided"] == n_undecided
 
-    def undecided_shift_scan(lams, N, radii, tol, normsq_e1):
-        lams = tuple(lams)
-        return SimpleNamespace(lams=lams, radii=tuple(radii), normalized=np.ones((len(lams), len(radii))),
-                               candidates=(), verdicts=("undecided",) * len(lams))
+    def undecided_shift_scan(orbits, N, radii, normsq_e1):
+        return [[0.03] * len(radii) for _, members in orbits for _ in members]
 
     monkeypatch.setattr(structured, "shift_bifurcation_scan", undecided_shift_scan)
-    assert run_cli(capsys, ["bifurcate", "--shift", "--angles", "4"])[0] == 0
+    rc, out = run_cli(capsys, ["bifurcate", "--shift", "--angles", "4"])
+    assert rc == 0 and json.loads(out)["verdicts"] == ["undecided"] * 4
 
 
 SCIPY_PROBE = """
@@ -539,9 +538,10 @@ sys.modules["scipy"] = None  # any scipy import from here on raises ImportError
 import specpoint
 for info in pkgutil.iter_modules(specpoint.__path__):
     importlib.import_module("specpoint." + info.name)
+from specpoint.core import scan_verdicts
 from specpoint.structured import SQRT2, shift_bifurcation_scan
 
-print(shift_bifurcation_scan([SQRT2, 1.2], N=12, normsq_e1=True).verdicts)
+print(scan_verdicts(shift_bifurcation_scan([(SQRT2, [SQRT2]), (1.2, [1.2])], N=12, normsq_e1=True), 0.02))
 """
 
 

@@ -97,9 +97,20 @@ def test_degenerate_infinite_pairs_dropped():
 def test_scan_verdicts_read_the_smallest_radius_alone():
     # a rising row is a candidate when its last residual is below tol
     rows = [(0.001, 0.01), (0.5, 0.01), (0.0, 0.03), (0.0, 0.04)]
-    mask, verdicts = scan_verdicts(rows, 0.02)
-    assert mask == (True, True, False, False)
-    assert verdicts == ("candidate", "candidate", "undecided", "rejected")
+    assert scan_verdicts(rows, 0.02) == ("candidate", "candidate", "undecided", "rejected")
+
+
+def test_scan_verdicts_leave_residuals_within_the_chord_undecided():
+    # a curve traced short of its chord bound: a residual below tol is still a candidate,
+    # one in [2 tol, chord] is undecided, and one beyond the chord or inf is rejected
+    tol, chord = 0.02, 0.1
+    rows = [[0.0], [0.019], [0.02], [0.039], [0.04], [0.1], [0.1000001], [math.inf]]
+    want = ("candidate", "candidate", "undecided", "undecided", "undecided", "undecided", "rejected", "rejected")
+    assert scan_verdicts(rows, tol, chord) == want
+    assert scan_verdicts([[0.5, 0.019]], tol, 1.0) == ("candidate",)
+    # chord 0, its default, leaves the verdicts of tol alone
+    plain = ("candidate", "candidate", "undecided", "undecided") + ("rejected",) * 4
+    assert scan_verdicts(rows, tol) == scan_verdicts(rows, tol, 0.0) == plain
 
 
 def test_quad_validation():

@@ -5,13 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specpoint.core import PreconditionError, UnsupportedError, replace
-from specpoint.estimators import (
-    bifurcation_scan,
-    c1_spectrum,
-    scan_verdicts,
-    spectrum_set,
-)
+from specpoint.core import PreconditionError, UnsupportedError, replace, scan_verdicts
+from specpoint.estimators import bifurcation_scan, c1_spectrum, spectrum_set
 from specpoint.homog2d import SigmaCurve, _max_chord, _curve_values, sigma_curve
 from specpoint.maps import MapSpec, builtin, evaluate, translate_to_origin
 from specpoint.numerics import sphere_extrema, unit_points
@@ -55,7 +50,7 @@ def rate_extrema(g):
     """
     if g.dim == 2:
         return np.array([circle_rates(g, r) for r in RATE_RADII]).T
-    mins = sphere_extrema(g, np.zeros(1, dtype=complex), RATE_RADII)[0]
+    mins = np.array([sphere_extrema(g, np.zeros(1, dtype=complex), r)[0] for r in RATE_RADII])
     return mins, np.array([np.linalg.svd(g.sphere_matrix(r), compute_uv=False)[0] for r in RATE_RADII])
 
 
@@ -65,10 +60,17 @@ def rates(f, p):
     return float(mins.min()), float(maxs.max())
 
 
+def scan(f, lams, radius=1e-3, tol=0.02):
+    """(residuals, verdicts, candidates): the rows of `bifurcation_scan` and what `cli` reads off them."""
+    res, chord = bifurcation_scan(f, lams, radius=radius, tol=tol)
+    verdicts = scan_verdicts(res.tolist(), tol, chord)
+    return res, verdicts, tuple(complex(l) for l, v in zip(lams, verdicts) if v == "candidate")
+
+
 def membership(f, lam, tol=1e-3):
     """(verdict, residual): the scan's verdict on lam at the last rate radius, and its residual there."""
-    scan = bifurcation_scan(f, [lam], radii=RATE_RADII[-1:], tol=tol)
-    return scan.verdicts[0], float(scan.residuals[0, 0])
+    res, verdicts, _ = scan(f, [lam], radius=RATE_RADII[-1], tol=tol)
+    return verdicts[0], float(res[0, 0])
 
 
 def linear_map(M):
@@ -266,20 +268,17 @@ def test_local_curve_close_to_homogeneous_part():
 
 def test_scan_identity():
     lams = [complex(x, 0.0) for x in np.linspace(-2, 2, 41)]
-    scan = bifurcation_scan(builtin("real_linear"), lams, tol=0.02)
-    assert scan.candidates == (1 + 0j,)
-    assert scan.contained_in_sigma
+    assert scan(builtin("real_linear"), lams, tol=0.02)[2] == (1 + 0j,)
 
 
 def test_scan_pow_map_circle():
     g = builtin("norm_plus_i_im_pow", n=2)
     xs = np.linspace(-1.5, 1.5, 13)
     lams = [complex(x, y) for y in xs for x in xs]
-    scan = bifurcation_scan(g, lams, tol=0.05)
-    assert scan.candidates
-    for c in scan.candidates:
+    candidates = scan(g, lams, tol=0.05)[2]
+    assert candidates
+    for c in candidates:
         assert abs(abs(c) - 1.0) < 0.06
-    assert scan.contained_in_sigma
 
 
 def test_exact_planar_candidates_are_contained_in_sigma():
@@ -289,9 +288,8 @@ def test_exact_planar_candidates_are_contained_in_sigma():
     f = builtin("real_linear", s=1.0, t=0.0, u=0.0, v=-1.0)
     phi = 0.3 + math.pi / 2048
     lam = complex(math.cos(phi), math.sin(phi))
-    scan = bifurcation_scan(f, [lam], radii=(1e-6,), tol=1e-6)
-    assert scan.candidates == (lam,) and scan.residuals[0, 0] < 1e-15
-    assert scan.contained_in_sigma is True
+    res, _, candidates = scan(f, [lam], radius=1e-6, tol=1e-6)
+    assert candidates == (lam,) and res[0, 0] < 1e-15
 
 
 def test_scan_real_linear_circle_oracle():
@@ -303,17 +301,16 @@ def test_scan_real_linear_circle_oracle():
     angles = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     on_circle = [center + radius * complex(math.cos(a), math.sin(a)) for a in angles]
     off_circle = [center, center + 1.5 * radius]
-    scan = bifurcation_scan(f, on_circle + off_circle, tol=0.02)
-    assert all(v == "candidate" for v in scan.verdicts[: len(on_circle)])
-    assert all(v == "rejected" for v in scan.verdicts[len(on_circle) :])
+    verdicts = scan(f, on_circle + off_circle, tol=0.02)[1]
+    assert all(v == "candidate" for v in verdicts[: len(on_circle)])
+    assert all(v == "rejected" for v in verdicts[len(on_circle) :])
 
 
 def test_scan_candidates_subset_of_members():
     g = builtin("norm_plus_i_im_pow", n=2)
     xs = np.linspace(-1.5, 1.5, 7)
     lams = [complex(x, y) for y in xs for x in xs]
-    scan = bifurcation_scan(g, lams, tol=0.05)
-    for c in scan.candidates:
+    for c in scan(g, lams, tol=0.05)[2]:
         assert membership(g, c, tol=0.06)[0] in ("candidate", "undecided")
 
 
@@ -341,20 +338,18 @@ def test_scan_three_dimensional_path():
     # lam x = |x| x has solutions exactly at lam = r on the radius-r sphere,
     # so the only small-radius accumulation point is lam = 0
     f = builtin("norm_times_x", dim=3)
-    scan = bifurcation_scan(f, [0.0, 0.5, 1.0], radii=(1e-1, 1e-2, 1e-3), tol=0.02)
-    assert scan.verdicts[0] == "candidate"
-    assert scan.verdicts[1] == scan.verdicts[2] == "rejected"
+    verdicts = scan(f, [0.0, 0.5, 1.0], radius=1e-3, tol=0.02)[1]
+    assert verdicts[0] == "candidate"
+    assert verdicts[1] == verdicts[2] == "rejected"
 
 
 def test_scan_gray_zone_is_undecided():
     # identity: the normalized residual at lam is exactly |lam - 1|, so a
     # point 1.5*tol from the eigenvalue cannot be certified either way
     tol = 0.02
-    scan = bifurcation_scan(
-        builtin("real_linear"), [1 + 0j, complex(1.0 + 1.5 * tol, 0.0), 2 + 0j], tol=tol
-    )
-    assert scan.verdicts == ("candidate", "undecided", "rejected")
-    assert scan.candidates == (1 + 0j,)
+    _, verdicts, candidates = scan(builtin("real_linear"), [1 + 0j, complex(1.0 + 1.5 * tol, 0.0), 2 + 0j], tol=tol)
+    assert verdicts == ("candidate", "undecided", "rejected")
+    assert candidates == (1 + 0j,)
 
 
 def _complex_scaling(lam, dim):
@@ -385,17 +380,17 @@ def assert_residuals_within_half_a_chord(f, lams, tol, radius, tree=None):
 
     A residual beyond reach 2 tol reads inf; then the dense minimum plus half the chord lies beyond 2 tol too.
     """
-    scan = bifurcation_scan(f, lams, radii=(radius,), tol=tol)
+    found = scan(f, lams, radius=radius, tol=tol)
     half = 0.5 * _max_chord(sigma_curve(f, samples=2048, chord_bound=tol / 16.0, radius=radius).values)
     tree = tree or dense_tree(translate_to_origin(f, np.zeros(2)), radius)
     dense = dense_distances(tree, lams, bound=4.0 * tol)
-    res = scan.residuals[:, 0]
+    res = found[0][:, 0]
     near = np.isfinite(res)
     assert np.all(res[near] >= dense[near] - 1e-12), np.max(dense[near] - res[near])
     assert np.all(res[near] <= dense[near] + half)
     assert np.all(res[near] <= 2.0 * tol)
     assert np.all(dense[~near] + half > 2.0 * tol)
-    return scan
+    return found
 
 
 @pytest.mark.parametrize("nx, ny", [(24, 30), (128, 128)], ids=["default-grid", "grid-cap"])
@@ -406,14 +401,14 @@ def test_planar_scan_memory_and_residuals_match_the_unchunked_scan(nx, ny):
     lams = [complex(x, y) for y in ys for x in xs]  # the order of `bifurcate --grid`
     tracemalloc.start()
     try:
-        scan = bifurcation_scan(f, lams)
+        res, chord = bifurcation_scan(f, lams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32e6, peak
     # the reference is the minimum over 2^18 angles, which no chunk of lams splits
-    again = assert_residuals_within_half_a_chord(f, lams, 0.02, scan.radii[-1])
-    assert np.array_equal(again.residuals, scan.residuals) and again.verdicts == scan.verdicts
+    again = assert_residuals_within_half_a_chord(f, lams, 0.02, 1e-3)
+    assert np.array_equal(again[0], res) and again[1] == scan_verdicts(res.tolist(), 0.02, chord)
 
 
 @pytest.mark.parametrize(
@@ -425,9 +420,8 @@ def test_planar_scan_residuals_do_not_depend_on_the_batch(f):
     # every lam gets the same bits whether it is scanned with the whole
     # 128 x 128 grid or with 1000 lams at a time
     lams = np.array(_grid(-1.5, 1.5, -1.5, 1.5, 128, 128))
-    whole = bifurcation_scan(f, lams).residuals
-    sliced = np.concatenate([bifurcation_scan(f, lams[lo:lo + 1000]).residuals
-                             for lo in range(0, lams.size, 1000)])
+    whole = bifurcation_scan(f, lams)[0]
+    sliced = np.concatenate([bifurcation_scan(f, lams[lo:lo + 1000])[0] for lo in range(0, lams.size, 1000)])
     assert np.array_equal(whole, sliced)
 
 
@@ -445,8 +439,8 @@ def test_planar_scan_matches_sigma_min_of_real_linear(s, t, u, v):
     on_circle = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 37))
     lams = np.concatenate([_grid(-3.0, 3.0, -3.0, 3.0, 15, 15), on_circle])
     exact = np.array([np.linalg.svd(_complex_scaling(l, 2) - M, compute_uv=False)[-1] for l in lams])
-    scan = bifurcation_scan(f, lams)
-    assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
+    res, chord = bifurcation_scan(f, lams)
+    assert np.max(np.abs(res - exact[:, None])) <= 1e-12 and chord == 0.0
     assert np.max(exact[-37:]) <= 1e-12
 
 
@@ -459,10 +453,10 @@ def test_scan_conj_pair_matches_exact_sigma_min():
     f = builtin("conj_pair")
     M = evaluate(f, np.eye(4)).T
     lams = _grid(-1.5, 1.5, -1.5, 1.5, 8, 8)
-    scan = bifurcation_scan(f, lams)
+    res, chord = bifurcation_scan(f, lams)
     exact = np.array([np.linalg.svd(_complex_scaling(l, 4) - M, compute_uv=False)[-1] for l in lams])
-    assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
-    assert scan.residuals.shape == (len(lams), 1)  # the smallest radius alone
+    assert np.max(np.abs(res - exact[:, None])) <= 1e-12 and chord == 0.0
+    assert res.shape == (len(lams), 1)  # one radius, one column
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -473,8 +467,8 @@ def test_scan_linear_black_box_matches_sigma_min(dim):
     lams = np.concatenate([np.linalg.eigvals(M).real, rng.uniform(-3.0, 3.0, size=6)])
     exact = np.array([np.linalg.svd(l * np.eye(dim) - M, compute_uv=False)[-1] for l in lams])
     for homogeneous in (True, False):
-        scan = bifurcation_scan(linear_black_box(M, homogeneous), lams)
-        assert np.max(np.abs(scan.residuals - exact[:, None])) <= 1e-12
+        res, _ = bifurcation_scan(linear_black_box(M, homogeneous), lams)
+        assert np.max(np.abs(res - exact[:, None])) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -486,9 +480,10 @@ def test_sphere_extrema_of_a_shifted_linear_map_are_its_extreme_singular_values(
     lams = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=5)]).astype(complex)
     radii = (0.1, 0.01)
     sv = np.array([np.linalg.svd(l.real * np.eye(dim) - M, compute_uv=False) for l in lams])
-    mins = sphere_extrema(linear_black_box(M), lams, radii)
-    assert mins.shape == (lams.size, len(radii))
-    assert np.max(np.abs(mins - sv[:, -1:])) <= 1e-12
+    for r in radii:
+        mins = sphere_extrema(linear_black_box(M), lams, r)
+        assert mins.shape == (lams.size,)
+        assert np.max(np.abs(mins - sv[:, -1])) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -497,11 +492,11 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     g = builtin("norm_times_x", dim=dim)
     lams = np.array([complex(x) for x in np.linspace(-0.06, 0.06, 13)] + [0.5 + 0j, -1.0 + 0j])
     radii = (1e-1, 1e-2, 1e-3)
-    new = sphere_extrema(g, lams, radii)
+    new = np.stack([sphere_extrema(g, lams, r) for r in radii], axis=-1)
     exact = np.abs(lams.real[:, None] - np.array(radii))
     assert np.max(np.abs(new - exact)) <= 1e-12
-    assert scan_verdicts(new, 0.02)[1] == scan_verdicts(exact, 0.02)[1]
-    assert set(scan_verdicts(new, 0.02)[1]) == {"candidate", "undecided", "rejected"}
+    assert scan_verdicts(new, 0.02) == scan_verdicts(exact, 0.02)
+    assert set(scan_verdicts(new, 0.02)) == {"candidate", "undecided", "rejected"}
 
 
 @pytest.mark.parametrize(
@@ -515,18 +510,19 @@ def test_scan_non_homogeneous_keeps_per_lambda_verdicts(dim):
     ids=["norm_times_x3", "conj_pair", "norm_plus_i_im_pow2", "norm_plus_i_im_pow3"],
 )
 def test_scan_residuals_match_the_per_radius_batches(name, params, grid):
-    # the scan solves the smallest radius alone: it has the bits of a scan of that radius
-    # only, and a declared matrix those of that radius's column in a batch of every radius,
-    # in which no entry of sphere_extrema depends on the others
+    # the scan solves its one radius: a declared matrix has, at each radius, the bits of
+    # sphere_extrema's batch at that radius, in which no entry depends on the others, and
+    # each lam those it has alone
     f = builtin(name, **params)
     lams = np.array(_grid(*grid))
-    radii = (1e-1, 1e-2, 1e-3)
-    scan = bifurcation_scan(f, lams, radii=radii)
-    alone = bifurcation_scan(f, lams, radii=radii[-1:])
-    assert np.array_equal(scan.residuals, alone.residuals) and scan.verdicts == alone.verdicts
-    if f.sphere_matrix is not None:
-        batch = sphere_extrema(translate_to_origin(f, np.zeros(f.dim)), lams, radii)
-        assert np.array_equal(scan.residuals, batch[:, -1:])
+    for radius in (1e-1, 1e-2, 1e-3):
+        res, _ = bifurcation_scan(f, lams, radius=radius)
+        assert res.shape == (lams.size, 1)
+        alone = [bifurcation_scan(f, lams[k:k + 1], radius=radius)[0] for k in range(0, lams.size, 7)]
+        assert np.array_equal(res[::7], np.concatenate(alone))
+        if f.sphere_matrix is not None:
+            batch = sphere_extrema(translate_to_origin(f, np.zeros(f.dim)), lams, radius)
+            assert np.array_equal(res[:, 0], batch)
 
 
 def test_norm_times_x_sphere_minima_are_exact_in_every_dimension():
@@ -534,9 +530,9 @@ def test_norm_times_x_sphere_minima_are_exact_in_every_dimension():
     # gives |lam - r| bit for bit on the 128 real lambdas of a bifurcate grid
     lams = np.linspace(-1.5, 1.5, 128).astype(complex)
     radii = (1e-1, 1e-2, 1e-3)
-    exact = np.abs(lams.real[:, None] - np.array(radii))
     for dim in range(1, 17):
-        assert np.array_equal(sphere_extrema(builtin("norm_times_x", dim=dim), lams, radii), exact), dim
+        for r in radii:
+            assert np.array_equal(sphere_extrema(builtin("norm_times_x", dim=dim), lams, r), np.abs(lams.real - r)), dim
 
 
 def test_rates_of_a_homogeneous_map_repeat_one_radius():
@@ -562,7 +558,7 @@ def test_sphere_extrema_need_a_sphere_matrix_from_dimension_3(f):
     assert f.dim >= 3 and f.sphere_matrix is None
     lams = np.array([0.0, 0.5])
     with pytest.raises(UnsupportedError, match=re.escape(f.name)):
-        sphere_extrema(f, lams, (1e-3,))
+        sphere_extrema(f, lams, 1e-3)
     with pytest.raises(UnsupportedError, match=re.escape(f.name)):
         bifurcation_scan(f, lams)
 
@@ -590,8 +586,7 @@ def test_curve_residuals_lie_within_half_a_chord_of_the_dense_minimum(name):
     for radius in (1e-3, 0.5):
         tree = dense_tree(translate_to_origin(f, np.zeros(2)), radius)
         for lams, tol in ((default, 0.02), (default, 0.1), (fine, 0.005), (fine, 0.02)):
-            scan = assert_residuals_within_half_a_chord(f, lams, tol, radius, tree)
-            assert scan.contained_in_sigma is (True if scan.candidates else None)
+            assert_residuals_within_half_a_chord(f, lams, tol, radius, tree)
 
 
 def test_found_corner_minima_of_half_abs_re_are_undecided():
@@ -602,10 +597,10 @@ def test_found_corner_minima_of_half_abs_re_are_undecided():
     lams = [complex(xs[91], ys[62]), complex(xs[91], ys[65])]
     assert all(abs(l - (1.0079 + 0.0354j * s)) < 1e-4 for l, s in zip(lams, (-1, 1)))
     f = builtin("half_abs_re_plus_i_im")
-    scan = bifurcation_scan(f, lams, tol=0.005)
-    assert scan.verdicts == ("undecided", "undecided")
-    dense = dense_distances(dense_tree(f, scan.radii[-1]), lams)
-    assert np.all(np.abs(scan.residuals[:, 0] - 0.008702) < 5e-7)
+    res, verdicts, _ = scan(f, lams, tol=0.005)
+    assert verdicts == ("undecided", "undecided")
+    dense = dense_distances(dense_tree(f, 1e-3), lams)
+    assert np.all(np.abs(res[:, 0] - 0.008702) < 5e-7)
     assert np.all(np.abs(dense - 0.0087019) < 5e-8)
 
 
@@ -631,8 +626,10 @@ def test_a_trace_at_the_sample_cap_leaves_lambdas_within_its_chord_undecided():
     picks, tangent = curve.values[k], curve.values[k + 1] - curve.values[k - 1]
     normal = 1j * tangent / np.abs(tangent)
     near, far = picks + 0.1 * chord * normal, picks + 1.5 * chord * normal
-    scan = bifurcation_scan(f, np.concatenate([near, far, picks]), radii=(r,), tol=tol)
-    res, n = scan.residuals[:, 0], picks.size
+    res, got = bifurcation_scan(f, np.concatenate([near, far, picks]), radius=r, tol=tol)
+    assert got == chord  # the scan returns the chord its verdicts read
+    verdicts = scan_verdicts(res.tolist(), tol, got)
+    res, n = res[:, 0], picks.size
     assert np.all((res[:n] > 2.0 * tol) & (res[:n] <= chord))
-    assert scan.verdicts == ("undecided",) * n + ("rejected",) * n + ("candidate",) * n
+    assert verdicts == ("undecided",) * n + ("rejected",) * n + ("candidate",) * n
     assert np.all(np.isinf(res[n:2 * n])) and np.all(res[2 * n:] == 0.0)

@@ -106,6 +106,19 @@ def test_dimension_mismatch():
         evaluate(builtin("abs_re_plus_i_im"), np.zeros(3))
 
 
+@pytest.mark.parametrize("name", ["sqrt_abs", "signed_sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv"])
+def test_a_one_dimensional_builtin_refuses_a_batch_naming_the_map(name):
+    # its evaluator is dini's and takes one float; a batch is a wrong shape, not numpy's TypeError
+    f, xs = builtin(name), np.array([1.0, 2.0])
+    for g in (f, translate_to_origin(f, 0.5)):
+        for batch in (xs, xs[:1], xs[:, None]):
+            with pytest.raises(DomainError, match=f"map {g.name} expects one float"):
+                evaluate(g, batch)
+        assert float(evaluate(g, 1.0)) == g.evaluator(1.0)
+    # an array evaluator of dimension one takes a batch
+    assert evaluate(builtin("norm_times_x", dim=1), xs).tolist() == [1.0, 4.0]
+
+
 def test_scalar_action_minus_a_planar_map():
     # lam z - f(z) with lam = 1 + 2i acting on the plane as a complex number
     f = builtin("abs_re_plus_i_im")
@@ -166,8 +179,8 @@ def test_declared_sphere_minima_of_an_affine_combination_of_real_linear_are_its_
     g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
     M = evaluate(g, np.eye(g.dim)).T
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
-    res = sphere_extrema(g, lams, (0.1, 0.01))
-    assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
+    for r in (0.1, 0.01):
+        assert np.allclose(sphere_extrema(g, lams, r), _exact_minima(g, lams, M), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -183,8 +196,8 @@ def test_declared_sphere_minima_of_an_affine_combination_of_conj_pair_are_its_si
     g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
     M = evaluate(g, np.eye(g.dim)).T
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
-    res = sphere_extrema(g, lams, (0.1, 0.01))
-    assert np.allclose(res, _exact_minima(g, lams, M)[:, None], rtol=0, atol=1e-12)
+    for r in (0.1, 0.01):
+        assert np.allclose(sphere_extrema(g, lams, r), _exact_minima(g, lams, M), rtol=0, atol=1e-12)
 
 
 def test_sampled_sphere_minima_that_vary_with_the_radius():
@@ -194,7 +207,7 @@ def test_sampled_sphere_minima_that_vary_with_the_radius():
     g = MapSpec(name="0.5*id+norm_times_x(2)", dim=2, evaluator=lambda x: 0.5 * np.asarray(x) + f.evaluator(x))
     lams = np.linspace(-1.5, 1.5, 13).astype(complex)
     for r in (0.1, 0.01):
-        res = bifurcation_scan(g, lams, radii=(r,), tol=2.0).residuals[:, 0]
+        res = bifurcation_scan(g, lams, radius=r, tol=2.0)[0][:, 0]
         assert np.allclose(res, np.abs(lams.real - 0.5 - r), rtol=0, atol=1e-15)
 
 

@@ -105,7 +105,7 @@ def test_growth_rates_match_sphere_extrema(name, params):
     if f.sphere_matrix is not None:
         zero = np.zeros(1, dtype=complex)
         sv = np.linalg.svd(f.sphere_matrix(1.0), compute_uv=False)
-        expect = (float(numerics.sphere_extrema(f, zero, (1.0,))[0, 0]), sv[0])
+        expect = (float(numerics.sphere_extrema(f, zero, 1.0)[0]), sv[0])
         assert expect[0] == sv[-1]
         for extremum, e in zip(got, expect):
             assert abs(extremum - e) <= 1e-15 * abs(e), (extremum, e)
@@ -220,11 +220,11 @@ def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
     f = MapSpec(name="black_box", dim=4, evaluator=never, homogeneous=True, complex_pairs=True,
                 sphere_matrix=lambda r, _M=M: _M)
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j])
-    res = numerics.sphere_extrema(f, lams, (0.1, 0.01))
+    res = [numerics.sphere_extrema(f, lams, r) for r in (0.1, 0.01)]
     for i, lam in enumerate(lams):
         scale = np.kron(np.eye(2), [[lam.real, -lam.imag], [lam.imag, lam.real]])
         sv = np.linalg.svd(scale - M, compute_uv=False)
-        assert res[i].tolist() == [sv[-1], sv[-1]]
+        assert [float(col[i]) for col in res] == [sv[-1], sv[-1]]
 
 
 def test_non_finite_sphere_extremum_is_a_numeric_error():
@@ -232,4 +232,4 @@ def test_non_finite_sphere_extremum_is_a_numeric_error():
     g = MapSpec(name="inf_matrix", dim=2, evaluator=lambda x: np.asarray(x), homogeneous=True,
                 sphere_matrix=lambda r: np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericError, match="inf_matrix"):
-        numerics.sphere_extrema(g, np.array([0.5 + 0j]), (0.1,))
+        numerics.sphere_extrema(g, np.array([0.5 + 0j]), 0.1)

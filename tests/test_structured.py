@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from specpoint.core import POS_INF, PreconditionError, UsageError, as_complex
+from specpoint.core import POS_INF, PreconditionError, UsageError, as_complex, scan_verdicts
 from specpoint.rates import Interval, _mul_bound, mnc_bounds
 from specpoint import structured
 from specpoint.structured import (
-    LambdaOrbits,
+    SHIFT_REPORT,
     SQRT2,
+    eigvec_norm_sq,
+    fredholm_index,
     shift_bifurcation_scan,
-    shift_model_report,
     truncated_shift_min,
     xi_equation_solvable,
 )
@@ -201,42 +202,39 @@ def test_parse_errors():
 
 
 def test_shift_report_values():
-    rep = shift_model_report()
-    assert rep.lower_growth == pytest.approx(SQRT2)
-    assert rep.quasinorm == pytest.approx(SQRT2)
-    assert rep.alpha_rate == rep.omega_rate == 1.0
-    assert rep.point_spectrum_radius == pytest.approx(SQRT2)
-    assert rep.omega_part_radius == 1.0
-    assert rep.spectrum_radius == pytest.approx(SQRT2)
+    rep = SHIFT_REPORT
+    assert rep["d"] == pytest.approx(SQRT2)
+    assert rep["q"] == pytest.approx(SQRT2)
+    assert rep["alpha"] == rep["omega"] == 1.0
+    assert rep["point_spectrum_radius"] == pytest.approx(SQRT2)
+    assert rep["omega_part_radius"] == 1.0
+    assert rep["spectrum_radius"] == pytest.approx(SQRT2)
 
 
 def test_shift_report_consistent_with_rate_annuli():
-    rep = shift_model_report()
-    assert rep.lower_growth <= rep.point_spectrum_radius <= rep.quasinorm
-    assert rep.omega_rate <= rep.omega_part_radius <= rep.alpha_rate
+    rep = SHIFT_REPORT
+    assert rep["d"] <= rep["point_spectrum_radius"] <= rep["q"]
+    assert rep["omega"] <= rep["omega_part_radius"] <= rep["alpha"]
 
 
 def test_shift_index_function():
-    rep = shift_model_report()
-    assert rep.index(0.5) == -1
-    assert rep.index(0.5j) == -1
-    assert rep.index(2.0) == 0
-    assert rep.index(1.0) is None
+    assert fredholm_index(0.5) == -1
+    assert fredholm_index(0.5j) == -1
+    assert fredholm_index(2.0) == 0
+    assert fredholm_index(1.0) is None
 
 
 def test_eigvec_norm_formula():
-    rep = shift_model_report()
-    assert rep.eigvec_norm_sq(math.sqrt(3.0)) == pytest.approx(0.5)
-    assert rep.eigvec_norm_sq(SQRT2) == pytest.approx(1.0)
+    assert eigvec_norm_sq(math.sqrt(3.0)) == pytest.approx(0.5)
+    assert eigvec_norm_sq(SQRT2) == pytest.approx(1.0)
     with pytest.raises(PreconditionError):
-        rep.eigvec_norm_sq(0.5)
+        eigvec_norm_sq(0.5)
 
 
 def test_mnc_reproduces_shift_rates():
     b = mnc_bounds("IsometryOntoCodim(1) + FiniteRank(1)")
-    rep = shift_model_report()
-    assert b.alpha == Interval(rep.alpha_rate, rep.alpha_rate)
-    assert b.omega == Interval(rep.omega_rate, rep.omega_rate)
+    assert b.alpha == Interval(SHIFT_REPORT["alpha"], SHIFT_REPORT["alpha"])
+    assert b.omega == Interval(SHIFT_REPORT["omega"], SHIFT_REPORT["omega"])
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +713,15 @@ def test_truncated_min_preconditions():
 # shift bifurcation scan
 
 
+def orbits_of_one(lams):
+    """Each lambda its own orbit."""
+    return [(lam, [lam]) for lam in lams]
+
+
 def test_shift_scan_unperturbed():
-    scan = shift_bifurcation_scan([SQRT2, 1.2], N=40, tol=0.02)
-    assert scan.verdicts == ("candidate", "rejected")
-    assert np.asarray(scan.normalized)[1, -1] > 0.1
+    rows = shift_bifurcation_scan(orbits_of_one([SQRT2, 1.2]), N=40)
+    assert scan_verdicts(rows, 0.02) == ("candidate", "rejected")
+    assert np.asarray(rows)[1, -1] > 0.1
 
 
 def test_shift_scan_norm_square_perturbation():
@@ -730,21 +733,23 @@ def test_shift_scan_norm_square_perturbation():
         return v
 
     lams = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-    scan = shift_bifurcation_scan(lams + [1.2], N=N, tol=0.02, normsq_e1=True)
-    assert scan.verdicts[:-1] == ("candidate",) * 8
-    assert scan.verdicts[-1] == "rejected"
-    # derived example: raw residual below 1e-4 at radius 1e-3
-    assert np.asarray(scan.residuals)[0, -1] < 1e-4
+    rows = shift_bifurcation_scan(orbits_of_one(lams + [1.2]), N=N, normsq_e1=True)
+    verdicts = scan_verdicts(rows, 0.02)
+    assert verdicts[:-1] == ("candidate",) * 8
+    assert verdicts[-1] == "rejected"
+    # derived example: raw residual below 1e-4 at radius 1e-3, the last
+    r = 1e-3
+    raw = rows[0][-1] * r
+    assert raw < 1e-4
 
     # oracle: the fixed-point construction z = r * v/|v| with v the resolvent
     # direction gives residual exactly r^2 at |lam| = sqrt(2), an upper bound
-    r = scan.radii[-1]
     seed = geometric_seed(lams[0], N, r)
     resid = np.linalg.norm(lams[0] * seed - truncated_shift_map(seed) - h_full(seed))
     assert abs(resid - r * r) < 1e-9
-    assert np.asarray(scan.residuals)[0, -1] <= resid + 1e-12
+    assert raw <= resid + 1e-12
     # analytic lower bound: sigma_min(lam I - L) >= sqrt(2) - 1 times r^2
-    assert np.asarray(scan.residuals)[0, -1] >= 0.3 * r * r
+    assert raw >= 0.3 * r * r
 
 
 def _per_lambda_normalized(lams, N, radii, normsq_e1=False):
@@ -766,26 +771,23 @@ def test_grouped_shift_scan_matches_per_lambda_scan(perturbed):
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     circle = [SQRT2 * complex(math.cos(t), math.sin(t)) for t in thetas]
     extras = [m * complex(math.cos(p), math.sin(p)) for m, p in zip(rng.uniform(1.1, 1.6, 4), rng.uniform(0, 6.3, 4))]
-    lams = LambdaOrbits([(SQRT2, circle)] + [(lam, [lam]) for lam in extras])
-    assert list(lams) == circle + extras
-    grouped = shift_bifurcation_scan(lams, N=N, tol=0.02, normsq_e1=perturbed)
-    ref = _per_lambda_normalized(circle + extras, N, grouped.radii, perturbed)
-    flat = shift_bifurcation_scan(circle + extras, N=N, tol=0.02, normsq_e1=perturbed)
-    from specpoint.estimators import scan_verdicts
-
-    assert grouped.verdicts == scan_verdicts(ref, 0.02)[1] == flat.verdicts
-    assert grouped.verdicts[:64] == ("candidate",) * 64
-    assert np.max(np.abs(np.asarray(grouped.normalized) - ref)) <= 1e-15
-    assert np.max(np.abs(np.asarray(flat.normalized) - ref)) <= 1e-15
+    grouped = shift_bifurcation_scan([(SQRT2, circle)] + orbits_of_one(extras), N=N, normsq_e1=perturbed)
+    ref = _per_lambda_normalized(circle + extras, N, (1e-1, 1e-2, 1e-3), perturbed)
+    flat = shift_bifurcation_scan(orbits_of_one(circle + extras), N=N, normsq_e1=perturbed)
+    verdicts = scan_verdicts(grouped, 0.02)
+    assert verdicts == scan_verdicts(ref, 0.02) == scan_verdicts(flat, 0.02)
+    assert verdicts[:64] == ("candidate",) * 64
+    assert np.max(np.abs(np.asarray(grouped) - ref)) <= 1e-15
+    assert np.max(np.abs(np.asarray(flat) - ref)) <= 1e-15
 
 
 BARE_SHIFT_PROBE = """
 import sys
 sys.modules["numpy"] = None  # any numpy import from here on raises ImportError
 import specpoint.structured as st
-scan = st.shift_bifurcation_scan(st.LambdaOrbits([(st.SQRT2, [st.SQRT2, -st.SQRT2]), (1.2, [1.2])]), N=40,
-                                 normsq_e1=True)
-print(scan.verdicts)
+from specpoint.core import scan_verdicts
+rows = st.shift_bifurcation_scan([(st.SQRT2, [st.SQRT2, -st.SQRT2]), (1.2, [1.2])], N=40, normsq_e1=True)
+print(scan_verdicts(rows, 0.02))
 """
 
 
@@ -796,8 +798,7 @@ def test_perturbed_shift_scan_runs_without_numpy():
     assert out.stdout == "('candidate', 'candidate', 'rejected')\n"
 
 
-def test_lambda_orbits_reject_a_foreign_modulus():
-    with pytest.raises(UsageError):
-        LambdaOrbits([(SQRT2, [1.2])])
-    empty = LambdaOrbits([(SQRT2, [])])
-    assert shift_bifurcation_scan(empty, N=8).verdicts == ()
+def test_an_empty_orbit_has_no_rows():
+    # and takes no solve: one at |lam0| = 1e200 would be a PreconditionError
+    assert shift_bifurcation_scan([(SQRT2, [])], N=8) == shift_bifurcation_scan([(1e200, [])], N=8) == []
+    assert shift_bifurcation_scan([(SQRT2, []), (1.2, [1.2])], N=8) == shift_bifurcation_scan([(1.2, [1.2])], N=8)
