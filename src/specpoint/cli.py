@@ -14,8 +14,11 @@ key of the other mode exits 2.  A sampled result depends on the map, the
 grid, the radii and --tol alone.  The --fn scan covers
 --grid=-1.5,1.5,-1.5,1.5,24,30 by default, or the 24 real lambdas of
 --grid=-1.5,1.5,0,0,24,1 for a map without complex structure, which takes
-real lambda only.  A one dimensional builtin reads its exact spec1d Sigma
-at 0, the limit r -> 0, without numpy, and --radii is only echoed.
+real lambda only.  No mode loads numpy.  A one dimensional builtin reads
+its exact spec1d Sigma at 0, the limit r -> 0, and --radii is only echoed;
+a builtin that is linear on each sphere (real_linear, conj_pair,
+norm_times_x) reads its exact sphere minimum at the smallest radius, and
+any other planar builtin its distance to the curve sigma_r traced there.
 
 A value that is no number, an empty field of a list (an empty --params is no
 parameters), an empty --radii and a non-integer --grid count exit 2.  A
@@ -59,9 +62,8 @@ from itertools import islice
 from pathlib import Path
 
 # Each command imports the engine modules it computes with, numpy included:
-# every call loads the modules it imports.  `mnc`, `spec1d`, `spec2d`, `shift`,
-# `bifurcate --shift` and `bifurcate --fn` on a one dimensional builtin need
-# no numpy, and the shift model none of the planar and sampling engines.
+# every call loads the modules it imports.  Only `classify` needs numpy, and
+# the shift model none of the planar and sampling engines.
 from .core import (
     NAMES_1D,
     EvaluationError,
@@ -211,13 +213,13 @@ def _fn_params(args) -> dict:
 
 
 def _build_map(args):
-    """The --fn builtin: a one dimensional one from `dini`, on bare Python, any other from `maps`, with numpy."""
+    """The --fn builtin on floats: a one dimensional one from `dini`, any other from `planar`."""
     params = _fn_params(args)
     if args.fn in NAMES_1D:
         from .dini import builtin_1d
 
         return builtin_1d(args.fn)
-    from .maps import builtin
+    from .planar import builtin
 
     try:
         return builtin(args.fn, **params)
@@ -347,9 +349,7 @@ def _cmd_spec1d(args) -> int:
 def _cmd_spec2d(args) -> int:
     from . import planar
 
-    # a planar builtin runs on bare Python; any other name, none of them a planar
-    # homogeneous map, errs as in the catalogue
-    f = planar.builtin(args.fn, **_fn_params(args)) if args.fn in planar.BUILTINS else _build_map(args)
+    f = _build_map(args)
     planar.require_planar_homogeneous(f)
     # a declared matrix gives d and q first: a map whose |f|^2 overflows exits 4 before its curve is traced
     rates = planar.growth_rates(f) if f.sphere_matrix is not None else None
@@ -371,15 +371,16 @@ def _cmd_spec2d(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from . import homog2d, planar, svgfig
+    from . import homog2d, maps, planar, svgfig
 
-    f = _build_map(args)
-    planar.require_planar_homogeneous(f)
-    # every planar homogeneous map is a planar builtin: q as spec2d takes it, on floats; a declared
-    # matrix gives it before the grid, so a map whose |f|^2 overflows exits 4 before any cell is labelled
-    g = planar.builtin(args.fn, **_fn_params(args))
+    g = _build_map(args)
+    planar.require_planar_homogeneous(g)
+    # every planar homogeneous map is a planar builtin: homog2d labels the grid on arrays, and q is
+    # read as spec2d takes it, on floats; a declared matrix gives it before the grid, so a map
+    # whose |f|^2 overflows exits 4 before any cell is labelled
     rates = planar.growth_rates(g) if g.sphere_matrix is not None else None
     bounds = [args.xmin, args.xmax, args.ymin, args.ymax]
+    f = maps.builtin(args.fn, **_fn_params(args))
     spectrum = homog2d.classify_plane(f, bounds=bounds, resolution=args.res, band_radius=args.band)
     _, q = rates or planar.growth_rates(g, spectrum.curve)
     payload = {
@@ -458,7 +459,7 @@ def _cmd_mnc(args) -> int:
 
 
 def _cmd_bifurcate(args) -> int:
-    """Residual rows from the engine of the mode or map, read by one `scan_verdicts` call."""
+    """Residual rows from the route of the mode or map, read by one `scan_verdicts` call."""
     radii = sorted(args.radii, reverse=True)
     payload = {"command": "bifurcate", "tol": args.tol, "radii": radii}
     chord = 0.0
@@ -484,15 +485,17 @@ def _cmd_bifurcate(args) -> int:
         if not f.complex_pairs and (y0 or (ny > 1 and y1)):
             raise PreconditionError("complex scalar acting on a map without complex structure")
         lams = [complex(x, y) for y in _linspace(y0, y1, int(ny)) for x in _linspace(x0, x1, int(nx))]
-        if f.dini_exact is not None:  # a 1-D builtin: its bifurcation set, the limit r -> 0, on bare Python
+        if f.dini_exact is not None:  # a 1-D builtin: its bifurcation set, the limit r -> 0
             from .dini import sigma_distances
 
-            rows = [[d] for d in sigma_distances(f, [l.real for l in lams])]
-        else:
-            from . import estimators
+            residuals = sigma_distances(f, [l.real for l in lams])
+        elif f.sphere_min is not None:  # linear on each sphere: the exact minimum at the smallest radius
+            residuals = [f.sphere_min(l, radii[-1]) for l in lams]
+        else:  # a planar builtin: the distance to its curve at the smallest radius
+            from .planar import curve_distances
 
-            res, chord = estimators.bifurcation_scan(f, lams, radius=radii[-1], tol=args.tol)
-            rows = res.tolist()
+            residuals, chord = curve_distances(f, lams, radii[-1], args.tol)
+        rows = [[d] for d in residuals]
         payload.update(fn=f.name, grid=[x0, x1, y0, y1, int(nx), int(ny)])
 
     verdicts = scan_verdicts(rows, args.tol, chord)

@@ -5,8 +5,7 @@ The `Record` base of every frozen value type, extended reals (floats with
 real intervals, the four-derivative quadruple used by the one dimensional
 engine, complex scalar parsing, the verdicts of bifurcation scans, the
 `MapSpec` map description with the names of the one dimensional builtins,
-and the exception taxonomy shared by every engine.  Pure Python: the
-scalar action on (re, im) coordinate pairs lives in `maps.scalar_action`.
+and the exception taxonomy shared by every engine.  Pure Python.
 """
 from __future__ import annotations
 
@@ -272,13 +271,15 @@ def scan_verdicts(rows, tol: float, chord: float = 0.0) -> tuple:
 NAMES_1D = ("signed_sqrt_abs", "sqrt_abs", "sqrt_abs_sin_inv", "xsq_sin_inv")
 
 
-class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for the 1-D builtins, and for a user map
+class MapSpec(Record):  # built by `planar` and `dini` on floats, by `maps` for the array engines, and for a user map
     """A map based at the origin, with what it declares of itself.
 
     jacobian is p -> f'(p), the derivative of a C^1 map.  sphere_matrix is
-    r -> A(r) with f(r u) = r A(r) u for every unit u: a map that is linear
-    on each sphere about the origin (a linear map, A(r) its matrix, and
-    norm_times_x, A(r) = r I), whose sphere extrema are then exact.
+    r -> A(r) with f(r u) = r A(r) u for every unit u, which real_linear
+    declares for its growth rates.  sphere_min is (lam, r) -> the minimum
+    over unit u of |lam u - f(r u) / r| on floats, exact, which a map that
+    is linear on each sphere about the origin declares (real_linear,
+    conj_pair and norm_times_x) and a bifurcation scan reads.
     """
 
     name: str
@@ -289,6 +290,7 @@ class MapSpec(Record):  # built by `maps` for the array engines, by `dini` for t
     dini_exact: Optional[Callable] = None
     jacobian: Optional[Callable] = None
     sphere_matrix: Optional[Callable] = None
+    sphere_min: Optional[Callable] = None
     inv_oscillation_hint: bool = False
 
     __eq__ = object.__eq__  # identity: evaluators and arrays have no useful equality

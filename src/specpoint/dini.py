@@ -250,7 +250,7 @@ def sigma_distances(f: MapSpec, lams) -> list[float]:
     So each distance is the liminf as r -> 0 of min(|lam - f(r) / r|, |lam - f(-r) / (-r)|),
     and inf where Sigma is empty.
     """
-    if abs(f.evaluator(0.0)) > 1e-12:  # the tolerance of `estimators.bifurcation_scan`
+    if abs(f.evaluator(0.0)) > 1e-12:  # the tolerance of `planar.curve_distances`
         raise PreconditionError("bifurcation scans need f(0) = 0 at the basepoint")
     sigma = point_spectrum_1d(dini_exact(f, 0.0)).intervals
     return [min((max(lo - lam, lam - hi, 0.0) for lo, hi in sigma), default=math.inf) for lam in lams]

@@ -17,11 +17,11 @@ and a grid is labelled by a point-in-polygon winding query on the traced
 curve, with no further map evaluations: `_crossings` lists where the
 polygon crosses the grid rows and `_turns` bins them, the one winding
 kernel.  `sigma_curve` traces the curve in numpy arrays by the rule of
-`planar.trace_curve`, which traces it in lists for `spec2d`; it takes any
-planar map at a radius r, the curve sigma_r whose nearest samples are the
-residuals of a bifurcation scan, one curve for every r when the map is
-positively homogeneous.  `classify` reads the growth rates d and q of a
-planar builtin off the curve it traces here, by `planar.growth_rates`.
+`planar.trace_curve`, which traces it on floats for `spec2d` and the
+bifurcation scan; it takes any planar map at a radius r, the curve sigma_r,
+one curve for every r when the map is positively homogeneous.  `classify`
+reads the growth rates d and q of a planar builtin off the curve it traces
+here, by `planar.growth_rates`.
 
 The forward direction is sound (a nonzero degree certifies solvability of
 all admissible perturbed equations); treating winding zero as membership is

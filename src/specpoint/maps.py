@@ -1,11 +1,12 @@
-"""Map descriptions, the builtin catalogue, evaluation, translation, and the scalar action.
+"""Map descriptions on arrays: the builtin catalogue, evaluation and translation.
 
 A MapSpec (defined in `core`) bundles a deterministic evaluator, based at
 the origin, with the metadata the engines need: dimension, a
 positive-homogeneity flag, an optional exact derivative-quadruple provider
 (one dimensional maps), an optional Jacobian provider, an optional sphere
-matrix A(r) with f(r u) = r A(r) u on the sphere of radius r, and whether
-the real coordinates carry a complex scalar action.
+matrix A(r) with f(r u) = r A(r) u on the sphere of radius r, an optional
+exact sphere minimum, and whether the real coordinates carry a complex
+scalar action.
 
 Builtin catalogue (addressable by name from tests and the CLI):
 
@@ -22,14 +23,14 @@ the last axis, a user evaluator included.  A one dimensional evaluator
 takes a bare float, as `dini` evaluates one float at a time: the one
 dimensional builtins are the scalar functions of `dini`, built there, whose
 batch `evaluate` refuses, and `norm_times_x(1)` is x |x|, which takes
-arrays too.  The planar builtins are formulas of `planar`, evaluated here
-on arrays of points.  The linear builtins, real_linear and conj_pair,
-declare their matrices as their Jacobians and as their sphere matrices;
-norm_times_x(dim) declares A(r) = r I.  The factories of norm_times_x and
-norm_plus_i_im_pow check their integer parameter's range on the value as
-given.  `numerics.sphere_extrema` reads the sphere matrix alone; a map
-without one is scanned on its curve, which needs the plane, and a one
-dimensional builtin by `dini.sigma_distances`.
+arrays too.  Every other builtin is built by `planar`, on floats, with its
+exact sphere minimum where it has one: the planar formulas are evaluated
+here on arrays of points, and the evaluators of conj_pair and
+norm_times_x take arrays as they are.  Here the linear builtins,
+real_linear and conj_pair, declare their matrices as their Jacobians,
+and norm_times_x its derivative.  The factories in `planar` check the
+integer parameters of norm_times_x and norm_plus_i_im_pow on the value as
+given.
 """
 from __future__ import annotations
 
@@ -39,17 +40,8 @@ from typing import Callable
 import numpy as np
 
 from . import planar
-from .core import (
-    DomainError,
-    EvaluationError,
-    MapSpec,
-    NAMES_1D,
-    PreconditionError,
-    UnsupportedError,
-    replace,
-)
-
-MAX_DIM = 16  # the largest norm_times_x dimension: a scan holds a dim x dim matrix per lambda
+from .core import DomainError, EvaluationError, MapSpec, NAMES_1D, replace
+from .planar import BUILTIN_NAMES, MAX_DIM  # noqa: F401  (the names of the catalogue and the dimension cap)
 
 
 def evaluate(f: MapSpec, x) -> np.ndarray:
@@ -72,7 +64,7 @@ def evaluate(f: MapSpec, x) -> np.ndarray:
 
 
 def translate_to_origin(f: MapSpec, p) -> MapSpec:
-    """The map x -> f(p + x) - f(p), based at the origin; the sphere matrix carries over at p = 0 only."""
+    """The map x -> f(p + x) - f(p), based at the origin; the sphere matrix and minimum carry over at p = 0 only."""
     p = np.asarray(p, dtype=float)
     if f.dim >= 2 and p.shape != (f.dim,):
         raise DomainError(f"basepoint must have {f.dim} coordinates")
@@ -94,37 +86,9 @@ def translate_to_origin(f: MapSpec, p) -> MapSpec:
         dini_exact=(lambda t, _d=f.dini_exact, _p=p: _d(float(_p) + t)) if f.dini_exact else None,
         jacobian=(lambda q, _j=f.jacobian, _p=p: _j(_p + q)) if f.jacobian else None,
         sphere_matrix=f.sphere_matrix if at_origin else None,
+        sphere_min=f.sphere_min if at_origin else None,
         inv_oscillation_hint=f.inv_oscillation_hint,
     )
-
-
-# ---------------------------------------------------------------------------
-# the scalar action
-
-
-def scalar_action(lam, x, complex_pairs: bool) -> np.ndarray:
-    """lam * x for the scalar field of the space.
-
-    With complex_pairs the coordinates of x pair up as (re, im, re, im,
-    ...) and lam acts on every pair as a complex number; otherwise lam must
-    be real and multiplies every coordinate.  lam is a scalar or an array
-    that broadcasts against x without its last axis.
-    """
-    lam = np.asarray(lam)
-    x = np.asarray(x, dtype=float)
-    if complex_pairs:
-        if x.shape[-1] % 2:
-            raise ValueError("complex scalar action needs an even last dimension")
-        # named, pairs is no temporary for numpy to multiply into in place,
-        # which rounds differently: a lam gets the same bits in any batch
-        pairs = x[..., 0::2] + 1j * x[..., 1::2]
-        z = (lam[..., None] if lam.ndim else lam) * pairs
-        return np.ascontiguousarray(z).view(float)
-    if np.iscomplexobj(lam):
-        if np.any(lam.imag != 0.0):
-            raise PreconditionError("complex scalar acting on a map without complex structure")
-        lam = lam.real
-    return (lam[..., None] if lam.ndim else lam) * x
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +97,6 @@ def scalar_action(lam, x, complex_pairs: bool) -> np.ndarray:
 
 # (z, w) -> (conj w, i conj z) on R^4 coordinates (x1, y1, x2, y2): R-linear, this matrix
 _CONJ_PAIR = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-
-
-def _f_conj_pair(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    out[..., 0] = x[..., 2]
-    out[..., 1] = -x[..., 3]
-    out[..., 2] = x[..., 1]
-    out[..., 3] = x[..., 0]
-    return out
 
 
 def _builtin_plane(name, **params):
@@ -163,43 +117,24 @@ def _builtin_plane(name, **params):
 
 
 def _norm_times_x(dim=2):
-    """x -> |x| x: on the sphere of radius r it is x -> r x, so A(r) = r I."""
-    if not 1 <= dim <= MAX_DIM:  # on the value as given: int(1e300) prints 301 digits
-        raise PreconditionError(f"norm_times_x needs 1 <= dim <= {MAX_DIM}, got {dim:.16g}")
-    dim = int(dim)
-
-    def ev(x):
-        if dim == 1:  # no coordinate axis: a bare float or an array of points
-            return x * abs(x)
-        x = np.asarray(x, dtype=float)
-        return x * np.linalg.norm(x, axis=-1, keepdims=True)
+    """x -> |x| x of `planar`, with its derivative |p| I + p p^T / |p| (0 at p = 0)."""
+    f = planar.builtin("norm_times_x", dim=dim)
 
     def jac(p):
         p = np.asarray(p, dtype=float)
         r = float(np.linalg.norm(p))
         if r == 0.0:
-            return np.zeros((dim, dim))
-        return r * np.eye(dim) + np.outer(p, p) / r
+            return np.zeros((f.dim, f.dim))
+        return r * np.eye(f.dim) + np.outer(p, p) / r
 
-    return MapSpec(name=f"norm_times_x({dim})", dim=dim, evaluator=ev, jacobian=jac,
-                   sphere_matrix=lambda r: r * np.eye(dim))
+    return replace(f, jacobian=jac)
 
 
 _FACTORIES: dict[str, Callable[..., MapSpec]] = {
     **{name: partial(_builtin_plane, name) for name in planar.BUILTINS},
-    "conj_pair": lambda: MapSpec(
-        name="conj_pair",
-        dim=4,
-        evaluator=_f_conj_pair,
-        homogeneous=True,
-        complex_pairs=True,
-        jacobian=lambda q: _CONJ_PAIR,
-        sphere_matrix=lambda r: _CONJ_PAIR,
-    ),
+    "conj_pair": lambda: replace(planar.builtin("conj_pair"), jacobian=lambda q: _CONJ_PAIR),
     "norm_times_x": _norm_times_x,
 }
-
-BUILTIN_NAMES = tuple(sorted([*_FACTORIES, *NAMES_1D]))
 
 
 def builtin(name: str, **params) -> MapSpec:
@@ -208,10 +143,5 @@ def builtin(name: str, **params) -> MapSpec:
         from .dini import builtin_1d  # here, so that the planar commands load no dini
 
         return builtin_1d(name, **params)
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise UnsupportedError(
-            f"unknown builtin {name!r}; known names: {', '.join(BUILTIN_NAMES)}"
-        ) from None
-    return factory(**params)
+    factory = _FACTORIES.get(name)
+    return planar.builtin(name, **params) if factory is None else factory(**params)

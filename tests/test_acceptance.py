@@ -121,10 +121,11 @@ def test_acceptance_04_two_circles():
     union = np.concatenate(
         [0.25 + 0.75 * np.exp(1j * angles), 0.75 + 0.25 * np.exp(1j * angles)]
     )
-    from specpoint.numerics import nearest_sample
+    from scipy.spatial import cKDTree
 
-    cover = nearest_sample(union, curve.values, 2e-3).max()  # inf past the reach 2e-3
-    assert cover < 2e-3
+    samples = cKDTree(np.stack([curve.values.real, curve.values.imag], -1))
+    cover = samples.query(np.stack([union.real, union.imag], -1), distance_upper_bound=2e-3)[0].max()
+    assert cover < 2e-3  # inf past the bound 2e-3
 
     d, q = growth_rates(planar_builtin("half_abs_re_plus_i_im"), curve)
     assert abs(d - 0.5) < 1e-9 and abs(q - 1.0) < 1e-9
@@ -221,7 +222,7 @@ def test_acceptance_07_shift_model():
 
 
 def test_acceptance_08_bifurcation():
-    g = builtin("norm_plus_i_im_pow", n=2)
+    g = planar_builtin("norm_plus_i_im_pow", n=2)
     xs = np.linspace(-1.5, 1.5, 24)
     ys = np.linspace(-1.5, 1.5, 30)
     lams = [complex(x, y) for y in ys for x in xs]
@@ -262,7 +263,7 @@ def test_acceptance_09_property_suites():
         assert mods.min() >= d - 1e-9 and mods.max() <= q + 1e-9
 
     # bifurcation candidates are members of the point-spectrum part
-    g = builtin("norm_plus_i_im_pow", n=2)
+    g = planar_builtin("norm_plus_i_im_pow", n=2)
     near = [
         (1.0 + 0.01 * k) * complex(math.cos(a), math.sin(a))
         for k in (-1, 0, 1)
@@ -326,4 +327,5 @@ def test_acceptance_10_empty_spectrum_witness():
             assert margin > 0.0
             margins.append(margin)
     assert len(margins) == 100
+    assert abs(min(margins) - 0.7084) < 5e-5  # sqrt(|lam|^2 - sqrt(2) |lam| + 1) at the modulus 0.75
     _ok(10, f"q = 1 and all 100 moduli rejected; smallest margin {min(margins):.3f}")

@@ -470,18 +470,18 @@ def test_exit_code_band_violations(capsys):
 def test_exit_code_5_rule_for_bifurcate(capsys, monkeypatch):
     # bifurcate --fn exits 5 only when more than half of its verdicts are
     # undecided; bifurcate --shift never does
-    from specpoint import estimators, structured
+    from specpoint import planar, structured
 
     # residuals of the default tol 0.02: 0.03 is undecided, 1.0 rejected
     def scan_with(residuals):
         def scan(f, lams, radius, tol):
-            return np.array(residuals)[:, None], 0.0
+            return list(residuals), 0.0
         return scan
 
     argv = ["bifurcate", "--fn", "norm_plus_i_im_pow", "--params", "2", "--grid=-1,1,-1,1,2,2"]
     for n_undecided, code in ((0, 0), (2, 0), (3, 5), (4, 5)):
         residuals = [0.03] * n_undecided + [1.0] * (4 - n_undecided)
-        monkeypatch.setattr(estimators, "bifurcation_scan", scan_with(residuals))
+        monkeypatch.setattr(planar, "curve_distances", scan_with(residuals))
         rc, out = run_cli(capsys, argv)
         assert rc == code, n_undecided
         assert json.loads(out)["verdicts_summary"]["undecided"] == n_undecided
@@ -683,17 +683,24 @@ def test_bifurcate_fn_scans_exit_0(capsys, argv):
     [("conj_pair", {})] + [("norm_times_x", {"dim": dim}) for dim in range(3, MAX_DIM + 1)],
     ids=["conj_pair"] + [f"norm_times_x{dim}" for dim in range(3, MAX_DIM + 1)],
 )
-def test_builtins_from_dimension_3_declare_their_sphere_matrix(name, params):
-    # sphere extrema from dimension 3 need the map's sphere matrix, so no argv reaches
-    # numerics' UnsupportedError; the matrix is the map's own: f(r u) = r A(r) u
+def test_builtins_from_dimension_3_declare_their_sphere_minimum(name, params):
+    # the curve route stops at the plane, so a scan from dimension 3 needs the map's sphere
+    # minimum; it is the map's own: f(r u) = r A(r) u, A(r) its Jacobian at 0 (conj_pair) or
+    # r I (norm_times_x), and the minimum over unit u of |lam u - A(r) u| is the least
+    # singular value of lam I - A(r), the real lam of norm_times_x acting as lam I
     from specpoint.maps import builtin, evaluate
 
     f = builtin(name, **params)
-    assert f.dim >= 3 and f.sphere_matrix is not None
-    u = np.random.default_rng(f.dim).normal(size=(6, f.dim))
+    assert f.dim >= 3 and f.sphere_min is not None
+    rng = np.random.default_rng(f.dim)
+    u = rng.normal(size=(6, f.dim))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     for r in (1e-3, 0.1, 2.0):
-        assert np.allclose(evaluate(f, r * u), r * u @ np.asarray(f.sphere_matrix(r)).T, rtol=1e-15, atol=0)
+        A = f.jacobian(np.zeros(f.dim)) if name == "conj_pair" else r * np.eye(f.dim)
+        assert np.allclose(evaluate(f, r * u), r * u @ A.T, rtol=1e-15, atol=0)
+        for lam in rng.normal(size=4):
+            least = np.linalg.svd(lam * np.eye(f.dim) - A, compute_uv=False)[-1]
+            assert abs(f.sphere_min(complex(lam), r) - least) <= 1e-14 * max(1.0, least)
 
 
 def test_only_conj_pair_and_norm_times_x_reach_dimension_3():
@@ -703,19 +710,21 @@ def test_only_conj_pair_and_norm_times_x_reach_dimension_3():
     assert all(f.dim <= 2 for f in others)
 
 
-def test_bifurcate_fn_loads_the_planar_engine_only_on_the_curve_route():
-    # the exact sphere minima live in numerics: a scan of a declared sphere matrix draws
-    # no curve and loads no homog2d, with planar candidates too (their containment in
-    # sigma_r follows from the residual); a planar map without one is scanned on its curve
-    def specpoint_modules(argv):  # numpy brings inspect along
-        return {m for m in probe_modules(["bifurcate", "--fn", *argv]) if m.startswith("specpoint")}
-
-    scan = {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.estimators",
-            "specpoint.maps", "specpoint.numerics", "specpoint.planar"}
-    assert specpoint_modules(["conj_pair", "--grid=-1.5,1.5,-1.5,1.5,8,8"]) == scan
-    assert specpoint_modules(CIRCLE_SCAN.split()) == scan
-    mods = specpoint_modules(["norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,24,30", "--tol", "0.02"])
-    assert mods == scan | {"specpoint.homog2d"}
+@pytest.mark.parametrize("argv", [
+    ["conj_pair", "--grid=-1.5,1.5,-1.5,1.5,8,8"],
+    ["real_linear", "--params", "1,0,0,-1", "--grid=0.9,1.1,0.2,0.4,3,3", "--radii", "1e-6", "--tol", "1e-6"],
+    ["norm_times_x", "--params", "16", "--grid=-1.5,1.5,0,0,128,1"],
+    ["norm_times_x", "--params", "1"],
+    ["norm_plus_i_im_pow", "--params", "2", "--grid=-1.5,1.5,-1.5,1.5,24,30", "--tol", "0.02"],
+    ["half_abs_re_plus_i_im", "--grid=-1.5,2,-1.5,1.5,128,128", "--tol", "1e300"],
+    ["norm_plus_i_im", "--radii", "0.5", "--tol", "0.1"],
+], ids=lambda argv: " ".join(argv))
+def test_bifurcate_fn_runs_without_numpy_on_every_route(argv):
+    # a map that declares its sphere minimum reads it on floats, and a planar builtin
+    # without one is scanned on its curve, traced on floats: with every numpy import
+    # failing, each loads planar alone of the engines, and neither dataclasses nor inspect
+    mods = probe_modules(["bifurcate", "--fn", *argv], block_numpy=True)
+    assert mods == {"specpoint", "specpoint.cli", "specpoint.core", "specpoint.planar"}
 
 
 ONE_D_SETS = {  # the distance to Sigma at 0 of each 1-D builtin: Sigma is every real, {0}, and empty twice

@@ -15,7 +15,6 @@ from specpoint.core import (
     MapSpec,
     NEG_INF,
     POS_INF,
-    PreconditionError,
     Record,
     RealIntervalSet,
     as_complex,
@@ -25,7 +24,6 @@ from specpoint.core import (
     scan_verdicts,
 )
 from specpoint.homog2d import PlaneSpectrum
-from specpoint.maps import scalar_action
 from specpoint.rates import Interval
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -118,29 +116,6 @@ def test_quad_validation():
         DiniQuad(1.0, 0.0, 0.0, 0.0)
     q = DiniQuad(-1.0, -1.0, 1.0, 1.0)
     assert q.as_tuple() == (-1.0, -1.0, 1.0, 1.0)
-
-
-def test_complex_scale_on_two_pairs():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    out = scalar_action(1j, x, True)
-    # i*(1+2i) = -2+i ; i*(3+4i) = -4+3i
-    assert np.allclose(out, [-2.0, 1.0, -4.0, 3.0])
-    with pytest.raises(PreconditionError):  # no complex action on a real space
-        scalar_action(1j, np.ones(3), False)
-
-
-def test_complex_scale_does_not_depend_on_the_batch():
-    # numpy multiplies into a temporary of 256 KiB or more in place, and
-    # that product rounds differently: one (lam, u) row per lam of the
-    # 128 x 128 scan grid makes one
-    xs = np.linspace(-1.5, 1.5, 128)
-    lams = np.array([complex(x, y) for y in xs for x in xs])
-    theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, lams.size)
-    U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
-    whole = scalar_action(lams[:, None], U, True)
-    sliced = [scalar_action(lams[lo:lo + 1000, None], U[lo:lo + 1000], True)
-              for lo in range(0, lams.size, 1000)]
-    assert np.array_equal(whole, np.concatenate(sliced))
 
 
 def test_as_complex_accepts_scalars_and_pairs():

@@ -24,7 +24,7 @@ from specpoint.homog2d import (
     classify_plane,
     sigma_curve,
 )
-from specpoint.maps import MapSpec, builtin, evaluate, scalar_action
+from specpoint.maps import MapSpec, builtin, evaluate
 
 RNG = np.random.default_rng(2024)
 
@@ -34,10 +34,19 @@ def scanline_turns(curve, xs, ys):
     return _turns(*_crossings(curve.values, xs, ys), ys.size, xs.size)
 
 
+def times(lam, x):
+    """lam x on the (re, im) coordinate pairs of x, lam acting as a complex number."""
+    x = np.asarray(x, dtype=float)
+    z = lam * (x[..., 0::2] + 1j * x[..., 1::2])
+    out = np.empty_like(x)
+    out[..., 0::2], out[..., 1::2] = z.real, z.imag
+    return out
+
+
 def affine_map(a, c, f: MapSpec) -> MapSpec:
-    """x -> a x + c f(x) for a homogeneous f, the scalars acting through scalar_action."""
+    """x -> a x + c f(x) for a homogeneous f with complex structure."""
     def ev(x):
-        return scalar_action(a, x, f.complex_pairs) + scalar_action(c, f.evaluator(x), f.complex_pairs)
+        return times(a, x) + times(c, f.evaluator(x))
 
     return MapSpec(name=f"{a}*id+{c}*{f.name}", dim=f.dim, evaluator=ev, homogeneous=True,
                    complex_pairs=f.complex_pairs)

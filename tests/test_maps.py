@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError, replace
-from specpoint.estimators import bifurcation_scan
-from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, scalar_action, translate_to_origin
-from specpoint.numerics import sphere_extrema
-from test_homog2d import affine_map
+from specpoint import planar
+from specpoint.core import DomainError, EvaluationError, MapSpec, PreconditionError, UnsupportedError
+from specpoint.maps import BUILTIN_NAMES, MAX_DIM, builtin, evaluate, translate_to_origin
+from test_homog2d import affine_map, times
 
 HOMOGENEOUS_PLANAR = [
     builtin("abs_re_plus_i_im"),
@@ -119,16 +118,6 @@ def test_a_one_dimensional_builtin_refuses_a_batch_naming_the_map(name):
     assert evaluate(builtin("norm_times_x", dim=1), xs).tolist() == [1.0, 4.0]
 
 
-def test_scalar_action_minus_a_planar_map():
-    # lam z - f(z) with lam = 1 + 2i acting on the plane as a complex number
-    f = builtin("abs_re_plus_i_im")
-    z = np.array([0.3, -0.7])
-    want = np.array(
-        [1 * 0.3 - 2 * (-0.7) - abs(0.3), 1 * (-0.7) + 2 * 0.3 - (-0.7)]
-    )
-    assert np.allclose(scalar_action(1 + 2j, z, f.complex_pairs) - evaluate(f, z), want)
-
-
 def _rotation(c):
     return np.array([[c.real, -c.imag], [c.imag, c.real]])
 
@@ -163,75 +152,72 @@ def _exact_minima(g, lams, M):
 
 
 @pytest.mark.parametrize(
-    "f",
-    [builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4))))],
-    ids=["real_linear"],
-)
-@pytest.mark.parametrize(
     "a, c",
     [(0.0, -0.4 + 2.0j), (0.3 - 1.1j, 1.0), (1.5 - 0.5j, -1.0)],
     ids=["scale_map", "add_identity", "lambda_minus"],
 )
-def test_declared_sphere_minima_of_an_affine_combination_of_real_linear_are_its_singular_values(f, a, c):
-    # a x + c f(x) declares R(a) + R(c) A(r), composed from f's, and its minima
-    # are the singular values of the matrix read off the map
-    Ra, Rc = (scalar_action(s, np.eye(f.dim), f.complex_pairs).T for s in (a, c))
-    g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
-    M = evaluate(g, np.eye(g.dim)).T
+def test_declared_sphere_minima_of_an_affine_combination_of_real_linear_are_its_singular_values(a, c):
+    # a x + c f(x) of a real_linear f is real_linear of the matrix R(a) + R(c) A, read off
+    # the map; that builtin's closed-form minima are the singular values of R(lam) - M
+    f = builtin("real_linear", **dict(zip("stuv", np.random.default_rng(5).normal(size=4))))
+    M = evaluate(affine_map(a, c, f), np.eye(2)).T
+    assert np.allclose(M, times(a, np.eye(2)).T + times(c, np.eye(2)).T @ f.sphere_matrix(1.0), rtol=0, atol=1e-15)
+    g = planar.builtin("real_linear", **dict(zip("stuv", M.ravel().tolist())))
     lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
     for r in (0.1, 0.01):
-        assert np.allclose(sphere_extrema(g, lams, r), _exact_minima(g, lams, M), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "a, c",
-    [(0.0, -0.4 + 2.0j), (0.3 - 1.1j, 1.0), (1.5 - 0.5j, -1.0)],
-    ids=["scale_map", "add_identity", "lambda_minus"],
-)
-def test_declared_sphere_minima_of_an_affine_combination_of_conj_pair_are_its_singular_values(a, c):
-    # on R^4 sphere extrema need a sphere matrix: a x + c f(x) declares R(a) + R(c) A(r),
-    # composed from f's, and its minima are the singular values of the matrix read off the map
-    f = builtin("conj_pair")
-    Ra, Rc = (scalar_action(s, np.eye(f.dim), f.complex_pairs).T for s in (a, c))
-    g = replace(affine_map(a, c, f), sphere_matrix=lambda r: Ra + Rc @ f.sphere_matrix(r))
-    M = evaluate(g, np.eye(g.dim)).T
-    lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j, 2.5 + 0.5j])
-    for r in (0.1, 0.01):
-        assert np.allclose(sphere_extrema(g, lams, r), _exact_minima(g, lams, M), rtol=0, atol=1e-12)
+        got = [g.sphere_min(complex(lam), r) for lam in lams]
+        assert np.allclose(got, _exact_minima(g, lams, M), rtol=0, atol=1e-12)
 
 
 def test_sampled_sphere_minima_that_vary_with_the_radius():
     # 0.5 x + |x| x is linear on each sphere, A(r) = (0.5 + r) I: its sigma_r is the point
     # 0.5 + r, and the scan's residuals are |lam - 0.5 - r| at every radius (tol 2: reach 4)
-    f = builtin("norm_times_x", dim=2)
-    g = MapSpec(name="0.5*id+norm_times_x(2)", dim=2, evaluator=lambda x: 0.5 * np.asarray(x) + f.evaluator(x))
-    lams = np.linspace(-1.5, 1.5, 13).astype(complex)
+    g = MapSpec(name="0.5*id+norm_times_x(2)", dim=2,
+                evaluator=lambda x, y, hypot: (0.5 * x + hypot(x, y) * x, 0.5 * y + hypot(x, y) * y))
+    lams = np.linspace(-1.5, 1.5, 13).astype(complex).tolist()
     for r in (0.1, 0.01):
-        res = bifurcation_scan(g, lams, radius=r, tol=2.0)[0][:, 0]
-        assert np.allclose(res, np.abs(lams.real - 0.5 - r), rtol=0, atol=1e-15)
+        res = planar.curve_distances(g, lams, r, 2.0)[0]
+        assert np.allclose(res, np.abs(np.real(lams) - 0.5 - r), rtol=0, atol=1e-15)
 
 
 def test_translate_to_origin_keeps_the_sphere_matrix_at_the_origin_only():
-    for f in (builtin("conj_pair"), builtin("norm_times_x", dim=3)):
-        assert translate_to_origin(f, np.zeros(f.dim)).sphere_matrix is f.sphere_matrix
+    for f in (builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), builtin("conj_pair"), builtin("norm_times_x", dim=3)):
+        at = translate_to_origin(f, np.zeros(f.dim))
+        assert at.sphere_matrix is f.sphere_matrix and at.sphere_min is f.sphere_min is not None
         p = np.linspace(0.1, 0.5, f.dim)
-        assert translate_to_origin(f, p).sphere_matrix is None
+        assert translate_to_origin(f, p).sphere_matrix is translate_to_origin(f, p).sphere_min is None
 
 
-def test_sphere_matrices_of_the_builtins_and_the_identity():
-    # f(r u) = r A(r) u for unit u, checked on evaluations
-    u = np.random.default_rng(8).normal(size=(6, 16))
+def _sphere_matrix(f, r):
+    """A(r) with f(r u) = r A(r) u: real_linear's declared matrix, conj_pair's Jacobian, r I for norm_times_x."""
+    if f.sphere_matrix is not None:
+        return np.asarray(f.sphere_matrix(r))
+    return f.jacobian(np.zeros(f.dim)) if f.name == "conj_pair" else r * np.eye(f.dim)
+
+
+def test_sphere_matrices_and_minima_of_the_builtins_and_the_identity():
+    # f(r u) = r A(r) u for unit u, checked on evaluations, and each declared sphere
+    # minimum is the least singular value of R(lam) - A(r), the real lam of a map
+    # without complex structure acting as lam I
+    rng = np.random.default_rng(8)
+    u = rng.normal(size=(6, 16))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    lams = (rng.normal(size=5) + 1j * rng.normal(size=5)).tolist()
     maps = [builtin("real_linear", s=1.0, t=2.0, u=3.0, v=4.0), builtin("conj_pair"), builtin("real_linear")] + [
         builtin("norm_times_x", dim=d) for d in (1, 2, 3, 16)]
     for f in maps:
         for r in (1e-3, 0.1, 2.0):
+            A = _sphere_matrix(f, r)
             x = r * u[:, :f.dim] / np.linalg.norm(u[:, :f.dim], axis=-1, keepdims=True)
             want = evaluate(f, x if f.dim > 1 else x[:, 0])
-            got = x @ np.asarray(f.sphere_matrix(r)).T
+            got = x @ A.T
             assert np.allclose(got if f.dim > 1 else got[:, 0], want, rtol=1e-15, atol=0), f.name
+            for lam in lams if f.complex_pairs else [complex(lam.real) for lam in lams]:
+                R = times(lam, np.eye(f.dim)).T if f.complex_pairs else lam.real * np.eye(f.dim)
+                least = np.linalg.svd(R - A, compute_uv=False)[-1]
+                assert abs(f.sphere_min(lam, r) - least) <= 1e-14 * max(1.0, least), (f.name, lam, r)
     nonlinear = ["abs_re_plus_i_im", "norm_plus_i_im", "norm_only", "sqrt_abs", "xsq_sin_inv"]
-    assert all(builtin(name).sphere_matrix is None for name in nonlinear)
+    assert all(builtin(name).sphere_matrix is builtin(name).sphere_min is None for name in nonlinear)
 
 
 def test_conj_pair_is_isometry():

@@ -1,12 +1,16 @@
+import bisect
 import math
+import re
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from specpoint import homog2d, numerics, planar
-from specpoint.core import NumericError
-from specpoint.maps import MapSpec, builtin, evaluate
+from specpoint.core import NumericError, scan_verdicts
+from specpoint.maps import builtin, evaluate
 
 LINEAR_PARAMS = [
     {"s": 1.0, "t": -2.0, "u": 2.0, "v": 1.0},  # a point curve
@@ -52,7 +56,7 @@ def test_tracer_matches_curve_values(name, params, samples, max_samples):
     f = builtin(name, **params)
     ref = homog2d.sigma_curve(f, samples=samples, max_samples=max_samples)
     assert len(bare.thetas) == len(bare.values) == ref.thetas.size
-    assert bare.thetas == ref.thetas.tolist()
+    assert bare.thetas.tolist() == ref.thetas.tolist()
     assert bare.chord_met == ref.chord_met and bare.is_point() == ref.is_point()
     expect = homog2d._curve_values(f, np.array(bare.thetas))
     got = np.array(bare.values)
@@ -71,8 +75,8 @@ def test_a_chord_equal_to_the_bound_meets_it():
         v = list(map(complex, trace(samples=16, max_samples=16).values))
         longest = max(abs(b - a) for a, b in zip(v, v[1:] + v[:1]))
         met = trace(samples=16, chord_bound=longest)
-        assert met.chord_met and len(met.values) == 16
-        assert len(trace(samples=16, chord_bound=math.nextafter(longest, 0.0)).values) > 16
+        assert met.chord_met and len(met.thetas) == 16
+        assert len(trace(samples=16, chord_bound=math.nextafter(longest, 0.0)).thetas) > 16
 
 
 def test_tracer_started_full_holds_only_its_curve():
@@ -85,8 +89,47 @@ def test_tracer_started_full_holds_only_its_curve():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(curve.values) == 1 << 16 and not curve.chord_met
+    assert len(curve.thetas) == 1 << 16 and not curve.chord_met
     assert peak <= 1.1 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("name, params, bound", [
+    ("real_linear", {"s": 1e3, "t": 0.0, "u": 0.0, "v": -1e3}, 1e-3),  # every arc bisected each round
+    ("norm_plus_i_im", {}, 1e-7),  # some arcs bisected each round
+])
+def test_tracer_grows_its_arrays_in_place(name, params, bound):
+    # a trace that grows to its cap holds its angles in an array, 8 bytes an angle, and
+    # its values in a list, 40 bytes a complex value, and inserts each round's midpoints
+    # back from the last block of arcs: the two lists it replaced kept 72 bytes a sample
+    # and peaked at 1.6 times that, with new copies of both lists each round
+    f = planar.builtin(name, **params)
+    tracemalloc.start()
+    try:
+        curve = planar.trace_curve(planar.curve_at(f), samples=2048, chord_bound=bound, max_samples=1 << 18)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(curve.thetas) == 1 << 18 and not curve.chord_met
+    assert kept <= 50 * (1 << 18) and peak <= 1.25 * kept, (kept, peak)
+    # and it takes the angles, values and chord flag of the array tracer, within the ulps of the values
+    ref = homog2d.sigma_curve(builtin(name, **params), samples=2048, chord_bound=bound, max_samples=1 << 18)
+    assert curve.thetas.tolist() == ref.thetas.tolist() and curve.chord_met == ref.chord_met
+    assert np.max(np.abs(np.array(curve.values) - ref.values)) <= 1e-12 * np.abs(ref.values).max()
+
+
+def test_growth_rates_hold_no_list_of_the_curve():
+    # the least and the largest |sigma| sample are found CHUNK samples at a time: on a
+    # 2^20-sample curve, a list of its moduli alone would take 32 MiB
+    f = planar.builtin("norm_plus_i_im")
+    curve = planar.trace_curve(planar.curve_at(f), samples=1 << 20)
+    tracemalloc.start()
+    try:
+        rates = planar.growth_rates(f, curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert rates == planar.growth_rates(f, planar.trace_curve(planar.curve_at(f), samples=4096))
 
 
 def _dense_moduli(f):
@@ -103,10 +146,9 @@ def test_growth_rates_match_sphere_extrema(name, params):
     listed = planar.trace_curve(planar.curve_at(bare))
     got = planar.growth_rates(bare, listed)
     if f.sphere_matrix is not None:
-        zero = np.zeros(1, dtype=complex)
         sv = np.linalg.svd(f.sphere_matrix(1.0), compute_uv=False)
-        expect = (float(numerics.sphere_extrema(f, zero, 1.0)[0]), sv[0])
-        assert expect[0] == sv[-1]
+        expect = (bare.sphere_min(0j, 1.0), sv[0])
+        assert abs(expect[0] - sv[-1]) <= 1e-15 * sv[0]
         for extremum, e in zip(got, expect):
             assert abs(extremum - e) <= 1e-15 * abs(e), (extremum, e)
     moduli = _dense_moduli(f)
@@ -209,27 +251,141 @@ def test_tracer_over_several_chunks_matches_the_former_array_loop(max_samples):
     assert curve.values.size > samples
 
 
-def test_sphere_extrema_of_a_linear_map_are_its_singular_values():
-    # a map that declares its sphere matrix is solved by one batched SVD per radius, with no evaluation
-    rng = np.random.default_rng(9)
-    M = rng.normal(size=(4, 4))
-
-    def never(x):
-        raise AssertionError("the exact path evaluated the map")
-
-    f = MapSpec(name="black_box", dim=4, evaluator=never, homogeneous=True, complex_pairs=True,
-                sphere_matrix=lambda r, _M=M: _M)
-    lams = np.array([0.0, 0.7 - 0.2j, -1.1 + 2.0j])
-    res = [numerics.sphere_extrema(f, lams, r) for r in (0.1, 0.01)]
-    for i, lam in enumerate(lams):
-        scale = np.kron(np.eye(2), [[lam.real, -lam.imag], [lam.imag, lam.real]])
-        sv = np.linalg.svd(scale - M, compute_uv=False)
-        assert [float(col[i]) for col in res] == [sv[-1], sv[-1]]
+def test_non_finite_sphere_minimum_is_a_numeric_error():
+    # an entry of R(lam) - A(r) that overflows: an error naming the map, not an inf residual
+    big = 1.7976931348623157e308
+    f = planar.builtin("real_linear", s=-big, t=0.0, u=0.0, v=1.0)
+    with pytest.raises(NumericError, match=re.escape(f"lam*id - f of {f.name} has a non-finite matrix entry")):
+        f.sphere_min(complex(big, 0.0), 0.1)
+    g = planar.builtin("norm_times_x", dim=3)
+    with pytest.raises(NumericError, match=re.escape("lam*id - f of norm_times_x(3) has a non-finite matrix entry")):
+        g.sphere_min(complex(-big, 0.0), 1e300)
+    assert g.sphere_min(complex(-big, 0.0), 1.0) == big  # the difference rounds to -big
 
 
-def test_non_finite_sphere_extremum_is_a_numeric_error():
-    # a non-finite entry of the declared matrix: an error naming the map, not an inf residual
-    g = MapSpec(name="inf_matrix", dim=2, evaluator=lambda x: np.asarray(x), homogeneous=True,
-                sphere_matrix=lambda r: np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with pytest.raises(NumericError, match="inf_matrix"):
-        numerics.sphere_extrema(g, np.array([0.5 + 0j]), 0.1)
+# ---------------------------------------------------------------------------
+# the distance kernel of the planar scan
+
+
+def _listed(samples) -> list:
+    """The complex samples in a list, as trace_curve holds them."""
+    return np.asarray(samples, dtype=complex).tolist()
+
+
+def _kdtree_distances(a, b):
+    """Reference: the nearest sample of each lam by a k-d tree query."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(np.stack([b.real, b.imag], -1)).query(np.stack([a.real, a.imag], -1))[0]
+
+
+def _assert_bounds_match(a, b, tol, chord=0.0):
+    """sample_bounds gives every lam the verdict of its nearest sample, with a distance of one sample.
+
+    An undecided lam's bound is the nearest distance, bit for bit; a
+    candidate's is below tol and no less than it; a rejected one's is inf.
+    """
+    expect = _kdtree_distances(a, b)
+    got = np.array(planar.sample_bounds(_listed(b), a.tolist(), tol, chord))
+    verdicts = scan_verdicts(expect[:, None], tol, chord)
+    assert scan_verdicts(got[:, None], tol, chord) == verdicts
+    for v, g, e in zip(verdicts, got.tolist(), expect.tolist()):
+        assert {"candidate": e <= g < tol, "undecided": g == e, "rejected": g == math.inf}[v], (v, g, e)
+    return got
+
+
+# where the lams lie: a cloud like the samples', a rounding step from samples, exactly on
+# samples, left and right of every sample, and on samples that tie in real part
+PLACES = ["cloud", "near", "on", "outside", "ties"]
+
+
+@given(st.integers(1, 300), st.integers(1, 3000), st.floats(-12.0, 12.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(PLACES), st.floats(-3.0, 1.0), st.floats(-3.0, 1.0))
+def test_sample_bounds_match_kdtree(na, nb, log_scale, seed, place, log_tol, log_chord):
+    """The verdict of the k-d tree's nearest sample, and its bits when undecided, wherever the lams lie."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    b = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) * scale + rng.normal() * scale
+    if place == "ties":  # few real parts, each shared by many samples
+        b = np.round(b.real / scale * 4.0) * (scale / 4.0) + 1j * b.imag
+    pick = b[rng.integers(0, nb, size=na)]
+    if place == "near":  # lams a rounding step away from samples
+        a = pick * (1.0 + rng.normal(size=na) * 1e-15)
+    elif place == "on":
+        a = pick
+    elif place == "ties":  # half of them on samples, half sharing a sample's real part only
+        a = pick + 1j * rng.normal(size=na) * scale * (np.arange(na) % 2)
+    elif place == "outside":
+        lo, hi = b.real.min(), b.real.max()
+        span = (hi - lo) + scale
+        side = np.where(rng.random(na) < 0.5, lo - span * rng.random(na), hi + span * rng.random(na))
+        a = side + 1j * (rng.normal(size=na) * scale)
+    else:
+        a = (rng.normal(size=na) + 1j * rng.normal(size=na)) * scale
+    _assert_bounds_match(a, b, scale * 10.0 ** log_tol, scale * 10.0 ** log_chord * (seed % 2))
+
+
+def test_sample_bounds_do_not_depend_on_the_batch():
+    # lams far above the samples, undecided at a chord that reaches them all: each
+    # gets the nearest distance, as alone and as the k-d tree gives it
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+    a = rng.normal(size=300) + 1j * (100.0 + rng.normal(size=300))
+    whole = _assert_bounds_match(a, b, 1e-3, chord=1e3)
+    alone = [planar.sample_bounds(_listed(b), [lam], 1e-3, 1e3)[0] for lam in a.tolist()]
+    assert whole.tolist() == alone == _kdtree_distances(a, b).tolist()
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308, np.inf])
+def test_sample_bounds_tol_from_the_least_to_the_largest(tol):
+    # lam.real -/+ 2 tol overflows at the largest finite tol; the window is then every sample
+    b = np.array([0.0, 1.0, 1j, 2.0 + 2j])
+    a = np.array([0.0, 5e-324, 0.5, 3.0 + 3j])
+    _assert_bounds_match(a, b, tol)
+    assert planar.sample_bounds(_listed(b), [], tol) == []
+
+
+def test_a_sample_at_a_threshold_takes_the_side_of_the_verdict():
+    # a distance of 5: rejected at 2 tol = 5, undecided at the chord 5 and at tol = 5,
+    # a candidate just above
+    b = np.array([0.0, 10j])
+    lams = [5.0 + 0j, -5.0 + 0j, 3.0 + 4.0j]
+    assert planar.sample_bounds(_listed(b), lams, 2.5) == [math.inf] * 3
+    assert planar.sample_bounds(_listed(b), lams, 2.5, chord=5.0) == [5.0] * 3
+    assert planar.sample_bounds(_listed(b), lams, 5.0) == [5.0] * 3
+    assert planar.sample_bounds(_listed(b), lams, math.nextafter(5.0, 6.0)) == [5.0] * 3
+
+
+def test_a_sample_whose_squares_round_lower_is_kept():
+    # lam = 0 and b = (1.72 + 1.72j)e-162, |b| = 2.43e-162; a = -2.53e-162 lies farther, and
+    # beyond the reach 2.5e-162, but the squares are subnormal and round to one unit each,
+    # so a's rounded distance beats b's and lies within reach
+    a, b = complex(-2.53e-162, 0.0), complex(1.72e-162, 1.72e-162)
+    samples = np.array([a, complex(-1e-163, 1.0), b])
+    assert abs(a) > 2.5e-162 > abs(b) and a.real ** 2 == b.real ** 2 == 5e-324
+    got = planar.sample_bounds(_listed(samples), [0j], 1.25e-162)
+    assert got == _kdtree_distances(np.zeros(1, dtype=complex), samples).tolist() == [math.sqrt(5e-324)]
+
+
+def test_sample_bounds_follow_the_curve_not_the_tol(monkeypatch):
+    # samples every 1e-3 on [-1, 1]: at a huge tol the first sample decides every lam 1e-4
+    # off the line, and the search stops; a lam 1 above the line pairs with no sample
+    # at the reach 1e-3, and samples out of reach skip those a step cannot bring back
+    distances = []
+
+    def counted(x):
+        distances.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(planar, "sqrt", counted)
+    b = np.linspace(-1.0, 1.0, 2001) + 0j
+    near = np.linspace(-0.9, 0.9, 50) + 1e-4j
+    assert all(d < 1e300 for d in planar.sample_bounds(_listed(b), near.tolist(), 1e300))
+    assert len(distances) == near.size
+    distances.clear()
+    far = planar.sample_bounds(_listed(b), (near + 1j).tolist(), 5e-4, step=1e-3)
+    assert far == [math.inf] * near.size and not distances
+    visited = []
+    monkeypatch.setattr(planar, "bisect_left", lambda a, x, *r: visited.append(x) or bisect.bisect_left(a, x, *r))
+    planar.sample_bounds(_listed(b), (near + 1j).tolist(), 5e-4, step=1e-3)
+    assert len(visited) <= 2 * 20  # two bisections a visited sample: 1 - 1e-3 out of reach skips ~1000
